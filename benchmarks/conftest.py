@@ -52,6 +52,9 @@ METRIC_UNITS = {
     "sim_kernel_scale_x": "x",
     "serving_1M_seed_s": "s",
     "serving_1M_requests_s": "s",
+    "gen_fleet_scaling_x": "x",
+    "gen_fleet16_tokens_per_s": "tokens/s",
+    "gen_fleet128_tokens_per_s": "tokens/s",
     "plan_capacity_speedup_x": "x",
     "plan_capacity_seed_s": "s",
     "plan_capacity_analytic_s": "s",

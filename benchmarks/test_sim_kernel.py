@@ -14,6 +14,12 @@ million-request scale benchmark ``serving_1M_requests``: the calendar
 queue + merged arrivals + batched completions + summary detail against
 the seed kernel (the legacy loop), gated at >= 10x
 (``sim_kernel_scale_x``, enforced again by the CI bench-trend job).
+
+The fleet-scaling row records absolute generation drain throughput
+(output tokens/s) at 16 and at 128 instances with the per-instance
+load held constant, and gates their per-token cost ratio
+(``gen_fleet_scaling_x``) at >= 0.7: per-event engine cost must not
+grow with fleet size.
 """
 
 import gc
@@ -180,3 +186,50 @@ def test_bench_serving_1M_requests(record_perf):
     assert scale >= 10.0, (
         f"scale refactor must hold >= 10x over the seed kernel at 1M "
         f"requests, got {scale:.2f}x ({t_seed:.2f} s -> {t_fast:.2f} s)")
+
+
+def _gen_fleet_drain(accel, n, per_instance_qps=62.5, duration_ms=500.0,
+                     rounds=3):
+    """Best-of-``rounds`` full-detail generation drain at ``n``
+    instances: (output tokens, seconds).  The per-instance arrival rate
+    and the length mix are those of the ``generate_watch`` workload."""
+    arrivals = PoissonArrivals(per_instance_qps * n,
+                               ModelMix("model2-lhc-trigger"),
+                               seed=3).generate(duration_ms)
+    requests = attach_generation_lengths(
+        arrivals, LengthSampler.parse("16:64"),
+        LengthSampler.parse("geo:8:32"), seed=3,
+        max_total=accel.synth.max_seq_len)
+    sim = GenerationClusterSimulator(accel, n, slots=8,
+                                     scheduler="least-loaded")
+    sim.run(requests[:50])  # warm the prefill/decode memos
+    best = float("inf")
+    for _ in range(rounds):
+        elapsed, result = _timed_once(lambda: sim.run(requests))
+        best = min(best, elapsed)
+    return result.total_tokens, best
+
+
+def test_bench_generation_fleet_scaling(record_perf):
+    """Per-token drain cost at 128 instances vs 16, same load each.
+
+    The work per instance is the same at both sizes, so a per-event
+    cost that is independent of fleet size keeps the per-token cost
+    flat.  A per-sample sum over the fleet, as the generation drains
+    once had, costs ~3x more per token at 128 instances.
+    """
+    accel = ProTEA.synthesize(SynthParams())
+    tokens_16, t_16 = _gen_fleet_drain(accel, 16)
+    tokens_128, t_128 = _gen_fleet_drain(accel, 128)
+    assert tokens_128 > 6 * tokens_16
+    scaling = (t_16 / tokens_16) / (t_128 / tokens_128)
+    record_perf("sim", "gen_fleet16_tokens_per_s", tokens_16 / t_16,
+                "tokens/s", context={"instances": 16, "tokens": tokens_16})
+    record_perf("sim", "gen_fleet128_tokens_per_s", tokens_128 / t_128,
+                "tokens/s", context={"instances": 128,
+                                     "tokens": tokens_128})
+    record_perf("sim", "gen_fleet_scaling_x", scaling, "x")
+    assert scaling >= 0.7, (
+        f"per-token generation drain cost grew with fleet size: "
+        f"{t_16 / tokens_16 * 1e6:.2f} us/token at 16 instances, "
+        f"{t_128 / tokens_128 * 1e6:.2f} at 128 ({scaling:.2f}x)")

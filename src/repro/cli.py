@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 __all__ = ["main", "build_parser"]
 
@@ -418,6 +419,30 @@ def _cmd_power() -> None:
         print(f"  {name:24s} {tdp:6.1f} W")
 
 
+def _usage_error(command: str, message: str) -> NoReturn:
+    """Exit like an argparse usage error: one line on stderr, status 2."""
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _check_load_args(args) -> None:
+    """Reject load knobs that would hang a run or report nothing.
+
+    An infinite ``--qps`` never finishes generating arrivals, and a NaN
+    one silently generates none; both fail here instead, before any
+    workload is built.
+    """
+    for flag, value in (("--qps", args.qps),
+                        ("--duration-ms", args.duration_ms)):
+        if not (math.isfinite(value) and value > 0):
+            _usage_error(args.command,
+                         f"{flag} must be finite and > 0, got {value:g}")
+    timeout_ms = getattr(args, "batch_timeout_ms", 0.0)
+    if not (math.isfinite(timeout_ms) and timeout_ms >= 0):
+        _usage_error(args.command, "--batch-timeout-ms must be finite and "
+                     f">= 0, got {timeout_ms:g}")
+
+
 def _parse_mix(entries: Optional[List[str]]):
     """``name[:weight]`` CLI entries → ModelMix (validates names)."""
     from .nn import MODEL_ZOO
@@ -646,11 +671,15 @@ def _cmd_serve(args) -> None:
     from .serving import (get_batching, plan_capacity, render_capacity_plan,
                           render_serving_report, simulate, summarize)
 
+    _check_load_args(args)
     mix = _parse_mix(args.models)
     requests = _build_workload(args, mix)
     accel = default_accelerator()
-    batching = get_batching(args.batch, args.batch_size,
-                            args.batch_timeout_ms)
+    try:
+        batching = get_batching(args.batch, args.batch_size,
+                                args.batch_timeout_ms)
+    except ValueError as exc:
+        _usage_error("serve", str(exc))
     fleet, failures = _parse_fleet(args, requests, generation=False)
 
     if args.plan:
@@ -678,15 +707,18 @@ def _cmd_serve(args) -> None:
         # sits below nominal, and the nominal gate could never be met.
         realized_qps = (len(requests) / args.duration_ms * 1e3
                         if args.scenario != "trace" and requests else None)
-        plan = plan_capacity(
-            accel, requests, target_p99_ms=args.slo_ms,
-            target_qps=realized_qps,
-            scheduler=args.policy, batching=batching,
-            reprogram_latency_ms=args.reprogram_ms,
-            failures=failures,
-            mode=args.confirm, confirm=not args.analytic_only,
-            shards=shard_kwargs.get("shards", 1),
-            shard_jobs=shard_kwargs.get("shard_jobs"))
+        try:
+            plan = plan_capacity(
+                accel, requests, target_p99_ms=args.slo_ms,
+                target_qps=realized_qps,
+                scheduler=args.policy, batching=batching,
+                reprogram_latency_ms=args.reprogram_ms,
+                failures=failures,
+                mode=args.confirm, confirm=not args.analytic_only,
+                shards=shard_kwargs.get("shards", 1),
+                shard_jobs=shard_kwargs.get("shard_jobs"))
+        except ValueError as exc:
+            _usage_error("serve", str(exc))
         if args.as_json:
             out = {
                 "instances": plan.instances,
@@ -712,12 +744,15 @@ def _cmd_serve(args) -> None:
         args, watch_slo_ms=args.slo_ms, watch_slo_flag="--slo-ms")
     shard_kwargs = _shard_kwargs(args, observing=observer is not None)
     run_cfg = _run_config(args, "serve", fleet)
-    result = simulate(
-        accel, requests, None if fleet else args.instances,
-        scheduler=args.policy, batching=batching,
-        reprogram_latency_ms=args.reprogram_ms,
-        fleet=fleet, failures=failures,
-        observer=observer, profiler=profiler, **shard_kwargs)
+    try:
+        result = simulate(
+            accel, requests, None if fleet else args.instances,
+            scheduler=args.policy, batching=batching,
+            reprogram_latency_ms=args.reprogram_ms,
+            fleet=fleet, failures=failures,
+            observer=observer, profiler=profiler, **shard_kwargs)
+    except ValueError as exc:  # e.g. --instances 0, --reprogram-ms -5
+        _usage_error("serve", str(exc))
     report = summarize(
         result, slo_ms=args.slo_ms,
         watch=watchdog.summary() if watchdog is not None else None)
@@ -754,6 +789,7 @@ def _cmd_generate(args) -> None:
                           attach_priorities, render_generation_report,
                           simulate_generation, summarize_generation)
 
+    _check_load_args(args)
     mix = _parse_mix(args.models)
     arrivals = _build_workload(args, mix)
     accel = default_accelerator()
@@ -776,12 +812,15 @@ def _cmd_generate(args) -> None:
         args, watch_slo_ms=args.ttft_slo_ms, watch_slo_flag="--ttft-slo-ms")
     shard_kwargs = _shard_kwargs(args, observing=observer is not None)
     run_cfg = _run_config(args, "generate", fleet)
-    result = simulate_generation(
-        accel, requests, None if fleet else args.instances,
-        slots=args.slots, scheduler=args.policy,
-        reprogram_latency_ms=args.reprogram_ms,
-        fleet=fleet, failures=failures,
-        observer=observer, profiler=profiler, **shard_kwargs)
+    try:
+        result = simulate_generation(
+            accel, requests, None if fleet else args.instances,
+            slots=args.slots, scheduler=args.policy,
+            reprogram_latency_ms=args.reprogram_ms,
+            fleet=fleet, failures=failures,
+            observer=observer, profiler=profiler, **shard_kwargs)
+    except ValueError as exc:  # e.g. --instances 0, --slots 0
+        _usage_error("generate", str(exc))
     report = summarize_generation(
         result, ttft_slo_ms=args.ttft_slo_ms,
         tpot_slo_ms=args.tpot_slo_ms,

@@ -32,8 +32,12 @@ call), so the event queue holds at most one step event per instance,
 never one per token.  The arrival stream never enters the event queue
 either: arrivals are stable-sorted once and merged against the
 :class:`~repro.sim.calendar.CalendarQueue` of step/fault events during
-the drain.  ``detail="summary"`` additionally skips all record, trace,
-and sample materialization (see :mod:`repro.sim.summary`).
+the drain.  Queue-depth samples read a running ``depth`` counter that
+is updated where work enters or leaves the fleet (arrival, requeue,
+finish, fault, recovery), not a sum over every instance per sample, so
+per-event bookkeeping does not grow with fleet size.
+``detail="summary"`` additionally skips all record, trace, and sample
+materialization (see :mod:`repro.sim.summary`).
 
 Observer contract: attached observers receive every trace tuple —
 ``("arrive", t, rid, model, inst)``, ``("admit", t, inst, rid, prompt,
@@ -291,6 +295,9 @@ class GenerationEngine(Simulation):
         records: List[GenerationRecord] = []
         samples: List[Tuple[float, int]] = []
         pending: List[Union[GenerationRequest, _Resume]] = []
+        #: Waiting + in-flight sequences over all instances, plus
+        #: ``pending`` — updated where work enters or leaves the fleet.
+        depth = 0
         retries: Dict[int, int] = {}
         preempt_counts: Dict[int, int] = {}
         degraded: Dict[int, bool] = {}
@@ -314,10 +321,7 @@ class GenerationEngine(Simulation):
                 if t_fail is not None:
                     push(t_fail, _P_FAULT, ("fail", inst))
 
-        def sample(now: float) -> None:
-            samples.append(
-                (now, sum(len(i.queue) + len(i.active) for i in instances)
-                 + len(pending)))
+        sample_append = samples.append
 
         def take_next(inst: _Inst, resident: Optional[str]):
             """Pop the next admissible queue entry (None if head-blocked).
@@ -436,10 +440,11 @@ class GenerationEngine(Simulation):
             emit(("step", now, inst.idx, model, len(admitted),
                   len(decoding), duration))
             push(end, _P_STEP, ("step", inst, inst.epoch))
-            sample(now)
+            sample_append((now, depth))
 
         def finish_step(inst: _Inst, now: float) -> None:
             """Step boundary: emit tokens, vacate finished sequences."""
+            nonlocal depth
             for seq, decoded in inst.step_done:
                 if decoded:
                     seq.cached += 1
@@ -463,8 +468,9 @@ class GenerationEngine(Simulation):
                     emit(("finish", now, inst.idx, req.rid))
                 else:
                     still.append(seq)
+            depth -= len(inst.active) - len(still)
             inst.active = still
-            sample(now)
+            sample_append((now, depth))
             start_step(inst, now)
 
         def route(entry, now: float) -> None:
@@ -474,6 +480,8 @@ class GenerationEngine(Simulation):
             to the trace — so metrics observers see displaced work
             re-enter a queue without perturbing the golden traces.
             """
+            nonlocal depth
+            depth += 1
             inst = dispatcher.pick(entry, now)
             if inst is None:
                 pending.append(entry)
@@ -488,19 +496,21 @@ class GenerationEngine(Simulation):
             start_step(inst, now)
 
         def on_arrival(req: GenerationRequest, now: float) -> None:
+            nonlocal depth
+            depth += 1
             if failing and dispatcher.down_count:
                 degraded[req.rid] = True
             inst = dispatcher.pick(req, now)
             if inst is None:
                 pending.append(req)
                 emit(("arrive", now, req.rid, req.model, -1))
-                sample(now)
+                sample_append((now, depth))
                 return
             inst.queue.append(req)
             if inst.last_model is None:
                 inst.last_model = req.model
             emit(("arrive", now, req.rid, req.model, inst.idx))
-            sample(now)
+            sample_append((now, depth))
             start_step(inst, now)
 
         def on_step(payload: tuple, now: float) -> None:
@@ -510,6 +520,7 @@ class GenerationEngine(Simulation):
             finish_step(inst, now)
 
         def on_fail(payload: tuple, now: float) -> None:
+            nonlocal depth
             inst: _Inst = payload[1]
             inst.down = True
             inst.down_since = now
@@ -557,7 +568,9 @@ class GenerationEngine(Simulation):
             inst.resident = None  # weights are lost with the instance
             queued = list(inst.queue)
             inst.queue.clear()
-            sample(now)
+            # Displaced work is detached until route() re-counts it.
+            depth -= len(displaced) + len(queued)
+            sample_append((now, depth))
             for entry in displaced:
                 route(entry, now)
             for entry in queued:
@@ -567,6 +580,7 @@ class GenerationEngine(Simulation):
                  ("recover", inst))
 
         def on_recover(payload: tuple, now: float) -> None:
+            nonlocal depth
             inst: _Inst = payload[1]
             inst.down = False
             inst.downtime_ms += now - inst.down_since
@@ -578,6 +592,7 @@ class GenerationEngine(Simulation):
                 push(t_fail, _P_FAULT, ("fail", inst))
             if pending:
                 parked, pending[:] = list(pending), []
+                depth -= len(parked)
                 for entry in parked:
                     route(entry, now)
 
@@ -724,6 +739,8 @@ class GenerationEngine(Simulation):
         prev_t = 0.0
         cur_depth = 0
         pending: List[Union[GenerationRequest, _Resume]] = []
+        # Running depth, same update sites as the full path.
+        depth = 0
 
         arrivals = sorted(requests, key=_BY_T)
 
@@ -744,8 +761,7 @@ class GenerationEngine(Simulation):
             nonlocal area, prev_t, cur_depth
             area += cur_depth * (now - prev_t)
             prev_t = now
-            cur_depth = (sum(len(i.queue) + len(i.active)
-                             for i in instances) + len(pending))
+            cur_depth = depth
 
         def take_next(inst: _Inst, resident: Optional[str]):
             iq = inst.queue
@@ -852,7 +868,7 @@ class GenerationEngine(Simulation):
             sample(now)
 
         def finish_step(inst: _Inst, now: float) -> None:
-            nonlocal wait_sum, total_tokens, total_done, makespan
+            nonlocal wait_sum, total_tokens, total_done, makespan, depth
             for seq, decoded in inst.step_done:
                 if decoded:
                     seq.cached += 1
@@ -884,11 +900,14 @@ class GenerationEngine(Simulation):
                         note(("finish", now, inst.idx, req.rid))
                 else:
                     still.append(seq)
+            depth -= len(inst.active) - len(still)
             inst.active = still
             sample(now)
             start_step(inst, now)
 
         def route(entry, now: float) -> None:
+            nonlocal depth
+            depth += 1
             inst = dispatcher.pick(entry, now)
             if inst is None:
                 pending.append(entry)
@@ -903,6 +922,8 @@ class GenerationEngine(Simulation):
             start_step(inst, now)
 
         def on_arrival(req: GenerationRequest, now: float) -> None:
+            nonlocal depth
+            depth += 1
             inst = dispatcher.pick(req, now)
             if inst is None:
                 pending.append(req)
@@ -919,7 +940,7 @@ class GenerationEngine(Simulation):
             start_step(inst, now)
 
         def on_fail(payload: tuple, now: float) -> None:
-            nonlocal retries_total
+            nonlocal retries_total, depth
             inst: _Inst = payload[1]
             inst.down = True
             inst.down_since = now
@@ -953,6 +974,7 @@ class GenerationEngine(Simulation):
             inst.resident = None  # weights are lost with the instance
             queued = list(inst.queue)
             inst.queue.clear()
+            depth -= len(displaced) + len(queued)
             sample(now)
             for entry in displaced:
                 route(entry, now)
@@ -963,6 +985,7 @@ class GenerationEngine(Simulation):
                  ("recover", inst))
 
         def on_recover(payload: tuple, now: float) -> None:
+            nonlocal depth
             inst: _Inst = payload[1]
             inst.down = False
             inst.downtime_ms += now - inst.down_since
@@ -975,6 +998,7 @@ class GenerationEngine(Simulation):
                 push(t_fail, _P_FAULT, ("fail", inst))
             if pending:
                 parked, pending[:] = list(pending), []
+                depth -= len(parked)
                 for entry in parked:
                     route(entry, now)
 

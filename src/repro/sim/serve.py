@@ -26,7 +26,12 @@ re-derivations with incremental bookkeeping — queue-depth samples come
 from a running counter instead of an O(instances) sum, batch costs are
 memoized per ``(model, batch size)``, switch accounting compares
 resident-model names instead of re-programming the accelerator every
-batch, and the built-in schedulers run as inlined scans.  The arrival
+batch, and the built-in schedulers run inlined.  On an unrestricted,
+fault-free fleet the least-loaded pick is O(1): a :class:`_LoadIndex`
+buckets instances by load and answers with the first minimum, falling
+back to the scan only while a completion lies within ``_EPS`` of the
+arrival (where the scan's ``busy_until`` test and the index's
+in-flight test differ).  The arrival
 stream never enters the event queue at all: arrivals are stable-sorted
 once and merged against the :class:`~repro.sim.calendar.CalendarQueue`
 of engine events during the drain (one heap push+pop per *batch*, not
@@ -101,7 +106,7 @@ class _Inst:
         "busy_until", "last_model", "resident", "pending_check", "down",
         "epoch", "in_flight", "deploys", "switch_count",
         "reprogram_time_ms", "batches", "requests", "busy_ms",
-        "failures", "downtime_ms", "down_since",
+        "failures", "downtime_ms", "down_since", "bit", "level",
     )
 
     def __init__(self, idx: int, spec: InstanceSpec, reprogram_ms: float,
@@ -141,6 +146,62 @@ class _Inst:
                                   else 0)
 
 
+class _LoadIndex:
+    """Exact O(1) least-loaded pick over an unrestricted, healthy fleet.
+
+    Buckets instances by load, ``len(queue) + (in_flight is not None)``:
+    ``levels[k]`` is an int bitmask of the fleet positions at load
+    ``k``.  :meth:`best` returns the lowest set bit of the lowest
+    non-empty level — the first minimum in fleet order, which is the
+    scan's tie-break.  ``low`` is a lazy lower bound on that level:
+    :meth:`update` lowers it and :meth:`best` walks it up past emptied
+    levels.  A load rises by one arrival at a time, so the walk is
+    amortized O(1).
+
+    The index counts an instance busy while a batch is in flight; the
+    scan counts it busy while ``busy_until > now + _EPS``.  The two
+    agree unless a completion lies in ``(now, now + _EPS]`` — a case the
+    engine detects from its event-queue head and answers with the scan.
+    """
+
+    __slots__ = ("insts", "levels", "low")
+
+    def __init__(self, instances: Sequence[_Inst]):
+        self.insts = list(instances)
+        self.levels = [(1 << len(self.insts)) - 1]
+        self.low = 0
+        for pos, inst in enumerate(self.insts):
+            inst.bit = 1 << pos
+            inst.level = 0
+
+    def update(self, inst: _Inst) -> None:
+        """Re-bucket ``inst`` after its queue or in-flight batch moved."""
+        load = len(inst.queue) + (inst.in_flight is not None)
+        old = inst.level
+        if load == old:
+            return
+        levels = self.levels
+        bit = inst.bit
+        levels[old] ^= bit
+        while load >= len(levels):
+            levels.append(0)
+        levels[load] |= bit
+        inst.level = load
+        if load < self.low:
+            self.low = load
+
+    def best(self) -> _Inst:
+        """The first least-loaded instance in fleet order."""
+        levels = self.levels
+        low = self.low
+        mask = levels[low]
+        while not mask:
+            low += 1
+            mask = levels[low]
+        self.low = low
+        return self.insts[(mask & -mask).bit_length() - 1]
+
+
 class _ServeDispatcher(Dispatcher):
     """Capability/health-aware dispatch with inlined built-in policies."""
 
@@ -152,6 +213,32 @@ class _ServeDispatcher(Dispatcher):
         self._least_loaded = type(scheduler) is LeastLoaded
         self._affinity = type(scheduler) is ModelAffinity
         self._slack = scheduler.slack if self._affinity else 0
+
+    def bind(self, queue, failing: bool):
+        """A drain's ``pick(request, now_ms)`` and its load index.
+
+        The capability/health filter only matters when the fleet is
+        restricted or failures are live; otherwise the policy runs on
+        the whole fleet directly (hot path), and least-loaded runs on
+        a :class:`_LoadIndex`, which the drain keeps current.  The
+        index is ``None`` on every other path.
+        """
+        if failing or self.restricted:
+            return self.pick, None
+        fast, fleet = self._pick_fast, self.instances
+        if not self._least_loaded:
+            def pick(request, now_ms):
+                return fast(fleet, request, now_ms)
+            return pick, None
+        index = _LoadIndex(fleet)
+        best = index.best
+
+        def pick(request, now_ms):
+            head = queue.head
+            if head is not None and head[0] <= now_ms + _EPS:
+                return fast(fleet, request, now_ms)
+            return best()
+        return pick, index
 
     def _pick_fast(self, candidates, request, now_ms):
         if self._round_robin:
@@ -303,16 +390,10 @@ class ServeEngine(Simulation):
         decide = None if type(batching) is BatchingPolicy else batching.decide
         check_jitter = self.check_jitter_ms
         failing = self.failures is not None
-
-        # Dispatch: the capability/health filter only matters when a
-        # fleet is restricted or failures are live; otherwise bind the
-        # policy scan directly (hot path).
-        if failing or dispatcher.restricted:
-            pick = dispatcher.pick
-        else:
-            def pick(request, now_ms,
-                     _fast=dispatcher._pick_fast, _all=instances):
-                return _fast(_all, request, now_ms)
+        pick, index = dispatcher.bind(queue, failing)
+        # Least-loaded only: re-bucket an instance after each event
+        # that touched its queue or batch (arrival, free, check).
+        update = index.update if index is not None else None
 
         samples: List[Tuple[float, int]] = []
         queued_total = 0
@@ -440,6 +521,8 @@ class ServeEngine(Simulation):
             emit(("arrive", now, req.rid, req.model, inst.idx))
             sample_append((now, queued_total + len(pending)))
             try_dispatch(inst, now)
+            if update is not None:
+                update(inst)
 
         def on_free(payload: tuple, now: float) -> None:
             inst: _Inst = payload[1]
@@ -452,6 +535,8 @@ class ServeEngine(Simulation):
             done.append((model, inst.idx, size, t_disp, t_done, batch))
             emit(("free", now, inst.idx))
             try_dispatch(inst, now)
+            if update is not None:
+                update(inst)
 
         def on_check(payload: tuple, now: float) -> None:
             # Deadline checks may be stale: try_dispatch re-derives
@@ -461,6 +546,8 @@ class ServeEngine(Simulation):
             inst: _Inst = payload[1]
             inst.pending_check = False
             try_dispatch(inst, now)
+            if update is not None:
+                update(inst)
 
         def on_fail(payload: tuple, now: float) -> None:
             nonlocal queued_total
@@ -645,13 +732,8 @@ class ServeEngine(Simulation):
         decide = None if type(batching) is BatchingPolicy else batching.decide
         check_jitter = self.check_jitter_ms
         failing = self.failures is not None
-
-        if failing or dispatcher.restricted:
-            pick = dispatcher.pick
-        else:
-            def pick(request, now_ms,
-                     _fast=dispatcher._pick_fast, _all=instances):
-                return _fast(_all, request, now_ms)
+        pick, index = dispatcher.bind(queue, failing)
+        update = index.update if index is not None else None
 
         # Per-model accumulators (latency lists keep the exact multiset
         # for order statistics; sums replace the full path's record
@@ -703,6 +785,9 @@ class ServeEngine(Simulation):
             rr_next = 0
             n_inst = len(instances)
             pick_fast = dispatcher._pick_fast
+            # The indexed pick is inlined below: the merge loop already
+            # holds the queue head that ``pick`` would re-read.
+            best = index.best if index is not None else None
             pop = queue.pop
 
             def dispatch(inst: _Inst, now: float) -> None:
@@ -765,6 +850,8 @@ class ServeEngine(Simulation):
                 makespan = t_done  # free events pop in time order
                 if inst.queue:
                     dispatch(inst, t_done)
+                if update is not None:
+                    update(inst)
 
             for req in arrivals:
                 ta = req.t_ms
@@ -778,6 +865,9 @@ class ServeEngine(Simulation):
                     rr_next += 1
                     if rr_next == n_inst:
                         rr_next = 0
+                elif best is not None and (head is None
+                                           or head[0] > ta + _EPS):
+                    inst = best()
                 else:
                     inst = pick_fast(instances, req, ta)
                 inst.queue.append(req)
@@ -791,6 +881,8 @@ class ServeEngine(Simulation):
                     max_depth = d
                 if inst.busy_until <= ta + _EPS:
                     dispatch(inst, ta)
+                if update is not None:
+                    update(inst)
             while queue:
                 head = queue.head
                 pop()
@@ -903,6 +995,8 @@ class ServeEngine(Simulation):
                 note(("arrive", now, req.rid, req.model, inst.idx))
             sample(now, queued_total + len(pending))
             try_dispatch(inst, now)
+            if update is not None:
+                update(inst)
 
         def on_free(payload: tuple, now: float) -> None:
             nonlocal makespan, total_done, degraded_done
@@ -944,11 +1038,15 @@ class ServeEngine(Simulation):
             total_done += size
             makespan = t_done  # free events pop in time order
             try_dispatch(inst, now)
+            if update is not None:
+                update(inst)
 
         def on_check(payload: tuple, now: float) -> None:
             inst: _Inst = payload[1]
             inst.pending_check = False
             try_dispatch(inst, now)
+            if update is not None:
+                update(inst)
 
         def on_fail(payload: tuple, now: float) -> None:
             nonlocal queued_total

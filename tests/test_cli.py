@@ -524,6 +524,62 @@ class TestScenarioFlags:
                   "--heterogeneous", "1.0x2"])
 
 
+class TestBadInputsExitTwo:
+    """Out-of-range load and fleet knobs fail like an argparse usage
+    error — exit status 2 and one line on stderr — instead of hanging
+    (``--qps inf``), exiting 0 with an empty report (``--qps nan``) or
+    dumping a ``ValueError`` traceback (``--instances 0``)."""
+
+    SMALL = ["--duration-ms", "50"]
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["serve", "--qps", "inf"] + SMALL, "--qps"),
+        (["serve", "--qps", "nan"] + SMALL, "--qps"),
+        (["serve", "--qps", "0"] + SMALL, "--qps"),
+        (["serve", "--qps", "-5"] + SMALL, "--qps"),
+        (["serve", "--duration-ms", "inf"], "--duration-ms"),
+        (["serve", "--duration-ms", "nan"], "--duration-ms"),
+        (["serve", "--duration-ms", "0"], "--duration-ms"),
+        (["serve", "--batch", "timeout", "--batch-timeout-ms", "nan"]
+         + SMALL, "--batch-timeout-ms"),
+        (["serve", "--batch", "timeout", "--batch-timeout-ms", "inf"]
+         + SMALL, "--batch-timeout-ms"),
+        (["serve", "--batch", "timeout", "--batch-timeout-ms", "-1"]
+         + SMALL, "--batch-timeout-ms"),
+        (["serve", "--plan", "--slo-ms", "5", "--qps", "inf"] + SMALL,
+         "--qps"),
+        (["serve", "--instances", "0"] + SMALL, "instance"),
+        (["serve", "--reprogram-ms", "-5"] + SMALL, "reprogram"),
+        (["serve", "--plan", "--slo-ms", "5", "--reprogram-ms", "-5"]
+         + SMALL, "reprogram"),
+        (["serve", "--batch", "fixed", "--batch-size", "0"] + SMALL,
+         "max_batch"),
+        (["generate", "--qps", "inf"] + SMALL, "--qps"),
+        (["generate", "--qps", "nan"] + SMALL, "--qps"),
+        (["generate", "--duration-ms", "-1"], "--duration-ms"),
+        (["generate", "--instances", "0"] + SMALL, "instance"),
+        (["generate", "--slots", "0"] + SMALL, "slot"),
+        (["generate", "--reprogram-ms", "-5"] + SMALL, "reprogram"),
+    ])
+    def test_rejected_with_exit_two(self, capsys, argv, needle):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: error: ")
+        assert needle in lines[0]
+
+    def test_edge_values_still_run(self, capsys):
+        """A zero batch timeout is a valid (dispatch-at-once) policy."""
+        assert main(["serve", "--qps", "100", "--duration-ms", "50",
+                     "--batch", "timeout", "--batch-timeout-ms", "0",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total_requests"] > 0
+
+
 class TestObservabilityFlags:
     """The repro.obs CLI surface: --trace / --metrics / --profile."""
 

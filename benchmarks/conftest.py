@@ -49,6 +49,7 @@ METRIC_UNITS = {
     "dse_warm_s": "s",
     "dse_host_cpus": "cores",
     "dse_grid_points": "points",
+    "dse_eval_points_per_s": "points/s",
     "sim_kernel_scale_x": "x",
     "serving_1M_seed_s": "s",
     "serving_1M_requests_s": "s",

@@ -10,6 +10,9 @@ provides the scaling; on small hosts the surrogate prescreen provides
 it by fully evaluating only the surviving fronts — same answer, less
 work, measured honestly against the strongest serial baseline.
 
+``dse_eval_points_per_s`` is the absolute serial evaluator
+throughput over the same grid, trended by ``obs bench``.
+
 Also recorded: ``dse_prescreen_reduction_x`` (full evaluations saved
 by the prescreen), the pooled-without-prescreen time (so the pool's
 own contribution is trackable), and the cold/warm cache split.  The
@@ -105,6 +108,29 @@ def test_bench_parallel_speedup(record_perf, save_artifact):
     record_perf("dse", "dse_grid_points", float(SPACE.size), "points")
     save_artifact("dse.txt", render_exploration(
         brute, title=f"DSE bench grid ({SPACE.size} points)"))
+
+
+def test_bench_eval_points_per_s(record_perf):
+    """Absolute serial evaluator throughput over ``SPACE`` (points/s).
+
+    Starts from empty per-process memos, so the figure includes what
+    one sweep pays per design variant (synthesis, latency reports,
+    the seeded workload) as well as the per-point simulations.
+    """
+    from repro.dse import objectives
+
+    objectives._SYNTH_MEMO.clear()
+    objectives._ARRIVALS_MEMO.clear()
+    points = list(SPACE.grid())
+    t0 = time.perf_counter()
+    for point in points:
+        try:
+            evaluate_point(point, SETTINGS)
+        except ValueError:
+            pass  # infeasible corners cost a fit check, same as a sweep
+    elapsed = time.perf_counter() - t0
+    record_perf("dse", "dse_eval_points_per_s", len(points) / elapsed,
+                "points/s", {"points": len(points), "serial_s": elapsed})
 
 
 def test_bench_cache_speedup(record_perf, tmp_path):

@@ -426,15 +426,20 @@ def _usage_error(command: str, message: str) -> NoReturn:
 
 
 def _check_load_args(args) -> None:
-    """Reject load knobs that would hang a run or report nothing.
+    """Reject load knobs and SLO targets that would hang a run or
+    report nothing.
 
     An infinite ``--qps`` never finishes generating arrivals, and a NaN
-    one silently generates none; both fail here instead, before any
-    workload is built.
+    one silently generates none; a NaN SLO is met by nothing (a
+    ``--plan`` search probes every fleet size) yet reads as attained.
+    All fail here instead, before any workload is built.
     """
-    for flag, value in (("--qps", args.qps),
-                        ("--duration-ms", args.duration_ms)):
-        if not (math.isfinite(value) and value > 0):
+    checks = (("--qps", args.qps), ("--duration-ms", args.duration_ms),
+              ("--slo-ms", getattr(args, "slo_ms", None)),
+              ("--ttft-slo-ms", getattr(args, "ttft_slo_ms", None)),
+              ("--tpot-slo-ms", getattr(args, "tpot_slo_ms", None)))
+    for flag, value in checks:
+        if value is not None and not (math.isfinite(value) and value > 0):
             _usage_error(args.command,
                          f"{flag} must be finite and > 0, got {value:g}")
     timeout_ms = getattr(args, "batch_timeout_ms", 0.0)
@@ -946,6 +951,7 @@ def _cmd_dse(args) -> None:
         raise SystemExit(f"invalid --batch {args.batch} (expected >= 1)")
     if args.prescreen_keep is not None and not args.prescreen:
         raise SystemExit("--prescreen-keep requires --prescreen")
+    _check_load_args(args)
     try:
         space = standard_space(
             models=tuple(args.models or ("bert-variant",

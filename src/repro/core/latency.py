@@ -21,6 +21,14 @@ maximum while only the reduction-dim tile count tracks the runtime
 ``d_model`` — reproducing the *linear* latency scaling in ``d_model``
 the paper measures (Tests 6–7), where a naive model would predict
 quadratic.
+
+Each :class:`LatencyModel` memoizes its two entry points per synthesized
+instance: ``evaluate`` by ``(config, clock_mhz)`` and
+``decode_layer_cycles`` by its arguments.  Reports are frozen, so a
+shared entry cannot be reassigned.  A DSE sweep visits each design
+variant many times (one per fleet size, scheduler and surrogate pass),
+and a generation report walks the same cache lengths for every one of
+them; with the memo each variant pays for each distinct question once.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ class LatencyOptions:
     hbm: HBMSubsystem = field(default_factory=HBMSubsystem)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerLatency:
     """Cycle breakdown of one encoder layer."""
 
@@ -71,7 +79,7 @@ class LayerLatency:
         return sum(self.loads.values())
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatencyReport:
     """Whole-model latency at a given clock."""
 
@@ -169,7 +177,14 @@ class GenerationReport:
 
 
 class LatencyModel:
-    """Latency evaluator for one synthesized accelerator instance."""
+    """Latency evaluator for one synthesized accelerator instance.
+
+    :meth:`evaluate` and :meth:`decode_layer_cycles` are pure functions
+    of the synthesized parameters and their arguments, so each instance
+    memoizes them: a sweep, a planner or a generation engine that asks
+    the same variant the same question again gets the first (frozen)
+    result back.  A call that raises stores nothing and raises again.
+    """
 
     def __init__(
         self,
@@ -182,6 +197,9 @@ class LatencyModel:
         self.attention = attention
         self.ffn = ffn
         self.options = options or LatencyOptions()
+        self._reports: Dict[Tuple[TransformerConfig, float],
+                            LatencyReport] = {}
+        self._decode_layers: Dict[Tuple[int, int, int], LayerLatency] = {}
 
     # ------------------------------------------------------------------
     def _xfer(self, nbytes: int) -> int:
@@ -275,6 +293,15 @@ class LatencyModel:
         score-path engines (QK/softmax/SV), which sweep the whole
         ``cache_len``-deep cache and grow with generated length.
         """
+        key = (cache_len, d_model, num_heads)
+        layer = self._decode_layers.get(key)
+        if layer is None:
+            layer = self._decode_layers[key] = self._decode_layer(*key)
+        return layer
+
+    def _decode_layer(
+        self, cache_len: int, d_model: int, num_heads: int
+    ) -> LayerLatency:
         synth = self.synth
         att = self.attention.decode_compute_cycles(cache_len, d_model,
                                                    num_heads)
@@ -361,9 +388,14 @@ class LatencyModel:
         Programs a register file first so every synthesized-maximum
         constraint is enforced exactly once, here.
         """
-        csr = ConfigRegisterFile(self.synth)
-        csr.program(config)
-        layer = self.layer_cycles(config.seq_len, config.d_model,
-                                  config.num_heads)
-        return LatencyReport(layer=layer, num_layers=config.num_layers,
-                             clock_mhz=clock_mhz, config=config)
+        key = (config, clock_mhz)
+        report = self._reports.get(key)
+        if report is None:
+            csr = ConfigRegisterFile(self.synth)
+            csr.program(config)
+            layer = self.layer_cycles(config.seq_len, config.d_model,
+                                      config.num_heads)
+            report = self._reports[key] = LatencyReport(
+                layer=layer, num_layers=config.num_layers,
+                clock_mhz=clock_mhz, config=config)
+        return report

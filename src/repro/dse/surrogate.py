@@ -7,8 +7,12 @@ is exactly what makes honest million-point design spaces unaffordable
 by brute force.  This module scores a point with the *summation model*
 sketched in SNIPPETS.md Snippet 1 instead: add up the analytic
 latency, bandwidth, and resource terms, estimate queueing with a
-closed-form M/M/c wait, and never simulate.  On the benchmark grid one
-surrogate call is ~100x cheaper than one full evaluation.
+closed-form M/M/c wait, and never simulate.  On the benchmark grid
+(``benchmarks/test_dse.py``, 30 points, 2-vCPU Xeon VM) a first
+surrogate call on a synthesized variant costs ~5 ms against ~80 ms for
+a full evaluation (~16x).  Repeat calls on the same variant hit the
+latency model's memo and cost ~0.1 ms, so a prescreen that revisits a
+variant across fleet sizes pays the closed forms once.
 
 The closed forms themselves live in :mod:`repro.analytic` (this module
 grew them first; the package promotion kept ``erlang_c`` re-exported

@@ -463,6 +463,8 @@ class ServeEngine(Simulation):
                          ("check", inst))
                     inst.pending_check = True
                 return
+            if inst.in_flight is not None:
+                return  # completes within _EPS; its free event dispatches
             batch = [iq.popleft() for _ in range(size)]
             queued_total -= size
             switched = inst.resident != model
@@ -879,7 +881,7 @@ class ServeEngine(Simulation):
                 cur_depth = d
                 if d > max_depth:
                     max_depth = d
-                if inst.busy_until <= ta + _EPS:
+                if inst.in_flight is None:
                     dispatch(inst, ta)
                 if update is not None:
                     update(inst)
@@ -940,6 +942,8 @@ class ServeEngine(Simulation):
                          ("check", inst))
                     inst.pending_check = True
                 return
+            if inst.in_flight is not None:
+                return  # completes within _EPS; its free event dispatches
             batch = [iq.popleft() for _ in range(size)]
             queued_total -= size
             switched = inst.resident != model

@@ -106,3 +106,49 @@ class TestReporting:
         with pytest.raises(ResynthesisRequiredError):
             model.evaluate(BERT_VARIANT.with_(d_model=1536, d_ff=6144,
                                               num_heads=8), 200.0)
+
+
+class TestMemo:
+    """Per-instance memo of the pure cycle model."""
+
+    def test_evaluate_hit_is_first_result_and_matches_fresh(self):
+        model = make_model()
+        first = model.evaluate(BERT_VARIANT, 200.0)
+        assert model.evaluate(BERT_VARIANT, 200.0) is first
+        assert model.evaluate(BERT_VARIANT.with_(), 200.0) is first
+        assert make_model().evaluate(BERT_VARIANT, 200.0) == first
+        other_clock = model.evaluate(BERT_VARIANT, 100.0)
+        assert other_clock is not first
+        assert other_clock.latency_ms == pytest.approx(2 * first.latency_ms)
+
+    def test_decode_hit_is_first_result_and_matches_fresh(self):
+        model = make_model()
+        first = model.decode_layer_cycles(40, 768, 8)
+        assert model.decode_layer_cycles(40, 768, 8) is first
+        assert make_model().decode_layer_cycles(40, 768, 8) == first
+        assert model.decode_layer_cycles(41, 768, 8) != first
+
+    def test_generation_report_unchanged_by_warm_memo(self):
+        model = make_model()
+        cold = make_model().generation_report(BERT_VARIANT, 16, 16, 200.0)
+        model.generation_report(BERT_VARIANT, 8, 32, 200.0)  # warm up
+        warm = model.generation_report(BERT_VARIANT, 16, 16, 200.0)
+        assert warm == cold
+
+    def test_over_limit_config_raises_on_every_call(self):
+        model = make_model()
+        too_long = BERT_VARIANT.with_(seq_len=model.synth.max_seq_len + 1)
+        for _ in range(3):
+            with pytest.raises(ResynthesisRequiredError):
+                model.evaluate(too_long, 200.0)
+        assert model.evaluate(BERT_VARIANT, 200.0) is model.evaluate(
+            BERT_VARIANT, 200.0)
+
+    def test_reports_are_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        report = make_model().evaluate(BERT_VARIANT, 200.0)
+        with pytest.raises(FrozenInstanceError):
+            report.clock_mhz = 1.0
+        with pytest.raises(FrozenInstanceError):
+            report.layer.total = 0

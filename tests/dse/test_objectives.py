@@ -219,3 +219,34 @@ class TestWatchObjectives:
         b = evaluate_point(_point(), FAST)
         assert a["alert_minutes"] == b["alert_minutes"]
         assert a["budget_burn"] == b["budget_burn"]
+
+
+class TestArrivalsMemo:
+    """The bounded per-process memo of seeded evaluation workloads."""
+
+    def test_equals_fresh_generation_and_is_shared(self):
+        from repro.dse.objectives import _arrivals
+        from repro.serving import ModelMix, PoissonArrivals
+
+        first = _arrivals(300.0, "model2-lhc-trigger", 5, 120.0)
+        fresh = PoissonArrivals(300.0, ModelMix("model2-lhc-trigger"),
+                                seed=5).generate(120.0)
+        assert list(first) == fresh
+        assert _arrivals(300.0, "model2-lhc-trigger", 5, 120.0) is first
+        assert list(_arrivals(300.0, "model2-lhc-trigger", 6, 120.0)) != fresh
+
+    def test_stays_within_its_bound(self):
+        from repro.dse import objectives
+        from repro.serving import ModelMix, PoissonArrivals
+
+        bound = objectives._ARRIVALS_MEMO_MAX
+        for seed in range(3 * bound):
+            got = objectives._arrivals(50.0, "model2-lhc-trigger", seed, 40.0)
+            assert len(objectives._ARRIVALS_MEMO) <= bound
+            assert list(got) == PoissonArrivals(
+                50.0, ModelMix("model2-lhc-trigger"),
+                seed=seed).generate(40.0)
+        newest = (50.0, "model2-lhc-trigger", 3 * bound - 1, 40.0)
+        assert newest in objectives._ARRIVALS_MEMO
+        assert (50.0, "model2-lhc-trigger", 0, 40.0) not in (
+            objectives._ARRIVALS_MEMO)

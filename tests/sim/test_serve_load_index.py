@@ -62,8 +62,8 @@ def eps_workload(accel, n: int, policy: str):
       back-to-back batches that complete ``5e-10`` ms apart — and then
       at the first of those completions plus 1e-10.  The no-timeout
       policy dispatches on arrival, so nothing is placed just *before*
-      a completion: that would start a batch on an instance whose
-      previous batch has not been freed yet.
+      a completion: an arrival there waits for the pending free event,
+      a case ``test_serve_inflight.py`` covers on its own.
     """
     horizon = 1000.0 / n
     reqs = list(PoissonArrivals(300.0 * n, ModelMix(MODEL),

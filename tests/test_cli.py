@@ -560,6 +560,19 @@ class TestBadInputsExitTwo:
         (["generate", "--instances", "0"] + SMALL, "instance"),
         (["generate", "--slots", "0"] + SMALL, "slot"),
         (["generate", "--reprogram-ms", "-5"] + SMALL, "reprogram"),
+        (["serve", "--plan", "--slo-ms", "nan"] + SMALL, "--slo-ms"),
+        (["serve", "--plan", "--slo-ms", "0"] + SMALL, "--slo-ms"),
+        (["serve", "--slo-ms", "inf"] + SMALL, "--slo-ms"),
+        (["generate", "--ttft-slo-ms", "nan", "--json"] + SMALL,
+         "--ttft-slo-ms"),
+        (["generate", "--ttft-slo-ms", "-1"] + SMALL, "--ttft-slo-ms"),
+        (["generate", "--tpot-slo-ms", "nan"] + SMALL, "--tpot-slo-ms"),
+        (["generate", "--tpot-slo-ms", "0"] + SMALL, "--tpot-slo-ms"),
+        (["dse", "--qps", "nan", "--json"], "--qps"),
+        (["dse", "--qps", "inf"], "--qps"),
+        (["dse", "--qps", "0"], "--qps"),
+        (["dse", "--duration-ms", "nan"], "--duration-ms"),
+        (["dse", "--duration-ms", "-5"], "--duration-ms"),
     ])
     def test_rejected_with_exit_two(self, capsys, argv, needle):
         with pytest.raises(SystemExit) as exc:

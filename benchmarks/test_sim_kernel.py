@@ -15,6 +15,12 @@ queue + merged arrivals + batched completions + summary detail against
 the seed kernel (the legacy loop), gated at >= 10x
 (``sim_kernel_scale_x``, enforced again by the CI bench-trend job).
 
+The full-detail serve row records absolute requests/s of
+``simulate(detail="full")`` + :func:`summarize` at the shape of the
+CLI's ``serve`` default workload (20k qps for 3.5 s, 16 instances,
+least-loaded, timeout(8, 2 ms) batching): the path that pays for one
+record per request (``serve_full_detail_requests_per_s``).
+
 The fleet-scaling row records absolute generation drain throughput
 (output tokens/s) at 16 and at 128 instances with the per-instance
 load held constant, and gates their per-token cost ratio
@@ -33,7 +39,9 @@ from repro.serving import (
     PoissonArrivals,
     attach_generation_lengths,
     fixed_size,
+    simulate,
     summarize,
+    timeout,
 )
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.generation import GenerationClusterSimulator
@@ -149,7 +157,7 @@ def test_bench_serving_1M_requests(record_perf):
     binary heap, every arrival an event).  Scaled kernel = the calendar
     queue with merged arrivals, batched completions, and summary
     detail.  Both reduce through :func:`summarize`, and the reports
-    must agree (percentiles exactly, means to the ulp) before any
+    must agree (percentiles exactly, means to 1e-12 relative) before any
     number is recorded — the 10x is a refactor, not an approximation.
     """
     accel = ProTEA.synthesize(SynthParams())
@@ -233,3 +241,33 @@ def test_bench_generation_fleet_scaling(record_perf):
         f"per-token generation drain cost grew with fleet size: "
         f"{t_16 / tokens_16 * 1e6:.2f} us/token at 16 instances, "
         f"{t_128 / tokens_128 * 1e6:.2f} at 128 ({scaling:.2f}x)")
+
+
+def test_bench_serve_full_detail(record_perf):
+    """Full-detail serve, end to end through the report, in requests/s.
+
+    Times ``simulate(detail="full")`` plus ``summarize`` — what the
+    CLI's default ``serve`` run pays after workload generation — with
+    the garbage collector left on, as the CLI runs.  Best of three.
+    """
+    accel = ProTEA.synthesize(SynthParams())
+    requests = PoissonArrivals(
+        20_000, ModelMix("model2-lhc-trigger"), seed=0).generate(3_500)
+    batching = timeout(8, 2.0)
+
+    def run():
+        result = simulate(accel, requests, 16, scheduler="least-loaded",
+                          batching=batching)
+        return summarize(result)
+
+    run()  # warm the service-time memos
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        report = run()
+        best = min(best, time.perf_counter() - t0)
+    assert report.total_requests == len(requests)
+    record_perf("sim", "serve_full_detail_requests_per_s",
+                len(requests) / best, "requests/s",
+                context={"requests": len(requests), "instances": 16,
+                         "best_s": best})

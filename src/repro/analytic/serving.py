@@ -46,6 +46,7 @@ from typing import Dict, Mapping, Optional, Sequence
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..serving.batching import BatchingPolicy, ServiceTimeModel, no_batching
+from ..serving.slo import nearest_rank
 from ..serving.workload import Request
 from .envelope import ArrivalEnvelope, fluid_waits_ms
 from .queueing import wait_quantile_ms
@@ -60,11 +61,6 @@ _QUANTILES = (50.0, 95.0, 99.0)
 #: the backlog envelope at ~this resolution.  An estimate must stay
 #: O(cheap) even on the million-request workloads it fronts for.
 _MAX_FLUID_POINTS = 20_000
-
-
-def _nearest_rank(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted non-empty list."""
-    return ordered[max(1, math.ceil(q / 100 * len(ordered))) - 1]
 
 
 def _mix_quantile(pairs: Sequence, n: int, q: float) -> float:
@@ -264,10 +260,10 @@ def estimate_serving(
                                    bracket=True)
                   if mmc_hi_rate > 0 else 0.0)
         lo = _mix_quantile(floors, n, q)
-        hi = (service_hi + max(_nearest_rank(fl_hi, q), mmc_hi)
+        hi = (service_hi + max(nearest_rank(fl_hi, q), mmc_hi)
               + repair_pad_ms)
         point = (_mix_quantile(points, n, q)
-                 + max(_nearest_rank(fl_pt, q), mmc_pt))
+                 + max(nearest_rank(fl_pt, q), mmc_pt))
         quantiles[q] = {
             "point": min(max(point, lo), hi),
             "lo": lo,

@@ -40,7 +40,8 @@ records are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
@@ -53,9 +54,16 @@ from .workload import Request
 __all__ = ["RequestRecord", "InstanceStats", "SimulationResult",
            "ClusterSimulator", "simulate"]
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """Per-request outcome of one simulation."""
+class RequestRecord(NamedTuple):
+    """Per-request outcome of one simulation.
+
+    A named tuple, not a dataclass: a full-detail run materializes one
+    record per request, and the engine builds them with
+    ``tuple.__new__`` straight from its completed-batch rows — roughly
+    a quarter of a frozen dataclass's construction cost.  Records stay
+    immutable and hashable; :func:`~repro.serving.slo.summarize` reads
+    their fields, never the derived properties below.
+    """
 
     rid: int
     model: str
@@ -208,7 +216,7 @@ class ClusterSimulator:
         :class:`SimulationResult` — no per-request records, traces, or
         depth samples, just the accumulators
         :func:`~repro.serving.slo.summarize` needs (percentiles exact,
-        means to the ulp).  The web-scale path.
+        means equal up to float summation order).  The web-scale path.
 
         ``shards > 1`` partitions the fleet into independent cells (see
         :mod:`repro.sim.shard`) and merges their summaries; it implies

@@ -34,7 +34,8 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
@@ -54,9 +55,13 @@ __all__ = [
 
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    """Per-request outcome of one generation simulation."""
+class GenerationRecord(NamedTuple):
+    """Per-request outcome of one generation simulation.
+
+    A named tuple for the same reason as
+    :class:`~repro.serving.cluster.RequestRecord`: one per request in a
+    full-detail run, built with ``tuple.__new__`` by the engine.
+    """
 
     rid: int
     model: str
@@ -323,7 +328,8 @@ class GenerationClusterSimulator:
         :class:`~repro.sim.summary.GenerationSummary` instead of the
         full result — no per-request records, no trace — which
         :func:`~repro.serving.slo.summarize_generation` accepts
-        directly (percentiles bit-identical, means to the ulp).
+        directly (percentiles and counts bit-identical, means equal up to
+        float summation order).
 
         ``shards > 1`` partitions the fleet into independent cells (see
         :mod:`repro.sim.shard`) and merges their summaries; it implies

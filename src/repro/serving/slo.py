@@ -20,6 +20,7 @@ the analytic proposal.
 from __future__ import annotations
 
 import math
+from operator import attrgetter, itemgetter, sub
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -33,9 +34,19 @@ from .cluster import InstanceStats, SimulationResult, simulate
 from .generation import GenerationSimulationResult
 from .workload import Request
 
-__all__ = ["percentile", "ModelMetrics", "ServingReport", "summarize",
-           "GenerationServingReport", "summarize_generation",
+__all__ = ["nearest_rank", "percentile", "ModelMetrics", "ServingReport",
+           "summarize", "GenerationServingReport", "summarize_generation",
            "CapacityPlan", "plan_capacity"]
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted, non-empty sequence.
+
+    The one rank rule behind :func:`percentile`, every report
+    percentile and the analytic estimates: sort a multiset once, then
+    read each quantile off the sorted list.
+    """
+    return ordered[max(1, math.ceil(q / 100 * len(ordered))) - 1]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -51,14 +62,16 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("percentile of an empty sequence is undefined")
     if not 0 <= q <= 100:
         raise ValueError("q must be in [0, 100]")
+    return nearest_rank(sorted(values), q)
+
+
+def _tails(values: Sequence[float], *qs: float) -> tuple:
+    """Nearest-rank percentiles ``qs`` of ``values`` from one sort;
+    empty runs report NaN."""
+    if not values:
+        return (math.nan,) * len(qs)
     ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100 * len(ordered)))
-    return ordered[rank - 1]
-
-
-def _pct(values: Sequence[float], q: float) -> float:
-    """Percentile for report plumbing: empty runs report NaN."""
-    return percentile(values, q) if values else math.nan
+    return tuple(nearest_rank(ordered, q) for q in qs)
 
 
 @dataclass(frozen=True)
@@ -198,6 +211,21 @@ def _time_weighted_mean(samples: Sequence[tuple], horizon_ms: float) -> float:
     return area / horizon_ms
 
 
+#: Record field readers: the full-detail summaries read fields, never
+#: the records' derived properties, so each per-request metric is one
+#: C-level subtraction over two field columns.
+_T_ARRIVAL = attrgetter("t_arrival_ms")
+_T_DISPATCH = attrgetter("t_dispatch_ms")
+_T_ADMIT = attrgetter("t_admit_ms")
+_T_FIRST_TOKEN = attrgetter("t_first_token_ms")
+_T_COMPLETE = attrgetter("t_complete_ms")
+_MODEL = attrgetter("model")
+_BATCH_SIZE = attrgetter("batch_size")
+_OUTPUT_TOKENS = attrgetter("output_tokens")
+#: Depth of a ``(t_ms, depth)`` queue sample.
+_DEPTH = itemgetter(1)
+
+
 def summarize(result: Union[SimulationResult, ServeSummary],
               slo_ms: Optional[float] = None,
               watch: Optional[dict] = None) -> ServingReport:
@@ -205,176 +233,157 @@ def summarize(result: Union[SimulationResult, ServeSummary],
 
     Accepts either a full :class:`SimulationResult` or the
     pre-accumulated :class:`~repro.sim.summary.ServeSummary` of a
-    ``detail="summary"`` run; both produce the same report (percentile
-    fields bit-identical, means equal to the last ulp — the summary
-    path accumulates in completion order, not record order).
+    ``detail="summary"`` run.  Percentiles and counts are bit-identical
+    between the two; means differ by float summation order only (the
+    summary path sums in completion order, the full path in rid order),
+    which moves them by up to about ``n`` ulps, not just the last one.
+
+    The full path reads record fields column-wise — latencies and
+    waits are ``t_complete_ms - t_arrival_ms`` and ``t_dispatch_ms -
+    t_arrival_ms``, computed once in rid order — and both paths sort
+    each latency multiset once and read p50/p95/p99 off it.
 
     ``watch`` is the :meth:`repro.obs.Watchdog.summary` dict of a
     watchdog that observed this run; it rides along into the report
     (and its ``--json``/text renders) untouched.
     """
     if isinstance(result, ServeSummary):
-        return _summarize_serve_summary(result, slo_ms, watch)
+        names = sorted(result.model_lats)
+        if len(names) == 1:
+            all_lats: List[float] = result.model_lats[names[0]]
+        else:
+            all_lats = []
+            for name in names:
+                all_lats.extend(result.model_lats[name])
+        return _serving_report(
+            result, slo_ms, watch, all_lats,
+            sum(result.model_wait_sum[name] for name in names),
+            result.model_lats, result.model_wait_sum,
+            result.model_batch_sq, result.touched_lats,
+            result.degraded_count,
+            result.mean_queue_depth(result.makespan_ms),
+            result.max_queue_depth)
     recs = result.records
-    horizon = result.makespan_ms
-    horizon_s = horizon / 1e3 if horizon > 0 else math.nan
-    latencies = [r.latency_ms for r in recs]
-
-    def attainment(lats: Sequence[float]) -> Optional[float]:
-        if slo_ms is None or not lats:
-            return None
-        return sum(1 for v in lats if v <= slo_ms) / len(lats)
-
-    per_model: Dict[str, ModelMetrics] = {}
-    for model in sorted({r.model for r in recs}):
-        mrecs = [r for r in recs if r.model == model]
-        lats = [r.latency_ms for r in mrecs]
-        per_model[model] = ModelMetrics(
-            model=model,
-            count=len(mrecs),
-            throughput_rps=len(mrecs) / horizon_s,
-            mean_latency_ms=sum(lats) / len(lats),
-            p50_ms=percentile(lats, 50),
-            p95_ms=percentile(lats, 95),
-            p99_ms=percentile(lats, 99),
-            mean_wait_ms=sum(r.wait_ms for r in mrecs) / len(mrecs),
-            mean_batch_size=sum(r.batch_size for r in mrecs) / len(mrecs),
-            slo_attainment=attainment(lats),
-        )
-
-    degraded_count = p99_degraded = None
-    if result.availability is not None:
-        touched = [r.latency_ms for r in recs if r.degraded or r.retries]
-        degraded_count = sum(1 for r in recs if r.degraded)
-        # An undominatable NaN would poison Pareto fronts: when no
-        # request saw a degraded fleet, the degraded tail IS the tail.
-        p99_degraded = (percentile(touched, 99) if touched
-                        else _pct(latencies, 99))
-
-    busy = sum(i.busy_ms for i in result.instances)
-    return ServingReport(
-        total_requests=len(recs),
-        horizon_ms=horizon,
-        throughput_rps=len(recs) / horizon_s if recs else 0.0,
-        utilization=(busy / (result.n_instances * horizon)
-                     if horizon > 0 else 0.0),
-        mean_latency_ms=(sum(latencies) / len(latencies)
-                         if latencies else math.nan),
-        p50_ms=_pct(latencies, 50),
-        p95_ms=_pct(latencies, 95),
-        p99_ms=_pct(latencies, 99),
-        mean_wait_ms=(sum(r.wait_ms for r in recs) / len(recs)
-                      if recs else math.nan),
-        mean_queue_depth=_time_weighted_mean(result.queue_samples, horizon),
-        max_queue_depth=max((d for _, d in result.queue_samples), default=0),
-        total_switches=result.total_switches,
-        total_reprogram_time_ms=result.total_reprogram_time_ms,
-        scheduler=result.scheduler,
-        batching=result.batching,
-        n_instances=result.n_instances,
-        slo_ms=slo_ms,
-        slo_attainment=attainment(latencies),
-        per_model=per_model,
-        instances=list(result.instances),
-        availability=result.availability,
-        total_failures=result.total_failures,
-        total_retries=result.total_retries,
-        degraded_count=degraded_count,
-        p99_degraded_ms=p99_degraded,
-        watch=watch,
-    )
-
-
-def _nearest_rank(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted non-empty list."""
-    return ordered[max(1, math.ceil(q / 100 * len(ordered))) - 1]
-
-
-def _summarize_serve_summary(s: ServeSummary,
-                             slo_ms: Optional[float],
-                             watch: Optional[dict]) -> ServingReport:
-    """:func:`summarize` for the accumulated ``detail="summary"`` form.
-
-    Percentiles come from the exact latency multisets the engine
-    collected, so they match the full path bit-for-bit; sums were
-    folded in completion order, so means agree to the last ulp.
-    """
-    horizon = s.makespan_ms
-    horizon_s = horizon / 1e3 if horizon > 0 else math.nan
-    model_names = sorted(s.model_lats)
-    ordered_by_model = {name: sorted(s.model_lats[name])
-                        for name in model_names}
-    if len(model_names) == 1:
-        # Single-model runs dominate the web-scale benchmarks: the
-        # per-model sort IS the overall sort, so don't pay it twice.
-        only = model_names[0]
-        all_lats: List[float] = s.model_lats[only]
-        all_sorted = ordered_by_model[only]
+    lats = list(map(sub, map(_T_COMPLETE, recs), map(_T_ARRIVAL, recs)))
+    names = set(map(_MODEL, recs))
+    if len(names) <= 1:
+        # Single-model runs: the per-model multiset IS the overall one.
+        wait_sum = sum(map(sub, map(_T_DISPATCH, recs),
+                           map(_T_ARRIVAL, recs)))
+        model_lats = dict.fromkeys(names, lats)
+        model_wait_sum = dict.fromkeys(names, wait_sum)
+        model_batch_sum = dict.fromkeys(names, sum(map(_BATCH_SIZE, recs)))
     else:
-        all_lats = []
-        for name in model_names:
-            all_lats.extend(s.model_lats[name])
-        all_sorted = sorted(all_lats)
+        waits = list(map(sub, map(_T_DISPATCH, recs), map(_T_ARRIVAL, recs)))
+        wait_sum = sum(waits)
+        # Float sums go through sum() over rid-ordered lists, so every
+        # mean is bit-identical to the per-model-filter arithmetic.
+        model_lats = {name: [] for name in names}
+        model_waits = {name: [] for name in names}
+        model_batch_sum = dict.fromkeys(names, 0)
+        for r, lat, wait in zip(recs, lats, waits):
+            model = r.model
+            model_lats[model].append(lat)
+            model_waits[model].append(wait)
+            model_batch_sum[model] += r.batch_size
+        model_wait_sum = {name: sum(w) for name, w in model_waits.items()}
+
+    degraded_count = touched = None
+    if result.availability is not None:
+        touched = [lat for lat, r in zip(lats, recs)
+                   if r.degraded or r.retries]
+        degraded_count = sum(1 for r in recs if r.degraded)
+    return _serving_report(
+        result, slo_ms, watch, lats, wait_sum, model_lats, model_wait_sum,
+        model_batch_sum, touched, degraded_count,
+        _time_weighted_mean(result.queue_samples, result.makespan_ms),
+        max(map(_DEPTH, result.queue_samples), default=0))
+
+
+def _serving_report(run: Union[SimulationResult, ServeSummary],
+                    slo_ms: Optional[float], watch: Optional[dict],
+                    lats: Sequence[float], wait_sum: float,
+                    model_lats: Mapping[str, Sequence[float]],
+                    model_wait_sum: Mapping[str, float],
+                    model_batch_sum: Mapping[str, int],
+                    touched: Optional[Sequence[float]],
+                    degraded_count: Optional[int],
+                    mean_queue_depth: float,
+                    max_queue_depth: int) -> ServingReport:
+    """The report both :func:`summarize` paths share.
+
+    ``lats`` is every request's latency in the path's own order (its
+    sum is the mean's numerator); ``model_lats`` splits the same
+    multiset per model.  Each multiset is sorted once — a single-model
+    run's per-model list is the overall list, sorted once for both.
+    """
+    horizon = run.makespan_ms
+    horizon_s = horizon / 1e3 if horizon > 0 else math.nan
+    names = sorted(model_lats)
+    ordered_by_model = {name: sorted(model_lats[name]) for name in names}
+    all_sorted = (ordered_by_model[names[0]] if len(names) == 1
+                  else sorted(lats))
     n = len(all_sorted)
 
-    def attainment(lats: Sequence[float]) -> Optional[float]:
-        if slo_ms is None or not lats:
+    def attainment(ordered: Sequence[float]) -> Optional[float]:
+        if slo_ms is None or not ordered:
             return None
-        return sum(1 for v in lats if v <= slo_ms) / len(lats)
+        return sum(1 for v in ordered if v <= slo_ms) / len(ordered)
 
     per_model: Dict[str, ModelMetrics] = {}
-    for name in model_names:
-        lats = s.model_lats[name]
-        cnt = len(lats)
+    for name in names:
+        mlats = model_lats[name]
+        cnt = len(mlats)
         ordered = ordered_by_model[name]
         per_model[name] = ModelMetrics(
             model=name,
             count=cnt,
             throughput_rps=cnt / horizon_s,
-            mean_latency_ms=sum(lats) / cnt,
-            p50_ms=_nearest_rank(ordered, 50),
-            p95_ms=_nearest_rank(ordered, 95),
-            p99_ms=_nearest_rank(ordered, 99),
-            mean_wait_ms=s.model_wait_sum[name] / cnt,
-            mean_batch_size=s.model_batch_sq[name] / cnt,
-            slo_attainment=attainment(lats),
+            mean_latency_ms=sum(mlats) / cnt,
+            p50_ms=nearest_rank(ordered, 50),
+            p95_ms=nearest_rank(ordered, 95),
+            p99_ms=nearest_rank(ordered, 99),
+            mean_wait_ms=model_wait_sum[name] / cnt,
+            mean_batch_size=model_batch_sum[name] / cnt,
+            slo_attainment=attainment(ordered),
         )
 
-    degraded_count = p99_degraded = None
-    if s.availability is not None:
-        touched = s.touched_lats or []
-        degraded_count = s.degraded_count
-        p99_degraded = (percentile(touched, 99) if touched
-                        else (_nearest_rank(all_sorted, 99) if n
-                              else math.nan))
+    p50, p95, p99 = ((nearest_rank(all_sorted, 50),
+                      nearest_rank(all_sorted, 95),
+                      nearest_rank(all_sorted, 99)) if n
+                     else (math.nan,) * 3)
+    p99_degraded = None
+    if run.availability is not None:
+        # An undominatable NaN would poison Pareto fronts: when no
+        # request saw a degraded fleet, the degraded tail IS the tail.
+        p99_degraded = percentile(touched, 99) if touched else p99
 
-    busy = sum(i.busy_ms for i in s.instances)
+    busy = sum(i.busy_ms for i in run.instances)
     return ServingReport(
         total_requests=n,
         horizon_ms=horizon,
         throughput_rps=n / horizon_s if n else 0.0,
-        utilization=(busy / (s.n_instances * horizon)
+        utilization=(busy / (run.n_instances * horizon)
                      if horizon > 0 else 0.0),
-        mean_latency_ms=sum(all_lats) / n if n else math.nan,
-        p50_ms=_nearest_rank(all_sorted, 50) if n else math.nan,
-        p95_ms=_nearest_rank(all_sorted, 95) if n else math.nan,
-        p99_ms=_nearest_rank(all_sorted, 99) if n else math.nan,
-        mean_wait_ms=(sum(s.model_wait_sum[name] for name in model_names)
-                      / n if n else math.nan),
-        mean_queue_depth=s.mean_queue_depth(horizon),
-        max_queue_depth=s.max_queue_depth,
-        total_switches=s.total_switches,
-        total_reprogram_time_ms=s.total_reprogram_time_ms,
-        scheduler=s.scheduler,
-        batching=s.batching,
-        n_instances=s.n_instances,
+        mean_latency_ms=sum(lats) / n if n else math.nan,
+        p50_ms=p50,
+        p95_ms=p95,
+        p99_ms=p99,
+        mean_wait_ms=wait_sum / n if n else math.nan,
+        mean_queue_depth=mean_queue_depth,
+        max_queue_depth=max_queue_depth,
+        total_switches=run.total_switches,
+        total_reprogram_time_ms=run.total_reprogram_time_ms,
+        scheduler=run.scheduler,
+        batching=run.batching,
+        n_instances=run.n_instances,
         slo_ms=slo_ms,
         slo_attainment=attainment(all_sorted),
         per_model=per_model,
-        instances=list(s.instances),
-        availability=s.availability,
-        total_failures=s.total_failures,
-        total_retries=s.total_retries,
+        instances=list(run.instances),
+        availability=run.availability,
+        total_failures=run.total_failures,
+        total_retries=run.total_retries,
         degraded_count=degraded_count,
         p99_degraded_ms=p99_degraded,
         watch=watch,
@@ -489,97 +498,64 @@ def summarize_generation(
 
     Accepts either a full :class:`GenerationSimulationResult` or the
     pre-accumulated :class:`~repro.sim.summary.GenerationSummary` of a
-    ``detail="summary"`` run; both produce the same report (percentile
-    fields bit-identical, means equal to the last ulp — the summary
-    path accumulates in completion order, not record order).
+    ``detail="summary"`` run.  Percentiles and counts are bit-identical
+    between the two; means differ by float summation order only (the
+    summary path sums in completion order, the full path in rid order),
+    which moves them by up to about ``n`` ulps, not just the last one.
+
+    As in :func:`summarize`, the full path computes each per-request
+    metric once from the record fields and each multiset is sorted
+    once.
 
     ``watch`` is the :meth:`repro.obs.Watchdog.summary` dict of a
     watchdog that observed this run (see :func:`summarize`).
     """
     if isinstance(result, GenerationSummary):
-        return _summarize_generation_summary(result, ttft_slo_ms,
-                                             tpot_slo_ms, watch)
+        return _generation_report(
+            result, result.total_requests, ttft_slo_ms, tpot_slo_ms, watch,
+            ttfts=result.ttfts, tpots=result.tpots, lats=result.lats,
+            wait_sum=result.wait_sum, req_tpots=result.req_tpots,
+            outs=result.out_tokens,
+            mean_queue_depth=result.mean_queue_depth(result.makespan_ms))
     recs = result.records
-    horizon = result.makespan_ms
-    horizon_s = horizon / 1e3 if horizon > 0 else math.nan
-    ttfts = [r.ttft_ms for r in recs]
-    tpots = [r.tpot_ms for r in recs if r.output_tokens > 1]
-    lats = [r.latency_ms for r in recs]
-
-    def meets(r) -> bool:
-        if ttft_slo_ms is not None and r.ttft_ms > ttft_slo_ms:
-            return False
-        if (tpot_slo_ms is not None and r.output_tokens > 1
-                and r.tpot_ms > tpot_slo_ms):
-            return False
-        return True
-
-    slo_active = ttft_slo_ms is not None or tpot_slo_ms is not None
-    good = [r for r in recs if meets(r)] if slo_active else []
-    busy = sum(i.busy_ms for i in result.instances)
-    mean = lambda xs: sum(xs) / len(xs) if xs else math.nan  # noqa: E731
-    return GenerationServingReport(
-        total_requests=len(recs),
-        total_tokens=result.total_tokens,
-        horizon_ms=horizon,
-        throughput_rps=len(recs) / horizon_s if recs else 0.0,
-        tokens_per_s=(result.total_tokens / horizon_s if recs else 0.0),
-        utilization=(busy / (result.n_instances * horizon)
-                     if horizon > 0 else 0.0),
-        mean_ttft_ms=mean(ttfts),
-        p50_ttft_ms=_pct(ttfts, 50),
-        p95_ttft_ms=_pct(ttfts, 95),
-        p99_ttft_ms=_pct(ttfts, 99),
-        mean_tpot_ms=mean(tpots),
-        p99_tpot_ms=_pct(tpots, 99),
-        mean_latency_ms=mean(lats),
-        p99_latency_ms=_pct(lats, 99),
-        mean_wait_ms=mean([r.wait_ms for r in recs]),
-        mean_queue_depth=_time_weighted_mean(result.queue_samples, horizon),
-        total_switches=result.total_switches,
-        total_reprogram_time_ms=result.total_reprogram_time_ms,
-        scheduler=result.scheduler,
-        n_instances=result.n_instances,
-        slots=result.slots,
-        ttft_slo_ms=ttft_slo_ms,
-        tpot_slo_ms=tpot_slo_ms,
-        slo_attainment=(len(good) / len(recs)
-                        if slo_active and recs else None),
-        goodput_tokens_per_s=(
-            sum(r.output_tokens for r in good) / horizon_s
-            if slo_active and recs else None),
-        instances=list(result.instances),
-        availability=result.availability,
-        total_failures=result.total_failures,
-        total_retries=result.total_retries,
-        total_preemptions=result.total_preemptions,
-        watch=watch,
-    )
+    t_arr = list(map(_T_ARRIVAL, recs))
+    t_first = list(map(_T_FIRST_TOKEN, recs))
+    t_done = list(map(_T_COMPLETE, recs))
+    outs = list(map(_OUTPUT_TOKENS, recs))
+    req_tpots = [(done - first) / (out - 1) if out > 1 else 0.0
+                 for done, first, out in zip(t_done, t_first, outs)]
+    return _generation_report(
+        result, len(recs), ttft_slo_ms, tpot_slo_ms, watch,
+        ttfts=list(map(sub, t_first, t_arr)),
+        tpots=[t for t, out in zip(req_tpots, outs) if out > 1],
+        lats=list(map(sub, t_done, t_arr)),
+        wait_sum=sum(map(sub, map(_T_ADMIT, recs), t_arr)),
+        req_tpots=req_tpots, outs=outs,
+        mean_queue_depth=_time_weighted_mean(result.queue_samples,
+                                             result.makespan_ms))
 
 
-def _summarize_generation_summary(
-    s: GenerationSummary,
-    ttft_slo_ms: Optional[float],
-    tpot_slo_ms: Optional[float],
-    watch: Optional[dict],
+def _generation_report(
+    run: Union[GenerationSimulationResult, GenerationSummary], n: int,
+    ttft_slo_ms: Optional[float], tpot_slo_ms: Optional[float],
+    watch: Optional[dict], *, ttfts: Sequence[float],
+    tpots: Sequence[float], lats: Sequence[float], wait_sum: float,
+    req_tpots: Sequence[float], outs: Sequence[int],
+    mean_queue_depth: float,
 ) -> GenerationServingReport:
-    """:func:`summarize_generation` for the accumulated summary form.
+    """The report both :func:`summarize_generation` paths share.
 
-    Percentiles come from the exact TTFT/TPOT/latency multisets the
-    engine collected, so they match the full path bit-for-bit; sums
-    were folded in completion order, so means agree to the last ulp.
-    Goodput walks the parallel per-request columns (``ttfts``,
-    ``req_tpots``, ``out_tokens``) instead of record objects.
+    ``ttfts``/``req_tpots``/``outs`` are parallel per-request columns
+    (``req_tpots`` holds 0.0 where ``outs`` is 1, never read there);
+    ``tpots`` keeps only the multi-token requests' TPOTs.
     """
-    horizon = s.makespan_ms
+    horizon = run.makespan_ms
     horizon_s = horizon / 1e3 if horizon > 0 else math.nan
-    n = s.total_requests
-
     slo_active = ttft_slo_ms is not None or tpot_slo_ms is not None
     good_count = 0
     good_tokens = 0
     if slo_active and n:
-        for ttft, tpot, out in zip(s.ttfts, s.req_tpots, s.out_tokens):
+        for ttft, tpot, out in zip(ttfts, req_tpots, outs):
             if ttft_slo_ms is not None and ttft > ttft_slo_ms:
                 continue
             if (tpot_slo_ms is not None and out > 1
@@ -588,41 +564,43 @@ def _summarize_generation_summary(
             good_count += 1
             good_tokens += out
 
-    busy = sum(i.busy_ms for i in s.instances)
+    p50_ttft, p95_ttft, p99_ttft = _tails(ttfts, 50, 95, 99)
+    total_tokens = run.total_tokens
+    busy = sum(i.busy_ms for i in run.instances)
     mean = lambda xs: sum(xs) / len(xs) if xs else math.nan  # noqa: E731
     return GenerationServingReport(
         total_requests=n,
-        total_tokens=s.total_tokens,
+        total_tokens=total_tokens,
         horizon_ms=horizon,
         throughput_rps=n / horizon_s if n else 0.0,
-        tokens_per_s=s.total_tokens / horizon_s if n else 0.0,
-        utilization=(busy / (s.n_instances * horizon)
+        tokens_per_s=total_tokens / horizon_s if n else 0.0,
+        utilization=(busy / (run.n_instances * horizon)
                      if horizon > 0 else 0.0),
-        mean_ttft_ms=mean(s.ttfts),
-        p50_ttft_ms=_pct(s.ttfts, 50),
-        p95_ttft_ms=_pct(s.ttfts, 95),
-        p99_ttft_ms=_pct(s.ttfts, 99),
-        mean_tpot_ms=mean(s.tpots),
-        p99_tpot_ms=_pct(s.tpots, 99),
-        mean_latency_ms=mean(s.lats),
-        p99_latency_ms=_pct(s.lats, 99),
-        mean_wait_ms=s.wait_sum / n if n else math.nan,
-        mean_queue_depth=s.mean_queue_depth(horizon),
-        total_switches=s.total_switches,
-        total_reprogram_time_ms=s.total_reprogram_time_ms,
-        scheduler=s.scheduler,
-        n_instances=s.n_instances,
-        slots=s.slots,
+        mean_ttft_ms=mean(ttfts),
+        p50_ttft_ms=p50_ttft,
+        p95_ttft_ms=p95_ttft,
+        p99_ttft_ms=p99_ttft,
+        mean_tpot_ms=mean(tpots),
+        p99_tpot_ms=_tails(tpots, 99)[0],
+        mean_latency_ms=mean(lats),
+        p99_latency_ms=_tails(lats, 99)[0],
+        mean_wait_ms=wait_sum / n if n else math.nan,
+        mean_queue_depth=mean_queue_depth,
+        total_switches=run.total_switches,
+        total_reprogram_time_ms=run.total_reprogram_time_ms,
+        scheduler=run.scheduler,
+        n_instances=run.n_instances,
+        slots=run.slots,
         ttft_slo_ms=ttft_slo_ms,
         tpot_slo_ms=tpot_slo_ms,
         slo_attainment=(good_count / n if slo_active and n else None),
         goodput_tokens_per_s=(good_tokens / horizon_s
                               if slo_active and n else None),
-        instances=list(s.instances),
-        availability=s.availability,
-        total_failures=s.total_failures,
-        total_retries=s.total_retries,
-        total_preemptions=s.total_preemptions,
+        instances=list(run.instances),
+        availability=run.availability,
+        total_failures=run.total_failures,
+        total_retries=run.total_retries,
+        total_preemptions=run.total_preemptions,
         watch=watch,
     )
 

@@ -72,6 +72,8 @@ __all__ = ["GenerationEngine"]
 _EPS = 1e-9
 #: Stable-sort key for the merged arrival stream (see ServeEngine).
 _BY_T = attrgetter("t_ms")
+_BY_RID = attrgetter("rid")
+_T_COMPLETE = attrgetter("t_complete_ms")
 # Step completions land before new arrivals at equal timestamps (the
 # legacy rule); faults sort last so they observe settled state.
 _P_STEP, _P_ARRIVAL, _P_FAULT = 0, 1, 2
@@ -255,9 +257,10 @@ class GenerationEngine(Simulation):
         byte-identity surface the goldens pin.  ``detail="summary"``
         skips record/trace/sample materialization and returns a
         :class:`~repro.sim.summary.GenerationSummary` accumulated on
-        the fly; percentiles from either detail level are bit-identical
-        (exact multisets), means may differ in the last ulp (float
-        accumulation order follows completion order, not rid order).
+        the fly.  Percentiles and counts from either detail level are
+        bit-identical (exact multisets); means differ by float summation
+        order only (completion order, not rid order), which can move
+        them by many ulps, not just the last one.
         """
         if detail == "summary":
             return self._run_summary(requests)
@@ -293,6 +296,9 @@ class GenerationEngine(Simulation):
                          else any(r.priority for r in requests))
 
         records: List[GenerationRecord] = []
+        # Named-tuple records built without the keyword constructor
+        # (see ServeEngine.run).
+        append_record, new_record = records.append, tuple.__new__
         samples: List[Tuple[float, int]] = []
         pending: List[Union[GenerationRequest, _Resume]] = []
         #: Waiting + in-flight sequences over all instances, plus
@@ -455,16 +461,13 @@ class GenerationEngine(Simulation):
                 if seq.remaining <= 0 and seq.t_first <= now + _EPS:
                     req = seq.req
                     complete = seq.t_first if req.output_tokens == 1 else now
-                    records.append(GenerationRecord(
-                        rid=req.rid, model=req.model, instance=inst.idx,
-                        prompt_tokens=req.prompt_tokens,
-                        output_tokens=req.output_tokens,
-                        t_arrival_ms=req.t_ms, t_admit_ms=seq.t_admit,
-                        t_first_token_ms=seq.t_first,
-                        t_complete_ms=complete,
-                        retries=retries.get(req.rid, 0),
-                        preemptions=preempt_counts.get(req.rid, 0),
-                        degraded=degraded.get(req.rid, False)))
+                    rid = req.rid
+                    append_record(new_record(GenerationRecord, (
+                        rid, req.model, inst.idx, req.prompt_tokens,
+                        req.output_tokens, req.t_ms, seq.t_admit,
+                        seq.t_first, complete, retries.get(rid, 0),
+                        preempt_counts.get(rid, 0),
+                        degraded.get(rid, False))))
                     emit(("finish", now, inst.idx, req.rid))
                 else:
                     still.append(seq)
@@ -658,8 +661,8 @@ class GenerationEngine(Simulation):
                 handle(payload, now)
         self._finish_observer()
 
-        makespan = max((r.t_complete_ms for r in records), default=0.0)
-        records.sort(key=lambda r: r.rid)
+        makespan = max(map(_T_COMPLETE, records), default=0.0)
+        records.sort(key=_BY_RID)
         availability: Optional[float] = None
         if failing:
             horizon = max(makespan, self.clock.now_ms)

@@ -74,6 +74,8 @@ _EPS = 1e-9
 #: keep input order, which is exactly the heap's (priority, seq)
 #: tie-break for a block of same-priority pushes.
 _BY_T = attrgetter("t_ms")
+_BY_RID = attrgetter("rid")
+_T_COMPLETE = attrgetter("t_complete_ms")
 # Event priorities at equal timestamps (identical to the legacy loop;
 # faults are new and deliberately sort last so a fault at time t sees
 # the state the legacy events left behind).
@@ -347,11 +349,12 @@ class ServeEngine(Simulation):
         record per request — the byte-identity surface the goldens pin.
         ``detail="summary"`` skips record/trace/sample materialization
         and returns a :class:`~repro.sim.summary.ServeSummary`
-        accumulated on the fly: the web-scale path.  Percentiles from
-        either detail level are bit-identical; summary means may differ
-        in the last ulp (float accumulation order).
+        accumulated on the fly: the web-scale path.  Percentiles and
+        counts from either detail level are bit-identical; means differ
+        by float summation order only (completion order vs rid order),
+        which can move them by many ulps, not just the last one.
 
-        Import note: the result dataclasses live in
+        Import note: the result types live in
         :mod:`repro.serving.cluster` (the public façade), imported
         lazily to keep the package graph acyclic.
         """
@@ -663,19 +666,20 @@ class ServeEngine(Simulation):
                 handle(payload, now)
         self._finish_observer()
 
+        # Records are named tuples built straight from the batch rows:
+        # ``tuple.__new__`` skips the keyword-binding constructor, the
+        # dominant per-request cost of materializing a full result.
+        new = tuple.__new__
+        get_retries, get_degraded = retries.get, degraded.get
         records = [
-            RequestRecord(
-                rid=req.rid, model=model, instance=idx, batch_size=size,
-                t_arrival_ms=req.t_ms, t_dispatch_ms=t_disp,
-                t_complete_ms=t_done,
-                retries=retries.get(req.rid, 0),
-                degraded=degraded.get(req.rid, False),
-            )
+            new(RequestRecord, (req.rid, model, idx, size, req.t_ms, t_disp,
+                                t_done, get_retries(req.rid, 0),
+                                get_degraded(req.rid, False)))
             for model, idx, size, t_disp, t_done, batch in done
             for req in batch
         ]
-        records.sort(key=lambda r: r.rid)
-        makespan = max((r.t_complete_ms for r in records), default=0.0)
+        records.sort(key=_BY_RID)
+        makespan = max(map(_T_COMPLETE, records), default=0.0)
         availability: Optional[float] = None
         if failing:
             horizon = max(makespan, self.clock.now_ms)

@@ -1,6 +1,6 @@
 """Summary-detail result containers for the web-scale fast path.
 
-The full-detail engines materialize one frozen ``RequestRecord`` per
+The full-detail engines materialize one ``RequestRecord`` per
 request — at 10^6+ requests that object churn *is* the profile, and
 :func:`repro.serving.slo.summarize` immediately reduces the records to
 order statistics anyway.  ``detail="summary"`` runs skip the
@@ -9,9 +9,10 @@ events fire:
 
 * per-model latency lists (the *exact* multiset, so every percentile —
   nearest-rank order statistics — is bit-identical to the full path);
-* per-model wait/batch-size sums (means may differ from the full path
-  in the last ulp because float accumulation order follows completion
-  order, not record order — percentiles never differ);
+* per-model wait/batch-size sums (float accumulation order follows
+  completion order, not record order, so means differ from the full
+  path by summation order only — many ulps on large runs, bounded by
+  about ``n * 2**-52`` relative; percentiles and counts never differ);
 * the queue-depth step integral, accumulated with the same arithmetic
   (and the same float-add order) as
   :func:`repro.serving.slo._time_weighted_mean`;
@@ -38,7 +39,8 @@ class ServeSummary:
     Field-for-field this is the information :func:`summarize` extracts
     from a full :class:`~repro.serving.cluster.SimulationResult`,
     pre-reduced: :func:`repro.serving.slo.summarize` accepts either and
-    returns the same report (percentiles exact, means to the ulp).
+    returns the same report (percentiles and counts bit-identical,
+    means equal up to float summation order).
     """
 
     total_requests: int

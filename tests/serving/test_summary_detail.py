@@ -5,9 +5,10 @@ The summary drains in :mod:`repro.sim.serve` and
 path while accumulating only what the SLO reports read.  These tests
 pin the contract: every percentile field of the reduced report is
 **bit-identical** to the full path's (the engines keep the exact
-latency multisets), mean fields agree to the last ulp (float
-accumulation follows completion order instead of record order), and
-instance stats match exactly.
+latency multisets), mean fields differ by float summation order only
+(accumulation follows completion order instead of record order, which
+can move a mean by many ulps, never by more than ``n * 2**-52``
+relative), and instance stats match exactly.
 """
 
 import dataclasses
@@ -34,12 +35,15 @@ from repro.serving import (
 from repro.sim.failures import FailurePlan
 from repro.sim.summary import GenerationSummary, ServeSummary
 
+from ..sim.test_trace_identity import GEN_SCENARIOS as GOLDEN_GEN
+from ..sim.test_trace_identity import SCENARIOS as GOLDEN_SERVE
+
 MIX = ModelMix({"model2-lhc-trigger": 3.0, "model1-peng-isqed21": 2.0,
                 "model3-efa-trans": 1.0})
 MIX1 = ModelMix("model2-lhc-trigger")
 
-#: Report fields where the summary path may differ in the last ulp
-#: (sums folded in completion order, not rid order).
+#: Report fields where the summary path may differ by float summation
+#: order (sums folded in completion order, not rid order).
 _ULP_FIELDS = frozenset({
     "mean_latency_ms", "mean_wait_ms", "mean_ttft_ms", "mean_tpot_ms",
     "throughput_rps", "tokens_per_s", "utilization", "mean_queue_depth",
@@ -59,7 +63,8 @@ def _assert_field(name, a, b):
 
 
 def assert_reports_match(full, summary):
-    """Field-by-field report equality (ulp tolerance on mean fields)."""
+    """Field-by-field report equality (relative tolerance on mean
+    fields)."""
     assert type(full) is type(summary)
     for f in full.__dataclass_fields__:
         a, b = getattr(full, f), getattr(summary, f)
@@ -205,3 +210,81 @@ class TestGenerationSummary:
         assert isinstance(s, GenerationSummary)
         report = summarize_generation(s)
         assert report.total_requests == s.total_requests
+
+
+class TestMeanSummationBound:
+    """Summary-vs-full means differ by float summation order only.
+
+    Each mean is a sum of ``n`` non-negative terms folded in a
+    different order, so the two means may differ by up to about ``n``
+    ulps — measured: 27 ulps on the ``serve_full`` workload shape, over
+    a thousand on a ``serve --plan`` probe — but never by more than
+    ``n * 2**-52 * |mean|``.  Percentiles and counts never differ.
+    """
+
+    SERVE_MEANS = ("mean_latency_ms", "mean_wait_ms")
+    GEN_MEANS = ("mean_ttft_ms", "mean_tpot_ms", "mean_latency_ms",
+                 "mean_wait_ms")
+
+    @staticmethod
+    def _assert_within(name, full, summ, n):
+        bound = n * 2.0 ** -52 * abs(full)
+        assert abs(summ - full) <= bound, (
+            f"{name}: full={full!r} summary={summ!r} differ by more "
+            f"than n*2**-52*|mean| = {bound!r} (n={n})")
+
+    def _check_serve(self, full, summ):
+        n = full.total_requests
+        assert n and summ.total_requests == n
+        for f in ("p50_ms", "p95_ms", "p99_ms", "max_queue_depth"):
+            assert getattr(summ, f) == getattr(full, f), f
+        for f in self.SERVE_MEANS:
+            self._assert_within(f, getattr(full, f), getattr(summ, f), n)
+        assert full.per_model.keys() == summ.per_model.keys()
+        for name, m in full.per_model.items():
+            s = summ.per_model[name]
+            assert (s.count, s.p50_ms, s.p95_ms, s.p99_ms) == (
+                m.count, m.p50_ms, m.p95_ms, m.p99_ms)
+            for f in ("mean_latency_ms", "mean_wait_ms"):
+                self._assert_within(f"{name}.{f}", getattr(m, f),
+                                    getattr(s, f), m.count)
+
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN_SERVE))
+    def test_golden_serve(self, default_accel, scenario):
+        reqs = GOLDEN_SERVE[scenario]().generate(600.0)
+        sim = ClusterSimulator(
+            default_accel, 3, scheduler="model-affinity",
+            batching=timeout(4, 2.0), reprogram_latency_ms=5.0)
+        self._check_serve(summarize(sim.run(reqs)),
+                          summarize(sim.run(reqs, detail="summary")))
+
+    def test_three_model_mix(self, default_accel):
+        """A larger three-model fleet at the CLI's batching default."""
+        reqs = PoissonArrivals(6000, MIX, seed=21).generate(1000.0)
+        sim = ClusterSimulator(default_accel, 16,
+                               scheduler="least-loaded",
+                               batching=timeout(8, 2.0))
+        full = summarize(sim.run(reqs))
+        assert len(full.per_model) == 3
+        self._check_serve(full, summarize(sim.run(reqs, detail="summary")))
+
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN_GEN))
+    def test_golden_generate(self, default_accel, scenario):
+        arrivals = GOLDEN_GEN[scenario]().generate(500.0)
+        reqs = attach_generation_lengths(
+            arrivals,
+            LengthSampler("uniform", 8, 24),
+            LengthSampler("geometric", 4, 48, mean_extra=10.0),
+            seed=77, max_total=default_accel.synth.max_seq_len)
+        sim = GenerationClusterSimulator(
+            default_accel, 2, slots=4, scheduler="least-loaded",
+            reprogram_latency_ms=3.0)
+        full = summarize_generation(sim.run(reqs))
+        summ = summarize_generation(sim.run(reqs, detail="summary"))
+        n = full.total_requests
+        assert n and summ.total_requests == n
+        for f in ("p50_ttft_ms", "p95_ttft_ms", "p99_ttft_ms",
+                  "p99_tpot_ms", "p99_latency_ms", "total_tokens"):
+            assert getattr(summ, f) == getattr(full, f), f
+        for f in self.GEN_MEANS:
+            self._assert_within(f, getattr(full, f), getattr(summ, f), n)

@@ -39,6 +39,7 @@ records are byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (List, Mapping, NamedTuple, Optional, Sequence, Tuple,
                     Union)
@@ -165,8 +166,11 @@ class ClusterSimulator:
             raise ValueError(
                 f"n_instances={n_instances} contradicts the {fleet.n}-"
                 "instance FleetSpec (pass one or the other)")
-        if reprogram_latency_ms < 0:
-            raise ValueError("reprogram_latency_ms must be >= 0")
+        if not (math.isfinite(reprogram_latency_ms)
+                and reprogram_latency_ms >= 0):
+            raise ValueError(
+                "reprogram_latency_ms must be >= 0 and finite, got "
+                f"{reprogram_latency_ms!r}")
         if check_jitter_ms < 0:
             raise ValueError("check_jitter_ms must be >= 0")
         self.accel = accel

@@ -33,6 +33,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
@@ -280,8 +281,11 @@ class GenerationClusterSimulator:
                 "instance FleetSpec (pass one or the other)")
         if slots < 1:
             raise ValueError("need at least one sequence slot")
-        if reprogram_latency_ms < 0:
-            raise ValueError("reprogram_latency_ms must be >= 0")
+        if not (math.isfinite(reprogram_latency_ms)
+                and reprogram_latency_ms >= 0):
+            raise ValueError(
+                "reprogram_latency_ms must be >= 0 and finite, got "
+                f"{reprogram_latency_ms!r}")
         self.accel = accel
         self.fleet = fleet
         self.failures = failures

@@ -21,6 +21,7 @@ terminates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,12 +44,19 @@ class FailurePlan:
     horizon_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.mtbf_ms <= 0:
-            raise ValueError("mtbf_ms must be positive")
-        if self.mttr_ms < 0:
-            raise ValueError("mttr_ms must be >= 0")
-        if self.horizon_ms is not None and self.horizon_ms < 0:
-            raise ValueError("horizon_ms must be >= 0")
+        # Non-finite values would either inject nothing (NaN compares
+        # false everywhere) or divide by zero inside expovariate (inf).
+        if not (math.isfinite(self.mtbf_ms) and self.mtbf_ms > 0):
+            raise ValueError(
+                f"mtbf_ms must be positive and finite, got {self.mtbf_ms!r}")
+        if not (math.isfinite(self.mttr_ms) and self.mttr_ms >= 0):
+            raise ValueError(
+                f"mttr_ms must be >= 0 and finite, got {self.mttr_ms!r}")
+        if self.horizon_ms is not None and not (
+                math.isfinite(self.horizon_ms) and self.horizon_ms >= 0):
+            raise ValueError(
+                "horizon_ms must be >= 0 and finite, got "
+                f"{self.horizon_ms!r}")
 
     @classmethod
     def parse(cls, text: str, seed: int = 0) -> "FailurePlan":

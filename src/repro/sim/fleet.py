@@ -26,6 +26,7 @@ one half-speed, 16-slot instance pinned to one model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -49,15 +50,20 @@ class InstanceSpec:
     target: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.speed <= 0:
-            raise ValueError("instance speed must be positive")
+        if not (math.isfinite(self.speed) and self.speed > 0):
+            raise ValueError(
+                f"instance speed must be positive and finite, got "
+                f"{self.speed!r}")
         if self.models is not None and not self.models:
             raise ValueError(
                 "capability set must name at least one model "
                 "(use None for an unrestricted instance)")
-        if (self.reprogram_latency_ms is not None
-                and self.reprogram_latency_ms < 0):
-            raise ValueError("reprogram_latency_ms must be >= 0")
+        if self.reprogram_latency_ms is not None and not (
+                math.isfinite(self.reprogram_latency_ms)
+                and self.reprogram_latency_ms >= 0):
+            raise ValueError(
+                "reprogram_latency_ms must be >= 0 and finite, got "
+                f"{self.reprogram_latency_ms!r}")
         if self.slots is not None and self.slots < 1:
             raise ValueError("slots must be >= 1")
 

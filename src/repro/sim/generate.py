@@ -35,9 +35,11 @@ either: arrivals are stable-sorted once and merged against the
 the drain.  Queue-depth samples read a running ``depth`` counter that
 is updated where work enters or leaves the fleet (arrival, requeue,
 finish, fault, recovery), not a sum over every instance per sample, so
-per-event bookkeeping does not grow with fleet size.
-``detail="summary"`` additionally skips all record, trace, and sample
-materialization (see :mod:`repro.sim.summary`).
+per-event bookkeeping does not grow with fleet size.  Full and summary
+detail run one handler set; only the result sink differs
+(``detail="summary"`` skips all record, trace, and sample
+materialization, see :mod:`repro.sim.summary`), and a profiler wraps
+the handlers instead of duplicating the loop.
 
 Observer contract: attached observers receive every trace tuple —
 ``("arrive", t, rid, model, inst)``, ``("admit", t, inst, rid, prompt,
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 from collections import deque
 from operator import attrgetter
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..serving.scheduler import LeastLoaded, ModelAffinity, Scheduler
@@ -260,46 +261,34 @@ class GenerationEngine(Simulation):
         the fly.  Percentiles and counts from either detail level are
         bit-identical (exact multisets); means differ by float summation
         order only (completion order, not rid order), which can move
-        them by many ulps, not just the last one.
+        them by many ulps, not just the last one.  Both levels run the
+        same handlers; only the result sink differs
+        (:meth:`_record_sink` / :meth:`_summary_sink`).
         """
-        if detail == "summary":
-            return self._run_summary(requests)
-        if detail != "full":
+        if detail == "full":
+            make_sink = self._record_sink
+        elif detail == "summary":
+            make_sink = self._summary_sink
+        else:
             raise ValueError(
                 f"unknown detail level {detail!r}: use 'full' or "
                 "'summary'")
-        from ..serving.generation import (GenerationInstanceStats,
-                                          GenerationRecord,
-                                          GenerationSimulationResult)
+        from ..serving.generation import GenerationRecord
 
         self._started = True
         queue = self.queue
         push = queue.push
-        trace = self.trace
-        # Observer wiring (same contract as ServeEngine.run): detached
-        # runs bind ``emit`` straight to ``trace.append``; ``note``
-        # carries observer-only requeue events that never enter the
-        # trace, keeping trace bytes identical either way.
         note = self.observer
-        if note is None:
-            emit = trace.append
-        else:
-            def emit(event, _append=trace.append, _obs=note):
-                _append(event)
-                _obs(event)
-        instances = self.instances
         dispatcher = self.dispatcher
         service = self.service
         prefill_ms = service.prefill_ms
         decode_step_ms = service.decode_step_ms
         priority_mode = (self.preemption if self.preemption is not None
                          else any(r.priority for r in requests))
-
-        records: List[GenerationRecord] = []
         # Named-tuple records built without the keyword constructor
-        # (see ServeEngine.run).
-        append_record, new_record = records.append, tuple.__new__
-        samples: List[Tuple[float, int]] = []
+        # (see ServeEngine._record_sink).
+        new_record = tuple.__new__
+
         pending: List[Union[GenerationRequest, _Resume]] = []
         #: Waiting + in-flight sequences over all instances, plus
         #: ``pending`` — updated where work enters or leaves the fleet.
@@ -308,12 +297,16 @@ class GenerationEngine(Simulation):
         preempt_counts: Dict[int, int] = {}
         degraded: Dict[int, bool] = {}
         failing = self.failures is not None
+        # The sink: ``emit`` takes trace tuples (None when nobody
+        # listens), ``sample`` takes ``(t, depth)`` points and
+        # ``complete`` takes one ``GenerationRecord`` per finished
+        # request.  ``note`` carries observer-only requeue events that
+        # never enter the trace, keeping trace bytes identical.
+        emit, sample, complete, result = make_sink(retries)
 
-        # Arrivals never enter the event queue: a stable sort by
-        # timestamp IS their pop order (equal-time arrivals keep input
-        # order, exactly the heap's same-priority seq tie-break), so
-        # the drain below merges this pre-sorted stream against a
-        # queue that only carries step and fault events.
+        # Arrivals never enter the event queue: the drain merges this
+        # pre-sorted stream against a queue that only carries step and
+        # fault events (see Simulation._drain_merged).
         arrivals = sorted(requests, key=_BY_T)
 
         injector: Optional[FailureInjector] = None
@@ -322,12 +315,10 @@ class GenerationEngine(Simulation):
                        if self.failure_horizon_ms is not None
                        else arrivals[-1].t_ms if arrivals else 0.0)
             injector = FailureInjector(self.failures, horizon)
-            for inst in instances:
+            for inst in self.instances:
                 t_fail = injector.next_failure_ms(inst.idx, 0.0)
                 if t_fail is not None:
                     push(t_fail, _P_FAULT, ("fail", inst))
-
-        sample_append = samples.append
 
         def take_next(inst: _Inst, resident: Optional[str]):
             """Pop the next admissible queue entry (None if head-blocked).
@@ -380,7 +371,8 @@ class GenerationEngine(Simulation):
                 inst.preemptions += 1
                 preempt_counts[victim.req.rid] = (
                     preempt_counts.get(victim.req.rid, 0) + 1)
-                emit(("preempt", now, inst.idx, victim.req.rid))
+                if emit is not None:
+                    emit(("preempt", now, inst.idx, victim.req.rid))
                 iq.append(_Resume(victim))
 
         def start_step(inst: _Inst, now: float) -> None:
@@ -423,8 +415,9 @@ class GenerationEngine(Simulation):
                     duration += prefill_ms(model, seq.cached) / speed
                     inst.active.append(seq)
                     inst.prefills += 1
-                    emit(("resume", now, inst.idx, seq.req.rid,
-                          seq.cached, seq.remaining))
+                    if emit is not None:
+                        emit(("resume", now, inst.idx, seq.req.rid,
+                              seq.cached, seq.remaining))
                 else:
                     duration += prefill_ms(model, entry.prompt_tokens) / speed
                     seq = _Seq(entry, t_admit=now, t_first=now + duration)
@@ -432,8 +425,9 @@ class GenerationEngine(Simulation):
                     inst.prefills += 1
                     inst.requests += 1
                     inst.tokens += 1  # the prefill's first token
-                    emit(("admit", now, inst.idx, entry.rid,
-                          entry.prompt_tokens, entry.output_tokens))
+                    if emit is not None:
+                        emit(("admit", now, inst.idx, entry.rid,
+                              entry.prompt_tokens, entry.output_tokens))
             if decoding:
                 duration += decode_step_ms(
                     model, [s.cached + 1 for s in decoding]) / speed
@@ -443,10 +437,11 @@ class GenerationEngine(Simulation):
             inst.steps += 1
             inst.step_done = [(s, True) for s in decoding]
             inst.tokens += len(decoding)
-            emit(("step", now, inst.idx, model, len(admitted),
-                  len(decoding), duration))
+            if emit is not None:
+                emit(("step", now, inst.idx, model, len(admitted),
+                      len(decoding), duration))
             push(end, _P_STEP, ("step", inst, inst.epoch))
-            sample_append((now, depth))
+            sample((now, depth))
 
         def finish_step(inst: _Inst, now: float) -> None:
             """Step boundary: emit tokens, vacate finished sequences."""
@@ -460,20 +455,21 @@ class GenerationEngine(Simulation):
             for seq in inst.active:
                 if seq.remaining <= 0 and seq.t_first <= now + _EPS:
                     req = seq.req
-                    complete = seq.t_first if req.output_tokens == 1 else now
+                    done_ms = seq.t_first if req.output_tokens == 1 else now
                     rid = req.rid
-                    append_record(new_record(GenerationRecord, (
+                    complete(new_record(GenerationRecord, (
                         rid, req.model, inst.idx, req.prompt_tokens,
                         req.output_tokens, req.t_ms, seq.t_admit,
-                        seq.t_first, complete, retries.get(rid, 0),
+                        seq.t_first, done_ms, retries.get(rid, 0),
                         preempt_counts.get(rid, 0),
                         degraded.get(rid, False))))
-                    emit(("finish", now, inst.idx, req.rid))
+                    if emit is not None:
+                        emit(("finish", now, inst.idx, rid))
                 else:
                     still.append(seq)
             depth -= len(inst.active) - len(still)
             inst.active = still
-            sample_append((now, depth))
+            sample((now, depth))
             start_step(inst, now)
 
         def route(entry, now: float) -> None:
@@ -506,21 +502,17 @@ class GenerationEngine(Simulation):
             inst = dispatcher.pick(req, now)
             if inst is None:
                 pending.append(req)
-                emit(("arrive", now, req.rid, req.model, -1))
-                sample_append((now, depth))
+                if emit is not None:
+                    emit(("arrive", now, req.rid, req.model, -1))
+                sample((now, depth))
                 return
             inst.queue.append(req)
             if inst.last_model is None:
                 inst.last_model = req.model
-            emit(("arrive", now, req.rid, req.model, inst.idx))
-            sample_append((now, depth))
+            if emit is not None:
+                emit(("arrive", now, req.rid, req.model, inst.idx))
+            sample((now, depth))
             start_step(inst, now)
-
-        def on_step(payload: tuple, now: float) -> None:
-            inst: _Inst = payload[1]
-            if payload[2] != inst.epoch:
-                return  # step aborted by a failure; event is stale
-            finish_step(inst, now)
 
         def on_fail(payload: tuple, now: float) -> None:
             nonlocal depth
@@ -529,7 +521,8 @@ class GenerationEngine(Simulation):
             inst.down_since = now
             inst.failures += 1
             dispatcher.down_count += 1
-            emit(("fail", now, inst.idx))
+            if emit is not None:
+                emit(("fail", now, inst.idx))
             displaced: List[Union[GenerationRequest, _Resume]] = []
             aborted_step = inst.busy_until > now + _EPS
             decoding_ids = set()
@@ -573,7 +566,7 @@ class GenerationEngine(Simulation):
             inst.queue.clear()
             # Displaced work is detached until route() re-counts it.
             depth -= len(displaced) + len(queued)
-            sample_append((now, depth))
+            sample((now, depth))
             for entry in displaced:
                 route(entry, now)
             for entry in queued:
@@ -588,7 +581,8 @@ class GenerationEngine(Simulation):
             inst.down = False
             inst.downtime_ms += now - inst.down_since
             dispatcher.down_count -= 1
-            emit(("recover", now, inst.idx))
+            if emit is not None:
+                emit(("recover", now, inst.idx))
             assert injector is not None
             t_fail = injector.next_failure_ms(inst.idx, now)
             if t_fail is not None:
@@ -599,133 +593,73 @@ class GenerationEngine(Simulation):
                 for entry in parked:
                     route(entry, now)
 
-        # Merged drain: an engine event pops ahead of the next arrival
-        # only when strictly earlier, or at the same timestamp with the
-        # step priority — the single engine priority below arrivals.
-        # Fault events (2) at an arrival's timestamp sort after every
-        # arrival at that time, exactly as in the heap.  The profiled
-        # variant is a separate loop so the bare path never pays for
-        # the timing.
-        clock = self.clock
-        pop = queue.pop
-
         def handle(payload: tuple, now: float) -> None:
             kind = payload[0]
             if kind == "step":
-                on_step(payload, now)
+                inst = payload[1]
+                if payload[2] == inst.epoch:  # else aborted by a failure
+                    finish_step(inst, now)
             elif kind == "fail":
                 on_fail(payload, now)
             else:
                 on_recover(payload, now)
 
-        if self.profiler is not None:
-            record = self.profiler.record
-            for req in arrivals:
-                ta = req.t_ms
-                head = queue.head
-                while head is not None and (
-                        head[0] < ta
-                        or (head[0] == ta and head[1] == _P_STEP)):
-                    now, _prio, _seq, payload = pop()
-                    clock.now_ms = now
-                    t0 = perf_counter()
-                    handle(payload, now)
-                    record(payload[0], perf_counter() - t0)
-                    head = queue.head
-                clock.now_ms = ta
-                t0 = perf_counter()
-                on_arrival(req, ta)
-                record("arrival", perf_counter() - t0)
-            while queue:
-                now, _prio, _seq, payload = pop()
-                clock.now_ms = now
-                t0 = perf_counter()
-                handle(payload, now)
-                record(payload[0], perf_counter() - t0)
-        else:
-            for req in arrivals:
-                ta = req.t_ms
-                head = queue.head
-                while head is not None and (
-                        head[0] < ta
-                        or (head[0] == ta and head[1] == _P_STEP)):
-                    now, _prio, _seq, payload = pop()
-                    clock.now_ms = now
-                    handle(payload, now)
-                    head = queue.head
-                clock.now_ms = ta
-                on_arrival(req, ta)
-            while queue:
-                now, _prio, _seq, payload = pop()
-                clock.now_ms = now  # monotone by pop order
-                handle(payload, now)
-        self._finish_observer()
-
-        makespan = max(map(_T_COMPLETE, records), default=0.0)
-        records.sort(key=_BY_RID)
-        availability: Optional[float] = None
-        if failing:
-            horizon = max(makespan, self.clock.now_ms)
-            availability = (
-                1.0 - sum(i.downtime_ms for i in instances)
-                / (len(instances) * horizon) if horizon > 0 else 1.0)
-        return GenerationSimulationResult(
-            records=records,
-            instances=[
-                GenerationInstanceStats(
-                    index=i.idx, requests=i.requests, steps=i.steps,
-                    prefills=i.prefills, tokens=i.tokens, busy_ms=i.busy_ms,
-                    switch_count=i.switch_count,
-                    reprogram_time_ms=i.reprogram_time_ms,
-                    preemptions=i.preemptions, failures=i.failures,
-                    downtime_ms=i.downtime_ms,
-                ) for i in instances
-            ],
-            n_instances=len(instances),
-            slots=self.slots,
-            makespan_ms=makespan,
-            queue_samples=samples,
-            trace=trace,
-            scheduler=self.scheduler.name,
-            availability=availability,
-            total_failures=sum(i.failures for i in instances),
-            total_retries=sum(retries.values()),
-            total_preemptions=sum(i.preemptions for i in instances),
-        )
+        # Step completions (priority 0) pop ahead of arrivals at equal
+        # timestamps; fault events (2) sort after them.
+        self._drain_merged(arrivals, on_arrival, handle, _P_STEP)
+        return result()
 
     # ------------------------------------------------------------------
-    def _run_summary(self, requests: Sequence[GenerationRequest]):
-        """The ``detail="summary"`` drain: accumulate, don't materialize.
+    def _record_sink(self, retries: Dict[int, int]):
+        """Full detail: the trace, the sample list, and the records.
 
-        Same event order, same admission decisions, same floats per
-        step as the full path — but no ``GenerationRecord`` objects, no
-        trace list, no queue-depth sample list.  TTFT/TPOT/latency
-        multisets are collected as sequences finish (percentiles stay
-        exact); wait/token sums and the queue-depth integral are folded
-        in as events fire.  An attached observer still sees every trace
-        tuple (tuples are built only when someone is listening);
-        profilers need the full drain and are rejected.
+        With nothing attached, ``emit`` *is* ``trace.append`` and
+        ``sample``/``complete`` are list appends (C calls); an observer
+        is forwarded every trace tuple after it is logged.
         """
-        if self.profiler is not None:
-            raise ValueError(
-                "KernelProfiler requires detail='full': the summary "
-                "drain has no per-event handler boundaries to time")
-        self._started = True
-        queue = self.queue
-        push = queue.push
-        note = self.observer
-        observing = note is not None
-        instances = self.instances
-        dispatcher = self.dispatcher
-        service = self.service
-        prefill_ms = service.prefill_ms
-        decode_step_ms = service.decode_step_ms
-        priority_mode = (self.preemption if self.preemption is not None
-                         else any(r.priority for r in requests))
-        failing = self.failures is not None
+        from ..serving.generation import GenerationSimulationResult
 
-        # Per-request metric lists (exact multisets for the order
-        # statistics) plus the sums the report needs.
+        trace = self.trace
+        note = self.observer
+        if note is None:
+            emit = trace.append
+        else:
+            def emit(event, _append=trace.append, _obs=note):
+                _append(event)
+                _obs(event)
+        samples: List[Tuple[float, int]] = []
+        records: list = []
+
+        def result():
+            makespan = max(map(_T_COMPLETE, records), default=0.0)
+            records.sort(key=_BY_RID)
+            return GenerationSimulationResult(
+                records=records,
+                instances=self._instance_stats(),
+                n_instances=len(self.instances),
+                slots=self.slots,
+                makespan_ms=makespan,
+                queue_samples=samples,
+                trace=trace,
+                scheduler=self.scheduler.name,
+                availability=self._availability(makespan),
+                total_failures=sum(i.failures for i in self.instances),
+                total_retries=sum(retries.values()),
+                total_preemptions=sum(i.preemptions for i in self.instances),
+            )
+
+        return emit, samples.append, records.append, result
+
+    def _summary_sink(self, retries: Dict[int, int]):
+        """Summary detail: fold records and depth samples as they fire.
+
+        TTFT/TPOT/latency multisets are collected as sequences finish
+        (percentiles stay exact); wait/token sums and the queue-depth
+        integral are folded in as events fire.  Only an attached
+        observer sees trace tuples (``emit`` is ``None`` otherwise).
+        """
+        from .summary import GenerationSummary
+
         ttfts: List[float] = []
         tpots: List[float] = []
         lats: List[float] = []
@@ -733,348 +667,83 @@ class GenerationEngine(Simulation):
         req_tpots: List[float] = []
         wait_sum = 0.0
         total_tokens = 0
-        total_done = 0
         makespan = 0.0
-        retries_total = 0
         # Queue-depth step integral, same add order as
         # slo._time_weighted_mean over the full sample list.
         area = 0.0
         prev_t = 0.0
         cur_depth = 0
-        pending: List[Union[GenerationRequest, _Resume]] = []
-        # Running depth, same update sites as the full path.
-        depth = 0
 
-        arrivals = sorted(requests, key=_BY_T)
-
-        injector: Optional[FailureInjector] = None
-        if failing:
-            horizon = (self.failure_horizon_ms
-                       if self.failure_horizon_ms is not None
-                       else arrivals[-1].t_ms if arrivals else 0.0)
-            injector = FailureInjector(self.failures, horizon)
-            for inst in instances:
-                t_fail = injector.next_failure_ms(inst.idx, 0.0)
-                if t_fail is not None:
-                    push(t_fail, _P_FAULT, ("fail", inst))
-
-        def sample(now: float) -> None:
-            # Same value, same call sites as the full path's sample();
-            # folded straight into the integral instead of listed.
+        def sample(point: Tuple[float, int]) -> None:
             nonlocal area, prev_t, cur_depth
+            now, d = point
             area += cur_depth * (now - prev_t)
             prev_t = now
-            cur_depth = depth
+            cur_depth = d
 
-        def take_next(inst: _Inst, resident: Optional[str]):
-            iq = inst.queue
-            if not iq:
-                return None
-            if not priority_mode:
-                head = iq[0]
-                if resident is not None and head.model != resident:
-                    return None
-                return iq.popleft()
-            best_at = -1
-            best_key = None
-            for pos, entry in enumerate(iq):
-                if resident is not None and entry.model != resident:
-                    continue
-                key = (-entry.priority, entry.rid)
-                if best_key is None or key < best_key:
-                    best_at, best_key = pos, key
-            if best_at < 0:
-                return None
-            iq.rotate(-best_at)
-            entry = iq.popleft()
-            iq.rotate(best_at)
-            return entry
-
-        def preempt_for(inst: _Inst, now: float) -> None:
-            iq = inst.queue
-            while iq and inst.active and len(inst.active) >= inst.slots:
-                resident = inst.active[0].req.model
-                top = max((e.priority for e in iq if e.model == resident),
-                          default=None)
-                victim = min(
-                    inst.active,
-                    key=lambda s: (s.req.priority, s.cached, -s.req.rid))
-                if top is None or top <= victim.req.priority:
-                    return
-                inst.active.remove(victim)
-                inst.preemptions += 1
-                if observing:
-                    note(("preempt", now, inst.idx, victim.req.rid))
-                iq.append(_Resume(victim))
-
-        def start_step(inst: _Inst, now: float) -> None:
-            if inst.down or inst.busy_until > now + _EPS:
-                return
-            if priority_mode:
-                preempt_for(inst, now)
-            admitted: List[Union[GenerationRequest, _Resume]] = []
-            resident = inst.active[0].req.model if inst.active else None
-            while len(inst.active) + len(admitted) < inst.slots:
-                entry = take_next(inst, resident)
-                if entry is None:
-                    break
-                admitted.append(entry)
-                if resident is None:
-                    resident = entry.model
-            if not admitted and not inst.active:
-                return
-            model = resident
-            if inst.resident != model:
-                service.config(model)  # validate before residency
-                inst.resident = model
-                inst.switch_count += 1
-                inst.reprogram_time_ms += inst.reprogram_ms
-                duration = inst.reprogram_ms
+        def complete(record: tuple) -> None:
+            nonlocal wait_sum, total_tokens, makespan
+            _, _, _, _, out, t0, t_admit, t_first, done_ms, _, _, _ = record
+            ttfts.append(t_first - t0)
+            lats.append(done_ms - t0)
+            wait_sum += t_admit - t0
+            out_list.append(out)
+            if out > 1:
+                tp = (done_ms - t_first) / (out - 1)
+                tpots.append(tp)
+                req_tpots.append(tp)
             else:
-                duration = 0.0
-            inst.last_model = model
-            speed = inst.speed
+                req_tpots.append(0.0)
+            total_tokens += out
+            if done_ms > makespan:
+                makespan = done_ms
 
-            decoding = list(inst.active)
-            for entry in admitted:
-                if type(entry) is _Resume:
-                    seq = entry.seq
-                    duration += prefill_ms(model, seq.cached) / speed
-                    inst.active.append(seq)
-                    inst.prefills += 1
-                    if observing:
-                        note(("resume", now, inst.idx, seq.req.rid,
-                              seq.cached, seq.remaining))
-                else:
-                    duration += prefill_ms(model, entry.prompt_tokens) / speed
-                    seq = _Seq(entry, t_admit=now, t_first=now + duration)
-                    inst.active.append(seq)
-                    inst.prefills += 1
-                    inst.requests += 1
-                    inst.tokens += 1  # the prefill's first token
-                    if observing:
-                        note(("admit", now, inst.idx, entry.rid,
-                              entry.prompt_tokens, entry.output_tokens))
-            if decoding:
-                duration += decode_step_ms(
-                    model, [s.cached + 1 for s in decoding]) / speed
-            end = now + duration
-            inst.busy_until = end
-            inst.busy_ms += duration
-            inst.steps += 1
-            inst.step_done = [(s, True) for s in decoding]
-            inst.tokens += len(decoding)
-            if observing:
-                note(("step", now, inst.idx, model, len(admitted),
-                      len(decoding), duration))
-            push(end, _P_STEP, ("step", inst, inst.epoch))
-            sample(now)
+        def result():
+            instances = self.instances
+            return GenerationSummary(
+                total_requests=len(lats),
+                total_tokens=total_tokens,
+                makespan_ms=makespan,
+                n_instances=len(instances),
+                slots=self.slots,
+                scheduler=self.scheduler.name,
+                ttfts=ttfts,
+                tpots=tpots,
+                lats=lats,
+                wait_sum=wait_sum,
+                out_tokens=out_list,
+                req_tpots=req_tpots,
+                instances=self._instance_stats(),
+                depth_area=area,
+                depth_last_t=prev_t,
+                depth_last=cur_depth,
+                availability=self._availability(makespan),
+                total_failures=sum(i.failures for i in instances),
+                total_retries=sum(retries.values()),
+                total_preemptions=sum(i.preemptions for i in instances),
+            )
 
-        def finish_step(inst: _Inst, now: float) -> None:
-            nonlocal wait_sum, total_tokens, total_done, makespan, depth
-            for seq, decoded in inst.step_done:
-                if decoded:
-                    seq.cached += 1
-                    seq.remaining -= 1
-            inst.step_done = []
-            still: List[_Seq] = []
-            for seq in inst.active:
-                if seq.remaining <= 0 and seq.t_first <= now + _EPS:
-                    req = seq.req
-                    out = req.output_tokens
-                    t_first = seq.t_first
-                    complete = t_first if out == 1 else now
-                    t0 = req.t_ms
-                    ttfts.append(t_first - t0)
-                    lats.append(complete - t0)
-                    wait_sum += seq.t_admit - t0
-                    out_list.append(out)
-                    if out > 1:
-                        tp = (complete - t_first) / (out - 1)
-                        tpots.append(tp)
-                        req_tpots.append(tp)
-                    else:
-                        req_tpots.append(0.0)
-                    total_tokens += out
-                    total_done += 1
-                    if complete > makespan:
-                        makespan = complete
-                    if observing:
-                        note(("finish", now, inst.idx, req.rid))
-                else:
-                    still.append(seq)
-            depth -= len(inst.active) - len(still)
-            inst.active = still
-            sample(now)
-            start_step(inst, now)
+        return self.observer, sample, complete, result
 
-        def route(entry, now: float) -> None:
-            nonlocal depth
-            depth += 1
-            inst = dispatcher.pick(entry, now)
-            if inst is None:
-                pending.append(entry)
-                if observing:
-                    note(("requeue", now, entry.rid, -1))
-                return
-            inst.queue.append(entry)
-            if inst.last_model is None:
-                inst.last_model = entry.model
-            if observing:
-                note(("requeue", now, entry.rid, inst.idx))
-            start_step(inst, now)
-
-        def on_arrival(req: GenerationRequest, now: float) -> None:
-            nonlocal depth
-            depth += 1
-            inst = dispatcher.pick(req, now)
-            if inst is None:
-                pending.append(req)
-                if observing:
-                    note(("arrive", now, req.rid, req.model, -1))
-                sample(now)
-                return
-            inst.queue.append(req)
-            if inst.last_model is None:
-                inst.last_model = req.model
-            if observing:
-                note(("arrive", now, req.rid, req.model, inst.idx))
-            sample(now)
-            start_step(inst, now)
-
-        def on_fail(payload: tuple, now: float) -> None:
-            nonlocal retries_total, depth
-            inst: _Inst = payload[1]
-            inst.down = True
-            inst.down_since = now
-            inst.failures += 1
-            dispatcher.down_count += 1
-            if observing:
-                note(("fail", now, inst.idx))
-            displaced: List[Union[GenerationRequest, _Resume]] = []
-            aborted_step = inst.busy_until > now + _EPS
-            decoding_ids = set()
-            if aborted_step:
-                inst.busy_ms -= inst.busy_until - now
-                inst.busy_until = now
-                inst.epoch += 1
-                inst.tokens -= sum(
-                    1 for _, decoded in inst.step_done if decoded)
-                decoding_ids = {id(s) for s, _ in inst.step_done}
-            inst.step_done = []
-            for seq in inst.active:
-                retries_total += 1
-                if seq.t_first <= now + _EPS:
-                    if aborted_step and id(seq) not in decoding_ids:
-                        inst.prefills -= 1
-                    displaced.append(_Resume(seq))
-                else:
-                    inst.requests -= 1
-                    inst.tokens -= 1  # the unemitted first token
-                    inst.prefills -= 1
-                    displaced.append(seq.req)
-            inst.active = []
-            inst.resident = None  # weights are lost with the instance
-            queued = list(inst.queue)
-            inst.queue.clear()
-            depth -= len(displaced) + len(queued)
-            sample(now)
-            for entry in displaced:
-                route(entry, now)
-            for entry in queued:
-                route(entry, now)
-            assert injector is not None
-            push(now + injector.repair_duration_ms(inst.idx), _P_FAULT,
-                 ("recover", inst))
-
-        def on_recover(payload: tuple, now: float) -> None:
-            nonlocal depth
-            inst: _Inst = payload[1]
-            inst.down = False
-            inst.downtime_ms += now - inst.down_since
-            dispatcher.down_count -= 1
-            if observing:
-                note(("recover", now, inst.idx))
-            assert injector is not None
-            t_fail = injector.next_failure_ms(inst.idx, now)
-            if t_fail is not None:
-                push(t_fail, _P_FAULT, ("fail", inst))
-            if pending:
-                parked, pending[:] = list(pending), []
-                depth -= len(parked)
-                for entry in parked:
-                    route(entry, now)
-
-        # Same merged drain as the full path (see run()).
-        clock = self.clock
-        pop = queue.pop
-
-        def handle(payload: tuple, now: float) -> None:
-            kind = payload[0]
-            if kind == "step":
-                inst = payload[1]
-                if payload[2] == inst.epoch:
-                    finish_step(inst, now)
-            elif kind == "fail":
-                on_fail(payload, now)
-            else:
-                on_recover(payload, now)
-
-        for req in arrivals:
-            ta = req.t_ms
-            head = queue.head
-            while head is not None and (
-                    head[0] < ta
-                    or (head[0] == ta and head[1] == _P_STEP)):
-                now, _prio, _seq, payload = pop()
-                clock.now_ms = now
-                handle(payload, now)
-                head = queue.head
-            clock.now_ms = ta
-            on_arrival(req, ta)
-        while queue:
-            now, _prio, _seq, payload = pop()
-            clock.now_ms = now  # monotone by pop order
-            handle(payload, now)
-        self._finish_observer()
-
+    def _instance_stats(self) -> list:
         from ..serving.generation import GenerationInstanceStats
-        from .summary import GenerationSummary
 
-        availability: Optional[float] = None
-        if failing:
-            horizon = max(makespan, self.clock.now_ms)
-            availability = (
-                1.0 - sum(i.downtime_ms for i in instances)
+        return [
+            GenerationInstanceStats(
+                index=i.idx, requests=i.requests, steps=i.steps,
+                prefills=i.prefills, tokens=i.tokens, busy_ms=i.busy_ms,
+                switch_count=i.switch_count,
+                reprogram_time_ms=i.reprogram_time_ms,
+                preemptions=i.preemptions, failures=i.failures,
+                downtime_ms=i.downtime_ms,
+            ) for i in self.instances
+        ]
+
+    def _availability(self, makespan: float) -> Optional[float]:
+        """Fleet availability over the run (``None`` without failures)."""
+        if self.failures is None:
+            return None
+        instances = self.instances
+        horizon = max(makespan, self.clock.now_ms)
+        return (1.0 - sum(i.downtime_ms for i in instances)
                 / (len(instances) * horizon) if horizon > 0 else 1.0)
-        return GenerationSummary(
-            total_requests=total_done,
-            total_tokens=total_tokens,
-            makespan_ms=makespan,
-            n_instances=len(instances),
-            slots=self.slots,
-            scheduler=self.scheduler.name,
-            ttfts=ttfts,
-            tpots=tpots,
-            lats=lats,
-            wait_sum=wait_sum,
-            out_tokens=out_list,
-            req_tpots=req_tpots,
-            instances=[
-                GenerationInstanceStats(
-                    index=i.idx, requests=i.requests, steps=i.steps,
-                    prefills=i.prefills, tokens=i.tokens, busy_ms=i.busy_ms,
-                    switch_count=i.switch_count,
-                    reprogram_time_ms=i.reprogram_time_ms,
-                    preemptions=i.preemptions, failures=i.failures,
-                    downtime_ms=i.downtime_ms,
-                ) for i in instances
-            ],
-            depth_area=area,
-            depth_last_t=prev_t,
-            depth_last=cur_depth,
-            availability=availability,
-            total_failures=sum(i.failures for i in instances),
-            total_retries=retries_total,
-            total_preemptions=sum(i.preemptions for i in instances),
-        )

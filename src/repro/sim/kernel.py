@@ -127,8 +127,9 @@ class Simulation:
     of every payload tuple) and call :meth:`run_events`.  The loop is
     deliberately minimal — pop, advance the clock, dispatch — because
     the hot simulators bind their own bookkeeping around it; what they
-    share is the queue discipline, the clock, the trace buffer, and the
-    per-component RNG streams.
+    share is the queue discipline, the clock, the trace buffer, the
+    per-component RNG streams, and the merged arrival drain
+    (:meth:`_drain_merged`), profiled or not.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -191,26 +192,69 @@ class Simulation:
 
     def run_events(self) -> None:
         """Drain the queue, dispatching each event to its handler."""
+        handlers = self._handlers
+
+        def handle(payload: tuple, now: float) -> None:
+            handlers[payload[0]](payload, now)
+
+        self._drain_merged((), None, handle, 0)
+
+    def _drain_merged(self, arrivals, on_arrival, handle,
+                      p_first: int) -> None:
+        """Drain the queue merged against a pre-sorted arrival stream.
+
+        The hot engines never push arrivals: a stable sort by ``t_ms``
+        is exactly the order the heap would pop them in (equal-time
+        arrivals keep input order, the same-priority ``seq``
+        tie-break).  An engine event pops ahead of the next arrival
+        only when strictly earlier, or at the same timestamp with
+        priority ``p_first`` — the engine's one priority below
+        arrivals; every other engine event at an arrival's timestamp
+        sorts after it, exactly as in the heap.
+
+        ``on_arrival(req, now)`` and ``handle(payload, now)`` are the
+        engine's event switch.  An attached profiler wraps both once in
+        timing closures — the loop itself has no profiled twin.
+        """
         self._started = True
+        if self.profiler is not None:
+            on_arrival, handle = _timed(self.profiler.record, on_arrival,
+                                        handle)
         queue = self.queue
         pop = queue.pop
         clock = self.clock
-        handlers = self._handlers
-        if self.profiler is not None:
-            record = self.profiler.record
-            while queue:
+        for req in arrivals:
+            ta = req.t_ms
+            head = queue.head
+            while head is not None and (
+                    head[0] < ta or (head[0] == ta and head[1] == p_first)):
                 now, _prio, _seq, payload = pop()
                 clock.now_ms = now
-                t0 = perf_counter()
-                handlers[payload[0]](payload, now)
-                record(payload[0], perf_counter() - t0)
-            self._finish_observer()
-            return
+                handle(payload, now)
+                head = queue.head
+            clock.now_ms = ta
+            on_arrival(req, ta)
         while queue:
             now, _prio, _seq, payload = pop()
             clock.now_ms = now  # monotone by pop order; skip the check
-            handlers[payload[0]](payload, now)
+            handle(payload, now)
         self._finish_observer()
+
+
+def _timed(record, on_arrival, handle):
+    """Wrap an event switch so ``record(kind, elapsed_s)`` sees every
+    dispatch (arrivals attribute to the ``"arrival"`` kind)."""
+    def timed_arrival(req, now: float) -> None:
+        t0 = perf_counter()
+        on_arrival(req, now)
+        record("arrival", perf_counter() - t0)
+
+    def timed_handle(payload: tuple, now: float) -> None:
+        t0 = perf_counter()
+        handle(payload, now)
+        record(payload[0], perf_counter() - t0)
+
+    return timed_arrival, timed_handle
 
 
 def _compose2(first: Callable[[tuple], None],

@@ -35,8 +35,12 @@ in-flight test differ).  The arrival
 stream never enters the event queue at all: arrivals are stable-sorted
 once and merged against the :class:`~repro.sim.calendar.CalendarQueue`
 of engine events during the drain (one heap push+pop per *batch*, not
-per request).  ``detail="summary"`` additionally skips all record,
-trace, and sample materialization (see :mod:`repro.sim.summary`).
+per request).  Full and summary detail run one handler set; only the
+result sink differs (``detail="summary"`` skips all record, trace, and
+sample materialization, see :mod:`repro.sim.summary`), and a profiler
+wraps the handlers instead of duplicating the loop.  One extra drain
+remains, :meth:`ServeEngine._run_fast`: summary runs whose conditions
+rule out every event but arrivals and completions take it inlined.
 Same math, same floats, same order — just less work per event (the
 serving benchmarks pin the speedups).
 
@@ -56,7 +60,6 @@ byte-identical with any observer attached.
 from __future__ import annotations
 
 from operator import attrgetter
-from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..serving.batching import BatchingPolicy, ServiceTimeModel
@@ -354,36 +357,27 @@ class ServeEngine(Simulation):
         by float summation order only (completion order vs rid order),
         which can move them by many ulps, not just the last one.
 
+        Both levels run the same handlers; only the result sink differs
+        (:meth:`_record_sink` / :meth:`_summary_sink`).  The one extra
+        drain is :meth:`_run_fast`, the inlined summary drain for runs
+        whose conditions rule out every event but arrivals and frees.
+
         Import note: the result types live in
         :mod:`repro.serving.cluster` (the public façade), imported
         lazily to keep the package graph acyclic.
         """
-        if detail == "summary":
-            return self._run_summary(requests)
-        if detail != "full":
+        if detail == "full":
+            make_sink = self._record_sink
+        elif detail == "summary":
+            make_sink = self._summary_sink
+        else:
             raise ValueError(
                 f"unknown detail level {detail!r}: use 'full' or "
                 "'summary'")
-        from ..serving.cluster import (InstanceStats, RequestRecord,
-                                       SimulationResult)
-
         self._started = True
         queue = self.queue
         push = queue.push
-        trace = self.trace
-        # Observer wiring: with nothing attached, ``emit`` *is*
-        # ``trace.append`` (the pre-hook fast path, unchanged); with an
-        # observer, every trace tuple is forwarded after being logged.
-        # ``note`` carries observer-only bookkeeping events (requeues)
-        # that never enter the trace — trace bytes stay identical.
         note = self.observer
-        if note is None:
-            emit = trace.append
-        else:
-            def emit(event, _append=trace.append, _obs=note):
-                _append(event)
-                _obs(event)
-        instances = self.instances
         dispatcher = self.dispatcher
         batching = self.batching
         max_batch = batching.max_batch
@@ -398,21 +392,27 @@ class ServeEngine(Simulation):
         # that touched its queue or batch (arrival, free, check).
         update = index.update if index is not None else None
 
-        samples: List[Tuple[float, int]] = []
+        # Arrivals never enter the event queue: the drain merges this
+        # pre-sorted stream against a queue that only carries engine
+        # events (see Simulation._drain_merged).
+        arrivals = sorted(requests, key=_BY_T)
+        if (detail == "summary" and not failing and not dispatcher.restricted
+                and decide is None and timeout_ms is None and note is None
+                and self.profiler is None):
+            return self._run_fast(arrivals, index)
+
         queued_total = 0
-        #: Completed batches: (model, idx, size, t_disp, t_done, batch).
-        done: List[tuple] = []
         #: Requests parked while every capable instance is down.
         pending: List[Request] = []
         retries: Dict[int, int] = {}
         degraded: Dict[int, bool] = {}
-
-        # Arrivals never enter the event queue: a stable sort by
-        # timestamp IS their pop order (equal-time arrivals keep input
-        # order, exactly the heap's same-priority seq tie-break), so
-        # the drain below merges this pre-sorted stream against a
-        # queue that only carries engine events.
-        arrivals = sorted(requests, key=_BY_T)
+        # The sink: ``emit`` takes trace tuples (None when nobody
+        # listens), ``sample`` takes ``(t, depth)`` points and
+        # ``complete`` takes ``(model, idx, size, t_dispatch,
+        # t_complete, batch)`` rows of finished batches.  ``note``
+        # carries observer-only bookkeeping events (requeues) that
+        # never enter the trace — trace bytes stay identical.
+        emit, sample, complete, result = make_sink(retries, degraded)
 
         injector: Optional[FailureInjector] = None
         if failing:
@@ -420,12 +420,10 @@ class ServeEngine(Simulation):
                        if self.failure_horizon_ms is not None
                        else arrivals[-1].t_ms if arrivals else 0.0)
             injector = FailureInjector(self.failures, horizon)
-            for inst in instances:
+            for inst in self.instances:
                 t_fail = injector.next_failure_ms(inst.idx, 0.0)
                 if t_fail is not None:
                     push(t_fail, _P_FAULT, ("fail", inst))
-
-        sample_append = samples.append
 
         def try_dispatch(inst: _Inst, now: float) -> None:
             nonlocal queued_total
@@ -481,13 +479,14 @@ class ServeEngine(Simulation):
                 switch_ms = 0.0
             inst.deploys += 1
             total_ms = switch_ms + inst.cost.ms(model, size) / inst.speed
-            complete = now + total_ms
-            inst.busy_until = complete
+            complete_ms = now + total_ms
+            inst.busy_until = complete_ms
             inst.busy_ms += total_ms
-            inst.in_flight = (model, size, now, complete, batch)
-            emit(("dispatch", now, inst.idx, model, size, switch_ms))
-            push(complete, _P_FREE, ("free", inst, inst.epoch))
-            sample_append((now, queued_total + len(pending)))
+            inst.in_flight = (model, size, now, complete_ms, batch)
+            if emit is not None:
+                emit(("dispatch", now, inst.idx, model, size, switch_ms))
+            push(complete_ms, _P_FREE, ("free", inst, inst.epoch))
+            sample((now, queued_total + len(pending)))
 
         def route(req: Request, now: float) -> None:
             """Queue ``req`` like a fresh arrival (requeue path).
@@ -517,14 +516,16 @@ class ServeEngine(Simulation):
             inst = pick(req, now)
             if inst is None:
                 pending.append(req)
-                emit(("arrive", now, req.rid, req.model, -1))
-                sample_append((now, queued_total + len(pending)))
+                if emit is not None:
+                    emit(("arrive", now, req.rid, req.model, -1))
+                sample((now, queued_total + len(pending)))
                 return
             inst.queue.append(req)
             queued_total += 1
             inst.last_model = req.model
-            emit(("arrive", now, req.rid, req.model, inst.idx))
-            sample_append((now, queued_total + len(pending)))
+            if emit is not None:
+                emit(("arrive", now, req.rid, req.model, inst.idx))
+            sample((now, queued_total + len(pending)))
             try_dispatch(inst, now)
             if update is not None:
                 update(inst)
@@ -537,8 +538,9 @@ class ServeEngine(Simulation):
             inst.in_flight = None
             inst.batches += 1
             inst.requests += size
-            done.append((model, inst.idx, size, t_disp, t_done, batch))
-            emit(("free", now, inst.idx))
+            complete((model, inst.idx, size, t_disp, t_done, batch))
+            if emit is not None:
+                emit(("free", now, inst.idx))
             try_dispatch(inst, now)
             if update is not None:
                 update(inst)
@@ -561,7 +563,8 @@ class ServeEngine(Simulation):
             inst.down_since = now
             inst.failures += 1
             dispatcher.down_count += 1
-            emit(("fail", now, inst.idx))
+            if emit is not None:
+                emit(("fail", now, inst.idx))
             lost: List[Request] = []
             if inst.in_flight is not None and inst.busy_until > now + _EPS:
                 # Abort the in-flight batch: refund the unserved tail of
@@ -578,7 +581,7 @@ class ServeEngine(Simulation):
             queued = list(inst.queue)
             inst.queue.clear()
             queued_total -= len(queued)
-            sample_append((now, queued_total + len(pending)))
+            sample((now, queued_total + len(pending)))
             for req in lost:
                 route(req, now)
             for req in queued:
@@ -592,7 +595,8 @@ class ServeEngine(Simulation):
             inst.down = False
             inst.downtime_ms += now - inst.down_since
             dispatcher.down_count -= 1
-            emit(("recover", now, inst.idx))
+            if emit is not None:
+                emit(("recover", now, inst.idx))
             assert injector is not None
             t_fail = injector.next_failure_ms(inst.idx, now)
             if t_fail is not None:
@@ -601,16 +605,6 @@ class ServeEngine(Simulation):
                 parked, pending[:] = list(pending), []
                 for req in parked:
                     route(req, now)
-
-        # Merged drain: an engine event pops ahead of the next arrival
-        # only when strictly earlier, or at the same timestamp with the
-        # free priority — the single engine priority below arrivals.
-        # Check (2) and fault (3) events at an arrival's timestamp sort
-        # after every arrival at that time, exactly as in the heap.
-        # The profiled variant is a separate loop so the bare path
-        # never pays for the timing.
-        clock = self.clock
-        pop = queue.pop
 
         def handle(payload: tuple, now: float) -> None:
             kind = payload[0]
@@ -623,127 +617,77 @@ class ServeEngine(Simulation):
             else:
                 on_recover(payload, now)
 
-        if self.profiler is not None:
-            record = self.profiler.record
-            for req in arrivals:
-                ta = req.t_ms
-                head = queue.head
-                while head is not None and (
-                        head[0] < ta
-                        or (head[0] == ta and head[1] == _P_FREE)):
-                    now, _prio, _seq, payload = pop()
-                    clock.now_ms = now
-                    t0 = perf_counter()
-                    handle(payload, now)
-                    record(payload[0], perf_counter() - t0)
-                    head = queue.head
-                clock.now_ms = ta
-                t0 = perf_counter()
-                on_arrival(req, ta)
-                record("arrival", perf_counter() - t0)
-            while queue:
-                now, _prio, _seq, payload = pop()
-                clock.now_ms = now
-                t0 = perf_counter()
-                handle(payload, now)
-                record(payload[0], perf_counter() - t0)
-        else:
-            for req in arrivals:
-                ta = req.t_ms
-                head = queue.head
-                while head is not None and (
-                        head[0] < ta
-                        or (head[0] == ta and head[1] == _P_FREE)):
-                    now, _prio, _seq, payload = pop()
-                    clock.now_ms = now
-                    handle(payload, now)
-                    head = queue.head
-                clock.now_ms = ta
-                on_arrival(req, ta)
-            while queue:
-                now, _prio, _seq, payload = pop()
-                clock.now_ms = now  # monotone by pop order
-                handle(payload, now)
-        self._finish_observer()
-
-        # Records are named tuples built straight from the batch rows:
-        # ``tuple.__new__`` skips the keyword-binding constructor, the
-        # dominant per-request cost of materializing a full result.
-        new = tuple.__new__
-        get_retries, get_degraded = retries.get, degraded.get
-        records = [
-            new(RequestRecord, (req.rid, model, idx, size, req.t_ms, t_disp,
-                                t_done, get_retries(req.rid, 0),
-                                get_degraded(req.rid, False)))
-            for model, idx, size, t_disp, t_done, batch in done
-            for req in batch
-        ]
-        records.sort(key=_BY_RID)
-        makespan = max(map(_T_COMPLETE, records), default=0.0)
-        availability: Optional[float] = None
-        if failing:
-            horizon = max(makespan, self.clock.now_ms)
-            availability = (
-                1.0 - sum(i.downtime_ms for i in instances)
-                / (len(instances) * horizon) if horizon > 0 else 1.0)
-        return SimulationResult(
-            records=records,
-            instances=[
-                InstanceStats(
-                    index=i.idx, requests=i.requests, batches=i.batches,
-                    busy_ms=i.busy_ms, reprogram_count=i.deploys,
-                    switch_count=i.switch_count,
-                    reprogram_time_ms=i.reprogram_time_ms,
-                    failures=i.failures, downtime_ms=i.downtime_ms,
-                ) for i in instances
-            ],
-            n_instances=len(instances),
-            makespan_ms=makespan,
-            queue_samples=samples,
-            trace=trace,
-            scheduler=self.scheduler.name,
-            batching=self.batching.name,
-            availability=availability,
-            total_failures=sum(i.failures for i in instances),
-            total_retries=sum(retries.values()),
-        )
+        # Frees (priority 0) pop ahead of arrivals at equal timestamps;
+        # check (2) and fault (3) events sort after them.
+        self._drain_merged(arrivals, on_arrival, handle, _P_FREE)
+        return result()
 
     # ------------------------------------------------------------------
-    def _run_summary(self, requests: Sequence[Request]):
-        """The ``detail="summary"`` drain: accumulate, don't materialize.
+    def _record_sink(self, retries: Dict[int, int],
+                     degraded: Dict[int, bool]):
+        """Full detail: the trace, the sample list, and batch rows that
+        become one ``RequestRecord`` per request.
 
-        Same event order, same dispatch decisions, same floats per
-        event as the full path — but no ``RequestRecord`` objects, no
-        trace list, no queue-depth sample list.  Latency multisets are
-        collected per model (percentiles stay exact); wait/batch-size
-        sums and the queue-depth integral are folded in as events fire.
-        An attached observer still sees every trace tuple (tuples are
-        built only when someone is listening); profilers need the full
-        drain and are rejected.
+        With nothing attached, ``emit`` *is* ``trace.append`` and
+        ``sample``/``complete`` are list appends — C calls, no Python
+        frame per event or per request.  An observer is forwarded every
+        trace tuple after it is logged.
         """
-        if self.profiler is not None:
-            raise ValueError(
-                "KernelProfiler requires detail='full': the summary "
-                "drain has no per-event handler boundaries to time")
-        self._started = True
-        queue = self.queue
-        push = queue.push
-        note = self.observer
-        observing = note is not None
-        instances = self.instances
-        dispatcher = self.dispatcher
-        batching = self.batching
-        max_batch = batching.max_batch
-        timeout_ms = batching.timeout_ms
-        decide = None if type(batching) is BatchingPolicy else batching.decide
-        check_jitter = self.check_jitter_ms
-        failing = self.failures is not None
-        pick, index = dispatcher.bind(queue, failing)
-        update = index.update if index is not None else None
+        from ..serving.cluster import RequestRecord, SimulationResult
 
-        # Per-model accumulators (latency lists keep the exact multiset
-        # for order statistics; sums replace the full path's record
-        # scans).
+        trace = self.trace
+        note = self.observer
+        if note is None:
+            emit = trace.append
+        else:
+            def emit(event, _append=trace.append, _obs=note):
+                _append(event)
+                _obs(event)
+        samples: List[Tuple[float, int]] = []
+        #: Completed batches: (model, idx, size, t_disp, t_done, batch).
+        done: List[tuple] = []
+
+        def result():
+            # Records are named tuples built straight from the batch
+            # rows: ``tuple.__new__`` skips the keyword-binding
+            # constructor, the dominant per-request cost of
+            # materializing a full result.
+            new = tuple.__new__
+            get_retries, get_degraded = retries.get, degraded.get
+            records = [
+                new(RequestRecord, (req.rid, model, idx, size, req.t_ms,
+                                    t_disp, t_done, get_retries(req.rid, 0),
+                                    get_degraded(req.rid, False)))
+                for model, idx, size, t_disp, t_done, batch in done
+                for req in batch
+            ]
+            records.sort(key=_BY_RID)
+            makespan = max(map(_T_COMPLETE, records), default=0.0)
+            return SimulationResult(
+                records=records,
+                instances=self._instance_stats(),
+                n_instances=len(self.instances),
+                makespan_ms=makespan,
+                queue_samples=samples,
+                trace=trace,
+                scheduler=self.scheduler.name,
+                batching=self.batching.name,
+                availability=self._availability(makespan),
+                total_failures=sum(i.failures for i in self.instances),
+                total_retries=sum(retries.values()),
+            )
+
+        return emit, samples.append, done.append, result
+
+    def _summary_sink(self, retries: Dict[int, int],
+                      degraded: Dict[int, bool]):
+        """Summary detail: fold batches and depth samples as they fire.
+
+        Latency multisets are collected per model (percentiles stay
+        exact); wait/batch-size sums and the queue-depth integral are
+        folded in as events fire.  Only an attached observer sees trace
+        tuples (``emit`` is ``None`` otherwise, so none are built).
+        """
         m_lats: Dict[str, List[float]] = {}
         m_wait: Dict[str, float] = {}
         m_sq: Dict[str, int] = {}
@@ -756,267 +700,21 @@ class ServeEngine(Simulation):
         makespan = 0.0
         total_done = 0
         degraded_done = 0
-        queued_total = 0
-        pending: List[Request] = []
-        retries: Dict[int, int] = {}
-        degraded: Dict[int, bool] = {}
-        touched: Optional[List[float]] = [] if failing else None
+        touched: Optional[List[float]] = (
+            [] if self.failures is not None else None)
 
-        arrivals = sorted(requests, key=_BY_T)
-
-        injector: Optional[FailureInjector] = None
-        if failing:
-            horizon = (self.failure_horizon_ms
-                       if self.failure_horizon_ms is not None
-                       else arrivals[-1].t_ms if arrivals else 0.0)
-            injector = FailureInjector(self.failures, horizon)
-            for inst in instances:
-                t_fail = injector.next_failure_ms(inst.idx, 0.0)
-                if t_fail is not None:
-                    push(t_fail, _P_FAULT, ("fail", inst))
-
-        if (not failing and not dispatcher.restricted and decide is None
-                and timeout_ms is None and not observing):
-            # The web-scale drain: everything the per-event closures
-            # below do, inlined into one loop.  The preconditions kill
-            # whole event classes — no failures means no fault/recover
-            # events, no stale epochs, and pick() never parks a request
-            # (``pending`` stays empty); no batching timeout means no
-            # check events.  The engine queue therefore holds only
-            # completion events (priority ``_P_FREE``), so the merge
-            # test against the arrival stream is a plain timestamp
-            # compare: a free at an arrival's exact timestamp pops
-            # first, same as the heap's priority order.
-            rr = dispatcher._round_robin
-            rr_next = 0
-            n_inst = len(instances)
-            pick_fast = dispatcher._pick_fast
-            # The indexed pick is inlined below: the merge loop already
-            # holds the queue head that ``pick`` would re-read.
-            best = index.best if index is not None else None
-            pop = queue.pop
-
-            def dispatch(inst: _Inst, now: float) -> None:
-                # try_dispatch with the idle/queue checks hoisted to
-                # the call sites and the no-timeout policy constant-
-                # folded: size is the same-model head prefix, capped.
-                nonlocal queued_total, area, prev_t, cur_depth
-                iq = inst.queue
-                model = iq[0].model
-                if max_batch == 1:
-                    size = 1
-                else:
-                    size = 0
-                    for r in iq:
-                        if size >= max_batch or r.model != model:
-                            break
-                        size += 1
-                batch = [iq.popleft() for _ in range(size)]
-                queued_total -= size
-                if inst.resident != model:
-                    inst.cost.svc.config(model)  # validate, then reside
-                    inst.resident = model
-                    inst.switch_count += 1
-                    inst.reprogram_time_ms += inst.reprogram_ms
-                    switch_ms = inst.reprogram_ms
-                else:
-                    switch_ms = 0.0
-                inst.deploys += 1
-                total_ms = switch_ms + inst.cost.ms(model, size) / inst.speed
-                complete = now + total_ms
-                inst.busy_until = complete
-                inst.busy_ms += total_ms
-                inst.in_flight = (model, size, now, complete, batch)
-                push(complete, _P_FREE, ("free", inst, inst.epoch))
-                area += cur_depth * (now - prev_t)
-                prev_t = now
-                cur_depth = queued_total  # depth fell: max unchanged
-
-            def free_event(head: tuple) -> None:
-                nonlocal makespan, total_done
-                inst: _Inst = head[3][1]
-                model, size, t_disp, t_done, batch = inst.in_flight
-                inst.in_flight = None
-                inst.batches += 1
-                inst.requests += size
-                lats = m_lats.get(model)
-                if lats is None:
-                    lats = m_lats[model] = []
-                    m_wait[model] = 0.0
-                    m_sq[model] = 0
-                append = lats.append
-                wait = 0.0
-                for r in batch:
-                    t0 = r.t_ms
-                    append(t_done - t0)
-                    wait += t_disp - t0
-                m_wait[model] += wait
-                m_sq[model] += size * size
-                total_done += size
-                makespan = t_done  # free events pop in time order
-                if inst.queue:
-                    dispatch(inst, t_done)
-                if update is not None:
-                    update(inst)
-
-            for req in arrivals:
-                ta = req.t_ms
-                head = queue.head
-                while head is not None and head[0] <= ta:
-                    pop()
-                    free_event(head)
-                    head = queue.head
-                if rr:
-                    inst = instances[rr_next]
-                    rr_next += 1
-                    if rr_next == n_inst:
-                        rr_next = 0
-                elif best is not None and (head is None
-                                           or head[0] > ta + _EPS):
-                    inst = best()
-                else:
-                    inst = pick_fast(instances, req, ta)
-                inst.queue.append(req)
-                queued_total += 1
-                inst.last_model = req.model
-                d = queued_total
-                area += cur_depth * (ta - prev_t)
-                prev_t = ta
-                cur_depth = d
-                if d > max_depth:
-                    max_depth = d
-                if inst.in_flight is None:
-                    dispatch(inst, ta)
-                if update is not None:
-                    update(inst)
-            while queue:
-                head = queue.head
-                pop()
-                free_event(head)
-            # Nothing in the fast drain reads the clock; leave it at
-            # the last event time for the shared epilogue.
-            self.clock.now_ms = max(
-                makespan, arrivals[-1].t_ms if arrivals else 0.0)
-            return self._build_summary(
-                total_done, makespan, m_lats, m_wait, m_sq, area, prev_t,
-                cur_depth, max_depth, retries, degraded_done, touched,
-                failing)
-
-        def sample(now: float, d: int) -> None:
+        def sample(point: Tuple[float, int]) -> None:
             nonlocal area, prev_t, cur_depth, max_depth
+            now, d = point
             area += cur_depth * (now - prev_t)
             prev_t = now
             cur_depth = d
             if d > max_depth:
                 max_depth = d
 
-        def try_dispatch(inst: _Inst, now: float) -> None:
-            nonlocal queued_total
-            if inst.down or inst.busy_until > now + _EPS or not inst.queue:
-                return
-            iq = inst.queue
-            head = iq[0]
-            model = head.model
-            if max_batch == 1:
-                prefix = 1
-            else:
-                prefix = 0
-                for req in iq:
-                    if prefix >= max_batch or req.model != model:
-                        break
-                    prefix += 1
-            if decide is not None:
-                size = decide(prefix, now - head.t_ms)
-            elif prefix >= max_batch:
-                size = max_batch
-            elif timeout_ms is None:
-                size = prefix
-            elif now - head.t_ms + _EPS >= timeout_ms:
-                size = prefix
-            else:
-                size = None
-            if size is None:
-                if not inst.pending_check:
-                    assert timeout_ms is not None
-                    deadline = head.t_ms + timeout_ms
-                    target = deadline - check_jitter
-                    if target <= now + _EPS:
-                        target = deadline
-                    push(target if target > now else now, _P_CHECK,
-                         ("check", inst))
-                    inst.pending_check = True
-                return
-            if inst.in_flight is not None:
-                return  # completes within _EPS; its free event dispatches
-            batch = [iq.popleft() for _ in range(size)]
-            queued_total -= size
-            switched = inst.resident != model
-            if switched:
-                inst.cost.svc.config(model)  # validate before residency
-                inst.resident = model
-                inst.switch_count += 1
-                inst.reprogram_time_ms += inst.reprogram_ms
-                switch_ms = inst.reprogram_ms
-            else:
-                switch_ms = 0.0
-            inst.deploys += 1
-            total_ms = switch_ms + inst.cost.ms(model, size) / inst.speed
-            complete = now + total_ms
-            inst.busy_until = complete
-            inst.busy_ms += total_ms
-            inst.in_flight = (model, size, now, complete, batch)
-            if observing:
-                note(("dispatch", now, inst.idx, model, size, switch_ms))
-            push(complete, _P_FREE, ("free", inst, inst.epoch))
-            sample(now, queued_total + len(pending))
-
-        def route(req: Request, now: float) -> None:
-            nonlocal queued_total
-            inst = pick(req, now)
-            if inst is None:
-                pending.append(req)
-                if observing:
-                    note(("requeue", now, req.rid, -1))
-                return
-            inst.queue.append(req)
-            queued_total += 1
-            inst.last_model = req.model
-            if observing:
-                note(("requeue", now, req.rid, inst.idx))
-            try_dispatch(inst, now)
-
-        def on_arrival(req: Request, now: float) -> None:
-            nonlocal queued_total
-            if failing and dispatcher.down_count:
-                degraded[req.rid] = True
-            inst = pick(req, now)
-            if inst is None:
-                pending.append(req)
-                if observing:
-                    note(("arrive", now, req.rid, req.model, -1))
-                sample(now, queued_total + len(pending))
-                return
-            inst.queue.append(req)
-            queued_total += 1
-            inst.last_model = req.model
-            if observing:
-                note(("arrive", now, req.rid, req.model, inst.idx))
-            sample(now, queued_total + len(pending))
-            try_dispatch(inst, now)
-            if update is not None:
-                update(inst)
-
-        def on_free(payload: tuple, now: float) -> None:
+        def complete(row: tuple) -> None:
             nonlocal makespan, total_done, degraded_done
-            inst: _Inst = payload[1]
-            if payload[2] != inst.epoch:
-                return  # batch aborted by a failure; event is stale
-            model, size, t_disp, t_done, batch = inst.in_flight
-            inst.in_flight = None
-            inst.batches += 1
-            inst.requests += size
-            if observing:
-                note(("free", now, inst.idx))
+            model, _idx, size, t_disp, t_done, batch = row
             lats = m_lats.get(model)
             if lats is None:
                 lats = m_lats[model] = []
@@ -1024,7 +722,7 @@ class ServeEngine(Simulation):
                 m_sq[model] = 0
             append = lats.append
             wait = 0.0
-            if failing:
+            if touched is not None:
                 for req in batch:
                     t0 = req.t_ms
                     lat = t_done - t0
@@ -1045,140 +743,204 @@ class ServeEngine(Simulation):
             m_sq[model] += size * size
             total_done += size
             makespan = t_done  # free events pop in time order
-            try_dispatch(inst, now)
-            if update is not None:
-                update(inst)
 
-        def on_check(payload: tuple, now: float) -> None:
-            inst: _Inst = payload[1]
-            inst.pending_check = False
-            try_dispatch(inst, now)
-            if update is not None:
-                update(inst)
+        def result():
+            return self._build_summary(
+                total_done, makespan, m_lats, m_wait, m_sq, area, prev_t,
+                cur_depth, max_depth, retries, degraded_done, touched)
 
-        def on_fail(payload: tuple, now: float) -> None:
-            nonlocal queued_total
-            inst: _Inst = payload[1]
-            inst.down = True
-            inst.down_since = now
-            inst.failures += 1
-            dispatcher.down_count += 1
-            if observing:
-                note(("fail", now, inst.idx))
-            lost: List[Request] = []
-            if inst.in_flight is not None and inst.busy_until > now + _EPS:
-                inst.busy_ms -= inst.busy_until - now
-                inst.busy_until = now
-                inst.epoch += 1
-                batch = inst.in_flight[4]
-                inst.in_flight = None
-                for req in batch:
-                    retries[req.rid] = retries.get(req.rid, 0) + 1
-                lost.extend(batch)
-            inst.resident = None  # weights are lost with the instance
-            queued = list(inst.queue)
-            inst.queue.clear()
-            queued_total -= len(queued)
-            sample(now, queued_total + len(pending))
-            for req in lost:
-                route(req, now)
-            for req in queued:
-                route(req, now)
-            assert injector is not None
-            push(now + injector.repair_duration_ms(inst.idx), _P_FAULT,
-                 ("recover", inst))
+        return self.observer, sample, complete, result
 
-        def on_recover(payload: tuple, now: float) -> None:
-            inst: _Inst = payload[1]
-            inst.down = False
-            inst.downtime_ms += now - inst.down_since
-            dispatcher.down_count -= 1
-            if observing:
-                note(("recover", now, inst.idx))
-            assert injector is not None
-            t_fail = injector.next_failure_ms(inst.idx, now)
-            if t_fail is not None:
-                push(t_fail, _P_FAULT, ("fail", inst))
-            if pending:
-                parked, pending[:] = list(pending), []
-                for req in parked:
-                    route(req, now)
+    def _run_fast(self, arrivals: List[Request], index):
+        """The web-scale summary drain: the handlers, sink and merge
+        loop of :meth:`run`, inlined into one loop.
 
-        # Same merged drain as the full path (see run()).
-        clock = self.clock
+        Taken only for summary runs with no failures, an unrestricted
+        fleet, stock batching without a timeout, and no observer or
+        profiler attached.  Those conditions kill whole event classes —
+        no fault/recover events, no stale epochs, pick() never parks a
+        request (nothing is ever pending), no check events — so the
+        engine queue holds only completion events (priority
+        ``_P_FREE``) and the merge test against the arrival stream is a
+        plain timestamp compare: a free at an arrival's exact timestamp
+        pops first, same as the heap's priority order.
+        """
+        queue = self.queue
+        push = queue.push
         pop = queue.pop
+        instances = self.instances
+        dispatcher = self.dispatcher
+        max_batch = self.batching.max_batch
+        update = index.update if index is not None else None
+        m_lats: Dict[str, List[float]] = {}
+        m_wait: Dict[str, float] = {}
+        m_sq: Dict[str, int] = {}
+        area = 0.0
+        prev_t = 0.0
+        cur_depth = 0
+        max_depth = 0
+        makespan = 0.0
+        total_done = 0
+        queued_total = 0
+        rr = dispatcher._round_robin
+        rr_next = 0
+        n_inst = len(instances)
+        pick_fast = dispatcher._pick_fast
+        # The indexed pick is inlined below: the merge loop already
+        # holds the queue head that ``pick`` would re-read.
+        best = index.best if index is not None else None
 
-        def handle(payload: tuple, now: float) -> None:
-            kind = payload[0]
-            if kind == "free":
-                on_free(payload, now)
-            elif kind == "check":
-                on_check(payload, now)
-            elif kind == "fail":
-                on_fail(payload, now)
+        def dispatch(inst: _Inst, now: float) -> None:
+            # try_dispatch with the idle/queue checks hoisted to
+            # the call sites and the no-timeout policy constant-
+            # folded: size is the same-model head prefix, capped.
+            nonlocal queued_total, area, prev_t, cur_depth
+            iq = inst.queue
+            model = iq[0].model
+            if max_batch == 1:
+                size = 1
             else:
-                on_recover(payload, now)
+                size = 0
+                for r in iq:
+                    if size >= max_batch or r.model != model:
+                        break
+                    size += 1
+            batch = [iq.popleft() for _ in range(size)]
+            queued_total -= size
+            if inst.resident != model:
+                inst.cost.svc.config(model)  # validate, then reside
+                inst.resident = model
+                inst.switch_count += 1
+                inst.reprogram_time_ms += inst.reprogram_ms
+                switch_ms = inst.reprogram_ms
+            else:
+                switch_ms = 0.0
+            inst.deploys += 1
+            total_ms = switch_ms + inst.cost.ms(model, size) / inst.speed
+            complete = now + total_ms
+            inst.busy_until = complete
+            inst.busy_ms += total_ms
+            inst.in_flight = (model, size, now, complete, batch)
+            push(complete, _P_FREE, ("free", inst, inst.epoch))
+            area += cur_depth * (now - prev_t)
+            prev_t = now
+            cur_depth = queued_total  # depth fell: max unchanged
+
+        def free_event(head: tuple) -> None:
+            nonlocal makespan, total_done
+            inst: _Inst = head[3][1]
+            model, size, t_disp, t_done, batch = inst.in_flight
+            inst.in_flight = None
+            inst.batches += 1
+            inst.requests += size
+            lats = m_lats.get(model)
+            if lats is None:
+                lats = m_lats[model] = []
+                m_wait[model] = 0.0
+                m_sq[model] = 0
+            append = lats.append
+            wait = 0.0
+            for r in batch:
+                t0 = r.t_ms
+                append(t_done - t0)
+                wait += t_disp - t0
+            m_wait[model] += wait
+            m_sq[model] += size * size
+            total_done += size
+            makespan = t_done  # free events pop in time order
+            if inst.queue:
+                dispatch(inst, t_done)
+            if update is not None:
+                update(inst)
 
         for req in arrivals:
             ta = req.t_ms
             head = queue.head
-            while head is not None and (
-                    head[0] < ta
-                    or (head[0] == ta and head[1] == _P_FREE)):
-                now, _prio, _seq, payload = pop()
-                clock.now_ms = now
-                handle(payload, now)
+            while head is not None and head[0] <= ta:
+                pop()
+                free_event(head)
                 head = queue.head
-            clock.now_ms = ta
-            on_arrival(req, ta)
+            if rr:
+                inst = instances[rr_next]
+                rr_next += 1
+                if rr_next == n_inst:
+                    rr_next = 0
+            elif best is not None and (head is None
+                                       or head[0] > ta + _EPS):
+                inst = best()
+            else:
+                inst = pick_fast(instances, req, ta)
+            inst.queue.append(req)
+            queued_total += 1
+            inst.last_model = req.model
+            d = queued_total
+            area += cur_depth * (ta - prev_t)
+            prev_t = ta
+            cur_depth = d
+            if d > max_depth:
+                max_depth = d
+            if inst.in_flight is None:
+                dispatch(inst, ta)
+            if update is not None:
+                update(inst)
         while queue:
-            now, _prio, _seq, payload = pop()
-            clock.now_ms = now  # monotone by pop order
-            handle(payload, now)
-        self._finish_observer()
+            head = queue.head
+            pop()
+            free_event(head)
+        # Nothing in the fast drain reads the clock; leave it at the
+        # last event time for the shared epilogue.
+        self.clock.now_ms = max(
+            makespan, arrivals[-1].t_ms if arrivals else 0.0)
         return self._build_summary(
             total_done, makespan, m_lats, m_wait, m_sq, area, prev_t,
-            cur_depth, max_depth, retries, degraded_done, touched, failing)
+            cur_depth, max_depth, {}, 0, None)
 
     def _build_summary(self, total_done, makespan, m_lats, m_wait, m_sq,
                        area, prev_t, cur_depth, max_depth, retries,
-                       degraded_done, touched, failing):
+                       degraded_done, touched):
         """Fold the drain accumulators into a :class:`ServeSummary`."""
-        from ..serving.cluster import InstanceStats
         from .summary import ServeSummary
 
-        instances = self.instances
-        availability: Optional[float] = None
-        if failing:
-            horizon = max(makespan, self.clock.now_ms)
-            availability = (
-                1.0 - sum(i.downtime_ms for i in instances)
-                / (len(instances) * horizon) if horizon > 0 else 1.0)
+        failing = self.failures is not None
         return ServeSummary(
             total_requests=total_done,
             makespan_ms=makespan,
-            n_instances=len(instances),
+            n_instances=len(self.instances),
             scheduler=self.scheduler.name,
             batching=self.batching.name,
             model_lats=m_lats,
             model_wait_sum=m_wait,
             model_batch_sq=m_sq,
-            instances=[
-                InstanceStats(
-                    index=i.idx, requests=i.requests, batches=i.batches,
-                    busy_ms=i.busy_ms, reprogram_count=i.deploys,
-                    switch_count=i.switch_count,
-                    reprogram_time_ms=i.reprogram_time_ms,
-                    failures=i.failures, downtime_ms=i.downtime_ms,
-                ) for i in instances
-            ],
+            instances=self._instance_stats(),
             depth_area=area,
             depth_last_t=prev_t,
             depth_last=cur_depth,
             max_queue_depth=max_depth,
-            availability=availability,
-            total_failures=sum(i.failures for i in instances),
+            availability=self._availability(makespan),
+            total_failures=sum(i.failures for i in self.instances),
             total_retries=sum(retries.values()),
             degraded_count=degraded_done if failing else None,
             touched_lats=touched,
         )
+
+    def _instance_stats(self) -> list:
+        from ..serving.cluster import InstanceStats
+
+        return [
+            InstanceStats(
+                index=i.idx, requests=i.requests, batches=i.batches,
+                busy_ms=i.busy_ms, reprogram_count=i.deploys,
+                switch_count=i.switch_count,
+                reprogram_time_ms=i.reprogram_time_ms,
+                failures=i.failures, downtime_ms=i.downtime_ms,
+            ) for i in self.instances
+        ]
+
+    def _availability(self, makespan: float) -> Optional[float]:
+        """Fleet availability over the run (``None`` without failures)."""
+        if self.failures is None:
+            return None
+        instances = self.instances
+        horizon = max(makespan, self.clock.now_ms)
+        return (1.0 - sum(i.downtime_ms for i in instances)
+                / (len(instances) * horizon) if horizon > 0 else 1.0)

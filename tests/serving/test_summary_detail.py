@@ -53,11 +53,11 @@ _ULP_FIELDS = frozenset({
 
 
 def _assert_field(name, a, b):
-    if name in _ULP_FIELDS and isinstance(a, float) and isinstance(b, float):
-        if math.isnan(a):
-            assert math.isnan(b), name
-        else:
-            assert b == pytest.approx(a, rel=1e-12), name
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        # An empty run's percentiles and means are NaN at both levels.
+        assert math.isnan(b), f"report field {name!r}: summary={b!r}"
+    elif name in _ULP_FIELDS and isinstance(a, float) and isinstance(b, float):
+        assert b == pytest.approx(a, rel=1e-12), name
     else:
         assert a == b, f"report field {name!r}: full={a!r} summary={b!r}"
 
@@ -103,7 +103,7 @@ class TestServeSummary:
         assert_reports_match(full, summarize(s, slo_ms=20.0))
 
     def test_generic_drain_matches_full(self, default_accel):
-        """Timeout batching (check events) uses the closure drain."""
+        """Timeout batching (check events) runs the shared handlers."""
         reqs = _requests(qps=300, seed=7)
         sim = ClusterSimulator(default_accel, 3, scheduler="model-affinity",
                                batching=timeout(4, 2.0),
@@ -140,11 +140,23 @@ class TestServeSummary:
         with pytest.raises(ValueError, match="unknown detail"):
             sim.run(_requests(duration=50), detail="records")
 
-    def test_profiler_requires_full_detail(self, default_accel):
-        sim = ClusterSimulator(default_accel, 2)
-        with pytest.raises(ValueError, match="detail='full'"):
-            sim.run(_requests(duration=50), profiler=KernelProfiler(),
-                    detail="summary")
+    @pytest.mark.parametrize("batching", [fixed_size(4), timeout(4, 2.0)],
+                             ids=["no-timeout", "timeout"])
+    def test_profiled_summary_matches_bare(self, default_accel, batching):
+        """A profiler wraps the shared handlers at either detail level:
+        the profiled summary equals the bare one (with a profiler the
+        no-timeout run leaves the inlined drain for the general one)
+        and counts exactly the events a profiled full run counts."""
+        reqs = _requests(duration=200)
+        sim = ClusterSimulator(default_accel, 2, batching=batching)
+        bare = sim.run(reqs, detail="summary")
+        prof_summary, prof_full = KernelProfiler(), KernelProfiler()
+        profiled = sim.run(reqs, profiler=prof_summary, detail="summary")
+        sim.run(reqs, profiler=prof_full)
+        assert profiled == bare
+        assert summarize(profiled) == summarize(bare)
+        assert prof_summary.counts == prof_full.counts
+        assert prof_summary.counts["arrival"] == len(reqs)
 
     def test_simulate_facade_passes_detail(self, default_accel):
         s = simulate(default_accel, _requests(duration=100), 2,
@@ -197,11 +209,17 @@ class TestGenerationSummary:
             sim.run(_gen_requests(default_accel, duration=50.0),
                     detail="records")
 
-    def test_profiler_requires_full_detail(self, default_accel):
+    def test_profiled_summary_matches_bare(self, default_accel):
+        reqs = _gen_requests(default_accel, duration=200.0)
         sim = GenerationClusterSimulator(default_accel, 2, slots=4)
-        with pytest.raises(ValueError, match="detail='full'"):
-            sim.run(_gen_requests(default_accel, duration=50.0),
-                    profiler=KernelProfiler(), detail="summary")
+        bare = sim.run(reqs, detail="summary")
+        prof_summary, prof_full = KernelProfiler(), KernelProfiler()
+        profiled = sim.run(reqs, profiler=prof_summary, detail="summary")
+        sim.run(reqs, profiler=prof_full)
+        assert profiled == bare
+        assert summarize_generation(profiled) == summarize_generation(bare)
+        assert prof_summary.counts == prof_full.counts
+        assert prof_summary.counts["arrival"] == len(reqs)
 
     def test_simulate_facade_passes_detail(self, default_accel):
         s = simulate_generation(
@@ -210,6 +228,20 @@ class TestGenerationSummary:
         assert isinstance(s, GenerationSummary)
         report = summarize_generation(s)
         assert report.total_requests == s.total_requests
+
+
+def test_empty_workload_reports_match(default_accel):
+    """A zero-arrival run reports NaN percentiles and means at both
+    detail levels; the comparison treats NaN as equal to NaN."""
+    sim = ClusterSimulator(default_accel, 2)
+    full = summarize(sim.run([]))
+    assert math.isnan(full.p50_ms)
+    assert_reports_match(full, summarize(sim.run([], detail="summary")))
+    gen = GenerationClusterSimulator(default_accel, 2, slots=4)
+    full = summarize_generation(gen.run([]))
+    assert math.isnan(full.p50_ttft_ms)
+    assert_reports_match(
+        full, summarize_generation(gen.run([], detail="summary")))
 
 
 class TestMeanSummationBound:

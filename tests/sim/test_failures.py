@@ -33,6 +33,22 @@ class TestFailurePlan:
         with pytest.raises(ValueError, match="mttr_ms must be >= 0"):
             FailurePlan(100.0, -1.0)
 
+    @pytest.mark.parametrize("kwargs, needle", [
+        (dict(mtbf_ms=float("nan"), mttr_ms=10.0), "mtbf_ms"),
+        (dict(mtbf_ms=float("inf"), mttr_ms=10.0), "mtbf_ms"),
+        (dict(mtbf_ms=100.0, mttr_ms=float("inf")), "mttr_ms"),
+        (dict(mtbf_ms=100.0, mttr_ms=float("nan")), "mttr_ms"),
+        (dict(mtbf_ms=100.0, mttr_ms=10.0, horizon_ms=float("inf")),
+         "horizon_ms"),
+        (dict(mtbf_ms=100.0, mttr_ms=10.0, horizon_ms=float("nan")),
+         "horizon_ms"),
+    ])
+    def test_non_finite_rejected(self, kwargs, needle):
+        """NaN would inject no fault at all and inf divides by zero in
+        the exponential draws: both fail at construction."""
+        with pytest.raises(ValueError, match=f"{needle} .*finite"):
+            FailurePlan(**kwargs)
+
     def test_parse(self):
         plan = FailurePlan.parse("200:25.5", seed=4)
         assert plan.mtbf_ms == 200.0

@@ -39,6 +39,22 @@ class TestSpecs:
         with pytest.raises(ValueError, match="slots must be >= 1"):
             InstanceSpec(slots=0)
 
+    @pytest.mark.parametrize("kwargs, needle", [
+        (dict(speed=float("inf")), "speed"),
+        (dict(speed=float("nan")), "speed"),
+        (dict(speed=-float("inf")), "speed"),
+        (dict(reprogram_latency_ms=float("inf")), "reprogram_latency_ms"),
+        (dict(reprogram_latency_ms=float("nan")), "reprogram_latency_ms"),
+    ])
+    def test_non_finite_rejected(self, kwargs, needle):
+        with pytest.raises(ValueError, match=f"{needle} .*finite"):
+            InstanceSpec(**kwargs)
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "1e309x2", "1.0,nan"])
+    def test_parse_rejects_non_finite_speed(self, text):
+        with pytest.raises(ValueError, match="speed .*finite"):
+            FleetSpec.parse(text)
+
     def test_parse_grammar(self):
         fleet = FleetSpec.parse("1.0x2,0.5/16@model2-lhc-trigger+bert-variant")
         assert fleet.n == 3

@@ -5,9 +5,10 @@ within ``_EPS`` of now.  An arrival landing in that window, routed to
 an instance whose completion event has not fired yet, must wait for
 that event: dispatching at once would replace the in-flight batch,
 losing its requests and crashing the engine on the stale free event.
-Every drain — the full one, the summary closure drain (used when an
-observer listens) and the inlined web-scale summary drain — queues the
-arrival and dispatches it when the pending batch frees.
+Every drain — the shared handlers at full and summary detail (the
+latter used when an observer listens) and the inlined web-scale
+summary drain — queues the arrival and dispatches it when the pending
+batch frees.
 """
 
 import pytest

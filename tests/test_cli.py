@@ -513,6 +513,28 @@ class TestScenarioFlags:
         with pytest.raises(SystemExit, match="invalid failure spec"):
             main(["serve", "--failures", "150"])
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["serve", "--heterogeneous", "inf"], "speed"),
+        (["serve", "--heterogeneous", "1e309x2"], "speed"),
+        (["serve", "--heterogeneous", "nan"], "speed"),
+        (["generate", "--heterogeneous", "1.0,inf"], "speed"),
+        (["serve", "--failures", "nan:10"], "mtbf_ms"),
+        (["generate", "--failures", "nan:10"], "mtbf_ms"),
+        (["serve", "--failures", "inf:10"], "mtbf_ms"),
+        (["serve", "--failures", "100:inf"], "mttr_ms"),
+        (["generate", "--failures", "100:nan"], "mttr_ms"),
+    ])
+    def test_rejects_non_finite_scenario_knobs(self, capsys, argv, needle):
+        """Non-finite speeds and fault rates exit with a message (a
+        ``SystemExit``, so no traceback) instead of reporting a run
+        that never injected them or dying in the RNG with a
+        ``ZeroDivisionError``."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--duration-ms", "50"])
+        message = str(exc.value.code)
+        assert needle in message and "finite" in message
+        assert capsys.readouterr().out == ""
+
     def test_generate_rejects_bad_priority(self):
         with pytest.raises(SystemExit, match="high_fraction"):
             main(["generate", "--priority", "2.0",
@@ -573,6 +595,8 @@ class TestBadInputsExitTwo:
         (["dse", "--qps", "0"], "--qps"),
         (["dse", "--duration-ms", "nan"], "--duration-ms"),
         (["dse", "--duration-ms", "-5"], "--duration-ms"),
+        (["serve", "--reprogram-ms", "inf"] + SMALL, "reprogram"),
+        (["generate", "--reprogram-ms", "nan"] + SMALL, "reprogram"),
     ])
     def test_rejected_with_exit_two(self, capsys, argv, needle):
         with pytest.raises(SystemExit) as exc:

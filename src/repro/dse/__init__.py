@@ -67,7 +67,7 @@ from .strategies import (
     Strategy,
     get_strategy,
 )
-from .surrogate import SURROGATE_OBJECTIVE_NAMES, erlang_c, surrogate_point
+from .surrogate import SURROGATE_OBJECTIVE_NAMES, surrogate_point
 
 __all__ = [
     # space
@@ -80,7 +80,7 @@ __all__ = [
     "Strategy", "GridStrategy", "RandomStrategy", "EvolutionaryStrategy",
     "PrescreenStrategy", "STRATEGIES", "get_strategy",
     # surrogate
-    "SURROGATE_OBJECTIVE_NAMES", "erlang_c", "surrogate_point",
+    "SURROGATE_OBJECTIVE_NAMES", "surrogate_point",
     # engine / pool
     "explore", "EvalResult", "ExplorationResult", "PersistentPool",
     # objectives

@@ -205,7 +205,6 @@ def explore(
     settings: Optional[Mapping[str, Any]] = None,
     jobs: int = 1,
     batch_size: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     cache: Optional[EvalCache] = None,
     continue_on_error: bool = True,
     profile: bool = False,
@@ -216,8 +215,7 @@ def explore(
     — worker processes forked once for the whole exploration that
     receive the evaluator and settings a single time and then stream
     compact point batches (``batch_size`` points per dispatch,
-    :func:`auto_batch_size` by default; ``chunk_size`` is the legacy
-    alias).  The evaluator must then be a picklable module-level
+    :func:`auto_batch_size` by default).  The evaluator must then be a picklable module-level
     callable.  A worker that dies mid-batch fails only that batch's
     points (``worker died`` error records) and is replaced, so the
     sweep always completes.
@@ -242,8 +240,6 @@ def explore(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if batch_size is None:
-        batch_size = chunk_size
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     profile_rec = None

@@ -14,10 +14,8 @@ a full evaluation (~16x).  Repeat calls on the same variant hit the
 latency model's memo and cost ~0.1 ms, so a prescreen that revisits a
 variant across fleet sizes pays the closed forms once.
 
-The closed forms themselves live in :mod:`repro.analytic` (this module
-grew them first; the package promotion kept ``erlang_c`` re-exported
-here for compatibility).  The estimates are deliberately aligned with
-the full evaluator:
+The closed forms themselves live in :mod:`repro.analytic`.  The
+estimates are deliberately aligned with the full evaluator:
 
 * ``latency_ms`` / ``throughput_inf_s`` / ``power_w`` / ``util_pct``
   reuse the very same analytic models the full evaluator starts from,
@@ -43,13 +41,12 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..analytic.generation import estimate_generation
-from ..analytic.queueing import erlang_c  # noqa: F401  (compat re-export)
 from ..analytic.queueing import p99_estimate_ms as _p99_estimate_ms
 from ..isa.controller import ResynthesisRequiredError
 from ..nn.model_zoo import get_model
 from ..parallel import PipelinePartitioner, get_link
 
-__all__ = ["SURROGATE_OBJECTIVE_NAMES", "erlang_c", "surrogate_point"]
+__all__ = ["SURROGATE_OBJECTIVE_NAMES", "surrogate_point"]
 
 #: Objectives the closed-form model can estimate.  The failure pair
 #: (availability / p99_degraded_ms) and the watchdog pair

@@ -39,7 +39,6 @@ records are byte-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import (List, Mapping, NamedTuple, Optional, Sequence, Tuple,
                     Union)
@@ -47,9 +46,10 @@ from typing import (List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..sim.failures import FailurePlan
-from ..sim.fleet import FleetSpec
+from ..sim.fleet import FleetSpec, _FleetSimulator
+from ..sim.summary import _FleetTotals
 from .batching import BatchingPolicy, ServiceTimeModel, no_batching
-from .scheduler import Scheduler, get_scheduler
+from .scheduler import Scheduler
 from .workload import Request
 
 __all__ = ["RequestRecord", "InstanceStats", "SimulationResult",
@@ -109,7 +109,7 @@ class InstanceStats:
 
 
 @dataclass
-class SimulationResult:
+class SimulationResult(_FleetTotals):
     """Everything a run produced: records, trace, per-instance stats."""
 
     records: List[RequestRecord]
@@ -132,17 +132,11 @@ class SimulationResult:
     def total_requests(self) -> int:
         return len(self.records)
 
-    @property
-    def total_reprogram_time_ms(self) -> float:
-        return sum(i.reprogram_time_ms for i in self.instances)
 
-    @property
-    def total_switches(self) -> int:
-        return sum(i.switch_count for i in self.instances)
-
-
-class ClusterSimulator:
+class ClusterSimulator(_FleetSimulator):
     """Event-driven simulator over N instances of one synthesized design."""
+
+    _mode = "serve"
 
     def __init__(
         self,
@@ -156,36 +150,12 @@ class ClusterSimulator:
         fleet: Optional[FleetSpec] = None,
         failures: Optional[FailurePlan] = None,
     ):
-        if fleet is None:
-            if n_instances is None:
-                raise ValueError("need n_instances or a FleetSpec")
-            if n_instances < 1:
-                raise ValueError("need at least one instance")
-            fleet = FleetSpec.uniform(n_instances)
-        elif n_instances is not None and n_instances != fleet.n:
-            raise ValueError(
-                f"n_instances={n_instances} contradicts the {fleet.n}-"
-                "instance FleetSpec (pass one or the other)")
-        if not (math.isfinite(reprogram_latency_ms)
-                and reprogram_latency_ms >= 0):
-            raise ValueError(
-                "reprogram_latency_ms must be >= 0 and finite, got "
-                f"{reprogram_latency_ms!r}")
+        super().__init__(accel, n_instances, scheduler, reprogram_latency_ms,
+                         fleet, failures)
         if check_jitter_ms < 0:
             raise ValueError("check_jitter_ms must be >= 0")
-        self.accel = accel
-        self.fleet = fleet
-        self.failures = failures
-        self.n_instances = fleet.n
-        # Keep the spec, not an instance: stateful schedulers (round-
-        # robin's cursor) must start fresh every run() or replays of
-        # the same workload would diverge.
-        self._scheduler_spec = scheduler
-        if isinstance(scheduler, str):
-            get_scheduler(scheduler)  # validate the name eagerly
         self.batching = batching or no_batching()
         self.service = ServiceTimeModel(accel, models or MODEL_ZOO)
-        self.reprogram_latency_ms = reprogram_latency_ms
         #: Fires batching-deadline checks this much *early*.  A check is
         #: a pure wakeup — ``try_dispatch`` re-derives everything from
         #: queue state, and an early check that finds the head under-age
@@ -194,87 +164,10 @@ class ClusterSimulator:
         #: tests can prove that (the stale-check no-op property).
         self.check_jitter_ms = check_jitter_ms
 
-    def _scheduler(self) -> Scheduler:
-        """A fresh scheduler per run (stateful cursors must reset)."""
-        spec = self._scheduler_spec
-        return get_scheduler(spec) if isinstance(spec, str) else spec
-
-    # ------------------------------------------------------------------
-    def run(self, requests: Sequence[Request], observer=None,
-            profiler=None, detail: str = "full", shards: int = 1,
-            shard_jobs: Optional[int] = None):
-        """Simulate the full stream on the unified kernel.
-
-        Bit-identical to the legacy closure loop on homogeneous,
-        no-failure scenarios (the trace-identity goldens hold the two
-        engines to byte-equal rendered reports) and the only path that
-        understands heterogeneous fleets and failure injection.
-
-        ``observer``/``profiler`` are forwarded to the engine's
-        observability hooks (see :mod:`repro.obs`); observers are
-        read-only, so the result is byte-identical with or without
-        them.
-
-        ``detail="summary"`` returns a
-        :class:`~repro.sim.summary.ServeSummary` instead of a
-        :class:`SimulationResult` — no per-request records, traces, or
-        depth samples, just the accumulators
-        :func:`~repro.serving.slo.summarize` needs (percentiles exact,
-        means equal up to float summation order).  The web-scale path.
-
-        ``shards > 1`` partitions the fleet into independent cells (see
-        :mod:`repro.sim.shard`) and merges their summaries; it implies
-        ``detail="summary"`` and, with ``shard_jobs >= 2``, runs cells
-        in worker processes.  ``shards=1`` is always the ordinary
-        single-loop run — byte-identical to not passing ``shards`` at
-        all.
-        """
-        if shards != 1:
-            from ..sim.shard import run_sharded
-
-            if detail != "summary":
-                raise ValueError(
-                    "sharded runs are summary-detail only: per-request "
-                    "records across cells would defeat the fast path — "
-                    "pass detail='summary' (or shards=1)")
-            if profiler is not None:
-                raise ValueError(
-                    "KernelProfiler cannot span shard cells — profile "
-                    "a shards=1 run")
-            return run_sharded(self, requests, mode="serve",
-                               shards=shards, jobs=shard_jobs,
-                               observer=observer)
+    def _engine(self, fleet: FleetSpec, **cell):
         from ..sim.serve import ServeEngine
 
-        engine = ServeEngine(
-            self.accel,
-            fleet=self.fleet,
-            scheduler=self._scheduler(),
-            batching=self.batching,
-            models=self.service.models,
-            reprogram_latency_ms=self.reprogram_latency_ms,
-            check_jitter_ms=self.check_jitter_ms,
-            failures=self.failures,
-        )
-        if observer is not None:
-            engine.attach_observer(observer)
-        if profiler is not None:
-            engine.attach_profiler(profiler)
-        return engine.run(requests, detail=detail)
-
-    # ------------------------------------------------------------------
-    def _shard_cell(self, fleet: FleetSpec, instance_base: int,
-                    requests: Sequence[Request],
-                    failure_horizon_ms: float, rng_seed,
-                    observer=None):
-        """Run one shard cell (summary detail, global instance ids).
-
-        Called by :func:`repro.sim.shard.run_sharded` — in-process on
-        the serial path, inside a pool worker on the parallel one.
-        """
-        from ..sim.serve import ServeEngine
-
-        engine = ServeEngine(
+        return ServeEngine(
             self.accel,
             fleet=fleet,
             scheduler=self._scheduler(),
@@ -283,13 +176,8 @@ class ClusterSimulator:
             reprogram_latency_ms=self.reprogram_latency_ms,
             check_jitter_ms=self.check_jitter_ms,
             failures=self.failures,
-            instance_base=instance_base,
-            failure_horizon_ms=failure_horizon_ms,
-            rng_seed=rng_seed,
+            **cell,
         )
-        if observer is not None:
-            engine.attach_observer(observer)
-        return engine.run(requests, detail="summary")
 
     # ------------------------------------------------------------------
     def run_legacy(self, requests: Sequence[Request]) -> SimulationResult:

@@ -33,7 +33,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
@@ -41,8 +40,9 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..sim.failures import FailurePlan
-from ..sim.fleet import FleetSpec
-from .scheduler import Scheduler, get_scheduler
+from ..sim.fleet import FleetSpec, _FleetSimulator
+from ..sim.summary import _FleetTotals
+from .scheduler import Scheduler
 from .workload import GenerationRequest
 
 __all__ = [
@@ -124,7 +124,7 @@ class GenerationInstanceStats:
 
 
 @dataclass
-class GenerationSimulationResult:
+class GenerationSimulationResult(_FleetTotals):
     """Everything a generation run produced."""
 
     records: List[GenerationRecord]
@@ -152,14 +152,6 @@ class GenerationSimulationResult:
     @property
     def total_tokens(self) -> int:
         return sum(r.output_tokens for r in self.records)
-
-    @property
-    def total_switches(self) -> int:
-        return sum(i.switch_count for i in self.instances)
-
-    @property
-    def total_reprogram_time_ms(self) -> float:
-        return sum(i.reprogram_time_ms for i in self.instances)
 
 
 class GenerationServiceModel:
@@ -245,7 +237,7 @@ class GenerationServiceModel:
         return per_layer * cfg.num_layers
 
 
-class GenerationClusterSimulator:
+class GenerationClusterSimulator(_FleetSimulator):
     """Event-driven continuous-batching simulator over N instances.
 
     The generation counterpart of :class:`~repro.serving.cluster.
@@ -256,6 +248,8 @@ class GenerationClusterSimulator:
     weights cannot be resident simultaneously), so a queued request of
     a different model waits until the active set drains.
     """
+
+    _mode = "generate"
 
     def __init__(
         self,
@@ -269,40 +263,14 @@ class GenerationClusterSimulator:
         failures: Optional[FailurePlan] = None,
         preemption: Optional[bool] = None,
     ):
-        if fleet is None:
-            if n_instances is None:
-                raise ValueError("need n_instances or a FleetSpec")
-            if n_instances < 1:
-                raise ValueError("need at least one instance")
-            fleet = FleetSpec.uniform(n_instances)
-        elif n_instances is not None and n_instances != fleet.n:
-            raise ValueError(
-                f"n_instances={n_instances} contradicts the {fleet.n}-"
-                "instance FleetSpec (pass one or the other)")
+        super().__init__(accel, n_instances, scheduler, reprogram_latency_ms,
+                         fleet, failures)
         if slots < 1:
             raise ValueError("need at least one sequence slot")
-        if not (math.isfinite(reprogram_latency_ms)
-                and reprogram_latency_ms >= 0):
-            raise ValueError(
-                "reprogram_latency_ms must be >= 0 and finite, got "
-                f"{reprogram_latency_ms!r}")
-        self.accel = accel
-        self.fleet = fleet
-        self.failures = failures
         #: None = auto: preempt iff any request carries a priority.
         self.preemption = preemption
-        self.n_instances = fleet.n
         self.slots = slots
-        self._scheduler_spec = scheduler
-        if isinstance(scheduler, str):
-            get_scheduler(scheduler)  # validate eagerly
         self.service = GenerationServiceModel(accel, models)
-        self.reprogram_latency_ms = reprogram_latency_ms
-
-    def _scheduler(self) -> Scheduler:
-        """A fresh scheduler per run (stateful cursors must reset)."""
-        spec = self._scheduler_spec
-        return get_scheduler(spec) if isinstance(spec, str) else spec
 
     def _validate(self, requests: Sequence[GenerationRequest]) -> None:
         for req in requests:
@@ -312,82 +280,10 @@ class GenerationClusterSimulator:
                     "see repro.serving.attach_generation_lengths")
             self.service.validate(req)
 
-    # ------------------------------------------------------------------
-    def run(self, requests: Sequence[GenerationRequest], observer=None,
-            profiler=None, detail: str = "full", shards: int = 1,
-            shard_jobs: Optional[int] = None):
-        """Simulate the stream to completion on the unified kernel.
-
-        Bit-identical to :meth:`run_legacy` on homogeneous, no-failure,
-        no-priority scenarios (pinned by the trace-identity goldens)
-        and the only path that understands heterogeneous fleets,
-        failure injection, and priority admission with preemption.
-
-        ``observer``/``profiler`` are forwarded to the engine's
-        observability hooks (see :mod:`repro.obs`); observers are
-        read-only, so the result is byte-identical with or without
-        them.
-
-        ``detail="summary"`` returns a pre-reduced
-        :class:`~repro.sim.summary.GenerationSummary` instead of the
-        full result — no per-request records, no trace — which
-        :func:`~repro.serving.slo.summarize_generation` accepts
-        directly (percentiles and counts bit-identical, means equal up to
-        float summation order).
-
-        ``shards > 1`` partitions the fleet into independent cells (see
-        :mod:`repro.sim.shard`) and merges their summaries; it implies
-        ``detail="summary"`` and, with ``shard_jobs >= 2``, runs cells
-        in worker processes.  ``shards=1`` is always the ordinary
-        single-loop run.
-        """
+    def _engine(self, fleet: FleetSpec, **cell):
         from ..sim.generate import GenerationEngine
 
-        self._validate(requests)
-        if shards != 1:
-            from ..sim.shard import run_sharded
-
-            if detail != "summary":
-                raise ValueError(
-                    "sharded runs are summary-detail only: per-request "
-                    "records across cells would defeat the fast path — "
-                    "pass detail='summary' (or shards=1)")
-            if profiler is not None:
-                raise ValueError(
-                    "KernelProfiler cannot span shard cells — profile "
-                    "a shards=1 run")
-            return run_sharded(self, requests, mode="generate",
-                               shards=shards, jobs=shard_jobs,
-                               observer=observer)
-        engine = GenerationEngine(
-            self.service,
-            fleet=self.fleet,
-            slots=self.slots,
-            scheduler=self._scheduler(),
-            reprogram_latency_ms=self.reprogram_latency_ms,
-            failures=self.failures,
-            preemption=self.preemption,
-        )
-        if observer is not None:
-            engine.attach_observer(observer)
-        if profiler is not None:
-            engine.attach_profiler(profiler)
-        return engine.run(requests, detail=detail)
-
-    # ------------------------------------------------------------------
-    def _shard_cell(self, fleet: FleetSpec, instance_base: int,
-                    requests: Sequence[GenerationRequest],
-                    failure_horizon_ms: float, rng_seed,
-                    observer=None):
-        """Run one shard cell (summary detail, global instance ids).
-
-        Called by :func:`repro.sim.shard.run_sharded` — in-process on
-        the serial path, inside a pool worker on the parallel one.
-        The workload was validated once, fleet-wide, before splitting.
-        """
-        from ..sim.generate import GenerationEngine
-
-        engine = GenerationEngine(
+        return GenerationEngine(
             self.service,
             fleet=fleet,
             slots=self.slots,
@@ -395,13 +291,8 @@ class GenerationClusterSimulator:
             reprogram_latency_ms=self.reprogram_latency_ms,
             failures=self.failures,
             preemption=self.preemption,
-            instance_base=instance_base,
-            failure_horizon_ms=failure_horizon_ms,
-            rng_seed=rng_seed,
+            **cell,
         )
-        if observer is not None:
-            engine.attach_observer(observer)
-        return engine.run(requests, detail="summary")
 
     # ------------------------------------------------------------------
     def run_legacy(self, requests: Sequence[GenerationRequest]

@@ -226,8 +226,12 @@ class ModelMix:
         if not items:
             raise ValueError("model mix must name at least one model")
         total = float(sum(w for _, w in items))
-        if total <= 0 or any(w < 0 for _, w in items):
-            raise ValueError("model mix weights must be non-negative, sum > 0")
+        # NaN compares false everywhere, so test finiteness explicitly:
+        # a NaN weight would otherwise normalize every weight to NaN.
+        if not (math.isfinite(total) and total > 0) or any(
+                not (math.isfinite(w) and w >= 0) for _, w in items):
+            raise ValueError("model mix weights must be finite and "
+                             f"non-negative, sum > 0, got {items!r}")
         self.weights: List[Tuple[str, float]] = [
             (name, w / total) for name, w in items
         ]
@@ -266,8 +270,8 @@ class PoissonArrivals(ArrivalProcess):
     """Constant-rate Poisson arrivals at ``qps`` requests/second."""
 
     def __init__(self, qps: float, mix: ModelMix, seed: int = 0):
-        if qps <= 0:
-            raise ValueError("qps must be positive")
+        if not (math.isfinite(qps) and qps > 0):
+            raise ValueError(f"qps must be positive and finite, got {qps!r}")
         self.qps = qps
         self.mix = mix
         self.seed = seed
@@ -302,13 +306,16 @@ class BurstyArrivals(ArrivalProcess):
         burst_fraction: float = 0.2,
         dwell_ms: float = 200.0,
     ):
-        if qps <= 0 or burst_factor < 1 or not (0 < burst_fraction < 1):
-            raise ValueError("need qps > 0, burst_factor >= 1, "
+        if not (math.isfinite(qps) and qps > 0
+                and math.isfinite(burst_factor) and burst_factor >= 1
+                and 0 < burst_fraction < 1):
+            raise ValueError("need finite qps > 0, finite burst_factor >= 1, "
                              "0 < burst_fraction < 1")
-        if dwell_ms <= 0:
+        if not (math.isfinite(dwell_ms) and dwell_ms > 0):
             # A zero dwell would divide by zero inside expovariate;
             # reject it with a named error instead.
-            raise ValueError("dwell_ms must be positive")
+            raise ValueError(
+                f"dwell_ms must be positive and finite, got {dwell_ms!r}")
         self.qps = qps
         self.mix = mix
         self.seed = seed
@@ -354,8 +361,11 @@ class DiurnalArrivals(ArrivalProcess):
         period_ms: float = 1000.0,
         floor: float = 0.1,
     ):
-        if peak_qps <= 0 or period_ms <= 0 or not (0 <= floor <= 1):
-            raise ValueError("need peak_qps > 0, period_ms > 0, 0 <= floor <= 1")
+        if not (math.isfinite(peak_qps) and peak_qps > 0
+                and math.isfinite(period_ms) and period_ms > 0
+                and 0 <= floor <= 1):
+            raise ValueError("need finite peak_qps > 0, finite period_ms > 0, "
+                             "0 <= floor <= 1")
         self.peak_qps = peak_qps
         self.mix = mix
         self.seed = seed

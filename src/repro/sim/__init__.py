@@ -9,8 +9,10 @@ Every discrete-event simulator in the repo runs on this package:
 * :mod:`.rng` — named per-component RNG streams derived from one root
   seed, so adding a stochastic component never perturbs another;
 * :mod:`.fleet` — heterogeneous fleet specs (per-instance speed,
-  capability sets, switch penalties, slots, pricing targets) and the
-  capability/health-aware :class:`Dispatcher`;
+  capability sets, switch penalties, slots, pricing targets), the
+  capability/health-aware :class:`Dispatcher`, and the fleet substrate
+  both engines run on (instance state, fault recovery, parking, sinks,
+  availability);
 * :mod:`.failures` — MTBF/MTTR failure plans and the per-instance
   fault/repair draws;
 * :mod:`.shard` — partitions a fleet into independent cells that run

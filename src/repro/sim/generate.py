@@ -1,12 +1,20 @@
-"""Kernel-backed continuous-batching generation engine.
+"""Kernel-backed continuous-batching generation engine: the token-step
+discipline.
 
 The execution engine behind :class:`~repro.serving.generation.
-GenerationClusterSimulator` since the unified kernel landed: identical
-event discipline to the legacy loop (step completions before arrivals
-at equal timestamps), re-hosted on :mod:`repro.sim.kernel` and held
-bit-identical on seeded scenarios by the trace-identity goldens.  The
-scenario layer the legacy loop could not express:
+GenerationClusterSimulator`: identical event discipline to the legacy
+loop (step completions before arrivals at equal timestamps), re-hosted
+on :mod:`repro.sim.kernel` and held bit-identical on seeded scenarios
+by the trace-identity goldens.  It runs on the fleet substrate
+(:mod:`repro.sim.fleet`), which owns instance state, fault injection
+and recovery, parking, the shared parts of the result sinks, and
+availability; this module supplies the token-level service discipline:
 
+* **steps** — ``start_step`` admits waiting work at a step boundary
+  (prefills) and decodes every active sequence by one token;
+  ``finish_step`` emits the tokens and vacates finished sequences.
+  Per-instance speed scales the compute half of every step (weight
+  streams and attention sweeps);
 * **priority admission with preemption** — when any request carries a
   nonzero priority, admission picks waiting work by ``(priority desc,
   rid asc)`` instead of FIFO, and a strictly-higher-priority arrival
@@ -14,32 +22,20 @@ scenario layer the legacy loop could not express:
   The victim requeues as a *resume*: it keeps its emitted tokens, and
   on re-admission pays a re-prefill over its cached positions (the KV
   rebuild) before decoding on;
-* **heterogeneous fleets** — per-instance speed scales the compute
-  half of every step (weight streams and attention sweeps), switch
-  penalties can be overridden per instance, and capability sets
-  restrict dispatch;
-* **failure injection** — a fault mid-step (including mid-prefill)
-  aborts the step: sequences that had already emitted their first
-  token requeue as resumes, ones still in prefill requeue as fresh
-  requests, and both count a retry.  Queued work re-routes through the
-  dispatcher; downtime accrues until repair.
+* **what a fault displaces** — a fault mid-step (including
+  mid-prefill) aborts the step: sequences that had already emitted
+  their first token requeue as resumes, ones still in prefill requeue
+  as fresh requests with their counters refunded, and both count a
+  retry.
 
 Performance: events here are already batched per resource — one
 ``("step", inst, epoch)`` event advances *every* in-flight sequence of
 an instance by one token (the decode sweep prices all slots in one
 :meth:`~repro.serving.generation.GenerationServiceModel.decode_step_ms`
 call), so the event queue holds at most one step event per instance,
-never one per token.  The arrival stream never enters the event queue
-either: arrivals are stable-sorted once and merged against the
-:class:`~repro.sim.calendar.CalendarQueue` of step/fault events during
-the drain.  Queue-depth samples read a running ``depth`` counter that
-is updated where work enters or leaves the fleet (arrival, requeue,
-finish, fault, recovery), not a sum over every instance per sample, so
-per-event bookkeeping does not grow with fleet size.  Full and summary
-detail run one handler set; only the result sink differs
-(``detail="summary"`` skips all record, trace, and sample
-materialization, see :mod:`repro.sim.summary`), and a profiler wraps
-the handlers instead of duplicating the loop.
+never one per token.  Queue depth is one running counter of queued,
+active and parked sequences, so per-event bookkeeping does not grow
+with fleet size.
 
 Observer contract: attached observers receive every trace tuple —
 ``("arrive", t, rid, model, inst)``, ``("admit", t, inst, rid, prompt,
@@ -58,23 +54,16 @@ byte-identical with any observer attached.
 
 from __future__ import annotations
 
-from collections import deque
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..serving.scheduler import LeastLoaded, ModelAffinity, Scheduler
+from ..serving.scheduler import Scheduler
 from ..serving.workload import GenerationRequest
-from .failures import FailureInjector, FailurePlan
-from .fleet import Dispatcher, FleetSpec, InstanceSpec
-from .kernel import Simulation
+from .failures import FailurePlan
+from .fleet import (_BY_RID, _EPS, _T_COMPLETE, Dispatcher, FleetSpec,
+                    InstanceSpec, _depth_integral, _FleetEngine, _Inst)
 
 __all__ = ["GenerationEngine"]
 
-_EPS = 1e-9
-#: Stable-sort key for the merged arrival stream (see ServeEngine).
-_BY_T = attrgetter("t_ms")
-_BY_RID = attrgetter("rid")
-_T_COMPLETE = attrgetter("t_complete_ms")
 # Step completions land before new arrivals at equal timestamps (the
 # legacy rule); faults sort last so they observe settled state.
 _P_STEP, _P_ARRIVAL, _P_FAULT = 0, 1, 2
@@ -125,45 +114,22 @@ class _Resume:
         return self.seq.req.t_ms
 
 
-class _Inst:
-    """Mutable per-instance engine state (scheduler-visible)."""
+class _GenInst(_Inst):
+    """Generation's per-instance state: slots and the active sequences."""
 
-    __slots__ = (
-        "idx", "spec", "speed", "reprogram_ms", "slots", "queue", "active",
-        "busy_until", "last_model", "resident", "down", "epoch",
-        "step_done", "requests", "steps", "prefills", "tokens", "busy_ms",
-        "switch_count", "reprogram_time_ms", "preemptions", "failures",
-        "downtime_ms", "down_since",
-    )
+    __slots__ = ("slots", "active", "step_done", "steps", "prefills",
+                 "tokens", "preemptions")
 
     def __init__(self, idx: int, spec: InstanceSpec, reprogram_ms: float,
                  slots: int):
-        self.idx = idx
-        self.spec = spec
-        self.speed = spec.speed
-        self.reprogram_ms = (spec.reprogram_latency_ms
-                             if spec.reprogram_latency_ms is not None
-                             else reprogram_ms)
+        super().__init__(idx, spec, reprogram_ms)
         self.slots = spec.slots if spec.slots is not None else slots
-        self.queue = deque()
         self.active: List[_Seq] = []
-        self.busy_until = 0.0
-        self.last_model: Optional[str] = None
-        self.resident: Optional[str] = None
-        self.down = False
-        self.epoch = 0
         self.step_done: List[Tuple[_Seq, bool]] = []
-        self.requests = 0
         self.steps = 0
         self.prefills = 0
         self.tokens = 0
-        self.busy_ms = 0.0
-        self.switch_count = 0
-        self.reprogram_time_ms = 0.0
         self.preemptions = 0
-        self.failures = 0
-        self.downtime_ms = 0.0
-        self.down_since = 0.0
 
     def backlog(self, now_ms: float) -> int:
         """Waiting plus in-flight sequences (Scheduler Protocol)."""
@@ -172,11 +138,6 @@ class _Inst:
 
 class _GenDispatcher(Dispatcher):
     """Capability/health-aware dispatch with inlined built-in policies."""
-
-    def __init__(self, scheduler: Scheduler, instances: Sequence[_Inst]):
-        super().__init__(scheduler, instances)
-        self._least_loaded = type(scheduler) is LeastLoaded
-        self._affinity = type(scheduler) is ModelAffinity
 
     def _pick_fast(self, candidates, request, now_ms):
         if self._least_loaded:
@@ -198,13 +159,13 @@ class _GenDispatcher(Dispatcher):
                 if inst.last_model == model and (sticky is None
                                                  or b < sticky_b):
                     sticky, sticky_b = inst, b
-            if sticky is not None and sticky_b <= best_b + self.scheduler.slack:
+            if sticky is not None and sticky_b <= best_b + self._slack:
                 return sticky
             return best
         return self.scheduler.pick(candidates, request, now_ms)
 
 
-class GenerationEngine(Simulation):
+class GenerationEngine(_FleetEngine):
     """One run of the token-level continuous-batching simulation."""
 
     def __init__(
@@ -220,20 +181,10 @@ class GenerationEngine(Simulation):
         failure_horizon_ms: Optional[float] = None,
         rng_seed=0,
     ):
-        # All engine randomness flows through FailureInjector's own
-        # streams (seeded by the plan); the base Simulation rng carries
-        # the cell namespace under sharding and is otherwise unused.
-        super().__init__(seed=rng_seed)
-        #: First global instance index and failure-horizon override —
-        #: see :class:`repro.sim.serve.ServeEngine` for the sharding
-        #: contract behind both.
-        self.instance_base = instance_base
-        self.failure_horizon_ms = failure_horizon_ms
+        super().__init__(fleet, scheduler, failures, instance_base,
+                         failure_horizon_ms, rng_seed)
         self.service = service
-        self.fleet = fleet
         self.slots = slots
-        self.scheduler = scheduler
-        self.failures = failures
         #: None = auto: preempt iff any request carries a priority.
         self.preemption = preemption
         for spec in fleet.specs:
@@ -243,7 +194,7 @@ class GenerationEngine(Simulation):
                     "generation engine prices every step through the "
                     "cluster accelerator's decode model")
         self.instances = [
-            _Inst(instance_base + idx, spec, reprogram_latency_ms, slots)
+            _GenInst(instance_base + idx, spec, reprogram_latency_ms, slots)
             for idx, spec in enumerate(fleet.specs)
         ]
         self.dispatcher = _GenDispatcher(scheduler, self.instances)
@@ -251,34 +202,19 @@ class GenerationEngine(Simulation):
     # ------------------------------------------------------------------
     def run(self, requests: Sequence[GenerationRequest],
             detail: str = "full"):
-        """Simulate the stream to completion and return the result.
-
-        ``detail="full"`` returns a :class:`~repro.serving.generation.
-        GenerationSimulationResult` with one record per request — the
-        byte-identity surface the goldens pin.  ``detail="summary"``
-        skips record/trace/sample materialization and returns a
-        :class:`~repro.sim.summary.GenerationSummary` accumulated on
-        the fly.  Percentiles and counts from either detail level are
-        bit-identical (exact multisets); means differ by float summation
-        order only (completion order, not rid order), which can move
-        them by many ulps, not just the last one.  Both levels run the
-        same handlers; only the result sink differs
-        (:meth:`_record_sink` / :meth:`_summary_sink`).
+        """Simulate the stream to completion and return the result: a
+        :class:`~repro.serving.generation.GenerationSimulationResult` at
+        ``detail="full"``, a :class:`~repro.sim.summary.
+        GenerationSummary` at ``detail="summary"`` (see
+        :meth:`_FleetEngine._setup`).  Both levels run the same
+        handlers; only the result sink differs (:meth:`_record_sink` /
+        :meth:`_summary_sink`).
         """
-        if detail == "full":
-            make_sink = self._record_sink
-        elif detail == "summary":
-            make_sink = self._summary_sink
-        else:
-            raise ValueError(
-                f"unknown detail level {detail!r}: use 'full' or "
-                "'summary'")
         from ..serving.generation import GenerationRecord
 
-        self._started = True
+        make_sink, arrivals = self._setup(requests, detail)
         queue = self.queue
         push = queue.push
-        note = self.observer
         dispatcher = self.dispatcher
         service = self.service
         prefill_ms = service.prefill_ms
@@ -289,9 +225,10 @@ class GenerationEngine(Simulation):
         # (see ServeEngine._record_sink).
         new_record = tuple.__new__
 
+        #: Work parked while every capable instance is down.
         pending: List[Union[GenerationRequest, _Resume]] = []
-        #: Waiting + in-flight sequences over all instances, plus
-        #: ``pending`` — updated where work enters or leaves the fleet.
+        #: Queued plus active plus parked sequences: the work not yet
+        #: finished.
         depth = 0
         retries: Dict[int, int] = {}
         preempt_counts: Dict[int, int] = {}
@@ -300,27 +237,10 @@ class GenerationEngine(Simulation):
         # The sink: ``emit`` takes trace tuples (None when nobody
         # listens), ``sample`` takes ``(t, depth)`` points and
         # ``complete`` takes one ``GenerationRecord`` per finished
-        # request.  ``note`` carries observer-only requeue events that
-        # never enter the trace, keeping trace bytes identical.
+        # request.
         emit, sample, complete, result = make_sink(retries)
 
-        # Arrivals never enter the event queue: the drain merges this
-        # pre-sorted stream against a queue that only carries step and
-        # fault events (see Simulation._drain_merged).
-        arrivals = sorted(requests, key=_BY_T)
-
-        injector: Optional[FailureInjector] = None
-        if failing:
-            horizon = (self.failure_horizon_ms
-                       if self.failure_horizon_ms is not None
-                       else arrivals[-1].t_ms if arrivals else 0.0)
-            injector = FailureInjector(self.failures, horizon)
-            for inst in self.instances:
-                t_fail = injector.next_failure_ms(inst.idx, 0.0)
-                if t_fail is not None:
-                    push(t_fail, _P_FAULT, ("fail", inst))
-
-        def take_next(inst: _Inst, resident: Optional[str]):
+        def take_next(inst: _GenInst, resident: Optional[str]):
             """Pop the next admissible queue entry (None if head-blocked).
 
             FIFO in legacy mode; ``(priority desc, rid asc)`` when
@@ -349,7 +269,7 @@ class GenerationEngine(Simulation):
             iq.rotate(best_at)
             return entry
 
-        def preempt_for(inst: _Inst, now: float) -> None:
+        def preempt_for(inst: _GenInst, now: float) -> None:
             """Evict low-priority actives for strictly-higher waiters.
 
             Only waiters of the resident model are eligible: in-flight
@@ -375,7 +295,7 @@ class GenerationEngine(Simulation):
                     emit(("preempt", now, inst.idx, victim.req.rid))
                 iq.append(_Resume(victim))
 
-        def start_step(inst: _Inst, now: float) -> None:
+        def start_step(inst: _GenInst, now: float) -> None:
             """Admit at the boundary, then run one engine step."""
             if inst.down or inst.busy_until > now + _EPS:
                 return
@@ -443,7 +363,7 @@ class GenerationEngine(Simulation):
             push(end, _P_STEP, ("step", inst, inst.epoch))
             sample((now, depth))
 
-        def finish_step(inst: _Inst, now: float) -> None:
+        def finish_step(inst: _GenInst, now: float) -> None:
             """Step boundary: emit tokens, vacate finished sequences."""
             nonlocal depth
             for seq, decoded in inst.step_done:
@@ -472,28 +392,6 @@ class GenerationEngine(Simulation):
             sample((now, depth))
             start_step(inst, now)
 
-        def route(entry, now: float) -> None:
-            """Queue a request/resume like a fresh arrival (requeue).
-
-            Emits an observer-only ``requeue`` event — never appended
-            to the trace — so metrics observers see displaced work
-            re-enter a queue without perturbing the golden traces.
-            """
-            nonlocal depth
-            depth += 1
-            inst = dispatcher.pick(entry, now)
-            if inst is None:
-                pending.append(entry)
-                if note is not None:
-                    note(("requeue", now, entry.rid, -1))
-                return
-            inst.queue.append(entry)
-            if inst.last_model is None:
-                inst.last_model = entry.model
-            if note is not None:
-                note(("requeue", now, entry.rid, inst.idx))
-            start_step(inst, now)
-
         def on_arrival(req: GenerationRequest, now: float) -> None:
             nonlocal depth
             depth += 1
@@ -514,21 +412,15 @@ class GenerationEngine(Simulation):
             sample((now, depth))
             start_step(inst, now)
 
-        def on_fail(payload: tuple, now: float) -> None:
+        def displace(inst: _GenInst, now: float):
+            """A fault mid-step (possibly mid-prefill) aborts the step and
+            displaces every active sequence as a retry."""
             nonlocal depth
-            inst: _Inst = payload[1]
-            inst.down = True
-            inst.down_since = now
-            inst.failures += 1
-            dispatcher.down_count += 1
-            if emit is not None:
-                emit(("fail", now, inst.idx))
             displaced: List[Union[GenerationRequest, _Resume]] = []
             aborted_step = inst.busy_until > now + _EPS
             decoding_ids = set()
             if aborted_step:
-                # Abort the step in flight (possibly mid-prefill):
-                # refund the unserved tail and bump the epoch so the
+                # Refund the unserved tail and bump the epoch so the
                 # scheduled step-completion event goes stale.  The
                 # aborted sweep's decode tokens were counted at
                 # start_step but never emitted — refund them too (they
@@ -561,37 +453,22 @@ class GenerationEngine(Simulation):
                     inst.prefills -= 1
                     displaced.append(seq.req)
             inst.active = []
-            inst.resident = None  # weights are lost with the instance
-            queued = list(inst.queue)
-            inst.queue.clear()
-            # Displaced work is detached until route() re-counts it.
-            depth -= len(displaced) + len(queued)
-            sample((now, depth))
-            for entry in displaced:
-                route(entry, now)
-            for entry in queued:
-                route(entry, now)
-            assert injector is not None
-            push(now + injector.repair_duration_ms(inst.idx), _P_FAULT,
-                 ("recover", inst))
+            depth -= len(displaced)
+            return displaced
 
-        def on_recover(payload: tuple, now: float) -> None:
+        def restart(inst: _GenInst, entry, now: float) -> None:
+            if inst.last_model is None:
+                inst.last_model = entry.model
+            start_step(inst, now)
+
+        def shift(delta: int) -> int:
             nonlocal depth
-            inst: _Inst = payload[1]
-            inst.down = False
-            inst.downtime_ms += now - inst.down_since
-            dispatcher.down_count -= 1
-            if emit is not None:
-                emit(("recover", now, inst.idx))
-            assert injector is not None
-            t_fail = injector.next_failure_ms(inst.idx, now)
-            if t_fail is not None:
-                push(t_fail, _P_FAULT, ("fail", inst))
-            if pending:
-                parked, pending[:] = list(pending), []
-                depth -= len(parked)
-                for entry in parked:
-                    route(entry, now)
+            depth += delta
+            return depth
+
+        on_fail, on_recover = self._faults(
+            arrivals, _P_FAULT, emit, sample, pending, displace, restart,
+            shift)
 
         def handle(payload: tuple, now: float) -> None:
             kind = payload[0]
@@ -611,22 +488,10 @@ class GenerationEngine(Simulation):
 
     # ------------------------------------------------------------------
     def _record_sink(self, retries: Dict[int, int]):
-        """Full detail: the trace, the sample list, and the records.
-
-        With nothing attached, ``emit`` *is* ``trace.append`` and
-        ``sample``/``complete`` are list appends (C calls); an observer
-        is forwarded every trace tuple after it is logged.
-        """
+        """Full detail: the trace (:meth:`_tee`), the sample list, and
+        the records — all list appends."""
         from ..serving.generation import GenerationSimulationResult
 
-        trace = self.trace
-        note = self.observer
-        if note is None:
-            emit = trace.append
-        else:
-            def emit(event, _append=trace.append, _obs=note):
-                _append(event)
-                _obs(event)
         samples: List[Tuple[float, int]] = []
         records: list = []
 
@@ -636,19 +501,15 @@ class GenerationEngine(Simulation):
             return GenerationSimulationResult(
                 records=records,
                 instances=self._instance_stats(),
-                n_instances=len(self.instances),
                 slots=self.slots,
                 makespan_ms=makespan,
                 queue_samples=samples,
-                trace=trace,
-                scheduler=self.scheduler.name,
-                availability=self._availability(makespan),
-                total_failures=sum(i.failures for i in self.instances),
-                total_retries=sum(retries.values()),
+                trace=self.trace,
                 total_preemptions=sum(i.preemptions for i in self.instances),
+                **self._totals(makespan, retries),
             )
 
-        return emit, samples.append, records.append, result
+        return self._tee(), samples.append, records.append, result
 
     def _summary_sink(self, retries: Dict[int, int]):
         """Summary detail: fold records and depth samples as they fire.
@@ -668,18 +529,7 @@ class GenerationEngine(Simulation):
         wait_sum = 0.0
         total_tokens = 0
         makespan = 0.0
-        # Queue-depth step integral, same add order as
-        # slo._time_weighted_mean over the full sample list.
-        area = 0.0
-        prev_t = 0.0
-        cur_depth = 0
-
-        def sample(point: Tuple[float, int]) -> None:
-            nonlocal area, prev_t, cur_depth
-            now, d = point
-            area += cur_depth * (now - prev_t)
-            prev_t = now
-            cur_depth = d
+        sample, depth_totals = _depth_integral()
 
         def complete(record: tuple) -> None:
             nonlocal wait_sum, total_tokens, makespan
@@ -699,14 +549,12 @@ class GenerationEngine(Simulation):
                 makespan = done_ms
 
         def result():
-            instances = self.instances
+            area, last_t, last_depth, _max_depth = depth_totals()
             return GenerationSummary(
                 total_requests=len(lats),
                 total_tokens=total_tokens,
                 makespan_ms=makespan,
-                n_instances=len(instances),
                 slots=self.slots,
-                scheduler=self.scheduler.name,
                 ttfts=ttfts,
                 tpots=tpots,
                 lats=lats,
@@ -715,12 +563,10 @@ class GenerationEngine(Simulation):
                 req_tpots=req_tpots,
                 instances=self._instance_stats(),
                 depth_area=area,
-                depth_last_t=prev_t,
-                depth_last=cur_depth,
-                availability=self._availability(makespan),
-                total_failures=sum(i.failures for i in instances),
-                total_retries=sum(retries.values()),
-                total_preemptions=sum(i.preemptions for i in instances),
+                depth_last_t=last_t,
+                depth_last=last_depth,
+                total_preemptions=sum(i.preemptions for i in self.instances),
+                **self._totals(makespan, retries),
             )
 
         return self.observer, sample, complete, result
@@ -738,12 +584,3 @@ class GenerationEngine(Simulation):
                 downtime_ms=i.downtime_ms,
             ) for i in self.instances
         ]
-
-    def _availability(self, makespan: float) -> Optional[float]:
-        """Fleet availability over the run (``None`` without failures)."""
-        if self.failures is None:
-            return None
-        instances = self.instances
-        horizon = max(makespan, self.clock.now_ms)
-        return (1.0 - sum(i.downtime_ms for i in instances)
-                / (len(instances) * horizon) if horizon > 0 else 1.0)

@@ -1,48 +1,39 @@
-"""Kernel-backed request-level cluster engine.
+"""Kernel-backed request-level cluster engine: the batch discipline.
 
 This is :class:`~repro.serving.cluster.ClusterSimulator`'s execution
-engine since the unified kernel landed: the same event discipline as
-the legacy closure loop (free < arrival < check at equal timestamps,
-insertion-order tie-breaks), re-hosted on :mod:`repro.sim.kernel` and
-verified **bit-identical** on seeded scenarios by the trace-identity
-goldens.  On top of the legacy semantics it adds what the old loop
-could not express:
+engine: the same event discipline as the legacy closure loop (free <
+arrival < check at equal timestamps, insertion-order tie-breaks),
+re-hosted on :mod:`repro.sim.kernel` and verified **bit-identical** on
+seeded scenarios by the trace-identity goldens.  It runs on the fleet
+substrate (:mod:`repro.sim.fleet`), which owns instance state, fault
+injection and recovery, parking, the shared parts of the result sinks,
+and availability; this module supplies the request-level service
+discipline:
 
-* heterogeneous fleets (:class:`~repro.sim.fleet.FleetSpec`) —
-  per-instance speed, capability sets, switch-penalty overrides, and
-  per-instance accelerator targets (a
+* **batches** — ``try_dispatch`` forms a same-model head prefix under
+  the batching policy (arming a deadline ``check`` when a timeout
+  policy must wait), prices it through the instance's target (a
   :class:`~repro.parallel.group.PipelineGroup` mixes with single-FPGA
-  replicas in one fleet);
-* failure/recovery injection (:class:`~repro.sim.failures.FailurePlan`)
-  — an instance fault aborts its in-flight batch, requeues the lost
-  and queued work through the dispatcher (marking retries), and
-  accrues downtime until the repair completes;
-* degraded-window marking — requests arriving while any instance is
-  down are flagged, so the SLO layer can report the failure-mode tail
-  (``p99_degraded_ms``) separately from the healthy tail.
+  replicas in one fleet), and ``on_free`` retires it;
+* **what a fault displaces** — the in-flight batch: the unserved tail
+  of its busy window is refunded and its members requeue as retries,
+  ahead of the instance's queue;
+* **degraded-window marking** — requests arriving while any instance
+  is down are flagged, so the SLO layer can report the failure-mode
+  tail (``p99_degraded_ms``) separately from the healthy tail.
 
-Performance: the engine replaces the legacy loop's per-event
-re-derivations with incremental bookkeeping — queue-depth samples come
-from a running counter instead of an O(instances) sum, batch costs are
-memoized per ``(model, batch size)``, switch accounting compares
-resident-model names instead of re-programming the accelerator every
-batch, and the built-in schedulers run inlined.  On an unrestricted,
-fault-free fleet the least-loaded pick is O(1): a :class:`_LoadIndex`
-buckets instances by load and answers with the first minimum, falling
-back to the scan only while a completion lies within ``_EPS`` of the
-arrival (where the scan's ``busy_until`` test and the index's
-in-flight test differ).  The arrival
-stream never enters the event queue at all: arrivals are stable-sorted
-once and merged against the :class:`~repro.sim.calendar.CalendarQueue`
-of engine events during the drain (one heap push+pop per *batch*, not
-per request).  Full and summary detail run one handler set; only the
-result sink differs (``detail="summary"`` skips all record, trace, and
-sample materialization, see :mod:`repro.sim.summary`), and a profiler
-wraps the handlers instead of duplicating the loop.  One extra drain
-remains, :meth:`ServeEngine._run_fast`: summary runs whose conditions
-rule out every event but arrivals and completions take it inlined.
-Same math, same floats, same order — just less work per event (the
-serving benchmarks pin the speedups).
+Performance: queue depth is one running counter of queued and parked
+requests, batch costs are memoized per ``(model, batch size)``, switch
+accounting compares resident-model names instead of re-programming the
+accelerator every batch, and the built-in schedulers run inlined.  On
+an unrestricted, fault-free fleet the least-loaded pick is O(1): a
+:class:`_LoadIndex` buckets instances by load and answers with the
+first minimum, falling back to the scan only while a completion lies
+within ``_EPS`` of the arrival (where the scan's ``busy_until`` test
+and the index's in-flight test differ).  One extra drain remains,
+:meth:`ServeEngine._run_fast`: summary runs whose conditions rule out
+every event but arrivals and completions take it inlined.  Same math,
+same floats, same order — just less work per event.
 
 Observer contract: an attached observer sees every trace tuple —
 ``("arrive", t, rid, model, inst)`` (``inst == -1`` while parked),
@@ -59,26 +50,17 @@ byte-identical with any observer attached.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..serving.batching import BatchingPolicy, ServiceTimeModel
-from ..serving.scheduler import (LeastLoaded, ModelAffinity, RoundRobin,
-                                 Scheduler)
+from ..serving.scheduler import Scheduler
 from ..serving.workload import Request
-from .failures import FailureInjector, FailurePlan
-from .fleet import Dispatcher, FleetSpec, InstanceSpec
-from .kernel import Simulation
+from .failures import FailurePlan
+from .fleet import (_BY_RID, _EPS, _T_COMPLETE, Dispatcher, FleetSpec,
+                    InstanceSpec, _depth_integral, _FleetEngine, _Inst)
 
 __all__ = ["ServeEngine"]
 
-_EPS = 1e-9
-#: Stable-sort key for the merged arrival stream: equal-time arrivals
-#: keep input order, which is exactly the heap's (priority, seq)
-#: tie-break for a block of same-priority pushes.
-_BY_T = attrgetter("t_ms")
-_BY_RID = attrgetter("rid")
-_T_COMPLETE = attrgetter("t_complete_ms")
 # Event priorities at equal timestamps (identical to the legacy loop;
 # faults are new and deliberately sort last so a fault at time t sees
 # the state the legacy events left behind).
@@ -103,47 +85,21 @@ class _BatchCost:
         return ms
 
 
-class _Inst:
-    """Mutable per-instance engine state (scheduler-visible)."""
+class _ServeInst(_Inst):
+    """Serve's per-instance state: batch pricing and the batch in flight."""
 
-    __slots__ = (
-        "idx", "spec", "speed", "reprogram_ms", "cost", "queue",
-        "busy_until", "last_model", "resident", "pending_check", "down",
-        "epoch", "in_flight", "deploys", "switch_count",
-        "reprogram_time_ms", "batches", "requests", "busy_ms",
-        "failures", "downtime_ms", "down_since", "bit", "level",
-    )
+    __slots__ = ("cost", "pending_check", "in_flight", "deploys", "batches",
+                 "bit", "level")
 
     def __init__(self, idx: int, spec: InstanceSpec, reprogram_ms: float,
                  cost: _BatchCost):
-        from collections import deque
-
-        self.idx = idx
-        self.spec = spec
-        self.speed = spec.speed
-        self.reprogram_ms = (spec.reprogram_latency_ms
-                             if spec.reprogram_latency_ms is not None
-                             else reprogram_ms)
+        super().__init__(idx, spec, reprogram_ms)
         self.cost = cost
-        self.queue = deque()
-        self.busy_until = 0.0
-        self.last_model: Optional[str] = None
-        self.resident: Optional[str] = None
         self.pending_check = False
-        self.down = False
-        #: Bumped on every abort; stale free events carry an old epoch.
-        self.epoch = 0
         #: ``(model, size, t_dispatch, t_complete, batch)`` while busy.
         self.in_flight: Optional[tuple] = None
         self.deploys = 0
-        self.switch_count = 0
-        self.reprogram_time_ms = 0.0
         self.batches = 0
-        self.requests = 0
-        self.busy_ms = 0.0
-        self.failures = 0
-        self.downtime_ms = 0.0
-        self.down_since = 0.0
 
     def backlog(self, now_ms: float) -> int:
         """Queued requests plus the one in service (Scheduler Protocol)."""
@@ -171,7 +127,7 @@ class _LoadIndex:
 
     __slots__ = ("insts", "levels", "low")
 
-    def __init__(self, instances: Sequence[_Inst]):
+    def __init__(self, instances: Sequence[_ServeInst]):
         self.insts = list(instances)
         self.levels = [(1 << len(self.insts)) - 1]
         self.low = 0
@@ -179,7 +135,7 @@ class _LoadIndex:
             inst.bit = 1 << pos
             inst.level = 0
 
-    def update(self, inst: _Inst) -> None:
+    def update(self, inst: _ServeInst) -> None:
         """Re-bucket ``inst`` after its queue or in-flight batch moved."""
         load = len(inst.queue) + (inst.in_flight is not None)
         old = inst.level
@@ -195,7 +151,7 @@ class _LoadIndex:
         if load < self.low:
             self.low = load
 
-    def best(self) -> _Inst:
+    def best(self) -> _ServeInst:
         """The first least-loaded instance in fleet order."""
         levels = self.levels
         low = self.low
@@ -209,15 +165,6 @@ class _LoadIndex:
 
 class _ServeDispatcher(Dispatcher):
     """Capability/health-aware dispatch with inlined built-in policies."""
-
-    def __init__(self, scheduler: Scheduler, instances: Sequence[_Inst]):
-        super().__init__(scheduler, instances)
-        # Exact-type checks: a subclass may override semantics, so only
-        # the stock policies take the inlined path.
-        self._round_robin = type(scheduler) is RoundRobin
-        self._least_loaded = type(scheduler) is LeastLoaded
-        self._affinity = type(scheduler) is ModelAffinity
-        self._slack = scheduler.slack if self._affinity else 0
 
     def bind(self, queue, failing: bool):
         """A drain's ``pick(request, now_ms)`` and its load index.
@@ -280,7 +227,7 @@ class _ServeDispatcher(Dispatcher):
         return self.scheduler.pick(candidates, request, now_ms)
 
 
-class ServeEngine(Simulation):
+class ServeEngine(_FleetEngine):
     """One run of the request-level cluster simulation."""
 
     def __init__(
@@ -297,33 +244,17 @@ class ServeEngine(Simulation):
         failure_horizon_ms: Optional[float] = None,
         rng_seed=0,
     ):
-        # All engine randomness flows through FailureInjector's own
-        # streams (seeded by the plan); the base Simulation rng carries
-        # the cell namespace under sharding and is otherwise unused.
-        super().__init__(seed=rng_seed)
+        super().__init__(fleet, scheduler, failures, instance_base,
+                         failure_horizon_ms, rng_seed)
         self.accel = accel
-        self.fleet = fleet
-        self.scheduler = scheduler
         self.batching = batching
         self.check_jitter_ms = check_jitter_ms
-        self.failures = failures
-        #: First global instance index (sharded cells offset their
-        #: ``_Inst.idx`` so trace rows, records, stats, and — critically
-        #: — ``failure/<idx>`` RNG streams key by *global* identity:
-        #: an instance's fault history never depends on which cell it
-        #: landed in).
-        self.instance_base = instance_base
-        #: Failure-injection horizon override.  A sharded cell sees only
-        #: its own arrival slice, so its default horizon (last local
-        #: arrival) would differ from the unsharded run's; the shard
-        #: driver passes the global last-arrival time instead.
-        self.failure_horizon_ms = failure_horizon_ms
         # One batch-cost memo per distinct pricing target: instances
         # without a target override share the cluster-wide model (and
         # its memo), a PipelineGroup instance prices through its own.
         shared = _BatchCost(ServiceTimeModel(accel, models))
         costs: Dict[int, _BatchCost] = {}
-        self.instances: List[_Inst] = []
+        self.instances: List[_ServeInst] = []
         for idx, spec in enumerate(fleet.specs):
             if spec.slots is not None:
                 raise ValueError(
@@ -339,42 +270,25 @@ class ServeEngine(Simulation):
                     cost = _BatchCost(ServiceTimeModel(spec.target, models))
                     costs[id(spec.target)] = cost
             self.instances.append(
-                _Inst(instance_base + idx, spec, reprogram_latency_ms,
-                      cost))
+                _ServeInst(instance_base + idx, spec, reprogram_latency_ms,
+                           cost))
         self.dispatcher = _ServeDispatcher(scheduler, self.instances)
 
     # ------------------------------------------------------------------
     def run(self, requests: Sequence[Request], detail: str = "full"):
-        """Simulate the stream to completion and return the result.
-
-        ``detail="full"`` returns a
-        :class:`~repro.serving.cluster.SimulationResult` with one
-        record per request — the byte-identity surface the goldens pin.
-        ``detail="summary"`` skips record/trace/sample materialization
-        and returns a :class:`~repro.sim.summary.ServeSummary`
-        accumulated on the fly: the web-scale path.  Percentiles and
-        counts from either detail level are bit-identical; means differ
-        by float summation order only (completion order vs rid order),
-        which can move them by many ulps, not just the last one.
+        """Simulate the stream to completion and return the result: a
+        :class:`~repro.serving.cluster.SimulationResult` at
+        ``detail="full"``, a :class:`~repro.sim.summary.ServeSummary`
+        at ``detail="summary"`` (see :meth:`_FleetEngine._setup`).
 
         Both levels run the same handlers; only the result sink differs
         (:meth:`_record_sink` / :meth:`_summary_sink`).  The one extra
         drain is :meth:`_run_fast`, the inlined summary drain for runs
         whose conditions rule out every event but arrivals and frees.
-
-        Import note: the result types live in
-        :mod:`repro.serving.cluster` (the public façade), imported
+        The result types live in :mod:`repro.serving.cluster`, imported
         lazily to keep the package graph acyclic.
         """
-        if detail == "full":
-            make_sink = self._record_sink
-        elif detail == "summary":
-            make_sink = self._summary_sink
-        else:
-            raise ValueError(
-                f"unknown detail level {detail!r}: use 'full' or "
-                "'summary'")
-        self._started = True
+        make_sink, arrivals = self._setup(requests, detail)
         queue = self.queue
         push = queue.push
         note = self.observer
@@ -392,16 +306,13 @@ class ServeEngine(Simulation):
         # that touched its queue or batch (arrival, free, check).
         update = index.update if index is not None else None
 
-        # Arrivals never enter the event queue: the drain merges this
-        # pre-sorted stream against a queue that only carries engine
-        # events (see Simulation._drain_merged).
-        arrivals = sorted(requests, key=_BY_T)
         if (detail == "summary" and not failing and not dispatcher.restricted
                 and decide is None and timeout_ms is None and note is None
                 and self.profiler is None):
             return self._run_fast(arrivals, index)
 
-        queued_total = 0
+        #: Queued plus parked requests: the work not yet dispatched.
+        depth = 0
         #: Requests parked while every capable instance is down.
         pending: List[Request] = []
         retries: Dict[int, int] = {}
@@ -409,24 +320,11 @@ class ServeEngine(Simulation):
         # The sink: ``emit`` takes trace tuples (None when nobody
         # listens), ``sample`` takes ``(t, depth)`` points and
         # ``complete`` takes ``(model, idx, size, t_dispatch,
-        # t_complete, batch)`` rows of finished batches.  ``note``
-        # carries observer-only bookkeeping events (requeues) that
-        # never enter the trace — trace bytes stay identical.
+        # t_complete, batch)`` rows of finished batches.
         emit, sample, complete, result = make_sink(retries, degraded)
 
-        injector: Optional[FailureInjector] = None
-        if failing:
-            horizon = (self.failure_horizon_ms
-                       if self.failure_horizon_ms is not None
-                       else arrivals[-1].t_ms if arrivals else 0.0)
-            injector = FailureInjector(self.failures, horizon)
-            for inst in self.instances:
-                t_fail = injector.next_failure_ms(inst.idx, 0.0)
-                if t_fail is not None:
-                    push(t_fail, _P_FAULT, ("fail", inst))
-
-        def try_dispatch(inst: _Inst, now: float) -> None:
-            nonlocal queued_total
+        def try_dispatch(inst: _ServeInst, now: float) -> None:
+            nonlocal depth
             if inst.down or inst.busy_until > now + _EPS or not inst.queue:
                 return
             iq = inst.queue
@@ -467,7 +365,7 @@ class ServeEngine(Simulation):
             if inst.in_flight is not None:
                 return  # completes within _EPS; its free event dispatches
             batch = [iq.popleft() for _ in range(size)]
-            queued_total -= size
+            depth -= size
             switched = inst.resident != model
             if switched:
                 inst.cost.svc.config(model)  # validate before residency
@@ -486,31 +384,11 @@ class ServeEngine(Simulation):
             if emit is not None:
                 emit(("dispatch", now, inst.idx, model, size, switch_ms))
             push(complete_ms, _P_FREE, ("free", inst, inst.epoch))
-            sample((now, queued_total + len(pending)))
-
-        def route(req: Request, now: float) -> None:
-            """Queue ``req`` like a fresh arrival (requeue path).
-
-            Emits an observer-only ``requeue`` event — never appended
-            to the trace, so trace bytes match the legacy loop, but
-            metrics observers see displaced work re-enter a queue.
-            """
-            nonlocal queued_total
-            inst = pick(req, now)
-            if inst is None:
-                pending.append(req)
-                if note is not None:
-                    note(("requeue", now, req.rid, -1))
-                return
-            inst.queue.append(req)
-            queued_total += 1
-            inst.last_model = req.model
-            if note is not None:
-                note(("requeue", now, req.rid, inst.idx))
-            try_dispatch(inst, now)
+            sample((now, depth))
 
         def on_arrival(req: Request, now: float) -> None:
-            nonlocal queued_total
+            nonlocal depth
+            depth += 1
             if failing and dispatcher.down_count:
                 degraded[req.rid] = True
             inst = pick(req, now)
@@ -518,20 +396,19 @@ class ServeEngine(Simulation):
                 pending.append(req)
                 if emit is not None:
                     emit(("arrive", now, req.rid, req.model, -1))
-                sample((now, queued_total + len(pending)))
+                sample((now, depth))
                 return
             inst.queue.append(req)
-            queued_total += 1
             inst.last_model = req.model
             if emit is not None:
                 emit(("arrive", now, req.rid, req.model, inst.idx))
-            sample((now, queued_total + len(pending)))
+            sample((now, depth))
             try_dispatch(inst, now)
             if update is not None:
                 update(inst)
 
         def on_free(payload: tuple, now: float) -> None:
-            inst: _Inst = payload[1]
+            inst: _ServeInst = payload[1]
             if payload[2] != inst.epoch:
                 return  # batch aborted by a failure; event is stale
             model, size, t_disp, t_done, batch = inst.in_flight
@@ -550,61 +427,39 @@ class ServeEngine(Simulation):
             # busy state, queue head, and head age from scratch, so a
             # stale check either no-ops, re-arms for the current head,
             # or dispatches exactly what the policy would anyway.
-            inst: _Inst = payload[1]
+            inst: _ServeInst = payload[1]
             inst.pending_check = False
             try_dispatch(inst, now)
             if update is not None:
                 update(inst)
 
-        def on_fail(payload: tuple, now: float) -> None:
-            nonlocal queued_total
-            inst: _Inst = payload[1]
-            inst.down = True
-            inst.down_since = now
-            inst.failures += 1
-            dispatcher.down_count += 1
-            if emit is not None:
-                emit(("fail", now, inst.idx))
-            lost: List[Request] = []
-            if inst.in_flight is not None and inst.busy_until > now + _EPS:
-                # Abort the in-flight batch: refund the unserved tail of
-                # the busy window and requeue the members as retries.
-                inst.busy_ms -= inst.busy_until - now
-                inst.busy_until = now
-                inst.epoch += 1
-                batch = inst.in_flight[4]
-                inst.in_flight = None
-                for req in batch:
-                    retries[req.rid] = retries.get(req.rid, 0) + 1
-                lost.extend(batch)
-            inst.resident = None  # weights are lost with the instance
-            queued = list(inst.queue)
-            inst.queue.clear()
-            queued_total -= len(queued)
-            sample((now, queued_total + len(pending)))
-            for req in lost:
-                route(req, now)
-            for req in queued:
-                route(req, now)
-            assert injector is not None
-            push(now + injector.repair_duration_ms(inst.idx), _P_FAULT,
-                 ("recover", inst))
+        def displace(inst: _ServeInst, now: float):
+            """A fault aborts the in-flight batch: refund the unserved
+            tail of the busy window and requeue the members as retries
+            (a batch completing within ``_EPS`` still frees normally)."""
+            if inst.in_flight is None or inst.busy_until <= now + _EPS:
+                return ()
+            inst.busy_ms -= inst.busy_until - now
+            inst.busy_until = now
+            inst.epoch += 1
+            batch = inst.in_flight[4]
+            inst.in_flight = None
+            for req in batch:
+                retries[req.rid] = retries.get(req.rid, 0) + 1
+            return batch
 
-        def on_recover(payload: tuple, now: float) -> None:
-            inst: _Inst = payload[1]
-            inst.down = False
-            inst.downtime_ms += now - inst.down_since
-            dispatcher.down_count -= 1
-            if emit is not None:
-                emit(("recover", now, inst.idx))
-            assert injector is not None
-            t_fail = injector.next_failure_ms(inst.idx, now)
-            if t_fail is not None:
-                push(t_fail, _P_FAULT, ("fail", inst))
-            if pending:
-                parked, pending[:] = list(pending), []
-                for req in parked:
-                    route(req, now)
+        def restart(inst: _ServeInst, req: Request, now: float) -> None:
+            inst.last_model = req.model
+            try_dispatch(inst, now)
+
+        def shift(delta: int) -> int:
+            nonlocal depth
+            depth += delta
+            return depth
+
+        on_fail, on_recover = self._faults(
+            arrivals, _P_FAULT, emit, sample, pending, displace, restart,
+            shift)
 
         def handle(payload: tuple, now: float) -> None:
             kind = payload[0]
@@ -625,24 +480,11 @@ class ServeEngine(Simulation):
     # ------------------------------------------------------------------
     def _record_sink(self, retries: Dict[int, int],
                      degraded: Dict[int, bool]):
-        """Full detail: the trace, the sample list, and batch rows that
-        become one ``RequestRecord`` per request.
-
-        With nothing attached, ``emit`` *is* ``trace.append`` and
-        ``sample``/``complete`` are list appends — C calls, no Python
-        frame per event or per request.  An observer is forwarded every
-        trace tuple after it is logged.
-        """
+        """Full detail: the trace (:meth:`_tee`), the sample list, and
+        batch rows that become one ``RequestRecord`` per request — all
+        list appends, no Python frame per event or per request."""
         from ..serving.cluster import RequestRecord, SimulationResult
 
-        trace = self.trace
-        note = self.observer
-        if note is None:
-            emit = trace.append
-        else:
-            def emit(event, _append=trace.append, _obs=note):
-                _append(event)
-                _obs(event)
         samples: List[Tuple[float, int]] = []
         #: Completed batches: (model, idx, size, t_disp, t_done, batch).
         done: List[tuple] = []
@@ -666,18 +508,14 @@ class ServeEngine(Simulation):
             return SimulationResult(
                 records=records,
                 instances=self._instance_stats(),
-                n_instances=len(self.instances),
                 makespan_ms=makespan,
                 queue_samples=samples,
-                trace=trace,
-                scheduler=self.scheduler.name,
+                trace=self.trace,
                 batching=self.batching.name,
-                availability=self._availability(makespan),
-                total_failures=sum(i.failures for i in self.instances),
-                total_retries=sum(retries.values()),
+                **self._totals(makespan, retries),
             )
 
-        return emit, samples.append, done.append, result
+        return self._tee(), samples.append, done.append, result
 
     def _summary_sink(self, retries: Dict[int, int],
                       degraded: Dict[int, bool]):
@@ -691,26 +529,12 @@ class ServeEngine(Simulation):
         m_lats: Dict[str, List[float]] = {}
         m_wait: Dict[str, float] = {}
         m_sq: Dict[str, int] = {}
-        # Queue-depth step integral, same add order as
-        # slo._time_weighted_mean over the full sample list.
-        area = 0.0
-        prev_t = 0.0
-        cur_depth = 0
-        max_depth = 0
+        sample, depth_totals = _depth_integral()
         makespan = 0.0
         total_done = 0
         degraded_done = 0
         touched: Optional[List[float]] = (
             [] if self.failures is not None else None)
-
-        def sample(point: Tuple[float, int]) -> None:
-            nonlocal area, prev_t, cur_depth, max_depth
-            now, d = point
-            area += cur_depth * (now - prev_t)
-            prev_t = now
-            cur_depth = d
-            if d > max_depth:
-                max_depth = d
 
         def complete(row: tuple) -> None:
             nonlocal makespan, total_done, degraded_done
@@ -746,8 +570,8 @@ class ServeEngine(Simulation):
 
         def result():
             return self._build_summary(
-                total_done, makespan, m_lats, m_wait, m_sq, area, prev_t,
-                cur_depth, max_depth, retries, degraded_done, touched)
+                total_done, makespan, m_lats, m_wait, m_sq, *depth_totals(),
+                retries, degraded_done, touched)
 
         return self.observer, sample, complete, result
 
@@ -790,7 +614,7 @@ class ServeEngine(Simulation):
         # holds the queue head that ``pick`` would re-read.
         best = index.best if index is not None else None
 
-        def dispatch(inst: _Inst, now: float) -> None:
+        def dispatch(inst: _ServeInst, now: float) -> None:
             # try_dispatch with the idle/queue checks hoisted to
             # the call sites and the no-timeout policy constant-
             # folded: size is the same-model head prefix, capped.
@@ -828,7 +652,7 @@ class ServeEngine(Simulation):
 
         def free_event(head: tuple) -> None:
             nonlocal makespan, total_done
-            inst: _Inst = head[3][1]
+            inst: _ServeInst = head[3][1]
             model, size, t_disp, t_done, batch = inst.in_flight
             inst.in_flight = None
             inst.batches += 1
@@ -905,8 +729,6 @@ class ServeEngine(Simulation):
         return ServeSummary(
             total_requests=total_done,
             makespan_ms=makespan,
-            n_instances=len(self.instances),
-            scheduler=self.scheduler.name,
             batching=self.batching.name,
             model_lats=m_lats,
             model_wait_sum=m_wait,
@@ -916,11 +738,9 @@ class ServeEngine(Simulation):
             depth_last_t=prev_t,
             depth_last=cur_depth,
             max_queue_depth=max_depth,
-            availability=self._availability(makespan),
-            total_failures=sum(i.failures for i in self.instances),
-            total_retries=sum(retries.values()),
             degraded_count=degraded_done if failing else None,
             touched_lats=touched,
+            **self._totals(makespan, retries),
         )
 
     def _instance_stats(self) -> list:
@@ -935,12 +755,3 @@ class ServeEngine(Simulation):
                 failures=i.failures, downtime_ms=i.downtime_ms,
             ) for i in self.instances
         ]
-
-    def _availability(self, makespan: float) -> Optional[float]:
-        """Fleet availability over the run (``None`` without failures)."""
-        if self.failures is None:
-            return None
-        instances = self.instances
-        horizon = max(makespan, self.clock.now_ms)
-        return (1.0 - sum(i.downtime_ms for i in instances)
-                / (len(instances) * horizon) if horizon > 0 else 1.0)

@@ -32,8 +32,34 @@ from typing import Dict, List, Optional
 __all__ = ["ServeSummary", "GenerationSummary"]
 
 
+class _FleetTotals:
+    """Fleet-wide totals a run result derives from its per-instance
+    stats (full results and summaries of both workload classes)."""
+
+    @property
+    def total_switches(self) -> int:
+        return sum(i.switch_count for i in self.instances)
+
+    @property
+    def total_reprogram_time_ms(self) -> float:
+        return sum(i.reprogram_time_ms for i in self.instances)
+
+
+class _SummaryTotals(_FleetTotals):
+    """What both summaries add: closing the pre-integrated depth."""
+
+    def mean_queue_depth(self, horizon_ms: float) -> float:
+        """Close the depth integral at ``horizon_ms`` (same float-add
+        order as ``_time_weighted_mean`` over the full sample list)."""
+        if horizon_ms <= 0:
+            return 0.0
+        area = self.depth_area + self.depth_last * max(
+            0.0, horizon_ms - self.depth_last_t)
+        return area / horizon_ms
+
+
 @dataclass
-class ServeSummary:
+class ServeSummary(_SummaryTotals):
     """Accumulated metrics of one ``detail="summary"`` serve run.
 
     Field-for-field this is the information :func:`summarize` extracts
@@ -71,26 +97,9 @@ class ServeSummary:
     #: (``None`` when the run injected no failures).
     touched_lats: Optional[List[float]] = None
 
-    @property
-    def total_switches(self) -> int:
-        return sum(i.switch_count for i in self.instances)
-
-    @property
-    def total_reprogram_time_ms(self) -> float:
-        return sum(i.reprogram_time_ms for i in self.instances)
-
-    def mean_queue_depth(self, horizon_ms: float) -> float:
-        """Close the depth integral at ``horizon_ms`` (same float-add
-        order as ``_time_weighted_mean`` over the full sample list)."""
-        if horizon_ms <= 0:
-            return 0.0
-        area = self.depth_area + self.depth_last * max(
-            0.0, horizon_ms - self.depth_last_t)
-        return area / horizon_ms
-
 
 @dataclass
-class GenerationSummary:
+class GenerationSummary(_SummaryTotals):
     """Accumulated metrics of one ``detail="summary"`` generation run.
 
     Mirrors what :func:`repro.serving.slo.summarize_generation` reads
@@ -124,19 +133,3 @@ class GenerationSummary:
     total_failures: int = 0
     total_retries: int = 0
     total_preemptions: int = 0
-
-    @property
-    def total_switches(self) -> int:
-        return sum(i.switch_count for i in self.instances)
-
-    @property
-    def total_reprogram_time_ms(self) -> float:
-        return sum(i.reprogram_time_ms for i in self.instances)
-
-    def mean_queue_depth(self, horizon_ms: float) -> float:
-        """Close the depth integral at ``horizon_ms``."""
-        if horizon_ms <= 0:
-            return 0.0
-        area = self.depth_area + self.depth_last * max(
-            0.0, horizon_ms - self.depth_last_t)
-        return area / horizon_ms

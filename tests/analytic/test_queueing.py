@@ -46,10 +46,6 @@ class TestErlangC:
         with pytest.raises(ValueError):
             erlang_c(2, -0.1)
 
-    def test_surrogate_reexport_is_the_same_object(self):
-        from repro.dse.surrogate import erlang_c as legacy
-        assert legacy is erlang_c
-
     @settings(deadline=None)
     @given(st.integers(1, 64), st.floats(0.0, 60.0))
     def test_probability_monotone_in_servers(self, servers, erlangs):

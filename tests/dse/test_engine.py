@@ -128,7 +128,7 @@ class TestParallel:
 
     def test_explicit_chunk_size(self):
         result = explore(_space(4, 3), toy_eval, objectives=OBJS, jobs=2,
-                         chunk_size=5)
+                         batch_size=5)
         assert len(result.results) == 12
 
 

@@ -80,12 +80,6 @@ class TestReportIdentity:
         }
         assert len(blobs) == 1
 
-    def test_legacy_chunk_size_alias(self):
-        serial = explore(_space(), bumpy_eval, objectives=OBJS)
-        chunked = explore(_space(), bumpy_eval, objectives=OBJS,
-                          jobs=3, chunk_size=2)
-        assert report_blob(serial) == report_blob(chunked)
-
     @pytest.mark.parametrize("strategy,options", STRATEGIES)
     def test_prescreen_identical_across_shapes(self, strategy, options):
         """A prescreened sweep is deterministic too: survivor selection

@@ -19,11 +19,11 @@ from random import Random
 
 import pytest
 
+from repro.analytic.queueing import erlang_c
 from repro.dse import (
     Axis,
     Objective,
     SearchSpace,
-    erlang_c,
     evaluate_point,
     explore,
     get_objectives,

@@ -38,6 +38,17 @@ class TestModelMix:
         with pytest.raises(ValueError):
             ModelMix({"a": -1.0, "b": 2.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        """A NaN weight used to normalize every weight to NaN, so the
+        mix silently sampled only its last model."""
+        with pytest.raises(ValueError, match="finite"):
+            ModelMix({"a": bad, "b": 1.0})
+
+    def test_rejects_overflowing_total(self):
+        with pytest.raises(ValueError, match="finite"):
+            ModelMix({"a": 1e308, "b": 1e308})
+
 
 class TestPoisson:
     def test_deterministic_given_seed(self):
@@ -64,6 +75,12 @@ class TestPoisson:
         with pytest.raises(ValueError):
             PoissonArrivals(0, MIX)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rate(self, bad):
+        """``PoissonArrivals(nan).generate(1000)`` used to return []."""
+        with pytest.raises(ValueError, match="finite"):
+            PoissonArrivals(bad, MIX)
+
 
 class TestBursty:
     def test_deterministic_and_bounded(self):
@@ -87,6 +104,17 @@ class TestBursty:
         with pytest.raises(ValueError):
             BurstyArrivals(100, MIX, burst_fraction=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"qps": math.nan}, {"qps": math.inf},
+        {"burst_factor": math.nan}, {"burst_factor": math.inf},
+        {"burst_fraction": math.nan},
+        {"dwell_ms": math.nan}, {"dwell_ms": math.inf},
+    ])
+    def test_rejects_non_finite(self, kwargs):
+        args = {"qps": 100.0, **kwargs}
+        with pytest.raises(ValueError):
+            BurstyArrivals(mix=MIX, **args)
+
 
 class TestDiurnal:
     def test_deterministic(self):
@@ -99,6 +127,16 @@ class TestDiurnal:
         assert gen.rate_qps(500) == pytest.approx(100)    # mid-period peak
         for t in range(0, 1000, 50):
             assert 10 - 1e-9 <= gen.rate_qps(t) <= 100 + 1e-9
+
+    @pytest.mark.parametrize("kwargs", [
+        {"peak_qps": math.nan}, {"peak_qps": math.inf},
+        {"period_ms": math.nan}, {"period_ms": math.inf},
+        {"floor": math.nan},
+    ])
+    def test_rejects_non_finite(self, kwargs):
+        args = {"peak_qps": 100.0, **kwargs}
+        with pytest.raises(ValueError):
+            DiurnalArrivals(mix=MIX, **args)
 
     def test_peak_heavier_than_valley(self):
         reqs = DiurnalArrivals(400, MIX, seed=0, period_ms=2000).generate(2000)

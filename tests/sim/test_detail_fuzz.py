@@ -11,7 +11,13 @@ detail, each bare, observed and profiled — and the results must agree:
   trace bytes and the report unchanged, and it sees the same event
   stream at both levels;
 * **profiled == bare**: a profiler leaves the result unchanged, and it
-  counts the same events per kind at both levels.
+  counts the same events per kind at both levels;
+* **conservation** (:func:`_check_conservation`, the same helper for
+  both engines): every request completes exactly once, retries are
+  counted on records rather than duplicated, per-instance request
+  counts sum to the report total, no instance is busy longer than the
+  makespan, availability lies in [0, 1] on failure runs, and no
+  queue-depth sample is negative.
 
 Scenarios draw 1-3 models, fleets of 1-6 instances (with speeds and
 capability sets mixed in), every stock scheduler, no / fixed / timeout
@@ -108,6 +114,32 @@ def _check_fields(full, summ, n, where=""):
             assert _same(a, b), f"{where}{name}: full={a!r} summary={b!r}"
 
 
+def _check_conservation(sim, requests, full, summ, total):
+    """Invariants of the fleet substrate, whatever the workload class.
+
+    ``full``/``summ`` are the bare full- and summary-detail results and
+    ``total`` the report's request count.
+    """
+    rids = [r.rid for r in full.records]
+    assert sorted(rids) == sorted(q.rid for q in requests)
+    assert len(set(rids)) == len(rids)
+    assert full.total_retries == sum(r.retries for r in full.records)
+    assert summ.total_retries == full.total_retries
+    for run in (full, summ):
+        assert run.total_requests == total == len(requests)
+        assert sum(i.requests for i in run.instances) == total
+        for inst in run.instances:
+            assert 0.0 <= inst.busy_ms <= run.makespan_ms, (
+                f"instance {inst.index} busy {inst.busy_ms!r} ms over a "
+                f"{run.makespan_ms!r} ms makespan")
+        if sim.failures is None:
+            assert run.availability is None
+        else:
+            assert 0.0 <= run.availability <= 1.0
+    assert all(depth >= 0 for _, depth in full.queue_samples)
+    assert summ.depth_last >= 0
+
+
 def _observer(events):
     """A list tap plus the obs stack the CLI attaches."""
     return compose(events.append, MetricsSampler(grid_ms=10.0),
@@ -120,6 +152,7 @@ def _check_modes(sim, requests, report):
     summ = sim.run(requests, detail="summary")
     rep_full = report(full)
     _check_fields(rep_full, report(summ), rep_full.total_requests)
+    _check_conservation(sim, requests, full, summ, rep_full.total_requests)
 
     seen_full, seen_summ = [], []
     observed = sim.run(requests, observer=_observer(seen_full))

@@ -156,6 +156,12 @@ class TestServe:
         with pytest.raises(SystemExit, match="unknown model"):
             main(["serve", "--model", "not-a-model"])
 
+    def test_serve_non_finite_model_weight(self):
+        """A NaN weight used to exit 0 serving only the other model."""
+        with pytest.raises(SystemExit, match="invalid model mix"):
+            main(["serve", "--model", "model2-lhc-trigger:nan",
+                  "--model", "model1-peng-isqed21:1"])
+
     def test_serve_trace_unknown_model(self, tmp_path):
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps([[0.0, "not-a-model"]]))

@@ -1,49 +1,31 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+Commands regenerate the paper's artifacts (``table1``, ``table2``,
+``table3``, ``figure7``, ``scaling``, ``all``), describe the published
+instance (``summary``, ``power``, ``latency <model>``), simulate
+serving (``serve``, with ``--plan`` capacity search) and
+autoregressive generation (``generate``), split a model across FPGAs
+(``partition``), explore the design space (``dse``) and analyse
+exported artifacts (``obs diff`` / ``obs bench`` / ``obs
+trace-summary``).  ``docs/cli.md`` is the flag reference.
 
-* ``table1`` / ``table2`` / ``table3`` / ``figure7`` — regenerate one
-  evaluation artifact and print the paper-style table.
-* ``all`` — regenerate everything.
-* ``summary`` — synthesize the published instance and print its
-  resource/clock summary plus the BERT-variant headline numbers.
-* ``latency <model>`` — latency/GOPS of one model-zoo workload
-  (``--list`` to enumerate, ``--json`` for machine-readable output).
-* ``power`` — power/energy profile of the published instance.
-* ``serve`` — discrete-event multi-instance serving simulation
-  (scenario x batching x scheduler x fleet size); ``--plan`` searches
-  the minimum fleet meeting a p99 SLO, ``--heterogeneous`` describes
-  per-instance speed/capability fleets, ``--failures`` injects
-  MTBF/MTTR instance faults (availability + degraded-tail reporting).
-* ``partition`` — split one model across K FPGAs (pipeline + tensor
-  parallel) and report per-stage cycles, interconnect cost, fill
-  latency, and steady-state throughput; ``--gantt`` draws the
-  multi-device timeline.
-* ``scaling`` — the multi-FPGA scaling-curve experiment.
-* ``dse`` — multi-objective design-space exploration over
-  (tiles x format x model x partitioning x fleet); ``--jobs`` fans the
-  evaluations over a process pool, ``--resume`` reuses the on-disk
-  evaluation cache, ``--pareto`` restricts output to the frontier.
-* ``generate`` — autoregressive generation serving: token-level
-  continuous batching over a fleet, prompt/output length
-  distributions, TTFT/TPOT/goodput metrics (``--json``); also takes
-  ``--heterogeneous``/``--failures``, plus ``--priority`` for
-  priority admission with step-boundary preemption.
-* ``obs`` — observability analytics over exported artifacts:
-  ``obs diff`` compares two ``--json`` run exports and flags
-  significant regressions, ``obs bench`` trends the benchmark
-  history (``BENCH_results.json``) against rolling medians with
-  optional ``--gate`` expressions, ``obs trace-summary`` aggregates
-  a Chrome-trace export (top spans + alert timeline).
+``serve`` and ``generate`` share their common flags and one
+run-and-report path: observers (``--trace``, ``--metrics``,
+``--watch``, ``--profile``), ``--shards``, the run, summarize, exports
+and the ``--json`` or text report.
 
-``serve`` and ``generate`` also take ``--watch``: an online SLO
-watchdog (multi-window burn-rate alerting + anomaly detection) rides
-the run as a read-only observer and lands in the report.
+Exit status: 0 on success; 1 only when ``obs diff`` finds a regression
+or an ``obs bench`` gate is violated; 2 for bad input.  Every
+rejection of user input — a flag check here, a library constructor's
+``ValueError``, an unreadable input file, an argparse error — leaves
+through :func:`_usage_error` as one ``repro <cmd>: error: ...`` line
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -51,54 +33,102 @@ from typing import List, NoReturn, Optional
 
 __all__ = ["main", "build_parser"]
 
+_POLICIES = ("round-robin", "least-loaded", "model-affinity")
+_LINKS = ("aurora", "eth100g", "eth10g", "pcie4x8")
+_EXPERIMENTS = ("table1", "table2", "table3", "figure7", "scaling")
+
+
+def _usage_error(prog: str, message: str) -> NoReturn:
+    """Exit like an argparse usage error: one line on stderr, status 2."""
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argparse whose own errors take the same one-line exit-2 path."""
+
+    def error(self, message: str) -> NoReturn:
+        _usage_error(self.prog, message)
+
+
+def _add_run_flags(p: argparse.ArgumentParser, *, scenarios, qps: float,
+                   qps_help: str, instances: int, fleet_help: str,
+                   watch_help: str) -> None:
+    """The flags ``serve`` and ``generate`` share (help that differs is
+    passed in)."""
+    p.add_argument("--scenario", default="poisson", choices=scenarios)
+    p.add_argument("--qps", type=float, default=qps, help=qps_help)
+    p.add_argument("--instances", type=int, default=instances)
+    p.add_argument("--policy", default="least-loaded", choices=_POLICIES)
+    p.add_argument("--model", action="append", dest="models",
+                   metavar="NAME[:WEIGHT]",
+                   help="model-zoo entry in the request mix (repeatable; "
+                        "default model2-lhc-trigger)")
+    p.add_argument("--duration-ms", type=float, default=1000.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reprogram-ms", type=float, default=0.0,
+                   help="workload-switch penalty per instance")
+    p.add_argument("--heterogeneous", default=None, metavar="SPEC",
+                   help=fleet_help)
+    p.add_argument("--failures", default=None, metavar="MTBF:MTTR",
+                   help="inject instance faults: mean up-time and "
+                        "mean repair time in ms (e.g. 200:20)")
+    p.add_argument("--trace", default=None, metavar="PATH",
+                   help="write a Chrome-trace-event JSON of the run "
+                        "(open in chrome://tracing or Perfetto)")
+    p.add_argument("--metrics", default=None, metavar="PATH",
+                   help="write grid-sampled metrics (JSON, or CSV for "
+                        "*.csv paths)")
+    p.add_argument("--metrics-grid-ms", type=float, default=10.0,
+                   help="simulated-time sampling grid for --metrics")
+    p.add_argument("--watch", action="store_true", help=watch_help)
+    p.add_argument("--watch-window-ms", type=float, default=100.0,
+                   help="fast burn-rate window for --watch")
+    p.add_argument("--watch-slow-window-ms", type=float, default=500.0,
+                   help="slow burn-rate window for --watch")
+    p.add_argument("--watch-target", type=float, default=0.99,
+                   help="SLO attainment target for the --watch error "
+                        "budget (fraction in (0, 1))")
+    p.add_argument("--shards", type=int, default=1, metavar="N",
+                   help="partition the fleet into N independent cells "
+                        "and merge their summary reports (1 = the "
+                        "ordinary single-loop run)")
+    p.add_argument("--shard-jobs", type=int, default=None, metavar="J",
+                   help="run shard cells in J worker processes "
+                        "(>= 2; default: serially in-process)")
+    p.add_argument("--profile", action="store_true",
+                   help="report kernel wall time per event kind")
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="ProTEA reproduction — regenerate the paper's "
                     "tables/figures and query the models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("table1", "table2", "table3", "figure7", "scaling", "all",
-                 "summary", "power"):
+    for name in _EXPERIMENTS + ("all", "summary", "power"):
         sub.add_parser(name)
     lat = sub.add_parser("latency")
     lat.add_argument("model", nargs="?", default=None,
                      help="model-zoo key (omit with --list)")
     lat.add_argument("--list", action="store_true", dest="list_models")
-    lat.add_argument("--json", action="store_true", dest="as_json",
-                     help="machine-readable output")
 
     srv = sub.add_parser(
         "serve", help="simulate a multi-instance serving cluster")
-    srv.add_argument("--scenario", default="poisson",
-                     choices=("poisson", "bursty", "diurnal", "trace"))
-    srv.add_argument("--qps", type=float, default=100.0,
-                     help="offered load (peak qps for --scenario diurnal)")
-    srv.add_argument("--instances", type=int, default=4)
-    srv.add_argument("--policy", default="least-loaded",
-                     choices=("round-robin", "least-loaded",
-                              "model-affinity"))
-    srv.add_argument("--model", action="append", dest="models",
-                     metavar="NAME[:WEIGHT]",
-                     help="model-zoo entry in the request mix (repeatable; "
-                          "default model2-lhc-trigger)")
-    srv.add_argument("--duration-ms", type=float, default=1000.0)
-    srv.add_argument("--seed", type=int, default=0)
+    _add_run_flags(
+        srv, scenarios=("poisson", "bursty", "diurnal", "trace"),
+        qps=100.0, qps_help="offered load (peak qps for --scenario diurnal)",
+        instances=4,
+        fleet_help="per-instance fleet spec "
+                   "SPEED[xCOUNT][@MODEL[+MODEL..]],... (overrides "
+                   "--instances; e.g. '1.0x2,0.5@model2-lhc-trigger')",
+        watch_help="attach an SLO watchdog (burn-rate alerting + anomaly "
+                   "detection; requires --slo-ms)")
     srv.add_argument("--batch", default="none",
                      choices=("none", "fixed", "timeout"))
     srv.add_argument("--batch-size", type=int, default=8)
     srv.add_argument("--batch-timeout-ms", type=float, default=2.0)
-    srv.add_argument("--reprogram-ms", type=float, default=0.0,
-                     help="workload-switch penalty per instance")
-    srv.add_argument("--heterogeneous", default=None, metavar="SPEC",
-                     help="per-instance fleet spec "
-                          "SPEED[xCOUNT][@MODEL[+MODEL..]],... "
-                          "(overrides --instances; e.g. "
-                          "'1.0x2,0.5@model2-lhc-trigger')")
-    srv.add_argument("--failures", default=None, metavar="MTBF:MTTR",
-                     help="inject instance faults: mean up-time and "
-                          "mean repair time in ms (e.g. 200:20)")
     srv.add_argument("--slo-ms", type=float, default=None,
                      help="latency SLO for attainment reporting")
     srv.add_argument("--plan", action="store_true",
@@ -115,67 +145,25 @@ def build_parser() -> argparse.ArgumentParser:
                           "search")
     srv.add_argument("--trace-file", default=None,
                      help="JSON [[t_ms, model], ...] for --scenario trace")
-    srv.add_argument("--trace", default=None, metavar="PATH",
-                     help="write a Chrome-trace-event JSON of the run "
-                          "(open in chrome://tracing or Perfetto)")
-    srv.add_argument("--metrics", default=None, metavar="PATH",
-                     help="write grid-sampled metrics (JSON, or CSV for "
-                          "*.csv paths)")
-    srv.add_argument("--metrics-grid-ms", type=float, default=10.0,
-                     help="simulated-time sampling grid for --metrics")
-    srv.add_argument("--watch", action="store_true",
-                     help="attach an SLO watchdog (burn-rate alerting + "
-                          "anomaly detection; requires --slo-ms)")
-    srv.add_argument("--watch-window-ms", type=float, default=100.0,
-                     help="fast burn-rate window for --watch")
-    srv.add_argument("--watch-slow-window-ms", type=float, default=500.0,
-                     help="slow burn-rate window for --watch")
-    srv.add_argument("--watch-target", type=float, default=0.99,
-                     help="SLO attainment target for the --watch error "
-                          "budget (fraction in (0, 1))")
-    srv.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="partition the fleet into N independent cells "
-                          "and merge their summary reports (1 = the "
-                          "ordinary single-loop run)")
-    srv.add_argument("--shard-jobs", type=int, default=None, metavar="J",
-                     help="run shard cells in J worker processes "
-                          "(>= 2; default: serially in-process)")
-    srv.add_argument("--profile", action="store_true",
-                     help="report kernel wall time per event kind")
-    srv.add_argument("--json", action="store_true", dest="as_json")
 
     gen = sub.add_parser(
         "generate",
         help="autoregressive generation serving (continuous batching)")
-    gen.add_argument("--scenario", default="poisson",
-                     choices=("poisson", "bursty", "diurnal"))
-    gen.add_argument("--qps", type=float, default=20.0,
-                     help="offered request load (peak for diurnal)")
-    gen.add_argument("--instances", type=int, default=2)
+    _add_run_flags(
+        gen, scenarios=("poisson", "bursty", "diurnal"),
+        qps=20.0, qps_help="offered request load (peak for diurnal)",
+        instances=2,
+        fleet_help="per-instance fleet spec "
+                   "SPEED[/SLOTS][xCOUNT][@MODEL[+MODEL..]],... "
+                   "(overrides --instances)",
+        watch_help="attach an SLO watchdog on TTFT (burn-rate alerting + "
+                   "anomaly detection; requires --ttft-slo-ms)")
     gen.add_argument("--slots", type=int, default=8,
                      help="in-flight sequence slots per instance")
-    gen.add_argument("--policy", default="least-loaded",
-                     choices=("round-robin", "least-loaded",
-                              "model-affinity"))
-    gen.add_argument("--model", action="append", dest="models",
-                     metavar="NAME[:WEIGHT]",
-                     help="model-zoo entry in the request mix (repeatable; "
-                          "default model2-lhc-trigger)")
     gen.add_argument("--prompt-tokens", default="16", metavar="SPEC",
                      help="prompt length: N, LO:HI, or geo:LO:MEAN")
     gen.add_argument("--output-tokens", default="32", metavar="SPEC",
                      help="output length: N, LO:HI, or geo:LO:MEAN")
-    gen.add_argument("--duration-ms", type=float, default=1000.0)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--reprogram-ms", type=float, default=0.0,
-                     help="workload-switch penalty per instance")
-    gen.add_argument("--heterogeneous", default=None, metavar="SPEC",
-                     help="per-instance fleet spec "
-                          "SPEED[/SLOTS][xCOUNT][@MODEL[+MODEL..]],... "
-                          "(overrides --instances)")
-    gen.add_argument("--failures", default=None, metavar="MTBF:MTTR",
-                     help="inject instance faults: mean up-time and "
-                          "mean repair time in ms (e.g. 200:20)")
     gen.add_argument("--priority", type=float, default=None,
                      metavar="FRAC",
                      help="mark this fraction of requests high-priority "
@@ -185,35 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="time-to-first-token SLO for goodput")
     gen.add_argument("--tpot-slo-ms", type=float, default=None,
                      help="time-per-output-token SLO for goodput")
-    gen.add_argument("--trace", default=None, metavar="PATH",
-                     help="write a Chrome-trace-event JSON of the run "
-                          "(open in chrome://tracing or Perfetto)")
-    gen.add_argument("--metrics", default=None, metavar="PATH",
-                     help="write grid-sampled metrics (JSON, or CSV for "
-                          "*.csv paths)")
-    gen.add_argument("--metrics-grid-ms", type=float, default=10.0,
-                     help="simulated-time sampling grid for --metrics")
-    gen.add_argument("--watch", action="store_true",
-                     help="attach an SLO watchdog on TTFT (burn-rate "
-                          "alerting + anomaly detection; requires "
-                          "--ttft-slo-ms)")
-    gen.add_argument("--watch-window-ms", type=float, default=100.0,
-                     help="fast burn-rate window for --watch")
-    gen.add_argument("--watch-slow-window-ms", type=float, default=500.0,
-                     help="slow burn-rate window for --watch")
-    gen.add_argument("--watch-target", type=float, default=0.99,
-                     help="SLO attainment target for the --watch error "
-                          "budget (fraction in (0, 1))")
-    gen.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="partition the fleet into N independent cells "
-                          "and merge their summary reports (1 = the "
-                          "ordinary single-loop run)")
-    gen.add_argument("--shard-jobs", type=int, default=None, metavar="J",
-                     help="run shard cells in J worker processes "
-                          "(>= 2; default: serially in-process)")
-    gen.add_argument("--profile", action="store_true",
-                     help="report kernel wall time per event kind")
-    gen.add_argument("--json", action="store_true", dest="as_json")
 
     par = sub.add_parser(
         "partition", help="partition one model across K FPGAs")
@@ -223,12 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--tp", default="auto",
                      help="tensor-parallel ways per stage (int, or 'auto' "
                           "to search the best depth x width factorization)")
-    par.add_argument("--link", default="aurora",
-                     choices=("aurora", "eth100g", "eth10g", "pcie4x8"),
+    par.add_argument("--link", default="aurora", choices=_LINKS,
                      help="inter-device interconnect preset")
     par.add_argument("--gantt", type=int, default=0, metavar="ITEMS",
                      help="also draw the pipeline timeline for N items")
-    par.add_argument("--json", action="store_true", dest="as_json")
 
     dse = sub.add_parser(
         "dse", help="multi-objective design-space exploration")
@@ -264,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--duration-ms", type=float, default=300.0)
     dse.add_argument("--seed", type=int, default=0,
                      help="workload + strategy seed")
-    dse.add_argument("--link", default="aurora",
-                     choices=("aurora", "eth100g", "eth10g", "pcie4x8"),
+    dse.add_argument("--link", default="aurora", choices=_LINKS,
                      help="interconnect preset for devices > 1")
     dse.add_argument("--samples", type=int, default=16,
                      help="point budget for --strategy random")
@@ -299,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--profile", action="store_true",
                      help="report cache hit/miss counts, per-point eval "
                           "wall time, and per-worker dispatch/idle time")
-    dse.add_argument("--json", action="store_true", dest="as_json")
 
     obs = sub.add_parser(
         "obs", help="observability analytics over exported artifacts")
@@ -312,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="relative tolerance band (default 0.05)")
     od.add_argument("--atol", type=float, default=1e-9,
                     help="absolute tolerance floor (default 1e-9)")
-    od.add_argument("--json", action="store_true", dest="as_json")
     ob = obs_sub.add_parser(
         "bench", help="trend the benchmark history vs rolling medians")
     ob.add_argument("--results",
@@ -326,28 +280,33 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="METRIC<=VALUE",
                     help="fail (exit 1) when a metric's latest value "
                          "violates the bound (repeatable; also >=)")
-    ob.add_argument("--json", action="store_true", dest="as_json")
     ot = obs_sub.add_parser(
         "trace-summary",
         help="aggregate a Chrome-trace export (top spans, alerts)")
     ot.add_argument("trace", help="trace JSON written by --trace")
     ot.add_argument("--top", type=int, default=10,
                     help="span rows to show (default 10)")
-    ot.add_argument("--json", action="store_true", dest="as_json")
+    for p in (lat, srv, gen, par, dse, od, ob, ot):
+        p.add_argument("--json", action="store_true", dest="as_json",
+                       help="machine-readable output")
     return parser
 
 
-def _cmd_experiment(name: str) -> None:
+def _cmd_experiment(args) -> None:
+    """One paper artifact, or every one of them for ``all``."""
     from . import experiments
 
-    module = getattr(experiments, name)
-    print(module.render())
-    if name == "figure7":
-        print()
-        print(module.ascii_plot())
+    for name in _EXPERIMENTS if args.command == "all" else [args.command]:
+        module = getattr(experiments, name)
+        print(module.render())
+        if name == "figure7":
+            print()
+            print(module.ascii_plot())
+        if args.command == "all":
+            print()
 
 
-def _cmd_summary() -> None:
+def _cmd_summary(args) -> None:
     from .experiments.common import default_accelerator
     from .nn import BERT_VARIANT
 
@@ -359,14 +318,24 @@ def _cmd_summary() -> None:
           f"(paper: 279 ms, 53 GOPS)")
 
 
-def _cmd_latency(model: Optional[str], list_models: bool,
-                 as_json: bool = False) -> None:
+def _check_models(names, prefix: str = "") -> None:
+    """Reject names the model zoo lacks — as bad input, before
+    ``get_model`` raises a ``KeyError`` (which would be a traceback)."""
+    from .nn import MODEL_ZOO
+
+    unknown = sorted(set(names) - set(MODEL_ZOO))
+    if unknown:
+        raise ValueError(f"{prefix}unknown models {unknown}; "
+                         f"available: {sorted(MODEL_ZOO)}")
+
+
+def _cmd_latency(args) -> None:
     from .analysis.metrics import gops
     from .experiments.common import default_accelerator
     from .nn import MODEL_ZOO, get_model
 
-    if list_models or model is None:
-        if as_json:
+    if args.list_models or args.model is None:
+        if args.as_json:
             print(json.dumps({
                 name: {"seq_len": cfg.seq_len, "d_model": cfg.d_model,
                        "num_heads": cfg.num_heads,
@@ -378,10 +347,11 @@ def _cmd_latency(model: Optional[str], list_models: bool,
             print(f"{name:24s} SL={cfg.seq_len:4d} d={cfg.d_model:4d} "
                   f"h={cfg.num_heads} N={cfg.num_layers}")
         return
-    cfg = get_model(model)
+    _check_models([args.model])
+    cfg = get_model(args.model)
     accel = default_accelerator()
     rep = accel.latency_report(cfg)
-    if as_json:
+    if args.as_json:
         print(json.dumps({
             "model": cfg.name,
             "latency_ms": rep.latency_ms,
@@ -395,7 +365,7 @@ def _cmd_latency(model: Optional[str], list_models: bool,
           f"@ {accel.clock_mhz:.0f} MHz")
 
 
-def _cmd_power() -> None:
+def _cmd_power(args) -> None:
     from .analysis.metrics import gops
     from .analysis.traffic import analyze_traffic
     from .experiments.common import default_accelerator
@@ -419,65 +389,78 @@ def _cmd_power() -> None:
         print(f"  {name:24s} {tdp:6.1f} W")
 
 
-def _usage_error(command: str, message: str) -> NoReturn:
-    """Exit like an argparse usage error: one line on stderr, status 2."""
-    print(f"repro {command}: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
+def _read_input(path: str, what: str, loader=None):
+    """Load one input file (plain JSON unless a ``loader`` is given):
+    an unreadable or malformed one is bad input."""
+    try:
+        if loader is not None:
+            return loader(path)
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError
+        raise ValueError(f"cannot read {what}: {exc}") from None
 
 
-def _check_load_args(args) -> None:
-    """Reject load knobs and SLO targets that would hang a run or
-    report nothing.
+def _positive(value: float) -> bool:
+    return 0 < value < math.inf
 
-    An infinite ``--qps`` never finishes generating arrivals, and a NaN
-    one silently generates none; a NaN SLO is met by nothing (a
-    ``--plan`` search probes every fleet size) yet reads as attained.
-    All fail here instead, before any workload is built.
-    """
-    checks = (("--qps", args.qps), ("--duration-ms", args.duration_ms),
-              ("--slo-ms", getattr(args, "slo_ms", None)),
-              ("--ttft-slo-ms", getattr(args, "ttft_slo_ms", None)),
-              ("--tpot-slo-ms", getattr(args, "tpot_slo_ms", None)))
-    for flag, value in checks:
-        if value is not None and not (math.isfinite(value) and value > 0):
-            _usage_error(args.command,
-                         f"{flag} must be finite and > 0, got {value:g}")
-    timeout_ms = getattr(args, "batch_timeout_ms", 0.0)
-    if not (math.isfinite(timeout_ms) and timeout_ms >= 0):
-        _usage_error(args.command, "--batch-timeout-ms must be finite and "
-                     f">= 0, got {timeout_ms:g}")
+
+#: The numeric knobs checked before any workload is built:
+#: ``(flag, accepts(value), requirement)``; a command without the flag
+#: skips the row.  An infinite ``--qps`` never finishes generating
+#: arrivals and a NaN one generates none; a NaN SLO is met by nothing
+#: yet reads as attained; observer knobs are checked even while
+#: ``--metrics``/``--watch`` is off, so they cannot ride along unused.
+_KNOB_CHECKS = (
+    *((flag, _positive, "must be finite and > 0")
+      for flag in ("--qps", "--duration-ms", "--slo-ms", "--ttft-slo-ms",
+                   "--tpot-slo-ms")),
+    ("--batch-timeout-ms", lambda v: 0 <= v < math.inf,
+     "must be finite and >= 0"),
+    ("--metrics-grid-ms", _positive, "grid_ms must be positive and finite"),
+    ("--watch-window-ms", _positive,
+     "window widths must be positive and finite"),
+    ("--watch-slow-window-ms", _positive,
+     "window widths must be positive and finite"),
+    ("--watch-target", lambda v: 0 < v < 1,
+     "expected an attainment fraction in (0, 1)"),
+)
+
+
+def _check_knobs(args) -> None:
+    """Apply :data:`_KNOB_CHECKS` to the command's flags."""
+    for flag, accepts, requirement in _KNOB_CHECKS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not accepts(value):
+            raise ValueError(f"invalid {flag} {value:g}: {requirement}")
 
 
 def _parse_mix(entries: Optional[List[str]]):
     """``name[:weight]`` CLI entries → ModelMix (validates names)."""
-    from .nn import MODEL_ZOO
     from .serving import ModelMix
 
-    if not entries:
-        entries = ["model2-lhc-trigger"]
     weights = {}
-    for entry in entries:
+    for entry in entries or ["model2-lhc-trigger"]:
         name, _, w = entry.partition(":")
-        if name not in MODEL_ZOO:
-            raise SystemExit(
-                f"unknown model {name!r}; available: {sorted(MODEL_ZOO)}")
         try:
             weight = float(w) if w else 1.0
         except ValueError:
-            raise SystemExit(
+            raise ValueError(
                 f"invalid weight {w!r} in --model {entry!r} "
                 "(expected NAME or NAME:FLOAT)") from None
         weights[name] = weights.get(name, 0.0) + weight
-    try:
-        return ModelMix(weights)
-    except ValueError as exc:  # e.g. negative weights
-        raise SystemExit(f"invalid model mix: {exc}") from None
+    _check_models(weights)
+    return ModelMix(weights)
 
 
-def _build_workload(args, mix):
+def _workload(args):
+    """Validate the load knobs, then build (accelerator, arrivals)."""
+    from .experiments.common import default_accelerator
     from .serving import (BurstyArrivals, DiurnalArrivals, PoissonArrivals,
                           TraceReplay)
 
+    _check_knobs(args)
+    mix = _parse_mix(args.models)
     if args.scenario == "poisson":
         gen = PoissonArrivals(args.qps, mix, seed=args.seed)
     elif args.scenario == "bursty":
@@ -486,47 +469,30 @@ def _build_workload(args, mix):
         gen = DiurnalArrivals(args.qps, mix, seed=args.seed,
                               period_ms=args.duration_ms)
     else:  # trace
-        from .nn import MODEL_ZOO
-
         if not args.trace_file:
-            raise SystemExit("--scenario trace requires --trace-file")
-        with open(args.trace_file) as fh:
-            events = [(float(t), str(m)) for t, m in json.load(fh)]
-        unknown = sorted({m for _, m in events} - set(MODEL_ZOO))
-        if unknown:
-            raise SystemExit(
-                f"trace names unknown models {unknown}; "
-                f"available: {sorted(MODEL_ZOO)}")
+            raise ValueError("--scenario trace requires --trace-file")
+        events = [(float(t), str(m)) for t, m in
+                  _read_input(args.trace_file, "--trace-file")]
+        _check_models({m for _, m in events}, "trace names ")
         gen = TraceReplay(events)
-    return gen.generate(args.duration_ms)
+    requests = gen.generate(args.duration_ms)
+    return default_accelerator(), requests
 
 
 def _parse_fleet(args, requests, generation: bool):
-    """``--heterogeneous`` / ``--failures`` → (FleetSpec, FailurePlan).
-
-    Validates eagerly — unknown pinned models, capability sets that
-    leave part of the workload unservable, and serve-mode ``/SLOTS``
-    entries all exit with a message here instead of crashing the
-    simulation mid-run.
-    """
+    """``--heterogeneous`` / ``--failures`` → (FleetSpec, FailurePlan),
+    rejecting unknown pinned models, unservable capability sets and
+    serve-mode ``/SLOTS`` entries before the simulation starts."""
     from .nn import MODEL_ZOO
     from .sim import FailurePlan, FleetSpec
 
     fleet = failures = None
     if args.heterogeneous:
-        try:
-            fleet = FleetSpec.parse(args.heterogeneous)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        unknown = sorted(
-            {m for s in fleet.specs for m in (s.models or ())}
-            - set(MODEL_ZOO))
-        if unknown:
-            raise SystemExit(
-                f"--heterogeneous pins unknown models {unknown}; "
-                f"available: {sorted(MODEL_ZOO)}")
+        fleet = FleetSpec.parse(args.heterogeneous)
+        _check_models({m for s in fleet.specs for m in (s.models or ())},
+                      "--heterogeneous pins ")
         if not generation and any(s.slots is not None for s in fleet.specs):
-            raise SystemExit(
+            raise ValueError(
                 "--heterogeneous /SLOTS entries are a generate-mode "
                 "knob; the request-level serve simulation has no "
                 "sequence slots")
@@ -534,100 +500,31 @@ def _parse_fleet(args, requests, generation: bool):
             {r.model for r in requests}
             - {m for s in fleet.specs for m in (s.models or MODEL_ZOO)})
         if unservable:
-            raise SystemExit(
+            raise ValueError(
                 f"--heterogeneous leaves the workload's models "
                 f"{unservable} unservable: no instance's capability "
                 "set covers them")
     if args.failures:
-        try:
-            failures = FailurePlan.parse(args.failures, seed=args.seed)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
+        failures = FailurePlan.parse(args.failures, seed=args.seed)
     return fleet, failures
 
 
-def _make_observer(args, watch_slo_ms=None, watch_slo_flag="--slo-ms"):
-    """Build (observer, tracer, sampler, watchdog, profiler) from
-    serve/generate observability flags; everything is None when the
-    flags are off.
-
-    Knob values are validated eagerly — a bad grid or window width
-    exits with a message even when the flag that would consume it
-    (``--metrics``/``--watch``) is off, instead of silently riding
-    along until someone turns it on.
-    """
-    from .obs import (KernelProfiler, MetricsSampler, TraceRecorder,
-                      Watchdog, compose)
-
-    if args.metrics_grid_ms <= 0:
-        raise SystemExit(
-            f"invalid --metrics-grid-ms {args.metrics_grid_ms:g}: "
-            "grid_ms must be positive")
-    for flag, value in (("--watch-window-ms", args.watch_window_ms),
-                        ("--watch-slow-window-ms",
-                         args.watch_slow_window_ms)):
-        if value <= 0:
-            raise SystemExit(
-                f"invalid {flag} {value:g}: window widths must be "
-                "positive")
-    if args.watch_slow_window_ms < args.watch_window_ms:
-        raise SystemExit(
-            f"--watch-slow-window-ms ({args.watch_slow_window_ms:g}) "
-            f"must be >= --watch-window-ms ({args.watch_window_ms:g})")
-    if not 0.0 < args.watch_target < 1.0:
-        raise SystemExit(
-            f"invalid --watch-target {args.watch_target:g}: expected "
-            "an attainment fraction in (0, 1)")
-    tracer = TraceRecorder() if args.trace else None
-    sampler = (MetricsSampler(grid_ms=args.metrics_grid_ms)
-               if args.metrics else None)
-    watchdog = None
-    if args.watch:
-        if watch_slo_ms is None:
-            raise SystemExit(f"--watch requires {watch_slo_flag} "
-                             "(the SLO the watchdog guards)")
-        watchdog = Watchdog(slo_ms=watch_slo_ms, target=args.watch_target,
-                            fast_window_ms=args.watch_window_ms,
-                            slow_window_ms=args.watch_slow_window_ms)
-    profiler = KernelProfiler() if args.profile else None
-    return (compose(tracer, sampler, watchdog), tracer, sampler, watchdog,
-            profiler)
-
-
-def _dump_obs(args, tracer, sampler, run_config) -> None:
-    """Write --trace / --metrics exports, owning the exit message."""
-    try:
-        if tracer is not None:
-            tracer.dump(args.trace, run_config)
-        if sampler is not None:
-            sampler.registry.dump(args.metrics, run_config)
-    except OSError as exc:
-        raise SystemExit(
-            f"cannot write observability output: {exc}") from None
-
-
-def _run_config(args, command: str, fleet) -> dict:
+def _run_config(args, fleet) -> dict:
     """The knobs that reproduce this run (embedded in --json output,
     trace metadata, and metrics exports so they stay correlatable)."""
     from . import __version__
 
-    rc = {
-        "command": command,
-        "repro_version": __version__,
-        "scenario": args.scenario,
-        "qps": args.qps,
-        "duration_ms": args.duration_ms,
-        "seed": args.seed,
-        "policy": args.policy,
-        "models": list(args.models) if args.models else None,
-        "reprogram_ms": args.reprogram_ms,
-        "failures": args.failures,
-    }
+    rc = {"command": args.command, "repro_version": __version__,
+          "scenario": args.scenario, "qps": args.qps,
+          "duration_ms": args.duration_ms, "seed": args.seed,
+          "policy": args.policy,
+          "models": list(args.models) if args.models else None,
+          "reprogram_ms": args.reprogram_ms, "failures": args.failures}
     if fleet is not None:
         rc["fleet"] = fleet.describe()
     else:
         rc["instances"] = args.instances
-    if command == "serve":
+    if args.command == "serve":
         rc.update(batch=args.batch, batch_size=args.batch_size,
                   batch_timeout_ms=args.batch_timeout_ms,
                   slo_ms=args.slo_ms)
@@ -645,25 +542,21 @@ def _run_config(args, command: str, fleet) -> dict:
 
 
 def _shard_kwargs(args, observing: bool) -> dict:
-    """Validate ``--shards``/``--shard-jobs`` into simulate() kwargs.
-
-    ``--shards 1`` (the default) is the ordinary single-loop run;
-    anything larger switches to the summary-detail sharded path, which
-    a :func:`summarize`/:func:`summarize_generation` call consumes the
-    same way it consumes a full result.
-    """
+    """Validate ``--shards``/``--shard-jobs`` into simulate() kwargs:
+    none for ``--shards 1`` (the ordinary single-loop run), the
+    summary-detail sharded path for anything larger."""
     if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
+        raise ValueError("--shards must be >= 1")
     if args.shards == 1:
         if args.shard_jobs is not None:
-            raise SystemExit("--shard-jobs needs --shards > 1")
+            raise ValueError("--shard-jobs needs --shards > 1")
         return {}
     if args.profile:
-        raise SystemExit(
+        raise ValueError(
             "--profile times one event loop and cannot span --shards "
             "cells; profile a --shards 1 run")
     if observing and args.shard_jobs is not None and args.shard_jobs >= 2:
-        raise SystemExit(
+        raise ValueError(
             "--trace/--metrics/--watch observers cannot cross "
             "--shard-jobs processes; drop --shard-jobs to run the "
             "cells serially in-process")
@@ -671,36 +564,97 @@ def _shard_kwargs(args, observing: bool) -> dict:
             "shard_jobs": args.shard_jobs}
 
 
+def _run_and_report(args, fleet, simulate, summarize, render,
+                    json_head: Optional[dict] = None,
+                    json_tail: Optional[dict] = None) -> None:
+    """The run path ``serve`` and ``generate`` share: observers, shard
+    kwargs, ``simulate(observer=, profiler=, **shard_kwargs)``,
+    ``summarize(result, watch=)``, exports, then the ``--json`` envelope
+    (``json_head`` keys after ``seed``, ``json_tail`` keys after
+    ``fleet``) or ``render(report)`` plus the ``--profile`` table."""
+    from .obs import (KernelProfiler, MetricsSampler, TraceRecorder,
+                      Watchdog, compose)
+
+    if args.watch_slow_window_ms < args.watch_window_ms:
+        raise ValueError(
+            f"--watch-slow-window-ms ({args.watch_slow_window_ms:g}) "
+            f"must be >= --watch-window-ms ({args.watch_window_ms:g})")
+    tracer = TraceRecorder() if args.trace else None
+    sampler = (MetricsSampler(grid_ms=args.metrics_grid_ms)
+               if args.metrics else None)
+    watchdog = None
+    if args.watch:
+        slo_flag, slo_ms = (("--slo-ms", args.slo_ms)
+                            if args.command == "serve"
+                            else ("--ttft-slo-ms", args.ttft_slo_ms))
+        if slo_ms is None:
+            raise ValueError(f"--watch requires {slo_flag} "
+                             "(the SLO the watchdog guards)")
+        watchdog = Watchdog(slo_ms=slo_ms, target=args.watch_target,
+                            fast_window_ms=args.watch_window_ms,
+                            slow_window_ms=args.watch_slow_window_ms)
+    profiler = KernelProfiler() if args.profile else None
+    observer = compose(tracer, sampler, watchdog)
+    shard_kwargs = _shard_kwargs(args, observing=observer is not None)
+    run_cfg = _run_config(args, fleet)
+    result = simulate(observer=observer, profiler=profiler, **shard_kwargs)
+    report = summarize(
+        result, watch=watchdog.summary() if watchdog is not None else None)
+    if watchdog is not None and tracer is not None:
+        watchdog.annotate(tracer)
+    try:
+        if tracer is not None:
+            tracer.dump(args.trace, run_cfg)
+        if sampler is not None:
+            sampler.registry.dump(args.metrics, run_cfg)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write observability output: {exc}") from None
+    if args.as_json:
+        out = {"scenario": args.scenario, "qps": args.qps,
+               "duration_ms": args.duration_ms, "seed": args.seed,
+               **(json_head or {}),
+               "reprogram_ms": args.reprogram_ms,
+               "run_config": run_cfg}
+        if fleet is not None:
+            out["fleet"] = fleet.describe()
+        out.update(json_tail or {})
+        out.update(report.as_dict())
+        if profiler is not None:
+            out["profile"] = profiler.as_dict()
+        print(json.dumps(out, indent=2))
+    else:
+        print(render(report))
+        if profiler is not None:
+            from .obs import render_kernel_profile
+
+            print()
+            print(render_kernel_profile(profiler))
+
+
 def _cmd_serve(args) -> None:
-    from .experiments.common import default_accelerator
     from .serving import (get_batching, plan_capacity, render_capacity_plan,
                           render_serving_report, simulate, summarize)
 
-    _check_load_args(args)
-    mix = _parse_mix(args.models)
-    requests = _build_workload(args, mix)
-    accel = default_accelerator()
-    try:
-        batching = get_batching(args.batch, args.batch_size,
-                                args.batch_timeout_ms)
-    except ValueError as exc:
-        _usage_error("serve", str(exc))
+    accel, requests = _workload(args)
+    batching = get_batching(args.batch, args.batch_size,
+                            args.batch_timeout_ms)
     fleet, failures = _parse_fleet(args, requests, generation=False)
 
     if args.plan:
         if fleet is not None:
-            raise SystemExit(
+            raise ValueError(
                 "--plan searches fleet *size* and cannot honor a fixed "
                 "--heterogeneous spec")
         if args.slo_ms is None:
-            raise SystemExit("--plan requires --slo-ms")
+            raise ValueError("--plan requires --slo-ms")
         if args.trace or args.metrics or args.profile or args.watch:
-            raise SystemExit(
+            raise ValueError(
                 "--trace/--metrics/--profile/--watch instrument a "
                 "single run and cannot observe a --plan search "
                 "(many runs)")
         if args.analytic_only and args.confirm == "probe":
-            raise SystemExit(
+            raise ValueError(
                 "--analytic-only skips the confirming simulations that "
                 "--confirm probe asks for; drop one of the two")
         # The confirming probes run summary-detail, so they can shard:
@@ -712,18 +666,15 @@ def _cmd_serve(args) -> None:
         # sits below nominal, and the nominal gate could never be met.
         realized_qps = (len(requests) / args.duration_ms * 1e3
                         if args.scenario != "trace" and requests else None)
-        try:
-            plan = plan_capacity(
-                accel, requests, target_p99_ms=args.slo_ms,
-                target_qps=realized_qps,
-                scheduler=args.policy, batching=batching,
-                reprogram_latency_ms=args.reprogram_ms,
-                failures=failures,
-                mode=args.confirm, confirm=not args.analytic_only,
-                shards=shard_kwargs.get("shards", 1),
-                shard_jobs=shard_kwargs.get("shard_jobs"))
-        except ValueError as exc:
-            _usage_error("serve", str(exc))
+        plan = plan_capacity(
+            accel, requests, target_p99_ms=args.slo_ms,
+            target_qps=realized_qps,
+            scheduler=args.policy, batching=batching,
+            reprogram_latency_ms=args.reprogram_ms,
+            failures=failures,
+            mode=args.confirm, confirm=not args.analytic_only,
+            shards=shard_kwargs.get("shards", 1),
+            shard_jobs=shard_kwargs.get("shard_jobs"))
         if args.as_json:
             out = {
                 "instances": plan.instances,
@@ -742,124 +693,57 @@ def _cmd_serve(args) -> None:
         return
 
     if args.analytic_only or args.confirm != "analytic":
-        raise SystemExit(
+        raise ValueError(
             "--analytic-only/--confirm steer a --plan search; add --plan")
-
-    observer, tracer, sampler, watchdog, profiler = _make_observer(
-        args, watch_slo_ms=args.slo_ms, watch_slo_flag="--slo-ms")
-    shard_kwargs = _shard_kwargs(args, observing=observer is not None)
-    run_cfg = _run_config(args, "serve", fleet)
-    try:
-        result = simulate(
-            accel, requests, None if fleet else args.instances,
+    _run_and_report(
+        args, fleet,
+        simulate=functools.partial(
+            simulate, accel, requests, None if fleet else args.instances,
             scheduler=args.policy, batching=batching,
             reprogram_latency_ms=args.reprogram_ms,
-            fleet=fleet, failures=failures,
-            observer=observer, profiler=profiler, **shard_kwargs)
-    except ValueError as exc:  # e.g. --instances 0, --reprogram-ms -5
-        _usage_error("serve", str(exc))
-    report = summarize(
-        result, slo_ms=args.slo_ms,
-        watch=watchdog.summary() if watchdog is not None else None)
-    if watchdog is not None and tracer is not None:
-        watchdog.annotate(tracer)
-    _dump_obs(args, tracer, sampler, run_cfg)
-    n_inst = fleet.n if fleet else args.instances
-    if args.as_json:
-        out = {"scenario": args.scenario, "qps": args.qps,
-               "duration_ms": args.duration_ms, "seed": args.seed,
-               "reprogram_ms": args.reprogram_ms,
-               "run_config": run_cfg}
-        if fleet is not None:
-            out["fleet"] = fleet.describe()
-        out.update(report.as_dict())
-        if profiler is not None:
-            out["profile"] = profiler.as_dict()
-        print(json.dumps(out, indent=2))
-    else:
-        print(render_serving_report(
-            report,
+            fleet=fleet, failures=failures),
+        summarize=functools.partial(summarize, slo_ms=args.slo_ms),
+        render=functools.partial(
+            render_serving_report,
             title=(f"Serving: {args.scenario} @ {args.qps:g} qps, "
-                   f"{n_inst} instance(s), {args.policy}")))
-        if profiler is not None:
-            from .obs import render_kernel_profile
-
-            print()
-            print(render_kernel_profile(profiler))
+                   f"{fleet.n if fleet else args.instances} instance(s), "
+                   f"{args.policy}")))
 
 
 def _cmd_generate(args) -> None:
-    from .experiments.common import default_accelerator
     from .serving import (LengthSampler, attach_generation_lengths,
                           attach_priorities, render_generation_report,
                           simulate_generation, summarize_generation)
 
-    _check_load_args(args)
-    mix = _parse_mix(args.models)
-    arrivals = _build_workload(args, mix)
-    accel = default_accelerator()
-    try:
-        prompt = LengthSampler.parse(args.prompt_tokens)
-        output = LengthSampler.parse(args.output_tokens)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    accel, arrivals = _workload(args)
+    prompt = LengthSampler.parse(args.prompt_tokens)
+    output = LengthSampler.parse(args.output_tokens)
     fleet, failures = _parse_fleet(args, arrivals, generation=True)
     requests = attach_generation_lengths(
         arrivals, prompt, output, seed=args.seed,
         max_total=accel.synth.max_seq_len)
     if args.priority is not None:
-        try:
-            requests = attach_priorities(requests, args.priority,
-                                         seed=args.seed)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    observer, tracer, sampler, watchdog, profiler = _make_observer(
-        args, watch_slo_ms=args.ttft_slo_ms, watch_slo_flag="--ttft-slo-ms")
-    shard_kwargs = _shard_kwargs(args, observing=observer is not None)
-    run_cfg = _run_config(args, "generate", fleet)
-    try:
-        result = simulate_generation(
-            accel, requests, None if fleet else args.instances,
+        requests = attach_priorities(requests, args.priority, seed=args.seed)
+    _run_and_report(
+        args, fleet,
+        simulate=functools.partial(
+            simulate_generation, accel, requests,
+            None if fleet else args.instances,
             slots=args.slots, scheduler=args.policy,
             reprogram_latency_ms=args.reprogram_ms,
-            fleet=fleet, failures=failures,
-            observer=observer, profiler=profiler, **shard_kwargs)
-    except ValueError as exc:  # e.g. --instances 0, --slots 0
-        _usage_error("generate", str(exc))
-    report = summarize_generation(
-        result, ttft_slo_ms=args.ttft_slo_ms,
-        tpot_slo_ms=args.tpot_slo_ms,
-        watch=watchdog.summary() if watchdog is not None else None)
-    if watchdog is not None and tracer is not None:
-        watchdog.annotate(tracer)
-    _dump_obs(args, tracer, sampler, run_cfg)
-    n_inst = fleet.n if fleet else args.instances
-    if args.as_json:
-        out = {"scenario": args.scenario, "qps": args.qps,
-               "duration_ms": args.duration_ms, "seed": args.seed,
-               "prompt_tokens": args.prompt_tokens,
-               "output_tokens": args.output_tokens,
-               "reprogram_ms": args.reprogram_ms,
-               "run_config": run_cfg}
-        if fleet is not None:
-            out["fleet"] = fleet.describe()
-        if args.priority is not None:
-            out["priority_fraction"] = args.priority
-        out.update(report.as_dict())
-        if profiler is not None:
-            out["profile"] = profiler.as_dict()
-        print(json.dumps(out, indent=2))
-    else:
-        print(render_generation_report(
-            report,
+            fleet=fleet, failures=failures),
+        summarize=functools.partial(
+            summarize_generation, ttft_slo_ms=args.ttft_slo_ms,
+            tpot_slo_ms=args.tpot_slo_ms),
+        render=functools.partial(
+            render_generation_report,
             title=(f"Generation: {args.scenario} @ {args.qps:g} qps, "
-                   f"{n_inst} instance(s) x {args.slots} slot(s), "
-                   f"{args.policy}")))
-        if profiler is not None:
-            from .obs import render_kernel_profile
-
-            print()
-            print(render_kernel_profile(profiler))
+                   f"{fleet.n if fleet else args.instances} instance(s) "
+                   f"x {args.slots} slot(s), {args.policy}")),
+        json_head={"prompt_tokens": args.prompt_tokens,
+                   "output_tokens": args.output_tokens},
+        json_tail=({"priority_fraction": args.priority}
+                   if args.priority is not None else None))
 
 
 def _cmd_partition(args) -> None:
@@ -868,6 +752,9 @@ def _cmd_partition(args) -> None:
     from .nn import get_model
     from .parallel import PipelinePartitioner, get_link
 
+    _check_models([args.model])
+    if args.gantt < 0:
+        raise ValueError(f"--gantt must be >= 0 (0 = off), got {args.gantt}")
     cfg = get_model(args.model)
     accel = default_accelerator()
     partitioner = PipelinePartitioner(accel, get_link(args.link))
@@ -877,7 +764,7 @@ def _cmd_partition(args) -> None:
         try:
             tp = int(args.tp)
         except ValueError:
-            raise SystemExit(
+            raise ValueError(
                 f"invalid --tp {args.tp!r} (expected an integer or 'auto')"
             ) from None
         plan = partitioner.plan(cfg, args.devices, tp)
@@ -929,7 +816,7 @@ def _csv_ints(text: str, flag: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise SystemExit(
+        raise ValueError(
             f"invalid {flag} {text!r} (expected comma-separated "
             "integers)") from None
 
@@ -946,26 +833,26 @@ def _cmd_dse(args) -> None:
                                  WATCH_OBJECTIVE_NAMES)
 
     if args.jobs < 1:
-        raise SystemExit(f"invalid --jobs {args.jobs} (expected >= 1)")
+        raise ValueError(f"invalid --jobs {args.jobs} (expected >= 1)")
     if args.batch is not None and args.batch < 1:
-        raise SystemExit(f"invalid --batch {args.batch} (expected >= 1)")
+        raise ValueError(f"invalid --batch {args.batch} (expected >= 1)")
     if args.prescreen_keep is not None and not args.prescreen:
-        raise SystemExit("--prescreen-keep requires --prescreen")
-    _check_load_args(args)
-    try:
-        space = standard_space(
-            models=tuple(args.models or ("bert-variant",
-                                         "model2-lhc-trigger")),
-            tiles_mha=_csv_ints(args.tiles_mha, "--tiles-mha"),
-            tiles_ffn=_csv_ints(args.tiles_ffn, "--tiles-ffn"),
-            formats=_csv_strs(args.formats),
-            devices=_csv_ints(args.devices, "--devices"),
-            fleets=_csv_ints(args.fleet, "--fleet"),
-            schedulers=_csv_strs(args.schedulers),
-        )
+        raise ValueError("--prescreen-keep requires --prescreen")
+    _check_knobs(args)
+    axes = dict(
+        models=tuple(args.models or ("bert-variant", "model2-lhc-trigger")),
+        tiles_mha=_csv_ints(args.tiles_mha, "--tiles-mha"),
+        tiles_ffn=_csv_ints(args.tiles_ffn, "--tiles-ffn"),
+        formats=_csv_strs(args.formats),
+        devices=_csv_ints(args.devices, "--devices"),
+        fleets=_csv_ints(args.fleet, "--fleet"),
+        schedulers=_csv_strs(args.schedulers),
+    )
+    try:  # unknown names surface as KeyError from the registries
+        space = standard_space(**axes)
         objectives = get_objectives(_csv_strs(args.objectives))
     except (KeyError, ValueError) as exc:
-        raise SystemExit(f"invalid search space: {exc}") from None
+        raise ValueError(f"invalid search space: {exc}") from None
 
     cache = None
     if args.resume or args.cache_dir:
@@ -973,14 +860,12 @@ def _cmd_dse(args) -> None:
     # The generation and failure-injection simulations each add real
     # per-point cost: only pay for the ones whose objectives are asked.
     selected = {o.name for o in objectives}
-    needs_gen = bool(set(GENERATION_OBJECTIVE_NAMES) & selected)
-    needs_fail = bool(set(FAILURE_OBJECTIVE_NAMES) & selected)
-    needs_watch = bool(set(WATCH_OBJECTIVE_NAMES) & selected)
     settings = {"qps": args.qps, "duration_ms": args.duration_ms,
-                "seed": args.seed, "link": args.link,
-                "gen_objectives": needs_gen,
-                "fail_objectives": needs_fail,
-                "watch_objectives": needs_watch}
+                "seed": args.seed, "link": args.link}
+    for key, names in (("gen_objectives", GENERATION_OBJECTIVE_NAMES),
+                       ("fail_objectives", FAILURE_OBJECTIVE_NAMES),
+                       ("watch_objectives", WATCH_OBJECTIVE_NAMES)):
+        settings[key] = not selected.isdisjoint(names)
     strategy = args.strategy
     strategy_options = {"seed": args.seed, "samples": args.samples,
                         "population": args.population,
@@ -1024,17 +909,9 @@ def _cmd_obs(args) -> int:
     if args.obs_command == "diff":
         from .obs.diff import diff_runs, load_run, render_diff
 
-        try:
-            run_a = load_run(args.run_a)
-            run_b = load_run(args.run_b)
-        except (OSError, ValueError) as exc:
-            # ValueError also covers json.JSONDecodeError
-            raise SystemExit(f"cannot read run export: {exc}") from None
-        try:
-            report = diff_runs(run_a, run_b, rtol=args.rtol,
-                               atol=args.atol)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
+        run_a = _read_input(args.run_a, "run export", load_run)
+        run_b = _read_input(args.run_b, "run export", load_run)
+        report = diff_runs(run_a, run_b, rtol=args.rtol, atol=args.atol)
         if args.as_json:
             print(json.dumps(report.as_dict(), indent=2))
         else:
@@ -1047,21 +924,10 @@ def _cmd_obs(args) -> int:
                                         load_history, parse_gate,
                                         render_bench_trend)
 
-        try:
-            gates = [parse_gate(g) for g in (args.gates or [])]
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        try:
-            history = load_history(args.results)
-        except (OSError, ValueError) as exc:
-            # ValueError also covers json.JSONDecodeError
-            raise SystemExit(
-                f"cannot read benchmark history: {exc}") from None
-        try:
-            rows = bench_trend(history, window=args.window,
-                               rtol=args.rtol)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
+        gates = [parse_gate(g) for g in (args.gates or [])]
+        history = _read_input(args.results, "benchmark history",
+                              load_history)
+        rows = bench_trend(history, window=args.window, rtol=args.rtol)
         violations = check_gates(rows, gates)
         if args.as_json:
             print(json.dumps(
@@ -1078,17 +944,7 @@ def _cmd_obs(args) -> int:
     # trace-summary
     from .obs import render_trace_summary, summarize_trace
 
-    try:
-        with open(args.trace) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(f"cannot read trace: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"invalid trace JSON: {exc}") from None
-    try:
-        summary = summarize_trace(doc)
-    except ValueError as exc:
-        raise SystemExit(f"{args.trace}: {exc}") from None
+    summary = summarize_trace(_read_input(args.trace, "trace"))
     if args.as_json:
         print(json.dumps(summary, indent=2))
     else:
@@ -1096,33 +952,19 @@ def _cmd_obs(args) -> int:
     return 0
 
 
+_COMMANDS = {"all": _cmd_experiment, "summary": _cmd_summary,
+             "latency": _cmd_latency, "power": _cmd_power,
+             "serve": _cmd_serve, "generate": _cmd_generate,
+             "partition": _cmd_partition, "dse": _cmd_dse, "obs": _cmd_obs,
+             **dict.fromkeys(_EXPERIMENTS, _cmd_experiment)}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("table1", "table2", "table3", "figure7", "scaling"):
-        _cmd_experiment(args.command)
-    elif args.command == "all":
-        for name in ("table1", "table2", "table3", "figure7", "scaling"):
-            _cmd_experiment(name)
-            print()
-    elif args.command == "summary":
-        _cmd_summary()
-    elif args.command == "latency":
-        _cmd_latency(args.model, args.list_models, args.as_json)
-    elif args.command == "power":
-        _cmd_power()
-    elif args.command == "serve":
-        _cmd_serve(args)
-    elif args.command == "generate":
-        _cmd_generate(args)
-    elif args.command == "partition":
-        _cmd_partition(args)
-    elif args.command == "dse":
-        _cmd_dse(args)
-    elif args.command == "obs":
-        return _cmd_obs(args)
-    else:  # pragma: no cover - argparse enforces choices
-        return 2
-    return 0
+    try:
+        return _COMMANDS[args.command](args) or 0
+    except ValueError as exc:
+        _usage_error(f"repro {args.command}", str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -136,7 +136,7 @@ def diff_runs(run_a: dict, run_b: dict, rtol: float = 0.05,
     moves significantly when ``|b - a| > atol`` *and* ``|b - a| >
     rtol * |a|``.
     """
-    if rtol < 0 or atol < 0:
+    if not (rtol >= 0 and atol >= 0):  # NaN fails the comparison too
         raise ValueError(
             f"tolerances must be >= 0, got rtol={rtol}, atol={atol}")
     flat_a = flatten(run_a)

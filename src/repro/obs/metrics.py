@@ -232,8 +232,9 @@ class MetricsSampler:
 
     def __init__(self, grid_ms: float = 10.0,
                  registry: Optional[MetricsRegistry] = None) -> None:
-        if grid_ms <= 0:
-            raise ValueError(f"grid_ms must be > 0, got {grid_ms}")
+        if not 0 < grid_ms < math.inf:
+            raise ValueError(
+                f"grid_ms must be finite and > 0, got {grid_ms}")
         self.grid_ms = grid_ms
         self.registry = registry if registry is not None else MetricsRegistry()
         self._next_tick = 0.0

@@ -20,6 +20,7 @@ Policies (how the dispatcher forms a batch from an instance's FIFO):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
@@ -50,8 +51,12 @@ class BatchingPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.timeout_ms is not None and self.timeout_ms < 0:
-            raise ValueError("timeout_ms must be >= 0")
+        # A NaN deadline never fires (the run never returns) and an
+        # infinite one overflows the event calendar.
+        timeout_ms = self.timeout_ms
+        if timeout_ms is not None and not 0 <= timeout_ms < math.inf:
+            raise ValueError(
+                f"timeout_ms must be finite and >= 0, got {timeout_ms}")
 
     def decide(self, prefix_len: int, head_wait_ms: float) -> Optional[int]:
         """Batch size to dispatch now, or ``None`` to keep waiting.

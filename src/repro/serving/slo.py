@@ -226,6 +226,13 @@ _OUTPUT_TOKENS = attrgetter("output_tokens")
 _DEPTH = itemgetter(1)
 
 
+def _check_slo(name: str, slo_ms: Optional[float]) -> None:
+    """An SLO is optional, but a set one must be positive: a NaN one is
+    met by no request and would report 0% attainment."""
+    if slo_ms is not None and not slo_ms > 0:
+        raise ValueError(f"{name} must be > 0, got {slo_ms}")
+
+
 def summarize(result: Union[SimulationResult, ServeSummary],
               slo_ms: Optional[float] = None,
               watch: Optional[dict] = None) -> ServingReport:
@@ -247,6 +254,7 @@ def summarize(result: Union[SimulationResult, ServeSummary],
     watchdog that observed this run; it rides along into the report
     (and its ``--json``/text renders) untouched.
     """
+    _check_slo("slo_ms", slo_ms)
     if isinstance(result, ServeSummary):
         names = sorted(result.model_lats)
         if len(names) == 1:
@@ -510,6 +518,8 @@ def summarize_generation(
     ``watch`` is the :meth:`repro.obs.Watchdog.summary` dict of a
     watchdog that observed this run (see :func:`summarize`).
     """
+    _check_slo("ttft_slo_ms", ttft_slo_ms)
+    _check_slo("tpot_slo_ms", tpot_slo_ms)
     if isinstance(result, GenerationSummary):
         return _generation_report(
             result, result.total_requests, ttft_slo_ms, tpot_slo_ms, watch,
@@ -675,8 +685,9 @@ def plan_capacity(
     seeded per index, so probe fleets share fault draws and the search
     stays monotone in practice.
     """
-    if target_p99_ms <= 0:
-        raise ValueError("target_p99_ms must be positive")
+    if not target_p99_ms > 0:  # NaN fails the comparison too
+        raise ValueError(
+            f"target_p99_ms must be positive, got {target_p99_ms}")
     if not requests:
         raise ValueError("cannot plan capacity for an empty workload")
     if max_instances < 1:

@@ -105,8 +105,9 @@ class LengthSampler:
         hi = lo if hi is None else hi
         if hi < lo:
             raise ValueError("need hi >= lo")
-        if mean_extra < 0:
-            raise ValueError("mean_extra must be >= 0")
+        if not 0 <= mean_extra < math.inf:
+            raise ValueError(
+                f"mean_extra must be finite and >= 0, got {mean_extra!r}")
         self.kind = kind
         self.lo = lo
         self.hi = hi
@@ -126,7 +127,7 @@ class LengthSampler:
                            mean_extra=mean)
             if len(parts) == 2:
                 return cls("uniform", int(parts[0]), int(parts[1]))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # int(8 * inf) overflows
             raise ValueError(f"invalid length spec {spec!r}: {exc}") from None
         raise ValueError(
             f"invalid length spec {spec!r} (expected N, LO:HI, or "
@@ -230,8 +231,8 @@ class ModelMix:
         # a NaN weight would otherwise normalize every weight to NaN.
         if not (math.isfinite(total) and total > 0) or any(
                 not (math.isfinite(w) and w >= 0) for _, w in items):
-            raise ValueError("model mix weights must be finite and "
-                             f"non-negative, sum > 0, got {items!r}")
+            raise ValueError("invalid model mix: weights must be finite "
+                             f"and non-negative, sum > 0, got {items!r}")
         self.weights: List[Tuple[str, float]] = [
             (name, w / total) for name, w in items
         ]
@@ -266,6 +267,14 @@ class ArrivalProcess:
         raise NotImplementedError
 
 
+def _check_horizon(duration_ms: float) -> None:
+    """An open-ended process needs a finite horizon: ``inf`` would never
+    stop drawing arrivals, and NaN would silently draw none."""
+    if not 0 <= duration_ms < math.inf:
+        raise ValueError(
+            f"duration_ms must be finite and >= 0, got {duration_ms!r}")
+
+
 class PoissonArrivals(ArrivalProcess):
     """Constant-rate Poisson arrivals at ``qps`` requests/second."""
 
@@ -277,6 +286,7 @@ class PoissonArrivals(ArrivalProcess):
         self.seed = seed
 
     def generate(self, duration_ms: float) -> List[Request]:
+        _check_horizon(duration_ms)
         rng = random.Random(self.seed)
         rate_ms = self.qps / 1e3
         out: List[Tuple[float, str]] = []
@@ -328,6 +338,7 @@ class BurstyArrivals(ArrivalProcess):
         self.burst_qps = self.quiet_qps * burst_factor
 
     def generate(self, duration_ms: float) -> List[Request]:
+        _check_horizon(duration_ms)
         rng = random.Random(self.seed)
         f = self.burst_fraction
         dwell = {False: self.dwell_ms, True: self.dwell_ms * f / (1 - f)}
@@ -377,6 +388,7 @@ class DiurnalArrivals(ArrivalProcess):
         return self.peak_qps * (self.floor + (1 - self.floor) * shape)
 
     def generate(self, duration_ms: float) -> List[Request]:
+        _check_horizon(duration_ms)
         rng = random.Random(self.seed)
         peak_ms = self.peak_qps / 1e3
         out: List[Tuple[float, str]] = []
@@ -398,4 +410,6 @@ class TraceReplay(ArrivalProcess):
         self.events = list(events)
 
     def generate(self, duration_ms: float = math.inf) -> List[Request]:
+        if not duration_ms >= 0:  # a finite trace may replay to inf, not NaN
+            raise ValueError(f"duration_ms must be >= 0, got {duration_ms!r}")
         return _finalize((t, m) for t, m in self.events if t < duration_ms)

@@ -269,6 +269,8 @@ def run_sharded(sim, requests: Sequence, *, mode: str, shards: int,
     """
     if mode not in ("serve", "generate"):
         raise ValueError(f"unknown shard mode {mode!r}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"shard_jobs must be >= 1, got {jobs}")
     plan = ShardPlan.partition(sim.fleet, shards)
     cell_requests = plan.split_requests(requests)
     settings = {

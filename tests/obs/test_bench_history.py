@@ -95,6 +95,10 @@ class TestBenchTrend:
         with pytest.raises(ValueError, match="rtol"):
             bench_trend([], rtol=-1.0)
 
+    def test_nan_rtol_rejected(self):
+        with pytest.raises(ValueError, match="rtol"):
+            bench_trend([], rtol=float("nan"))
+
 
 class TestLoadHistory:
     def test_reads_array(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for run-to-run regression detection (repro.obs.diff)."""
 
 import json
+import math
 
 import pytest
 
@@ -91,6 +92,12 @@ class TestDiffRuns:
     def test_negative_tolerances_rejected(self):
         with pytest.raises(ValueError, match="tolerances"):
             diff_runs({}, {}, rtol=-0.1)
+
+    @pytest.mark.parametrize("tol", [{"rtol": math.nan}, {"atol": math.nan}])
+    def test_nan_tolerances_rejected(self, tol):
+        """A NaN band used to pass the ``< 0`` check and flag nothing."""
+        with pytest.raises(ValueError, match="tolerances"):
+            diff_runs({}, {}, **tol)
 
     def test_as_dict_round_trips_through_json(self):
         report = diff_runs({"p99_ms": 1.0}, {"p99_ms": 2.0})

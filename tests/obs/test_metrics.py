@@ -94,6 +94,12 @@ class TestRegistry:
 
 
 class TestSampler:
+    @pytest.mark.parametrize("grid_ms", [math.nan, math.inf])
+    def test_non_finite_grid_rejected(self, grid_ms):
+        """A NaN grid was accepted and sampled off-grid series."""
+        with pytest.raises(ValueError, match="grid_ms"):
+            MetricsSampler(grid_ms=grid_ms)
+
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_ms"):
             MetricsSampler(grid_ms=0.0)

@@ -1,5 +1,7 @@
 """Unit tests for batching policies and the batched service kernel."""
 
+import math
+
 import pytest
 
 from repro.nn import MODEL_ZOO, get_model
@@ -48,6 +50,13 @@ class TestPolicyDecisions:
             fixed_size(0)
         with pytest.raises(ValueError):
             timeout(4, -1.0)
+
+    @pytest.mark.parametrize("timeout_ms", [math.nan, math.inf])
+    def test_rejects_non_finite_timeout(self, timeout_ms):
+        """A NaN deadline never fires, so a run batching on it used to
+        never return; an infinite one overflowed the event calendar."""
+        with pytest.raises(ValueError, match="timeout_ms"):
+            timeout(4, timeout_ms)
 
 
 class TestServiceTimeModel:

@@ -1,5 +1,7 @@
 """Tests for serving metrics, SLO attainment, and capacity planning."""
 
+import math
+
 import pytest
 
 from repro.serving import (
@@ -96,6 +98,21 @@ class TestSummarize:
         assert summarize(res, slo_ms=1e-9).slo_attainment == 0.0
         assert summarize(res).slo_attainment is None
 
+    @pytest.mark.parametrize("slo_ms", [math.nan, 0.0, -1.0])
+    def test_rejects_unmeetable_slo(self, light_run, slo_ms):
+        """A NaN SLO used to report ``slo_attainment 0.0``."""
+        _, res = light_run
+        with pytest.raises(ValueError, match="slo_ms"):
+            summarize(res, slo_ms=slo_ms)
+
+    @pytest.mark.parametrize("which", ["ttft_slo_ms", "tpot_slo_ms"])
+    def test_generation_rejects_nan_slo(self, default_accel, which):
+        from repro.serving import simulate_generation, summarize_generation
+
+        result = simulate_generation(default_accel, [], 1)
+        with pytest.raises(ValueError, match=which):
+            summarize_generation(result, **{which: math.nan})
+
     def test_as_dict_round_trips_to_json(self, light_run):
         import json
 
@@ -158,6 +175,13 @@ class TestCapacityPlanning:
         with pytest.raises(RuntimeError, match="no fleet"):
             plan_capacity(default_accel, reqs, target_p99_ms=1e-6,
                           max_instances=4)
+
+    def test_nan_target_rejected(self, default_accel):
+        """A NaN target used to die with a ``TypeError`` inside the
+        analytic proposal."""
+        reqs = PoissonArrivals(100, MIX, seed=0).generate(100)
+        with pytest.raises(ValueError, match="target_p99_ms"):
+            plan_capacity(default_accel, reqs, target_p99_ms=math.nan)
 
     def test_empty_workload_rejected(self, default_accel):
         with pytest.raises(ValueError):

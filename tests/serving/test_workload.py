@@ -164,6 +164,27 @@ class TestTraceReplay:
         with pytest.raises(ValueError):
             TraceReplay([(-1.0, "a")])
 
+    def test_nan_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration_ms"):
+            TraceReplay([(1.0, "a")]).generate(math.nan)
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("process", [
+        PoissonArrivals(100, MIX), BurstyArrivals(100, MIX),
+        DiurnalArrivals(100, MIX),
+    ], ids=["poisson", "bursty", "diurnal"])
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_open_ended_process_needs_finite_horizon(self, process,
+                                                     duration):
+        """``generate(nan)`` used to return [] and ``generate(inf)``
+        never returned."""
+        with pytest.raises(ValueError, match="duration_ms"):
+            process.generate(duration)
+
+    def test_zero_horizon_is_empty(self):
+        assert PoissonArrivals(100, MIX).generate(0.0) == []
+
 
 class TestDegenerateDistributions:
     """Regression: degenerate (zero-variance / single-token) parameters
@@ -211,6 +232,16 @@ class TestDegenerateDistributions:
         sampler = LengthSampler("geometric", 1, 1, mean_extra=8.0)
         rng = random.Random(9)
         assert all(sampler.sample(rng) == 1 for _ in range(50))
+
+    @pytest.mark.parametrize("spec", ["geo:4:inf", "geo:4:nan"])
+    def test_non_finite_geometric_mean_rejected(self, spec):
+        """``geo:4:inf`` used to escape as an ``OverflowError``."""
+        from repro.serving import LengthSampler
+
+        with pytest.raises(ValueError, match="length spec"):
+            LengthSampler.parse(spec)
+        with pytest.raises(ValueError, match="mean_extra"):
+            LengthSampler("geometric", 4, 64, mean_extra=float(spec[6:]))
 
     def test_negative_mean_still_rejected(self):
         from repro.serving import LengthSampler

@@ -251,6 +251,14 @@ class TestShardedServe:
             sim.run(_requests(duration=50), detail="summary", shards=2,
                     profiler=KernelProfiler())
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_nonpositive_shard_jobs_rejected(self, default_accel, jobs):
+        """``shard_jobs=0`` used to run the cells serially in silence."""
+        sim = ClusterSimulator(default_accel, 2)
+        with pytest.raises(ValueError, match="shard_jobs"):
+            sim.run(_requests(duration=50), detail="summary", shards=2,
+                    shard_jobs=jobs)
+
     def test_observer_rejected_on_pool_path(self, default_accel):
         sim = ClusterSimulator(default_accel, 2)
         with pytest.raises(ValueError, match="cannot cross shard"):

@@ -7,6 +7,22 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _assert_usage_error(capsys, argv, needle):
+    """The one way the CLI rejects bad input: exit status 2, nothing on
+    stdout, and one ``repro <cmd>: error: ...`` line on stderr that
+    contains ``needle``.  Returns that line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"repro {argv[0]}: error: ")
+    assert needle in lines[0]
+    return lines[0]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -66,9 +82,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "bert-variant" in out
 
-    def test_latency_unknown_model(self):
-        with pytest.raises(KeyError):
-            main(["latency", "not-a-model"])
+    def test_latency_unknown_model(self, capsys):
+        _assert_usage_error(capsys, ["latency", "not-a-model"],
+                            "unknown models ['not-a-model']")
 
     def test_power(self, capsys):
         assert main(["power"]) == 0
@@ -135,9 +151,9 @@ class TestServe:
         assert blob["instances"] >= 1
         assert blob["report"]["latency_ms"]["p99"] <= 5.0
 
-    def test_serve_plan_requires_slo(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--plan"])
+    def test_serve_plan_requires_slo(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--plan"],
+                            "--plan requires --slo-ms")
 
     def test_serve_trace_scenario(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"
@@ -148,26 +164,27 @@ class TestServe:
         blob = json.loads(capsys.readouterr().out)
         assert blob["total_requests"] == 2
 
-    def test_serve_trace_requires_file(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--scenario", "trace"])
+    def test_serve_trace_requires_file(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--scenario", "trace"],
+                            "requires --trace-file")
 
-    def test_serve_unknown_model(self):
-        with pytest.raises(SystemExit, match="unknown model"):
-            main(["serve", "--model", "not-a-model"])
+    def test_serve_unknown_model(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--model", "not-a-model"],
+                            "unknown model")
 
-    def test_serve_non_finite_model_weight(self):
+    def test_serve_non_finite_model_weight(self, capsys):
         """A NaN weight used to exit 0 serving only the other model."""
-        with pytest.raises(SystemExit, match="invalid model mix"):
-            main(["serve", "--model", "model2-lhc-trigger:nan",
-                  "--model", "model1-peng-isqed21:1"])
+        _assert_usage_error(capsys, ["serve", "--model",
+                                     "model2-lhc-trigger:nan", "--model",
+                                     "model1-peng-isqed21:1"],
+                            "invalid model mix")
 
-    def test_serve_trace_unknown_model(self, tmp_path):
+    def test_serve_trace_unknown_model(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps([[0.0, "not-a-model"]]))
-        with pytest.raises(SystemExit, match="unknown models"):
-            main(["serve", "--scenario", "trace", "--trace-file",
-                  str(trace)])
+        _assert_usage_error(capsys, ["serve", "--scenario", "trace",
+                                     "--trace-file", str(trace)],
+                            "unknown models")
 
     def test_serve_plan_diurnal_succeeds(self, capsys):
         """--plan gates throughput on the realized (not nominal peak)
@@ -211,15 +228,16 @@ class TestServePlanKnobs:
         assert "analytic" not in probe
         assert default["analytic"]["instances"] >= 1
 
-    def test_analytic_only_conflicts_with_confirm_probe(self):
-        with pytest.raises(SystemExit, match="drop one of the two"):
-            main(self.PLAN + ["--analytic-only", "--confirm", "probe"])
+    def test_analytic_only_conflicts_with_confirm_probe(self, capsys):
+        _assert_usage_error(capsys, self.PLAN + ["--analytic-only",
+                                                 "--confirm", "probe"],
+                            "drop one of the two")
 
-    def test_knobs_require_plan(self):
-        with pytest.raises(SystemExit, match="add --plan"):
-            main(["serve", "--qps", "50", "--analytic-only"])
-        with pytest.raises(SystemExit, match="add --plan"):
-            main(["serve", "--qps", "50", "--confirm", "probe"])
+    def test_knobs_require_plan(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--qps", "50",
+                                     "--analytic-only"], "add --plan")
+        _assert_usage_error(capsys, ["serve", "--qps", "50", "--confirm",
+                                     "probe"], "add --plan")
 
 
 class TestServeSwitchTime:
@@ -299,18 +317,18 @@ class TestPartition:
             costs[link] = blob["interconnect"]["cycles_per_boundary"]
         assert costs["eth10g"] > costs["aurora"]
 
-    def test_invalid_tp_value(self):
-        with pytest.raises(SystemExit, match="invalid --tp"):
-            main(["partition", "bert-variant", "--tp", "many"])
+    def test_invalid_tp_value(self, capsys):
+        _assert_usage_error(capsys, ["partition", "bert-variant", "--tp",
+                                     "many"], "invalid --tp")
 
-    def test_unknown_model(self):
-        with pytest.raises(KeyError):
-            main(["partition", "not-a-model"])
+    def test_unknown_model(self, capsys):
+        _assert_usage_error(capsys, ["partition", "not-a-model"],
+                            "unknown models ['not-a-model']")
 
-    def test_too_deep_pipeline_raises(self):
-        with pytest.raises(ValueError, match="cannot pipeline"):
-            main(["partition", "model2-lhc-trigger", "-k", "8",
-                  "--tp", "1"])
+    def test_too_deep_pipeline_raises(self, capsys):
+        _assert_usage_error(capsys, ["partition", "model2-lhc-trigger",
+                                     "-k", "8", "--tp", "1"],
+                            "cannot pipeline")
 
 
 class TestDse:
@@ -399,21 +417,21 @@ class TestDse:
         assert 3 <= len(blob["results"]) <= 6
         assert blob["frontier"]
 
-    def test_unknown_model_rejected(self):
-        with pytest.raises(SystemExit, match="invalid search space"):
-            main(["dse", "--model", "not-a-model"])
+    def test_unknown_model_rejected(self, capsys):
+        _assert_usage_error(capsys, ["dse", "--model", "not-a-model"],
+                            "invalid search space")
 
-    def test_bad_axis_list_rejected(self):
-        with pytest.raises(SystemExit, match="--tiles-mha"):
-            main(["dse", "--tiles-mha", "8,many"])
+    def test_bad_axis_list_rejected(self, capsys):
+        _assert_usage_error(capsys, ["dse", "--tiles-mha", "8,many"],
+                            "--tiles-mha")
 
-    def test_unknown_objective_rejected(self):
-        with pytest.raises(SystemExit, match="invalid search space"):
-            main(["dse", "--objectives", "latency_ms,carbon"])
+    def test_unknown_objective_rejected(self, capsys):
+        _assert_usage_error(capsys, ["dse", "--objectives",
+                                     "latency_ms,carbon"],
+                            "invalid search space")
 
-    def test_invalid_jobs_rejected_cleanly(self):
-        with pytest.raises(SystemExit, match="invalid --jobs"):
-            main(["dse", "--jobs", "0"])
+    def test_invalid_jobs_rejected_cleanly(self, capsys):
+        _assert_usage_error(capsys, ["dse", "--jobs", "0"], "invalid --jobs")
 
 
 class TestScalingCommand:
@@ -463,9 +481,9 @@ class TestGenerate:
         assert "TTFT" in out and "TPOT" in out
         assert "goodput" in out
 
-    def test_bad_length_spec_rejected(self):
-        with pytest.raises(SystemExit, match="length spec"):
-            main(["generate", "--prompt-tokens", "nope"])
+    def test_bad_length_spec_rejected(self, capsys):
+        _assert_usage_error(capsys, ["generate", "--prompt-tokens", "nope"],
+                            "length spec")
 
 
 class TestScenarioFlags:
@@ -496,28 +514,27 @@ class TestScenarioFlags:
         assert out["priority_fraction"] == 0.3
         assert "failures" in out
 
-    def test_serve_rejects_bad_fleet_spec(self):
-        with pytest.raises(SystemExit, match="invalid fleet entry"):
-            main(["serve", "--heterogeneous", "nope"])
+    def test_serve_rejects_bad_fleet_spec(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--heterogeneous", "nope"],
+                            "invalid fleet entry")
 
-    def test_serve_rejects_slots_spec(self):
-        with pytest.raises(SystemExit, match="generate-mode"):
-            main(["serve", "--heterogeneous", "1.0/4"])
+    def test_serve_rejects_slots_spec(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--heterogeneous", "1.0/4"],
+                            "generate-mode")
 
-    def test_serve_rejects_uncovered_workload(self):
+    def test_serve_rejects_uncovered_workload(self, capsys):
         """Capability sets that leave the mix unservable exit before
         the simulation starts, not mid-run with a traceback."""
-        with pytest.raises(SystemExit, match="unservable"):
-            main(["serve", "--heterogeneous",
-                  "1.0@model1-peng-isqed21"])
+        _assert_usage_error(capsys, ["serve", "--heterogeneous",
+                                     "1.0@model1-peng-isqed21"], "unservable")
 
-    def test_serve_rejects_unknown_pinned_model(self):
-        with pytest.raises(SystemExit, match="unknown models"):
-            main(["serve", "--heterogeneous", "1.0@no-such-model"])
+    def test_serve_rejects_unknown_pinned_model(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--heterogeneous",
+                                     "1.0@no-such-model"], "unknown models")
 
-    def test_serve_rejects_bad_failure_spec(self):
-        with pytest.raises(SystemExit, match="invalid failure spec"):
-            main(["serve", "--failures", "150"])
+    def test_serve_rejects_bad_failure_spec(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--failures", "150"],
+                            "invalid failure spec")
 
     @pytest.mark.parametrize("argv, needle", [
         (["serve", "--heterogeneous", "inf"], "speed"),
@@ -531,32 +548,83 @@ class TestScenarioFlags:
         (["generate", "--failures", "100:nan"], "mttr_ms"),
     ])
     def test_rejects_non_finite_scenario_knobs(self, capsys, argv, needle):
-        """Non-finite speeds and fault rates exit with a message (a
-        ``SystemExit``, so no traceback) instead of reporting a run
-        that never injected them or dying in the RNG with a
-        ``ZeroDivisionError``."""
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--duration-ms", "50"])
-        message = str(exc.value.code)
-        assert needle in message and "finite" in message
-        assert capsys.readouterr().out == ""
+        """Non-finite speeds and fault rates exit with a message (no
+        traceback) instead of reporting a run that never injected them
+        or dying in the RNG with a ``ZeroDivisionError``."""
+        line = _assert_usage_error(capsys, argv + ["--duration-ms", "50"],
+                                   needle)
+        assert "finite" in line
 
-    def test_generate_rejects_bad_priority(self):
-        with pytest.raises(SystemExit, match="high_fraction"):
-            main(["generate", "--priority", "2.0",
-                  "--duration-ms", "100"])
+    def test_generate_rejects_bad_priority(self, capsys):
+        _assert_usage_error(capsys, ["generate", "--priority", "2.0",
+                                     "--duration-ms", "100"], "high_fraction")
 
-    def test_plan_conflicts_with_heterogeneous(self):
-        with pytest.raises(SystemExit, match="--plan"):
-            main(["serve", "--plan", "--slo-ms", "5",
-                  "--heterogeneous", "1.0x2"])
+    def test_plan_conflicts_with_heterogeneous(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--plan", "--slo-ms", "5",
+                                     "--heterogeneous", "1.0x2"], "--plan")
+
+
+#: Every numeric flag of serve, generate, dse and partition:
+#: ``(argv that puts the flag in play, flag, first out-of-range value or
+#: None when every finite value is valid, needle naming the knob)``.
+_RUN = ("--duration-ms=50",)
+NUMERIC_FLAGS = [
+    *((cmd, flag, bad, needle)
+      for cmd in (["serve", *_RUN], ["generate", *_RUN])
+      for flag, bad, needle in (
+          ("--qps", "0", "--qps"),
+          ("--instances", "0", "instance"),
+          ("--seed", None, "--seed"),
+          ("--reprogram-ms", "-1", "reprogram"),
+          ("--metrics-grid-ms", "0", "grid_ms"),
+          ("--watch-window-ms", "0", "--watch-window-ms"),
+          ("--watch-slow-window-ms", "0", "--watch-slow-window-ms"),
+          ("--watch-target", "1", "--watch-target"),
+          ("--shards", "0", "--shards"))),
+    (["serve"], "--duration-ms", "0", "--duration-ms"),
+    (["serve", *_RUN, "--batch=fixed"], "--batch-size", "0", "batch"),
+    (["serve", *_RUN, "--batch=timeout"], "--batch-timeout-ms", "-1",
+     "--batch-timeout-ms"),
+    (["serve", *_RUN], "--slo-ms", "0", "--slo-ms"),
+    (["serve", *_RUN, "--shards=2"], "--shard-jobs", "0", "shard"),
+    (["generate"], "--duration-ms", "0", "--duration-ms"),
+    (["generate", *_RUN], "--slots", "0", "slot"),
+    (["generate", *_RUN], "--priority", "1.5", "high_fraction"),
+    (["generate", *_RUN], "--ttft-slo-ms", "0", "--ttft-slo-ms"),
+    (["generate", *_RUN], "--tpot-slo-ms", "0", "--tpot-slo-ms"),
+    (["generate", *_RUN, "--shards=2"], "--shard-jobs", "0", "shard"),
+    (["dse"], "--qps", "0", "--qps"),
+    (["dse"], "--duration-ms", "0", "--duration-ms"),
+    (["dse"], "--seed", None, "--seed"),
+    (["dse", "--strategy=random"], "--samples", "0", "samples"),
+    (["dse", "--strategy=evolutionary"], "--population", "1",
+     "population"),
+    (["dse", "--strategy=evolutionary"], "--generations", "0",
+     "generations"),
+    (["dse"], "--jobs", "0", "--jobs"),
+    (["dse"], "--batch", "0", "--batch"),
+    (["dse", "--prescreen"], "--prescreen-keep", "0", "keep"),
+    (["partition", "model2-lhc-trigger"], "--devices", "0", "devices"),
+    (["partition", "model2-lhc-trigger"], "--tp", "0", "tp"),
+    (["partition", "model2-lhc-trigger"], "--gantt", "-1", "--gantt"),
+]
+
+
+def _numeric_cases():
+    """``(argv, needle)`` for NaN, +-inf and the first out-of-range
+    value of every flag in :data:`NUMERIC_FLAGS` (``--flag=value``, so
+    ``-inf`` reaches the flag instead of reading as an option)."""
+    for cmd, flag, bad, needle in NUMERIC_FLAGS:
+        for value in ("nan", "inf", "-inf") + ((bad,) if bad else ()):
+            yield cmd + [f"{flag}={value}"], needle
 
 
 class TestBadInputsExitTwo:
-    """Out-of-range load and fleet knobs fail like an argparse usage
+    """Out-of-range and non-finite knobs fail like an argparse usage
     error — exit status 2 and one line on stderr — instead of hanging
     (``--qps inf``), exiting 0 with an empty report (``--qps nan``) or
-    dumping a ``ValueError`` traceback (``--instances 0``)."""
+    dumping a traceback (``--instances 0``).  The table ends with every
+    numeric flag of :data:`NUMERIC_FLAGS`."""
 
     SMALL = ["--duration-ms", "50"]
 
@@ -603,17 +671,21 @@ class TestBadInputsExitTwo:
         (["dse", "--duration-ms", "-5"], "--duration-ms"),
         (["serve", "--reprogram-ms", "inf"] + SMALL, "reprogram"),
         (["generate", "--reprogram-ms", "nan"] + SMALL, "reprogram"),
+        # Cases that used to crash with a traceback or exit 0.
+        (["serve", "--watch", "--slo-ms", "5", "--watch-window-ms", "nan"]
+         + SMALL, "--watch-window-ms"),
+        (["serve", "--shards", "2", "--shard-jobs", "-1"] + SMALL,
+         "shard_jobs"),
+        (["serve", "--metrics-grid-ms", "nan", "--metrics", "m.json"]
+         + SMALL, "grid_ms"),
+        (["generate", "--prompt-tokens", "geo:4:inf"] + SMALL,
+         "length spec"),
+        (["serve", "--scenario", "trace", "--trace-file", "missing.json"],
+         "cannot read --trace-file"),
+        *_numeric_cases(),
     ])
     def test_rejected_with_exit_two(self, capsys, argv, needle):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"repro {argv[0]}: error: ")
-        assert needle in lines[0]
+        _assert_usage_error(capsys, argv, needle)
 
     def test_edge_values_still_run(self, capsys):
         """A zero batch timeout is a valid (dispatch-at-once) policy."""
@@ -702,20 +774,19 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert "Kernel profile" in out and "us/event" in out
 
-    def test_unwritable_trace_path_exits_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit,
-                           match="cannot write observability output"):
-            main(self.SERVE + ["--trace",
-                               str(tmp_path / "missing" / "t.json")])
+    def test_unwritable_trace_path_exits_cleanly(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing" / "t.json")
+        _assert_usage_error(capsys, self.SERVE + ["--trace", missing],
+                            "cannot write observability output")
 
-    def test_bad_metrics_grid_rejected(self):
-        with pytest.raises(SystemExit, match="grid_ms"):
-            main(self.SERVE + ["--metrics", "m.json",
-                               "--metrics-grid-ms", "0"])
+    def test_bad_metrics_grid_rejected(self, capsys):
+        _assert_usage_error(capsys, self.SERVE + ["--metrics", "m.json",
+                                                  "--metrics-grid-ms", "0"],
+                            "grid_ms")
 
-    def test_plan_rejects_observability_flags(self):
-        with pytest.raises(SystemExit, match="--plan"):
-            main(["serve", "--plan", "--slo-ms", "5", "--profile"])
+    def test_plan_rejects_observability_flags(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--plan", "--slo-ms", "5",
+                                     "--profile"], "--plan")
 
     def test_dse_profile_json(self, capsys):
         assert main(["dse", "--tiles-mha", "8", "--tiles-ffn", "3",
@@ -793,42 +864,42 @@ class TestWatchFlags:
                       if e.get("tid") == 10_000]
         assert alert_rows, "watch alerts must land on the alerts row"
 
-    def test_watch_requires_slo(self):
-        with pytest.raises(SystemExit, match="--watch requires --slo-ms"):
-            main(["serve", "--watch"])
-        with pytest.raises(SystemExit,
-                           match="--watch requires --ttft-slo-ms"):
-            main(["generate", "--watch"])
+    def test_watch_requires_slo(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--watch"],
+                            "--watch requires --slo-ms")
+        _assert_usage_error(capsys, ["generate", "--watch"],
+                            "--watch requires --ttft-slo-ms")
 
     @pytest.mark.parametrize("flag,value", [
         ("--watch-window-ms", "0"),
         ("--watch-window-ms", "-5"),
         ("--watch-slow-window-ms", "0"),
     ])
-    def test_watch_window_must_be_positive(self, flag, value):
-        with pytest.raises(SystemExit, match="window widths"):
-            main(self.SERVE + ["--watch", flag, value])
+    def test_watch_window_must_be_positive(self, capsys, flag, value):
+        _assert_usage_error(capsys, self.SERVE + ["--watch", flag, value],
+                            "window widths")
 
-    def test_watch_slow_window_must_dominate(self):
-        with pytest.raises(SystemExit, match="slow"):
-            main(self.SERVE + ["--watch", "--watch-window-ms", "200",
-                               "--watch-slow-window-ms", "100"])
+    def test_watch_slow_window_must_dominate(self, capsys):
+        _assert_usage_error(capsys, self.SERVE + ["--watch",
+                                                  "--watch-window-ms", "200",
+                                                  "--watch-slow-window-ms",
+                                                  "100"], "slow")
 
     @pytest.mark.parametrize("target", ["0", "1", "1.5", "-0.2"])
-    def test_watch_target_must_be_a_fraction(self, target):
-        with pytest.raises(SystemExit, match="target"):
-            main(self.SERVE + ["--watch", "--watch-target", target])
+    def test_watch_target_must_be_a_fraction(self, capsys, target):
+        _assert_usage_error(capsys, self.SERVE + ["--watch", "--watch-target",
+                                                  target], "target")
 
-    def test_plan_rejects_watch(self):
-        with pytest.raises(SystemExit, match="--plan"):
-            main(["serve", "--plan", "--slo-ms", "5", "--watch"])
+    def test_plan_rejects_watch(self, capsys):
+        _assert_usage_error(capsys, ["serve", "--plan", "--slo-ms", "5",
+                                     "--watch"], "--plan")
 
     @pytest.mark.parametrize("value", ["0", "-10"])
-    def test_metrics_grid_validated_eagerly(self, value):
+    def test_metrics_grid_validated_eagerly(self, capsys, value):
         # Rejected before the simulation runs, even with no --metrics
         # sink (the sampler is the watch window source too).
-        with pytest.raises(SystemExit, match="grid_ms must be positive"):
-            main(self.SERVE + ["--metrics-grid-ms", value])
+        _assert_usage_error(capsys, self.SERVE + ["--metrics-grid-ms", value],
+                            "grid_ms must be positive")
 
 
 class TestObsCommand:
@@ -867,16 +938,16 @@ class TestObsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False and doc["regressions"]
 
-    def test_diff_missing_file_exits_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot read run export"):
-            main(["obs", "diff", str(tmp_path / "a.json"),
-                  str(tmp_path / "b.json")])
+    def test_diff_missing_file_exits_cleanly(self, capsys, tmp_path):
+        _assert_usage_error(capsys, ["obs", "diff", str(tmp_path / "a.json"),
+                                     str(tmp_path / "b.json")],
+                            "cannot read run export")
 
-    def test_diff_malformed_json_exits_cleanly(self, tmp_path):
+    def test_diff_malformed_json_exits_cleanly(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
-        with pytest.raises(SystemExit, match="cannot read run export"):
-            main(["obs", "diff", str(bad), str(bad)])
+        _assert_usage_error(capsys, ["obs", "diff", str(bad), str(bad)],
+                            "cannot read run export")
 
     def test_bench_trend_on_committed_history(self, capsys):
         assert main(["obs", "bench"]) == 0
@@ -902,14 +973,14 @@ class TestObsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True and doc["violations"] == []
 
-    def test_bench_bad_gate_expression(self):
-        with pytest.raises(SystemExit, match="invalid gate"):
-            main(["obs", "bench", "--gate", "metric==1"])
+    def test_bench_bad_gate_expression(self, capsys):
+        _assert_usage_error(capsys, ["obs", "bench", "--gate", "metric==1"],
+                            "invalid gate")
 
-    def test_bench_missing_results_file(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot read"):
-            main(["obs", "bench", "--results",
-                  str(tmp_path / "none.json")])
+    def test_bench_missing_results_file(self, capsys, tmp_path):
+        _assert_usage_error(capsys, ["obs", "bench", "--results",
+                                     str(tmp_path / "none.json")],
+                            "cannot read")
 
     def test_trace_summary_text_and_json(self, tmp_path, capsys):
         trace = tmp_path / "run.trace.json"
@@ -923,15 +994,14 @@ class TestObsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["spans"] and doc["threads"]
 
-    def test_trace_summary_rejects_non_trace(self, tmp_path):
+    def test_trace_summary_rejects_non_trace(self, capsys, tmp_path):
         not_trace = tmp_path / "x.json"
         not_trace.write_text('{"hello": 1}')
-        with pytest.raises(SystemExit, match="traceEvents"):
-            main(["obs", "trace-summary", str(not_trace)])
+        _assert_usage_error(capsys, ["obs", "trace-summary", str(not_trace)],
+                            "traceEvents")
 
-    def test_obs_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            main(["obs"])
+    def test_obs_requires_subcommand(self, capsys):
+        _assert_usage_error(capsys, ["obs"], "obs_command")
 
 
 class TestShardsFlag:
@@ -961,23 +1031,25 @@ class TestShardsFlag:
         assert blob["total_requests"] > 0
         assert {"p50", "p95", "p99"} <= set(blob["ttft_ms"])
 
-    def test_shard_jobs_needs_shards(self):
-        with pytest.raises(SystemExit, match="needs --shards"):
-            main(self.SERVE + ["--shard-jobs", "2"])
+    def test_shard_jobs_needs_shards(self, capsys):
+        _assert_usage_error(capsys, self.SERVE + ["--shard-jobs", "2"],
+                            "needs --shards")
 
-    def test_nonpositive_shards_rejected(self):
-        with pytest.raises(SystemExit, match="--shards must be >= 1"):
-            main(self.SERVE + ["--shards", "0"])
+    def test_nonpositive_shards_rejected(self, capsys):
+        _assert_usage_error(capsys, self.SERVE + ["--shards", "0"],
+                            "--shards must be >= 1")
 
-    def test_profile_rejected_with_shards(self):
-        with pytest.raises(SystemExit, match="cannot span --shards"):
-            main(self.SERVE + ["--shards", "2", "--profile"])
+    def test_profile_rejected_with_shards(self, capsys):
+        _assert_usage_error(capsys, self.SERVE + ["--shards", "2",
+                                                  "--profile"],
+                            "cannot span --shards")
 
-    def test_observer_rejected_with_shard_jobs(self, tmp_path):
+    def test_observer_rejected_with_shard_jobs(self, capsys, tmp_path):
         trace = tmp_path / "t.json"
-        with pytest.raises(SystemExit, match="cannot cross"):
-            main(self.SERVE + ["--shards", "2", "--shard-jobs", "2",
-                               "--trace", str(trace)])
+        _assert_usage_error(capsys, self.SERVE + ["--shards", "2",
+                                                  "--shard-jobs", "2",
+                                                  "--trace", str(trace)],
+                            "cannot cross")
 
     def test_plan_threads_shards_through_probes(self, capsys):
         """--plan probes run summary-detail, so a sharded plan search
@@ -992,10 +1064,10 @@ class TestShardsFlag:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == first
 
-    def test_plan_shards_still_validated(self):
-        with pytest.raises(SystemExit, match="--shards must be >= 1"):
-            main(self.SERVE + ["--plan", "--slo-ms", "20",
-                               "--shards", "0"])
-        with pytest.raises(SystemExit, match="needs --shards"):
-            main(self.SERVE + ["--plan", "--slo-ms", "20",
-                               "--shard-jobs", "2"])
+    def test_plan_shards_still_validated(self, capsys):
+        _assert_usage_error(capsys, self.SERVE + ["--plan", "--slo-ms", "20",
+                                                  "--shards", "0"],
+                            "--shards must be >= 1")
+        _assert_usage_error(capsys, self.SERVE + ["--plan", "--slo-ms", "20",
+                                                  "--shard-jobs", "2"],
+                            "needs --shards")

@@ -10,8 +10,8 @@ lo/hi bracket the simulated answer must fall inside.
 
 Modules:
 
-* :mod:`~repro.analytic.queueing` — M/M/c Erlang-C wait tails
-  (promoted from ``repro.dse.surrogate``, which now re-exports them);
+* :mod:`~repro.analytic.queueing` — M/M/c Erlang-C wait tails (the
+  DSE surrogate imports its p99 estimate from here);
 * :mod:`~repro.analytic.envelope` — fluid approximations of concrete
   bursty/diurnal arrival envelopes;
 * :mod:`~repro.analytic.serving` — mixed-model serving estimates with

@@ -1,11 +1,11 @@
 """Closed-form M/M/c queueing: wait probabilities and latency tails.
 
 This module is the numerical core of :mod:`repro.analytic` — the
-Erlang machinery that PR 8 grew inside ``repro.dse.surrogate`` now
-promoted to a package of its own (the surrogate re-exports it for
-compatibility).  Everything here is a pure function of scalars, so the
-capacity planner can evaluate thousands of (fleet, load) candidates
-for less than the cost of dispatching one simulated batch.
+Erlang machinery behind the serving and generation estimates and the
+DSE surrogate's p99 estimate.  Everything here is a pure function of
+scalars, so the capacity planner can evaluate thousands of (fleet,
+load) candidates for less than the cost of dispatching one simulated
+batch.
 
 The latency model is ``latency = service + wait`` with the wait drawn
 from the M/M/c queueing-delay distribution::

@@ -19,7 +19,7 @@ or an ``obs bench`` gate is violated; 2 for bad input.  Every
 rejection of user input — a flag check here, a library constructor's
 ``ValueError``, an unreadable input file, an argparse error — leaves
 through :func:`_usage_error` as one ``repro <cmd>: error: ...`` line
-on stderr.
+on stderr (``repro obs <sub>: error: ...`` for the ``obs`` family).
 """
 
 from __future__ import annotations
@@ -963,8 +963,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args) or 0
-    except ValueError as exc:
-        _usage_error(f"repro {args.command}", str(exc))
+    except ValueError as exc:  # named like the parser that read the flag
+        sub = getattr(args, "obs_command", None)
+        _usage_error(f"repro {args.command}" + (f" {sub}" if sub else ""),
+                     str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

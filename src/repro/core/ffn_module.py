@@ -163,6 +163,14 @@ class FFNModule:
         cycles["total"] = sum(cycles.values())
         return cycles
 
+    def weight_bytes_per_tile(self) -> Dict[str, int]:
+        """Off-chip bytes of one weight tile of each engine (FFN3's PE
+        array is four accumulator groups wide, so its tile is 4x)."""
+        tile = self.synth.ts_ffn * self.synth.ts_ffn
+        elem = (self.formats.weight_bits + 7) // 8
+        return {"ffn1": tile * elem, "ffn2": tile * elem,
+                "ffn3": 4 * tile * elem}
+
     def weight_bytes(self, d_model: int) -> Dict[str, int]:
         """Per-engine off-chip weight traffic for one layer (runtime
         weights only — padding lanes are zero-gated, not loaded)."""

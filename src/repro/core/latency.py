@@ -22,6 +22,12 @@ maximum while only the reduction-dim tile count tracks the runtime
 the paper measures (Tests 6–7), where a naive model would predict
 quadratic.
 
+Prefill (:meth:`LatencyModel.layer_cycles`), a KV-cache decode step
+(:meth:`LatencyModel.decode_layer_cycles`) and one device's share of a
+head-wise tensor-parallel stage (``layer_cycles(..., tp=k)``) all price
+through one private function; only the engine cycle dicts and the input
+row count differ.  Tile byte sizes come from the engine modules.
+
 Each :class:`LatencyModel` memoizes its two entry points per synthesized
 instance: ``evaluate`` by ``(config, clock_mhz)`` and
 ``decode_layer_cycles`` by its arguments.  Reports are frozen, so a
@@ -213,75 +219,70 @@ class LatencyModel:
             return overlapped_cycles(phases).total
         return serialized_cycles(phases).total
 
-    def _ffn_stages(
-        self, d_model: int, ffn: Dict[str, int]
-    ) -> Tuple[Dict[str, int], Dict[str, int]]:
-        """FFN stage totals + load cycles (real weight tiles only)."""
-        synth = self.synth
-        elem = (self.attention.formats.weight_bits + 7) // 8
-        t_in = max(1, math.ceil(d_model / synth.ts_ffn))
-        ffn12_tile_bytes = synth.ts_ffn * synth.ts_ffn * elem
-        ffn3_tile_bytes = 4 * synth.ts_ffn * synth.ts_ffn * elem
-        grid = self.ffn.tile_grid(d_model)
-        real = {
-            "ffn1": t_in * t_in,
-            "ffn2": t_in * max(1, math.ceil(4 * d_model / synth.ts_ffn)),
-            "ffn3": t_in * t_in,
-        }
-        stages: Dict[str, int] = {}
-        loads: Dict[str, int] = {}
-        for name, tile_bytes in (("ffn1", ffn12_tile_bytes),
-                                 ("ffn2", ffn12_tile_bytes),
-                                 ("ffn3", ffn3_tile_bytes)):
-            inv = grid[name]
-            per_inv = ffn[name] // inv
-            n_loaded = min(real[name], inv)
-            load = self._xfer(tile_bytes)
-            loaded_part = self._stage(n_loaded, load, per_inv)
-            dry_part = (inv - n_loaded) * per_inv
-            stages[name] = loaded_part + dry_part
-            loads[name] = n_loaded * load
-        return stages, loads
-
     # ------------------------------------------------------------------
-    def layer_cycles(
-        self, seq_len: int, d_model: int, num_heads: int
-    ) -> LayerLatency:
-        """One encoder layer's full cycle breakdown."""
+    def _layer(self, att: Dict[str, int], ffn: Dict[str, int], rows: int,
+               d_model: int, num_heads: int, tp: int = 1) -> LayerLatency:
+        """The per-layer cycle model every entry point prices through.
+
+        ``att``/``ffn`` are the engines' compute-cycle dicts for the
+        pass, ``rows`` the input rows streamed per X tile (the sequence
+        for prefill, one for a decode step) and ``tp`` the head-wise
+        split; the result is one device's share.
+        """
+        if num_heads % tp:
+            raise ValueError(
+                f"num_heads={num_heads} not divisible by tp={tp}")
         synth = self.synth
-        att = self.attention.compute_cycles(seq_len, d_model, num_heads)
-        ffn = self.ffn.compute_cycles(seq_len, d_model)
-
-        # --- MHA loads: per tile, every head's W tiles + shared X tile.
+        # --- MHA: per tile, the local heads' W tiles + the shared X
+        # tile.  Per-head engines run in parallel, so compute cycles are
+        # head-count (and tp) independent.
         tiles_mha = max(1, math.ceil(d_model / synth.ts_mha))
-        w_tile = self.attention.weight_bytes_per_tile(d_model, num_heads)
-        x_tile = self.attention.input_bytes_per_tile(seq_len)
-        qkv_tile_load = num_heads * self._xfer(w_tile) + self._xfer(x_tile)
-        qkv_per_tile_compute = att["qkv"] // tiles_mha
-        qkv_stage = self._stage(tiles_mha, qkv_tile_load, qkv_per_tile_compute)
+        qkv_tile_load = (
+            num_heads // tp * self._xfer(
+                self.attention.weight_bytes_per_tile(d_model, num_heads))
+            + self._xfer(self.attention.input_bytes_per_tile(rows)))
+        total = (self._stage(tiles_mha, qkv_tile_load,
+                             att["qkv"] // tiles_mha)
+                 + att["qk"] + att["softmax"] + att["sv"] + ffn["ln"])
+        compute = {k: att[k] for k in ("qkv", "qk", "softmax", "sv")}
+        loads: Dict[str, int] = {}
 
-        stages, loads = self._ffn_stages(d_model, ffn)
+        # --- FFN: only real weight tiles load; the synthesized
+        # output-grid sweep is hardware (zero-gated lanes still cycle).
+        # A tp split is Megatron-style at tile granularity: FFN1/FFN3
+        # reduce only the local rows, FFN2 computes a column slice.
+        t_in = max(1, math.ceil(d_model / synth.ts_ffn))
+        r_local = max(1, math.ceil(t_in / tp))
+        c4_local = max(1, math.ceil(math.ceil(4 * d_model / synth.ts_ffn)
+                                    / tp))
+        grid = self.ffn.tile_grid(d_model)
+        tile_bytes = self.ffn.weight_bytes_per_tile()
+        for name, inv, real in (
+                ("ffn1", r_local * synth.tiles_ffn_max, r_local * t_in),
+                ("ffn2", grid["ffn2"], t_in * c4_local),
+                ("ffn3", r_local * synth.tiles_ffn_max, r_local * t_in)):
+            per_inv = ffn[name] // grid[name]
+            n_loaded = min(real, inv)
+            load = self._xfer(tile_bytes[name])
+            total += (self._stage(n_loaded, load, per_inv)
+                      + (inv - n_loaded) * per_inv)
+            compute[name] = inv * per_inv
+            loads[name] = n_loaded * load
+        compute["ln"] = ffn["ln"]
         loads["qkv"] = tiles_mha * qkv_tile_load
-
-        compute = {
-            "qkv": att["qkv"],
-            "qk": att["qk"],
-            "softmax": att["softmax"],
-            "sv": att["sv"],
-            "ffn1": ffn["ffn1"],
-            "ffn2": ffn["ffn2"],
-            "ffn3": ffn["ffn3"],
-            "ln": ffn["ln"],
-        }
-        total = (
-            qkv_stage
-            + att["qk"] + att["softmax"] + att["sv"]
-            + stages["ffn1"] + stages["ffn2"] + stages["ffn3"]
-            + ffn["ln"]
-        )
         return LayerLatency(compute=compute, loads=loads, total=total)
 
-    # ------------------------------------------------------------------
+    def layer_cycles(
+        self, seq_len: int, d_model: int, num_heads: int, tp: int = 1
+    ) -> LayerLatency:
+        """One encoder layer's full cycle breakdown on one of ``tp``
+        devices sharing its heads (the collectives are priced by
+        :func:`repro.parallel.partition.tp_allreduce_cycles`)."""
+        return self._layer(
+            self.attention.compute_cycles(seq_len, d_model, num_heads),
+            self.ffn.compute_cycles(seq_len, d_model),
+            seq_len, d_model, num_heads, tp)
+
     def decode_layer_cycles(
         self, cache_len: int, d_model: int, num_heads: int
     ) -> LayerLatency:
@@ -296,44 +297,10 @@ class LatencyModel:
         key = (cache_len, d_model, num_heads)
         layer = self._decode_layers.get(key)
         if layer is None:
-            layer = self._decode_layers[key] = self._decode_layer(*key)
+            layer = self._decode_layers[key] = self._layer(
+                self.attention.decode_compute_cycles(*key),
+                self.ffn.compute_cycles(1, d_model), 1, d_model, num_heads)
         return layer
-
-    def _decode_layer(
-        self, cache_len: int, d_model: int, num_heads: int
-    ) -> LayerLatency:
-        synth = self.synth
-        att = self.attention.decode_compute_cycles(cache_len, d_model,
-                                                   num_heads)
-        ffn = self.ffn.compute_cycles(1, d_model)
-
-        tiles_mha = max(1, math.ceil(d_model / synth.ts_mha))
-        w_tile = self.attention.weight_bytes_per_tile(d_model, num_heads)
-        x_tile = self.attention.input_bytes_per_tile(1)
-        qkv_tile_load = num_heads * self._xfer(w_tile) + self._xfer(x_tile)
-        qkv_per_tile_compute = att["qkv"] // tiles_mha
-        qkv_stage = self._stage(tiles_mha, qkv_tile_load, qkv_per_tile_compute)
-
-        stages, loads = self._ffn_stages(d_model, ffn)
-        loads["qkv"] = tiles_mha * qkv_tile_load
-
-        compute = {
-            "qkv": att["qkv"],
-            "qk": att["qk"],
-            "softmax": att["softmax"],
-            "sv": att["sv"],
-            "ffn1": ffn["ffn1"],
-            "ffn2": ffn["ffn2"],
-            "ffn3": ffn["ffn3"],
-            "ln": ffn["ln"],
-        }
-        total = (
-            qkv_stage
-            + att["qk"] + att["softmax"] + att["sv"]
-            + stages["ffn1"] + stages["ffn2"] + stages["ffn3"]
-            + ffn["ln"]
-        )
-        return LayerLatency(compute=compute, loads=loads, total=total)
 
     def generation_report(
         self,

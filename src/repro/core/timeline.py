@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..isa.compiler import compile_program
-from ..isa.instructions import Instruction, Opcode
+from ..isa.instructions import Opcode
 from ..nn.model_zoo import TransformerConfig
 from .attention_module import AttentionModule
 from .ffn_module import FFNModule
@@ -123,14 +123,14 @@ class TimelineSimulator:
         tiles_mha = max(1, math.ceil(cfg.d_model / synth.ts_mha))
         xfer = self.options.hbm.transfer_cycles
         axi = self.options.axi
-        elem = (self.attention.formats.weight_bits + 7) // 8
+        ffn_tile = self.ffn.weight_bytes_per_tile()
         return {
             "load_qkv": xfer(self.attention.weight_bytes_per_tile(
                 cfg.d_model, cfg.num_heads), axi),
             "load_x": xfer(self.attention.input_bytes_per_tile(
                 cfg.seq_len), axi),
-            "load_ffn12": xfer(synth.ts_ffn * synth.ts_ffn * elem, axi),
-            "load_ffn3": xfer(4 * synth.ts_ffn * synth.ts_ffn * elem, axi),
+            "load_ffn12": xfer(ffn_tile["ffn1"], axi),
+            "load_ffn3": xfer(ffn_tile["ffn3"], axi),
             "qkv": att["qkv"] // tiles_mha,
             "qk": att["qk"],
             "softmax": att["softmax"],

@@ -50,6 +50,7 @@ goldens).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -131,9 +132,9 @@ class ThresholdRule(AlertRule):
     def __init__(self, name: str, threshold: float,
                  sustain_ms: float = 0.0) -> None:
         super().__init__(name)
-        if sustain_ms < 0:
+        if not 0 <= sustain_ms < math.inf:  # inf would never fire
             raise ValueError(
-                f"sustain_ms must be >= 0, got {sustain_ms}")
+                f"sustain_ms must be finite and >= 0, got {sustain_ms}")
         self.threshold = threshold
         self.sustain_ms = sustain_ms
         self._above_since: Optional[float] = None
@@ -176,17 +177,18 @@ class BurnRateRule(AlertRule):
         if not 0.0 < target < 1.0:
             raise ValueError(
                 f"SLO target must be in (0, 1), got {target}")
-        if not fast_ms > 0 or not slow_ms > 0:
+        # Infinite windows never evict (unbounded deques, no alert).
+        if not (0 < fast_ms < math.inf and 0 < slow_ms < math.inf):
             raise ValueError(
-                f"burn windows must be > 0 ms, got fast={fast_ms}, "
-                f"slow={slow_ms}")
+                f"burn windows must be finite and > 0 ms, got "
+                f"fast={fast_ms}, slow={slow_ms}")
         if slow_ms < fast_ms:
             raise ValueError(
                 f"slow window ({slow_ms} ms) must be >= fast window "
                 f"({fast_ms} ms)")
-        if threshold <= 0:
+        if not 0 < threshold < math.inf:  # NaN/inf would never fire
             raise ValueError(
-                f"burn threshold must be > 0, got {threshold}")
+                f"burn threshold must be finite and > 0, got {threshold}")
         self.target = target
         self.budget = 1.0 - target
         self.threshold = threshold

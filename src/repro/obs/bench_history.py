@@ -95,8 +95,8 @@ def bench_trend(history: List[dict], window: int = 8,
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if not rtol >= 0:  # NaN fails the comparison too
-        raise ValueError(f"rtol must be >= 0, got {rtol}")
+    if not 0 <= rtol < float("inf"):  # NaN fails the comparison too
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
     groups: Dict[Tuple[str, str], List[dict]] = {}
     for record in history:
         try:

@@ -136,9 +136,10 @@ def diff_runs(run_a: dict, run_b: dict, rtol: float = 0.05,
     moves significantly when ``|b - a| > atol`` *and* ``|b - a| >
     rtol * |a|``.
     """
-    if not (rtol >= 0 and atol >= 0):  # NaN fails the comparison too
-        raise ValueError(
-            f"tolerances must be >= 0, got rtol={rtol}, atol={atol}")
+    # An infinite band hides every regression; NaN fails the test too.
+    if not (0 <= rtol < math.inf and 0 <= atol < math.inf):
+        raise ValueError(f"tolerances must be finite and >= 0, got "
+                         f"rtol={rtol}, atol={atol}")
     flat_a = flatten(run_a)
     flat_b = flatten(run_b)
     regressions: List[DiffEntry] = []

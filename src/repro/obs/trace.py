@@ -297,6 +297,8 @@ def render_trace_summary(summary: dict, top: int = 10) -> str:
     by total simulated time, instant counts, and the alert timeline."""
     from ..analysis.tables import render_table
 
+    if top < 0:  # a negative slice end would drop rows from the tail
+        raise ValueError(f"top must be >= 0, got {top}")
     parts: List[str] = [
         f"{summary['events']} trace event(s) across "
         f"{len(summary['threads'])} row(s)"]

@@ -45,7 +45,6 @@ from .partition import (
     activation_bytes,
     balanced_partition,
     tp_allreduce_cycles,
-    tp_layer_latency,
     validate_tensor_parallel,
 )
 from .pipeline import DecodePipelineReport, PipelinePartitioner, PipelinePlan
@@ -55,7 +54,7 @@ __all__ = [
     "InterconnectLink", "AURORA_64B66B", "ETHERNET_100G", "ETHERNET_10G",
     "PCIE_GEN4_X8", "LINKS", "get_link",
     # partition
-    "balanced_partition", "tp_layer_latency", "validate_tensor_parallel",
+    "balanced_partition", "validate_tensor_parallel",
     "activation_bytes", "tp_allreduce_cycles", "StagePlan",
     # pipeline
     "PipelinePartitioner", "PipelinePlan", "DecodePipelineReport",

@@ -14,19 +14,18 @@ Two partitioning axes over one :class:`~repro.core.latency.LatencyModel`:
   all-reduces of the ``SL x d_model`` activation per layer stitch the
   partials back together.
 
-:func:`tp_layer_latency` mirrors
-:meth:`~repro.core.latency.LatencyModel.layer_cycles` exactly at
-``tp=1`` (property-tested) and applies the split divisors above for
-``tp>1``.  Because ProTEA's per-head engines already run all heads in
-parallel, tensor parallelism buys no *compute* cycles — what it buys is
-weight streaming: each device fetches only its own heads' Wq/Wk/Wv and
-its FFN slice through the single-buffered AXI weight port, which is
-precisely the serialized-load term that dominates the published design.
+The per-device layer itself is priced by
+:meth:`~repro.core.latency.LatencyModel.layer_cycles` with ``tp=``, the
+same function that prices one device; this module adds the collectives.
+Because ProTEA's per-head engines already run all heads in parallel,
+tensor parallelism buys no *compute* cycles — what it buys is weight
+streaming: each device fetches only its own heads' Wq/Wk/Wv and its FFN
+slice through the single-buffered AXI weight port, which is precisely
+the serialized-load term that dominates the published design.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -37,7 +36,6 @@ from .interconnect import InterconnectLink
 
 __all__ = [
     "balanced_partition",
-    "tp_layer_latency",
     "validate_tensor_parallel",
     "activation_bytes",
     "tp_allreduce_cycles",
@@ -126,86 +124,6 @@ def tp_allreduce_cycles(
         return 0
     nbytes = activation_bytes(model, config.seq_len, config.d_model)
     return 2 * link.allreduce_cycles(nbytes, tp, clock_mhz)
-
-
-def tp_layer_latency(
-    model: LatencyModel,
-    seq_len: int,
-    d_model: int,
-    num_heads: int,
-    tp: int = 1,
-) -> LayerLatency:
-    """One encoder layer's per-device cycle breakdown under a ``tp``-way
-    head split (``tp=1`` reproduces ``LatencyModel.layer_cycles``
-    exactly; collective costs are priced separately by
-    :func:`tp_allreduce_cycles`)."""
-    if num_heads % tp:
-        raise ValueError(f"num_heads={num_heads} not divisible by tp={tp}")
-    synth = model.synth
-    heads_local = num_heads // tp
-    att = model.attention.compute_cycles(seq_len, d_model, num_heads)
-    ffn = model.ffn.compute_cycles(seq_len, d_model)
-
-    # --- MHA: per-head engines run in parallel, so compute cycles are
-    # head-count independent; only the local heads' weights stream in.
-    tiles_mha = max(1, math.ceil(d_model / synth.ts_mha))
-    w_tile = model.attention.weight_bytes_per_tile(d_model, num_heads)
-    x_tile = model.attention.input_bytes_per_tile(seq_len)
-    qkv_tile_load = heads_local * model._xfer(w_tile) + model._xfer(x_tile)
-    qkv_per_tile = att["qkv"] // tiles_mha
-    qkv_stage = model._stage(tiles_mha, qkv_tile_load, qkv_per_tile)
-
-    # --- FFN: Megatron split at tile granularity.  The synthesized
-    # output-grid sweep is hardware (zero-gated lanes still cycle), so
-    # the split shrinks reduction-tile counts and *real* loaded tiles.
-    elem = (model.attention.formats.weight_bits + 7) // 8
-    t_in = max(1, math.ceil(d_model / synth.ts_ffn))
-    r_local = max(1, math.ceil(t_in / tp))  # row-parallel reduction tiles
-    t4 = max(1, math.ceil(4 * d_model / synth.ts_ffn))
-    c4_local = max(1, math.ceil(t4 / tp))   # FFN2 column slice
-    t_out = synth.tiles_ffn_max
-    grid = model.ffn.tile_grid(d_model)
-    inv = {
-        "ffn1": r_local * t_out,
-        "ffn2": grid["ffn2"],
-        "ffn3": r_local * t_out,
-    }
-    real = {
-        "ffn1": r_local * t_in,
-        "ffn2": t_in * c4_local,
-        "ffn3": r_local * t_in,
-    }
-    ffn12_tile_bytes = synth.ts_ffn * synth.ts_ffn * elem
-    ffn3_tile_bytes = 4 * synth.ts_ffn * synth.ts_ffn * elem
-
-    stages = {}
-    loads = {"qkv": tiles_mha * qkv_tile_load}
-    compute = {
-        "qkv": att["qkv"],
-        "qk": att["qk"],
-        "softmax": att["softmax"],
-        "sv": att["sv"],
-    }
-    for name, tile_bytes in (("ffn1", ffn12_tile_bytes),
-                             ("ffn2", ffn12_tile_bytes),
-                             ("ffn3", ffn3_tile_bytes)):
-        per_inv = ffn[name] // grid[name]
-        n_loaded = min(real[name], inv[name])
-        load = model._xfer(tile_bytes)
-        loaded_part = model._stage(n_loaded, load, per_inv)
-        dry_part = (inv[name] - n_loaded) * per_inv
-        stages[name] = loaded_part + dry_part
-        loads[name] = n_loaded * load
-        compute[name] = inv[name] * per_inv
-    compute["ln"] = ffn["ln"]
-
-    total = (
-        qkv_stage
-        + att["qk"] + att["softmax"] + att["sv"]
-        + stages["ffn1"] + stages["ffn2"] + stages["ffn3"]
-        + ffn["ln"]
-    )
-    return LayerLatency(compute=compute, loads=loads, total=total)
 
 
 @dataclass(frozen=True)

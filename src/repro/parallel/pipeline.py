@@ -37,7 +37,6 @@ from .partition import (
     activation_bytes,
     balanced_partition,
     tp_allreduce_cycles,
-    tp_layer_latency,
     validate_tensor_parallel,
 )
 
@@ -314,8 +313,8 @@ class PipelinePartitioner:
 
         model = self.accel.latency_model
         clock = self.accel.clock_mhz
-        layer = tp_layer_latency(model, config.seq_len, config.d_model,
-                                 config.num_heads, tp_ways)
+        layer = model.layer_cycles(config.seq_len, config.d_model,
+                                   config.num_heads, tp=tp_ways)
         comm = tp_allreduce_cycles(model, config, tp_ways, self.link, clock)
         per_layer = layer.total + comm
         ranges = balanced_partition([per_layer] * config.num_layers,

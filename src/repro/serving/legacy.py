@@ -8,7 +8,7 @@ them:
 * the trace-identity goldens (``tests/goldens/``) replay every seeded
   scenario through both engines and byte-compare the rendered reports;
 * the kernel benchmarks measure the unified engines *against* these
-  loops (``sim_kernel_speedup_x``, ``sim_kernel_scale_x``).
+  loops (``serving_kernel_speedup``, ``sim_kernel_scale_x``).
 
 They are deliberately frozen: no fleets, no failures, no preemption,
 no observability hooks.  Anything a reference loop cannot express it

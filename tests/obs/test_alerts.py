@@ -1,5 +1,7 @@
 """Tests for alert rules and the streaming SLO watchdog."""
 
+import math
+
 import pytest
 
 from repro.obs import (
@@ -71,8 +73,9 @@ class TestThresholdRule:
         assert not rule.firing
 
     def test_negative_sustain_rejected(self):
-        with pytest.raises(ValueError, match="sustain_ms"):
-            ThresholdRule("x", 1.0, sustain_ms=-1.0)
+        for sustain_ms in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sustain_ms"):
+                ThresholdRule("x", 1.0, sustain_ms=sustain_ms)
 
     def test_finalize_marks_open_at_end(self):
         rule = ThresholdRule("down", threshold=0.0)
@@ -87,6 +90,8 @@ class TestSustainedRule:
     def test_requires_positive_sustain(self):
         with pytest.raises(ValueError, match="sustain_ms > 0"):
             SustainedRule("q", 5.0, sustain_ms=0.0)
+        with pytest.raises(ValueError, match="sustain_ms"):
+            SustainedRule("q", 5.0, sustain_ms=math.inf)
 
     def test_behaves_like_sustained_threshold(self):
         rule = SustainedRule("q", 5.0, sustain_ms=4.0)
@@ -103,6 +108,10 @@ class TestBurnRateRule:
         ({"slow_ms": -1.0}, "windows"),
         ({"fast_ms": 200.0, "slow_ms": 100.0}, "slow window"),
         ({"threshold": 0.0}, "threshold"),
+        ({"threshold": math.nan}, "threshold"),
+        ({"threshold": math.inf}, "threshold"),
+        ({"fast_ms": math.inf}, "windows"),
+        ({"slow_ms": math.inf}, "windows"),
     ])
     def test_bad_params_rejected(self, kwargs, match):
         params = {"target": 0.99, "fast_ms": 100.0, "slow_ms": 500.0,

@@ -96,8 +96,10 @@ class TestBenchTrend:
             bench_trend([], rtol=-1.0)
 
     def test_nan_rtol_rejected(self):
-        with pytest.raises(ValueError, match="rtol"):
-            bench_trend([], rtol=float("nan"))
+        """NaN, and an infinite band that would hide every regression."""
+        for rtol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rtol"):
+                bench_trend([], rtol=rtol)
 
 
 class TestLoadHistory:

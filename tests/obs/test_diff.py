@@ -93,9 +93,11 @@ class TestDiffRuns:
         with pytest.raises(ValueError, match="tolerances"):
             diff_runs({}, {}, rtol=-0.1)
 
-    @pytest.mark.parametrize("tol", [{"rtol": math.nan}, {"atol": math.nan}])
+    @pytest.mark.parametrize("tol", [{"rtol": math.nan}, {"atol": math.nan},
+                                     {"rtol": math.inf}, {"atol": math.inf}])
     def test_nan_tolerances_rejected(self, tol):
-        """A NaN band used to pass the ``< 0`` check and flag nothing."""
+        """A NaN or infinite band used to pass the ``< 0`` check and
+        flag nothing."""
         with pytest.raises(ValueError, match="tolerances"):
             diff_runs({}, {}, **tol)
 

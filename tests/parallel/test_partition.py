@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import ProTEA, SynthParams
-from repro.nn import MODEL_ZOO, get_model
+from repro.nn import get_model
 from repro.parallel import (
     AURORA_64B66B,
     balanced_partition,
     tp_allreduce_cycles,
-    tp_layer_latency,
     validate_tensor_parallel,
 )
 
@@ -71,27 +70,15 @@ class TestBalancedPartition:
 
 
 class TestTensorParallelLayer:
-    def test_tp1_reproduces_latency_model_exactly(self, accel):
-        """Acceptance property: the tp=1 stage math IS the single-device
-        layer model — identical totals, compute, and load breakdowns."""
-        lm = accel.latency_model
-        for name, cfg in MODEL_ZOO.items():
-            ours = tp_layer_latency(lm, cfg.seq_len, cfg.d_model,
-                                    cfg.num_heads, 1)
-            ref = lm.layer_cycles(cfg.seq_len, cfg.d_model, cfg.num_heads)
-            assert ours.total == ref.total, name
-            assert ours.compute == ref.compute, name
-            assert ours.loads == ref.loads, name
-
     def test_tp_reduces_weight_traffic_not_compute(self, accel):
         """Head splits shrink the streamed loads; the per-head engines
         already ran in parallel, so compute cycles hold still."""
         lm = accel.latency_model
         cfg = get_model("bert-variant")
-        one = tp_layer_latency(lm, cfg.seq_len, cfg.d_model,
-                               cfg.num_heads, 1)
-        two = tp_layer_latency(lm, cfg.seq_len, cfg.d_model,
-                               cfg.num_heads, 2)
+        one = lm.layer_cycles(cfg.seq_len, cfg.d_model, cfg.num_heads,
+                              tp=1)
+        two = lm.layer_cycles(cfg.seq_len, cfg.d_model, cfg.num_heads,
+                              tp=2)
         assert two.loads["qkv"] < one.loads["qkv"]
         assert two.load_total < one.load_total
         assert two.compute["qk"] == one.compute["qk"]
@@ -101,8 +88,8 @@ class TestTensorParallelLayer:
         lm = accel.latency_model
         cfg = get_model("bert-variant")
         totals = [
-            tp_layer_latency(lm, cfg.seq_len, cfg.d_model,
-                             cfg.num_heads, tp).total
+            lm.layer_cycles(cfg.seq_len, cfg.d_model, cfg.num_heads,
+                            tp=tp).total
             for tp in (1, 2, 4, 8)
         ]
         assert totals == sorted(totals, reverse=True)
@@ -110,7 +97,7 @@ class TestTensorParallelLayer:
     def test_indivisible_heads_rejected(self, accel):
         lm = accel.latency_model
         with pytest.raises(ValueError, match="divisible"):
-            tp_layer_latency(lm, 64, 768, 8, 3)
+            lm.layer_cycles(64, 768, 8, tp=3)
 
     def test_validate_tensor_parallel(self):
         cfg = get_model("bert-variant")

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -9,8 +11,9 @@ from repro.cli import build_parser, main
 
 def _assert_usage_error(capsys, argv, needle):
     """The one way the CLI rejects bad input: exit status 2, nothing on
-    stdout, and one ``repro <cmd>: error: ...`` line on stderr that
-    contains ``needle``.  Returns that line."""
+    stdout, and one ``repro <cmd>: error: ...`` line on stderr (``repro
+    obs <sub>: ...`` for the obs family) that contains ``needle``.
+    Returns that line."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -18,7 +21,8 @@ def _assert_usage_error(capsys, argv, needle):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"repro {argv[0]}: error: ")
+    prog = " ".join(["repro", *argv[:2 if argv[0] == "obs" else 1]])
+    assert lines[0].startswith(f"{prog}: error: ")
     assert needle in lines[0]
     return lines[0]
 
@@ -564,9 +568,10 @@ class TestScenarioFlags:
                                      "--heterogeneous", "1.0x2"], "--plan")
 
 
-#: Every numeric flag of serve, generate, dse and partition:
+#: Every numeric flag of serve, generate, dse, partition and obs:
 #: ``(argv that puts the flag in play, flag, first out-of-range value or
 #: None when every finite value is valid, needle naming the knob)``.
+#: The obs rows read the real inputs :func:`obs_inputs` writes.
 _RUN = ("--duration-ms=50",)
 NUMERIC_FLAGS = [
     *((cmd, flag, bad, needle)
@@ -607,7 +612,27 @@ NUMERIC_FLAGS = [
     (["partition", "model2-lhc-trigger"], "--devices", "0", "devices"),
     (["partition", "model2-lhc-trigger"], "--tp", "0", "tp"),
     (["partition", "model2-lhc-trigger"], "--gantt", "-1", "--gantt"),
+    (["obs", "diff", "run.json", "run.json"], "--rtol", "-1", "rtol"),
+    (["obs", "diff", "run.json", "run.json"], "--atol", "-1", "atol"),
+    (["obs", "bench", "--results=hist.json"], "--window", "0", "window"),
+    (["obs", "bench", "--results=hist.json"], "--rtol", "-1", "rtol"),
+    (["obs", "trace-summary", "run.trace.json"], "--top", "-1", "top"),
 ]
+
+
+@pytest.fixture(scope="class")
+def obs_inputs(tmp_path_factory):
+    """A run export, its trace and a benchmark history, so each obs row
+    of :data:`NUMERIC_FLAGS` reaches its flag check, not "cannot read"."""
+    root = tmp_path_factory.mktemp("obs_inputs")
+    export = io.StringIO()
+    with contextlib.redirect_stdout(export):
+        assert main(["serve", *_RUN, "--json",
+                     f"--trace={root / 'run.trace.json'}"]) == 0
+    (root / "run.json").write_text(export.getvalue())
+    (root / "hist.json").write_text(json.dumps(
+        [{"suite": "s", "metric": "p99_ms", "value": 1.0, "units": "ms"}]))
+    return root
 
 
 def _numeric_cases():
@@ -684,7 +709,9 @@ class TestBadInputsExitTwo:
          "cannot read --trace-file"),
         *_numeric_cases(),
     ])
-    def test_rejected_with_exit_two(self, capsys, argv, needle):
+    def test_rejected_with_exit_two(self, capsys, monkeypatch, obs_inputs,
+                                    argv, needle):
+        monkeypatch.chdir(obs_inputs)
         _assert_usage_error(capsys, argv, needle)
 
     def test_edge_values_still_run(self, capsys):

@@ -211,7 +211,14 @@ def simulate(
     shards: int = 1,
     shard_jobs: Optional[int] = None,
 ):
-    """One-call convenience wrapper around :class:`ClusterSimulator`."""
+    """One-call convenience wrapper around :class:`ClusterSimulator`.
+
+    The cyclic garbage collector is paused for the engine run (the
+    engines build no reference cycles).  Cycles built by a user
+    observer, scheduler or batching policy are kept until the call
+    returns.  A thread that re-enables the collector mid-run costs
+    speed only.
+    """
     sim = ClusterSimulator(
         accel, n_instances, scheduler=scheduler, batching=batching,
         models=models, reprogram_latency_ms=reprogram_latency_ms,

@@ -325,7 +325,13 @@ def simulate_generation(
     shards: int = 1,
     shard_jobs: Optional[int] = None,
 ):
-    """One-call wrapper around :class:`GenerationClusterSimulator`."""
+    """One-call wrapper around :class:`GenerationClusterSimulator`.
+
+    The cyclic garbage collector is paused for the engine run (the
+    engines build no reference cycles).  Cycles built by a user
+    observer or scheduler are kept until the call returns.  A thread
+    that re-enables the collector mid-run costs speed only.
+    """
     sim = GenerationClusterSimulator(
         accel, n_instances, slots=slots, scheduler=scheduler, models=models,
         reprogram_latency_ms=reprogram_latency_ms, fleet=fleet,

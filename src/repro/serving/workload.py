@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .._gcpause import gc_paused
+
 __all__ = [
     "Request",
     "GenerationRequest",
@@ -166,14 +168,18 @@ def attach_generation_lengths(
     ``prompt + output`` (the synthesized KV-cache capacity): prompts
     clamp first, outputs take the remainder (always >= 1).
     """
+    if max_total is not None and not (
+            isinstance(max_total, int) and max_total >= 2):
+        # Checked before the loop so an empty stream is validated too;
+        # NaN would compare false in the clamps and lift the cap.
+        raise ValueError(
+            f"max_total must be None or an int >= 2, got {max_total!r}")
     rng = random.Random(seed)
     out: List[GenerationRequest] = []
     for req in requests:
         p = prompt.sample(rng)
         o = output.sample(rng)
         if max_total is not None:
-            if max_total < 2:
-                raise ValueError("max_total must be >= 2")
             p = min(p, max_total - 1)
             o = min(o, max_total - p)
         out.append(GenerationRequest(
@@ -264,6 +270,14 @@ class ArrivalProcess:
     """Base: a seedable generator of a finite open-loop request list."""
 
     def generate(self, duration_ms: float) -> List[Request]:
+        """The requests arriving in ``[0, duration_ms)``, time-ordered.
+
+        The stock processes pause the cyclic garbage collector for the
+        call: they build no reference cycles.  Cycles a subclass or a
+        custom :class:`ModelMix` builds are kept until the call
+        returns, and a thread that re-enables the collector mid-call
+        costs speed only.
+        """
         raise NotImplementedError
 
 
@@ -285,6 +299,7 @@ class PoissonArrivals(ArrivalProcess):
         self.mix = mix
         self.seed = seed
 
+    @gc_paused()
     def generate(self, duration_ms: float) -> List[Request]:
         _check_horizon(duration_ms)
         rng = random.Random(self.seed)
@@ -337,6 +352,7 @@ class BurstyArrivals(ArrivalProcess):
         self.quiet_qps = qps / ((1 - f) + f * burst_factor)
         self.burst_qps = self.quiet_qps * burst_factor
 
+    @gc_paused()
     def generate(self, duration_ms: float) -> List[Request]:
         _check_horizon(duration_ms)
         rng = random.Random(self.seed)
@@ -387,6 +403,7 @@ class DiurnalArrivals(ArrivalProcess):
         shape = (1 - math.cos(2 * math.pi * t_ms / self.period_ms)) / 2
         return self.peak_qps * (self.floor + (1 - self.floor) * shape)
 
+    @gc_paused()
     def generate(self, duration_ms: float) -> List[Request]:
         _check_horizon(duration_ms)
         rng = random.Random(self.seed)
@@ -405,10 +422,14 @@ class TraceReplay(ArrivalProcess):
 
     def __init__(self, events: Sequence[Tuple[float, str]]):
         for t, _ in events:
-            if t < 0:
-                raise ValueError("trace timestamps must be non-negative")
+            # NaN and +inf would fail ``t < duration_ms`` in generate
+            # and be dropped silently.
+            if not 0 <= t < math.inf:
+                raise ValueError(f"trace timestamps must be finite and "
+                                 f"non-negative, got {t!r}")
         self.events = list(events)
 
+    @gc_paused()
     def generate(self, duration_ms: float = math.inf) -> List[Request]:
         if not duration_ms >= 0:  # a finite trace may replay to inf, not NaN
             raise ValueError(f"duration_ms must be >= 0, got {duration_ms!r}")

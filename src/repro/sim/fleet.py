@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .._gcpause import gc_paused
 from .failures import FailureInjector
 from .kernel import Simulation
 
@@ -365,7 +366,8 @@ class _FleetSimulator:
             engine.attach_observer(observer)
         if profiler is not None:
             engine.attach_profiler(profiler)
-        return engine.run(requests, detail=detail)
+        with gc_paused():
+            return engine.run(requests, detail=detail)
 
 
 # ----------------------------------------------------------------------

@@ -89,6 +89,17 @@ class TestGenerationWorkload:
             LengthSampler("fixed", 100), max_total=64)
         assert all(r.total_tokens <= 64 for r in reqs)
         assert all(r.output_tokens >= 1 for r in reqs)
+        # Checked before the loop: an empty stream used to accept any
+        # cap, and NaN used to lift it.
+        for bad in (1, 0, -5, math.nan, math.inf, 64.0, True):
+            for stream in (arrivals, []):
+                with pytest.raises(ValueError, match="max_total"):
+                    attach_generation_lengths(
+                        stream, LengthSampler("fixed", 100),
+                        LengthSampler("fixed", 100), max_total=bad)
+        assert attach_generation_lengths(
+            [], LengthSampler("fixed", 1), LengthSampler("fixed", 1),
+            max_total=2) == []
 
     def test_request_validation(self):
         with pytest.raises(ValueError):

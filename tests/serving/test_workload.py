@@ -13,6 +13,8 @@ from repro.serving import (
     TraceReplay,
 )
 
+from ..sim.test_gc_pause import acyclic
+
 MIX = ModelMix("bert-variant")
 TWO = ModelMix({"model1-peng-isqed21": 1.0, "model3-efa-trans": 3.0})
 
@@ -161,12 +163,24 @@ class TestTraceReplay:
         assert len(TraceReplay([(1e9, "a")]).generate()) == 1
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            TraceReplay([(-1.0, "a")])
+        """NaN and inf stamps used to be dropped silently by generate."""
+        for t in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                TraceReplay([(1.0, "a"), (t, "a")])
 
     def test_nan_duration_rejected(self):
         with pytest.raises(ValueError, match="duration_ms"):
             TraceReplay([(1.0, "a")]).generate(math.nan)
+
+
+@pytest.mark.parametrize("process", [
+    PoissonArrivals(2000, TWO, seed=3), BurstyArrivals(2000, TWO, seed=3),
+    DiurnalArrivals(2000, TWO, seed=3),
+    TraceReplay([(float(t), "model1-peng-isqed21") for t in range(500)]),
+], ids=["poisson", "bursty", "diurnal", "trace"])
+def test_generate_builds_no_cycles(process):
+    """What the collector pause over ``generate`` rests on."""
+    assert acyclic(process.generate, 1000.0)
 
 
 class TestHorizon:

@@ -17,7 +17,11 @@ detail, each bare, observed and profiled — and the results must agree:
   counted on records rather than duplicated, per-instance request
   counts sum to the report total, no instance is busy longer than the
   makespan, availability lies in [0, 1] on failure runs, and no
-  queue-depth sample is negative.
+  queue-depth sample is negative;
+* **no cycles** (:func:`tests.sim.test_gc_pause.acyclic`): each run
+  leaves nothing for the cyclic garbage collector to free and leaves it
+  on or off as it found it — the invariant the engines' collector pause
+  rests on.
 
 Scenarios draw 1-3 models, fleets of 1-6 instances (with speeds and
 capability sets mixed in), every stock scheduler, no / fixed / timeout
@@ -49,6 +53,8 @@ from repro.serving.cluster import ClusterSimulator
 from repro.serving.generation import GenerationClusterSimulator
 from repro.sim.failures import FailurePlan
 from repro.sim.fleet import FleetSpec, InstanceSpec
+
+from .test_gc_pause import acyclic
 
 MODELS = ("model2-lhc-trigger", "model1-peng-isqed21", "model3-efa-trans")
 SCHEDULERS = ("round-robin", "least-loaded", "model-affinity")
@@ -148,30 +154,32 @@ def _observer(events):
 
 def _check_modes(sim, requests, report):
     """Run six ways and cross-check (see the module docstring)."""
-    full = sim.run(requests)
-    summ = sim.run(requests, detail="summary")
+    def run(**kwargs):
+        return acyclic(sim.run, requests, **kwargs)
+
+    full = run()
+    summ = run(detail="summary")
     rep_full = report(full)
     _check_fields(rep_full, report(summ), rep_full.total_requests)
     _check_conservation(sim, requests, full, summ, rep_full.total_requests)
 
     seen_full, seen_summ = [], []
-    observed = sim.run(requests, observer=_observer(seen_full))
+    observed = run(observer=_observer(seen_full))
     assert observed.trace == full.trace
     assert observed.records == full.records
     assert observed.queue_samples == full.queue_samples
     assert report(observed) == rep_full
-    observed_s = sim.run(requests, observer=_observer(seen_summ),
-                         detail="summary")
+    observed_s = run(observer=_observer(seen_summ), detail="summary")
     assert observed_s == summ
     assert seen_summ == seen_full
     assert [e for e in seen_full if e[0] != "requeue"] == full.trace
 
     prof_full, prof_summ = KernelProfiler(), KernelProfiler()
-    profiled = sim.run(requests, profiler=prof_full)
+    profiled = run(profiler=prof_full)
     assert profiled.trace == full.trace
     assert profiled.records == full.records
     assert report(profiled) == rep_full
-    assert sim.run(requests, profiler=prof_summ, detail="summary") == summ
+    assert run(profiler=prof_summ, detail="summary") == summ
     assert prof_summ.counts == prof_full.counts
     assert prof_full.counts.get("arrival", 0) == len(requests)
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 
@@ -623,7 +624,8 @@ NUMERIC_FLAGS = [
 @pytest.fixture(scope="class")
 def obs_inputs(tmp_path_factory):
     """A run export, its trace and a benchmark history, so each obs row
-    of :data:`NUMERIC_FLAGS` reaches its flag check, not "cannot read"."""
+    of :data:`NUMERIC_FLAGS` reaches its flag check, not "cannot read";
+    and an arrival trace with a NaN timestamp."""
     root = tmp_path_factory.mktemp("obs_inputs")
     export = io.StringIO()
     with contextlib.redirect_stdout(export):
@@ -632,6 +634,8 @@ def obs_inputs(tmp_path_factory):
     (root / "run.json").write_text(export.getvalue())
     (root / "hist.json").write_text(json.dumps(
         [{"suite": "s", "metric": "p99_ms", "value": 1.0, "units": "ms"}]))
+    (root / "nan_trace.json").write_text(json.dumps(
+        [[t, "model2-lhc-trigger"] for t in (math.nan, 1.0, 2.0)]))
     return root
 
 
@@ -708,6 +712,9 @@ class TestBadInputsExitTwo:
         (["serve", "--scenario", "trace", "--trace-file", "missing.json"],
          "cannot read --trace-file"),
         *_numeric_cases(),
+        # Used to exit 0 reporting the two finite stamps.
+        (["serve", "--scenario", "trace", "--trace-file", "nan_trace.json"],
+         "trace timestamps must be finite"),
     ])
     def test_rejected_with_exit_two(self, capsys, monkeypatch, obs_inputs,
                                     argv, needle):

@@ -49,10 +49,16 @@ class BatchingPolicy:
     timeout_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        max_batch = self.max_batch
+        # NaN and inf compare false against every prefix length, so
+        # either would lift the batch cap instead of setting one.
+        if (not isinstance(max_batch, int) or isinstance(max_batch, bool)
+                or max_batch < 1):
+            raise ValueError(
+                f"max_batch must be an int >= 1, got {max_batch!r}")
         # A NaN deadline never fires (the run never returns) and an
-        # infinite one overflows the event calendar.
+        # infinite one fires at t = inf, after every other event, so
+        # the held batch completes at infinity.
         timeout_ms = self.timeout_ms
         if timeout_ms is not None and not 0 <= timeout_ms < math.inf:
             raise ValueError(

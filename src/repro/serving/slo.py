@@ -227,10 +227,11 @@ _DEPTH = itemgetter(1)
 
 
 def _check_slo(name: str, slo_ms: Optional[float]) -> None:
-    """An SLO is optional, but a set one must be positive: a NaN one is
-    met by no request and would report 0% attainment."""
-    if slo_ms is not None and not slo_ms > 0:
-        raise ValueError(f"{name} must be > 0, got {slo_ms}")
+    """An SLO is optional, but a set one must be positive and finite: a
+    NaN one is met by no request and would report 0% attainment, an
+    infinite one by every request."""
+    if slo_ms is not None and not 0 < slo_ms < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {slo_ms}")
 
 
 def summarize(result: Union[SimulationResult, ServeSummary],

@@ -102,9 +102,14 @@ class LengthSampler:
             raise ValueError(
                 f"unknown length distribution {kind!r}; "
                 "available: ['fixed', 'geometric', 'uniform']")
-        if lo < 1:
-            raise ValueError("lo must be >= 1")
         hi = lo if hi is None else hi
+        for name, value in (("lo", lo), ("hi", hi)):
+            # A float length makes fractional-token requests; NaN dies
+            # deep in the simulation and inf is silently clamped.
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < 1):
+                raise ValueError(
+                    f"{name} must be an int >= 1, got {value!r}")
         if hi < lo:
             raise ValueError("need hi >= lo")
         if not 0 <= mean_extra < math.inf:

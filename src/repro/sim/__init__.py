@@ -2,10 +2,8 @@
 
 Every discrete-event simulator in the repo runs on this package:
 
-* :mod:`.kernel` — the deterministic event queue contract
-  (:class:`EventQueue`, the reference heap), clock, and driver loop;
-* :mod:`.calendar` — the bucketed :class:`CalendarQueue` production
-  queue, pop-order identical to the heap;
+* :mod:`.kernel` — the deterministic event queue (:class:`EventQueue`,
+  a binary heap), simulated time, and the merged arrival drain;
 * :mod:`.rng` — named per-component RNG streams derived from one root
   seed, so adding a stochastic component never perturbs another;
 * :mod:`.fleet` — heterogeneous fleet specs (per-instance speed,
@@ -27,18 +25,15 @@ The determinism contract is documented in :mod:`.kernel`: equal inputs
 produce byte-identical traces, records, and rendered reports.
 """
 
-from .calendar import CalendarQueue
 from .failures import FailureInjector, FailurePlan
 from .fleet import Dispatcher, FleetSpec, InstanceSpec
-from .kernel import EventQueue, SimClock, Simulation
+from .kernel import EventQueue, Simulation
 from .rng import RngStreams
 from .shard import ShardPlan
 from .summary import GenerationSummary, ServeSummary
 
 __all__ = [
-    "CalendarQueue",
     "EventQueue",
-    "SimClock",
     "Simulation",
     "RngStreams",
     "Dispatcher",

@@ -611,6 +611,6 @@ class _FleetEngine(Simulation):
         if self.failures is None:
             return None
         instances = self.instances
-        horizon = max(makespan, self.clock.now_ms)
+        horizon = max(makespan, self.now_ms)
         return (1.0 - sum(i.downtime_ms for i in instances)
                 / (len(instances) * horizon) if horizon > 0 else 1.0)

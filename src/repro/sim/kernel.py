@@ -9,15 +9,13 @@ the shared mechanics into one place:
 * :class:`EventQueue` — a binary heap of ``(t_ms, priority, seq,
   payload)`` tuples.  Ties at equal timestamps break on ``(priority,
   insertion sequence)``, so a run is a *pure function* of its inputs —
-  the property behind the trace-identity golden tests.  Production
-  runs actually use :class:`repro.sim.calendar.CalendarQueue`, a
-  bucketed queue with the identical pop order (property-tested); the
-  heap remains the reference implementation and oracle.
-* :class:`SimClock` — monotone simulated time in milliseconds.
-* :class:`Simulation` — the driver: pops events in deterministic order
-  and dispatches them to handlers registered per event kind.  Entities
-  are plain mutable objects carried by reference inside payloads — no
-  registry, no base class.
+  the property behind the trace-identity golden tests.
+* :class:`Simulation` — the engine base: the queue, simulated time
+  (``now_ms``), the trace buffer, the per-component RNG streams, the
+  observer/profiler hooks, and the drain that merges a pre-sorted
+  arrival stream against the queue (:meth:`Simulation._drain_merged`).
+  Entities are plain mutable objects carried by reference inside
+  payloads — no registry, no base class.
 
 Determinism contract
 --------------------
@@ -44,15 +42,14 @@ make the observed stream a lie, so it raises ``RuntimeError``.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .calendar import CalendarQueue
 from .rng import RngStreams
 
-__all__ = ["Event", "EventQueue", "SimClock", "Simulation"]
+__all__ = ["Event", "EventQueue", "Simulation"]
 
 #: One scheduled event: ``(t_ms, priority, seq, payload)``.  ``payload``
 #: is a tuple whose first element names the event kind.
@@ -63,92 +60,62 @@ class EventQueue:
     """Deterministic binary-heap event queue.
 
     Events at equal ``t_ms`` pop in ``(priority, seq)`` order; ``seq``
-    comes from the shared insertion ``counter``, so two pushes at the
-    same time and priority pop in push order.  That total order is what
-    makes replays of a seeded scenario bit-identical.
+    comes from one insertion counter, so two pushes at the same time
+    and priority pop in push order.  That total order is what makes
+    replays of a seeded scenario bit-identical.
 
-    Hot-path contract: ``counter`` is public precisely so
-    performance-critical engines may build event tuples ``(t, prio,
-    next(queue.counter), payload)`` themselves — the tuple layout and
-    the shared counter ARE the kernel's determinism guarantee,
-    whichever path pushes.  :class:`~repro.sim.calendar.CalendarQueue`
-    honours the same contract and adds a ``head`` attribute for O(1)
-    peeks; engines that merge an external sorted stream against the
-    queue rely on it.
+    :attr:`head` always holds the next event (``None`` when empty):
+    the engines that merge an external sorted stream against the queue
+    peek the merge frontier with one attribute load, and :meth:`pop`
+    returns exactly ``head``.
     """
 
-    __slots__ = ("heap", "counter")
+    __slots__ = ("head", "_heap", "_seq")
 
     def __init__(self) -> None:
-        self.heap: List[Event] = []
-        self.counter = count()
+        self.head: Optional[Event] = None
+        self._heap: List[Event] = []
+        self._seq = count()
 
     def push(self, t_ms: float, priority: int, payload: tuple) -> None:
         """Schedule ``payload`` at ``t_ms`` (stable within a priority)."""
-        heapq.heappush(self.heap, (t_ms, priority, next(self.counter),
-                                   payload))
+        heap = self._heap
+        heappush(heap, (t_ms, priority, next(self._seq), payload))
+        self.head = heap[0]
 
     def pop(self) -> Event:
-        """Remove and return the next event in deterministic order."""
-        return heapq.heappop(self.heap)
-
-    def peek_ms(self) -> Optional[float]:
-        """Timestamp of the next event (``None`` when empty)."""
-        return self.heap[0][0] if self.heap else None
+        """Remove and return :attr:`head` (``IndexError`` when empty)."""
+        heap = self._heap
+        event = heappop(heap)
+        self.head = heap[0] if heap else None
+        return event
 
     def __len__(self) -> int:
-        return len(self.heap)
-
-    def __bool__(self) -> bool:
-        return bool(self.heap)
-
-
-class SimClock:
-    """Monotone simulated time in milliseconds."""
-
-    __slots__ = ("now_ms",)
-
-    def __init__(self) -> None:
-        self.now_ms = 0.0
-
-    def advance(self, t_ms: float) -> float:
-        """Move time forward (the kernel never rewinds the clock)."""
-        if t_ms < self.now_ms:
-            raise ValueError(
-                f"clock cannot rewind: {t_ms} < {self.now_ms}")
-        self.now_ms = t_ms
-        return t_ms
+        return len(self._heap)
 
 
 class Simulation:
     """Deterministic event loop over a kernel event queue.
 
-    Subclasses register one handler per event kind (the first element
-    of every payload tuple) and call :meth:`run_events`.  The loop is
-    deliberately minimal — pop, advance the clock, dispatch — because
-    the hot simulators bind their own bookkeeping around it; what they
-    share is the queue discipline, the clock, the trace buffer, the
-    per-component RNG streams, and the merged arrival drain
-    (:meth:`_drain_merged`), profiled or not.
+    The loop is deliberately minimal — pop, set ``now_ms``, dispatch —
+    because the engines bind their own bookkeeping around it; what
+    they share is the queue discipline, simulated time, the trace
+    buffer, the per-component RNG streams, and the merged arrival
+    drain (:meth:`_drain_merged`), profiled or not.
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self.queue = CalendarQueue()
-        self.clock = SimClock()
+        self.queue = EventQueue()
+        #: Simulated time in milliseconds, monotone by pop order.
+        self.now_ms = 0.0
         self.rng = RngStreams(seed)
         #: Flat event log ``(kind, t_ms, ...)`` — the replayable trace.
         self.trace: List[tuple] = []
-        self._handlers: Dict[str, Callable[[tuple, float], None]] = {}
         #: Optional read-only consumer of every emitted trace tuple.
         self.observer: Optional[Callable[[tuple], None]] = None
         #: Optional per-event-kind wall-time profiler.
         self.profiler = None
         self._started = False
-
-    def on(self, kind: str,
-           handler: Callable[[tuple, float], None]) -> None:
-        """Register ``handler`` for payloads whose head is ``kind``."""
-        self._handlers[kind] = handler
 
     def attach_observer(self, observer: Callable[[tuple], None]) -> None:
         """Attach a trace-tuple consumer (before the run starts).
@@ -185,19 +152,7 @@ class Simulation:
         if self.observer is not None:
             fin = getattr(self.observer, "finish", None)
             if fin is not None:
-                fin(self.clock.now_ms)
-
-    def schedule(self, t_ms: float, priority: int, payload: tuple) -> None:
-        self.queue.push(t_ms, priority, payload)
-
-    def run_events(self) -> None:
-        """Drain the queue, dispatching each event to its handler."""
-        handlers = self._handlers
-
-        def handle(payload: tuple, now: float) -> None:
-            handlers[payload[0]](payload, now)
-
-        self._drain_merged((), None, handle, 0)
+                fin(self.now_ms)
 
     def _drain_merged(self, arrivals, on_arrival, handle,
                       p_first: int) -> None:
@@ -222,21 +177,20 @@ class Simulation:
                                         handle)
         queue = self.queue
         pop = queue.pop
-        clock = self.clock
         for req in arrivals:
             ta = req.t_ms
             head = queue.head
             while head is not None and (
                     head[0] < ta or (head[0] == ta and head[1] == p_first)):
                 now, _prio, _seq, payload = pop()
-                clock.now_ms = now
+                self.now_ms = now
                 handle(payload, now)
                 head = queue.head
-            clock.now_ms = ta
+            self.now_ms = ta
             on_arrival(req, ta)
-        while queue:
+        while queue.head is not None:
             now, _prio, _seq, payload = pop()
-            clock.now_ms = now  # monotone by pop order; skip the check
+            self.now_ms = now
             handle(payload, now)
         self._finish_observer()
 

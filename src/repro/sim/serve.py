@@ -707,13 +707,14 @@ class ServeEngine(_FleetEngine):
                 dispatch(inst, ta)
             if update is not None:
                 update(inst)
-        while queue:
-            head = queue.head
+        head = queue.head
+        while head is not None:
             pop()
             free_event(head)
-        # Nothing in the fast drain reads the clock; leave it at the
+            head = queue.head
+        # Nothing in the fast drain reads the time; leave it at the
         # last event time for the shared epilogue.
-        self.clock.now_ms = max(
+        self.now_ms = max(
             makespan, arrivals[-1].t_ms if arrivals else 0.0)
         return self._build_summary(
             total_done, makespan, m_lats, m_wait, m_sq, area, prev_t,

@@ -7,6 +7,8 @@ mechanics (attach rules, composition, finish flushing) and the failure
 paths the goldens don't reach.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.dse import Axis, EvalCache, Objective, SearchSpace, explore
@@ -26,33 +28,38 @@ from repro.sim.kernel import Simulation
 MIX = ModelMix({"model2-lhc-trigger": 2.0, "model1-peng-isqed21": 1.0})
 
 
+def _ticks(*times):
+    """A pre-sorted arrival stream for ``Simulation._drain_merged``."""
+    return [SimpleNamespace(t_ms=t) for t in times]
+
+
 class TestKernelHooks:
+    """Hook mechanics on the kernel's merged drain, driven with an
+    arrival stream and an engine-style ``handle`` switch."""
+
     def test_attach_observer_mid_run_raises(self):
         sim = Simulation()
         caught = []
 
-        def handler(payload, now):
+        def handle(payload, now):
             with pytest.raises(RuntimeError, match="mid-run"):
                 sim.attach_observer(lambda e: None)
             caught.append(True)
 
-        sim.on("tick", handler)
-        sim.schedule(1.0, 0, ("tick",))
-        sim.run_events()
+        sim.queue.push(1.0, 0, ("tick",))
+        sim._drain_merged((), None, handle, 0)
         assert caught
 
     def test_attach_profiler_mid_run_raises(self):
         sim = Simulation()
         caught = []
 
-        def handler(payload, now):
+        def on_arrival(req, now):
             with pytest.raises(RuntimeError, match="mid-run"):
                 sim.attach_profiler(KernelProfiler())
             caught.append(True)
 
-        sim.on("tick", handler)
-        sim.schedule(1.0, 0, ("tick",))
-        sim.run_events()
+        sim._drain_merged(_ticks(1.0), on_arrival, None, 0)
         assert caught
 
     def test_double_attach_composes_and_finish_fans_out(self):
@@ -68,23 +75,25 @@ class TestKernelHooks:
                 finished.append(t_ms)
 
         sim.attach_observer(B())
-        sim.observer(("x", 1.0))
-        assert seen_a == seen_b == [("x", 1.0)]
-        sim.clock.now_ms = 7.0
-        sim._finish_observer()
+
+        def on_arrival(req, now):
+            sim.observer(("x", now))
+
+        sim._drain_merged(_ticks(1.0, 7.0), on_arrival, None, 0)
+        assert seen_a == seen_b == [("x", 1.0), ("x", 7.0)]
         assert finished == [7.0]
 
     def test_profiler_sees_every_dispatched_event(self):
         sim = Simulation()
-        sim.on("tick", lambda payload, now: None)
-        sim.on("tock", lambda payload, now: None)
         profiler = KernelProfiler()
         sim.attach_profiler(profiler)
         for t in range(5):
-            sim.schedule(float(t), 0, ("tick",))
-        sim.schedule(9.0, 0, ("tock",))
-        sim.run_events()
-        assert profiler.counts == {"tick": 5, "tock": 1}
+            sim.queue.push(float(t), 0, ("tick",))
+        sim.queue.push(9.0, 0, ("tock",))
+        sim._drain_merged(_ticks(0.5, 2.5, 20.0),
+                          lambda req, now: None,
+                          lambda payload, now: None, 0)
+        assert profiler.counts == {"tick": 5, "tock": 1, "arrival": 3}
         assert all(v >= 0.0 for v in profiler.wall_s.values())
 
 

@@ -54,7 +54,8 @@ class TestPolicyDecisions:
     @pytest.mark.parametrize("timeout_ms", [math.nan, math.inf])
     def test_rejects_non_finite_timeout(self, timeout_ms):
         """A NaN deadline never fires, so a run batching on it used to
-        never return; an infinite one overflowed the event calendar."""
+        never return; an infinite one fired at t = inf and made the
+        makespan infinite."""
         with pytest.raises(ValueError, match="timeout_ms"):
             timeout(4, timeout_ms)
 

@@ -73,6 +73,14 @@ class TestLengthSampler:
             LengthSampler("uniform", 5, 3)
         with pytest.raises(ValueError):
             LengthSampler("weird", 1)
+        for kind in ("fixed", "uniform", "geometric"):
+            for bad in (2.5, 16.0, math.nan, math.inf, -math.inf, True,
+                        "8", None, -3):
+                with pytest.raises(ValueError, match="lo must be an int"):
+                    LengthSampler(kind, bad, 32)
+            for bad in (32.5, math.nan, math.inf, True, 0):
+                with pytest.raises(ValueError, match="hi must be an int"):
+                    LengthSampler(kind, 4, bad)
 
 
 class TestGenerationWorkload:

@@ -11,6 +11,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["numpy>=1.22"],
+    install_requires=["numpy>=1.22", "scipy"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

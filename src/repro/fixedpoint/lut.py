@@ -8,13 +8,20 @@ interpolation, which costs one extra DSP in the resource model).
 
 All evaluation is vectorized: a lookup over a whole score matrix is a
 single fancy-indexing operation.
+
+A table is filled the first time a lookup (or ``max_error``) needs it,
+not when the unit is built: synthesizing an accelerator validates its
+tables' geometry and prices them in the resource model, but never
+evaluates a tabulated function.  ``ErfLUT`` therefore imports
+``scipy.special`` only when its table is first read, so synthesis,
+serving, generation, DSE and the paper tables run without scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,15 +59,22 @@ class FunctionLUT:
     entries: int = 256
     interpolate: bool = False
     name: str = "lut"
-    _table: np.ndarray = field(init=False, repr=False)
+    _table: Optional[np.ndarray] = field(init=False, repr=False, compare=False,
+                                         default=None)
 
     def __post_init__(self) -> None:
         if self.entries < 2 or (self.entries & (self.entries - 1)) != 0:
             raise ValueError("entries must be a power of two >= 2")
         if not self.hi > self.lo:
             raise ValueError("need hi > lo")
-        xs = np.linspace(self.lo, self.hi, self.entries)
-        self._table = np.asarray(self.fn(xs), dtype=np.float64)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The ``entries`` sampled values, computed on first access."""
+        if self._table is None:
+            xs = np.linspace(self.lo, self.hi, self.entries)
+            self._table = np.asarray(self.fn(xs), dtype=np.float64)
+        return self._table
 
     @property
     def step(self) -> float:
@@ -70,20 +84,37 @@ class FunctionLUT:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the table at ``x`` (vectorized, clamped)."""
         x = np.asarray(x, dtype=np.float64)
+        table = self.table
         pos = (np.clip(x, self.lo, self.hi) - self.lo) / self.step
         if self.interpolate:
             idx = np.clip(np.floor(pos).astype(np.int64), 0, self.entries - 2)
             frac = pos - idx
-            lo = self._table[idx]
-            hi = self._table[idx + 1]
+            lo = table[idx]
+            hi = table[idx + 1]
             return lo + frac * (hi - lo)
         idx = np.clip(np.rint(pos).astype(np.int64), 0, self.entries - 1)
-        return self._table[idx]
+        return table[idx]
 
     def max_error(self, samples: int = 4096) -> float:
         """Worst-case absolute error against the real function."""
         xs = np.linspace(self.lo, self.hi, samples)
         return float(np.max(np.abs(self(xs) - self.fn(xs))))
+
+
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    return 1.0 / x
+
+
+def _rsqrt(x: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(x)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    # Imported on the first table fill, so building an ErfLUT (and so
+    # synthesizing an accelerator) never loads scipy.
+    from scipy.special import erf
+
+    return erf(x)
 
 
 class ExpLUT(FunctionLUT):
@@ -106,7 +137,7 @@ class ReciprocalLUT(FunctionLUT):
                  interpolate: bool = True):
         if lo <= 0:
             raise ValueError("reciprocal LUT needs lo > 0")
-        super().__init__(fn=lambda x: 1.0 / x, lo=lo, hi=hi, entries=entries,
+        super().__init__(fn=_reciprocal, lo=lo, hi=hi, entries=entries,
                          interpolate=interpolate, name="recip")
 
 
@@ -117,7 +148,7 @@ class RsqrtLUT(FunctionLUT):
                  interpolate: bool = True):
         if lo <= 0:
             raise ValueError("rsqrt LUT needs lo > 0")
-        super().__init__(fn=lambda x: 1.0 / np.sqrt(x), lo=lo, hi=hi, entries=entries,
+        super().__init__(fn=_rsqrt, lo=lo, hi=hi, entries=entries,
                          interpolate=interpolate, name="rsqrt")
 
 
@@ -126,9 +157,7 @@ class ErfLUT(FunctionLUT):
 
     def __init__(self, half_range: float = 4.0, entries: int = 512,
                  interpolate: bool = True):
-        from scipy.special import erf  # local import keeps scipy optional at import time
-
-        super().__init__(fn=erf, lo=-half_range, hi=half_range, entries=entries,
+        super().__init__(fn=_erf, lo=-half_range, hi=half_range, entries=entries,
                          interpolate=interpolate, name="erf")
 
 

@@ -265,8 +265,12 @@ class GenerationClusterSimulator(_FleetSimulator):
     ):
         super().__init__(accel, n_instances, scheduler, reprogram_latency_ms,
                          fleet, failures)
-        if slots < 1:
-            raise ValueError("need at least one sequence slot")
+        # NaN compares false against every slot count, so a NaN fleet
+        # admits nothing; a float or bool count is a slip, not a size.
+        if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
+            raise ValueError(
+                f"need at least one sequence slot: slots must be an int "
+                f">= 1, got {slots!r}")
         #: None = auto: preempt iff any request carries a priority.
         self.preemption = preemption
         self.slots = slots

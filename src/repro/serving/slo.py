@@ -691,10 +691,16 @@ def plan_capacity(
             f"target_p99_ms must be positive, got {target_p99_ms}")
     if not requests:
         raise ValueError("cannot plan capacity for an empty workload")
-    if max_instances < 1:
+    # A NaN or infinite target can never be met, so the search would
+    # probe every fleet up to max_instances before giving up.
+    if target_qps is not None and not 0 < target_qps < math.inf:
+        raise ValueError(
+            f"target_qps must be positive and finite, got {target_qps!r}")
+    if (not isinstance(max_instances, int) or isinstance(max_instances, bool)
+            or max_instances < 1):
         raise ValueError(
             "cannot plan capacity over an empty fleet: max_instances "
-            "must be >= 1")
+            f"must be an int >= 1, got {max_instances!r}")
     if mode not in ("analytic", "probe"):
         raise ValueError(f"unknown plan mode {mode!r}; "
                          "available: ['analytic', 'probe']")

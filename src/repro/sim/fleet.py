@@ -104,8 +104,10 @@ class InstanceSpec:
             raise ValueError(
                 "reprogram_latency_ms must be >= 0 and finite, got "
                 f"{self.reprogram_latency_ms!r}")
-        if self.slots is not None and self.slots < 1:
-            raise ValueError("slots must be >= 1")
+        slots = self.slots
+        if slots is not None and (not isinstance(slots, int)
+                                  or isinstance(slots, bool) or slots < 1):
+            raise ValueError(f"slots must be >= 1 (an int), got {slots!r}")
 
     def can_serve(self, model: str) -> bool:
         return self.models is None or model in self.models

@@ -19,6 +19,7 @@ from repro.serving import (
     ModelMix,
     PoissonArrivals,
     attach_generation_lengths,
+    plan_capacity,
     simulate,
     simulate_generation,
     summarize,
@@ -90,19 +91,35 @@ CASES = [
     ("summarize_generation.tpot_slo_ms",
      lambda v, r: summarize_generation(r["generate"], tpot_slo_ms=v),
      NOT_POSITIVE),
+    ("generation.slots",
+     lambda v, r: simulate_generation(r["accel"], r["gen_requests"], 2,
+                                      slots=v, detail="summary"),
+     NOT_COUNT),
+    ("instance.slots", lambda v, r: InstanceSpec(slots=v), NOT_COUNT),
+    ("plan_capacity.target_qps",
+     lambda v, r: plan_capacity(r["accel"], r["arrivals"], 5.0,
+                                target_qps=v),
+     NOT_POSITIVE),
+    ("plan_capacity.max_instances",
+     lambda v, r: plan_capacity(r["accel"], r["arrivals"], 5.0,
+                                max_instances=v),
+     NOT_COUNT),
 ]
 
 
 @pytest.fixture(scope="module")
 def results(default_accel):
-    """One small serve run and one small generation run to summarize."""
+    """One small serve run and one small generation run to summarize,
+    with their inputs for the calls that take a workload."""
     arrivals = PoissonArrivals(200.0, MIX, seed=1).generate(50.0)
     requests = attach_generation_lengths(
         arrivals, LengthSampler("fixed", 8), LengthSampler("fixed", 4),
         seed=1)
     return {"serve": simulate(default_accel, arrivals, n_instances=2),
             "generate": simulate_generation(default_accel, requests,
-                                            n_instances=2)}
+                                            n_instances=2),
+            "accel": default_accel, "arrivals": arrivals,
+            "gen_requests": requests}
 
 
 @pytest.mark.parametrize("call,bad", [c[1:] for c in CASES],

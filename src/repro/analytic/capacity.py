@@ -20,7 +20,8 @@ from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..serving.batching import BatchingPolicy, ServiceTimeModel
 from ..serving.workload import Request
-from .serving import AnalyticServingEstimate, estimate_serving
+from .queueing import _check_count, _check_rate
+from .serving import AnalyticServingEstimate, _estimate, _prepare
 
 __all__ = ["FleetProposal", "propose_fleet"]
 
@@ -68,30 +69,32 @@ def propose_fleet(
     p99 <= ``target_p99_ms`` and (when set) analytic throughput >=
     ``0.95 * target_qps``.  Never raises on infeasibility — it returns
     ``max_instances`` with ``feasible=False`` and lets the caller's
-    confirming simulations issue the authoritative verdict.
+    confirming simulations issue the authoritative verdict.  It does
+    raise ``ValueError`` on a NaN or non-positive ``target_p99_ms``, a
+    ``target_qps`` that is not positive and finite, and a
+    ``max_instances`` that is not an ``int >= 1``.
     """
-    if target_p99_ms <= 0:
-        raise ValueError("target_p99_ms must be positive")
+    if not target_p99_ms > 0:  # NaN fails the comparison too
+        raise ValueError(
+            f"target_p99_ms must be positive, got {target_p99_ms!r}")
     if not requests:
         raise ValueError("cannot plan capacity for an empty workload")
-    if max_instances < 1:
-        raise ValueError(
-            "cannot plan capacity over an empty fleet: max_instances "
-            "must be >= 1")
+    if target_qps is not None:
+        _check_rate("target_qps", target_qps)
+    _check_count("max_instances", max_instances)
 
     estimates: Dict[int, AnalyticServingEstimate] = {}
-    # One service-time model across every candidate fleet: the latency
-    # reports depend only on (model, seq_len), so the memo is shared.
+    # One service-time model and one prepared workload across every
+    # candidate fleet: the latency reports depend only on (model,
+    # seq_len), and the counts, sorted times and envelope not at all.
     service = ServiceTimeModel(accel, models or MODEL_ZOO)
+    workload = _prepare(requests, duration_ms)
 
     def meets(n: int) -> bool:
         est = estimates.get(n)
         if est is None:
-            est = estimate_serving(
-                accel, requests, n, batching=batching, models=models,
-                reprogram_latency_ms=reprogram_latency_ms,
-                duration_ms=duration_ms, failures=failures,
-                service=service)
+            est = _estimate(accel, workload, n, batching, models,
+                            reprogram_latency_ms, failures, service)
             estimates[n] = est
         ok = est.p99_ms <= target_p99_ms
         if target_qps is not None:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import TransformerConfig
-from .queueing import wait_quantile_ms
+from .queueing import _check_count, _check_rate, wait_quantile_ms
 
 __all__ = ["AnalyticGenerationEstimate", "estimate_generation"]
 
@@ -73,16 +73,19 @@ def estimate_generation(
     offered ``qps``, ``ttft_p99_ms`` adds the M/M/c conditional wait
     over ``fleet * slots`` servers whose service time is the full
     invocation; saturated loads push the tail out by the workload
-    horizon (``duration_ms``, required then).
+    horizon (``duration_ms``, required then).  ``fleet`` and ``slots``
+    are ``int >= 1``; an offered ``qps`` is positive and finite.
     """
-    if fleet < 1 or slots < 1:
-        raise ValueError("fleet and slots must be >= 1")
+    _check_count("fleet", fleet)
+    _check_count("slots", slots)
+    if qps is not None:
+        _check_rate("qps", qps)
     report = accel.generation_report(cfg, prompt_tokens, output_tokens)
     ttft = report.ttft_ms
     total = report.total_ms
     ttft_p99 = ttft
     erlangs = 0.0
-    if qps is not None and qps > 0:
+    if qps is not None:
         servers = fleet * slots
         lam_per_ms = qps / 1e3
         mu_per_ms = 1.0 / total

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
@@ -49,7 +49,7 @@ from ..serving.batching import BatchingPolicy, ServiceTimeModel, no_batching
 from ..serving.slo import nearest_rank
 from ..serving.workload import Request
 from .envelope import ArrivalEnvelope, fluid_waits_ms
-from .queueing import wait_quantile_ms
+from .queueing import _check_count, wait_quantile_ms
 
 __all__ = ["AnalyticServingEstimate", "estimate_serving"]
 
@@ -162,23 +162,66 @@ def estimate_serving(
     Same workload-shaping arguments as
     :func:`repro.serving.cluster.simulate` (scheduler policy does not
     enter the closed form: the wait model assumes work conservation,
-    which every shipped scheduler satisfies).  ``failures`` is a
+    which every shipped scheduler satisfies).  ``fleet`` is an
+    ``int >= 1``.  ``failures`` is a
     :class:`~repro.sim.failures.FailurePlan`; ``window_ms`` is the
-    peak-rate window of the arrival envelope.  Callers evaluating many
-    fleet sizes over one workload pass a shared ``service``
+    peak-rate window of the arrival envelope.
+
+    Most terms do not depend on ``fleet``: the per-model counts and
+    mix shares, the sorted arrival times and their envelope, the
+    per-model single and full-batch service times, the switch
+    probability, and the availability derating.  Only the point batch
+    size, the fluid walks, the M/M/c tails and the makespans do.  So
+    :func:`~repro.analytic.capacity.propose_fleet` prepares the
+    workload terms once per proposal (:func:`_prepare`), and callers
+    evaluating many fleet sizes pass a shared ``service``
     (:class:`ServiceTimeModel`) so the latency-report memo carries
     across calls.
     """
-    if fleet < 1:
-        raise ValueError(f"fleet must be >= 1, got {fleet}")
+    _check_count("fleet", fleet)
     if not requests:
         raise ValueError("cannot estimate an empty workload")
+    return _estimate(accel, _prepare(requests, duration_ms, window_ms),
+                     fleet, batching, models, reprogram_latency_ms,
+                     failures, service)
 
+
+class _Workload(NamedTuple):
+    """The fleet-independent part of an estimate's input."""
+
+    #: Requests per model.
+    counts: Counter
+    #: Arrival times, sorted.
+    times: List[float]
+    env: ArrivalEnvelope
+    #: Every ``stride``-th arrival feeds the fluid walks.
+    stride: int
+    fluid_times: List[float]
+
+
+def _prepare(requests: Sequence[Request], duration_ms: Optional[float],
+             window_ms: float = 50.0) -> _Workload:
+    """Count, sort and envelope a non-empty workload once."""
+    times = sorted(r.t_ms for r in requests)
+    env = ArrivalEnvelope.from_times(times, duration_ms=duration_ms,
+                                     window_ms=window_ms)
+    stride = max(1, math.ceil(len(times) / _MAX_FLUID_POINTS))
+    return _Workload(Counter(r.model for r in requests), times, env,
+                     stride, times[::stride] if stride > 1 else times)
+
+
+def _estimate(accel: ProTEA, workload: _Workload, fleet: int,
+              batching: Optional[BatchingPolicy],
+              models: Optional[Mapping[str, TransformerConfig]],
+              reprogram_latency_ms: float, failures,
+              service: Optional[ServiceTimeModel]
+              ) -> AnalyticServingEstimate:
+    """:func:`estimate_serving` on a prepared workload."""
     policy = batching or no_batching()
     if service is None:
         service = ServiceTimeModel(accel, models or MODEL_ZOO)
-    counts = Counter(r.model for r in requests)
-    n = len(requests)
+    counts, times, env, stride, fluid_times = workload
+    n = len(times)
     shares: Dict[str, float] = {m: c / n for m, c in counts.items()}
     single = {m: service.batch_service_ms(m, 1) for m in counts}
     max_batch = policy.max_batch
@@ -195,9 +238,6 @@ def estimate_serving(
         availability = mtbf / (mtbf + mttr)
         repair_pad_ms = mttr
 
-    times = sorted(r.t_ms for r in requests)
-    env = ArrivalEnvelope.from_times(times, duration_ms=duration_ms,
-                                     window_ms=window_ms)
     lam_per_ms = env.mean_qps / 1e3
     drain_fluid = fleet * availability  # work-ms drained per ms
 
@@ -214,8 +254,6 @@ def estimate_serving(
     mu_pt = availability / work_pt
     erlangs = lam_per_ms / mu_pt
 
-    stride = max(1, math.ceil(n / _MAX_FLUID_POINTS))
-    fluid_times = times[::stride] if stride > 1 else times
     fl_pt, backlog_pt = fluid_waits_ms(fluid_times, work_pt * stride,
                                        drain_fluid)
     fl_pt.sort()

@@ -20,6 +20,7 @@ the analytic proposal.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from operator import attrgetter, itemgetter, sub
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
@@ -337,7 +338,7 @@ def _serving_report(run: Union[SimulationResult, ServeSummary],
     def attainment(ordered: Sequence[float]) -> Optional[float]:
         if slo_ms is None or not ordered:
             return None
-        return sum(1 for v in ordered if v <= slo_ms) / len(ordered)
+        return bisect_right(ordered, slo_ms) / len(ordered)
 
     per_model: Dict[str, ModelMetrics] = {}
     for name in names:

@@ -32,8 +32,9 @@ first minimum, falling back to the scan only while a completion lies
 within ``_EPS`` of the arrival (where the scan's ``busy_until`` test
 and the index's in-flight test differ).  One extra drain remains,
 :meth:`ServeEngine._run_fast`: summary runs whose conditions rule out
-every event but arrivals and completions take it inlined.  Same math,
-same floats, same order — just less work per event.
+every event but arrivals, completions and batching-deadline checks
+take it inlined.  Same math, same floats, same order — just less work
+per event.
 
 Observer contract: an attached observer sees every trace tuple —
 ``("arrive", t, rid, model, inst)`` (``inst == -1`` while parked),
@@ -284,7 +285,9 @@ class ServeEngine(_FleetEngine):
         Both levels run the same handlers; only the result sink differs
         (:meth:`_record_sink` / :meth:`_summary_sink`).  The one extra
         drain is :meth:`_run_fast`, the inlined summary drain for runs
-        whose conditions rule out every event but arrivals and frees.
+        whose conditions rule out every event but arrivals, frees and
+        deadline checks: no failures, an unrestricted fleet, stock
+        batching (with or without a timeout), and nothing attached.
         The result types live in :mod:`repro.serving.cluster`, imported
         lazily to keep the package graph acyclic.
         """
@@ -307,7 +310,7 @@ class ServeEngine(_FleetEngine):
         update = index.update if index is not None else None
 
         if (detail == "summary" and not failing and not dispatcher.restricted
-                and decide is None and timeout_ms is None and note is None
+                and decide is None and note is None
                 and self.profiler is None):
             return self._run_fast(arrivals, index)
 
@@ -580,14 +583,16 @@ class ServeEngine(_FleetEngine):
         loop of :meth:`run`, inlined into one loop.
 
         Taken only for summary runs with no failures, an unrestricted
-        fleet, stock batching without a timeout, and no observer or
-        profiler attached.  Those conditions kill whole event classes —
-        no fault/recover events, no stale epochs, pick() never parks a
-        request (nothing is ever pending), no check events — so the
-        engine queue holds only completion events (priority
-        ``_P_FREE``) and the merge test against the arrival stream is a
-        plain timestamp compare: a free at an arrival's exact timestamp
-        pops first, same as the heap's priority order.
+        fleet, stock batching, and no observer or profiler attached.
+        Those conditions kill whole event classes — no fault/recover
+        events, no stale epochs, pick() never parks a request (nothing
+        is ever pending) — so the engine queue holds only completions
+        (priority ``_P_FREE``) and, under a timeout policy, deadline
+        checks (``_P_CHECK``).  The merge test against the arrival
+        stream is a timestamp compare: a completion at an arrival's
+        exact timestamp pops first and a check pops after it, the
+        heap's priority order.  The handler tells the two apart by
+        priority.
         """
         queue = self.queue
         push = queue.push
@@ -595,6 +600,9 @@ class ServeEngine(_FleetEngine):
         instances = self.instances
         dispatcher = self.dispatcher
         max_batch = self.batching.max_batch
+        timeout_ms = self.batching.timeout_ms
+        timed = timeout_ms is not None
+        check_jitter = self.check_jitter_ms
         update = index.update if index is not None else None
         m_lats: Dict[str, List[float]] = {}
         m_wait: Dict[str, float] = {}
@@ -607,20 +615,22 @@ class ServeEngine(_FleetEngine):
         total_done = 0
         queued_total = 0
         rr = dispatcher._round_robin
-        rr_next = 0
         n_inst = len(instances)
+        # The cursor _pick_fast advances: a round-robin scheduler
+        # object reused across runs continues its rotation here too.
+        rr_next = dispatcher.scheduler._next % n_inst if rr else 0
         pick_fast = dispatcher._pick_fast
         # The indexed pick is inlined below: the merge loop already
         # holds the queue head that ``pick`` would re-read.
         best = index.best if index is not None else None
 
         def dispatch(inst: _ServeInst, now: float) -> None:
-            # try_dispatch with the idle/queue checks hoisted to
-            # the call sites and the no-timeout policy constant-
-            # folded: size is the same-model head prefix, capped.
+            # try_dispatch past its busy and empty-queue tests, which
+            # the call sites make; the same tests in the same order.
             nonlocal queued_total, area, prev_t, cur_depth
             iq = inst.queue
-            model = iq[0].model
+            head = iq[0]
+            model = head.model
             if max_batch == 1:
                 size = 1
             else:
@@ -629,6 +639,19 @@ class ServeEngine(_FleetEngine):
                     if size >= max_batch or r.model != model:
                         break
                     size += 1
+                if (timed and size < max_batch
+                        and now - head.t_ms + _EPS < timeout_ms):
+                    if not inst.pending_check:
+                        deadline = head.t_ms + timeout_ms
+                        target = deadline - check_jitter
+                        if target <= now + _EPS:
+                            target = deadline
+                        push(target if target > now else now, _P_CHECK,
+                             ("check", inst))
+                        inst.pending_check = True
+                    return
+            if inst.in_flight is not None:
+                return  # completes within _EPS; its free event dispatches
             batch = [iq.popleft() for _ in range(size)]
             queued_total -= size
             if inst.resident != model:
@@ -650,9 +673,17 @@ class ServeEngine(_FleetEngine):
             prev_t = now
             cur_depth = queued_total  # depth fell: max unchanged
 
-        def free_event(head: tuple) -> None:
+        def on_event(head: tuple) -> None:
             nonlocal makespan, total_done
             inst: _ServeInst = head[3][1]
+            if head[1]:  # _P_CHECK: a deadline wakeup, possibly stale
+                now = head[0]
+                inst.pending_check = False
+                if inst.busy_until <= now + _EPS and inst.queue:
+                    dispatch(inst, now)
+                if update is not None:
+                    update(inst)
+                return
             model, size, t_disp, t_done, batch = inst.in_flight
             inst.in_flight = None
             inst.batches += 1
@@ -681,8 +712,10 @@ class ServeEngine(_FleetEngine):
             ta = req.t_ms
             head = queue.head
             while head is not None and head[0] <= ta:
+                if head[1] and head[0] == ta:
+                    break  # a check at ta pops after the arrival
                 pop()
-                free_event(head)
+                on_event(head)
                 head = queue.head
             if rr:
                 inst = instances[rr_next]
@@ -703,19 +736,22 @@ class ServeEngine(_FleetEngine):
             cur_depth = d
             if d > max_depth:
                 max_depth = d
-            if inst.in_flight is None:
+            if inst.busy_until <= ta + _EPS:
                 dispatch(inst, ta)
             if update is not None:
                 update(inst)
+        # Simulated time ends at the last event popped (a stale check
+        # may outlive the last completion), else at the last arrival.
+        now = arrivals[-1].t_ms if arrivals else self.now_ms
         head = queue.head
         while head is not None:
             pop()
-            free_event(head)
+            now = head[0]
+            on_event(head)
             head = queue.head
-        # Nothing in the fast drain reads the time; leave it at the
-        # last event time for the shared epilogue.
-        self.now_ms = max(
-            makespan, arrivals[-1].t_ms if arrivals else 0.0)
+        self.now_ms = now
+        if rr:
+            dispatcher.scheduler._next += len(arrivals)
         return self._build_summary(
             total_done, makespan, m_lats, m_wait, m_sq, area, prev_t,
             cur_depth, max_depth, {}, 0, None)

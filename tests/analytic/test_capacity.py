@@ -141,6 +141,11 @@ def test_propose_fleet_matches_linear_scan(default_accel, scenario):
                             reprogram_latency_ms=5.0).p99_ms <= target)
     assert proposal.instances == scan
     assert proposal.estimate.p99_ms <= target
+    # The proposal prepares the workload once; its estimate is the
+    # one-shot estimate, field for field.
+    assert proposal.estimate == estimate_serving(
+        default_accel, requests, scan, batching=timeout(4, 2.0),
+        reprogram_latency_ms=5.0)
 
 
 def test_propose_fleet_infeasible_flags_instead_of_raising(default_accel):

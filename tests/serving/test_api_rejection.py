@@ -12,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analytic import estimate_generation, estimate_serving, propose_fleet
+from repro.nn.model_zoo import MODEL_ZOO
 from repro.serving import (
     BurstyArrivals,
     DiurnalArrivals,
@@ -34,6 +36,9 @@ MIX = ModelMix({MODEL: 1.0})
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 #: Finite reals at or below zero, and below zero.
 NOT_POSITIVE = NON_FINITE | st.floats(max_value=0.0, allow_nan=False)
+#: NaN, -inf and finite reals at or below zero (+inf is a valid bound).
+NAN_OR_NOT_POSITIVE = (st.sampled_from([math.nan, -math.inf])
+                       | st.floats(max_value=0.0, allow_nan=False))
 NEGATIVE = NON_FINITE | st.floats(max_value=0.0, exclude_max=True,
                                   allow_nan=False)
 #: Anything but an int >= 1: zero and negative ints, every float
@@ -104,6 +109,32 @@ CASES = [
      lambda v, r: plan_capacity(r["accel"], r["arrivals"], 5.0,
                                 max_instances=v),
      NOT_COUNT),
+    ("propose_fleet.target_p99_ms",
+     lambda v, r: propose_fleet(r["accel"], r["arrivals"], v),
+     NAN_OR_NOT_POSITIVE),
+    ("propose_fleet.target_qps",
+     lambda v, r: propose_fleet(r["accel"], r["arrivals"], 5.0,
+                                target_qps=v),
+     NOT_POSITIVE),
+    ("propose_fleet.max_instances",
+     lambda v, r: propose_fleet(r["accel"], r["arrivals"], 5.0,
+                                max_instances=v),
+     NOT_COUNT),
+    ("estimate_serving.fleet",
+     lambda v, r: estimate_serving(r["accel"], r["arrivals"], v),
+     NOT_COUNT),
+    ("estimate_generation.fleet",
+     lambda v, r: estimate_generation(r["accel"], MODEL_ZOO[MODEL], 8, 4,
+                                      fleet=v),
+     NOT_COUNT),
+    ("estimate_generation.slots",
+     lambda v, r: estimate_generation(r["accel"], MODEL_ZOO[MODEL], 8, 4,
+                                      slots=v),
+     NOT_COUNT),
+    ("estimate_generation.qps",
+     lambda v, r: estimate_generation(r["accel"], MODEL_ZOO[MODEL], 8, 4,
+                                      qps=v, duration_ms=50.0),
+     NOT_POSITIVE),
 ]
 
 

@@ -98,6 +98,34 @@ class TestSummarize:
         assert summarize(res, slo_ms=1e-9).slo_attainment == 0.0
         assert summarize(res).slo_attainment is None
 
+    @pytest.mark.parametrize("detail", ["full", "summary"])
+    def test_slo_attainment_counts_ties_at_the_slo(self, default_accel,
+                                                   detail):
+        """Latencies equal to the SLO meet it.  One instance, batches
+        of up to 4 held 1 ms for company: the members of a batch that
+        arrived together share one latency, so the sorted latencies
+        are L1 < L4 x4 < L3 x3."""
+        from repro.serving import timeout
+        from repro.serving.workload import Request
+
+        times = (0.0, 0.0, 0.0, 100.0, 200.0, 200.0, 200.0, 200.0)
+        reqs = [Request(rid=i, t_ms=t, model="model2-lhc-trigger")
+                for i, t in enumerate(times)]
+        run = simulate(default_accel, reqs, 1, batching=timeout(4, 1.0),
+                       detail=detail)
+        full = simulate(default_accel, reqs, 1, batching=timeout(4, 1.0))
+        lats = sorted(r.latency_ms for r in full.records)
+        assert lats[0] < lats[1] == lats[4] < lats[5] == lats[7]
+        below = math.nextafter
+        for slo_ms, met in ((lats[0], 1), (below(lats[1], 0.0), 1),
+                            (lats[1], 5), (below(lats[5], 0.0), 5),
+                            (lats[5], 8)):
+            assert met == sum(1 for v in lats if v <= slo_ms)
+            report = summarize(run, slo_ms=slo_ms)
+            assert report.slo_attainment == met / 8
+            assert report.per_model["model2-lhc-trigger"].slo_attainment \
+                == met / 8
+
     @pytest.mark.parametrize("slo_ms", [math.nan, 0.0, -1.0])
     def test_rejects_unmeetable_slo(self, light_run, slo_ms):
         """A NaN SLO used to report ``slo_attainment 0.0``."""

@@ -11,10 +11,10 @@ in flight.  The two disagree only while a completion lies in
   checks every pick against the brute-force first argmin.
 * The engine test builds workloads whose arrivals land exactly on, and
   within 1e-10 ms of, batch completions, which puts completions inside
-  the ``_EPS`` window of an arrival.  Full and summary detail (the
-  shared handlers with a timeout; the inlined ``_run_fast`` drain
-  without one) must reproduce digests frozen from the scan, at fleets
-  of 1, 16 and 64.
+  the ``_EPS`` window of an arrival.  Full detail (the shared
+  handlers) and summary detail (the inlined ``_run_fast`` drain, with
+  or without a timeout) must reproduce digests frozen from the scan,
+  at fleets of 1, 16 and 64.
 
 Regenerate after an intentional behavior change with::
 
@@ -37,8 +37,9 @@ GOLDEN = Path(__file__).parent.parent / "goldens" / "serve_pick_eps.json"
 MODEL = "model2-lhc-trigger"
 EPS = 1e-9
 FLEETS = (1, 16, 64)
-#: timeout batching runs the shared per-event handlers; fixed batching
-#: (no timeout) runs the inlined web-scale summary drain.
+#: Both policies run the shared per-event handlers at full detail and
+#: the inlined ``_run_fast`` drain at summary detail; timeout batching
+#: adds its deadline checks to that drain.
 POLICIES = {"timeout": lambda: timeout(4, 2.0), "fixed": lambda: fixed_size(4)}
 ROUNDS = 10
 

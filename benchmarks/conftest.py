@@ -50,9 +50,9 @@ METRIC_UNITS = {
     "dse_host_cpus": "cores",
     "dse_grid_points": "points",
     "dse_eval_points_per_s": "points/s",
-    "sim_kernel_scale_x": "x",
-    "serving_1M_seed_s": "s",
-    "serving_1M_requests_s": "s",
+    "serving_kernel_requests_per_s": "requests/s",
+    "generation_kernel_tokens_per_s": "tokens/s",
+    "serving_1M_requests_per_s": "requests/s",
     "gen_fleet_scaling_x": "x",
     "gen_fleet16_tokens_per_s": "tokens/s",
     "gen_fleet128_tokens_per_s": "tokens/s",

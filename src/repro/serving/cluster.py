@@ -18,15 +18,13 @@ Heap ties break on (event priority, insertion sequence), so a run is a
 pure function of (workload, topology, policies) — the acceptance
 property behind trace-identical replays.
 
-Since the unified kernel landed, :meth:`ClusterSimulator.run` executes
-on :class:`repro.sim.serve.ServeEngine` — bit-identical to the legacy
-closure loop on seeded scenarios (pinned by the goldens under
-``tests/goldens/``) and measurably faster, plus the scenario layer the
-old loop could not express: heterogeneous fleets
+:meth:`ClusterSimulator.run` executes on
+:class:`repro.sim.serve.ServeEngine`, whose outputs on seeded scenarios
+are pinned by the goldens under ``tests/goldens/`` (rendered reports,
+record digests and trace digests).  The engine also carries the
+scenario layer: heterogeneous fleets
 (:class:`~repro.sim.fleet.FleetSpec`) and failure/recovery injection
-(:class:`~repro.sim.failures.FailurePlan`).  The legacy loop survives
-as :meth:`ClusterSimulator.run_legacy`, the reference implementation
-the goldens and the kernel-speedup benchmark compare against.
+(:class:`~repro.sim.failures.FailurePlan`).
 
 ``simulate(..., observer=...)`` attaches any read-only consumer of the
 engine's event stream — a :class:`repro.obs.TraceRecorder`,
@@ -134,7 +132,14 @@ class SimulationResult(_FleetTotals):
 
 
 class ClusterSimulator(_FleetSimulator):
-    """Event-driven simulator over N instances of one synthesized design."""
+    """Event-driven simulator over N instances of one synthesized design.
+
+    ``scheduler`` is a policy name or a
+    :class:`~repro.serving.scheduler.Scheduler` object.  A name builds a
+    fresh scheduler for every :meth:`run`, so replays agree; an object
+    is used as passed, and its state (round-robin's cursor) carries
+    over from one run to the next.
+    """
 
     _mode = "serve"
 
@@ -179,21 +184,6 @@ class ClusterSimulator(_FleetSimulator):
             **cell,
         )
 
-    # ------------------------------------------------------------------
-    def run_legacy(self, requests: Sequence[Request]) -> SimulationResult:
-        """The pre-kernel closure loop, kept as the reference engine.
-
-        The goldens and the kernel benchmarks run both engines over the
-        same seeded scenarios; this one cannot express fleets or
-        failures and refuses to silently ignore them.  The loop itself
-        lives in :mod:`repro.serving.legacy` (test support, shared with
-        the generation oracle) — only this delegate ships in the hot
-        module.
-        """
-        from .legacy import run_legacy_cluster
-
-        return run_legacy_cluster(self, requests)
-
 
 def simulate(
     accel: ProTEA,
@@ -212,6 +202,9 @@ def simulate(
     shard_jobs: Optional[int] = None,
 ):
     """One-call convenience wrapper around :class:`ClusterSimulator`.
+
+    A ``scheduler`` object keeps its state across calls (see
+    :class:`ClusterSimulator`); a name starts fresh each call.
 
     The cyclic garbage collector is paused for the engine run (the
     engines build no reference cycles).  Cycles built by a user

@@ -298,19 +298,6 @@ class GenerationClusterSimulator(_FleetSimulator):
             **cell,
         )
 
-    # ------------------------------------------------------------------
-    def run_legacy(self, requests: Sequence[GenerationRequest]
-                   ) -> GenerationSimulationResult:
-        """The pre-kernel closure loop, kept as the reference engine.
-
-        The loop itself lives in :mod:`repro.serving.legacy` (test
-        support, shared with the serve oracle) — only this delegate
-        ships in the hot module.
-        """
-        from .legacy import run_legacy_generation
-
-        return run_legacy_generation(self, requests)
-
 
 def simulate_generation(
     accel: ProTEA,

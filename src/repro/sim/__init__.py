@@ -5,7 +5,7 @@ Every discrete-event simulator in the repo runs on this package:
 * :mod:`.kernel` — the deterministic event queue (:class:`EventQueue`,
   a binary heap), simulated time, and the merged arrival drain;
 * :mod:`.rng` — named per-component RNG streams derived from one root
-  seed, so adding a stochastic component never perturbs another;
+  seed (failure injection draws one per instance);
 * :mod:`.fleet` — heterogeneous fleet specs (per-instance speed,
   capability sets, switch penalties, slots, pricing targets), the
   capability/health-aware :class:`Dispatcher`, and the fleet substrate
@@ -18,8 +18,8 @@ Every discrete-event simulator in the repo runs on this package:
 * :mod:`.serve` / :mod:`.generate` — the engines behind
   :class:`~repro.serving.cluster.ClusterSimulator` and
   :class:`~repro.serving.generation.GenerationClusterSimulator`,
-  verified bit-identical to the legacy closure loops by the
-  trace-identity goldens in ``tests/goldens/``.
+  pinned bit for bit on seeded scenarios by the goldens in
+  ``tests/goldens/``.
 
 The determinism contract is documented in :mod:`.kernel`: equal inputs
 produce byte-identical traces, records, and rendered reports.

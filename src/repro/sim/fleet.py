@@ -1,9 +1,8 @@
 """Heterogeneous fleet descriptions and capability-aware dispatch.
 
 A :class:`FleetSpec` is an ordered list of :class:`InstanceSpec`, one
-per instance.  The homogeneous case (every instance identical, full
-speed, serves everything) is the degenerate spec the legacy loops
-already modeled; heterogeneity adds, per instance:
+per instance.  The homogeneous case is every instance identical, full
+speed, serving everything; heterogeneity adds, per instance:
 
 * ``speed``       — a service-rate multiplier (0.5 = half-speed device:
   every batch/step takes twice as long);
@@ -129,8 +128,7 @@ class FleetSpec:
 
     @property
     def homogeneous(self) -> bool:
-        """True when every instance is the all-default spec — the case
-        that must stay bit-identical to the legacy loops."""
+        """True when every instance is the all-default spec."""
         return all(s == InstanceSpec() for s in self.specs)
 
     @classmethod
@@ -198,8 +196,8 @@ class Dispatcher:
     Subclasses implement :meth:`_pick_fast` with an engine-specific
     inlined backlog computation for the built-in policies (the flags
     below say which one runs); anything else falls back to
-    ``scheduler.pick`` (same Protocol the legacy loops used, so custom
-    schedulers keep working).
+    ``scheduler.pick`` (the :class:`~repro.serving.scheduler.Scheduler`
+    Protocol, so custom schedulers keep working).
     """
 
     def __init__(self, scheduler, instances: Sequence) -> None:
@@ -246,14 +244,14 @@ class Dispatcher:
 
 
 class _FleetSimulator:
-    """What both serving façades share: the fleet, a fresh scheduler per
-    run, and running a stream on one engine or on shard cells.
+    """What both serving façades share: the fleet, the scheduler each
+    run uses, and running a stream on one engine or on shard cells.
 
     A façade supplies ``_mode`` (its :func:`~repro.sim.shard.run_sharded`
     mode) and ``_engine(fleet, **cell)``, the one place it builds its
     engine — over the whole fleet for :meth:`run`, over one cell (with
-    the ``instance_base``, ``failure_horizon_ms`` and ``rng_seed``
-    keywords) for :meth:`_shard_cell`.
+    the ``instance_base`` and ``failure_horizon_ms`` keywords) for
+    :meth:`_shard_cell`.
     """
 
     _mode = ""
@@ -280,16 +278,18 @@ class _FleetSimulator:
         self.fleet = fleet
         self.failures = failures
         self.n_instances = fleet.n
-        # Keep the spec, not an instance: stateful schedulers (round-
-        # robin's cursor) must start fresh every run() or replays of
-        # the same workload would diverge.
+        # Keep a name as a name, so every run() builds a fresh instance
+        # (round-robin's cursor starts over and replays agree).  A
+        # Scheduler object is used as passed, state and all.
         self._scheduler_spec = scheduler
         if isinstance(scheduler, str):
             get_scheduler(scheduler)  # validate the name eagerly
         self.reprogram_latency_ms = reprogram_latency_ms
 
     def _scheduler(self):
-        """A fresh scheduler per run (stateful cursors must reset)."""
+        """The scheduler for one run: a fresh instance when the façade
+        was given a name, else the caller's object as is — its state
+        (round-robin's cursor) carries over from run to run."""
         from ..serving.scheduler import get_scheduler
 
         spec = self._scheduler_spec
@@ -304,12 +304,11 @@ class _FleetSimulator:
             shard_jobs: Optional[int] = None):
         """Simulate the full stream on the unified kernel.
 
-        Bit-identical to :meth:`run_legacy` on homogeneous, no-failure
-        (and, for generation, no-priority) scenarios — the
-        trace-identity goldens hold the two engines to byte-equal
-        rendered reports — and the only path that understands
-        heterogeneous fleets, failure injection and priority admission
-        with preemption.  ``observer``/``profiler`` are forwarded to the
+        Seeded runs are pinned by the goldens under ``tests/goldens/``
+        (rendered reports, record digests, trace digests).  The run
+        understands heterogeneous fleets, failure injection and
+        priority admission with preemption.  ``observer``/``profiler``
+        are forwarded to the
         engine's observability hooks (see :mod:`repro.obs`); observers
         are read-only, so the result is byte-identical with or without
         them.
@@ -350,15 +349,14 @@ class _FleetSimulator:
 
     def _shard_cell(self, fleet: FleetSpec, instance_base: int,
                     requests: Sequence, failure_horizon_ms: float,
-                    rng_seed, observer=None):
+                    observer=None):
         """Run one shard cell (summary detail, global instance ids).
 
         Called by :func:`repro.sim.shard.run_sharded` — in-process on
         the serial path, inside a pool worker on the parallel one.
         """
         engine = self._engine(fleet, instance_base=instance_base,
-                              failure_horizon_ms=failure_horizon_ms,
-                              rng_seed=rng_seed)
+                              failure_horizon_ms=failure_horizon_ms)
         return self._drive(engine, requests, "summary", observer, None)
 
     @staticmethod
@@ -448,12 +446,11 @@ class _FleetEngine(Simulation):
     ``_summary_sink`` and ``_instance_stats``."""
 
     def __init__(self, fleet: FleetSpec, scheduler, failures,
-                 instance_base: int, failure_horizon_ms: Optional[float],
-                 rng_seed) -> None:
+                 instance_base: int,
+                 failure_horizon_ms: Optional[float]) -> None:
         # All engine randomness flows through FailureInjector's own
-        # streams (seeded by the plan); the base Simulation rng carries
-        # the cell namespace under sharding and is otherwise unused.
-        super().__init__(seed=rng_seed)
+        # streams, seeded by the failure plan.
+        super().__init__()
         self.fleet = fleet
         self.scheduler = scheduler
         self.failures = failures
@@ -543,8 +540,8 @@ class _FleetEngine(Simulation):
             """Queue ``entry`` like a fresh arrival, or park it.
 
             Emits an observer-only ``requeue`` event — never appended
-            to the trace, so trace bytes match the legacy loops, but
-            metrics observers see displaced work re-enter a queue.
+            to the trace, so trace bytes stay as the goldens pin them,
+            but metrics observers see displaced work re-enter a queue.
             """
             shift(1)
             inst = pick(entry, now)

@@ -2,13 +2,13 @@
 discipline.
 
 The execution engine behind :class:`~repro.serving.generation.
-GenerationClusterSimulator`: identical event discipline to the legacy
-loop (step completions before arrivals at equal timestamps), re-hosted
-on :mod:`repro.sim.kernel` and held bit-identical on seeded scenarios
-by the trace-identity goldens.  It runs on the fleet substrate
-(:mod:`repro.sim.fleet`), which owns instance state, fault injection
-and recovery, parking, the shared parts of the result sinks, and
-availability; this module supplies the token-level service discipline:
+GenerationClusterSimulator`, on :mod:`repro.sim.kernel`: step
+completions before arrivals at equal timestamps, with seeded scenarios
+held bit for bit by the trace-identity goldens.  It runs on the fleet
+substrate (:mod:`repro.sim.fleet`), which owns instance state, fault
+injection and recovery, parking, the shared parts of the result sinks,
+and availability; this module supplies the token-level service
+discipline:
 
 * **steps** — ``start_step`` admits waiting work at a step boundary
   (prefills) and decodes every active sequence by one token;
@@ -65,7 +65,8 @@ from .fleet import (_BY_RID, _EPS, _T_COMPLETE, Dispatcher, FleetSpec,
 __all__ = ["GenerationEngine"]
 
 # Step completions land before new arrivals at equal timestamps (the
-# legacy rule); faults sort last so they observe settled state.
+# order the trace digests in tests/goldens/trace_digests.json pin);
+# faults sort last so they observe settled state.
 _P_STEP, _P_ARRIVAL, _P_FAULT = 0, 1, 2
 
 
@@ -179,10 +180,9 @@ class GenerationEngine(_FleetEngine):
         preemption: Optional[bool] = None,
         instance_base: int = 0,
         failure_horizon_ms: Optional[float] = None,
-        rng_seed=0,
     ):
         super().__init__(fleet, scheduler, failures, instance_base,
-                         failure_horizon_ms, rng_seed)
+                         failure_horizon_ms)
         self.service = service
         self.slots = slots
         #: None = auto: preempt iff any request carries a priority.
@@ -243,7 +243,7 @@ class GenerationEngine(_FleetEngine):
         def take_next(inst: _GenInst, resident: Optional[str]):
             """Pop the next admissible queue entry (None if head-blocked).
 
-            FIFO in legacy mode; ``(priority desc, rid asc)`` when
+            FIFO without priorities; ``(priority desc, rid asc)`` when
             priorities are in play — the order the goldens pin.
             """
             iq = inst.queue

@@ -11,19 +11,19 @@ the shared mechanics into one place:
   insertion sequence)``, so a run is a *pure function* of its inputs —
   the property behind the trace-identity golden tests.
 * :class:`Simulation` — the engine base: the queue, simulated time
-  (``now_ms``), the trace buffer, the per-component RNG streams, the
-  observer/profiler hooks, and the drain that merges a pre-sorted
+  (``now_ms``), the trace buffer, the observer/profiler hooks, and
+  the drain that merges a pre-sorted
   arrival stream against the queue (:meth:`Simulation._drain_merged`).
   Entities are plain mutable objects carried by reference inside
   payloads — no registry, no base class.
 
 Determinism contract
 --------------------
-The kernel never reads wall-clock time or global RNG state.  All
-randomness flows through :class:`~repro.sim.rng.RngStreams`, which
-derives one independent ``random.Random`` per named component from the
-root seed — adding a new consumer (e.g. failure injection) cannot
-perturb the draws of an existing one.  Two runs with equal inputs
+The kernel never reads wall-clock time and draws no random numbers.
+The one stochastic component, failure injection
+(:class:`~repro.sim.failures.FailureInjector`), draws from its own
+:class:`~repro.sim.rng.RngStreams`, one independent ``random.Random``
+per instance, seeded by the failure plan.  Two runs with equal inputs
 therefore produce byte-identical traces, records, and reports.
 
 Observability hooks
@@ -46,8 +46,6 @@ from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter
 from typing import Callable, List, Optional, Tuple
-
-from .rng import RngStreams
 
 __all__ = ["Event", "EventQueue", "Simulation"]
 
@@ -100,15 +98,14 @@ class Simulation:
     The loop is deliberately minimal — pop, set ``now_ms``, dispatch —
     because the engines bind their own bookkeeping around it; what
     they share is the queue discipline, simulated time, the trace
-    buffer, the per-component RNG streams, and the merged arrival
-    drain (:meth:`_drain_merged`), profiled or not.
+    buffer, and the merged arrival drain (:meth:`_drain_merged`),
+    profiled or not.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self) -> None:
         self.queue = EventQueue()
         #: Simulated time in milliseconds, monotone by pop order.
         self.now_ms = 0.0
-        self.rng = RngStreams(seed)
         #: Flat event log ``(kind, t_ms, ...)`` — the replayable trace.
         self.trace: List[tuple] = []
         #: Optional read-only consumer of every emitted trace tuple.

@@ -1,9 +1,9 @@
 """Named, independent RNG streams derived from one root seed.
 
-Every stochastic component of a simulation (failure injection per
-instance, priority assignment, future jitter models) draws from its own
-``random.Random`` stream, derived deterministically from ``(root seed,
-stream name)``.  Two properties follow:
+Every stochastic component of a simulation (today: failure injection,
+one stream per instance) draws from its own ``random.Random`` stream,
+derived deterministically from ``(root seed, stream name)``.  Two
+properties follow:
 
 * **Reproducibility** — the same root seed replays every stream
   identically, so whole-simulation traces are a pure function of their
@@ -20,7 +20,7 @@ platforms, and Python versions (unlike ``hash()``, which is salted).
 from __future__ import annotations
 
 import random
-from typing import Dict, Union
+from typing import Dict
 
 __all__ = ["RngStreams"]
 
@@ -30,7 +30,7 @@ class RngStreams:
 
     __slots__ = ("seed", "_streams")
 
-    def __init__(self, seed: Union[int, str] = 0) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._streams: Dict[str, random.Random] = {}
 
@@ -46,20 +46,6 @@ class RngStreams:
             rng = random.Random(f"{self.seed}/{name}")
             self._streams[name] = rng
         return rng
-
-    def derive(self, name: str) -> "RngStreams":
-        """A child namespace rooted at ``(seed, name)``.
-
-        The child's streams hash through the same SHA-512 string path —
-        ``derive("cell/4").stream("x")`` seeds from ``"0/cell/4/x"`` —
-        so a derived namespace is exactly as stable and isolated as a
-        top-level one.  Sharded simulations derive one namespace per
-        cell, keyed by the cell's first *global* instance index: the
-        key depends only on which instances the cell holds, never on
-        how many sibling cells exist, so re-partitioning a fleet
-        renumbers nothing.
-        """
-        return RngStreams(f"{self.seed}/{name}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RngStreams(seed={self.seed}, "

@@ -1,10 +1,9 @@
 """Kernel-backed request-level cluster engine: the batch discipline.
 
 This is :class:`~repro.serving.cluster.ClusterSimulator`'s execution
-engine: the same event discipline as the legacy closure loop (free <
-arrival < check at equal timestamps, insertion-order tie-breaks),
-re-hosted on :mod:`repro.sim.kernel` and verified **bit-identical** on
-seeded scenarios by the trace-identity goldens.  It runs on the fleet
+engine on :mod:`repro.sim.kernel`: free < arrival < check at equal
+timestamps, insertion-order tie-breaks, and seeded scenarios pinned
+**bit for bit** by the trace-identity goldens.  It runs on the fleet
 substrate (:mod:`repro.sim.fleet`), which owns instance state, fault
 injection and recovery, parking, the shared parts of the result sinks,
 and availability; this module supplies the request-level service
@@ -62,9 +61,9 @@ from .fleet import (_BY_RID, _EPS, _T_COMPLETE, Dispatcher, FleetSpec,
 
 __all__ = ["ServeEngine"]
 
-# Event priorities at equal timestamps (identical to the legacy loop;
-# faults are new and deliberately sort last so a fault at time t sees
-# the state the legacy events left behind).
+# Event priorities at equal timestamps (the order the trace digests in
+# tests/goldens/trace_digests.json pin); faults sort last, so a fault
+# at time t sees the state the other events at t left behind.
 _P_FREE, _P_ARRIVAL, _P_CHECK, _P_FAULT = 0, 1, 2, 3
 
 
@@ -243,10 +242,9 @@ class ServeEngine(_FleetEngine):
         failures: Optional[FailurePlan] = None,
         instance_base: int = 0,
         failure_horizon_ms: Optional[float] = None,
-        rng_seed=0,
     ):
         super().__init__(fleet, scheduler, failures, instance_base,
-                         failure_horizon_ms, rng_seed)
+                         failure_horizon_ms)
         self.accel = accel
         self.batching = batching
         self.check_jitter_ms = check_jitter_ms

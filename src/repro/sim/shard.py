@@ -3,10 +3,9 @@
 A single event loop over a large fleet is serial by construction — the
 event queue pops one event at a time no matter how many instances
 exist.  Sharding breaks the fleet into *cells* that share nothing: each
-cell owns a contiguous slice of the :class:`~repro.sim.fleet.FleetSpec`,
-a deterministic stripe of the request stream, and an independent
-SHA-512-derived :class:`~repro.sim.rng.RngStreams` namespace, so cells
-can run in separate processes (reusing the DSE layer's
+cell owns a contiguous slice of the :class:`~repro.sim.fleet.FleetSpec`
+and a deterministic stripe of the request stream, so cells can run in
+separate processes (reusing the DSE layer's
 :class:`~repro.dse.pool.PersistentPool`) and their summary reports
 merge exactly:
 
@@ -24,15 +23,11 @@ merge exactly:
 Determinism contract
 --------------------
 Cell identity is the **global index of its first instance**, never the
-cell's ordinal position.  Both derived quantities follow from it:
-
-* the per-cell RNG namespace is ``RngStreams(seed).derive(f"cell/{lo}")``,
-* failure streams are ``failure/<global idx>`` because ``instance_base``
-  offsets ``_Inst.idx``,
-
-so re-partitioning a fleet (2 shards → 4 shards) renumbers nothing:
-every instance keeps its exact fault history, and no cell can ever draw
-from a sibling's stream (the key sets are disjoint by construction).
+cell's ordinal position.  Failure streams are ``failure/<global idx>``
+because ``instance_base`` offsets ``_Inst.idx``, so re-partitioning a
+fleet (2 shards → 4 shards) renumbers nothing: every instance keeps its
+exact fault history, and no cell can ever draw from a sibling's stream
+(the key sets are disjoint by construction).
 The failure horizon is the *global* last arrival, passed to every cell,
 so injection stops at the same simulated time it would unsharded.
 
@@ -52,7 +47,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .fleet import FleetSpec
-from .rng import RngStreams
 from .summary import GenerationSummary, ServeSummary
 
 __all__ = ["ShardPlan", "run_sharded", "merge_serve_summaries",
@@ -101,12 +95,6 @@ class ShardPlan:
         for i, req in enumerate(requests):
             cells[i % self.shards].append(req)
         return cells
-
-    def cell_streams(self, seed=0) -> List[RngStreams]:
-        """One derived RNG namespace per cell, keyed by the cell's
-        first global instance index (stable under re-partitioning)."""
-        root = RngStreams(seed)
-        return [root.derive(f"cell/{lo}") for lo, _hi in self.bounds]
 
 
 # ----------------------------------------------------------------------
@@ -249,14 +237,13 @@ def _evaluate_cell(point: Dict[str, Any],
         instance_base=lo,
         requests=point["requests"],
         failure_horizon_ms=settings["horizon"],
-        rng_seed=settings["rng_seeds"][cell],
         observer=point.get("observer"),
     )
     return {"summary": summary}
 
 
 def run_sharded(sim, requests: Sequence, *, mode: str, shards: int,
-                jobs: Optional[int] = None, seed=0, observer=None):
+                jobs: Optional[int] = None, observer=None):
     """Partition, run every cell, and merge the summaries.
 
     ``sim`` is a serving façade exposing ``_shard_cell`` (either
@@ -280,7 +267,6 @@ def run_sharded(sim, requests: Sequence, *, mode: str, shards: int,
         # Global last arrival: every cell stops injecting failures at
         # the same simulated time the unsharded run would.
         "horizon": max((r.t_ms for r in requests), default=0.0),
-        "rng_seeds": [s.seed for s in plan.cell_streams(seed)],
     }
     parallel = jobs is not None and jobs >= 2
     if observer is not None and parallel:

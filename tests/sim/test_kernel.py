@@ -187,7 +187,7 @@ class TestSimulation:
     """The merged drain with an engine-style ``handle`` switch."""
 
     def test_handler_dispatch_in_deterministic_order(self):
-        sim = Simulation(seed=3)
+        sim = Simulation()
         seen = []
 
         def handle(payload, now):

@@ -1,14 +1,13 @@
-"""Sharded simulation: partitioning, RNG derivation, and merge exactness.
+"""Sharded simulation: partitioning, RNG stability, and merge exactness.
 
 Three contracts under test:
 
 * **Partition/stripe determinism** — :class:`repro.sim.shard.ShardPlan`
   is a pure function of ``(fleet, shards)`` and the request stripe a
   pure function of input order.
-* **RNG stability** (the per-shard derivation satellite) — cell
-  namespaces key by the cell's first *global* instance index and
-  failure streams by global instance index, so re-partitioning a fleet
-  renumbers nothing and no cell can draw from a sibling's stream.
+* **RNG stability** — failure streams key by *global* instance index,
+  so re-partitioning a fleet renumbers nothing and no cell can draw
+  from a sibling's stream.
 * **Merge exactness** — a merged summary's percentile multisets,
   sums, and depth integral equal the cells' combined truth, and the
   process-pool path is byte-identical to the serial in-process path.
@@ -34,7 +33,6 @@ from repro.serving import (
 )
 from repro.sim.failures import FailureInjector, FailurePlan
 from repro.sim.fleet import FleetSpec, InstanceSpec
-from repro.sim.rng import RngStreams
 from repro.sim.shard import (
     ShardPlan,
     merge_generation_summaries,
@@ -112,35 +110,10 @@ class TestShardPlan:
 
 
 # ----------------------------------------------------------------------
-# RNG derivation (satellite: stability under renumbering, isolation)
+# RNG streams: stability under renumbering
 # ----------------------------------------------------------------------
 
 class TestRngDerivation:
-    def test_derive_is_deterministic(self):
-        a = RngStreams(7).derive("cell/4").stream("x").random()
-        b = RngStreams(7).derive("cell/4").stream("x").random()
-        assert a == b
-
-    def test_derive_namespaces_are_independent(self):
-        root = RngStreams(7)
-        a = root.derive("cell/0").stream("x").random()
-        b = root.derive("cell/4").stream("x").random()
-        assert a != b
-        # A child namespace never collides with a root-level stream of
-        # the same name.
-        assert a != RngStreams(7).stream("x").random()
-
-    def test_cell_streams_stable_under_renumbering(self):
-        """A cell's namespace depends on which instances it holds, not
-        on how many sibling cells exist."""
-        fleet = FleetSpec.uniform(8)
-        two = ShardPlan.partition(fleet, 2).cell_streams(seed=3)
-        four = ShardPlan.partition(fleet, 4).cell_streams(seed=3)
-        # 2-shard cell 1 starts at instance 4; 4-shard cell 2 does too.
-        assert two[1].seed == four[2].seed
-        assert (two[1].stream("x").random()
-                == RngStreams(3).derive("cell/4").stream("x").random())
-
     def test_failure_streams_key_by_global_index(self, default_accel):
         """Instance 2's fault history is identical whether it's local
         index 2 of an unsharded engine or local index 0 of a cell with
@@ -200,11 +173,10 @@ class TestShardedServe:
         cells = [
             sim._shard_cell(
                 fleet=f, instance_base=lo, requests=cell_reqs,
-                failure_horizon_ms=max(r.t_ms for r in reqs),
-                rng_seed=stream.seed)
-            for f, (lo, _), cell_reqs, stream in zip(
+                failure_horizon_ms=max(r.t_ms for r in reqs))
+            for f, (lo, _), cell_reqs in zip(
                 plan.cell_fleets(sim.fleet), plan.bounds,
-                plan.split_requests(reqs), plan.cell_streams())
+                plan.split_requests(reqs))
         ]
         assert merged.total_requests == sum(c.total_requests for c in cells)
         assert merged.total_requests == len(reqs)

@@ -1,16 +1,20 @@
-"""Trace-identity goldens: kernel engines == legacy loops, byte for byte.
+"""Trace-identity goldens: the kernel engines against frozen outputs.
 
 Six seeded scenarios (Poisson/bursty/diurnal x serve/generate) run
-through both the preserved legacy closure loops (``run_legacy``) and
-the unified-kernel engines (``run``).  Each scenario's rendered report
-must be byte-identical between the two engines *and* equal to the
-committed golden under ``tests/goldens/`` — so neither engine can
-drift, and a diff in either shows up as a readable report diff.
+through the kernel engines.  Each run's ``trace``, ``queue_samples``
+and ``instances`` must hash to the sha256 digests frozen in
+``tests/goldens/trace_digests.json``, and its rendered report must
+equal the committed golden under ``tests/goldens/`` — so the engine
+cannot drift, and a diff shows up as a readable report diff.  The
+digests were frozen while the pre-kernel closure loops still ran next
+to the engines and agreed with them byte for byte on every case, so
+they carry that oracle's check forward as data.  Two larger scenarios,
+the shapes the kernel benchmarks time, are pinned by digest only.
 
-Each scenario also runs a third time with the full observability stack
-attached (trace recorder + metrics sampler + SLO watchdog + kernel
-profiler): the observed run must be byte-identical to the bare kernel
-run, pinning the ``repro.obs`` contract that observation never
+Each scenario also runs a second time with the full observability
+stack attached (trace recorder + metrics sampler + SLO watchdog +
+kernel profiler): the observed run must be byte-identical to the bare
+kernel run, pinning the ``repro.obs`` contract that observation never
 perturbs.
 
 Regenerate after an intentional behavior change with::
@@ -18,6 +22,8 @@ Regenerate after an intentional behavior change with::
     REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/sim/test_trace_identity.py
 """
 
+import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -37,6 +43,7 @@ from repro.serving import (
     ModelMix,
     PoissonArrivals,
     attach_generation_lengths,
+    fixed_size,
     render_generation_report,
     render_serving_report,
     summarize,
@@ -47,6 +54,7 @@ from repro.serving.cluster import ClusterSimulator
 from repro.serving.generation import GenerationClusterSimulator
 
 GOLDENS = Path(__file__).parent.parent / "goldens"
+TRACE_DIGESTS = GOLDENS / "trace_digests.json"
 
 MIX = ModelMix({
     "model2-lhc-trigger": 3.0,
@@ -70,6 +78,83 @@ GEN_SCENARIOS = {
                                        period_ms=500.0),
 }
 
+#: The model mix of the kernel benchmarks (benchmarks/test_sim_kernel.py).
+BENCH_MIX = ModelMix({
+    "model2-lhc-trigger": 4.0,
+    "model1-peng-isqed21": 2.0,
+    "model3-efa-trans": 1.0,
+})
+
+
+def _serve_case(scenario):
+    def make(accel):
+        sim = ClusterSimulator(
+            accel, 3, scheduler="model-affinity",
+            batching=timeout(4, 2.0), reprogram_latency_ms=5.0)
+        return sim, SCENARIOS[scenario]().generate(600.0)
+    return make
+
+
+def _gen_case(scenario):
+    def make(accel):
+        requests = attach_generation_lengths(
+            GEN_SCENARIOS[scenario]().generate(500.0),
+            LengthSampler("uniform", 8, 24),
+            LengthSampler("geometric", 4, 48, mean_extra=10.0),
+            seed=77, max_total=accel.synth.max_seq_len)
+        sim = GenerationClusterSimulator(
+            accel, 2, slots=4, scheduler="least-loaded",
+            reprogram_latency_ms=3.0)
+        return sim, requests
+    return make
+
+
+def _serve_kernel_bench(accel):
+    sim = ClusterSimulator(accel, 8, scheduler="model-affinity",
+                           batching=fixed_size(4), reprogram_latency_ms=5.0)
+    return sim, PoissonArrivals(900, BENCH_MIX, seed=0).generate(11_500)
+
+
+def _generate_kernel_bench(accel):
+    requests = attach_generation_lengths(
+        PoissonArrivals(40, BENCH_MIX, seed=1).generate(4_000),
+        LengthSampler("fixed", 16), LengthSampler("fixed", 24),
+        max_total=accel.synth.max_seq_len)
+    sim = GenerationClusterSimulator(accel, 2, slots=8,
+                                     scheduler="least-loaded")
+    return sim, requests
+
+
+#: case name -> ``accel -> (simulator, requests)``.
+CASES = {
+    **{f"serve_{s}": _serve_case(s) for s in SCENARIOS},
+    **{f"generate_{s}": _gen_case(s) for s in GEN_SCENARIOS},
+    "serve_kernel_bench": _serve_kernel_bench,
+    "generate_kernel_bench": _generate_kernel_bench,
+}
+
+
+def trace_digest(result) -> dict:
+    """The frozen summary of one run: sha256 of each field's repr."""
+    return {field: hashlib.sha256(
+                repr(getattr(result, field)).encode()).hexdigest()
+            for field in ("trace", "queue_samples", "instances")}
+
+
+@pytest.fixture(scope="module")
+def frozen(default_accel):
+    if os.environ.get("REPRO_REGEN_GOLDENS"):
+        digests = {}
+        for name, make in CASES.items():
+            sim, requests = make(default_accel)
+            digests[name] = trace_digest(sim.run(requests))
+        TRACE_DIGESTS.write_text(
+            json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    assert TRACE_DIGESTS.exists(), (
+        f"{TRACE_DIGESTS.name} missing — run with REPRO_REGEN_GOLDENS=1 "
+        "to create it, then commit the file")
+    return json.loads(TRACE_DIGESTS.read_text())
+
 
 def _check_golden(name: str, rendered: str) -> None:
     path = GOLDENS / name
@@ -84,22 +169,10 @@ def _check_golden(name: str, rendered: str) -> None:
         "is intentional, regenerate with REPRO_REGEN_GOLDENS=1")
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_serve_trace_identity(default_accel, scenario):
-    """serve: legacy and kernel reports are byte-identical + golden."""
-    requests = SCENARIOS[scenario]().generate(600.0)
-    assert requests, "scenario generated an empty workload"
-    sim = ClusterSimulator(
-        default_accel, 3, scheduler="model-affinity",
-        batching=timeout(4, 2.0), reprogram_latency_ms=5.0)
-    legacy = sim.run_legacy(requests)
-    kernel = sim.run(requests)
-    assert legacy.trace == kernel.trace
-    assert legacy.records == kernel.records
-    assert legacy.queue_samples == kernel.queue_samples
-    assert legacy.instances == kernel.instances
+def _observe(sim, requests, kernel, slo_ms):
+    """Re-run with every observer attached: byte-identical to ``kernel``."""
     tracer, sampler = TraceRecorder(), MetricsSampler(grid_ms=25.0)
-    watchdog = Watchdog(slo_ms=50.0)
+    watchdog = Watchdog(slo_ms=slo_ms)
     observed = sim.run(requests, observer=compose(tracer, sampler, watchdog),
                        profiler=KernelProfiler())
     assert observed.trace == kernel.trace
@@ -108,60 +181,57 @@ def test_serve_trace_identity(default_accel, scenario):
     assert observed.instances == kernel.instances
     assert tracer.events and sampler.registry.series
     assert watchdog.completions == len(observed.records)
+    return observed
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_serve_trace_identity(default_accel, frozen, scenario):
+    """serve: kernel run == frozen digest, observed == kernel, + golden."""
+    name = f"serve_{scenario}"
+    sim, requests = CASES[name](default_accel)
+    assert requests, "scenario generated an empty workload"
+    kernel = sim.run(requests)
+    assert trace_digest(kernel) == frozen[name]
+    observed = _observe(sim, requests, kernel, slo_ms=50.0)
     title = f"Golden: serve/{scenario}"
-    rep_legacy = render_serving_report(summarize(legacy, slo_ms=50.0),
-                                       title=title)
     rep_kernel = render_serving_report(summarize(kernel, slo_ms=50.0),
                                        title=title)
     rep_observed = render_serving_report(summarize(observed, slo_ms=50.0),
                                          title=title)
-    assert rep_legacy == rep_kernel
     assert rep_observed == rep_kernel
-    _check_golden(f"serve_{scenario}.txt", rep_kernel + "\n")
+    _check_golden(f"{name}.txt", rep_kernel + "\n")
 
 
 @pytest.mark.parametrize("scenario", sorted(GEN_SCENARIOS))
-def test_generate_trace_identity(default_accel, scenario):
-    """generate: legacy and kernel reports byte-identical + golden."""
-    arrivals = GEN_SCENARIOS[scenario]().generate(500.0)
-    assert arrivals, "scenario generated an empty workload"
-    requests = attach_generation_lengths(
-        arrivals,
-        LengthSampler("uniform", 8, 24),
-        LengthSampler("geometric", 4, 48, mean_extra=10.0),
-        seed=77, max_total=default_accel.synth.max_seq_len)
-    sim = GenerationClusterSimulator(
-        default_accel, 2, slots=4, scheduler="least-loaded",
-        reprogram_latency_ms=3.0)
-    legacy = sim.run_legacy(requests)
+def test_generate_trace_identity(default_accel, frozen, scenario):
+    """generate: kernel run == frozen digest, observed == kernel, + golden."""
+    name = f"generate_{scenario}"
+    sim, requests = CASES[name](default_accel)
+    assert requests, "scenario generated an empty workload"
     kernel = sim.run(requests)
-    assert legacy.trace == kernel.trace
-    assert legacy.records == kernel.records
-    assert legacy.queue_samples == kernel.queue_samples
-    assert legacy.instances == kernel.instances
-    tracer, sampler = TraceRecorder(), MetricsSampler(grid_ms=25.0)
-    watchdog = Watchdog(slo_ms=40.0)
-    observed = sim.run(requests, observer=compose(tracer, sampler, watchdog),
-                       profiler=KernelProfiler())
-    assert observed.trace == kernel.trace
-    assert observed.records == kernel.records
-    assert observed.queue_samples == kernel.queue_samples
-    assert observed.instances == kernel.instances
-    assert tracer.events and sampler.registry.series
-    assert watchdog.completions == len(observed.records)
+    assert trace_digest(kernel) == frozen[name]
+    observed = _observe(sim, requests, kernel, slo_ms=40.0)
     title = f"Golden: generate/{scenario}"
-    rep_legacy = render_generation_report(
-        summarize_generation(legacy, ttft_slo_ms=40.0, tpot_slo_ms=2.0),
-        title=title)
     rep_kernel = render_generation_report(
         summarize_generation(kernel, ttft_slo_ms=40.0, tpot_slo_ms=2.0),
         title=title)
     rep_observed = render_generation_report(
         summarize_generation(observed, ttft_slo_ms=40.0, tpot_slo_ms=2.0),
         title=title)
-    assert rep_legacy == rep_kernel
     assert rep_observed == rep_kernel
-    _check_golden(f"generate_{scenario}.txt", rep_kernel + "\n")
+    _check_golden(f"{name}.txt", rep_kernel + "\n")
+
+
+@pytest.mark.parametrize("name", ["serve_kernel_bench",
+                                  "generate_kernel_bench"])
+def test_kernel_bench_scenarios_match_frozen_digest(default_accel, frozen,
+                                                     name):
+    sim, requests = CASES[name](default_accel)
+    assert trace_digest(sim.run(requests)) == frozen[name]
+
+
+def test_trace_digests_cover_every_case(frozen):
+    assert sorted(frozen) == sorted(CASES)
 
 
 def test_goldens_directory_complete():

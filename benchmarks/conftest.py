@@ -57,8 +57,6 @@ METRIC_UNITS = {
     "gen_fleet16_tokens_per_s": "tokens/s",
     "gen_fleet128_tokens_per_s": "tokens/s",
     "serve_full_detail_requests_per_s": "requests/s",
-    "plan_capacity_speedup_x": "x",
-    "plan_capacity_seed_s": "s",
     "plan_capacity_analytic_s": "s",
 }
 

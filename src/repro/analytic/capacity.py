@@ -5,25 +5,54 @@
 meets the p99 SLO and throughput target — valid because the analytic
 p99 is monotone non-increasing and the analytic throughput monotone
 non-decreasing in fleet size (property-tested in ``tests/analytic``).
-A proposal costs a few O(n) envelope walks instead of the dozens of
-full event-simulation replays the probe-from-1 search spends, which is
-where ``plan_capacity``'s analytic-first speedup comes from; the event
-sim then confirms at (and brackets around) the proposal.
+A proposal costs a few O(n) envelope walks instead of full
+event-simulation replays; ``plan_capacity`` then confirms at (and
+brackets around) the proposal with the event simulator.
+
+Both searches share this module's SLO test (:func:`_meets_targets`)
+and bisection (:func:`_bisect_min`), and :func:`propose_fleet` checks
+the targets both of them take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..serving.batching import BatchingPolicy, ServiceTimeModel
 from ..serving.workload import Request
-from .queueing import _check_count, _check_rate
+from .queueing import _check_rate
 from .serving import AnalyticServingEstimate, _estimate, _prepare
 
 __all__ = ["FleetProposal", "propose_fleet"]
+
+#: A plan must serve at least this share of ``target_qps``.
+_QPS_FLOOR = 0.95
+
+
+def _meets_targets(stats, target_p99_ms: float,
+                   target_qps: Optional[float]) -> bool:
+    """The planner's SLO test, for an analytic estimate or a simulated
+    report alike: p99 <= ``target_p99_ms`` and, when ``target_qps`` is
+    set, throughput >= ``_QPS_FLOOR * target_qps``."""
+    return stats.p99_ms <= target_p99_ms and (
+        target_qps is None
+        or stats.throughput_rps >= _QPS_FLOOR * target_qps)
+
+
+def _bisect_min(meets: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest fleet in ``(lo, hi]`` that ``meets``, given that ``hi``
+    meets and ``lo`` does not (``lo=0`` is never asked): the predicate
+    is monotone in fleet size, so halving the bracket finds it."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -65,14 +94,14 @@ def propose_fleet(
 ) -> FleetProposal:
     """Smallest fleet the closed-form model expects to meet the SLO.
 
-    Mirrors :func:`repro.serving.slo.plan_capacity`'s criteria: analytic
-    p99 <= ``target_p99_ms`` and (when set) analytic throughput >=
-    ``0.95 * target_qps``.  Never raises on infeasibility — it returns
-    ``max_instances`` with ``feasible=False`` and lets the caller's
-    confirming simulations issue the authoritative verdict.  It does
-    raise ``ValueError`` on a NaN or non-positive ``target_p99_ms``, a
-    ``target_qps`` that is not positive and finite, and a
-    ``max_instances`` that is not an ``int >= 1``.
+    Uses :func:`repro.serving.slo.plan_capacity`'s criteria
+    (:func:`_meets_targets`) on the analytic estimate.  Never raises on
+    infeasibility — it returns ``max_instances`` with ``feasible=False``
+    and lets the caller's confirming simulations issue the
+    authoritative verdict.  It does raise ``ValueError`` on a NaN or
+    non-positive ``target_p99_ms``, an empty workload, a ``target_qps``
+    that is not positive and finite (a NaN or infinite target can never
+    be met), and a ``max_instances`` that is not an ``int >= 1``.
     """
     if not target_p99_ms > 0:  # NaN fails the comparison too
         raise ValueError(
@@ -81,7 +110,11 @@ def propose_fleet(
         raise ValueError("cannot plan capacity for an empty workload")
     if target_qps is not None:
         _check_rate("target_qps", target_qps)
-    _check_count("max_instances", max_instances)
+    if (not isinstance(max_instances, int) or isinstance(max_instances, bool)
+            or max_instances < 1):
+        raise ValueError(
+            "cannot plan capacity over an empty fleet: max_instances "
+            f"must be an int >= 1, got {max_instances!r}")
 
     estimates: Dict[int, AnalyticServingEstimate] = {}
     # One service-time model and one prepared workload across every
@@ -96,23 +129,14 @@ def propose_fleet(
             est = _estimate(accel, workload, n, batching, models,
                             reprogram_latency_ms, failures, service)
             estimates[n] = est
-        ok = est.p99_ms <= target_p99_ms
-        if target_qps is not None:
-            ok = ok and est.throughput_rps >= 0.95 * target_qps
-        return ok
+        return _meets_targets(est, target_p99_ms, target_qps)
 
     if not meets(max_instances):
         return FleetProposal(
             instances=max_instances, estimate=estimates[max_instances],
             feasible=False, target_p99_ms=target_p99_ms,
             target_qps=target_qps)
-    lo, hi = 0, max_instances  # lo: largest known-infeasible size
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid
+    hi = _bisect_min(meets, 0, max_instances)
     return FleetProposal(
         instances=hi, estimate=estimates[hi], feasible=True,
         target_p99_ms=target_p99_ms, target_qps=target_qps)

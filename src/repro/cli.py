@@ -137,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--analytic-only", action="store_true",
                      help="with --plan: report the closed-form fleet "
                           "proposal without confirming simulations")
-    srv.add_argument("--confirm", choices=("analytic", "probe"),
-                     default="analytic",
-                     help="with --plan: how simulation confirms the search "
-                          "— 'analytic' (default) starts at the closed-form "
-                          "proposal, 'probe' replays the probe-from-1 "
-                          "search")
     srv.add_argument("--trace-file", default=None,
                      help="JSON [[t_ms, model], ...] for --scenario trace")
 
@@ -653,10 +647,6 @@ def _cmd_serve(args) -> None:
                 "--trace/--metrics/--profile/--watch instrument a "
                 "single run and cannot observe a --plan search "
                 "(many runs)")
-        if args.analytic_only and args.confirm == "probe":
-            raise ValueError(
-                "--analytic-only skips the confirming simulations that "
-                "--confirm probe asks for; drop one of the two")
         # The confirming probes run summary-detail, so they can shard:
         # reuse the ordinary validation (shards >= 1, --shard-jobs
         # needs --shards > 1) and thread the kwargs through.
@@ -672,7 +662,7 @@ def _cmd_serve(args) -> None:
             scheduler=args.policy, batching=batching,
             reprogram_latency_ms=args.reprogram_ms,
             failures=failures,
-            mode=args.confirm, confirm=not args.analytic_only,
+            confirm=not args.analytic_only,
             shards=shard_kwargs.get("shards", 1),
             shard_jobs=shard_kwargs.get("shard_jobs"))
         if args.as_json:
@@ -680,21 +670,19 @@ def _cmd_serve(args) -> None:
                 "instances": plan.instances,
                 "target_p99_ms": plan.target_p99_ms,
                 "mode": ("analytic-only" if args.analytic_only
-                         else args.confirm),
+                         else "analytic"),
                 "probes": {str(n): p for n, p in plan.probes.items()},
             }
             if plan.report is not None:
                 out["report"] = plan.report.as_dict()
-            if plan.analytic is not None:
-                out["analytic"] = plan.analytic.as_dict()
+            out["analytic"] = plan.analytic.as_dict()
             print(json.dumps(out, indent=2))
         else:
             print(render_capacity_plan(plan))
         return
 
-    if args.analytic_only or args.confirm != "analytic":
-        raise ValueError(
-            "--analytic-only/--confirm steer a --plan search; add --plan")
+    if args.analytic_only:
+        raise ValueError("--analytic-only steers a --plan search; add --plan")
     _run_and_report(
         args, fleet,
         simulate=functools.partial(

@@ -135,6 +135,9 @@ class ThresholdRule(AlertRule):
         if not 0 <= sustain_ms < math.inf:  # inf would never fire
             raise ValueError(
                 f"sustain_ms must be finite and >= 0, got {sustain_ms}")
+        # A NaN or +inf threshold never fires, a -inf one always does.
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
         self.threshold = threshold
         self.sustain_ms = sustain_ms
         self._above_since: Optional[float] = None
@@ -253,8 +256,9 @@ class Watchdog:
                  queue_sustain_ms: float = 10.0,
                  detector: Optional[AnomalyDetector] = None,
                  rules: Sequence[AlertRule] = ()) -> None:
-        if not slo_ms > 0:
-            raise ValueError(f"slo_ms must be > 0, got {slo_ms}")
+        # Every request meets an infinite SLO and none a NaN one.
+        if not 0 < slo_ms < math.inf:
+            raise ValueError(f"slo_ms must be finite and > 0, got {slo_ms}")
         self.slo_ms = slo_ms
         self.target = target
         self.burn_rule = BurnRateRule(target, fast_window_ms,

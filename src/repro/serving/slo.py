@@ -5,16 +5,14 @@ so two runs with identical traces report bit-identical metrics.
 
 :func:`plan_capacity` answers the deployment question the paper's
 single-instance numbers cannot: *how many reprogrammable instances does
-a target traffic level need to stay inside a p99 latency SLO?*  It is
-analytic-first: the closed-form model (:mod:`repro.analytic`) proposes
-a fleet size, and the event simulation confirms at — and binary-
-searches the bracket around — the proposal instead of probing up from
-one instance.  The confirming probes replay the same seeded workload
-at ``detail="summary"`` (exact for every statistic the planner reads),
-so the returned minimum is still confirmed by, and reproducible from,
-a direct simulation run; ``mode="probe"`` keeps the seed probe-from-1
-search, and ``confirm=False`` skips simulation entirely and returns
-the analytic proposal.
+a target traffic level need to stay inside a p99 latency SLO?*  The
+closed-form model (:mod:`repro.analytic`) proposes a fleet size, and
+the event simulation confirms at — and binary-searches the bracket
+around — the proposal.  The confirming probes replay the same seeded
+workload at ``detail="summary"`` (exact for every statistic the planner
+reads), so the returned minimum is confirmed by, and reproducible from,
+a direct simulation run; ``confirm=False`` skips simulation entirely
+and returns the analytic proposal.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analytic.capacity import FleetProposal
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import TransformerConfig
+from ..sim.fleet import _check_shards
 from ..sim.summary import GenerationSummary, ServeSummary
 from .batching import BatchingPolicy
 from .cluster import InstanceStats, SimulationResult, simulate
@@ -627,12 +626,11 @@ class CapacityPlan:
     report: Optional[ServingReport]
     target_p99_ms: float
     target_qps: Optional[float]
+    #: The closed-form proposal the search started from.
+    analytic: "FleetProposal"
     #: Fleet sizes probed by confirming simulations: {n: achieved
     #: p99_ms} (empty for analytic-only plans).
     probes: Dict[int, float] = field(default_factory=dict)
-    #: The closed-form proposal the search started from (None in
-    #: ``mode="probe"``, the seed probe-from-1 search).
-    analytic: Optional["FleetProposal"] = None
 
     @property
     def meets_slo(self) -> bool:
@@ -653,32 +651,26 @@ def plan_capacity(
     max_instances: int = 256,
     failures=None,
     *,
-    mode: str = "analytic",
     confirm: bool = True,
-    probe_detail: str = "summary",
     shards: int = 1,
     shard_jobs: Optional[int] = None,
 ) -> CapacityPlan:
     """Minimum fleet size meeting the p99 SLO (and target throughput).
 
-    Analytic-first (``mode="analytic"``, the default): the closed-form
-    model of :mod:`repro.analytic` proposes a fleet size, a confirming
-    simulation checks it, and a gallop + binary search around the
-    proposal pins the minimum (queueing delay is monotone
-    non-increasing in fleet size for these policies).  A good proposal
-    costs 2-3 simulated probes instead of the ~2·log2(n) the seed
-    search spends probing up from one instance — and the final answer
-    is identical, because the same simulator issues the verdict either
-    way.  ``mode="probe"`` keeps the seed search (exponential probing
-    from 1, then binary search); ``confirm=False`` skips simulation
-    entirely and returns the analytic proposal (``report=None``,
-    estimate in ``plan.analytic``).
+    The closed-form model of :mod:`repro.analytic` proposes a fleet
+    size (:func:`~repro.analytic.propose_fleet`, which also rejects bad
+    targets), a confirming simulation checks it, and a gallop + binary
+    search around the proposal pins the minimum (queueing delay is
+    monotone non-increasing in fleet size for these policies).  A good
+    proposal costs 2-3 simulated probes, and the same simulator issues
+    every verdict.  ``confirm=False`` skips simulation entirely and
+    returns the analytic proposal (``report=None``, estimate in
+    ``plan.analytic``).
 
-    Confirming probes run at ``probe_detail`` (``"summary"`` by
-    default: exact for every statistic the planner reads, without
-    materializing per-request records) and can be sharded across
-    worker processes (``shards``/``shard_jobs``, summary detail only —
-    see :meth:`ClusterSimulator.run_sharded`).
+    Confirming probes run at ``detail="summary"`` (exact for every
+    statistic the planner reads, without materializing per-request
+    records) and can be sharded across worker processes
+    (``shards``/``shard_jobs`` — see :meth:`ClusterSimulator.run`).
 
     Raises ``RuntimeError`` if even ``max_instances`` fails.
 
@@ -687,108 +679,67 @@ def plan_capacity(
     seeded per index, so probe fleets share fault draws and the search
     stays monotone in practice.
     """
-    if not target_p99_ms > 0:  # NaN fails the comparison too
-        raise ValueError(
-            f"target_p99_ms must be positive, got {target_p99_ms}")
-    if not requests:
-        raise ValueError("cannot plan capacity for an empty workload")
-    # A NaN or infinite target can never be met, so the search would
-    # probe every fleet up to max_instances before giving up.
-    if target_qps is not None and not 0 < target_qps < math.inf:
-        raise ValueError(
-            f"target_qps must be positive and finite, got {target_qps!r}")
-    if (not isinstance(max_instances, int) or isinstance(max_instances, bool)
-            or max_instances < 1):
-        raise ValueError(
-            "cannot plan capacity over an empty fleet: max_instances "
-            f"must be an int >= 1, got {max_instances!r}")
-    if mode not in ("analytic", "probe"):
-        raise ValueError(f"unknown plan mode {mode!r}; "
-                         "available: ['analytic', 'probe']")
-    if probe_detail not in ("summary", "full"):
-        raise ValueError(f"unknown probe detail {probe_detail!r}; "
-                         "available: ['full', 'summary']")
-    if not confirm and mode != "analytic":
-        raise ValueError("confirm=False requires mode='analytic' "
-                         "(an unconfirmed plan IS the analytic proposal)")
-    if shards != 1 and probe_detail != "summary":
-        raise ValueError("sharded probes require probe_detail='summary' "
-                         "(per-request records cannot be sharded)")
+    # Lazy: repro.analytic builds on the serving layer's service-time
+    # model, so importing it at module scope would be a cycle.
+    from ..analytic.capacity import (_QPS_FLOOR, _bisect_min,
+                                     _meets_targets, propose_fleet)
 
-    proposal = None
-    if mode == "analytic":
-        # Lazy: repro.analytic builds on the serving layer's service-
-        # time model, so importing it at module scope would be a cycle.
-        from ..analytic.capacity import propose_fleet
+    _check_shards(shards, shard_jobs)
+    proposal = propose_fleet(
+        accel, requests, target_p99_ms, target_qps,
+        batching=batching, models=models,
+        reprogram_latency_ms=reprogram_latency_ms,
+        max_instances=max_instances, failures=failures)
+    if not confirm:
+        return CapacityPlan(
+            instances=proposal.instances,
+            report=None,
+            target_p99_ms=target_p99_ms,
+            target_qps=target_qps,
+            analytic=proposal,
+        )
 
-        proposal = propose_fleet(
-            accel, requests, target_p99_ms, target_qps,
-            batching=batching, models=models,
-            reprogram_latency_ms=reprogram_latency_ms,
-            max_instances=max_instances, failures=failures)
-        if not confirm:
-            return CapacityPlan(
-                instances=proposal.instances,
-                report=None,
-                target_p99_ms=target_p99_ms,
-                target_qps=target_qps,
-                analytic=proposal,
-            )
-
-    probes: Dict[int, float] = {}
     reports: Dict[int, ServingReport] = {}
-    verdicts: Dict[int, bool] = {}
 
     def meets(n: int) -> bool:
-        if n in verdicts:
-            return verdicts[n]
-        # Every shard cell needs at least one instance, so probes below
-        # the shard count degrade gracefully to one cell per instance.
-        eff_shards = min(shards, n)
-        result = simulate(accel, requests, n, scheduler=scheduler,
-                          batching=batching, models=models,
-                          reprogram_latency_ms=reprogram_latency_ms,
-                          failures=failures, detail=probe_detail,
-                          shards=eff_shards,
-                          shard_jobs=shard_jobs if eff_shards > 1 else None)
-        report = summarize(result, slo_ms=target_p99_ms)
-        probes[n] = report.p99_ms
-        reports[n] = report
-        ok = report.p99_ms <= target_p99_ms
-        if target_qps is not None:
-            ok = ok and report.throughput_rps >= 0.95 * target_qps
-        verdicts[n] = ok
-        return ok
+        report = reports.get(n)
+        if report is None:
+            # Every shard cell needs at least one instance, so probes
+            # below the shard count degrade gracefully to one cell per
+            # instance.
+            eff_shards = min(shards, n)
+            result = simulate(
+                accel, requests, n, scheduler=scheduler,
+                batching=batching, models=models,
+                reprogram_latency_ms=reprogram_latency_ms,
+                failures=failures, detail="summary", shards=eff_shards,
+                shard_jobs=shard_jobs if eff_shards > 1 else None)
+            report = reports[n] = summarize(result, slo_ms=target_p99_ms)
+        return _meets_targets(report, target_p99_ms, target_qps)
 
     def _infeasible_msg() -> str:
         # Name the criterion that actually failed: with a throughput
         # target, every probe may meet the latency SLO yet still fall
-        # short of 0.95 * target_qps.
-        best_p99 = min(probes.values())
+        # short of the throughput floor.
+        best_p99 = min(r.p99_ms for r in reports.values())
         parts = []
         if best_p99 > target_p99_ms:
             parts.append(f"p99 <= {target_p99_ms} ms "
                          f"(best probe: {best_p99:.3f} ms)")
         if target_qps is not None:
+            floor = _QPS_FLOOR * target_qps
             best_tput = max(r.throughput_rps for r in reports.values())
-            if best_tput < 0.95 * target_qps:
-                parts.append(f"throughput >= {0.95 * target_qps:.1f} req/s "
+            if best_tput < floor:
+                parts.append(f"throughput >= {floor:.1f} req/s "
                              f"(best probe: {best_tput:.1f} req/s)")
         if not parts:  # each criterion met somewhere, never jointly
             parts.append(f"p99 <= {target_p99_ms} ms and "
-                         f"throughput >= {0.95 * target_qps:.1f} req/s "
-                         f"on the same probe")
+                         f"throughput >= {_QPS_FLOOR * target_qps:.1f} "
+                         f"req/s on the same probe")
         return (f"no fleet of <= {max_instances} instances meets "
                 + " and ".join(parts))
 
-    if mode == "probe":
-        lo, hi = 0, 1  # lo: largest known-infeasible size
-        while not meets(hi):
-            lo = hi
-            if hi >= max_instances:
-                raise RuntimeError(_infeasible_msg())
-            hi = min(2 * hi, max_instances)
-    elif meets(proposal.instances):
+    if meets(proposal.instances):
         # Gallop down from the proposal with doubling steps until a
         # fleet misses (or the floor), establishing the bracket.
         hi, lo, step = proposal.instances, 0, 1
@@ -813,17 +764,12 @@ def plan_capacity(
                 break
             lo = cand
             step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid
+    hi = _bisect_min(meets, lo, hi)
     return CapacityPlan(
         instances=hi,
         report=reports[hi],
         target_p99_ms=target_p99_ms,
         target_qps=target_qps,
-        probes=dict(sorted(probes.items())),
         analytic=proposal,
+        probes={n: r.p99_ms for n, r in sorted(reports.items())},
     )

@@ -72,6 +72,23 @@ _BY_RID = attrgetter("rid")
 _T_COMPLETE = attrgetter("t_complete_ms")
 
 
+def _is_count(value) -> bool:
+    """An ``int >= 1``: NaN, 2.5 and ``True`` are not counts."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def _check_shards(shards, shard_jobs) -> None:
+    """Reject a ``shards`` that is not a count and a ``shard_jobs``
+    that is neither None nor a count (:meth:`_FleetSimulator.run`, and
+    ``plan_capacity`` before its first probe)."""
+    if not _is_count(shards):
+        raise ValueError(f"shards must be an int >= 1, got {shards!r}")
+    if shard_jobs is not None and not _is_count(shard_jobs):
+        raise ValueError(
+            f"shard_jobs must be None or an int >= 1, got {shard_jobs!r}")
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Static description of one instance in a (possibly mixed) fleet."""
@@ -104,8 +121,7 @@ class InstanceSpec:
                 "reprogram_latency_ms must be >= 0 and finite, got "
                 f"{self.reprogram_latency_ms!r}")
         slots = self.slots
-        if slots is not None and (not isinstance(slots, int)
-                                  or isinstance(slots, bool) or slots < 1):
+        if slots is not None and not _is_count(slots):
             raise ValueError(f"slots must be >= 1 (an int), got {slots!r}")
 
     def can_serve(self, model: str) -> bool:
@@ -328,6 +344,7 @@ class _FleetSimulator:
         single-loop run — byte-identical to not passing ``shards`` at
         all.
         """
+        _check_shards(shards, shard_jobs)
         self._validate(requests)
         if shards != 1:
             from .shard import run_sharded

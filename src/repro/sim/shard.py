@@ -252,12 +252,11 @@ def run_sharded(sim, requests: Sequence, *, mode: str, shards: int,
     the façade, not this module, knows how to build a cell engine.
     ``jobs >= 2`` forks a :class:`~repro.dse.pool.PersistentPool` and
     runs cells in worker processes; anything else runs them serially
-    in-process (observers are only legal there).
+    in-process (observers are only legal there).  ``shards`` and
+    ``jobs`` arrive checked by the façade's ``run``.
     """
     if mode not in ("serve", "generate"):
         raise ValueError(f"unknown shard mode {mode!r}")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"shard_jobs must be >= 1, got {jobs}")
     plan = ShardPlan.partition(sim.fleet, shards)
     cell_requests = plan.split_requests(requests)
     settings = {

@@ -1,15 +1,22 @@
-"""Analytic-first ``plan_capacity``: identity with the seed search.
+"""Analytic-first ``plan_capacity``: frozen answers, direct checks.
 
-Three contracts pin the tentpole rewiring:
+Three contracts pin the planner:
 
-* the analytic-first search returns the *same* confirmed plan as the
-  seed probe-from-1 search (``mode="probe"``) on the golden scenarios,
-  feasible and infeasible alike;
-* ``probe_detail="summary"`` probes are an identity with the seed's
-  full-detail probes (exact percentiles, ulp-level means);
+* on the golden scenarios it returns the plan frozen in
+  ``tests/goldens/capacity_plans.json``, and a direct simulation one
+  instance below it misses the SLO.  The file was written while the
+  seed probe-from-1 search still ran next to the analytic-first one and
+  agreed with it on every case, so it carries that search's check
+  forward as data (the answer only, not the probe sequence);
+* its summary-detail probe report is an identity with ``summarize`` of
+  a full-detail run at the plan size (exact percentiles, ulp-level
+  means);
 * :func:`propose_fleet`'s binary search equals a linear scan of its
   own predicate.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +28,13 @@ from repro.serving import (
     PoissonArrivals,
     plan_capacity,
     render_capacity_plan,
+    simulate,
+    summarize,
     timeout,
 )
+
+GOLDEN = Path(__file__).parent.parent / "goldens" / "capacity_plans.json"
+TARGETS = (75.0, 300.0)
 
 MIX = ModelMix({
     "model2-lhc-trigger": 3.0,
@@ -47,36 +59,47 @@ PLAN_KW = dict(scheduler="model-affinity", batching=timeout(4, 2.0),
                reprogram_latency_ms=5.0)
 
 
+@pytest.fixture(scope="module")
+def frozen():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_capacity_plans_cover_every_case(frozen):
+    assert sorted(frozen) == sorted(f"{s}@{t:g}" for s in SCENARIOS
+                                    for t in TARGETS)
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("target", (75.0, 300.0))
-def test_analytic_first_matches_probe_search(default_accel, scenario,
-                                             target):
+@pytest.mark.parametrize("target", TARGETS)
+def test_analytic_first_matches_probe_search(default_accel, frozen,
+                                             scenario, target):
+    """The plan is the probe search's frozen answer, and it is minimal:
+    one instance fewer misses the SLO in a direct simulation."""
     requests = SCENARIOS[scenario]()
-    analytic = plan_capacity(default_accel, requests,
-                             target_p99_ms=target, **PLAN_KW)
-    probe = plan_capacity(default_accel, requests, target_p99_ms=target,
-                          mode="probe", **PLAN_KW)
-    assert analytic.instances == probe.instances
-    assert analytic.report.p99_ms == probe.report.p99_ms
-    assert analytic.meets_slo and probe.meets_slo
-    assert analytic.analytic is not None
-    assert probe.analytic is None
+    plan = plan_capacity(default_accel, requests, target_p99_ms=target,
+                         **PLAN_KW)
+    want = frozen[f"{scenario}@{target:g}"]
+    assert plan.instances == want["instances"]
+    assert repr(plan.report.p99_ms) == want["p99_ms"]
+    assert plan.meets_slo
+    if plan.instances > 1:
+        under = summarize(simulate(default_accel, requests,
+                                   plan.instances - 1, detail="summary",
+                                   **PLAN_KW))
+        assert under.p99_ms > target
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_summary_probes_are_an_identity(default_accel, scenario):
-    """The probe-path bugfix: ``detail="summary"`` probes must leave
-    the planned fleet size and every report field the seed search
-    read unchanged."""
+    """The planner's ``detail="summary"`` probe report must equal, in
+    every field the planner reads, ``summarize`` of a full-detail run
+    at the planned fleet size."""
     requests = SCENARIOS[scenario]()
-    summary = plan_capacity(default_accel, requests, target_p99_ms=75.0,
-                            mode="probe", probe_detail="summary",
-                            **PLAN_KW)
-    full = plan_capacity(default_accel, requests, target_p99_ms=75.0,
-                         mode="probe", probe_detail="full", **PLAN_KW)
-    assert summary.instances == full.instances
-    assert summary.probes == full.probes
-    s_rep, f_rep = summary.report, full.report
+    plan = plan_capacity(default_accel, requests, target_p99_ms=75.0,
+                         **PLAN_KW)
+    s_rep = plan.report
+    f_rep = summarize(simulate(default_accel, requests, plan.instances,
+                               detail="full", **PLAN_KW), slo_ms=75.0)
     # Percentiles are nearest-rank order statistics: bit-identical.
     assert (s_rep.p50_ms, s_rep.p95_ms, s_rep.p99_ms) == \
         (f_rep.p50_ms, f_rep.p95_ms, f_rep.p99_ms)
@@ -90,12 +113,11 @@ def test_summary_probes_are_an_identity(default_accel, scenario):
                                               rel=1e-12)
 
 
-def test_infeasible_raises_in_both_modes(default_accel):
+def test_infeasible_raises(default_accel):
     requests = SCENARIOS["bursty"]()
-    for mode in ("analytic", "probe"):
-        with pytest.raises(RuntimeError, match="no fleet"):
-            plan_capacity(default_accel, requests, target_p99_ms=1e-6,
-                          mode=mode, max_instances=4, **PLAN_KW)
+    with pytest.raises(RuntimeError, match="no fleet"):
+        plan_capacity(default_accel, requests, target_p99_ms=1e-6,
+                      max_instances=4, **PLAN_KW)
 
 
 def test_analytic_only_plan_shape(default_accel):
@@ -108,19 +130,6 @@ def test_analytic_only_plan_shape(default_accel):
     assert plan.instances == plan.analytic.instances
     assert plan.meets_slo
     assert "[analytic, unconfirmed]" in render_capacity_plan(plan)
-
-
-def test_plan_mode_validation(default_accel):
-    requests = SCENARIOS["poisson"]()
-    with pytest.raises(ValueError, match="unknown plan mode"):
-        plan_capacity(default_accel, requests, target_p99_ms=75.0,
-                      mode="guess", **PLAN_KW)
-    with pytest.raises(ValueError, match="confirm=False requires"):
-        plan_capacity(default_accel, requests, target_p99_ms=75.0,
-                      mode="probe", confirm=False, **PLAN_KW)
-    with pytest.raises(ValueError, match="sharded probes"):
-        plan_capacity(default_accel, requests, target_p99_ms=75.0,
-                      probe_detail="full", shards=2, **PLAN_KW)
 
 
 @pytest.mark.parametrize("scenario", ("poisson", "bursty", "diurnal"))

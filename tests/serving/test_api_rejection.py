@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.analytic import estimate_generation, estimate_serving, propose_fleet
 from repro.nn.model_zoo import MODEL_ZOO
+from repro.obs import ThresholdRule, Watchdog
 from repro.serving import (
     BurstyArrivals,
     DiurnalArrivals,
@@ -109,6 +110,28 @@ CASES = [
      lambda v, r: plan_capacity(r["accel"], r["arrivals"], 5.0,
                                 max_instances=v),
      NOT_COUNT),
+    # The plan needs one instance, so the probes never shard: the
+    # counts must be checked before the first probe.
+    ("plan_capacity.shards",
+     lambda v, r: plan_capacity(r["accel"], r["arrivals"], 5.0, shards=v),
+     NOT_COUNT),
+    ("plan_capacity.shard_jobs",
+     lambda v, r: plan_capacity(r["accel"], r["arrivals"], 5.0, shards=2,
+                                shard_jobs=v),
+     NOT_COUNT),
+    ("simulate.shards",
+     lambda v, r: simulate(r["accel"], r["arrivals"], 2, detail="summary",
+                           shards=v),
+     NOT_COUNT),
+    ("simulate.shard_jobs",
+     lambda v, r: simulate(r["accel"], r["arrivals"], 2, detail="summary",
+                           shards=2, shard_jobs=v),
+     NOT_COUNT),
+    ("watchdog.slo_ms", lambda v, r: Watchdog(slo_ms=v), NOT_POSITIVE),
+    ("watchdog.queue_threshold",
+     lambda v, r: Watchdog(slo_ms=5.0, queue_threshold=v), NON_FINITE),
+    ("threshold_rule.threshold", lambda v, r: ThresholdRule("x", v),
+     NON_FINITE),
     ("propose_fleet.target_p99_ms",
      lambda v, r: propose_fleet(r["accel"], r["arrivals"], v),
      NAN_OR_NOT_POSITIVE),

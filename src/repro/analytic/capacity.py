@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
+from .._checks import check_positive, is_count
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..serving.batching import BatchingPolicy, ServiceTimeModel
 from ..serving.workload import Request
-from .queueing import _check_rate
 from .serving import AnalyticServingEstimate, _estimate, _prepare
 
 __all__ = ["FleetProposal", "propose_fleet"]
@@ -109,9 +109,8 @@ def propose_fleet(
     if not requests:
         raise ValueError("cannot plan capacity for an empty workload")
     if target_qps is not None:
-        _check_rate("target_qps", target_qps)
-    if (not isinstance(max_instances, int) or isinstance(max_instances, bool)
-            or max_instances < 1):
+        check_positive("target_qps", target_qps)
+    if not is_count(max_instances):
         raise ValueError(
             "cannot plan capacity over an empty fleet: max_instances "
             f"must be an int >= 1, got {max_instances!r}")

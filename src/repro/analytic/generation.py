@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .._checks import check_count, check_positive
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import TransformerConfig
-from .queueing import _check_count, _check_rate, wait_quantile_ms
+from .queueing import wait_quantile_ms
 
 __all__ = ["AnalyticGenerationEstimate", "estimate_generation"]
 
@@ -76,10 +77,10 @@ def estimate_generation(
     horizon (``duration_ms``, required then).  ``fleet`` and ``slots``
     are ``int >= 1``; an offered ``qps`` is positive and finite.
     """
-    _check_count("fleet", fleet)
-    _check_count("slots", slots)
+    check_count("fleet", fleet)
+    check_count("slots", slots)
     if qps is not None:
-        _check_rate("qps", qps)
+        check_positive("qps", qps)
     report = accel.generation_report(cfg, prompt_tokens, output_tokens)
     ttft = report.ttft_ms
     total = report.total_ms

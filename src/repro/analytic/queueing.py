@@ -46,20 +46,6 @@ __all__ = ["erlang_c", "wait_quantile_ms", "latency_quantile_ms",
            "p99_estimate_ms", "min_stable_fleet"]
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a fleet or slot count that is not an ``int >= 1``: NaN,
-    2.5 and ``True`` included (the entry points' shared rule)."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-
-
-def _check_rate(name: str, value: float) -> None:
-    """Reject a rate that is not positive and finite (NaN included)."""
-    if not 0 < value < math.inf:
-        raise ValueError(
-            f"{name} must be positive and finite, got {value!r}")
-
-
 def erlang_c(servers: int, erlangs: float) -> float:
     """P(wait) for an M/M/c queue offered ``erlangs`` of load.
 

@@ -43,13 +43,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
+from .._checks import check_count
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..serving.batching import BatchingPolicy, ServiceTimeModel, no_batching
 from ..serving.slo import nearest_rank
 from ..serving.workload import Request
 from .envelope import ArrivalEnvelope, fluid_waits_ms
-from .queueing import _check_count, wait_quantile_ms
+from .queueing import wait_quantile_ms
 
 __all__ = ["AnalyticServingEstimate", "estimate_serving"]
 
@@ -178,7 +179,7 @@ def estimate_serving(
     (:class:`ServiceTimeModel`) so the latency-report memo carries
     across calls.
     """
-    _check_count("fleet", fleet)
+    check_count("fleet", fleet)
     if not requests:
         raise ValueError("cannot estimate an empty workload")
     return _estimate(accel, _prepare(requests, duration_ms, window_ms),

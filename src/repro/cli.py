@@ -27,9 +27,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import List, NoReturn, Optional
+
+from ._checks import is_non_negative, is_positive
 
 __all__ = ["main", "build_parser"]
 
@@ -395,10 +396,6 @@ def _read_input(path: str, what: str, loader=None):
         raise ValueError(f"cannot read {what}: {exc}") from None
 
 
-def _positive(value: float) -> bool:
-    return 0 < value < math.inf
-
-
 #: The numeric knobs checked before any workload is built:
 #: ``(flag, accepts(value), requirement)``; a command without the flag
 #: skips the row.  An infinite ``--qps`` never finishes generating
@@ -406,15 +403,14 @@ def _positive(value: float) -> bool:
 #: yet reads as attained; observer knobs are checked even while
 #: ``--metrics``/``--watch`` is off, so they cannot ride along unused.
 _KNOB_CHECKS = (
-    *((flag, _positive, "must be finite and > 0")
+    *((flag, is_positive, "must be finite and > 0")
       for flag in ("--qps", "--duration-ms", "--slo-ms", "--ttft-slo-ms",
                    "--tpot-slo-ms")),
-    ("--batch-timeout-ms", lambda v: 0 <= v < math.inf,
-     "must be finite and >= 0"),
-    ("--metrics-grid-ms", _positive, "grid_ms must be positive and finite"),
-    ("--watch-window-ms", _positive,
+    ("--batch-timeout-ms", is_non_negative, "must be finite and >= 0"),
+    ("--metrics-grid-ms", is_positive, "grid_ms must be positive and finite"),
+    ("--watch-window-ms", is_positive,
      "window widths must be positive and finite"),
-    ("--watch-slow-window-ms", _positive,
+    ("--watch-slow-window-ms", is_positive,
      "window widths must be positive and finite"),
     ("--watch-target", lambda v: 0 < v < 1,
      "expected an attainment fraction in (0, 1)"),

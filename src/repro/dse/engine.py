@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
+from .._checks import check_count
 from .cache import EvalCache
 from .pareto import Objective, pareto_front
 from .pool import PersistentPool, _error_text
@@ -238,10 +239,9 @@ def explore(
     Results are a pure function of (space, strategy, seed, settings):
     ``jobs`` and ``batch_size`` change the wall clock and nothing else.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    check_count("jobs", jobs)
+    if batch_size is not None:
+        check_count("batch_size", batch_size)
     profile_rec = None
     if profile:
         from ..obs.profile import DseProfile

@@ -30,6 +30,7 @@ import math
 from random import Random
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
+from .._checks import check_count, is_count
 from .pareto import Objective, non_dominated_sort
 from .space import SearchSpace, point_id
 
@@ -73,8 +74,7 @@ class RandomStrategy(Strategy):
 
     def __init__(self, space: SearchSpace, samples: int = 16,
                  seed: int = 0, **_: Any) -> None:
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
+        check_count("samples", samples)
         self.space = space
         self.samples = min(samples, space.size)
         self.seed = seed
@@ -118,10 +118,10 @@ class EvolutionaryStrategy(Strategy):
                  objectives: Sequence[Objective] = (),
                  population: int = 8, generations: int = 4,
                  mutation: float = 0.5, seed: int = 0, **_: Any) -> None:
-        if population < 2:
-            raise ValueError("population must be >= 2")
-        if generations < 1:
-            raise ValueError("generations must be >= 1")
+        if not is_count(population) or population < 2:
+            raise ValueError(
+                f"population must be an int >= 2, got {population!r}")
+        check_count("generations", generations)
         if not objectives:
             raise ValueError(
                 "the evolutionary strategy needs objectives to rank by")
@@ -233,8 +233,7 @@ class PrescreenStrategy(Strategy):
                 "the prescreen strategy needs objectives to rank by")
         if not 0.0 < keep <= 1.0:
             raise ValueError(f"keep must be in (0, 1], got {keep}")
-        if min_keep < 1:
-            raise ValueError(f"min_keep must be >= 1, got {min_keep}")
+        check_count("min_keep", min_keep)
         if isinstance(inner, str):
             inner = get_strategy(inner, space, objectives=objectives,
                                  settings=settings, **inner_options)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from .._checks import check_count
 from ..memory.axi import AXILiteSlave
 from ..nn.model_zoo import TransformerConfig
 
@@ -103,8 +104,7 @@ class ConfigRegisterFile:
             raise KeyError(f"unknown register {register!r}")
         if register in ("ctrl", "status"):
             raise ValueError(f"{register} is not a parameter register")
-        if value < 1:
-            raise ValueError(f"{register} must be >= 1")
+        check_count(register, value)
         limit = {
             "num_heads": self.synth.max_heads,
             "num_layers": self.synth.max_layers,

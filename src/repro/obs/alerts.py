@@ -50,11 +50,12 @@ goldens).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .._checks import (check_non_negative, check_positive,
+                       is_non_negative, is_positive)
 from .anomaly import AnomalyDetector
 
 __all__ = ["Alert", "AlertRule", "ThresholdRule", "SustainedRule",
@@ -132,11 +133,9 @@ class ThresholdRule(AlertRule):
     def __init__(self, name: str, threshold: float,
                  sustain_ms: float = 0.0) -> None:
         super().__init__(name)
-        if not 0 <= sustain_ms < math.inf:  # inf would never fire
-            raise ValueError(
-                f"sustain_ms must be finite and >= 0, got {sustain_ms}")
+        check_non_negative("sustain_ms", sustain_ms)  # inf never fires
         # A NaN or +inf threshold never fires, a -inf one always does.
-        if not math.isfinite(threshold):
+        if not is_non_negative(abs(threshold)):
             raise ValueError(f"threshold must be finite, got {threshold}")
         self.threshold = threshold
         self.sustain_ms = sustain_ms
@@ -181,7 +180,7 @@ class BurnRateRule(AlertRule):
             raise ValueError(
                 f"SLO target must be in (0, 1), got {target}")
         # Infinite windows never evict (unbounded deques, no alert).
-        if not (0 < fast_ms < math.inf and 0 < slow_ms < math.inf):
+        if not (is_positive(fast_ms) and is_positive(slow_ms)):
             raise ValueError(
                 f"burn windows must be finite and > 0 ms, got "
                 f"fast={fast_ms}, slow={slow_ms}")
@@ -189,9 +188,7 @@ class BurnRateRule(AlertRule):
             raise ValueError(
                 f"slow window ({slow_ms} ms) must be >= fast window "
                 f"({fast_ms} ms)")
-        if not 0 < threshold < math.inf:  # NaN/inf would never fire
-            raise ValueError(
-                f"burn threshold must be finite and > 0, got {threshold}")
+        check_positive("threshold", threshold)  # NaN/inf never fire
         self.target = target
         self.budget = 1.0 - target
         self.threshold = threshold
@@ -257,8 +254,7 @@ class Watchdog:
                  detector: Optional[AnomalyDetector] = None,
                  rules: Sequence[AlertRule] = ()) -> None:
         # Every request meets an infinite SLO and none a NaN one.
-        if not 0 < slo_ms < math.inf:
-            raise ValueError(f"slo_ms must be finite and > 0, got {slo_ms}")
+        check_positive("slo_ms", slo_ms)
         self.slo_ms = slo_ms
         self.target = target
         self.burn_rule = BurnRateRule(target, fast_window_ms,

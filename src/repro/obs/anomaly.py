@@ -32,6 +32,9 @@ from bisect import bisect_left, insort
 from collections import deque
 from typing import Dict, List
 
+from .._checks import (check_count, check_positive, is_non_negative,
+                       is_positive)
+
 __all__ = ["AnomalyDetector"]
 
 
@@ -41,20 +44,19 @@ class AnomalyDetector:
     def __init__(self, window: int = 64, threshold: float = 6.0,
                  debounce: int = 3, min_samples: int = 12,
                  rel_floor: float = 0.05, abs_floor: float = 1e-9) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1 sample, got {window}")
-        if min_samples < 1 or min_samples > window:
+        check_count("window", window)
+        check_count("min_samples", min_samples)
+        if min_samples > window:
             raise ValueError(
                 f"min_samples must be in [1, window={window}], got "
                 f"{min_samples}")
-        if threshold <= 0:
-            raise ValueError(f"threshold must be > 0, got {threshold}")
-        if debounce < 1:
-            raise ValueError(f"debounce must be >= 1, got {debounce}")
-        if rel_floor < 0 or abs_floor <= 0:
+        # score >= threshold: a NaN threshold never fires, nor does inf.
+        check_positive("threshold", threshold)
+        check_count("debounce", debounce)
+        if not (is_non_negative(rel_floor) and is_positive(abs_floor)):
             raise ValueError(
-                f"scale floors must be >= 0 (rel) and > 0 (abs), got "
-                f"rel_floor={rel_floor}, abs_floor={abs_floor}")
+                f"scale floors must be >= 0 (rel) and > 0 (abs), both "
+                f"finite, got rel_floor={rel_floor}, abs_floor={abs_floor}")
         self.window = window
         self.threshold = threshold
         self.debounce = debounce

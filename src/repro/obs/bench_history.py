@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Dict, List, Optional, Tuple
 
+from .._checks import check_count, check_non_negative
 from .diff import classify
 
 __all__ = ["TrendRow", "load_history", "bench_trend", "render_bench_trend",
@@ -93,10 +94,8 @@ def bench_trend(history: List[dict], window: int = 8,
     value within ``rtol`` of the median is neither flagged nor
     celebrated.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if not 0 <= rtol < float("inf"):  # NaN fails the comparison too
-        raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
+    check_count("window", window)
+    check_non_negative("rtol", rtol)
     groups: Dict[Tuple[str, str], List[dict]] = {}
     for record in history:
         try:

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .._checks import is_non_negative
+
 __all__ = ["flatten", "classify", "DiffEntry", "DiffReport", "diff_runs",
            "render_diff"]
 
@@ -137,7 +139,7 @@ def diff_runs(run_a: dict, run_b: dict, rtol: float = 0.05,
     rtol * |a|``.
     """
     # An infinite band hides every regression; NaN fails the test too.
-    if not (0 <= rtol < math.inf and 0 <= atol < math.inf):
+    if not (is_non_negative(rtol) and is_non_negative(atol)):
         raise ValueError(f"tolerances must be finite and >= 0, got "
                          f"rtol={rtol}, atol={atol}")
     flat_a = flatten(run_a)

@@ -32,6 +32,7 @@ import math
 import os
 from typing import Any, Dict, List, Optional, Sequence
 
+from .._checks import check_positive
 from ..serving.slo import percentile
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -232,9 +233,7 @@ class MetricsSampler:
 
     def __init__(self, grid_ms: float = 10.0,
                  registry: Optional[MetricsRegistry] = None) -> None:
-        if not 0 < grid_ms < math.inf:
-            raise ValueError(
-                f"grid_ms must be finite and > 0, got {grid_ms}")
+        check_positive("grid_ms", grid_ms)
         self.grid_ms = grid_ms
         self.registry = registry if registry is not None else MetricsRegistry()
         self._next_tick = 0.0

@@ -20,12 +20,12 @@ Policies (how the dispatcher forms a batch from an instance's FIFO):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.accelerator import ProTEA
+from .._checks import check_count, check_non_negative
 from ..nn.model_zoo import TransformerConfig
 
 __all__ = [
@@ -49,20 +49,14 @@ class BatchingPolicy:
     timeout_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        max_batch = self.max_batch
         # NaN and inf compare false against every prefix length, so
         # either would lift the batch cap instead of setting one.
-        if (not isinstance(max_batch, int) or isinstance(max_batch, bool)
-                or max_batch < 1):
-            raise ValueError(
-                f"max_batch must be an int >= 1, got {max_batch!r}")
+        check_count("max_batch", self.max_batch)
         # A NaN deadline never fires (the run never returns) and an
         # infinite one fires at t = inf, after every other event, so
         # the held batch completes at infinity.
-        timeout_ms = self.timeout_ms
-        if timeout_ms is not None and not 0 <= timeout_ms < math.inf:
-            raise ValueError(
-                f"timeout_ms must be finite and >= 0, got {timeout_ms}")
+        if self.timeout_ms is not None:
+            check_non_negative("timeout_ms", self.timeout_ms)
 
     def decide(self, prefix_len: int, head_wait_ms: float) -> Optional[int]:
         """Batch size to dispatch now, or ``None`` to keep waiting.

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import (List, Mapping, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
+from .._checks import check_non_negative
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..sim.failures import FailurePlan
@@ -157,8 +158,7 @@ class ClusterSimulator(_FleetSimulator):
     ):
         super().__init__(accel, n_instances, scheduler, reprogram_latency_ms,
                          fleet, failures)
-        if check_jitter_ms < 0:
-            raise ValueError("check_jitter_ms must be >= 0")
+        check_non_negative("check_jitter_ms", check_jitter_ms)
         self.batching = batching or no_batching()
         self.service = ServiceTimeModel(accel, models or MODEL_ZOO)
         #: Fires batching-deadline checks this much *early*.  A check is

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
+from .._checks import is_count
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..sim.failures import FailurePlan
@@ -267,7 +268,7 @@ class GenerationClusterSimulator(_FleetSimulator):
                          fleet, failures)
         # NaN compares false against every slot count, so a NaN fleet
         # admits nothing; a float or bool count is a slip, not a size.
-        if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
+        if not is_count(slots):
             raise ValueError(
                 f"need at least one sequence slot: slots must be an int "
                 f">= 1, got {slots!r}")

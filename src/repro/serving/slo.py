@@ -25,9 +25,9 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analytic.capacity import FleetProposal
+from .._checks import check_count, check_positive
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import TransformerConfig
-from ..sim.fleet import _check_shards
 from ..sim.summary import GenerationSummary, ServeSummary
 from .batching import BatchingPolicy
 from .cluster import InstanceStats, SimulationResult, simulate
@@ -226,14 +226,6 @@ _OUTPUT_TOKENS = attrgetter("output_tokens")
 _DEPTH = itemgetter(1)
 
 
-def _check_slo(name: str, slo_ms: Optional[float]) -> None:
-    """An SLO is optional, but a set one must be positive and finite: a
-    NaN one is met by no request and would report 0% attainment, an
-    infinite one by every request."""
-    if slo_ms is not None and not 0 < slo_ms < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {slo_ms}")
-
-
 def summarize(result: Union[SimulationResult, ServeSummary],
               slo_ms: Optional[float] = None,
               watch: Optional[dict] = None) -> ServingReport:
@@ -255,7 +247,10 @@ def summarize(result: Union[SimulationResult, ServeSummary],
     watchdog that observed this run; it rides along into the report
     (and its ``--json``/text renders) untouched.
     """
-    _check_slo("slo_ms", slo_ms)
+    # A set SLO must be positive and finite: a NaN one is met by no
+    # request (0% attainment), an infinite one by every request.
+    if slo_ms is not None:
+        check_positive("slo_ms", slo_ms)
     if isinstance(result, ServeSummary):
         names = sorted(result.model_lats)
         if len(names) == 1:
@@ -519,8 +514,10 @@ def summarize_generation(
     ``watch`` is the :meth:`repro.obs.Watchdog.summary` dict of a
     watchdog that observed this run (see :func:`summarize`).
     """
-    _check_slo("ttft_slo_ms", ttft_slo_ms)
-    _check_slo("tpot_slo_ms", tpot_slo_ms)
+    if ttft_slo_ms is not None:
+        check_positive("ttft_slo_ms", ttft_slo_ms)
+    if tpot_slo_ms is not None:
+        check_positive("tpot_slo_ms", tpot_slo_ms)
     if isinstance(result, GenerationSummary):
         return _generation_report(
             result, result.total_requests, ttft_slo_ms, tpot_slo_ms, watch,
@@ -684,7 +681,10 @@ def plan_capacity(
     from ..analytic.capacity import (_QPS_FLOOR, _bisect_min,
                                      _meets_targets, propose_fleet)
 
-    _check_shards(shards, shard_jobs)
+    # Checked here: a plan that needs one instance never shards a probe.
+    check_count("shards", shards)
+    if shard_jobs is not None:
+        check_count("shard_jobs", shard_jobs)
     proposal = propose_fleet(
         accel, requests, target_p99_ms, target_qps,
         batching=batching, models=models,

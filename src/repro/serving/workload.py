@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .._checks import (check_count, check_non_negative, check_positive,
+                       is_non_negative, is_positive)
 from .._gcpause import gc_paused
 
 __all__ = [
@@ -103,18 +105,13 @@ class LengthSampler:
                 f"unknown length distribution {kind!r}; "
                 "available: ['fixed', 'geometric', 'uniform']")
         hi = lo if hi is None else hi
-        for name, value in (("lo", lo), ("hi", hi)):
-            # A float length makes fractional-token requests; NaN dies
-            # deep in the simulation and inf is silently clamped.
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or value < 1):
-                raise ValueError(
-                    f"{name} must be an int >= 1, got {value!r}")
+        # A float length makes fractional-token requests; NaN dies
+        # deep in the simulation and inf is silently clamped.
+        check_count("lo", lo)
+        check_count("hi", hi)
         if hi < lo:
             raise ValueError("need hi >= lo")
-        if not 0 <= mean_extra < math.inf:
-            raise ValueError(
-                f"mean_extra must be finite and >= 0, got {mean_extra!r}")
+        check_non_negative("mean_extra", mean_extra)
         self.kind = kind
         self.lo = lo
         self.hi = hi
@@ -212,8 +209,7 @@ def attach_priorities(
     """
     if not 0 <= high_fraction <= 1:
         raise ValueError("high_fraction must be in [0, 1]")
-    if high < 1:
-        raise ValueError("high priority must be >= 1")
+    check_count("high priority", high)
     rng = random.Random(f"{seed}/priority")
     return [
         GenerationRequest(
@@ -240,8 +236,8 @@ class ModelMix:
         total = float(sum(w for _, w in items))
         # NaN compares false everywhere, so test finiteness explicitly:
         # a NaN weight would otherwise normalize every weight to NaN.
-        if not (math.isfinite(total) and total > 0) or any(
-                not (math.isfinite(w) and w >= 0) for _, w in items):
+        if not is_positive(total) or not all(
+                is_non_negative(w) for _, w in items):
             raise ValueError("invalid model mix: weights must be finite "
                              f"and non-negative, sum > 0, got {items!r}")
         self.weights: List[Tuple[str, float]] = [
@@ -277,36 +273,29 @@ class ArrivalProcess:
     def generate(self, duration_ms: float) -> List[Request]:
         """The requests arriving in ``[0, duration_ms)``, time-ordered.
 
-        The stock processes pause the cyclic garbage collector for the
-        call: they build no reference cycles.  Cycles a subclass or a
-        custom :class:`ModelMix` builds are kept until the call
-        returns, and a thread that re-enables the collector mid-call
-        costs speed only.
+        An open-ended process needs a finite ``duration_ms >= 0``:
+        ``inf`` would never stop drawing arrivals, and NaN would
+        silently draw none.  The stock processes pause the cyclic
+        garbage collector for the call: they build no reference cycles.
+        Cycles a subclass or a custom :class:`ModelMix` builds are kept
+        until the call returns, and a thread that re-enables the
+        collector mid-call costs speed only.
         """
         raise NotImplementedError
-
-
-def _check_horizon(duration_ms: float) -> None:
-    """An open-ended process needs a finite horizon: ``inf`` would never
-    stop drawing arrivals, and NaN would silently draw none."""
-    if not 0 <= duration_ms < math.inf:
-        raise ValueError(
-            f"duration_ms must be finite and >= 0, got {duration_ms!r}")
 
 
 class PoissonArrivals(ArrivalProcess):
     """Constant-rate Poisson arrivals at ``qps`` requests/second."""
 
     def __init__(self, qps: float, mix: ModelMix, seed: int = 0):
-        if not (math.isfinite(qps) and qps > 0):
-            raise ValueError(f"qps must be positive and finite, got {qps!r}")
+        check_positive("qps", qps)
         self.qps = qps
         self.mix = mix
         self.seed = seed
 
     @gc_paused()
     def generate(self, duration_ms: float) -> List[Request]:
-        _check_horizon(duration_ms)
+        check_non_negative("duration_ms", duration_ms)
         rng = random.Random(self.seed)
         rate_ms = self.qps / 1e3
         out: List[Tuple[float, str]] = []
@@ -336,16 +325,12 @@ class BurstyArrivals(ArrivalProcess):
         burst_fraction: float = 0.2,
         dwell_ms: float = 200.0,
     ):
-        if not (math.isfinite(qps) and qps > 0
-                and math.isfinite(burst_factor) and burst_factor >= 1
-                and 0 < burst_fraction < 1):
+        if not (is_positive(qps) and is_positive(burst_factor)
+                and burst_factor >= 1 and 0 < burst_fraction < 1):
             raise ValueError("need finite qps > 0, finite burst_factor >= 1, "
                              "0 < burst_fraction < 1")
-        if not (math.isfinite(dwell_ms) and dwell_ms > 0):
-            # A zero dwell would divide by zero inside expovariate;
-            # reject it with a named error instead.
-            raise ValueError(
-                f"dwell_ms must be positive and finite, got {dwell_ms!r}")
+        # A zero dwell would divide by zero inside expovariate.
+        check_positive("dwell_ms", dwell_ms)
         self.qps = qps
         self.mix = mix
         self.seed = seed
@@ -359,7 +344,7 @@ class BurstyArrivals(ArrivalProcess):
 
     @gc_paused()
     def generate(self, duration_ms: float) -> List[Request]:
-        _check_horizon(duration_ms)
+        check_non_negative("duration_ms", duration_ms)
         rng = random.Random(self.seed)
         f = self.burst_fraction
         dwell = {False: self.dwell_ms, True: self.dwell_ms * f / (1 - f)}
@@ -393,8 +378,7 @@ class DiurnalArrivals(ArrivalProcess):
         period_ms: float = 1000.0,
         floor: float = 0.1,
     ):
-        if not (math.isfinite(peak_qps) and peak_qps > 0
-                and math.isfinite(period_ms) and period_ms > 0
+        if not (is_positive(peak_qps) and is_positive(period_ms)
                 and 0 <= floor <= 1):
             raise ValueError("need finite peak_qps > 0, finite period_ms > 0, "
                              "0 <= floor <= 1")
@@ -410,7 +394,7 @@ class DiurnalArrivals(ArrivalProcess):
 
     @gc_paused()
     def generate(self, duration_ms: float) -> List[Request]:
-        _check_horizon(duration_ms)
+        check_non_negative("duration_ms", duration_ms)
         rng = random.Random(self.seed)
         peak_ms = self.peak_qps / 1e3
         out: List[Tuple[float, str]] = []
@@ -429,7 +413,7 @@ class TraceReplay(ArrivalProcess):
         for t, _ in events:
             # NaN and +inf would fail ``t < duration_ms`` in generate
             # and be dropped silently.
-            if not 0 <= t < math.inf:
+            if not is_non_negative(t):
                 raise ValueError(f"trace timestamps must be finite and "
                                  f"non-negative, got {t!r}")
         self.events = list(events)

@@ -21,10 +21,10 @@ terminates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .._checks import check_non_negative, check_positive
 from .rng import RngStreams
 
 __all__ = ["FailurePlan", "FailureInjector"]
@@ -46,17 +46,10 @@ class FailurePlan:
     def __post_init__(self) -> None:
         # Non-finite values would either inject nothing (NaN compares
         # false everywhere) or divide by zero inside expovariate (inf).
-        if not (math.isfinite(self.mtbf_ms) and self.mtbf_ms > 0):
-            raise ValueError(
-                f"mtbf_ms must be positive and finite, got {self.mtbf_ms!r}")
-        if not (math.isfinite(self.mttr_ms) and self.mttr_ms >= 0):
-            raise ValueError(
-                f"mttr_ms must be >= 0 and finite, got {self.mttr_ms!r}")
-        if self.horizon_ms is not None and not (
-                math.isfinite(self.horizon_ms) and self.horizon_ms >= 0):
-            raise ValueError(
-                "horizon_ms must be >= 0 and finite, got "
-                f"{self.horizon_ms!r}")
+        check_positive("mtbf_ms", self.mtbf_ms)
+        check_non_negative("mttr_ms", self.mttr_ms)
+        if self.horizon_ms is not None:
+            check_non_negative("horizon_ms", self.horizon_ms)
 
     @classmethod
     def parse(cls, text: str, seed: int = 0) -> "FailurePlan":

@@ -51,12 +51,13 @@ per completion.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .._checks import (check_count, check_non_negative, check_positive,
+                       is_count)
 from .._gcpause import gc_paused
 from .failures import FailureInjector
 from .kernel import Simulation
@@ -70,23 +71,6 @@ _EPS = 1e-9
 _BY_T = attrgetter("t_ms")
 _BY_RID = attrgetter("rid")
 _T_COMPLETE = attrgetter("t_complete_ms")
-
-
-def _is_count(value) -> bool:
-    """An ``int >= 1``: NaN, 2.5 and ``True`` are not counts."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= 1)
-
-
-def _check_shards(shards, shard_jobs) -> None:
-    """Reject a ``shards`` that is not a count and a ``shard_jobs``
-    that is neither None nor a count (:meth:`_FleetSimulator.run`, and
-    ``plan_capacity`` before its first probe)."""
-    if not _is_count(shards):
-        raise ValueError(f"shards must be an int >= 1, got {shards!r}")
-    if shard_jobs is not None and not _is_count(shard_jobs):
-        raise ValueError(
-            f"shard_jobs must be None or an int >= 1, got {shard_jobs!r}")
 
 
 @dataclass(frozen=True)
@@ -106,22 +90,16 @@ class InstanceSpec:
     target: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.speed) and self.speed > 0):
-            raise ValueError(
-                f"instance speed must be positive and finite, got "
-                f"{self.speed!r}")
+        check_positive("instance speed", self.speed)
         if self.models is not None and not self.models:
             raise ValueError(
                 "capability set must name at least one model "
                 "(use None for an unrestricted instance)")
-        if self.reprogram_latency_ms is not None and not (
-                math.isfinite(self.reprogram_latency_ms)
-                and self.reprogram_latency_ms >= 0):
-            raise ValueError(
-                "reprogram_latency_ms must be >= 0 and finite, got "
-                f"{self.reprogram_latency_ms!r}")
+        if self.reprogram_latency_ms is not None:
+            check_non_negative("reprogram_latency_ms",
+                               self.reprogram_latency_ms)
         slots = self.slots
-        if slots is not None and not _is_count(slots):
+        if slots is not None and not is_count(slots):
             raise ValueError(f"slots must be >= 1 (an int), got {slots!r}")
 
     def can_serve(self, model: str) -> bool:
@@ -150,8 +128,8 @@ class FleetSpec:
     @classmethod
     def uniform(cls, n: int, spec: Optional[InstanceSpec] = None
                 ) -> "FleetSpec":
-        if n < 1:
-            raise ValueError("need at least one instance")
+        if not is_count(n):
+            raise ValueError(f"need at least one instance (an int), got {n!r}")
         return cls(tuple([spec or InstanceSpec()] * n))
 
     @classmethod
@@ -285,11 +263,7 @@ class _FleetSimulator:
             raise ValueError(
                 f"n_instances={n_instances} contradicts the {fleet.n}-"
                 "instance FleetSpec (pass one or the other)")
-        if not (math.isfinite(reprogram_latency_ms)
-                and reprogram_latency_ms >= 0):
-            raise ValueError(
-                "reprogram_latency_ms must be >= 0 and finite, got "
-                f"{reprogram_latency_ms!r}")
+        check_non_negative("reprogram_latency_ms", reprogram_latency_ms)
         self.accel = accel
         self.fleet = fleet
         self.failures = failures
@@ -344,7 +318,9 @@ class _FleetSimulator:
         single-loop run — byte-identical to not passing ``shards`` at
         all.
         """
-        _check_shards(shards, shard_jobs)
+        check_count("shards", shards)
+        if shard_jobs is not None:
+            check_count("shard_jobs", shard_jobs)
         self._validate(requests)
         if shards != 1:
             from .shard import run_sharded

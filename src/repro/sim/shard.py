@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .._checks import is_count
 from .fleet import FleetSpec
 from .summary import GenerationSummary, ServeSummary
 
@@ -69,8 +70,8 @@ class ShardPlan:
         Cell ``c`` takes indices ``[c*n//shards, (c+1)*n//shards)`` —
         sizes differ by at most one, earlier cells take the extras.
         """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+        if not is_count(shards):
+            raise ValueError(f"shards must be >= 1 (an int), got {shards!r}")
         n = fleet.n
         if shards > n:
             raise ValueError(

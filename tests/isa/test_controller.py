@@ -81,6 +81,15 @@ class TestRegisterFile:
         with pytest.raises(ValueError):
             csr.write("num_heads", 0)
 
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True, 64.0])
+    def test_non_count_value_rejected(self, value):
+        """A register holds an int: a float, a NaN or a bool is refused
+        before the synthesized limit is consulted, not stored."""
+        csr = ConfigRegisterFile(SynthParams())
+        with pytest.raises(ValueError, match="seq_len"):
+            csr.write("seq_len", value)
+        assert csr.seq_len == 0
+
     def test_d_k_requires_programming(self):
         csr = ConfigRegisterFile(SynthParams())
         with pytest.raises(RuntimeError):

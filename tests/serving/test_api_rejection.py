@@ -13,15 +13,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analytic import estimate_generation, estimate_serving, propose_fleet
+from repro.dse import (Axis, EvolutionaryStrategy, Objective,
+                       PrescreenStrategy, RandomStrategy, SearchSpace,
+                       explore)
 from repro.nn.model_zoo import MODEL_ZOO
-from repro.obs import ThresholdRule, Watchdog
+from repro.obs import (AnomalyDetector, MetricsSampler, ThresholdRule,
+                       Watchdog, bench_trend, diff_runs)
 from repro.serving import (
     BurstyArrivals,
+    ClusterSimulator,
     DiurnalArrivals,
     LengthSampler,
     ModelMix,
     PoissonArrivals,
+    TraceReplay,
     attach_generation_lengths,
+    attach_priorities,
     plan_capacity,
     simulate,
     simulate_generation,
@@ -59,6 +66,17 @@ def _diurnal(**kw):
     return DiurnalArrivals(100.0, MIX, **kw)
 
 
+SPACE = SearchSpace((Axis("a", (1,)),))
+OBJECTIVES = (Objective("y", "min"),)
+
+
+def _explore(**kw):
+    """A one-point sweep: it runs in the parent process, so a bad
+    ``jobs`` that slipped through would return, not fork a pool."""
+    return explore(SPACE, lambda point, settings: {"y": 1.0},
+                   objectives=OBJECTIVES, **kw)
+
+
 #: ``(case id, call(value, results), bad-value strategy)``.
 CASES = [
     ("poisson.qps", lambda v, r: PoissonArrivals(v, MIX), NOT_POSITIVE),
@@ -85,6 +103,26 @@ CASES = [
     ("failure.horizon_ms",
      lambda v, r: FailurePlan(100.0, 10.0, horizon_ms=v), NEGATIVE),
     ("instance.speed", lambda v, r: InstanceSpec(speed=v), NOT_POSITIVE),
+    ("instance.reprogram_latency_ms",
+     lambda v, r: InstanceSpec(reprogram_latency_ms=v), NEGATIVE),
+    ("cluster.reprogram_latency_ms",
+     lambda v, r: ClusterSimulator(r["accel"], 2, reprogram_latency_ms=v),
+     NEGATIVE),
+    ("cluster.check_jitter_ms",
+     lambda v, r: ClusterSimulator(r["accel"], 2, check_jitter_ms=v),
+     NEGATIVE),
+    ("simulate.n_instances",
+     lambda v, r: simulate(r["accel"], r["arrivals"], v, detail="summary"),
+     NOT_COUNT),
+    ("simulate_generation.n_instances",
+     lambda v, r: simulate_generation(r["accel"], r["gen_requests"], v,
+                                      detail="summary"),
+     NOT_COUNT),
+    ("trace_replay.t_ms",
+     lambda v, r: TraceReplay([(1.0, MODEL), (v, MODEL)]), NEGATIVE),
+    ("attach_priorities.high",
+     lambda v, r: attach_priorities(r["gen_requests"], 0.5, high=v),
+     NOT_COUNT),
     ("lengths.lo", lambda v, r: LengthSampler("uniform", v, 64), NOT_COUNT),
     ("lengths.hi", lambda v, r: LengthSampler("uniform", 4, v), NOT_COUNT),
     ("lengths.mean_extra",
@@ -132,6 +170,51 @@ CASES = [
      lambda v, r: Watchdog(slo_ms=5.0, queue_threshold=v), NON_FINITE),
     ("threshold_rule.threshold", lambda v, r: ThresholdRule("x", v),
      NON_FINITE),
+    ("threshold_rule.sustain_ms",
+     lambda v, r: ThresholdRule("x", 1.0, sustain_ms=v), NEGATIVE),
+    ("watchdog.target", lambda v, r: Watchdog(slo_ms=5.0, target=v),
+     NOT_OPEN_UNIT),
+    ("watchdog.fast_window_ms",
+     lambda v, r: Watchdog(slo_ms=5.0, fast_window_ms=v), NOT_POSITIVE),
+    ("watchdog.slow_window_ms",
+     lambda v, r: Watchdog(slo_ms=5.0, slow_window_ms=v), NOT_POSITIVE),
+    ("watchdog.burn_threshold",
+     lambda v, r: Watchdog(slo_ms=5.0, burn_threshold=v), NOT_POSITIVE),
+    ("watchdog.queue_sustain_ms",
+     lambda v, r: Watchdog(slo_ms=5.0, queue_threshold=3.0,
+                           queue_sustain_ms=v),
+     NOT_POSITIVE),
+    ("anomaly.window", lambda v, r: AnomalyDetector(window=v), NOT_COUNT),
+    ("anomaly.threshold", lambda v, r: AnomalyDetector(threshold=v),
+     NOT_POSITIVE),
+    ("anomaly.debounce", lambda v, r: AnomalyDetector(debounce=v),
+     NOT_COUNT),
+    ("anomaly.min_samples", lambda v, r: AnomalyDetector(min_samples=v),
+     NOT_COUNT),
+    ("anomaly.rel_floor", lambda v, r: AnomalyDetector(rel_floor=v),
+     NEGATIVE),
+    ("anomaly.abs_floor", lambda v, r: AnomalyDetector(abs_floor=v),
+     NOT_POSITIVE),
+    ("metrics.grid_ms", lambda v, r: MetricsSampler(grid_ms=v),
+     NOT_POSITIVE),
+    ("diff_runs.rtol", lambda v, r: diff_runs({}, {}, rtol=v), NEGATIVE),
+    ("diff_runs.atol", lambda v, r: diff_runs({}, {}, atol=v), NEGATIVE),
+    ("bench_trend.window", lambda v, r: bench_trend([], window=v),
+     NOT_COUNT),
+    ("bench_trend.rtol", lambda v, r: bench_trend([], rtol=v), NEGATIVE),
+    ("explore.jobs", lambda v, r: _explore(jobs=v), NOT_COUNT),
+    ("explore.batch_size", lambda v, r: _explore(batch_size=v), NOT_COUNT),
+    ("random.samples", lambda v, r: RandomStrategy(SPACE, samples=v),
+     NOT_COUNT),
+    ("evolutionary.population",
+     lambda v, r: EvolutionaryStrategy(SPACE, OBJECTIVES, population=v),
+     NOT_COUNT),
+    ("evolutionary.generations",
+     lambda v, r: EvolutionaryStrategy(SPACE, OBJECTIVES, generations=v),
+     NOT_COUNT),
+    ("prescreen.min_keep",
+     lambda v, r: PrescreenStrategy(SPACE, OBJECTIVES, min_keep=v),
+     NOT_COUNT),
     ("propose_fleet.target_p99_ms",
      lambda v, r: propose_fleet(r["accel"], r["arrivals"], v),
      NAN_OR_NOT_POSITIVE),

@@ -73,15 +73,6 @@ class ArrivalEnvelope:
                    mean_qps=mean, peak_qps=max(peak, mean),
                    window_ms=window_ms)
 
-    @classmethod
-    def from_requests(cls, requests: Sequence,
-                      duration_ms: float = None,
-                      window_ms: float = 50.0) -> "ArrivalEnvelope":
-        """Envelope of a :class:`~repro.serving.workload.Request` list."""
-        return cls.from_times([r.t_ms for r in requests],
-                              duration_ms=duration_ms,
-                              window_ms=window_ms)
-
 
 def fluid_waits_ms(times_ms: Sequence[float], work_ms: float,
                    drain_per_ms: float) -> Tuple[List[float], float]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._checks import check_non_negative, check_positive
 from ..hls.resources import ResourceEstimate
 
 __all__ = ["PowerModel", "PowerReport", "GPU_CPU_TDP_W"]
@@ -46,8 +47,7 @@ class PowerModel:
 
     def dynamic_w(self, resources: ResourceEstimate, clock_mhz: float) -> float:
         """Core dynamic power of the mapped design."""
-        if clock_mhz <= 0:
-            raise ValueError("clock must be positive")
+        check_positive("clock_mhz", clock_mhz)
         mw = (
             resources.dsps * self.dsp_mw_per_mhz
             + resources.bram18k * self.bram_mw_per_mhz
@@ -63,8 +63,7 @@ class PowerModel:
         achieved_gbps: float = 0.0,
     ) -> float:
         """Board power: static + core dynamic + memory traffic."""
-        if achieved_gbps < 0:
-            raise ValueError("bandwidth must be non-negative")
+        check_non_negative("achieved_gbps", achieved_gbps)
         return (self.static_w
                 + self.dynamic_w(resources, clock_mhz)
                 + achieved_gbps * self.hbm_w_per_gbps)
@@ -90,8 +89,8 @@ class PowerReport:
         gops: float,
         achieved_gbps: float = 0.0,
     ) -> "PowerReport":
-        if latency_s <= 0 or gops <= 0:
-            raise ValueError("latency and gops must be positive")
+        check_positive("latency_s", latency_s)
+        check_positive("gops", gops)
         total = model.total_w(resources, clock_mhz, achieved_gbps)
         return cls(
             total_w=total,

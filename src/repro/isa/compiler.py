@@ -16,7 +16,7 @@ touching the bitstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from ..nn.model_zoo import TransformerConfig
 from .controller import ConfigRegisterFile, SynthParams
@@ -130,8 +130,3 @@ def program_stats(program: List[Instruction]) -> ProgramStats:
         layers = max(layers, ins.layer + 1)
     return ProgramStats(total=len(program), by_opcode=hist, layers=layers)
 
-
-def iter_layer(program: List[Instruction], layer: int) -> Iterator[Instruction]:
-    """Instructions belonging to one encoder layer."""
-    return (ins for ins in program
-            if ins.layer == layer and ins.opcode is not Opcode.HALT)

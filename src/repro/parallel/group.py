@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from .._checks import check_count
 from ..core.accelerator import ProTEA
 from ..nn.model_zoo import TransformerConfig
 from .interconnect import AURORA_64B66B, InterconnectLink
@@ -75,8 +76,9 @@ class PipelineGroup:
         tp_ways: Optional[int] = None,
         objective: str = "latency",
     ):
-        if n_devices < 1:
-            raise ValueError("n_devices must be >= 1")
+        check_count("n_devices", n_devices)
+        if tp_ways is not None:
+            check_count("tp_ways", tp_ways)
         self.accel = accel
         self.n_devices = n_devices
         self.tp_ways = tp_ways

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
+from .._checks import check_count, check_non_negative, check_positive
+
 __all__ = [
     "InterconnectLink",
     "AURORA_64B66B",
@@ -64,14 +66,11 @@ class InterconnectLink:
     overhead_bytes: int = 0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_gbps <= 0:
-            raise ValueError("bandwidth_gbps must be positive")
-        if self.latency_us < 0:
-            raise ValueError("latency_us must be non-negative")
+        check_positive("bandwidth_gbps", self.bandwidth_gbps)
+        check_non_negative("latency_us", self.latency_us)
         if not 0 < self.efficiency <= 1:
             raise ValueError("efficiency must be in (0, 1]")
-        if self.overhead_bytes < 0:
-            raise ValueError("overhead_bytes must be non-negative")
+        check_non_negative("overhead_bytes", self.overhead_bytes)
 
     # ------------------------------------------------------------------
     @property
@@ -81,8 +80,7 @@ class InterconnectLink:
 
     def transfer_us(self, nbytes: int) -> float:
         """Wall time to move one ``nbytes`` message (zero bytes free)."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
+        check_non_negative("nbytes", nbytes)
         if nbytes == 0:
             return 0.0
         bits = (nbytes + self.overhead_bytes) * 8
@@ -90,8 +88,7 @@ class InterconnectLink:
 
     def transfer_cycles(self, nbytes: int, clock_mhz: float) -> int:
         """Message cost in kernel cycles at ``clock_mhz``."""
-        if clock_mhz <= 0:
-            raise ValueError("clock must be positive")
+        check_positive("clock_mhz", clock_mhz)
         return math.ceil(self.transfer_us(nbytes) * clock_mhz)
 
     # ------------------------------------------------------------------
@@ -102,8 +99,8 @@ class InterconnectLink:
         classic bandwidth-optimal ring, so wide groups pay latency in
         step count, not payload.
         """
-        if ways < 1:
-            raise ValueError("ways must be >= 1")
+        check_non_negative("nbytes", nbytes)
+        check_count("ways", ways)
         if ways == 1 or nbytes == 0:
             return 0.0
         shard = math.ceil(nbytes / ways)
@@ -112,8 +109,7 @@ class InterconnectLink:
     def allreduce_cycles(self, nbytes: int, ways: int,
                          clock_mhz: float) -> int:
         """Ring all-reduce cost in kernel cycles."""
-        if clock_mhz <= 0:
-            raise ValueError("clock must be positive")
+        check_positive("clock_mhz", clock_mhz)
         return math.ceil(self.allreduce_us(nbytes, ways) * clock_mhz)
 
 

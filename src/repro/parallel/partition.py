@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from .._checks import check_count, check_non_negative
 from ..core.latency import LatencyModel, LayerLatency
 from ..isa.controller import ConfigRegisterFile
 from ..nn.model_zoo import TransformerConfig
@@ -52,14 +53,12 @@ def balanced_partition(costs: Sequence[int], k: int) -> List[Tuple[int, int]]:
     the earliest feasible split so results are deterministic.
     """
     n = len(costs)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count("k", k)
     if k > n:
         raise ValueError(f"cannot split {n} layers into {k} stages")
     prefix = [0] * (n + 1)
     for i, c in enumerate(costs):
-        if c < 0:
-            raise ValueError("costs must be non-negative")
+        check_non_negative("cost", c)
         prefix[i + 1] = prefix[i] + c
 
     def seg(a: int, b: int) -> int:
@@ -92,8 +91,7 @@ def balanced_partition(costs: Sequence[int], k: int) -> List[Tuple[int, int]]:
 
 def validate_tensor_parallel(config: TransformerConfig, tp: int) -> None:
     """Structural feasibility of a head-wise ``tp``-way split."""
-    if tp < 1:
-        raise ValueError("tp must be >= 1")
+    check_count("tp", tp)
     if config.num_heads % tp:
         raise ValueError(
             f"{config.name}: num_heads={config.num_heads} not divisible "
@@ -143,8 +141,7 @@ class StagePlan:
     def __post_init__(self) -> None:
         if self.layer_end <= self.layer_start:
             raise ValueError("stage must own at least one layer")
-        if self.tp_ways < 1:
-            raise ValueError("tp_ways must be >= 1")
+        check_count("tp_ways", self.tp_ways)
 
     @property
     def num_layers(self) -> int:

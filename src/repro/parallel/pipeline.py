@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from .._checks import check_count, check_positive
 from ..core.accelerator import ProTEA
 from ..core.timeline import Timeline, TimelineEvent
 from ..isa.controller import ResynthesisRequiredError
@@ -189,15 +190,13 @@ class PipelinePlan:
 
     def speedup_over(self, single_device_cycles: int) -> float:
         """Steady-state speedup versus one device at the same clock."""
-        if single_device_cycles <= 0:
-            raise ValueError("single_device_cycles must be positive")
+        check_positive("single_device_cycles", single_device_cycles)
         return single_device_cycles / self.bottleneck_cycles
 
     # ------------------------------------------------------------------
     def batch_cycles(self, n_items: int) -> int:
         """Makespan of ``n_items`` streamed through the pipeline."""
-        if n_items < 1:
-            raise ValueError("n_items must be >= 1")
+        check_count("n_items", n_items)
         return self.fill_cycles + (n_items - 1) * self.bottleneck_cycles
 
     def timeline(self, n_items: int = 4) -> Timeline:
@@ -207,8 +206,7 @@ class PipelinePlan:
         boundary; the event's ``layer`` field carries the item index so
         ``gantt()`` shows fill, steady state, and drain.
         """
-        if n_items < 1:
-            raise ValueError("n_items must be >= 1")
+        check_count("n_items", n_items)
         events: List[TimelineEvent] = []
         dev_free = [0] * self.num_stages
         link_free = [0] * max(0, self.num_stages - 1)
@@ -298,9 +296,9 @@ class PipelinePartitioner:
         :class:`~repro.isa.controller.ResynthesisRequiredError` when a
         stage's sub-workload exceeds the synthesized maxima.
         """
-        if n_devices < 1:
-            raise ValueError("n_devices must be >= 1")
-        if tp_ways < 1 or n_devices % tp_ways:
+        check_count("n_devices", n_devices)
+        check_count("tp_ways", tp_ways)
+        if n_devices % tp_ways:
             raise ValueError(
                 f"n_devices={n_devices} not divisible by tp_ways={tp_ways}")
         validate_tensor_parallel(config, tp_ways)
@@ -355,8 +353,8 @@ class PipelinePartitioner:
         parallelism is a prefill-side lever (it needs whole rows to
         split); decode mode always runs pure pipeline (``tp_ways=1``).
         """
-        if prompt_len < 1 or output_len < 1:
-            raise ValueError("prompt_len and output_len must be >= 1")
+        check_count("prompt_len", prompt_len)
+        check_count("output_len", output_len)
         total = prompt_len + output_len
         if total > self.accel.synth.max_seq_len:
             raise ResynthesisRequiredError(
@@ -391,6 +389,7 @@ class PipelinePartitioner:
     ) -> List[Tuple[int, int]]:
         """All ``(n_stages, tp_ways)`` factorizations of ``n_devices``
         that are structurally feasible for ``config``."""
+        check_count("n_devices", n_devices)
         shapes = []
         for tp in range(1, n_devices + 1):
             if n_devices % tp or config.num_heads % tp:

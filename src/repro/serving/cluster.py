@@ -46,6 +46,7 @@ from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..sim.failures import FailurePlan
 from ..sim.fleet import FleetSpec, _FleetSimulator
+from ..sim.shard import merge_serve_summaries
 from ..sim.summary import _FleetTotals
 from .batching import BatchingPolicy, ServiceTimeModel, no_batching
 from .scheduler import Scheduler
@@ -142,7 +143,7 @@ class ClusterSimulator(_FleetSimulator):
     over from one run to the next.
     """
 
-    _mode = "serve"
+    _merge = staticmethod(merge_serve_summaries)
 
     def __init__(
         self,

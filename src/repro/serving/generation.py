@@ -42,6 +42,7 @@ from ..core.accelerator import ProTEA
 from ..nn.model_zoo import MODEL_ZOO, TransformerConfig
 from ..sim.failures import FailurePlan
 from ..sim.fleet import FleetSpec, _FleetSimulator
+from ..sim.shard import merge_generation_summaries
 from ..sim.summary import _FleetTotals
 from .scheduler import Scheduler
 from .workload import GenerationRequest
@@ -250,7 +251,7 @@ class GenerationClusterSimulator(_FleetSimulator):
     a different model waits until the active set drains.
     """
 
-    _mode = "generate"
+    _merge = staticmethod(merge_generation_summaries)
 
     def __init__(
         self,

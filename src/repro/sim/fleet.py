@@ -241,14 +241,12 @@ class _FleetSimulator:
     """What both serving façades share: the fleet, the scheduler each
     run uses, and running a stream on one engine or on shard cells.
 
-    A façade supplies ``_mode`` (its :func:`~repro.sim.shard.run_sharded`
-    mode) and ``_engine(fleet, **cell)``, the one place it builds its
-    engine — over the whole fleet for :meth:`run`, over one cell (with
-    the ``instance_base`` and ``failure_horizon_ms`` keywords) for
-    :meth:`_shard_cell`.
+    A façade supplies ``_merge`` (the :mod:`repro.sim.shard` function
+    that merges its cells' summaries) and ``_engine(fleet, **cell)``,
+    the one place it builds its engine — over the whole fleet for
+    :meth:`run`, over one cell (with the ``instance_base`` and
+    ``failure_horizon_ms`` keywords) for :meth:`_shard_cell`.
     """
-
-    _mode = ""
 
     def __init__(self, accel, n_instances: Optional[int], scheduler,
                  reprogram_latency_ms: float, fleet: Optional[FleetSpec],
@@ -334,9 +332,8 @@ class _FleetSimulator:
                 raise ValueError(
                     "KernelProfiler cannot span shard cells — profile "
                     "a shards=1 run")
-            return run_sharded(self, requests, mode=self._mode,
-                               shards=shards, jobs=shard_jobs,
-                               observer=observer)
+            return run_sharded(self, requests, shards=shards,
+                               jobs=shard_jobs, observer=observer)
         return self._drive(self._engine(self.fleet), requests, detail,
                            observer, profiler)
 

@@ -243,21 +243,20 @@ def _evaluate_cell(point: Dict[str, Any],
     return {"summary": summary}
 
 
-def run_sharded(sim, requests: Sequence, *, mode: str, shards: int,
+def run_sharded(sim, requests: Sequence, *, shards: int,
                 jobs: Optional[int] = None, observer=None):
     """Partition, run every cell, and merge the summaries.
 
-    ``sim`` is a serving façade exposing ``_shard_cell`` (either
-    :class:`~repro.serving.cluster.ClusterSimulator` or
+    ``sim`` is a serving façade exposing ``_shard_cell`` and ``_merge``
+    (either :class:`~repro.serving.cluster.ClusterSimulator` or
     :class:`~repro.serving.generation.GenerationClusterSimulator`) —
-    the façade, not this module, knows how to build a cell engine.
+    the façade, not this module, knows how to build a cell engine and
+    which summaries its cells return.
     ``jobs >= 2`` forks a :class:`~repro.dse.pool.PersistentPool` and
     runs cells in worker processes; anything else runs them serially
     in-process (observers are only legal there).  ``shards`` and
     ``jobs`` arrive checked by the façade's ``run``.
     """
-    if mode not in ("serve", "generate"):
-        raise ValueError(f"unknown shard mode {mode!r}")
     plan = ShardPlan.partition(sim.fleet, shards)
     cell_requests = plan.split_requests(requests)
     settings = {
@@ -294,6 +293,4 @@ def run_sharded(sim, requests: Sequence, *, mode: str, shards: int,
                 p["observer"] = observer
         summaries = [_evaluate_cell(p, settings)["summary"]
                      for p in points]
-    merge = (merge_serve_summaries if mode == "serve"
-             else merge_generation_summaries)
-    return merge(summaries)
+    return sim._merge(summaries)

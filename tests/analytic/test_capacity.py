@@ -15,44 +15,27 @@ Three contracts pin the planner:
   own predicate.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.analytic import estimate_serving, propose_fleet
-from repro.serving import (
-    BurstyArrivals,
-    DiurnalArrivals,
-    ModelMix,
-    PoissonArrivals,
-    plan_capacity,
-    render_capacity_plan,
-    simulate,
-    summarize,
-    timeout,
-)
+from repro.serving import (plan_capacity, render_capacity_plan, simulate,
+                           summarize, timeout)
 
-GOLDEN = Path(__file__).parent.parent / "goldens" / "capacity_plans.json"
+from .._goldens import load
+from ..sim.test_trace_identity import GEN_SCENARIOS
+from ..sim.test_trace_identity import SCENARIOS as SERVE_SCENARIOS
+
 TARGETS = (75.0, 300.0)
 
-MIX = ModelMix({
-    "model2-lhc-trigger": 3.0,
-    "model1-peng-isqed21": 2.0,
-    "model3-efa-trans": 1.0,
-})
 
+def _generated(arrivals, horizon_ms):
+    return lambda: arrivals().generate(horizon_ms)
+
+
+#: The six trace-identity scenarios over their golden horizons.
 SCENARIOS = {
-    "poisson": lambda: PoissonArrivals(500, MIX, seed=101).generate(600.0),
-    "bursty": lambda: BurstyArrivals(
-        400, MIX, seed=202, burst_factor=5.0, dwell_ms=80.0).generate(600.0),
-    "diurnal": lambda: DiurnalArrivals(
-        600, MIX, seed=303, period_ms=600.0).generate(600.0),
-    "g-poisson": lambda: PoissonArrivals(30, MIX, seed=404).generate(500.0),
-    "g-bursty": lambda: BurstyArrivals(
-        25, MIX, seed=505, dwell_ms=120.0).generate(500.0),
-    "g-diurnal": lambda: DiurnalArrivals(
-        40, MIX, seed=606, period_ms=500.0).generate(500.0),
+    **{s: _generated(a, 600.0) for s, a in SERVE_SCENARIOS.items()},
+    **{f"g-{s}": _generated(a, 500.0) for s, a in GEN_SCENARIOS.items()},
 }
 
 PLAN_KW = dict(scheduler="model-affinity", batching=timeout(4, 2.0),
@@ -61,7 +44,7 @@ PLAN_KW = dict(scheduler="model-affinity", batching=timeout(4, 2.0),
 
 @pytest.fixture(scope="module")
 def frozen():
-    return json.loads(GOLDEN.read_text())
+    return load("capacity_plans.json")
 
 
 def test_capacity_plans_cover_every_case(frozen):

@@ -10,43 +10,16 @@ a Poisson QPS sweep crosses offered load with fleet size.
 import pytest
 
 from repro.analytic import estimate_serving
-from repro.serving import (
-    BurstyArrivals,
-    DiurnalArrivals,
-    ModelMix,
-    PoissonArrivals,
-    simulate,
-    summarize,
-    timeout,
-)
+from repro.serving import PoissonArrivals, simulate, summarize, timeout
 
-MIX = ModelMix({
-    "model2-lhc-trigger": 3.0,
-    "model1-peng-isqed21": 2.0,
-    "model3-efa-trans": 1.0,
-})
-
-#: The golden arrival processes (same seeds as the trace-identity
-#: goldens); the generation-side seeds are served here as plain serve
-#: workloads, giving six distinct seeded scenarios.
-SCENARIOS = {
-    "poisson": lambda: PoissonArrivals(500, MIX, seed=101).generate(600.0),
-    "bursty": lambda: BurstyArrivals(
-        400, MIX, seed=202, burst_factor=5.0, dwell_ms=80.0).generate(600.0),
-    "diurnal": lambda: DiurnalArrivals(
-        600, MIX, seed=303, period_ms=600.0).generate(600.0),
-    "g-poisson": lambda: PoissonArrivals(30, MIX, seed=404).generate(500.0),
-    "g-bursty": lambda: BurstyArrivals(
-        25, MIX, seed=505, dwell_ms=120.0).generate(500.0),
-    "g-diurnal": lambda: DiurnalArrivals(
-        40, MIX, seed=606, period_ms=500.0).generate(500.0),
-}
+from ..sim.test_trace_identity import MIX
+# The golden serve configuration and arrival processes; the
+# generation-side seeds run here as plain serve workloads.
+from .test_capacity import PLAN_KW as SERVE_KW
+from .test_capacity import SCENARIOS
 
 FLEETS = (1, 2, 3, 4, 6, 8)
 
-#: The golden serve configuration (tests/sim/test_trace_identity.py).
-SERVE_KW = dict(scheduler="model-affinity", batching=timeout(4, 2.0),
-                reprogram_latency_ms=5.0)
 EST_KW = dict(batching=timeout(4, 2.0), reprogram_latency_ms=5.0)
 
 

@@ -9,17 +9,9 @@ lengths, under both buffering modes, both datapath widths and two
 synthesized tilings (the published 64/128 and a ragged 32/96 one).
 Prefill, decode and tensor-parallel stages share one cycle model, so a
 change to any of them shows up here as a digest mismatch.
-
-Regenerate after an intentional behavior change with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/core/test_layer_latency_golden.py
 """
 
-import hashlib
 import itertools
-import json
-import os
-from pathlib import Path
 
 import pytest
 
@@ -30,7 +22,7 @@ from repro.core.latency import LatencyModel, LatencyOptions
 from repro.isa.controller import SynthParams
 from repro.nn import MODEL_ZOO
 
-GOLDEN = Path(__file__).parent.parent / "goldens" / "layer_latency.json"
+from .._goldens import load, sha256
 
 SYNTHS = {"ts64x128": SynthParams(),
           "ts32x96": SynthParams(ts_mha=32, ts_ffn=96)}
@@ -49,8 +41,7 @@ def layer_digest(layer) -> dict:
     hash over every compute and load entry."""
     text = repr((sorted(layer.compute.items()), sorted(layer.loads.items()),
                  layer.total))
-    return {"total": layer.total,
-            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    return {"total": layer.total, "sha256": sha256(text)}
 
 
 def group_digests(synth_name, fmt, buffering) -> dict:
@@ -79,13 +70,7 @@ def digests():
 
 @pytest.fixture(scope="module")
 def golden(digests):
-    if os.environ.get("REPRO_REGEN_GOLDENS"):
-        GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True)
-                          + "\n")
-    assert GOLDEN.exists(), (
-        f"{GOLDEN.name} missing — run with REPRO_REGEN_GOLDENS=1 to "
-        "create it, then commit the file")
-    return json.loads(GOLDEN.read_text())
+    return load("layer_latency.json", lambda: digests)
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))

@@ -12,22 +12,16 @@ It also freezes the on-disk :class:`~repro.dse.cache.EvalCache` that a
 sweep over the grid writes: a cache written before a change must be
 reused after it with zero re-evaluations, since the results (and so
 the cache keys) are unchanged.
-
-Regenerate after an intentional model change with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/dse/test_points_golden.py
 """
 
 import json
-import os
-from pathlib import Path
 
 import pytest
 
 from repro.dse import EvalCache, evaluate_point, explore, standard_space
 from repro.dse.pool import _error_text
 
-GOLDEN = Path(__file__).parent.parent / "goldens" / "dse_points.json"
+from .._goldens import load
 
 #: Generation, failure and watchdog objectives stay on (the defaults).
 SETTINGS = {"qps": 1500.0, "duration_ms": 200.0, "seed": 3, "gen_qps": 300.0}
@@ -81,15 +75,10 @@ def _write_cache(tmp_path):
 
 @pytest.fixture(scope="module")
 def golden(tmp_path_factory):
-    if os.environ.get("REPRO_REGEN_GOLDENS"):
-        frozen = {"settings": SETTINGS,
-                  "records": [_record(p) for p in _points()],
-                  "cache": _write_cache(tmp_path_factory.mktemp("cache"))}
-        GOLDEN.write_text(_dumps(frozen) + "\n")
-    assert GOLDEN.exists(), (
-        f"{GOLDEN.name} missing — run with REPRO_REGEN_GOLDENS=1 to "
-        "create it, then commit the file")
-    return json.loads(GOLDEN.read_text())
+    return load("dse_points.json", lambda: {
+        "settings": SETTINGS,
+        "records": [_record(p) for p in _points()],
+        "cache": _write_cache(tmp_path_factory.mktemp("cache"))})
 
 
 def test_golden_covers_feasible_and_infeasible_points(golden):

@@ -16,9 +16,13 @@ from repro.analytic import estimate_generation, estimate_serving, propose_fleet
 from repro.dse import (Axis, EvolutionaryStrategy, Objective,
                        PrescreenStrategy, RandomStrategy, SearchSpace,
                        explore)
+from repro.fpga import PowerModel, PowerReport
 from repro.nn.model_zoo import MODEL_ZOO
 from repro.obs import (AnomalyDetector, MetricsSampler, ThresholdRule,
                        Watchdog, bench_trend, diff_runs)
+from repro.parallel import (AURORA_64B66B, InterconnectLink, PipelineGroup,
+                            PipelinePartitioner, StagePlan,
+                            balanced_partition, validate_tensor_parallel)
 from repro.serving import (
     BurstyArrivals,
     ClusterSimulator,
@@ -40,6 +44,7 @@ from repro.sim import FailurePlan, InstanceSpec
 
 MODEL = "model2-lhc-trigger"
 MIX = ModelMix({MODEL: 1.0})
+BERT = MODEL_ZOO["bert-variant"]
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 #: Finite reals at or below zero, and below zero.
@@ -68,6 +73,12 @@ def _diurnal(**kw):
 
 SPACE = SearchSpace((Axis("a", (1,)),))
 OBJECTIVES = (Objective("y", "min"),)
+
+
+def _power(r, **kw):
+    args = {"latency_s": 1e-3, "gops": 1.0, "achieved_gbps": 0.0, **kw}
+    return PowerReport.evaluate(PowerModel(), r["accel"].resources,
+                                r["accel"].clock_mhz, **args)
 
 
 def _explore(**kw):
@@ -241,6 +252,59 @@ CASES = [
      lambda v, r: estimate_generation(r["accel"], MODEL_ZOO[MODEL], 8, 4,
                                       qps=v, duration_ms=50.0),
      NOT_POSITIVE),
+    ("link.bandwidth_gbps", lambda v, r: InterconnectLink("x", v, 1.0),
+     NOT_POSITIVE),
+    ("link.latency_us", lambda v, r: InterconnectLink("x", 100.0, v),
+     NEGATIVE),
+    ("link.overhead_bytes",
+     lambda v, r: InterconnectLink("x", 100.0, 1.0, overhead_bytes=v),
+     NEGATIVE),
+    ("link.transfer_us.nbytes", lambda v, r: AURORA_64B66B.transfer_us(v),
+     NEGATIVE),
+    ("link.transfer_cycles.clock_mhz",
+     lambda v, r: AURORA_64B66B.transfer_cycles(1024, v), NOT_POSITIVE),
+    ("link.allreduce_us.nbytes",
+     lambda v, r: AURORA_64B66B.allreduce_us(v, 2), NEGATIVE),
+    ("link.allreduce_us.ways",
+     lambda v, r: AURORA_64B66B.allreduce_us(1024, v), NOT_COUNT),
+    ("link.allreduce_cycles.clock_mhz",
+     lambda v, r: AURORA_64B66B.allreduce_cycles(1024, 2, v), NOT_POSITIVE),
+    ("pipeline.plan.n_devices", lambda v, r: r["pp"].plan(BERT, v), NOT_COUNT),
+    ("pipeline.plan.tp_ways", lambda v, r: r["pp"].plan(BERT, 2, v),
+     NOT_COUNT),
+    ("pipeline.best_plan.n_devices",
+     lambda v, r: r["pp"].best_plan(BERT, v), NOT_COUNT),
+    ("pipeline.decode_report.prompt_len",
+     lambda v, r: r["pp"].decode_report(BERT, 2, v, 4), NOT_COUNT),
+    ("pipeline.decode_report.output_len",
+     lambda v, r: r["pp"].decode_report(BERT, 2, 8, v), NOT_COUNT),
+    ("plan.speedup_over", lambda v, r: r["plan"].speedup_over(v),
+     NOT_POSITIVE),
+    ("plan.batch_cycles", lambda v, r: r["plan"].batch_cycles(v), NOT_COUNT),
+    ("plan.timeline", lambda v, r: r["plan"].timeline(v), NOT_COUNT),
+    ("group.n_devices", lambda v, r: PipelineGroup(r["accel"], v), NOT_COUNT),
+    ("group.tp_ways",
+     lambda v, r: PipelineGroup(r["accel"], 2, tp_ways=v), NOT_COUNT),
+    ("balanced_partition.k", lambda v, r: balanced_partition([1, 2, 3], v),
+     NOT_COUNT),
+    ("balanced_partition.costs",
+     lambda v, r: balanced_partition([1, v, 3], 2), NEGATIVE),
+    ("validate_tensor_parallel.tp",
+     lambda v, r: validate_tensor_parallel(BERT, v), NOT_COUNT),
+    ("stage_plan.tp_ways",
+     lambda v, r: StagePlan(0, 0, 1, v, r["plan"].stages[0].layer),
+     NOT_COUNT),
+    ("power.dynamic_w.clock_mhz",
+     lambda v, r: PowerModel().dynamic_w(r["accel"].resources, v),
+     NOT_POSITIVE),
+    ("power.total_w.achieved_gbps",
+     lambda v, r: PowerModel().total_w(r["accel"].resources, 200.0, v),
+     NEGATIVE),
+    ("power_report.latency_s", lambda v, r: _power(r, latency_s=v),
+     NOT_POSITIVE),
+    ("power_report.gops", lambda v, r: _power(r, gops=v), NOT_POSITIVE),
+    ("power_report.achieved_gbps", lambda v, r: _power(r, achieved_gbps=v),
+     NEGATIVE),
 ]
 
 
@@ -252,11 +316,13 @@ def results(default_accel):
     requests = attach_generation_lengths(
         arrivals, LengthSampler("fixed", 8), LengthSampler("fixed", 4),
         seed=1)
+    pp = PipelinePartitioner(default_accel)
     return {"serve": simulate(default_accel, arrivals, n_instances=2),
             "generate": simulate_generation(default_accel, requests,
                                             n_instances=2),
             "accel": default_accel, "arrivals": arrivals,
-            "gen_requests": requests}
+            "gen_requests": requests,
+            "pp": pp, "plan": pp.plan(BERT, 2)}
 
 
 @pytest.mark.parametrize("call,bad", [c[1:] for c in CASES],

@@ -19,17 +19,9 @@ random scenarios spanning:
 Both drains are checked: ``detail="full"`` against the digest of its
 ``queue_samples`` list, ``detail="summary"`` against the exact
 ``depth_area`` / ``depth_last_t`` / ``depth_last`` integral state.
-
-Regenerate after an intentional behavior change with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/sim/test_queue_depth_oracle.py
 """
 
-import hashlib
-import json
-import os
 import random
-from pathlib import Path
 
 import pytest
 
@@ -43,7 +35,8 @@ from repro.serving import (
 from repro.serving.generation import GenerationClusterSimulator
 from repro.sim import FailurePlan, FleetSpec, InstanceSpec
 
-GOLDEN = Path(__file__).parent.parent / "goldens" / "gen_queue_depth.json"
+from .._goldens import load, sha256
+
 N_SCENARIOS = 40
 
 MODELS = ("model2-lhc-trigger", "model1-peng-isqed21")
@@ -94,16 +87,12 @@ def scenario(index: int, accel):
     return sim, requests
 
 
-def _samples_sha256(samples) -> str:
-    text = ";".join(f"{t!r},{d}" for t, d in samples)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def depth_digest(full, summary) -> dict:
     """The frozen record of one scenario's queue-depth trajectory."""
     return {
         "samples": len(full.queue_samples),
-        "samples_sha256": _samples_sha256(full.queue_samples),
+        "samples_sha256": sha256(";".join(
+            f"{t!r},{d}" for t, d in full.queue_samples)),
         "max_queue_depth": max((d for _, d in full.queue_samples),
                                default=0),
         "depth_area": summary.depth_area,
@@ -124,14 +113,8 @@ def runs(default_accel):
 
 @pytest.fixture(scope="module")
 def golden(runs):
-    if os.environ.get("REPRO_REGEN_GOLDENS"):
-        frozen = {str(i): depth_digest(*runs[i]) for i in sorted(runs)}
-        GOLDEN.write_text(json.dumps(frozen, indent=1, sort_keys=True)
-                          + "\n")
-    assert GOLDEN.exists(), (
-        f"{GOLDEN.name} missing — run with REPRO_REGEN_GOLDENS=1 to "
-        "create it, then commit the file")
-    return json.loads(GOLDEN.read_text())
+    return load("gen_queue_depth.json", lambda: {
+        str(i): depth_digest(*runs[i]) for i in sorted(runs)})
 
 
 @pytest.mark.parametrize("index", range(N_SCENARIOS))

@@ -15,17 +15,9 @@ in flight.  The two disagree only while a completion lies in
   handlers) and summary detail (the inlined ``_run_fast`` drain, with
   or without a timeout) must reproduce digests frozen from the scan,
   at fleets of 1, 16 and 64.
-
-Regenerate after an intentional behavior change with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/sim/test_serve_load_index.py
 """
 
-import hashlib
-import json
-import os
 import random
-from pathlib import Path
 
 import pytest
 
@@ -33,7 +25,8 @@ from repro.serving import ModelMix, PoissonArrivals, fixed_size, timeout
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.workload import Request
 
-GOLDEN = Path(__file__).parent.parent / "goldens" / "serve_pick_eps.json"
+from .._goldens import load, sha256
+
 MODEL = "model2-lhc-trigger"
 EPS = 1e-9
 FLEETS = (1, 16, 64)
@@ -95,10 +88,6 @@ def eps_workload(accel, n: int, policy: str):
     return reqs
 
 
-def _sha256(value) -> str:
-    return hashlib.sha256(repr(value).encode()).hexdigest()
-
-
 def eps_hits(full) -> int:
     """Arrivals with a completion pending in ``(t, t + EPS]``."""
     frees = [e[1] for e in full.trace if e[0] == "free"]
@@ -108,6 +97,14 @@ def eps_hits(full) -> int:
             t = event[1]
             hits += any(t < f <= t + EPS for f in frees)
     return hits
+
+
+def eps_digest(reqs, full, summary) -> dict:
+    """The frozen record of one run: sizes plus full and summary digests."""
+    return {"requests": len(reqs), "eps_hits": eps_hits(full),
+            "full_sha256": sha256((full.records, full.trace,
+                                   full.queue_samples, full.instances)),
+            "summary_sha256": sha256(summary)}
 
 
 @pytest.fixture(scope="module")
@@ -124,34 +121,17 @@ def runs(default_accel):
 
 @pytest.fixture(scope="module")
 def golden(runs):
-    if os.environ.get("REPRO_REGEN_GOLDENS"):
-        frozen = {
-            key: {"requests": len(reqs), "eps_hits": eps_hits(full),
-                  "full_sha256": _sha256((full.records, full.trace,
-                                          full.queue_samples,
-                                          full.instances)),
-                  "summary_sha256": _sha256(summary)}
-            for key, (reqs, full, summary) in runs.items()}
-        GOLDEN.write_text(json.dumps(frozen, indent=1, sort_keys=True)
-                          + "\n")
-    assert GOLDEN.exists(), (
-        f"{GOLDEN.name} missing — run with REPRO_REGEN_GOLDENS=1 to "
-        "create it, then commit the file")
-    return json.loads(GOLDEN.read_text())
+    return load("serve_pick_eps.json", lambda: {
+        key: eps_digest(*run) for key, run in runs.items()})
 
 
 @pytest.mark.parametrize("n", FLEETS)
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_engine_matches_scan_digests(runs, golden, policy, n):
     key = f"{policy}/{n}"
-    reqs, full, summary = runs[key]
-    frozen = golden[key]
-    assert len(reqs) == frozen["requests"]
+    reqs, full, _ = runs[key]
     assert len(full.records) == len(reqs)
-    assert eps_hits(full) == frozen["eps_hits"]
-    assert _sha256((full.records, full.trace, full.queue_samples,
-                    full.instances)) == frozen["full_sha256"]
-    assert _sha256(summary) == frozen["summary_sha256"]
+    assert eps_digest(*runs[key]) == golden[key]
 
 
 @pytest.mark.parametrize("n", FLEETS)

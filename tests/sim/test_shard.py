@@ -37,7 +37,6 @@ from repro.sim.shard import (
     ShardPlan,
     merge_generation_summaries,
     merge_serve_summaries,
-    run_sharded,
 )
 
 MIX = ModelMix({"model2-lhc-trigger": 3.0, "model1-peng-isqed21": 2.0,
@@ -102,11 +101,6 @@ class TestShardPlan:
             merge_serve_summaries([])
         with pytest.raises(ValueError, match="no cell summaries"):
             merge_generation_summaries([])
-
-    def test_unknown_mode_rejected(self, default_accel):
-        sim = ClusterSimulator(default_accel, 4)
-        with pytest.raises(ValueError, match="unknown shard mode"):
-            run_sharded(sim, [], mode="dse", shards=2)
 
 
 # ----------------------------------------------------------------------

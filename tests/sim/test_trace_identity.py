@@ -16,16 +16,7 @@ stack attached (trace recorder + metrics sampler + SLO watchdog +
 kernel profiler): the observed run must be byte-identical to the bare
 kernel run, pinning the ``repro.obs`` contract that observation never
 perturbs.
-
-Regenerate after an intentional behavior change with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/sim/test_trace_identity.py
 """
-
-import hashlib
-import json
-import os
-from pathlib import Path
 
 import pytest
 
@@ -53,8 +44,7 @@ from repro.serving import (
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.generation import GenerationClusterSimulator
 
-GOLDENS = Path(__file__).parent.parent / "goldens"
-TRACE_DIGESTS = GOLDENS / "trace_digests.json"
+from .._goldens import GOLDENS, load, sha256
 
 MIX = ModelMix({
     "model2-lhc-trigger": 3.0,
@@ -86,26 +76,35 @@ BENCH_MIX = ModelMix({
 })
 
 
+def serve_sim(accel, failures=None):
+    return ClusterSimulator(
+        accel, 3, scheduler="model-affinity", batching=timeout(4, 2.0),
+        reprogram_latency_ms=5.0, failures=failures)
+
+
+def gen_sim(accel, failures=None):
+    return GenerationClusterSimulator(
+        accel, 2, slots=4, scheduler="least-loaded",
+        reprogram_latency_ms=3.0, failures=failures)
+
+
+def gen_requests(accel, arrivals):
+    return attach_generation_lengths(
+        arrivals, LengthSampler("uniform", 8, 24),
+        LengthSampler("geometric", 4, 48, mean_extra=10.0),
+        seed=77, max_total=accel.synth.max_seq_len)
+
+
 def _serve_case(scenario):
     def make(accel):
-        sim = ClusterSimulator(
-            accel, 3, scheduler="model-affinity",
-            batching=timeout(4, 2.0), reprogram_latency_ms=5.0)
-        return sim, SCENARIOS[scenario]().generate(600.0)
+        return serve_sim(accel), SCENARIOS[scenario]().generate(600.0)
     return make
 
 
 def _gen_case(scenario):
     def make(accel):
-        requests = attach_generation_lengths(
-            GEN_SCENARIOS[scenario]().generate(500.0),
-            LengthSampler("uniform", 8, 24),
-            LengthSampler("geometric", 4, 48, mean_extra=10.0),
-            seed=77, max_total=accel.synth.max_seq_len)
-        sim = GenerationClusterSimulator(
-            accel, 2, slots=4, scheduler="least-loaded",
-            reprogram_latency_ms=3.0)
-        return sim, requests
+        return gen_sim(accel), gen_requests(
+            accel, GEN_SCENARIOS[scenario]().generate(500.0))
     return make
 
 
@@ -136,37 +135,24 @@ CASES = {
 
 def trace_digest(result) -> dict:
     """The frozen summary of one run: sha256 of each field's repr."""
-    return {field: hashlib.sha256(
-                repr(getattr(result, field)).encode()).hexdigest()
+    return {field: sha256(getattr(result, field))
             for field in ("trace", "queue_samples", "instances")}
+
+
+def case_digest(accel, name) -> dict:
+    sim, requests = CASES[name](accel)
+    return trace_digest(sim.run(requests))
 
 
 @pytest.fixture(scope="module")
 def frozen(default_accel):
-    if os.environ.get("REPRO_REGEN_GOLDENS"):
-        digests = {}
-        for name, make in CASES.items():
-            sim, requests = make(default_accel)
-            digests[name] = trace_digest(sim.run(requests))
-        TRACE_DIGESTS.write_text(
-            json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    assert TRACE_DIGESTS.exists(), (
-        f"{TRACE_DIGESTS.name} missing — run with REPRO_REGEN_GOLDENS=1 "
-        "to create it, then commit the file")
-    return json.loads(TRACE_DIGESTS.read_text())
+    return load("trace_digests.json", lambda: {
+        name: case_digest(default_accel, name) for name in CASES})
 
 
 def _check_golden(name: str, rendered: str) -> None:
-    path = GOLDENS / name
-    if os.environ.get("REPRO_REGEN_GOLDENS"):
-        path.parent.mkdir(exist_ok=True)
-        path.write_text(rendered)
-    assert path.exists(), (
-        f"golden {name} missing — run with REPRO_REGEN_GOLDENS=1 to "
-        "create it, then commit the file")
-    assert rendered == path.read_text(), (
-        f"rendered report diverged from golden {name}; if the change "
-        "is intentional, regenerate with REPRO_REGEN_GOLDENS=1")
+    assert rendered == load(name, lambda: rendered), (
+        f"rendered report diverged from golden {name}")
 
 
 def _observe(sim, requests, kernel, slo_ms):
@@ -226,8 +212,7 @@ def test_generate_trace_identity(default_accel, frozen, scenario):
                                   "generate_kernel_bench"])
 def test_kernel_bench_scenarios_match_frozen_digest(default_accel, frozen,
                                                      name):
-    sim, requests = CASES[name](default_accel)
-    assert trace_digest(sim.run(requests)) == frozen[name]
+    assert case_digest(default_accel, name) == frozen[name]
 
 
 def test_trace_digests_cover_every_case(frozen):

@@ -57,6 +57,7 @@ METRIC_UNITS = {
     "gen_fleet16_tokens_per_s": "tokens/s",
     "gen_fleet128_tokens_per_s": "tokens/s",
     "serve_full_detail_requests_per_s": "requests/s",
+    "workload_generate_requests_per_s": "requests/s",
     "plan_capacity_analytic_s": "s",
 }
 

@@ -24,17 +24,19 @@ The SLO watchdog is another observer.  Its gate is
 
 on a generation failure scenario — the watchdog must not cost more
 than the reference instrumented stack users already accept (asserted
-<= 1.05x).  Normalizing by another *attached* run on the same machine
-cancels machine speed and the shared hook-dispatch cost, which a raw
-attached-vs-bare ratio (recorded in the context as
-``watch_vs_bare_x``, informational) cannot: per-event Python dispatch
-alone puts that ratio far above any useful gate.
+<= 1.05x).  Both times are medians of five calls, each rescaled by the
+calibration kernel runs beside it (``_calibrated_race`` in
+``test_sim_kernel.py``), so a slow host phase that lands on one side
+of a round cancels instead of deciding the gate; the enabled-path
+ratio is measured the same way.  Normalizing by another *attached*
+run on the same machine cancels machine speed and the shared
+hook-dispatch cost, which a raw attached-vs-bare ratio (recorded in
+the context as ``watch_vs_bare_x``, informational) cannot: per-event
+Python dispatch alone puts that ratio far above any useful gate.
 """
 
-import gc
 import json
 import statistics
-import time
 from pathlib import Path
 
 from repro import FailurePlan, ProTEA, SynthParams
@@ -54,43 +56,12 @@ from repro.serving import (
 )
 from repro.serving.generation import GenerationClusterSimulator
 
-from test_sim_kernel import (serving_kernel_requests_per_s,
+from test_sim_kernel import (_calibrated_race, serving_kernel_requests_per_s,
                              serving_kernel_scenario)
 
 RESULTS_PATH = Path(__file__).parent / "output" / "BENCH_results.json"
 #: Committed runs the baseline median spans (``obs bench``'s default).
 WINDOW = 8
-
-
-def _race(fn_a, fn_b, rounds=7):
-    """Interleaved best-of timing for two equivalent functions.
-
-    Alternating A/B within each round decorrelates slow drift (CPU
-    frequency, cache pressure from earlier benches) from the ratio;
-    GC is paused around each timed call so collection pauses don't
-    land on one side of the comparison.
-    """
-    best_a = best_b = float("inf")
-    result_a = result_b = None
-    gc_was_enabled = gc.isenabled()
-    try:
-        for _ in range(rounds):
-            gc.collect()
-            gc.disable()
-            t0 = time.perf_counter()
-            result_a = fn_a()
-            best_a = min(best_a, time.perf_counter() - t0)
-            gc.enable()
-            gc.collect()
-            gc.disable()
-            t0 = time.perf_counter()
-            result_b = fn_b()
-            best_b = min(best_b, time.perf_counter() - t0)
-            gc.enable()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return best_a, result_a, best_b, result_b
 
 
 def _historical_rates():
@@ -139,8 +110,9 @@ def test_bench_enabled_path_cost(record_perf):
                          profiler=profiler)
         return result, tracer, sampler, profiler
 
-    t_bare, bare, t_obs, (obs, tracer, sampler, profiler) = _race(
-        lambda: sim.run(requests), observed_run, rounds=5)
+    (t_bare, bare), (t_obs, (obs, tracer, sampler, profiler)) = (
+        _calibrated_race([lambda: sim.run(requests), observed_run],
+                         rounds=5))
 
     # Instrumentation watched a byte-identical simulation...
     assert bare.trace == obs.trace
@@ -191,10 +163,9 @@ def test_bench_watchdog_overhead(record_perf):
         return sim.run(requests, observer=compose(tracer, sampler),
                        profiler=KernelProfiler())
 
-    t_obs, instrumented, t_watch, (watched, watchdog) = _race(
-        instrumented_run, watched_run, rounds=5)
-    t_bare, bare, _, _ = _race(lambda: sim.run(requests), watched_run,
-                               rounds=3)
+    (t_obs, instrumented), (t_watch, (watched, watchdog)), (t_bare, bare) = (
+        _calibrated_race([instrumented_run, watched_run,
+                          lambda: sim.run(requests)], rounds=5))
 
     # The watchdog watched a byte-identical simulation...
     assert watched.records == bare.records == instrumented.records

@@ -21,6 +21,9 @@ rescaled number; a change to the engine does not.
   exactly, means to 1e-12 relative) before any number is recorded;
   CI's bench-trend job gates it.
 
+``workload_generate_requests_per_s`` records how fast the stock Poisson
+process builds a ~1M-request stream (recorded, not gated).
+
 The full-detail serve row records absolute requests/s of
 ``simulate(detail="full")`` + :func:`summarize` at the shape of the
 CLI's ``serve`` default workload (20k qps for 3.5 s, 16 instances,
@@ -80,21 +83,32 @@ def _timed_once(fn):
     return elapsed, result
 
 
-def _calibrated(fn, rounds=1):
-    """Time ``rounds`` GC-quiet calls of ``fn`` with the calibration
-    kernel run before, between and after them: (median rescaled wall
+def _calibrated_race(fns, rounds=1):
+    """Time ``rounds`` rounds of GC-quiet calls, each round calling every
+    one of ``fns`` in turn, with the calibration kernel run before,
+    between and after the calls: per function, (median rescaled wall
     time, last result).  Each call is rescaled by the mean of the two
     kernel runs beside it, so a host phase shared by the call and its
     neighbours cancels; the median drops the calls a phase change
     split."""
     kernels = [calibrate.time_kernel()]
-    rescaled = []
+    rescaled = [[] for _ in fns]
+    results = [None] * len(fns)
     for _ in range(rounds):
-        elapsed, result = _timed_once(fn)
-        kernels.append(calibrate.time_kernel())
-        rescaled.append(calibrate.rescale(
-            elapsed, (kernels[-2] + kernels[-1]) / 2))
-    return statistics.median(rescaled), result
+        for i, fn in enumerate(fns):
+            results[i] = None  # free the last result before the next call
+            elapsed, results[i] = _timed_once(fn)
+            kernels.append(calibrate.time_kernel())
+            rescaled[i].append(calibrate.rescale(
+                elapsed, (kernels[-2] + kernels[-1]) / 2))
+    return [(statistics.median(times), result)
+            for times, result in zip(rescaled, results)]
+
+
+def _calibrated(fn, rounds=1):
+    """:func:`_calibrated_race` of ``fn`` alone: (median rescaled wall
+    time, last result)."""
+    return _calibrated_race([fn], rounds)[0]
 
 
 def serving_kernel_scenario():
@@ -178,6 +192,23 @@ def test_bench_serving_1M_requests(record_perf):
     record_perf("sim", "serving_1M_requests_per_s", len(requests) / wall,
                 "requests/s", context={"requests": len(requests),
                                        "rescaled_s": wall})
+
+
+def test_bench_workload_generate(record_perf):
+    """Open-loop workload generation: ~1M Poisson requests, one model.
+
+    The median of five host-rescaled ``generate`` calls, recorded as
+    requests/s; not gated.
+    """
+    process = PoissonArrivals(12_600, ModelMix("model2-lhc-trigger"),
+                              seed=7)
+    wall, requests = _calibrated(lambda: process.generate(80_000),
+                                 rounds=5)
+    assert len(requests) > 1_000_000
+    assert requests[-1].rid == len(requests) - 1
+    record_perf("workload", "workload_generate_requests_per_s",
+                len(requests) / wall, "requests/s",
+                context={"requests": len(requests), "rescaled_s": wall})
 
 
 def _gen_fleet_drain(accel, n, per_instance_qps=62.5, duration_ms=500.0,

@@ -36,6 +36,7 @@ import math
 from dataclasses import replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from .._checks import is_count
 from ..analysis.metrics import gops
 from ..analysis.traffic import analyze_traffic
 from ..core.accelerator import ProTEA
@@ -306,6 +307,17 @@ def _generation_metrics(accel: ProTEA, cfg, devices: int, fleet: int,
             "tokens_per_s": report.tokens_per_s}
 
 
+def _devices_fleet(point: Mapping[str, Any]) -> Tuple[int, int]:
+    """The point's partitioning degree and fleet size.  Each must be an
+    int >= 1: ``int()`` would score ``fleet=2.5`` as 2 and ``True``
+    as 1."""
+    devices = point.get("devices", 1)
+    fleet = point.get("fleet", 1)
+    if not (is_count(devices) and is_count(fleet)):
+        raise ValueError("devices and fleet must be >= 1")
+    return devices, fleet
+
+
 def evaluate_point(point: Mapping[str, Any],
                    settings: Optional[Mapping[str, Any]] = None
                    ) -> Dict[str, Any]:
@@ -317,10 +329,7 @@ def evaluate_point(point: Mapping[str, Any],
     cfg = get_model(str(point["model"]))
     tiles_mha = int(point.get("tiles_mha", 12))
     tiles_ffn = int(point.get("tiles_ffn", 6))
-    devices = int(point.get("devices", 1))
-    fleet = int(point.get("fleet", 1))
-    if devices < 1 or fleet < 1:
-        raise ValueError("devices and fleet must be >= 1")
+    devices, fleet = _devices_fleet(point)
     opts = dict(DEFAULT_SETTINGS, **dict(settings or {}))
 
     accel = _synthesize(tiles_mha, tiles_ffn, str(point.get("format", "fix8")))

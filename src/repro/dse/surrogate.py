@@ -91,15 +91,13 @@ def surrogate_point(point: Mapping[str, Any],
     authoritative error record.
     """
     from .objectives import (DEFAULT_SETTINGS, _analytic_power_w,
-                             _generation_lengths, _synthesize)
+                             _devices_fleet, _generation_lengths,
+                             _synthesize)
 
     cfg = get_model(str(point["model"]))
     tiles_mha = int(point.get("tiles_mha", 12))
     tiles_ffn = int(point.get("tiles_ffn", 6))
-    devices = int(point.get("devices", 1))
-    fleet = int(point.get("fleet", 1))
-    if devices < 1 or fleet < 1:
-        raise ValueError("devices and fleet must be >= 1")
+    devices, fleet = _devices_fleet(point)
     opts = dict(DEFAULT_SETTINGS, **dict(settings or {}))
 
     fmt = str(point.get("format", "fix8"))

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import FrozenInstanceError
+from itertools import count
+from math import log
+from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from .._checks import (check_count, check_non_negative, check_positive,
-                       is_non_negative, is_positive)
+                       is_count, is_non_negative, is_positive)
 from .._gcpause import gc_paused
 
 __all__ = [
@@ -46,16 +49,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Request:
-    """One inference request in the open-loop stream."""
+    """One inference request in the open-loop stream.
 
-    rid: int
-    t_ms: float
-    model: str
+    Immutable: assigning or deleting a field raises
+    :class:`~dataclasses.FrozenInstanceError`, so one request list can
+    be shared read-only (the DSE evaluator memoizes seeded workloads
+    across points).  Equality and hashing are by value and by exact
+    class, ``repr`` is the dataclass form, and pickling rebuilds the
+    request through its constructor.
+
+    A ``__slots__`` class with no per-instance ``__dict__``; the
+    constructor fills the slots through their member descriptors, as
+    its own ``__setattr__`` refuses every assignment.
+    """
+
+    __slots__ = ("rid", "t_ms", "model")
+    #: The fields, in constructor order (equality, hash, repr, pickle).
+    __match_args__ = __slots__
+
+    def __init__(self, rid: int, t_ms: float, model: str) -> None:
+        _set_rid(self, rid)
+        _set_t_ms(self, t_ms)
+        _set_model(self, model)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
 
 
-@dataclass(frozen=True)
+_set_rid = Request.rid.__set__
+_set_t_ms = Request.t_ms.__set__
+_set_model = Request.model.__set__
+
+
 class GenerationRequest(Request):
     """One autoregressive request: a prompt plus a token budget.
 
@@ -67,18 +115,28 @@ class GenerationRequest(Request):
     sequence at a step boundary (0 everywhere = plain FIFO).
     """
 
-    prompt_tokens: int = 1
-    output_tokens: int = 1
-    priority: int = 0
+    __slots__ = ("prompt_tokens", "output_tokens", "priority")
+    __match_args__ = Request.__match_args__ + __slots__
 
-    def __post_init__(self) -> None:
-        if self.prompt_tokens < 1 or self.output_tokens < 1:
+    def __init__(self, rid: int, t_ms: float, model: str,
+                 prompt_tokens: int = 1, output_tokens: int = 1,
+                 priority: int = 0) -> None:
+        if not (is_count(prompt_tokens) and is_count(output_tokens)):
             raise ValueError("prompt_tokens and output_tokens must be >= 1")
+        Request.__init__(self, rid, t_ms, model)
+        _set_prompt_tokens(self, prompt_tokens)
+        _set_output_tokens(self, output_tokens)
+        _set_priority(self, priority)
 
     @property
     def total_tokens(self) -> int:
         """KV-cache positions the request occupies when finished."""
         return self.prompt_tokens + self.output_tokens
+
+
+_set_prompt_tokens = GenerationRequest.prompt_tokens.__set__
+_set_output_tokens = GenerationRequest.output_tokens.__set__
+_set_priority = GenerationRequest.priority.__set__
 
 
 class LengthSampler:
@@ -184,9 +242,7 @@ def attach_generation_lengths(
         if max_total is not None:
             p = min(p, max_total - 1)
             o = min(o, max_total - p)
-        out.append(GenerationRequest(
-            rid=req.rid, t_ms=req.t_ms, model=req.model,
-            prompt_tokens=p, output_tokens=o))
+        out.append(GenerationRequest(req.rid, req.t_ms, req.model, p, o))
     return out
 
 
@@ -213,16 +269,20 @@ def attach_priorities(
     rng = random.Random(f"{seed}/priority")
     return [
         GenerationRequest(
-            rid=req.rid, t_ms=req.t_ms, model=req.model,
-            prompt_tokens=req.prompt_tokens,
-            output_tokens=req.output_tokens,
-            priority=high if rng.random() < high_fraction else 0)
+            req.rid, req.t_ms, req.model, req.prompt_tokens,
+            req.output_tokens,
+            high if rng.random() < high_fraction else 0)
         for req in requests
     ]
 
 
 class ModelMix:
-    """A normalized categorical distribution over model names."""
+    """A normalized categorical distribution over model names.
+
+    The stock arrival processes draw through :meth:`_draws`, not
+    :meth:`sample`, so a subclass that overrides ``sample`` does not
+    change their model sequence.
+    """
 
     def __init__(
         self,
@@ -254,32 +314,60 @@ class ModelMix:
         return [name for name, _ in self.weights]
 
     def sample(self, rng: random.Random) -> str:
-        u = rng.random()
-        for edge, name in self._cum:
-            if u <= edge:
-                return name
-        return self._cum[-1][1]  # float round-off guard
+        return next(self._draws(rng.random))
+
+    def _draws(self, rand) -> Iterator[str]:
+        """Endless draws, one ``rand()`` each: the first model with
+        ``u <= edge``, the last on float round-off."""
+        cum = self._cum
+        last = cum[-1][1]
+        while True:
+            u = rand()
+            for edge, model in cum:
+                if u <= edge:
+                    break
+            else:
+                model = last
+            yield model
+
+
+def _numbered(times: Iterable[float], rand, mix: ModelMix) -> List[Request]:
+    """Requests for arrival ``times`` (non-decreasing), numbered in order.
+
+    ``map`` advances its iterators left to right and stops at the first
+    exhausted one, so each arrival's model is drawn right after its
+    time, and no model is drawn after the last time.
+    """
+    return list(map(Request, count(), times, mix._draws(rand)))
 
 
 def _finalize(times_models: Iterable[Tuple[float, str]]) -> List[Request]:
     """Sort by time and assign sequential ids (stable for ties)."""
     ordered = sorted(times_models, key=lambda tm: tm[0])
-    return [Request(rid=i, t_ms=t, model=m) for i, (t, m) in enumerate(ordered)]
+    return [Request(i, t, m) for i, (t, m) in enumerate(ordered)]
 
 
 class ArrivalProcess:
     """Base: a seedable generator of a finite open-loop request list."""
 
     def generate(self, duration_ms: float) -> List[Request]:
-        """The requests arriving in ``[0, duration_ms)``, time-ordered.
+        """The requests arriving in ``[0, duration_ms)``, time-ordered,
+        with sequential ``rid`` from 0.
 
         An open-ended process needs a finite ``duration_ms >= 0``:
         ``inf`` would never stop drawing arrivals, and NaN would
-        silently draw none.  The stock processes pause the cyclic
-        garbage collector for the call: they build no reference cycles.
-        Cycles a subclass or a custom :class:`ModelMix` builds are kept
-        until the call returns, and a thread that re-enables the
-        collector mid-call costs speed only.
+        silently draw none.  The stock random processes build the list
+        in one pass: they draw arrival times in non-decreasing order,
+        so each :class:`Request` is appended as it is drawn, with no
+        intermediate list and no sort.  Their draws are
+        ``random.Random(seed).random`` with ``expovariate`` inlined,
+        the same stream and floats as calling it, and models come from
+        ``ModelMix._draws``: they never call :meth:`ModelMix.sample`,
+        so overriding it has no effect.  The stock processes pause the
+        cyclic garbage collector for the call: they build no reference
+        cycles.  Cycles a subclass builds are kept until the call
+        returns, and a thread that re-enables the collector mid-call
+        costs speed only.
         """
         raise NotImplementedError
 
@@ -296,14 +384,15 @@ class PoissonArrivals(ArrivalProcess):
     @gc_paused()
     def generate(self, duration_ms: float) -> List[Request]:
         check_non_negative("duration_ms", duration_ms)
-        rng = random.Random(self.seed)
+        rand = random.Random(self.seed).random
+        return _numbered(self._times(rand, duration_ms), rand, self.mix)
+
+    def _times(self, rand, duration_ms: float) -> Iterator[float]:
         rate_ms = self.qps / 1e3
-        out: List[Tuple[float, str]] = []
-        t = rng.expovariate(rate_ms)
+        t = -log(1.0 - rand()) / rate_ms
         while t < duration_ms:
-            out.append((t, self.mix.sample(rng)))
-            t += rng.expovariate(rate_ms)
-        return _finalize(out)
+            yield t
+            t += -log(1.0 - rand()) / rate_ms
 
 
 class BurstyArrivals(ArrivalProcess):
@@ -329,7 +418,7 @@ class BurstyArrivals(ArrivalProcess):
                 and burst_factor >= 1 and 0 < burst_fraction < 1):
             raise ValueError("need finite qps > 0, finite burst_factor >= 1, "
                              "0 < burst_fraction < 1")
-        # A zero dwell would divide by zero inside expovariate.
+        # A zero dwell would divide by zero in the dwell-time draw.
         check_positive("dwell_ms", dwell_ms)
         self.qps = qps
         self.mix = mix
@@ -345,20 +434,25 @@ class BurstyArrivals(ArrivalProcess):
     @gc_paused()
     def generate(self, duration_ms: float) -> List[Request]:
         check_non_negative("duration_ms", duration_ms)
-        rng = random.Random(self.seed)
+        rand = random.Random(self.seed).random
+        return _numbered(self._times(rand, duration_ms), rand, self.mix)
+
+    def _times(self, rand, duration_ms: float) -> Iterator[float]:
         f = self.burst_fraction
-        dwell = {False: self.dwell_ms, True: self.dwell_ms * f / (1 - f)}
+        # Rates out of each state: 1 / mean dwell.
+        leave = {False: 1.0 / self.dwell_ms,
+                 True: 1.0 / (self.dwell_ms * f / (1 - f))}
         rate_ms = {False: self.quiet_qps / 1e3, True: self.burst_qps / 1e3}
-        out: List[Tuple[float, str]] = []
         t, bursting = 0.0, False
         while t < duration_ms:
-            phase_end = min(duration_ms, t + rng.expovariate(1.0 / dwell[bursting]))
-            nxt = t + rng.expovariate(rate_ms[bursting])
+            phase_end = min(duration_ms,
+                            t + -log(1.0 - rand()) / leave[bursting])
+            rate = rate_ms[bursting]
+            nxt = t + -log(1.0 - rand()) / rate
             while nxt < phase_end:
-                out.append((nxt, self.mix.sample(rng)))
-                nxt += rng.expovariate(rate_ms[bursting])
+                yield nxt
+                nxt += -log(1.0 - rand()) / rate
             t, bursting = phase_end, not bursting
-        return _finalize(out)
 
 
 class DiurnalArrivals(ArrivalProcess):
@@ -395,15 +489,16 @@ class DiurnalArrivals(ArrivalProcess):
     @gc_paused()
     def generate(self, duration_ms: float) -> List[Request]:
         check_non_negative("duration_ms", duration_ms)
-        rng = random.Random(self.seed)
+        rand = random.Random(self.seed).random
+        return _numbered(self._times(rand, duration_ms), rand, self.mix)
+
+    def _times(self, rand, duration_ms: float) -> Iterator[float]:
         peak_ms = self.peak_qps / 1e3
-        out: List[Tuple[float, str]] = []
-        t = rng.expovariate(peak_ms)
+        t = -log(1.0 - rand()) / peak_ms
         while t < duration_ms:
-            if rng.random() < self.rate_qps(t) / self.peak_qps:
-                out.append((t, self.mix.sample(rng)))
-            t += rng.expovariate(peak_ms)
-        return _finalize(out)
+            if rand() < self.rate_qps(t) / self.peak_qps:
+                yield t
+            t += -log(1.0 - rand()) / peak_ms
 
 
 class TraceReplay(ArrivalProcess):

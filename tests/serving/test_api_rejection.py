@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.analytic import estimate_generation, estimate_serving, propose_fleet
 from repro.dse import (Axis, EvolutionaryStrategy, Objective,
                        PrescreenStrategy, RandomStrategy, SearchSpace,
-                       explore)
+                       evaluate_point, explore, surrogate_point)
 from repro.fpga import PowerModel, PowerReport
 from repro.nn.model_zoo import MODEL_ZOO
 from repro.obs import (AnomalyDetector, MetricsSampler, ThresholdRule,
@@ -27,6 +27,7 @@ from repro.serving import (
     BurstyArrivals,
     ClusterSimulator,
     DiurnalArrivals,
+    GenerationRequest,
     LengthSampler,
     ModelMix,
     PoissonArrivals,
@@ -57,6 +58,9 @@ NEGATIVE = NON_FINITE | st.floats(max_value=0.0, exclude_max=True,
 #: Anything but an int >= 1: zero and negative ints, every float
 #: (integral ones included) and bools.
 NOT_COUNT = (st.integers(max_value=0) | st.floats() | st.booleans())
+#: Design-point counts that ``int()`` once truncated (2.5 scored as 2,
+#: True as 1) or rejected with its own message (NaN).
+NOT_POINT_COUNT = st.sampled_from([2.5, True, math.nan])
 #: Outside the open interval (0, 1), and outside [0, 1].
 NOT_OPEN_UNIT = NON_FINITE | st.floats(max_value=0.0) | st.floats(min_value=1.0)
 NOT_UNIT = (NON_FINITE | st.floats(max_value=0.0, exclude_max=True)
@@ -226,6 +230,24 @@ CASES = [
     ("prescreen.min_keep",
      lambda v, r: PrescreenStrategy(SPACE, OBJECTIVES, min_keep=v),
      NOT_COUNT),
+    ("generation_request.prompt_tokens",
+     lambda v, r: GenerationRequest(0, 0.0, MODEL, prompt_tokens=v),
+     NOT_COUNT),
+    ("generation_request.output_tokens",
+     lambda v, r: GenerationRequest(0, 0.0, MODEL, output_tokens=v),
+     NOT_COUNT),
+    ("evaluate_point.devices",
+     lambda v, r: evaluate_point({"model": MODEL, "devices": v}),
+     NOT_POINT_COUNT),
+    ("evaluate_point.fleet",
+     lambda v, r: evaluate_point({"model": MODEL, "fleet": v}),
+     NOT_POINT_COUNT),
+    ("surrogate_point.devices",
+     lambda v, r: surrogate_point({"model": MODEL, "devices": v}),
+     NOT_POINT_COUNT),
+    ("surrogate_point.fleet",
+     lambda v, r: surrogate_point({"model": MODEL, "fleet": v}),
+     NOT_POINT_COUNT),
     ("propose_fleet.target_p99_ms",
      lambda v, r: propose_fleet(r["accel"], r["arrivals"], v),
      NAN_OR_NOT_POSITIVE),

@@ -11,7 +11,6 @@ can move a mean by many ulps, never by more than ``n * 2**-52``
 relative), and instance stats match exactly.
 """
 
-import dataclasses
 import math
 import random
 
@@ -21,6 +20,7 @@ from repro.obs import KernelProfiler, MetricsSampler, TraceRecorder, compose
 from repro.serving import (
     ClusterSimulator,
     GenerationClusterSimulator,
+    GenerationRequest,
     LengthSampler,
     ModelMix,
     PoissonArrivals,
@@ -192,7 +192,9 @@ class TestGenerationSummary:
 
     def test_priority_preemption_matches_full(self, default_accel):
         rng = random.Random(3)
-        reqs = [dataclasses.replace(r, priority=rng.choice([0, 0, 1, 2]))
+        reqs = [GenerationRequest(r.rid, r.t_ms, r.model, r.prompt_tokens,
+                                  r.output_tokens,
+                                  rng.choice([0, 0, 1, 2]))
                 for r in _gen_requests(default_accel, qps=35, seed=910,
                                        duration=1500.0, lseed=79)]
         sim = GenerationClusterSimulator(

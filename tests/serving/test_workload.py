@@ -1,12 +1,19 @@
-"""Unit tests for the serving workload generators."""
+"""Unit tests for the serving workload generators and request types."""
 
+import copy
+import dataclasses
 import math
+import pickle
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving import (
     BurstyArrivals,
     DiurnalArrivals,
+    GenerationRequest,
     ModelMix,
     PoissonArrivals,
     Request,
@@ -292,3 +299,208 @@ class TestDegenerateDistributions:
             LengthSampler("geometric", 1, 1, mean_extra=0.0))
         assert all(r.prompt_tokens == 3 and r.output_tokens == 1
                    for r in reqs)
+
+
+#: The dataclasses the request types used to be, for their ``repr``.
+OldRequest = dataclasses.make_dataclass(
+    "Request", [("rid", int), ("t_ms", float), ("model", str)],
+    frozen=True)
+OldGenerationRequest = dataclasses.make_dataclass(
+    "GenerationRequest",
+    [("prompt_tokens", int, 1), ("output_tokens", int, 1),
+     ("priority", int, 0)], bases=(OldRequest,), frozen=True)
+
+REQUESTS = [
+    (Request, OldRequest, (7, 1.25, "model2-lhc-trigger")),
+    (Request, OldRequest, (0, 1e-300, "a'b")),
+    (GenerationRequest, OldGenerationRequest,
+     (3, 0.1 + 0.2, "bert-variant", 16, 8, 1)),
+    (GenerationRequest, OldGenerationRequest, (0, 0.0, "m")),
+]
+REQUEST_IDS = ["request", "request-quoted", "generation", "defaults"]
+
+
+class TestRequestTypes:
+    @pytest.mark.parametrize("cls,old,args", REQUESTS, ids=REQUEST_IDS)
+    def test_repr_is_the_dataclass_repr(self, cls, old, args):
+        assert repr(cls(*args)) == repr(old(*args))
+
+    @pytest.mark.parametrize("cls,old,args", REQUESTS, ids=REQUEST_IDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, old, args):
+        req = cls(*args)
+        for name in cls.__match_args__ + ("extra",):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(req, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(req, name)
+        assert req == cls(*args)
+        assert not hasattr(req, "__dict__")
+
+    @pytest.mark.parametrize("cls,old,args", REQUESTS, ids=REQUEST_IDS)
+    def test_equality_and_hash_by_value(self, cls, old, args):
+        a, b = cls(*args), cls(*args)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other = cls(args[0] + 1, *args[1:])
+        assert a != other
+
+    def test_equality_needs_the_same_class(self):
+        req = Request(1, 2.0, "m")
+        gen = GenerationRequest(1, 2.0, "m")
+        assert req != gen and gen != req
+        assert req != (1, 2.0, "m")
+
+    @pytest.mark.parametrize("cls,old,args", REQUESTS, ids=REQUEST_IDS)
+    def test_pickle_and_copy_round_trip(self, cls, old, args):
+        req = cls(*args)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(req, protocol))
+            assert type(back) is cls and back == req
+            assert repr(back) == repr(req)
+        assert copy.copy(req) == req == copy.deepcopy(req)
+
+    def test_generation_request_is_a_request(self):
+        gen = GenerationRequest(rid=4, t_ms=0.5, model="m",
+                                prompt_tokens=6, output_tokens=3,
+                                priority=2)
+        assert isinstance(gen, Request)
+        assert (gen.rid, gen.t_ms, gen.model) == (4, 0.5, "m")
+        assert (gen.prompt_tokens, gen.output_tokens, gen.priority) == (
+            6, 3, 2)
+        assert gen.total_tokens == 9
+
+    @pytest.mark.parametrize("kwargs", [
+        {"prompt_tokens": 0}, {"output_tokens": 0},
+        {"prompt_tokens": -3, "output_tokens": -3},
+    ])
+    def test_generation_request_token_counts(self, kwargs):
+        with pytest.raises(ValueError, match="prompt_tokens and "
+                           "output_tokens must be >= 1"):
+            GenerationRequest(0, 0.0, "m", **kwargs)
+
+
+def _two_pass(times_models):
+    """Sort ``(t, model)`` draws by time (stable) and number them: how
+    every stock process built its list before it built it in one pass."""
+    ordered = sorted(times_models, key=lambda tm: tm[0])
+    return [(i, t, m) for i, (t, m) in enumerate(ordered)]
+
+
+def _sample(mix, rng):
+    """``ModelMix.sample`` as it was: the first model whose cumulative
+    weight is >= one uniform draw, the last on float round-off."""
+    u = rng.random()
+    acc = 0.0
+    for name, w in mix.weights:
+        acc += w
+        if u <= acc:
+            return name
+    return mix.weights[-1][0]
+
+
+def _poisson_two_pass(proc, duration_ms):
+    rng = random.Random(proc.seed)
+    rate_ms = proc.qps / 1e3
+    out = []
+    t = rng.expovariate(rate_ms)
+    while t < duration_ms:
+        out.append((t, _sample(proc.mix, rng)))
+        t += rng.expovariate(rate_ms)
+    return _two_pass(out)
+
+
+def _bursty_two_pass(proc, duration_ms):
+    rng = random.Random(proc.seed)
+    f = proc.burst_fraction
+    dwell = {False: proc.dwell_ms, True: proc.dwell_ms * f / (1 - f)}
+    rate_ms = {False: proc.quiet_qps / 1e3, True: proc.burst_qps / 1e3}
+    out = []
+    t, bursting = 0.0, False
+    while t < duration_ms:
+        phase_end = min(duration_ms,
+                        t + rng.expovariate(1.0 / dwell[bursting]))
+        nxt = t + rng.expovariate(rate_ms[bursting])
+        while nxt < phase_end:
+            out.append((nxt, _sample(proc.mix, rng)))
+            nxt += rng.expovariate(rate_ms[bursting])
+        t, bursting = phase_end, not bursting
+    return _two_pass(out)
+
+
+def _diurnal_two_pass(proc, duration_ms):
+    rng = random.Random(proc.seed)
+    peak_ms = proc.peak_qps / 1e3
+    out = []
+    t = rng.expovariate(peak_ms)
+    while t < duration_ms:
+        if rng.random() < proc.rate_qps(t) / proc.peak_qps:
+            out.append((t, _sample(proc.mix, rng)))
+        t += rng.expovariate(peak_ms)
+    return _two_pass(out)
+
+
+def _rows(requests):
+    return [(r.rid, r.t_ms, r.model) for r in requests]
+
+
+MIXES = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3).filter(
+    lambda w: sum(w) > 0).map(
+    lambda w: ModelMix({f"m{i}": x for i, x in enumerate(w)}))
+SEEDS = st.integers(0, 2**32 - 1)
+#: Rate and horizon kept to a few thousand arrivals per example.
+QPS = st.floats(1.0, 40_000.0)
+DURATIONS = st.floats(0.0, 200.0)
+DIFFERENTIAL = settings(max_examples=60, deadline=None)
+
+
+class TestOnePassMatchesTwoPass:
+    """The one-pass stock generators return exactly the requests the
+    draw-sort-number algorithm returns: same ids, times and models."""
+
+    @DIFFERENTIAL
+    @given(seed=SEEDS, qps=QPS, mix=MIXES, duration=DURATIONS)
+    def test_poisson(self, seed, qps, mix, duration):
+        proc = PoissonArrivals(qps, mix, seed=seed)
+        assert _rows(proc.generate(duration)) == _poisson_two_pass(
+            proc, duration)
+
+    @DIFFERENTIAL
+    @given(seed=SEEDS, qps=QPS, mix=MIXES, duration=DURATIONS,
+           burst_factor=st.floats(1.0, 10.0),
+           burst_fraction=st.floats(0.01, 0.99),
+           dwell_ms=st.floats(0.5, 300.0))
+    def test_bursty(self, seed, qps, mix, duration, burst_factor,
+                    burst_fraction, dwell_ms):
+        proc = BurstyArrivals(qps, mix, seed=seed, burst_factor=burst_factor,
+                              burst_fraction=burst_fraction,
+                              dwell_ms=dwell_ms)
+        assert _rows(proc.generate(duration)) == _bursty_two_pass(
+            proc, duration)
+
+    @DIFFERENTIAL
+    @given(seed=SEEDS, qps=QPS, mix=MIXES, duration=DURATIONS,
+           period_ms=st.floats(1.0, 2000.0), floor=st.floats(0.0, 1.0))
+    def test_diurnal(self, seed, qps, mix, duration, period_ms, floor):
+        proc = DiurnalArrivals(qps, mix, seed=seed, period_ms=period_ms,
+                               floor=floor)
+        assert _rows(proc.generate(duration)) == _diurnal_two_pass(
+            proc, duration)
+
+    @DIFFERENTIAL
+    @given(seed=SEEDS, mix=MIXES)
+    def test_model_mix_sample(self, seed, mix):
+        rng, old = random.Random(seed), random.Random(seed)
+        assert [mix.sample(rng) for _ in range(50)] == [
+            _sample(mix, old) for _ in range(50)]
+
+    @DIFFERENTIAL
+    @given(events=st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+                                     st.sampled_from(["a", "b", "c"])),
+                           max_size=30),
+           duration=st.sampled_from([0.0, 2.5, 100.0, math.inf]))
+    def test_trace_replay_keeps_tied_stamps_in_trace_order(self, events,
+                                                          duration):
+        reqs = TraceReplay(events).generate(duration)
+        assert _rows(reqs) == _two_pass(
+            [(t, m) for t, m in events if t < duration])

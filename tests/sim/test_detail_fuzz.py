@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro.obs import KernelProfiler, MetricsSampler, Watchdog, compose
 from repro.serving import (
+    GenerationRequest,
     LengthSampler,
     ModelMix,
     PoissonArrivals,
@@ -219,9 +220,10 @@ def test_generate_modes_agree(default_accel, scenario, slots, priority,
         seed=scenario["seed"], max_total=default_accel.synth.max_seq_len)
     if priority:
         rng = random.Random(scenario["seed"])
-        requests = [dataclasses.replace(
-            r, priority=rng.choice((1, 2)) if rng.random() < priority
-            else 0) for r in requests]
+        requests = [GenerationRequest(
+            r.rid, r.t_ms, r.model, r.prompt_tokens, r.output_tokens,
+            rng.choice((1, 2)) if rng.random() < priority else 0)
+            for r in requests]
     sim = GenerationClusterSimulator(
         default_accel, slots=slots, fleet=scenario["fleet"],
         scheduler=scenario["scheduler"], reprogram_latency_ms=1.0,

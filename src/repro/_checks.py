@@ -1,7 +1,8 @@
 """The shared input rules: what a valid count, rate or duration is.
 
 * :func:`is_count` — an ``int >= 1`` that is not a bool: a float count
-  (2.5, NaN) makes fractional instances, and ``True`` reads as 1;
+  (2.5, NaN) makes fractional instances, and ``True`` reads as 1.  A
+  ``least`` of 0 admits zero, for levels such as a request priority;
 * :func:`is_positive` — ``0 < v < inf`` (rates, widths, SLOs);
 * :func:`is_non_negative` — ``0 <= v < inf`` (latencies, horizons).
 
@@ -17,9 +18,9 @@ from __future__ import annotations
 import math
 
 
-def is_count(value) -> bool:
+def is_count(value, least: int = 1) -> bool:
     return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= 1)
+            and value >= least)
 
 
 def is_positive(value) -> bool:

@@ -15,7 +15,6 @@ utilization is reported so over-budget points are visible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
@@ -56,9 +55,7 @@ def _point(
     formats: DatapathFormats,
     options: LatencyOptions,
 ) -> SweepPoint:
-    ts_mha = max(1, math.ceil(base.max_d_model / tiles_mha))
-    ts_ffn = max(1, math.ceil(base.max_d_model / tiles_ffn))
-    synth = replace(base, ts_mha=ts_mha, ts_ffn=ts_ffn)
+    synth = base.with_tiles(tiles_mha, tiles_ffn)
     attention = AttentionModule(synth, formats)
     ffn = FFNModule(synth, formats)
     paths = attention.timing_paths() + ffn.timing_paths()
@@ -69,8 +66,8 @@ def _point(
     return SweepPoint(
         tiles_mha=tiles_mha,
         tiles_ffn=tiles_ffn,
-        ts_mha=ts_mha,
-        ts_ffn=ts_ffn,
+        ts_mha=synth.ts_mha,
+        ts_ffn=synth.ts_ffn,
         fmax_mhz=fmax,
         total_cycles=report.total_cycles,
         latency_ms=report.latency_ms,

@@ -22,9 +22,15 @@ per-point errors, mirroring how a real DSE flow tolerates bad corners.
 Everything returned is a flat JSON-serializable mapping, so records
 round-trip through the on-disk :class:`~repro.dse.cache.EvalCache`.
 
+Both this evaluator and the prescreen surrogate
+(:mod:`repro.dse.surrogate`) start from one model of the point,
+:func:`design_point`: the checked counts, the synthesized instance and
+its fit, the unit latency and the power.  The evaluator adds only its
+simulations.
+
 Performance: work that depends only on the design variant is paid once
-per process — synthesis (``_SYNTH_MEMO``), the latency model (memoized
-on each synthesized instance) and the seeded workload
+per process — synthesis (``_SYNTH_MEMO``), the unit latency or
+pipeline plan (``_UNIT_MEMO``) and the seeded workload
 (``_ARRIVALS_MEMO``).  Every simulation runs at ``detail="summary"``,
 which is exact here: the evaluator reads only order statistics (kept
 as exact multisets) and count/time totals, never a mean.
@@ -32,9 +38,7 @@ as exact multisets) and count/time totals, never a mean.
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .._checks import is_count
 from ..analysis.metrics import gops
@@ -43,8 +47,9 @@ from ..core.accelerator import ProTEA
 from ..core.engines import DatapathFormats
 from ..fpga.power import PowerModel, PowerReport
 from ..isa.controller import ResynthesisRequiredError, SynthParams
-from ..nn.model_zoo import get_model
-from ..parallel import PipelineGroup, PipelinePartitioner, get_link
+from ..nn.model_zoo import TransformerConfig, get_model
+from ..parallel import (InterconnectLink, PipelineGroup, PipelinePartitioner,
+                        get_link)
 from ..serving import ModelMix, PoissonArrivals, Request, simulate, summarize
 from .pareto import Objective
 from .space import Axis, SearchSpace
@@ -52,7 +57,8 @@ from .space import Axis, SearchSpace
 __all__ = ["OBJECTIVES", "DEFAULT_SETTINGS", "DEFAULT_OBJECTIVE_NAMES",
            "GENERATION_OBJECTIVE_NAMES", "FAILURE_OBJECTIVE_NAMES",
            "WATCH_OBJECTIVE_NAMES",
-           "get_objectives", "standard_space", "evaluate_point"]
+           "get_objectives", "standard_space", "DesignPoint",
+           "design_point", "generation_lengths", "evaluate_point"]
 
 #: Every objective the standard evaluator can score.
 OBJECTIVES: Tuple[Objective, ...] = (
@@ -186,16 +192,21 @@ def _synthesize(tiles_mha: int, tiles_ffn: int, fmt: str) -> ProTEA:
     key = (tiles_mha, tiles_ffn, fmt)
     accel = _SYNTH_MEMO.get(key)
     if accel is None:
-        base = SynthParams()
-        ts_mha = max(1, math.ceil(base.max_d_model / tiles_mha))
-        ts_ffn = max(1, math.ceil(base.max_d_model / tiles_ffn))
-        synth = replace(base, ts_mha=ts_mha, ts_ffn=ts_ffn)
         # Fit is scored, not enforced: an over-budget point must come
         # back as a recorded infeasibility, not a crash mid-synthesis.
-        accel = ProTEA.synthesize(synth, formats=_formats(fmt),
-                                  enforce_fit=False)
+        accel = ProTEA.synthesize(
+            SynthParams().with_tiles(tiles_mha, tiles_ffn),
+            formats=_formats(fmt), enforce_fit=False)
         _SYNTH_MEMO[key] = accel
     return accel
+
+
+#: Per-process memo of one device group's ``(latency_ms, steady
+#: inf/s)``, keyed by ``(tiles_mha, tiles_ffn, format, model, devices,
+#: link)``, shared by both scorers.  For ``devices > 1`` this is the
+#: exact-DP pipeline plan, the one expensive analytic step.
+_UNIT_MEMO: Dict[Tuple[int, int, str, str, int, str],
+                 Tuple[float, float]] = {}
 
 
 #: Per-process memo of seeded Poisson workloads, keyed by
@@ -221,27 +232,87 @@ def _arrivals(qps: float, model: str, seed: int,
     return requests
 
 
-def _analytic_power_w(accel: ProTEA, cfg, latency_ms: float,
-                      n_fpgas: int):
-    """(total power, workload GOPS, per-board report) for one point.
+class DesignPoint(NamedTuple):
+    """One design point before any simulation: its checked fields, the
+    synthesized instance and the analytic axes.  :func:`evaluate_point`
+    and :func:`~repro.dse.surrogate.surrogate_point` both start from
+    it, so they agree on latency, throughput, power and utilization by
+    construction."""
 
-    Shared by the full evaluator and the closed-form surrogate so the
-    two can never disagree on the power axis.
-    """
+    cfg: TransformerConfig
+    tiles_mha: int
+    tiles_ffn: int
+    devices: int
+    fleet: int
+    opts: Dict[str, Any]
+    accel: ProTEA
+    util_pct: float
+    link: InterconnectLink
+    latency_ms: float
+    unit_inf_s: float
+    power_w: float   # board power x every FPGA of the point
+    board_w: float
+    gops: float
+
+
+def design_point(point: Mapping[str, Any],
+                 settings: Optional[Mapping[str, Any]] = None
+                 ) -> DesignPoint:
+    """The one model of a point: model lookup, count checks, synthesis
+    and fit (memoized per variant), unit latency (memoized) and power.
+    Raises ``ValueError`` for an infeasible corner, in that order, so
+    both scorers report the same error for the same point."""
+    cfg = get_model(str(point["model"]))
+    tiles_mha = point.get("tiles_mha", 12)
+    tiles_ffn = point.get("tiles_ffn", 6)
+    devices = point.get("devices", 1)
+    fleet = point.get("fleet", 1)
+    # Checked before the memo lookups, where 12.0 or True would hit the
+    # entry of 12 or 1.
+    if not (is_count(tiles_mha) and is_count(tiles_ffn)):
+        raise ValueError("tiles_mha and tiles_ffn must be >= 1")
+    if not (is_count(devices) and is_count(fleet)):
+        raise ValueError("devices and fleet must be >= 1")
+    opts = dict(DEFAULT_SETTINGS, **dict(settings or {}))
+
+    fmt = str(point.get("format", "fix8"))
+    accel = _synthesize(tiles_mha, tiles_ffn, fmt)
+    util_pct = max(accel.utilization.percent.values())
+    if util_pct > 100.0:
+        worst = max(accel.utilization.percent,
+                    key=accel.utilization.percent.get)
+        raise ValueError(
+            f"does not fit {accel.device.name}: {worst} at {util_pct:.0f}%")
+
+    link = get_link(str(opts["link"]))
+    key = (tiles_mha, tiles_ffn, fmt, cfg.name, devices, link.name)
+    unit = _UNIT_MEMO.get(key)
+    if unit is None:
+        if devices > 1:
+            plan = PipelinePartitioner(accel, link).best_plan(cfg, devices)
+            unit = (plan.latency_ms, plan.steady_state_inf_per_s)
+        else:
+            report = accel.latency_report(cfg)
+            unit = (report.latency_ms, 1e3 / report.latency_ms)
+        _UNIT_MEMO[key] = unit
+    latency_ms, unit_inf_s = unit
+
     workload_gops = gops(cfg, latency_ms / 1e3)
     try:
         achieved_gbps = analyze_traffic(accel, cfg).achieved_gbps
     except ResynthesisRequiredError:
         achieved_gbps = 0.0  # model only runs partitioned; skip the term
-    per_board = PowerReport.evaluate(
+    board_w = PowerReport.evaluate(
         PowerModel(), accel.resources, accel.clock_mhz,
         latency_s=latency_ms / 1e3, gops=workload_gops,
-        achieved_gbps=achieved_gbps)
-    return per_board.total_w * n_fpgas, workload_gops, per_board
+        achieved_gbps=achieved_gbps).total_w
+    return DesignPoint(cfg, tiles_mha, tiles_ffn, devices, fleet, opts,
+                       accel, util_pct, link, latency_ms, unit_inf_s,
+                       board_w * (devices * fleet), board_w, workload_gops)
 
 
-def _generation_lengths(accel: ProTEA,
-                        opts: Mapping[str, Any]) -> Tuple[int, int]:
+def generation_lengths(accel: ProTEA,
+                       opts: Mapping[str, Any]) -> Tuple[int, int]:
     """Prompt/output lengths clamped to the point's KV-cache capacity."""
     max_sl = accel.synth.max_seq_len
     prompt = min(int(opts["gen_prompt"]), max(1, max_sl // 2))
@@ -261,7 +332,7 @@ def _generation_metrics(accel: ProTEA, cfg, devices: int, fleet: int,
     from ..serving import (LengthSampler, attach_generation_lengths,
                            simulate_generation, summarize_generation)
 
-    prompt, output = _generation_lengths(accel, opts)
+    prompt, output = generation_lengths(accel, opts)
     if devices > 1:
         link = get_link(str(opts["link"]))
         try:
@@ -307,17 +378,6 @@ def _generation_metrics(accel: ProTEA, cfg, devices: int, fleet: int,
             "tokens_per_s": report.tokens_per_s}
 
 
-def _devices_fleet(point: Mapping[str, Any]) -> Tuple[int, int]:
-    """The point's partitioning degree and fleet size.  Each must be an
-    int >= 1: ``int()`` would score ``fleet=2.5`` as 2 and ``True``
-    as 1."""
-    devices = point.get("devices", 1)
-    fleet = point.get("fleet", 1)
-    if not (is_count(devices) and is_count(fleet)):
-        raise ValueError("devices and fleet must be >= 1")
-    return devices, fleet
-
-
 def evaluate_point(point: Mapping[str, Any],
                    settings: Optional[Mapping[str, Any]] = None
                    ) -> Dict[str, Any]:
@@ -326,31 +386,11 @@ def evaluate_point(point: Mapping[str, Any],
     Raises for infeasible points; the engine turns that into an error
     record.  Module-level and picklable, so it runs under ``--jobs N``.
     """
-    cfg = get_model(str(point["model"]))
-    tiles_mha = int(point.get("tiles_mha", 12))
-    tiles_ffn = int(point.get("tiles_ffn", 6))
-    devices, fleet = _devices_fleet(point)
-    opts = dict(DEFAULT_SETTINGS, **dict(settings or {}))
-
-    accel = _synthesize(tiles_mha, tiles_ffn, str(point.get("format", "fix8")))
-    util_pct = max(accel.utilization.percent.values())
-    if util_pct > 100.0:
-        worst = max(accel.utilization.percent,
-                    key=accel.utilization.percent.get)
-        raise ValueError(
-            f"does not fit {accel.device.name}: {worst} at {util_pct:.0f}%")
-
-    link = get_link(str(opts["link"]))
-    if devices > 1:
-        plan = PipelinePartitioner(accel, link).best_plan(cfg, devices)
-        latency_ms = plan.latency_ms
-        unit_inf_s = plan.steady_state_inf_per_s
-        target = PipelineGroup(accel, devices, link=link)
-    else:
-        report = accel.latency_report(cfg)
-        latency_ms = report.latency_ms
-        unit_inf_s = 1e3 / latency_ms
-        target = accel
+    dp = design_point(point, settings)
+    cfg, accel, devices, fleet, opts = (dp.cfg, dp.accel, dp.devices,
+                                        dp.fleet, dp.opts)
+    target = (PipelineGroup(accel, devices, link=dp.link) if devices > 1
+              else accel)
 
     scheduler = str(point.get("scheduler", opts["scheduler"]))
     requests = _arrivals(float(opts["qps"]), cfg.name, int(opts["seed"]),
@@ -400,17 +440,13 @@ def evaluate_point(point: Mapping[str, Any],
             watch_metrics = {"alert_minutes": watch["alert_minutes"],
                              "budget_burn": watch["budget_burn"]}
 
-    n_fpgas = devices * fleet
-    power_w, workload_gops, per_board = _analytic_power_w(
-        accel, cfg, latency_ms, n_fpgas)
-
     return {
         # objectives
-        "latency_ms": latency_ms,
-        "throughput_inf_s": unit_inf_s * fleet,
+        "latency_ms": dp.latency_ms,
+        "throughput_inf_s": dp.unit_inf_s * fleet,
         "p99_ms": serving.p99_ms,
-        "power_w": power_w,
-        "util_pct": util_pct,
+        "power_w": dp.power_w,
+        "util_pct": dp.util_pct,
         **gen_metrics,
         **fail_metrics,
         **watch_metrics,
@@ -418,9 +454,9 @@ def evaluate_point(point: Mapping[str, Any],
         "clock_mhz": accel.clock_mhz,
         "ts_mha": accel.synth.ts_mha,
         "ts_ffn": accel.synth.ts_ffn,
-        "gops": workload_gops,
-        "gops_per_w": workload_gops / per_board.total_w,
-        "n_fpgas": n_fpgas,
+        "gops": dp.gops,
+        "gops_per_w": dp.gops / dp.board_w,
+        "n_fpgas": devices * fleet,
         "measured_rps": serving.throughput_rps,
         "fleet_utilization": serving.utilization,
         "p50_ms": serving.p50_ms,

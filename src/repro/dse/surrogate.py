@@ -11,16 +11,16 @@ closed-form M/M/c wait, and never simulate.  On the benchmark grid
 (``benchmarks/test_dse.py``, 30 points, 2-vCPU Xeon VM) a first
 surrogate call on a synthesized variant costs ~5 ms against ~80 ms for
 a full evaluation (~16x).  Repeat calls on the same variant hit the
-latency model's memo and cost ~0.1 ms, so a prescreen that revisits a
-variant across fleet sizes pays the closed forms once.
+shared per-process memos and cost ~0.1 ms, so a prescreen that
+revisits a variant across fleet sizes pays the closed forms once.
 
 The closed forms themselves live in :mod:`repro.analytic`.  The
 estimates are deliberately aligned with the full evaluator:
 
 * ``latency_ms`` / ``throughput_inf_s`` / ``power_w`` / ``util_pct``
-  reuse the very same analytic models the full evaluator starts from,
-  so on those axes the surrogate ranks points *exactly* as the full
-  stack does;
+  come from the one design-point model the full evaluator starts from
+  (:func:`~repro.dse.objectives.design_point`), so on those axes the
+  surrogate equals the full stack by construction;
 * ``p99_ms`` replaces the serving simulation with the M/M/c wait
   quantile of :func:`repro.analytic.queueing.p99_estimate_ms` — the
   exponential tail of the queueing delay, floored at the
@@ -31,9 +31,9 @@ estimates are deliberately aligned with the full evaluator:
 * the failure and watchdog objectives have no closed form and are
   simply absent — the prescreen ranks on whatever subset it can score.
 
-Infeasible corners raise exactly like the full evaluator (same fit
-check), so the prescreen can forward them for the authoritative error
-record rather than silently dropping them.
+Infeasible corners raise exactly like the full evaluator (the same
+checks in the same order), so the prescreen can forward them for the
+authoritative error record rather than silently dropping them.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..analytic.generation import estimate_generation
-from ..analytic.queueing import p99_estimate_ms as _p99_estimate_ms
+from ..analytic.queueing import p99_estimate_ms
 from ..isa.controller import ResynthesisRequiredError
-from ..nn.model_zoo import get_model
-from ..parallel import PipelinePartitioner, get_link
+from .objectives import design_point, generation_lengths
 
 __all__ = ["SURROGATE_OBJECTIVE_NAMES", "surrogate_point"]
 
@@ -55,79 +54,35 @@ SURROGATE_OBJECTIVE_NAMES: Tuple[str, ...] = (
     "latency_ms", "throughput_inf_s", "p99_ms", "power_w", "util_pct",
     "ttft_p99_ms", "tokens_per_s")
 
-#: Per-process memo of pipeline plans: the exact-DP partitioning is
-#: the one genuinely expensive analytic step, and every point sharing
-#: (synth variant, model, devices, link) shares its plan.
-_PLAN_MEMO: Dict[Tuple[int, int, str, str, int, str],
-                 Tuple[float, float]] = {}
-
-
-def _unit_latency(accel, cfg, devices: int, link_name: str,
-                  point_key: Tuple[int, int, str]) -> Tuple[float, float]:
-    """(latency_ms, steady inf/s) for one device group, memoized."""
-    if devices <= 1:
-        report = accel.latency_report(cfg)
-        return report.latency_ms, 1e3 / report.latency_ms
-    memo_key = (*point_key, cfg.name, devices, link_name)
-    cached = _PLAN_MEMO.get(memo_key)
-    if cached is None:
-        plan = PipelinePartitioner(accel, get_link(link_name)).best_plan(
-            cfg, devices)
-        cached = (plan.latency_ms, plan.steady_state_inf_per_s)
-        _PLAN_MEMO[memo_key] = cached
-    return cached
-
 
 def surrogate_point(point: Mapping[str, Any],
                     settings: Optional[Mapping[str, Any]] = None
                     ) -> Dict[str, float]:
     """Estimate a design point's objectives without simulating.
 
-    Mirrors :func:`~repro.dse.objectives.evaluate_point` step for step
-    — synthesis (shared per-process memo), fit check, latency or
-    pipeline plan, power — but replaces every simulation with a
-    closed-form term.  Raises for infeasible corners exactly like the
-    full evaluator, so callers can forward those points for an
-    authoritative error record.
+    Starts from the same :func:`~repro.dse.objectives.design_point` as
+    :func:`~repro.dse.objectives.evaluate_point` — checks, synthesis,
+    fit, unit latency and power, all memoized per process — and
+    replaces every simulation with a closed-form term.  Raises for
+    infeasible corners exactly like the full evaluator, so callers can
+    forward those points for an authoritative error record.
     """
-    from .objectives import (DEFAULT_SETTINGS, _analytic_power_w,
-                             _devices_fleet, _generation_lengths,
-                             _synthesize)
-
-    cfg = get_model(str(point["model"]))
-    tiles_mha = int(point.get("tiles_mha", 12))
-    tiles_ffn = int(point.get("tiles_ffn", 6))
-    devices, fleet = _devices_fleet(point)
-    opts = dict(DEFAULT_SETTINGS, **dict(settings or {}))
-
-    fmt = str(point.get("format", "fix8"))
-    accel = _synthesize(tiles_mha, tiles_ffn, fmt)
-    util_pct = max(accel.utilization.percent.values())
-    if util_pct > 100.0:
-        worst = max(accel.utilization.percent,
-                    key=accel.utilization.percent.get)
-        raise ValueError(
-            f"does not fit {accel.device.name}: {worst} at {util_pct:.0f}%")
-
-    latency_ms, unit_inf_s = _unit_latency(
-        accel, cfg, devices, str(opts["link"]),
-        (tiles_mha, tiles_ffn, fmt))
-    power_w, _, _ = _analytic_power_w(accel, cfg, latency_ms,
-                                      devices * fleet)
+    dp = design_point(point, settings)
+    opts = dp.opts
     estimate = {
-        "latency_ms": latency_ms,
-        "throughput_inf_s": unit_inf_s * fleet,
-        "p99_ms": _p99_estimate_ms(latency_ms, unit_inf_s, fleet,
-                                   float(opts["qps"]),
-                                   float(opts["duration_ms"])),
-        "power_w": power_w,
-        "util_pct": util_pct,
+        "latency_ms": dp.latency_ms,
+        "throughput_inf_s": dp.unit_inf_s * dp.fleet,
+        "p99_ms": p99_estimate_ms(dp.latency_ms, dp.unit_inf_s, dp.fleet,
+                                  float(opts["qps"]),
+                                  float(opts["duration_ms"])),
+        "power_w": dp.power_w,
+        "util_pct": dp.util_pct,
     }
     if opts["gen_objectives"]:
         try:
-            prompt, output = _generation_lengths(accel, opts)
-            gen = estimate_generation(accel, cfg, prompt, output,
-                                      fleet=fleet)
+            prompt, output = generation_lengths(dp.accel, opts)
+            gen = estimate_generation(dp.accel, dp.cfg, prompt, output,
+                                      fleet=dp.fleet)
             estimate["ttft_p99_ms"] = gen.ttft_p99_ms
             estimate["tokens_per_s"] = gen.tokens_per_s
         except (ValueError, ResynthesisRequiredError):

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .._checks import is_count
+
 __all__ = [
     "QFormat",
     "ACC32",
@@ -47,7 +49,7 @@ class QFormat:
     signed: bool = True
 
     def __post_init__(self) -> None:
-        if self.total_bits < 1:
+        if not is_count(self.total_bits):
             raise ValueError(f"total_bits must be >= 1, got {self.total_bits}")
         if self.signed and self.total_bits < 2:
             raise ValueError("signed formats need at least 2 bits")

@@ -11,7 +11,8 @@ validated against those maxima.  Violations raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from .._checks import check_count
@@ -71,6 +72,14 @@ class SynthParams:
     def tiles_ffn_max(self) -> int:
         """FFN output-dim tile grid at the synthesized maximum."""
         return -(-self.max_d_model // self.ts_ffn)
+
+    def with_tiles(self, tiles_mha: int, tiles_ffn: int) -> "SynthParams":
+        """These parameters with the tile sizes that split ``max_d_model``
+        into ``tiles_mha`` MHA and ``tiles_ffn`` FFN tiles (Fig. 7's
+        axes; the last tile may be ragged)."""
+        return replace(self,
+                       ts_mha=max(1, math.ceil(self.max_d_model / tiles_mha)),
+                       ts_ffn=max(1, math.ceil(self.max_d_model / tiles_ffn)))
 
 
 #: AXI-Lite register map (byte offsets) for the four runtime parameters

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
+from .._checks import is_count
+
 __all__ = ["TransformerConfig", "MODEL_ZOO", "BERT_VARIANT", "get_model", "table1_tests"]
 
 
@@ -35,13 +37,15 @@ class TransformerConfig:
     notes: str = ""
 
     def __post_init__(self) -> None:
+        # Counts first: the divisibility test divides by num_heads.
+        if not all(map(is_count, (self.d_model, self.num_heads,
+                                  self.num_layers, self.seq_len))):
+            raise ValueError(f"{self.name}: all dimensions must be positive")
         if self.d_model % self.num_heads:
             raise ValueError(
                 f"{self.name}: d_model={self.d_model} not divisible by "
                 f"num_heads={self.num_heads}"
             )
-        if min(self.d_model, self.num_heads, self.num_layers, self.seq_len) < 1:
-            raise ValueError(f"{self.name}: all dimensions must be positive")
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", 4 * self.d_model)
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..sim.kernel import CompositeObserver
 from .alerts import (
     Alert,
     AlertRule,
@@ -97,25 +98,6 @@ __all__ = [
 ]
 
 
-class _Composite:
-    """Fan one engine event stream out to several observers."""
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, parts: tuple) -> None:
-        self._parts = parts
-
-    def __call__(self, event: tuple) -> None:
-        for part in self._parts:
-            part(event)
-
-    def finish(self, t_ms: float) -> None:
-        for part in self._parts:
-            fin = getattr(part, "finish", None)
-            if fin is not None:
-                fin(t_ms)
-
-
 def compose(*observers: Callable[[tuple], None]) -> Callable[[tuple], None]:
     """Combine observers into one (``None`` entries are dropped).
 
@@ -128,4 +110,4 @@ def compose(*observers: Callable[[tuple], None]) -> Callable[[tuple], None]:
         return None
     if len(parts) == 1:
         return parts[0]
-    return _Composite(parts)
+    return CompositeObserver(parts)

@@ -10,10 +10,11 @@ dispatcher.  Time advances through a binary heap of events:
 * ``check``    — a dynamic-batching deadline fired; the instance
   re-evaluates whether to dispatch a partial batch.
 
-Dispatching a batch charges the reprogramming penalty (via each
-instance's :class:`~repro.core.runtime.RuntimeSession`) whenever the
-batch's model differs from the workload resident on that instance, then
-the batched service time from :class:`.batching.ServiceTimeModel`.
+Dispatching a batch charges the reprogramming penalty (the instance's
+``reprogram_ms``, from its :class:`~repro.sim.fleet.InstanceSpec` or
+the cluster default) whenever the batch's model differs from the
+workload resident on that instance, then the batched service time from
+:class:`.batching.ServiceTimeModel`.
 Heap ties break on (event priority, insertion sequence), so a run is a
 pure function of (workload, topology, policies) — the acceptance
 property behind trace-identical replays.

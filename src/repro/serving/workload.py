@@ -123,6 +123,9 @@ class GenerationRequest(Request):
                  priority: int = 0) -> None:
         if not (is_count(prompt_tokens) and is_count(output_tokens)):
             raise ValueError("prompt_tokens and output_tokens must be >= 1")
+        if not is_count(priority, 0):
+            raise ValueError(
+                f"priority must be an int >= 0, got {priority!r}")
         Request.__init__(self, rid, t_ms, model)
         _set_prompt_tokens(self, prompt_tokens)
         _set_output_tokens(self, output_tokens)

@@ -47,7 +47,7 @@ from itertools import count
 from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
-__all__ = ["Event", "EventQueue", "Simulation"]
+__all__ = ["Event", "EventQueue", "Simulation", "CompositeObserver"]
 
 #: One scheduled event: ``(t_ms, priority, seq, payload)``.  ``payload``
 #: is a tuple whose first element names the event kind.
@@ -129,7 +129,7 @@ class Simulation:
                 "cannot attach an observer mid-run: the event stream "
                 "already started; attach before run()")
         self.observer = (observer if self.observer is None
-                         else _compose2(self.observer, observer))
+                         else CompositeObserver((self.observer, observer)))
 
     def attach_profiler(self, profiler) -> None:
         """Attach a kernel hotspot profiler (before the run starts).
@@ -208,18 +208,21 @@ def _timed(record, on_arrival, handle):
     return timed_arrival, timed_handle
 
 
-def _compose2(first: Callable[[tuple], None],
-              second: Callable[[tuple], None]) -> Callable[[tuple], None]:
-    """Chain two observers (kept local to avoid importing repro.obs)."""
-    def both(event: tuple) -> None:
-        first(event)
-        second(event)
+class CompositeObserver:
+    """Fan one engine event stream out to several observers, in order,
+    and forward ``finish(t_ms)`` to each part that defines it."""
 
-    def finish(t_ms: float) -> None:
-        for part in (first, second):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts = parts
+
+    def __call__(self, event: tuple) -> None:
+        for part in self.parts:
+            part(event)
+
+    def finish(self, t_ms: float) -> None:
+        for part in self.parts:
             fin = getattr(part, "finish", None)
             if fin is not None:
                 fin(t_ms)
-
-    both.finish = finish
-    return both

@@ -6,8 +6,9 @@ frontier point:
 * unit: the Erlang-C queueing estimate behaves (bounds, monotonicity,
   the known M/M/1 closed form);
 * agreement: on the analytic axes the surrogate returns *exactly* the
-  full evaluator's numbers — same models, shared helpers — and raises
-  for exactly the infeasible corners;
+  full evaluator's frozen numbers on every record of
+  ``tests/goldens/dse_points.json`` — one design-point model under both
+  — and raises the frozen error for every infeasible corner;
 * golden + property: on real and randomized scenarios, a prescreened
   sweep's frontier equals the brute-force frontier (the structural
   guarantee: whole non-dominated fronts survive, and Pareto domination
@@ -30,7 +31,10 @@ from repro.dse import (
     standard_space,
     surrogate_point,
 )
+from repro.dse.pool import _error_text
 from repro.dse.surrogate import SURROGATE_OBJECTIVE_NAMES
+
+from .._goldens import load
 
 #: Simulations off: the golden sweeps only need the serving sim.
 FAST = {"qps": 1000.0, "duration_ms": 500.0, "seed": 0,
@@ -64,32 +68,46 @@ class TestErlangC:
             erlang_c(4, -0.1)
 
 
+#: The full evaluator's frozen records (``test_points_golden.py``): 54
+#: points, feasible and infeasible, scored under the file's settings.
+GOLDEN = load("dse_points.json")
+
+
+def _record_id(record):
+    p = record["point"]
+    rid = (f"{p['model']}-{p['tiles_mha']}x{p['tiles_ffn']}-{p['format']}"
+           f"-d{p['devices']}-f{p['fleet']}")
+    if p["scheduler"] != "least-loaded":
+        rid += f"-{p['scheduler']}"
+    return rid
+
+
 class TestAgreementWithFullEvaluator:
-    """The surrogate shares the analytic models with evaluate_point —
-    on those axes the numbers must be equal, not merely close."""
+    """The surrogate starts from the full evaluator's design-point model
+    — on the analytic axes the numbers must be equal, not merely close,
+    and an infeasible corner must raise the same error."""
 
-    POINTS = [
-        {"model": "bert-variant", "tiles_mha": 12, "tiles_ffn": 6,
-         "format": "fix8", "devices": 1, "fleet": 1},
-        {"model": "model2-lhc-trigger", "tiles_mha": 48, "tiles_ffn": 6,
-         "format": "fix8", "devices": 1, "fleet": 2},
-        {"model": "bert-variant", "tiles_mha": 12, "tiles_ffn": 6,
-         "format": "fix8", "devices": 2, "fleet": 1},
-    ]
+    POINT = {"model": "bert-variant", "tiles_mha": 12, "tiles_ffn": 6,
+             "format": "fix8", "devices": 1, "fleet": 1}
 
-    @pytest.mark.parametrize("point", POINTS,
-                             ids=lambda p: f"{p['model']}-d{p['devices']}")
-    def test_analytic_axes_exact(self, point):
-        full = evaluate_point(point, FAST)
-        est = surrogate_point(point, FAST)
+    @pytest.mark.parametrize("record", GOLDEN["records"], ids=_record_id)
+    def test_analytic_axes_exact(self, record):
+        """Against the frozen records, with no re-evaluation: the same
+        ``repr`` on the four shared axes, or the same error text."""
+        if record["error"]:
+            with pytest.raises(Exception) as info:
+                surrogate_point(record["point"], GOLDEN["settings"])
+            assert _error_text(info.value) == record["error"]
+            return
+        est = surrogate_point(record["point"], GOLDEN["settings"])
         for name in ("latency_ms", "throughput_inf_s", "power_w",
                      "util_pct"):
-            assert est[name] == full[name], name
+            assert repr(est[name]) == record["metrics"][name], name
 
     def test_p99_estimate_is_sane(self):
         """The tail estimate at least covers the service time and stays
         within the saturation penalty."""
-        point = self.POINTS[0]
+        point = self.POINT
         est = surrogate_point(point, FAST)
         assert est["p99_ms"] >= est["latency_ms"]
         assert est["p99_ms"] <= est["latency_ms"] + FAST["duration_ms"]
@@ -103,8 +121,7 @@ class TestAgreementWithFullEvaluator:
             surrogate_point(bad, FAST)
 
     def test_estimates_only_known_names(self):
-        est = surrogate_point(self.POINTS[0], dict(FAST,
-                                                   gen_objectives=True))
+        est = surrogate_point(self.POINT, dict(FAST, gen_objectives=True))
         assert set(est) <= set(SURROGATE_OBJECTIVE_NAMES)
         assert all(math.isfinite(v) for v in est.values())
 

@@ -16,8 +16,9 @@ from repro.analytic import estimate_generation, estimate_serving, propose_fleet
 from repro.dse import (Axis, EvolutionaryStrategy, Objective,
                        PrescreenStrategy, RandomStrategy, SearchSpace,
                        evaluate_point, explore, surrogate_point)
+from repro.fixedpoint import QFormat
 from repro.fpga import PowerModel, PowerReport
-from repro.nn.model_zoo import MODEL_ZOO
+from repro.nn.model_zoo import MODEL_ZOO, TransformerConfig
 from repro.obs import (AnomalyDetector, MetricsSampler, ThresholdRule,
                        Watchdog, bench_trend, diff_runs)
 from repro.parallel import (AURORA_64B66B, InterconnectLink, PipelineGroup,
@@ -61,6 +62,10 @@ NOT_COUNT = (st.integers(max_value=0) | st.floats() | st.booleans())
 #: Design-point counts that ``int()`` once truncated (2.5 scored as 2,
 #: True as 1) or rejected with its own message (NaN).
 NOT_POINT_COUNT = st.sampled_from([2.5, True, math.nan])
+#: Tile counts ``int()`` once truncated (12.9 scored as 12, True as 1).
+NOT_TILE_COUNT = st.sampled_from([12.9, True, math.nan])
+#: Anything but an int >= 0: NaN, a fraction, a string, a bool, -1.
+NOT_PRIORITY = st.sampled_from([math.nan, 1.5, "1", True, -1])
 #: Outside the open interval (0, 1), and outside [0, 1].
 NOT_OPEN_UNIT = NON_FINITE | st.floats(max_value=0.0) | st.floats(min_value=1.0)
 NOT_UNIT = (NON_FINITE | st.floats(max_value=0.0, exclude_max=True)
@@ -236,6 +241,30 @@ CASES = [
     ("generation_request.output_tokens",
      lambda v, r: GenerationRequest(0, 0.0, MODEL, output_tokens=v),
      NOT_COUNT),
+    ("generation_request.priority",
+     lambda v, r: GenerationRequest(0, 0.0, MODEL, priority=v),
+     NOT_PRIORITY),
+    ("transformer_config.d_model",
+     lambda v, r: TransformerConfig("x", v, 2, 1, 8), NOT_COUNT),
+    ("transformer_config.num_heads",
+     lambda v, r: TransformerConfig("x", 64, v, 1, 8), NOT_COUNT),
+    ("transformer_config.num_layers",
+     lambda v, r: TransformerConfig("x", 64, 2, v, 8), NOT_COUNT),
+    ("transformer_config.seq_len",
+     lambda v, r: TransformerConfig("x", 64, 2, 1, v), NOT_COUNT),
+    ("qformat.total_bits", lambda v, r: QFormat(v, 4), NOT_COUNT),
+    ("evaluate_point.tiles_mha",
+     lambda v, r: evaluate_point({"model": MODEL, "tiles_mha": v}),
+     NOT_TILE_COUNT),
+    ("evaluate_point.tiles_ffn",
+     lambda v, r: evaluate_point({"model": MODEL, "tiles_ffn": v}),
+     NOT_TILE_COUNT),
+    ("surrogate_point.tiles_mha",
+     lambda v, r: surrogate_point({"model": MODEL, "tiles_mha": v}),
+     NOT_TILE_COUNT),
+    ("surrogate_point.tiles_ffn",
+     lambda v, r: surrogate_point({"model": MODEL, "tiles_ffn": v}),
+     NOT_TILE_COUNT),
     ("evaluate_point.devices",
      lambda v, r: evaluate_point({"model": MODEL, "devices": v}),
      NOT_POINT_COUNT),

@@ -16,7 +16,10 @@ is the bare path's slowdown relative to the recorded history, asserted
 <= 1.05x.  A second bench records what a fully instrumented run
 (TraceRecorder + MetricsSampler + KernelProfiler) costs relative to a
 bare one; that ratio is informational, since observability is opt-in,
-but the instrumented results must stay byte-identical.
+but the instrumented records and queue samples must stay
+byte-identical.  A bare run builds no event tuples at all — the
+observers are the stream's only consumers — so the ratio also counts
+the cost of materializing the stream.
 
 The SLO watchdog is another observer.  Its gate is
 
@@ -115,10 +118,10 @@ def test_bench_enabled_path_cost(record_perf):
                          rounds=5))
 
     # Instrumentation watched a byte-identical simulation...
-    assert bare.trace == obs.trace
     assert bare.records == obs.records
-    # ...and actually saw it: spans recorded, counters conserved,
-    # every popped event profiled.
+    assert bare.queue_samples == obs.queue_samples
+    # ...and actually saw its event stream: spans recorded, counters
+    # conserved, every popped event profiled.
     assert len(tracer.events) > len(requests)  # arrive instants + spans
     counters = sampler.registry.as_dict()["counters"]
     assert counters["arrivals"] == len(requests)
@@ -169,7 +172,7 @@ def test_bench_watchdog_overhead(record_perf):
 
     # The watchdog watched a byte-identical simulation...
     assert watched.records == bare.records == instrumented.records
-    assert watched.trace == bare.trace
+    assert watched.queue_samples == bare.queue_samples
     # ...and actually armed: completions counted, rules evaluated.
     assert watchdog.completions == len(requests)
     assert watchdog.rules()

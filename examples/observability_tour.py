@@ -5,10 +5,12 @@ hooks, so any kernel-driven run can be watched without being changed.
 This example drives one failure-injected serving run four ways:
 
 1. **bare** — the reference result;
-2. **fully observed** — a Chrome-trace recorder, a grid-sampled metrics
-   registry, and a kernel hotspot profiler, all composed onto one hook;
-   the result must be byte-identical to the bare run (that is the
-   contract the trace-identity goldens pin);
+2. **fully observed** — a plain event list, a Chrome-trace recorder, a
+   grid-sampled metrics registry, and a kernel hotspot profiler, all
+   composed onto one hook; the records and queue samples must be
+   byte-identical to the bare run's (that is the contract the
+   trace-identity goldens pin), and the event stream — which only
+   observers receive — must agree with the metrics counters;
 3. **watched** — an SLO watchdog evaluating burn-rate/fleet-down alert
    rules online, annotating the trace, and feeding ``obs diff``-style
    run-to-run regression analytics;
@@ -20,6 +22,7 @@ Run:  python examples/observability_tour.py
 
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from repro import FailurePlan, ProTEA, SynthParams
@@ -56,14 +59,16 @@ knobs = dict(scheduler="model-affinity", batching=fixed_size(4),
 # ------------------------------------------------------------------ #
 bare = simulate(accel, reqs, 3, **knobs)
 
+events = []
 tracer = TraceRecorder()
 sampler = MetricsSampler(grid_ms=20.0)
 profiler = KernelProfiler()
-observed = simulate(accel, reqs, 3, observer=compose(tracer, sampler),
+observed = simulate(accel, reqs, 3,
+                    observer=compose(events.append, tracer, sampler),
                     profiler=profiler, **knobs)
 
-assert observed.trace == bare.trace
 assert observed.records == bare.records
+assert observed.queue_samples == bare.queue_samples
 print(render_serving_report(
     summarize(observed, slo_ms=50.0),
     title="Observed run (identical to the bare run)"))
@@ -76,6 +81,11 @@ print(f"\nmetrics: {counters['arrivals']:.0f} arrivals -> "
       f"{len(sampler.registry.series)} grid samples")
 assert counters["arrivals"] == counters["completions"] == len(reqs)
 assert sampler.registry.gauges["queued"].value == 0.0  # drained
+kinds = Counter(e[0] for e in events)
+assert kinds["arrive"] == counters["arrivals"]
+assert kinds["requeue"] == counters["requeues"] > 0  # displaced work
+print(f"events: {len(events)} tuples, "
+      + ", ".join(f"{n} {k}" for k, n in sorted(kinds.items())))
 
 with tempfile.TemporaryDirectory() as tmp:
     trace_path = Path(tmp) / "serve.trace.json"

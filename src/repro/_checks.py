@@ -1,12 +1,14 @@
 """The shared input rules: what a valid count, rate or duration is.
 
-* :func:`is_count` — an ``int >= 1`` that is not a bool: a float count
-  (2.5, NaN) makes fractional instances, and ``True`` reads as 1.  A
-  ``least`` of 0 admits zero, for levels such as a request priority;
+* :func:`is_int` — an int that is not a bool, any sign (bit positions
+  such as ``QFormat.frac_bits``): 2.5 or NaN makes fractional units,
+  and ``True`` reads as 1;
+* :func:`is_count` — an :func:`is_int` ``>= 1``, or ``>= least`` (0
+  for levels such as a request priority);
 * :func:`is_positive` — ``0 < v < inf`` (rates, widths, SLOs);
 * :func:`is_non_negative` — ``0 <= v < inf`` (latencies, horizons).
 
-NaN compares false everywhere, so it fails all three.  Each
+NaN compares false everywhere, so it fails all four.  Each
 ``check_*`` raises ``ValueError(f"{name} must ..., got {v!r}")``; a
 site whose wording a caller relies on calls the predicate and keeps
 its own text.  Entry points and constructors check, never per event.
@@ -18,9 +20,12 @@ from __future__ import annotations
 import math
 
 
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_count(value, least: int = 1) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= least)
+    return is_int(value) and value >= least
 
 
 def is_positive(value) -> bool:

@@ -30,8 +30,8 @@ simulations.
 
 Performance: work that depends only on the design variant is paid once
 per process — synthesis (``_SYNTH_MEMO``), the unit latency or
-pipeline plan (``_UNIT_MEMO``) and the seeded workload
-(``_ARRIVALS_MEMO``).  Every simulation runs at ``detail="summary"``,
+pipeline plan (``_UNIT_MEMO``), the served group (``_GROUP_MEMO``)
+and the seeded workload (``_ARRIVALS_MEMO``).  Every simulation runs at ``detail="summary"``,
 which is exact here: the evaluator reads only order statistics (kept
 as exact multisets) and count/time totals, never a mean.
 """
@@ -207,6 +207,10 @@ def _synthesize(tiles_mha: int, tiles_ffn: int, fmt: str) -> ProTEA:
 #: exact-DP pipeline plan, the one expensive analytic step.
 _UNIT_MEMO: Dict[Tuple[int, int, str, str, int, str],
                  Tuple[float, float]] = {}
+
+#: The group a ``devices > 1`` point is served on, keyed like
+#: ``_UNIT_MEMO`` less the model: it memoizes its plan per model.
+_GROUP_MEMO: Dict[Tuple[int, int, str, int, str], PipelineGroup] = {}
 
 
 #: Per-process memo of seeded Poisson workloads, keyed by
@@ -389,8 +393,13 @@ def evaluate_point(point: Mapping[str, Any],
     dp = design_point(point, settings)
     cfg, accel, devices, fleet, opts = (dp.cfg, dp.accel, dp.devices,
                                         dp.fleet, dp.opts)
-    target = (PipelineGroup(accel, devices, link=dp.link) if devices > 1
-              else accel)
+    target = accel
+    if devices > 1:
+        key = (dp.tiles_mha, dp.tiles_ffn, str(point.get("format", "fix8")),
+               devices, dp.link.name)
+        if key not in _GROUP_MEMO:
+            _GROUP_MEMO[key] = PipelineGroup(accel, devices, link=dp.link)
+        target = _GROUP_MEMO[key]
 
     scheduler = str(point.get("scheduler", opts["scheduler"]))
     requests = _arrivals(float(opts["qps"]), cfg.name, int(opts["seed"]),

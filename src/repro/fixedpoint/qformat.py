@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .._checks import is_count
+from .._checks import is_count, is_int
 
 __all__ = [
     "QFormat",
@@ -51,6 +51,9 @@ class QFormat:
     def __post_init__(self) -> None:
         if not is_count(self.total_bits):
             raise ValueError(f"total_bits must be >= 1, got {self.total_bits}")
+        if not is_int(self.frac_bits):
+            raise ValueError(
+                f"frac_bits must be an int, got {self.frac_bits!r}")
         if self.signed and self.total_bits < 2:
             raise ValueError("signed formats need at least 2 bits")
 

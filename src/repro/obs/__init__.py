@@ -28,8 +28,9 @@ Observability pillars, all opt-in and all zero-cost when left detached:
   the benchmark history (:func:`bench_trend`); both back the ``repro
   obs`` CLI family alongside :func:`summarize_trace`.
 
-Observers are read-only consumers of engine events: a run with
-observability attached is byte-identical to a bare run (enforced by the
+Observers are the only consumers of the engines' event stream — a run
+keeps no copy of it — and read-only ones: a run with observability
+attached has the records and samples of a bare run (enforced by the
 trace-identity golden tests).  Multiple observers compose with
 :func:`compose`.
 """

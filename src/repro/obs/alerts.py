@@ -43,9 +43,9 @@ per-request outcome stream from engine events alone:
 Completions feed the burn-rate rule, the anomaly detector
 (:class:`~repro.obs.anomaly.AnomalyDetector`), and any extra rules;
 ``fail``/``recover`` feed a fleet-down threshold rule.  Like every
-observer the watchdog only *reads* event tuples — a watched run stays
-byte-identical to a bare one (re-asserted by the trace-identity
-goldens).
+observer the watchdog only *reads* event tuples — a watched run's
+records and samples stay byte-identical to a bare one's (re-asserted
+by the trace-identity goldens).
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ class Watchdog:
                 self._parked += 1
             if self.queue_rule is not None:
                 self._note_queue(t)
-        elif kind == "requeue":  # observer-only: displaced work re-queued
+        elif kind == "requeue":  # displaced work re-queued
             rid, inst = event[2], event[3]
             if inst >= 0:
                 self._queues.setdefault(inst, []).append(rid)

@@ -224,8 +224,8 @@ class MetricsSampler:
     * ``step_ms`` histogram of generation step durations;
     * ``down`` gauge — instances currently failed.
 
-    Failure accounting rides on the engines' observer-only ``requeue``
-    events (displaced work re-entering a queue): a ``fail`` folds the
+    Failure accounting rides on the engines' ``requeue`` events
+    (displaced work re-entering a queue): a ``fail`` folds the
     dead instance's levels out of the fleet gauges, and every displaced
     entry re-appears through ``requeue``/``dispatch``/``admit``, so the
     gauges stay non-negative and conserved.
@@ -287,7 +287,7 @@ class MetricsSampler:
                 self._inst(self._inst_queued, "queued", inst).add(1)
             else:  # no capable instance up: parked until a recover
                 self._parked.add(1)
-        elif kind == "requeue":  # observer-only: displaced work re-queued
+        elif kind == "requeue":  # displaced work re-queued
             inst = event[3]
             self._requeues.inc()
             if inst >= 0:

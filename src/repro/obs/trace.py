@@ -20,8 +20,9 @@ The mapping is one *process* per run, one *thread row per instance*
   ``down`` span.
 
 The recorder only *reads* event tuples — it never touches the clock,
-the RNG streams, or the event queue — so an instrumented run is
-byte-identical to a bare one (pinned by the trace-identity goldens).
+the RNG streams, or the event queue — so an instrumented run's records
+and samples are byte-identical to a bare one's (pinned by the
+trace-identity goldens).
 
 Simulated time maps to the trace timebase directly: 1 simulated ms =
 1 trace "microsecond", so viewer timestamps read as simulated

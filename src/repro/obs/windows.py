@@ -1,11 +1,11 @@
 """Windowed time-series aggregation over sim-time sample streams.
 
-The windowing substrate of :mod:`repro.obs.watch`-style consumers
-(:mod:`repro.obs.alerts`, :mod:`repro.obs.anomaly`): everything here
-operates on ``(t_ms, value)`` samples in *simulated* time, fed in
-nondecreasing time order — exactly the shape of the
+A stand-alone analysis toolkit: everything here operates on
+``(t_ms, value)`` samples in *simulated* time, fed in nondecreasing
+time order — exactly the shape of the
 :class:`~repro.obs.metrics.MetricsSampler` series and of per-request
-outcome streams derived from engine events.
+outcome streams derived from engine events.  :mod:`repro.obs.alerts`
+and :mod:`repro.obs.anomaly` keep their own inlined windows instead.
 
 Three window kinds:
 

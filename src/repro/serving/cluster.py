@@ -17,23 +17,23 @@ workload resident on that instance, then the batched service time from
 :class:`.batching.ServiceTimeModel`.
 Heap ties break on (event priority, insertion sequence), so a run is a
 pure function of (workload, topology, policies) — the acceptance
-property behind trace-identical replays.
+property behind identical replays.
 
 :meth:`ClusterSimulator.run` executes on
 :class:`repro.sim.serve.ServeEngine`, whose outputs on seeded scenarios
 are pinned by the goldens under ``tests/goldens/`` (rendered reports,
-record digests and trace digests).  The engine also carries the
+record digests and event-stream digests).  The engine also carries the
 scenario layer: heterogeneous fleets
 (:class:`~repro.sim.fleet.FleetSpec`) and failure/recovery injection
 (:class:`~repro.sim.failures.FailurePlan`).
 
 ``simulate(..., observer=...)`` attaches any read-only consumer of the
 engine's event stream — a :class:`repro.obs.TraceRecorder`,
-:class:`repro.obs.MetricsSampler`, or streaming SLO
+:class:`repro.obs.MetricsSampler`, streaming SLO
 :class:`repro.obs.Watchdog` (burn-rate alerting over per-request
-latency, derived online from the same events); compose several with
-:func:`repro.obs.compose`.  Attached or not, the run's trace and
-records are byte-identical.
+latency, derived online from the same events), or ``events.append``;
+compose several with :func:`repro.obs.compose`.  The result keeps no
+copy of the stream; attached or not, its records are byte-identical.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class InstanceStats:
 
 @dataclass
 class SimulationResult(_FleetTotals):
-    """Everything a run produced: records, trace, per-instance stats."""
+    """Everything a run produced: records, samples, per-instance stats."""
 
     records: List[RequestRecord]
     instances: List[InstanceStats]
@@ -119,9 +119,6 @@ class SimulationResult(_FleetTotals):
     makespan_ms: float
     #: ``(t_ms, total queued requests)`` after every queue mutation.
     queue_samples: List[Tuple[float, int]]
-    #: Flat event log: ("arrive"|"dispatch"|"free", t_ms, ...) tuples
-    #: (failure runs add "fail"/"recover").
-    trace: List[tuple]
     scheduler: str = ""
     batching: str = ""
     #: Fleet-time fraction up (None unless failures were injected).
@@ -167,7 +164,7 @@ class ClusterSimulator(_FleetSimulator):
         #: a pure wakeup — ``try_dispatch`` re-derives everything from
         #: queue state, and an early check that finds the head under-age
         #: re-arms at the true deadline — so any jitter value must
-        #: produce an identical dispatch trace.  Exposed precisely so
+        #: produce identical dispatch events.  Exposed precisely so
         #: tests can prove that (the stale-check no-op property).
         self.check_jitter_ms = check_jitter_ms
 

@@ -26,9 +26,9 @@ shared weight-stream term plus per-sequence compute.
 ``simulate_generation(..., observer=...)`` attaches any read-only
 consumer of the engine's event stream (see
 :mod:`repro.sim.generate` for the event vocabulary) — a trace
-recorder, metrics sampler, or a streaming TTFT
-:class:`repro.obs.Watchdog`; attached or not, the run is
-byte-identical.
+recorder, metrics sampler, a streaming TTFT
+:class:`repro.obs.Watchdog`, or ``events.append``; the result keeps no
+copy of the stream, and attached or not, its records are identical.
 """
 
 from __future__ import annotations
@@ -136,10 +136,6 @@ class GenerationSimulationResult(_FleetTotals):
     makespan_ms: float
     #: ``(t_ms, waiting + in-flight sequences)`` after every mutation.
     queue_samples: List[Tuple[float, int]]
-    #: Flat event log: ("arrive"|"admit"|"step"|"finish", t_ms, ...)
-    #: (priority runs add "preempt"/"resume", failure runs
-    #: "fail"/"recover").
-    trace: List[tuple]
     scheduler: str = ""
     #: Fleet-time fraction up (None unless failures were injected).
     availability: Optional[float] = None

@@ -22,7 +22,7 @@ Every discrete-event simulator in the repo runs on this package:
   ``tests/goldens/``.
 
 The determinism contract is documented in :mod:`.kernel`: equal inputs
-produce byte-identical traces, records, and rendered reports.
+produce byte-identical event streams, records, and rendered reports.
 """
 
 from .failures import FailureInjector, FailurePlan

@@ -35,7 +35,7 @@ logic.  It owns everything that does not depend on the workload class:
   choice, the arrival sort, the :class:`~repro.sim.failures.
   FailureInjector` and the one ``fail``/``recover`` handler pair (mark
   down, displace, requeue, park, schedule repair, accrue downtime), the
-  full-detail trace tee, the summary depth integral, and availability;
+  summary depth integral, and availability;
 * ``_FleetSimulator`` — the serving façades' shared half:
   ``n_instances`` vs :class:`FleetSpec` resolution, a fresh scheduler
   per run, and one ``run`` over a single engine or shard cells.
@@ -293,18 +293,19 @@ class _FleetSimulator:
         """Simulate the full stream on the unified kernel.
 
         Seeded runs are pinned by the goldens under ``tests/goldens/``
-        (rendered reports, record digests, trace digests).  The run
-        understands heterogeneous fleets, failure injection and
+        (rendered reports, record digests, event-stream digests).  The
+        run understands heterogeneous fleets, failure injection and
         priority admission with preemption.  ``observer``/``profiler``
-        are forwarded to the
-        engine's observability hooks (see :mod:`repro.obs`); observers
-        are read-only, so the result is byte-identical with or without
-        them.
+        are forwarded to the engine's observability hooks (see
+        :mod:`repro.obs`); the observer is the only consumer of the
+        event stream (pass ``events.append`` to collect it), and
+        observers are read-only, so the result is byte-identical with
+        or without them.
 
         ``detail="summary"`` returns a
         :class:`~repro.sim.summary.ServeSummary` /
         :class:`~repro.sim.summary.GenerationSummary` instead of the
-        full result: no per-request records, traces, or depth samples,
+        full result: no per-request records or depth samples,
         just the accumulators :func:`~repro.serving.slo.summarize` /
         :func:`~repro.serving.slo.summarize_generation` need.  The
         web-scale path.
@@ -445,7 +446,7 @@ class _FleetEngine(Simulation):
         self.scheduler = scheduler
         self.failures = failures
         #: First global instance index (sharded cells offset their
-        #: ``_Inst.idx`` so trace rows, records, stats, and — critically
+        #: ``_Inst.idx`` so events, records, stats, and — critically
         #: — ``failure/<idx>`` RNG streams key by *global* identity:
         #: an instance's fault history never depends on which cell it
         #: landed in).
@@ -462,7 +463,7 @@ class _FleetEngine(Simulation):
 
         ``detail="full"`` builds one record per request — the
         byte-identity surface the goldens pin.  ``detail="summary"``
-        skips record, trace and sample materialization and accumulates
+        skips record and sample materialization and accumulates
         a summary on the fly: the web-scale path.  Percentiles and
         counts are bit-identical at both levels; means differ by float
         summation order only (completion order vs rid order), which can
@@ -483,21 +484,7 @@ class _FleetEngine(Simulation):
         self._started = True
         return make_sink, sorted(requests, key=_BY_T)
 
-    def _tee(self):
-        """Full-detail ``emit``: ``trace.append`` itself with nothing
-        attached (a C call per event), else a tee that forwards every
-        logged tuple to the observer."""
-        trace = self.trace
-        note = self.observer
-        if note is None:
-            return trace.append
-
-        def emit(event, _append=trace.append, _obs=note):
-            _append(event)
-            _obs(event)
-        return emit
-
-    def _faults(self, arrivals: Sequence, p_fault: int, emit, sample,
+    def _faults(self, arrivals: Sequence, p_fault: int, sample,
                 pending: list, displace, restart, shift):
         """Arm fault injection; return the ``fail``/``recover`` handlers.
 
@@ -524,25 +511,21 @@ class _FleetEngine(Simulation):
                 push(t_fail, p_fault, ("fail", inst))
         dispatcher = self.dispatcher
         pick = dispatcher.pick
-        note = self.observer
+        emit = self.observer
 
         def route(entry, now: float) -> None:
-            """Queue ``entry`` like a fresh arrival, or park it.
-
-            Emits an observer-only ``requeue`` event — never appended
-            to the trace, so trace bytes stay as the goldens pin them,
-            but metrics observers see displaced work re-enter a queue.
-            """
+            """Queue ``entry`` like a fresh arrival (a ``requeue``
+            event), or park it (``requeue`` to instance ``-1``)."""
             shift(1)
             inst = pick(entry, now)
             if inst is None:
                 pending.append(entry)
-                if note is not None:
-                    note(("requeue", now, entry.rid, -1))
+                if emit is not None:
+                    emit(("requeue", now, entry.rid, -1))
                 return
             inst.queue.append(entry)
-            if note is not None:
-                note(("requeue", now, entry.rid, inst.idx))
+            if emit is not None:
+                emit(("requeue", now, entry.rid, inst.idx))
             restart(inst, entry, now)
 
         def on_fail(payload: tuple, now: float) -> None:

@@ -37,19 +37,20 @@ never one per token.  Queue depth is one running counter of queued,
 active and parked sequences, so per-event bookkeeping does not grow
 with fleet size.
 
-Observer contract: attached observers receive every trace tuple —
+Observer contract: attached observers receive every event tuple —
 ``("arrive", t, rid, model, inst)``, ``("admit", t, inst, rid, prompt,
 output)``, ``("resume", t, inst, rid, cached, remaining)``, ``("step",
 t, inst, model, admitted, decoding, duration)``, ``("finish", t, inst,
 rid)``, ``("preempt", t, inst, rid)``, ``("fail"/"recover", t, inst)``
-— plus the observer-only ``("requeue", t, rid, inst)``.  Admits at
+and ``("requeue", t, rid, inst)``, at either detail level.  Admits at
 time ``t`` precede their step event, and that step's first tokens land
 at ``t + duration``; ``preempt`` returns the victim to its instance's
 queue *without* a requeue event; a ``fail`` before a step completes
 aborts it (no first tokens were produced).  The
 :class:`repro.obs.alerts.Watchdog` derives online TTFT from exactly
-these rules.  Observers are read-only: the bare-run trace stays
-byte-identical with any observer attached.
+these rules.  The observer is the stream's only consumer: a bare run
+builds no event tuples.  Observers are read-only, so records and
+samples stay byte-identical with any observer attached.
 """
 
 from __future__ import annotations
@@ -234,11 +235,12 @@ class GenerationEngine(_FleetEngine):
         preempt_counts: Dict[int, int] = {}
         degraded: Dict[int, bool] = {}
         failing = self.failures is not None
-        # The sink: ``emit`` takes trace tuples (None when nobody
-        # listens), ``sample`` takes ``(t, depth)`` points and
+        #: Takes event tuples: the observer, None when nobody listens.
+        emit = self.observer
+        # The sink: ``sample`` takes ``(t, depth)`` points and
         # ``complete`` takes one ``GenerationRecord`` per finished
         # request.
-        emit, sample, complete, result = make_sink(retries)
+        sample, complete, result = make_sink(retries)
 
         def take_next(inst: _GenInst, resident: Optional[str]):
             """Pop the next admissible queue entry (None if head-blocked).
@@ -467,8 +469,7 @@ class GenerationEngine(_FleetEngine):
             return depth
 
         on_fail, on_recover = self._faults(
-            arrivals, _P_FAULT, emit, sample, pending, displace, restart,
-            shift)
+            arrivals, _P_FAULT, sample, pending, displace, restart, shift)
 
         def handle(payload: tuple, now: float) -> None:
             kind = payload[0]
@@ -488,8 +489,8 @@ class GenerationEngine(_FleetEngine):
 
     # ------------------------------------------------------------------
     def _record_sink(self, retries: Dict[int, int]):
-        """Full detail: the trace (:meth:`_tee`), the sample list, and
-        the records — all list appends."""
+        """Full detail: the sample list and the records — all list
+        appends."""
         from ..serving.generation import GenerationSimulationResult
 
         samples: List[Tuple[float, int]] = []
@@ -504,20 +505,18 @@ class GenerationEngine(_FleetEngine):
                 slots=self.slots,
                 makespan_ms=makespan,
                 queue_samples=samples,
-                trace=self.trace,
                 total_preemptions=sum(i.preemptions for i in self.instances),
                 **self._totals(makespan, retries),
             )
 
-        return self._tee(), samples.append, records.append, result
+        return samples.append, records.append, result
 
     def _summary_sink(self, retries: Dict[int, int]):
         """Summary detail: fold records and depth samples as they fire.
 
         TTFT/TPOT/latency multisets are collected as sequences finish
         (percentiles stay exact); wait/token sums and the queue-depth
-        integral are folded in as events fire.  Only an attached
-        observer sees trace tuples (``emit`` is ``None`` otherwise).
+        integral are folded in as events fire.
         """
         from .summary import GenerationSummary
 
@@ -569,7 +568,7 @@ class GenerationEngine(_FleetEngine):
                 **self._totals(makespan, retries),
             )
 
-        return self.observer, sample, complete, result
+        return sample, complete, result
 
     def _instance_stats(self) -> list:
         from ..serving.generation import GenerationInstanceStats

@@ -11,9 +11,9 @@ the shared mechanics into one place:
   insertion sequence)``, so a run is a *pure function* of its inputs —
   the property behind the trace-identity golden tests.
 * :class:`Simulation` — the engine base: the queue, simulated time
-  (``now_ms``), the trace buffer, the observer/profiler hooks, and
-  the drain that merges a pre-sorted
-  arrival stream against the queue (:meth:`Simulation._drain_merged`).
+  (``now_ms``), the observer/profiler hooks, and the drain that merges
+  a pre-sorted arrival stream against the queue
+  (:meth:`Simulation._drain_merged`).
   Entities are plain mutable objects carried by reference inside
   payloads — no registry, no base class.
 
@@ -24,18 +24,18 @@ The one stochastic component, failure injection
 (:class:`~repro.sim.failures.FailureInjector`), draws from its own
 :class:`~repro.sim.rng.RngStreams`, one independent ``random.Random``
 per instance, seeded by the failure plan.  Two runs with equal inputs
-therefore produce byte-identical traces, records, and reports.
+therefore produce byte-identical event streams, records, and reports.
 
 Observability hooks
 -------------------
 :meth:`Simulation.attach_observer` registers a read-only callable (for
-example :class:`repro.obs.TraceRecorder` or
-:class:`repro.obs.MetricsSampler`) that receives every trace tuple as
-it is emitted; :meth:`Simulation.attach_profiler` registers a
+example :class:`repro.obs.TraceRecorder` or a ``list.append``), the
+one consumer of every event tuple: the engines keep no copy, so a bare
+run builds none.  :meth:`Simulation.attach_profiler` registers a
 :class:`repro.obs.KernelProfiler` that attributes wall time per event
-kind.  Both are strictly optional: when nothing is attached the engines
-run the exact pre-hook fast path, and because observers only *read*
-event tuples, an instrumented run stays byte-identical to a bare one.
+kind.  Both are strictly optional, and because observers only *read*
+event tuples, an instrumented run's records and samples stay
+byte-identical to a bare one's.
 Hooks must be attached before the run starts — attaching mid-run would
 make the observed stream a lie, so it raises ``RuntimeError``.
 """
@@ -97,32 +97,27 @@ class Simulation:
 
     The loop is deliberately minimal — pop, set ``now_ms``, dispatch —
     because the engines bind their own bookkeeping around it; what
-    they share is the queue discipline, simulated time, the trace
-    buffer, and the merged arrival drain (:meth:`_drain_merged`),
-    profiled or not.
+    they share is the queue discipline, simulated time, the hooks, and
+    the merged arrival drain (:meth:`_drain_merged`), profiled or not.
     """
 
     def __init__(self) -> None:
         self.queue = EventQueue()
         #: Simulated time in milliseconds, monotone by pop order.
         self.now_ms = 0.0
-        #: Flat event log ``(kind, t_ms, ...)`` — the replayable trace.
-        self.trace: List[tuple] = []
-        #: Optional read-only consumer of every emitted trace tuple.
+        #: Optional read-only consumer of every ``(kind, t_ms, ...)``.
         self.observer: Optional[Callable[[tuple], None]] = None
         #: Optional per-event-kind wall-time profiler.
         self.profiler = None
         self._started = False
 
     def attach_observer(self, observer: Callable[[tuple], None]) -> None:
-        """Attach a trace-tuple consumer (before the run starts).
+        """Attach an event-tuple consumer (before the run starts).
 
-        The observer is called with every tuple the engine emits — the
-        ones appended to :attr:`trace` plus observer-only bookkeeping
-        events such as ``("requeue", ...)`` — and, if it defines a
-        ``finish(t_ms)`` method, that is called once the run drains.
-        Attaching after the run has started raises ``RuntimeError``:
-        the stream would be missing its prefix.
+        The observer is called with every tuple the engine emits and,
+        if it defines a ``finish(t_ms)`` method, that is called once
+        the run drains.  Attaching after the run has started raises
+        ``RuntimeError``: the stream would be missing its prefix.
         """
         if self._started:
             raise RuntimeError(

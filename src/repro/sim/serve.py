@@ -35,17 +35,18 @@ every event but arrivals, completions and batching-deadline checks
 take it inlined.  Same math, same floats, same order — just less work
 per event.
 
-Observer contract: an attached observer sees every trace tuple —
+Observer contract: an attached observer sees every event tuple —
 ``("arrive", t, rid, model, inst)`` (``inst == -1`` while parked),
 ``("dispatch", t, inst, model, size, switch_ms)``, ``("free", t,
-inst)``, ``("fail", t, inst)``, ``("recover", t, inst)`` — plus the
-observer-only ``("requeue", t, rid, inst)`` for displaced work, in
-nondecreasing time order.  ``dispatch`` pops exactly a head prefix of
-the instance's queue, so consumers like
+inst)``, ``("fail", t, inst)``, ``("recover", t, inst)`` and
+``("requeue", t, rid, inst)`` for displaced work — in nondecreasing
+time order, at either detail level.  ``dispatch`` pops exactly a head
+prefix of the instance's queue, so consumers like
 :class:`repro.obs.alerts.Watchdog` recover batch membership (and thus
 per-request latency, online) by mirroring the queues from
-arrive/requeue.  Observers are read-only: the bare-run trace stays
-byte-identical with any observer attached.
+arrive/requeue.  The observer is the stream's only consumer: a bare
+run builds no event tuples.  Observers are read-only, so records and
+samples stay byte-identical with any observer attached.
 """
 
 from __future__ import annotations
@@ -292,7 +293,8 @@ class ServeEngine(_FleetEngine):
         make_sink, arrivals = self._setup(requests, detail)
         queue = self.queue
         push = queue.push
-        note = self.observer
+        #: Takes event tuples: the observer, None when nobody listens.
+        emit = self.observer
         dispatcher = self.dispatcher
         batching = self.batching
         max_batch = batching.max_batch
@@ -308,7 +310,7 @@ class ServeEngine(_FleetEngine):
         update = index.update if index is not None else None
 
         if (detail == "summary" and not failing and not dispatcher.restricted
-                and decide is None and note is None
+                and decide is None and emit is None
                 and self.profiler is None):
             return self._run_fast(arrivals, index)
 
@@ -318,11 +320,10 @@ class ServeEngine(_FleetEngine):
         pending: List[Request] = []
         retries: Dict[int, int] = {}
         degraded: Dict[int, bool] = {}
-        # The sink: ``emit`` takes trace tuples (None when nobody
-        # listens), ``sample`` takes ``(t, depth)`` points and
+        # The sink: ``sample`` takes ``(t, depth)`` points and
         # ``complete`` takes ``(model, idx, size, t_dispatch,
         # t_complete, batch)`` rows of finished batches.
-        emit, sample, complete, result = make_sink(retries, degraded)
+        sample, complete, result = make_sink(retries, degraded)
 
         def try_dispatch(inst: _ServeInst, now: float) -> None:
             nonlocal depth
@@ -459,8 +460,7 @@ class ServeEngine(_FleetEngine):
             return depth
 
         on_fail, on_recover = self._faults(
-            arrivals, _P_FAULT, emit, sample, pending, displace, restart,
-            shift)
+            arrivals, _P_FAULT, sample, pending, displace, restart, shift)
 
         def handle(payload: tuple, now: float) -> None:
             kind = payload[0]
@@ -481,9 +481,9 @@ class ServeEngine(_FleetEngine):
     # ------------------------------------------------------------------
     def _record_sink(self, retries: Dict[int, int],
                      degraded: Dict[int, bool]):
-        """Full detail: the trace (:meth:`_tee`), the sample list, and
-        batch rows that become one ``RequestRecord`` per request — all
-        list appends, no Python frame per event or per request."""
+        """Full detail: the sample list and batch rows that become one
+        ``RequestRecord`` per request — all list appends, no Python
+        frame per event or per request."""
         from ..serving.cluster import RequestRecord, SimulationResult
 
         samples: List[Tuple[float, int]] = []
@@ -511,12 +511,11 @@ class ServeEngine(_FleetEngine):
                 instances=self._instance_stats(),
                 makespan_ms=makespan,
                 queue_samples=samples,
-                trace=self.trace,
                 batching=self.batching.name,
                 **self._totals(makespan, retries),
             )
 
-        return self._tee(), samples.append, done.append, result
+        return samples.append, done.append, result
 
     def _summary_sink(self, retries: Dict[int, int],
                       degraded: Dict[int, bool]):
@@ -524,8 +523,7 @@ class ServeEngine(_FleetEngine):
 
         Latency multisets are collected per model (percentiles stay
         exact); wait/batch-size sums and the queue-depth integral are
-        folded in as events fire.  Only an attached observer sees trace
-        tuples (``emit`` is ``None`` otherwise, so none are built).
+        folded in as events fire.
         """
         m_lats: Dict[str, List[float]] = {}
         m_wait: Dict[str, float] = {}
@@ -574,7 +572,7 @@ class ServeEngine(_FleetEngine):
                 total_done, makespan, m_lats, m_wait, m_sq, *depth_totals(),
                 retries, degraded_done, touched)
 
-        return self.observer, sample, complete, result
+        return sample, complete, result
 
     def _run_fast(self, arrivals: List[Request], index):
         """The web-scale summary drain: the handlers, sink and merge

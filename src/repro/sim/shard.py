@@ -17,7 +17,7 @@ merge exactly:
   the common last change point, so ``mean_queue_depth`` is exact;
 * instance stats concatenate already carrying *global* indices: each
   cell's engine is constructed with ``instance_base`` set to its first
-  global instance index, which re-bases every observer/trace row,
+  global instance index, which re-bases every observer event,
   record, and stat the cell emits.
 
 Determinism contract

@@ -97,6 +97,30 @@ class TestEvaluatePoint:
         assert split["throughput_inf_s"] > single["throughput_inf_s"]
         assert split["power_w"] > single["power_w"]
 
+    def test_served_group_plans_once(self, monkeypatch):
+        """The pipeline group a ``devices > 1`` point is served on is
+        memoized with its plans: one search prices the point, one plans
+        the served group, and later evaluations search nothing."""
+        from repro.dse import objectives
+        from repro.parallel import PipelinePartitioner
+
+        monkeypatch.setattr(objectives, "_UNIT_MEMO", {})
+        monkeypatch.setattr(objectives, "_GROUP_MEMO", {})
+        calls = []
+        best_plan = PipelinePartitioner.best_plan
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return best_plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(PipelinePartitioner, "best_plan", counted)
+        point = _point(model="bert-variant", devices=2)
+        seen = []
+        for _ in range(3):
+            evaluate_point(point, FAST)
+            seen.append(len(calls))
+        assert seen == [2, 2, 2]
+
     def test_workload_settings_affect_p99(self):
         light = evaluate_point(_point(model="bert-variant"),
                                {"qps": 2.0, "duration_ms": 1000.0})

@@ -27,6 +27,8 @@ from repro.serving.cluster import ClusterSimulator
 from repro.serving.generation import GenerationClusterSimulator
 from repro.sim import FailurePlan
 
+from .._events import run_events
+
 MIX = ModelMix({"model2-lhc-trigger": 2.0, "model1-peng-isqed21": 1.0})
 
 
@@ -191,7 +193,8 @@ class TestWatchdogConstruction:
 
 @pytest.fixture(scope="module")
 def serve_outage(default_accel):
-    """Golden serve MTBF/MTTR scenario: a watched run plus its bare twin."""
+    """Golden serve MTBF/MTTR scenario: a watched run, its bare twin,
+    and the watched run's event stream."""
     requests = PoissonArrivals(200, MIX, seed=0).generate(800.0)
     sim = ClusterSimulator(
         default_accel, 3, scheduler="model-affinity",
@@ -202,19 +205,19 @@ def serve_outage(default_accel):
                         slow_window_ms=400.0, burn_threshold=2.0,
                         queue_threshold=12.0,
                         detector=AnomalyDetector(min_samples=16, debounce=3))
-    watched = sim.run(requests, observer=watchdog)
-    return sim, requests, bare, watched, watchdog
+    watched, events = run_events(sim.run, requests, observer=watchdog)
+    return sim, requests, bare, watched, watchdog, events
 
 
 class TestWatchdogServe:
     def test_watched_run_byte_identical(self, serve_outage):
-        _, _, bare, watched, _ = serve_outage
-        assert watched.trace == bare.trace
+        _, _, bare, watched, _, _ = serve_outage
         assert watched.records == bare.records
+        assert watched.queue_samples == bare.queue_samples
         assert watched.instances == bare.instances
 
     def test_attainment_matches_report(self, serve_outage):
-        _, _, _, watched, watchdog = serve_outage
+        _, _, _, watched, watchdog, _ = serve_outage
         report = summarize(watched, slo_ms=20.0,
                            watch=watchdog.summary())
         s = watchdog.summary()
@@ -224,8 +227,8 @@ class TestWatchdogServe:
         assert report.as_dict()["watch"] == s
 
     def test_fleet_down_alert_tracks_outages(self, serve_outage):
-        _, _, bare, _, watchdog = serve_outage
-        fails = [e[1] for e in bare.trace if e[0] == "fail"]
+        _, _, _, _, watchdog, events = serve_outage
+        fails = [e[1] for e in events if e[0] == "fail"]
         assert fails, "scenario must inject at least one failure"
         down = watchdog.down_rule.alerts
         assert down
@@ -233,9 +236,9 @@ class TestWatchdogServe:
         assert down[0].t_open_ms == fails[0]
 
     def test_burn_rate_alert_opens_within_outage_window(self, serve_outage):
-        _, _, bare, _, watchdog = serve_outage
-        fails = [e[1] for e in bare.trace if e[0] == "fail"]
-        recovers = [e[1] for e in bare.trace if e[0] == "recover"]
+        _, _, bare, _, watchdog, events = serve_outage
+        fails = [e[1] for e in events if e[0] == "fail"]
+        recovers = [e[1] for e in events if e[0] == "recover"]
         burn = watchdog.burn_rule.alerts
         assert burn, "outage must blow the error budget"
         first = min(a.t_open_ms for a in burn)
@@ -247,10 +250,10 @@ class TestWatchdogServe:
         assert watchdog.burn_rule.max_burn >= 2.0
 
     def test_anomaly_onset_is_deterministic(self, serve_outage):
-        sim, requests, bare, _, watchdog = serve_outage
+        sim, requests, _, _, watchdog, events = serve_outage
         assert watchdog.detector.onset_times, (
             "outage latencies must trip the changepoint detector")
-        fails = [e[1] for e in bare.trace if e[0] == "fail"]
+        fails = [e[1] for e in events if e[0] == "fail"]
         assert watchdog.detector.onset_times[0] >= fails[0]
         # Re-run: byte-identical input -> byte-identical onsets.
         twin = Watchdog(slo_ms=20.0, target=0.99, fast_window_ms=100.0,
@@ -262,7 +265,7 @@ class TestWatchdogServe:
         assert twin.summary() == watchdog.summary()
 
     def test_summary_shape(self, serve_outage):
-        _, _, _, _, watchdog = serve_outage
+        _, _, _, _, watchdog, _ = serve_outage
         s = watchdog.summary()
         assert s["slo_ms"] == 20.0 and s["target"] == 0.99
         assert 0.0 < s["attainment"] < 1.0
@@ -274,12 +277,12 @@ class TestWatchdogServe:
         assert set(s["rules"]) == {"burn_rate", "fleet_down", "queue_depth"}
 
     def test_alerts_sorted_by_open_time(self, serve_outage):
-        _, _, _, _, watchdog = serve_outage
+        _, _, _, _, watchdog, _ = serve_outage
         opens = [a.t_open_ms for a in watchdog.alerts()]
         assert opens == sorted(opens)
 
     def test_annotate_emits_alert_row(self, serve_outage):
-        sim, requests, _, _, watchdog = serve_outage
+        sim, requests, _, _, watchdog, _ = serve_outage
         tracer = TraceRecorder()
         wd = Watchdog(slo_ms=20.0, target=0.99)
         sim.run(requests, observer=compose(tracer, wd))
@@ -308,18 +311,19 @@ def generate_outage(default_accel):
     watchdog = Watchdog(slo_ms=30.0, target=0.9, fast_window_ms=50.0,
                         slow_window_ms=200.0, burn_threshold=1.5,
                         detector=AnomalyDetector(min_samples=16, debounce=2))
-    watched = sim.run(requests, observer=watchdog)
-    return sim, requests, bare, watched, watchdog
+    watched, events = run_events(sim.run, requests, observer=watchdog)
+    return sim, requests, bare, watched, watchdog, events
 
 
 class TestWatchdogGenerate:
     def test_watched_run_byte_identical(self, generate_outage):
-        _, _, bare, watched, _ = generate_outage
-        assert watched.trace == bare.trace
+        _, _, bare, watched, _, _ = generate_outage
         assert watched.records == bare.records
+        assert watched.queue_samples == bare.queue_samples
+        assert watched.instances == bare.instances
 
     def test_ttft_attainment_tracks_report(self, generate_outage):
-        _, _, _, watched, watchdog = generate_outage
+        _, _, _, watched, watchdog, _ = generate_outage
         report = summarize_generation(watched, ttft_slo_ms=30.0,
                                       watch=watchdog.summary())
         s = watchdog.summary()
@@ -332,7 +336,7 @@ class TestWatchdogGenerate:
         assert report.watch == s
 
     def test_ttft_bound_is_conservative(self, generate_outage):
-        _, _, _, watched, watchdog = generate_outage
+        _, _, _, watched, watchdog, _ = generate_outage
         violations = sum(
             1 for r in watched.records
             if r.t_first_token_ms - r.t_arrival_ms > 30.0)
@@ -342,8 +346,8 @@ class TestWatchdogGenerate:
         assert watchdog.violations <= len(watched.records)
 
     def test_down_alert_and_deterministic_onsets(self, generate_outage):
-        sim, requests, bare, _, watchdog = generate_outage
-        fails = [e[1] for e in bare.trace if e[0] == "fail"]
+        sim, requests, _, _, watchdog, events = generate_outage
+        fails = [e[1] for e in events if e[0] == "fail"]
         assert fails
         assert watchdog.down_rule.alerts
         assert watchdog.down_rule.alerts[0].t_open_ms == fails[0]

@@ -6,6 +6,8 @@ import pytest
 
 from repro.obs import TraceRecorder
 
+from .._events import run_events
+
 
 def _by_name(tracer, name):
     return [e for e in tracer.events if e["name"] == name]
@@ -187,25 +189,26 @@ class TestHeterogeneousFleetFailures:
             failures=FailurePlan(mtbf_ms=120.0, mttr_ms=40.0, seed=3))
         bare = sim.run(requests)
         tracer, sampler = TraceRecorder(), MetricsSampler(grid_ms=25.0)
-        observed = sim.run(requests, observer=compose(tracer, sampler))
-        return bare, observed, tracer, sampler
+        observed, events = run_events(sim.run, requests,
+                                      observer=compose(tracer, sampler))
+        return bare, observed, tracer, sampler, events
 
     def test_observed_run_identical(self, traced_run):
-        bare, observed, _, _ = traced_run
-        assert observed.trace == bare.trace
+        bare, observed, _, _, _ = traced_run
         assert observed.records == bare.records
+        assert observed.queue_samples == bare.queue_samples
         assert observed.instances == bare.instances
 
     def test_scenario_exercises_all_disruptions(self, traced_run):
-        bare, _, _, sampler = traced_run
-        kinds = {e[0] for e in bare.trace}
+        _, _, _, sampler, events = traced_run
+        kinds = {e[0] for e in events}
         assert {"fail", "recover", "preempt"} <= kinds
         assert sampler.registry.counters["requeues"].value > 0
 
     def test_down_spans_match_fail_recover_pairs(self, traced_run):
-        bare, _, tracer, _ = traced_run
+        _, _, tracer, _, events = traced_run
         downs = [e for e in tracer.events if e["name"] == "down"]
-        fails = [e for e in bare.trace if e[0] == "fail"]
+        fails = [e for e in events if e[0] == "fail"]
         assert len(downs) == len(fails)
         # Every down span starts at a fail and ends at the matching
         # recover (or the horizon, flagged unfinished by finish()).
@@ -215,13 +218,13 @@ class TestHeterogeneousFleetFailures:
             assert d["dur"] > 0
 
     def test_disruptions_overlap_down_spans(self, traced_run):
-        bare, _, tracer, _ = traced_run
+        _, _, tracer, _, events = traced_run
         downs = [(d["tid"], d["ts"], d["ts"] + d["dur"])
                  for d in tracer.events if d["name"] == "down"]
         # While at least one instance is down, displaced and preempted
         # work churns: some preempt/requeue activity must land inside
         # a down interval (the point of the satellite scenario).
-        preempts = [e[1] for e in bare.trace if e[0] == "preempt"]
+        preempts = [e[1] for e in events if e[0] == "preempt"]
         overlapping = [
             t for t in preempts
             if any(t0 - 1e-9 <= t <= t1 + 1e-9 for _, t0, t1 in downs)]
@@ -231,7 +234,7 @@ class TestHeterogeneousFleetFailures:
 
     def test_displaced_sequences_flagged_and_recorder_drains(
             self, traced_run):
-        _, _, tracer, _ = traced_run
+        _, _, tracer, _, _ = traced_run
         failed_over = [e for e in tracer.events
                        if e["name"] == "sequence (failed over)"]
         preempted = [e for e in tracer.events
@@ -242,7 +245,7 @@ class TestHeterogeneousFleetFailures:
         assert not tracer._down_since
 
     def test_chrome_export_has_instance_rows(self, traced_run):
-        _, _, tracer, _ = traced_run
+        _, _, tracer, _, _ = traced_run
         doc = tracer.to_chrome()
         tids = {e["tid"] for e in doc["traceEvents"]
                 if e["name"] == "down"}

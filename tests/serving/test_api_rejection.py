@@ -64,6 +64,8 @@ NOT_COUNT = (st.integers(max_value=0) | st.floats() | st.booleans())
 NOT_POINT_COUNT = st.sampled_from([2.5, True, math.nan])
 #: Tile counts ``int()`` once truncated (12.9 scored as 12, True as 1).
 NOT_TILE_COUNT = st.sampled_from([12.9, True, math.nan])
+#: Anything but an int, whatever its sign: NaN, a fraction, a bool.
+NOT_INT = st.sampled_from([math.nan, 2.5, True])
 #: Anything but an int >= 0: NaN, a fraction, a string, a bool, -1.
 NOT_PRIORITY = st.sampled_from([math.nan, 1.5, "1", True, -1])
 #: Outside the open interval (0, 1), and outside [0, 1].
@@ -253,6 +255,7 @@ CASES = [
     ("transformer_config.seq_len",
      lambda v, r: TransformerConfig("x", 64, 2, 1, v), NOT_COUNT),
     ("qformat.total_bits", lambda v, r: QFormat(v, 4), NOT_COUNT),
+    ("qformat.frac_bits", lambda v, r: QFormat(8, v), NOT_INT),
     ("evaluate_point.tiles_mha",
      lambda v, r: evaluate_point({"model": MODEL, "tiles_mha": v}),
      NOT_TILE_COUNT),

@@ -1,6 +1,6 @@
 """Tests for the event-driven cluster simulator.
 
-Covers the acceptance properties: seed-deterministic traces, request
+Covers the acceptance properties: seed-deterministic event streams, request
 conservation, FIFO correctness on one instance, and model-affinity
 dispatch beating round-robin under a nonzero reprogramming penalty.
 """
@@ -19,6 +19,8 @@ from repro.serving import (
     timeout,
 )
 
+from .._events import run_events
+
 MIX1 = ModelMix("model2-lhc-trigger")
 MIX2 = ModelMix({"model1-peng-isqed21": 1.0, "model3-efa-trans": 1.0})
 
@@ -29,16 +31,15 @@ def _poisson(qps, mix, seed, duration_ms):
 
 class TestDeterminism:
     def test_identical_trace_and_metrics(self, default_accel):
-        """Same seed + scenario → identical event trace and metrics."""
+        """Same seed + scenario → identical event stream and metrics."""
         def run():
             reqs = _poisson(300, MIX2, 11, 1000)
-            res = simulate(default_accel, reqs, 3,
-                           scheduler="model-affinity",
-                           batching=timeout(4, 2.0),
-                           reprogram_latency_ms=5.0)
-            return res
-        a, b = run(), run()
-        assert a.trace == b.trace
+            return run_events(simulate, default_accel, reqs, 3,
+                              scheduler="model-affinity",
+                              batching=timeout(4, 2.0),
+                              reprogram_latency_ms=5.0)
+        (a, events_a), (b, events_b) = run(), run()
+        assert events_a == events_b
         assert a.records == b.records
         assert a.instances == b.instances
         assert summarize(a) == summarize(b)
@@ -48,8 +49,9 @@ class TestDeterminism:
         cursors (round-robin) must reset, so replays are identical."""
         sim = ClusterSimulator(default_accel, 2, scheduler="round-robin")
         reqs = _poisson(200, MIX1, 5, 500)
-        a, b = sim.run(reqs), sim.run(reqs)
-        assert a.trace == b.trace
+        (a, events_a), (b, events_b) = (run_events(sim.run, reqs),
+                                        run_events(sim.run, reqs))
+        assert events_a == events_b
         assert a.records == b.records
 
 
@@ -205,18 +207,17 @@ class TestStaleDeadlineChecks:
         must replay the identical dispatch trace (the early event finds
         the head under-age and re-arms the true deadline)."""
         reqs = self._bursty()
-        base = ClusterSimulator(default_accel, 2,
-                                batching=timeout(6, 2.0),
-                                reprogram_latency_ms=3.0).run(reqs)
+        base, events = run_events(ClusterSimulator(
+            default_accel, 2, batching=timeout(6, 2.0),
+            reprogram_latency_ms=3.0).run, reqs)
+        dispatches = [e for e in events if e[0] == "dispatch"]
         for jitter in (0.4, 1.1, 50.0):
-            jittered = ClusterSimulator(
+            jittered, jevents = run_events(ClusterSimulator(
                 default_accel, 2, batching=timeout(6, 2.0),
                 reprogram_latency_ms=3.0,
-                check_jitter_ms=jitter).run(reqs)
+                check_jitter_ms=jitter).run, reqs)
             assert jittered.records == base.records, f"jitter={jitter}"
-            dispatches = [e for e in base.trace if e[0] == "dispatch"]
-            jdispatches = [e for e in jittered.trace
-                           if e[0] == "dispatch"]
+            jdispatches = [e for e in jevents if e[0] == "dispatch"]
             assert jdispatches == dispatches, f"jitter={jitter}"
 
     def test_stale_check_no_double_reprogram_no_phantom_dispatch(
@@ -225,10 +226,11 @@ class TestStaleDeadlineChecks:
         and let the stale check fire while the instance is busy: the
         run must show exactly one dispatch and one reprogram charge."""
         trace = [(0.0, "model3-efa-trans"), (0.5, "model3-efa-trans")]
-        res = simulate(default_accel, TraceReplay(trace).generate(), 1,
-                       batching=timeout(2, 5.0),
-                       reprogram_latency_ms=10.0)
-        dispatches = [e for e in res.trace if e[0] == "dispatch"]
+        res, events = run_events(simulate, default_accel,
+                                 TraceReplay(trace).generate(), 1,
+                                 batching=timeout(2, 5.0),
+                                 reprogram_latency_ms=10.0)
+        dispatches = [e for e in events if e[0] == "dispatch"]
         assert len(dispatches) == 1            # full batch at t=0.5
         assert dispatches[0][4] == 2           # both requests in it
         assert res.instances[0].switch_count == 1

@@ -20,6 +20,8 @@ from repro.serving import (
 )
 from repro.serving.generation import GenerationClusterSimulator
 
+from .._events import run_events
+
 
 @pytest.fixture(scope="module")
 def accel():
@@ -131,15 +133,15 @@ class TestSimulator:
 
     def test_trace_identical_across_replays(self, accel):
         reqs = _workload(accel)
-        r1 = simulate_generation(accel, reqs, 2, slots=4)
-        r2 = simulate_generation(accel, reqs, 2, slots=4)
-        assert r1.trace == r2.trace
+        r1, events1 = run_events(simulate_generation, accel, reqs, 2, slots=4)
+        r2, events2 = run_events(simulate_generation, accel, reqs, 2, slots=4)
+        assert events1 == events2
         assert r1.records == r2.records
 
     def test_slots_respected(self, accel):
         reqs = _workload(accel, qps=400)
-        result = simulate_generation(accel, reqs, 1, slots=3)
-        for entry in result.trace:
+        _, events = run_events(simulate_generation, accel, reqs, 1, slots=3)
+        for entry in events:
             if entry[0] == "step":
                 _, _, _, _, admitted, decoding, _ = entry
                 assert admitted + decoding <= 3
@@ -152,18 +154,19 @@ class TestSimulator:
         reqs = attach_generation_lengths(
             arrivals, LengthSampler("fixed", 8), LengthSampler("fixed", 4),
             max_total=accel.synth.max_seq_len)
-        result = simulate_generation(accel, reqs, 1, slots=8)
-        # Reconstruct per-step models from the trace: the admitted
+        result, events = run_events(simulate_generation, accel, reqs, 1,
+                                    slots=8)
+        # Reconstruct per-step models from the events: the admitted
         # model never changes while sequences are still decoding
         # another model.
         admits = {}
-        for entry in result.trace:
+        for entry in events:
             if entry[0] == "admit":
                 admits.setdefault(entry[1], entry[3])
         assert result.total_requests == len(reqs)
         # Switching models is allowed only between drained sets: the
-        # reprogram accounting must match the trace's step models.
-        step_models = [e[3] for e in result.trace if e[0] == "step"]
+        # reprogram accounting must match the stream's step models.
+        step_models = [e[3] for e in events if e[0] == "step"]
         switches = sum(1 for a, b in zip(step_models, step_models[1:])
                        if a != b) + 1
         assert result.total_switches == switches
@@ -179,9 +182,9 @@ class TestSimulator:
                               model="model1-peng-isqed21",
                               prompt_tokens=4, output_tokens=4),
         ]
-        result = simulate_generation(accel, reqs, 1, slots=4,
-                                     reprogram_latency_ms=7.0)
-        steps = [(e[3], e[4]) for e in result.trace if e[0] == "step"]
+        result, events = run_events(simulate_generation, accel, reqs, 1,
+                                    slots=4, reprogram_latency_ms=7.0)
+        steps = [(e[3], e[4]) for e in events if e[0] == "step"]
         assert all(n <= 1 for _, n in steps)  # never co-admitted
         models_in_order = [m for m, n in steps if n]
         assert models_in_order == ["model2-lhc-trigger",

@@ -8,10 +8,13 @@ detail, each bare, observed and profiled — and the results must agree:
   is bit-identical; means (summed in completion order instead of rid
   order) lie within ``n * 2**-52 * |mean|`` of each other;
 * **observed == bare**: at each detail level an observer leaves the
-  trace bytes and the report unchanged, and it sees the same event
+  records, samples and report unchanged, and it sees the same event
   stream at both levels;
-* **profiled == bare**: a profiler leaves the result unchanged, and it
-  counts the same events per kind at both levels;
+* **profiled == bare**: a profiler leaves the result and the event
+  stream unchanged, and it counts the same events per kind at both
+  levels;
+* **online == offline** (serve): a :class:`~repro.obs.Watchdog`'s
+  extra rules observe exactly the records' latencies;
 * **conservation** (:func:`_check_conservation`, the same helper for
   both engines): every request completes exactly once, retries are
   counted on records rather than duplicated, per-instance request
@@ -37,7 +40,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import KernelProfiler, MetricsSampler, Watchdog, compose
+from repro.obs import (AlertRule, KernelProfiler, MetricsSampler, Watchdog,
+                       compose)
 from repro.serving import (
     GenerationRequest,
     LengthSampler,
@@ -55,6 +59,7 @@ from repro.serving.generation import GenerationClusterSimulator
 from repro.sim.failures import FailurePlan
 from repro.sim.fleet import FleetSpec, InstanceSpec
 
+from .._events import run_events
 from .test_gc_pause import acyclic
 
 MODELS = ("model2-lhc-trigger", "model1-peng-isqed21", "model3-efa-trans")
@@ -166,18 +171,17 @@ def _check_modes(sim, requests, report):
 
     seen_full, seen_summ = [], []
     observed = run(observer=_observer(seen_full))
-    assert observed.trace == full.trace
     assert observed.records == full.records
     assert observed.queue_samples == full.queue_samples
+    assert observed.instances == full.instances
     assert report(observed) == rep_full
     observed_s = run(observer=_observer(seen_summ), detail="summary")
     assert observed_s == summ
     assert seen_summ == seen_full
-    assert [e for e in seen_full if e[0] != "requeue"] == full.trace
 
     prof_full, prof_summ = KernelProfiler(), KernelProfiler()
-    profiled = run(profiler=prof_full)
-    assert profiled.trace == full.trace
+    profiled, prof_events = run_events(run, profiler=prof_full)
+    assert prof_events == seen_full
     assert profiled.records == full.records
     assert report(profiled) == rep_full
     assert run(profiler=prof_summ, detail="summary") == summ
@@ -185,24 +189,59 @@ def _check_modes(sim, requests, report):
     assert prof_full.counts.get("arrival", 0) == len(requests)
 
 
-@FUZZ
-@given(common(),
-       st.sampled_from(("none", "fixed", "timeout")),
-       st.integers(2, 6),
-       st.sampled_from((0.0, 0.7)),
-       st.sampled_from((1500.0, 400.0, 4000.0, 0.0)))
-def test_serve_modes_agree(default_accel, scenario, batch, size, jitter,
-                           qps):
+def serve_case(accel, scenario, batch, size, jitter, qps):
     policy = {"none": no_batching(), "fixed": fixed_size(size),
               "timeout": timeout(size, 1.5)}[batch]
     requests = ([] if qps == 0.0 else PoissonArrivals(
         qps, scenario["mix"], seed=scenario["seed"]).generate(150.0))
     sim = ClusterSimulator(
-        default_accel, fleet=scenario["fleet"],
+        accel, fleet=scenario["fleet"],
         scheduler=scenario["scheduler"], batching=policy,
         reprogram_latency_ms=1.0, check_jitter_ms=jitter,
         failures=scenario["failures"])
+    return sim, requests
+
+
+serve_cases = given(common(),
+                    st.sampled_from(("none", "fixed", "timeout")),
+                    st.integers(2, 6),
+                    st.sampled_from((0.0, 0.7)),
+                    st.sampled_from((1500.0, 400.0, 4000.0, 0.0)))
+
+
+@FUZZ
+@serve_cases
+def test_serve_modes_agree(default_accel, scenario, batch, size, jitter,
+                           qps):
+    sim, requests = serve_case(default_accel, scenario, batch, size, jitter,
+                               qps)
     _check_modes(sim, requests, lambda r: summarize(r, slo_ms=5.0))
+
+
+class _Recording(AlertRule):
+    """An extra Watchdog rule that only keeps the values it observes."""
+
+    def __init__(self) -> None:
+        super().__init__("recording")
+        self.values = []
+
+    def observe(self, t_ms: float, value: float) -> None:
+        self.values.append(value)
+
+
+@FUZZ
+@serve_cases
+def test_serve_watchdog_latencies_match_records(default_accel, scenario,
+                                                batch, size, jitter, qps):
+    """Online == offline: the latencies a Watchdog derives from the
+    event stream (``requeue`` included, failures on and off) are the
+    records' ``t_complete_ms - t_arrival_ms``."""
+    sim, requests = serve_case(default_accel, scenario, batch, size, jitter,
+                               qps)
+    rule = _Recording()
+    result = sim.run(requests, observer=Watchdog(slo_ms=5.0, rules=[rule]))
+    assert sorted(rule.values) == sorted(
+        r.t_complete_ms - r.t_arrival_ms for r in result.records)
 
 
 @FUZZ

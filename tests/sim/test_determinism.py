@@ -31,6 +31,8 @@ from repro.serving.cluster import ClusterSimulator
 from repro.serving.generation import GenerationClusterSimulator
 from repro.sim import FailurePlan, FleetSpec, InstanceSpec
 
+from .._events import run_events
+
 MODELS = ["model2-lhc-trigger", "model1-peng-isqed21", "model3-efa-trans"]
 
 
@@ -104,21 +106,21 @@ def test_serve_same_seed_identical_different_seed_distinct(
             default_accel, fleet=fleet, scheduler=scheduler,
             batching=batching, reprogram_latency_ms=2.0,
             failures=failures)
-        return requests, sim.run(requests)
+        return (requests, *run_events(sim.run, requests))
 
-    reqs_a, a = run(seed)
-    reqs_b, b = run(seed)
+    reqs_a, a, events_a = run(seed)
+    reqs_b, b, events_b = run(seed)
     assert reqs_a == reqs_b
-    assert a.trace == b.trace
+    assert events_a == events_b
     assert a.records == b.records
     assert summarize(a) == summarize(b)
 
     # A different workload seed must change the event stream (the
     # arrival draws differ; requiring identical traces would only hold
     # by coincidence on an empty workload).
-    _, c = run(seed + 17)
+    _, _, events_c = run(seed + 17)
     if reqs_a:
-        assert c.trace != a.trace
+        assert events_c != events_a
 
 
 @pytest.mark.parametrize("trial", range(6))
@@ -149,10 +151,10 @@ def test_generate_same_seed_identical(default_accel, trial):
         sim = GenerationClusterSimulator(
             default_accel, n_instances, slots=slots,
             scheduler="least-loaded", failures=failures)
-        return sim.run(requests)
+        return run_events(sim.run, requests)
 
-    a, b = run(), run()
-    assert a.trace == b.trace
+    (a, events_a), (b, events_b) = run(), run()
+    assert events_a == events_b
     assert a.records == b.records
     assert a.instances == b.instances
 

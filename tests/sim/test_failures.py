@@ -19,6 +19,8 @@ from repro.serving.workload import (GenerationRequest, LengthSampler,
                                     attach_generation_lengths)
 from repro.sim import FailureInjector, FailurePlan, FleetSpec, InstanceSpec
 
+from .._events import run_events
+
 MIX = ModelMix("model2-lhc-trigger")
 
 
@@ -193,15 +195,15 @@ class TestGenerationFailures:
         """A fault after the first token resumes decoding instead of
         re-emitting: total token accounting must stay exact."""
         reqs = self._gen_reqs(default_accel, qps=20, duration=500, out=40)
-        res = GenerationClusterSimulator(
+        res, events = run_events(GenerationClusterSimulator(
             default_accel, 2, slots=2,
-            failures=FailurePlan(100.0, 20.0, seed=31)).run(reqs)
+            failures=FailurePlan(100.0, 20.0, seed=31)).run, reqs)
         assert res.total_tokens == sum(r.output_tokens for r in reqs)
         # Instance-level token accounting must balance too: aborted
         # sweeps refund their counted-but-unemitted tokens, so the
         # per-instance totals sum to exactly the delivered tokens.
         assert sum(i.tokens for i in res.instances) == res.total_tokens
-        resumed = [ev for ev in res.trace if ev[0] == "resume"]
+        resumed = [ev for ev in events if ev[0] == "resume"]
         if res.total_retries:
             assert resumed or any(r.retries for r in res.records)
 

@@ -12,6 +12,8 @@ from repro.serving.workload import (GenerationRequest, LengthSampler,
                                     attach_generation_lengths)
 from repro.sim import FleetSpec, InstanceSpec
 
+from .._events import run_events
+
 MIX = ModelMix("model2-lhc-trigger")
 MIX2 = ModelMix({"model2-lhc-trigger": 2.0, "model1-peng-isqed21": 1.0})
 
@@ -175,11 +177,11 @@ class TestHeterogeneousGeneration:
         reqs = attach_generation_lengths(
             arrivals, LengthSampler("fixed", 8), LengthSampler("fixed", 8),
             max_total=default_accel.synth.max_seq_len)
-        res = GenerationClusterSimulator(
-            default_accel, fleet=fleet, slots=8).run(reqs)
+        _, events = run_events(GenerationClusterSimulator(
+            default_accel, fleet=fleet, slots=8).run, reqs)
         # With one slot, every step carries at most one sequence:
-        # admitted + decoding <= 1 for every step trace entry.
-        steps = [ev for ev in res.trace if ev[0] == "step"]
+        # admitted + decoding <= 1 for every step event.
+        steps = [ev for ev in events if ev[0] == "step"]
         assert steps
         assert all(ev[4] + ev[5] <= 1 for ev in steps)
 

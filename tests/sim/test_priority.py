@@ -13,6 +13,8 @@ from repro.serving import (
 from repro.serving.generation import GenerationClusterSimulator
 from repro.serving.workload import GenerationRequest, LengthSampler
 
+from .._events import run_events
+
 MODEL = "model2-lhc-trigger"
 MIX = ModelMix(MODEL)
 
@@ -69,8 +71,8 @@ class TestPreemption:
             _req(0, 0.0, out=64, priority=0),
             _req(1, 1.0, out=2, priority=5),
         ]
-        res = GenerationClusterSimulator(
-            default_accel, 1, slots=1).run(reqs)
+        res, events = run_events(GenerationClusterSimulator(
+            default_accel, 1, slots=1).run, reqs)
         assert res.total_preemptions == 1
         rec0 = next(r for r in res.records if r.rid == 0)
         rec1 = next(r for r in res.records if r.rid == 1)
@@ -79,7 +81,7 @@ class TestPreemption:
         # The high-priority request finishes before the evicted one.
         assert rec1.t_complete_ms < rec0.t_complete_ms
         assert rec0.output_tokens == 64  # resume lost no tokens
-        kinds = [ev[0] for ev in res.trace]
+        kinds = [ev[0] for ev in events]
         assert "preempt" in kinds and "resume" in kinds
 
     def test_no_preemption_without_priorities(self, default_accel):

@@ -35,6 +35,7 @@ from repro.serving import (
 from repro.serving.generation import GenerationClusterSimulator
 from repro.sim import FailurePlan, FleetSpec, InstanceSpec
 
+from .._events import run_events
 from .._goldens import load, sha256
 
 N_SCENARIOS = 40
@@ -106,26 +107,26 @@ def runs(default_accel):
     out = {}
     for index in range(N_SCENARIOS):
         sim, requests = scenario(index, default_accel)
-        out[index] = (sim.run(requests),
-                      sim.run(requests, detail="summary"))
+        full, events = run_events(sim.run, requests)
+        out[index] = (full, sim.run(requests, detail="summary"), events)
     return out
 
 
 @pytest.fixture(scope="module")
 def golden(runs):
     return load("gen_queue_depth.json", lambda: {
-        str(i): depth_digest(*runs[i]) for i in sorted(runs)})
+        str(i): depth_digest(*runs[i][:2]) for i in sorted(runs)})
 
 
 @pytest.mark.parametrize("index", range(N_SCENARIOS))
 def test_depth_matches_frozen_digest(runs, golden, index):
-    full, summary = runs[index]
+    full, summary, _ = runs[index]
     assert depth_digest(full, summary) == golden[str(index)]
 
 
 @pytest.mark.parametrize("index", range(N_SCENARIOS))
 def test_depth_never_negative_and_drains_to_zero(runs, index):
-    full, summary = runs[index]
+    full, summary, _ = runs[index]
     samples = full.queue_samples
     assert samples, "scenario recorded no queue-depth samples"
     assert min(d for _, d in samples) >= 0
@@ -136,12 +137,12 @@ def test_depth_never_negative_and_drains_to_zero(runs, index):
 def test_scenarios_cover_the_named_regimes(runs):
     """The seeds really exercise what the module docstring promises."""
     fleets, slots, parked, mid_prefill, preempted = set(), set(), 0, 0, 0
-    for index, (full, _) in runs.items():
+    for full, _, events in runs.values():
         fleets.add(full.n_instances)
         slots.add(full.slots)
         preempted += full.total_preemptions
         running = {}  # instance -> (step end, admitted any)
-        for event in full.trace:
+        for event in events:
             kind = event[0]
             if kind == "arrive" and event[4] == -1:
                 parked += 1

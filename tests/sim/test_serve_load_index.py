@@ -25,6 +25,7 @@ from repro.serving import ModelMix, PoissonArrivals, fixed_size, timeout
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.workload import Request
 
+from .._events import golden_events, run_events
 from .._goldens import load, sha256
 
 MODEL = "model2-lhc-trigger"
@@ -88,21 +89,21 @@ def eps_workload(accel, n: int, policy: str):
     return reqs
 
 
-def eps_hits(full) -> int:
+def eps_hits(events) -> int:
     """Arrivals with a completion pending in ``(t, t + EPS]``."""
-    frees = [e[1] for e in full.trace if e[0] == "free"]
+    frees = [e[1] for e in events if e[0] == "free"]
     hits = 0
-    for event in full.trace:
+    for event in events:
         if event[0] == "arrive":
             t = event[1]
             hits += any(t < f <= t + EPS for f in frees)
     return hits
 
 
-def eps_digest(reqs, full, summary) -> dict:
+def eps_digest(reqs, full, summary, events) -> dict:
     """The frozen record of one run: sizes plus full and summary digests."""
-    return {"requests": len(reqs), "eps_hits": eps_hits(full),
-            "full_sha256": sha256((full.records, full.trace,
+    return {"requests": len(reqs), "eps_hits": eps_hits(events),
+            "full_sha256": sha256((full.records, golden_events(events),
                                    full.queue_samples, full.instances)),
             "summary_sha256": sha256(summary)}
 
@@ -114,8 +115,9 @@ def runs(default_accel):
         for policy in POLICIES:
             reqs = eps_workload(default_accel, n, policy)
             sim = _sim(default_accel, n, policy)
-            out[f"{policy}/{n}"] = (reqs, sim.run(reqs),
-                                    sim.run(reqs, detail="summary"))
+            full, events = run_events(sim.run, reqs)
+            out[f"{policy}/{n}"] = (reqs, full,
+                                    sim.run(reqs, detail="summary"), events)
     return out
 
 
@@ -129,7 +131,7 @@ def golden(runs):
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_engine_matches_scan_digests(runs, golden, policy, n):
     key = f"{policy}/{n}"
-    reqs, full, _ = runs[key]
+    reqs, full, _, _ = runs[key]
     assert len(full.records) == len(reqs)
     assert eps_digest(*runs[key]) == golden[key]
 
@@ -143,7 +145,7 @@ def test_workload_reaches_the_eps_fallback(runs, policy, n):
     can only have one completion pending, and an arrival just before
     it is exactly what the workload must avoid.
     """
-    hits = eps_hits(runs[f"{policy}/{n}"][1])
+    hits = eps_hits(runs[f"{policy}/{n}"][3])
     if policy == "fixed" and n == 1:
         assert hits == 0
     else:

@@ -39,6 +39,8 @@ from repro.sim.shard import (
     merge_serve_summaries,
 )
 
+from .._events import run_events
+
 MIX = ModelMix({"model2-lhc-trigger": 3.0, "model1-peng-isqed21": 2.0,
                 "model3-efa-trans": 1.0})
 
@@ -153,10 +155,11 @@ class TestShardedServe:
         reqs = _requests(duration=300)
         sim = ClusterSimulator(default_accel, 3, scheduler="round-robin",
                                batching=fixed_size(4))
-        plain = sim.run(reqs)
-        flagged = sim.run(reqs, shards=1)
+        plain, plain_events = run_events(sim.run, reqs)
+        flagged, flagged_events = run_events(sim.run, reqs, shards=1)
         assert flagged.records == plain.records
-        assert flagged.trace == plain.trace
+        assert flagged.queue_samples == plain.queue_samples
+        assert flagged_events == plain_events
 
     def test_merge_preserves_multisets_and_sums(self, default_accel):
         reqs = _requests()

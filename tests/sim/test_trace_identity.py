@@ -1,8 +1,9 @@
 """Trace-identity goldens: the kernel engines against frozen outputs.
 
 Six seeded scenarios (Poisson/bursty/diurnal x serve/generate) run
-through the kernel engines.  Each run's ``trace``, ``queue_samples``
-and ``instances`` must hash to the sha256 digests frozen in
+through the kernel engines.  Each run's event stream (collected by a
+list observer, ``requeue`` events left out), ``queue_samples`` and
+``instances`` must hash to the sha256 digests frozen in
 ``tests/goldens/trace_digests.json``, and its rendered report must
 equal the committed golden under ``tests/goldens/`` — so the engine
 cannot drift, and a diff shows up as a readable report diff.  The
@@ -11,11 +12,11 @@ to the engines and agreed with them byte for byte on every case, so
 they carry that oracle's check forward as data.  Two larger scenarios,
 the shapes the kernel benchmarks time, are pinned by digest only.
 
-Each scenario also runs a second time with the full observability
-stack attached (trace recorder + metrics sampler + SLO watchdog +
-kernel profiler): the observed run must be byte-identical to the bare
-kernel run, pinning the ``repro.obs`` contract that observation never
-perturbs.
+Each scenario also runs bare and with the full observability stack
+attached (trace recorder + metrics sampler + SLO watchdog + kernel
+profiler): both must be byte-identical to the list-observed run, and
+the stack must see the same event stream, pinning the ``repro.obs``
+contract that observation never perturbs.
 """
 
 import pytest
@@ -44,6 +45,7 @@ from repro.serving import (
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.generation import GenerationClusterSimulator
 
+from .._events import golden_events, run_events
 from .._goldens import GOLDENS, load, sha256
 
 MIX = ModelMix({
@@ -133,15 +135,17 @@ CASES = {
 }
 
 
-def trace_digest(result) -> dict:
-    """The frozen summary of one run: sha256 of each field's repr."""
-    return {field: sha256(getattr(result, field))
-            for field in ("trace", "queue_samples", "instances")}
+def trace_digest(result, events) -> dict:
+    """The frozen summary of one run: sha256 of the repr of its event
+    stream and of two result fields."""
+    return {"trace": sha256(golden_events(events)),
+            **{field: sha256(getattr(result, field))
+               for field in ("queue_samples", "instances")}}
 
 
 def case_digest(accel, name) -> dict:
     sim, requests = CASES[name](accel)
-    return trace_digest(sim.run(requests))
+    return trace_digest(*run_events(sim.run, requests))
 
 
 @pytest.fixture(scope="module")
@@ -155,16 +159,20 @@ def _check_golden(name: str, rendered: str) -> None:
         f"rendered report diverged from golden {name}")
 
 
-def _observe(sim, requests, kernel, slo_ms):
-    """Re-run with every observer attached: byte-identical to ``kernel``."""
+def _observe(sim, requests, kernel, events, slo_ms):
+    """Re-run bare and with every observer attached: both byte-identical
+    to ``kernel``, and the observers see its ``events``."""
+    bare = sim.run(requests)
     tracer, sampler = TraceRecorder(), MetricsSampler(grid_ms=25.0)
     watchdog = Watchdog(slo_ms=slo_ms)
-    observed = sim.run(requests, observer=compose(tracer, sampler, watchdog),
-                       profiler=KernelProfiler())
-    assert observed.trace == kernel.trace
-    assert observed.records == kernel.records
-    assert observed.queue_samples == kernel.queue_samples
-    assert observed.instances == kernel.instances
+    observed, seen = run_events(
+        sim.run, requests, observer=compose(tracer, sampler, watchdog),
+        profiler=KernelProfiler())
+    assert seen == events
+    for run in (bare, observed):
+        assert run.records == kernel.records
+        assert run.queue_samples == kernel.queue_samples
+        assert run.instances == kernel.instances
     assert tracer.events and sampler.registry.series
     assert watchdog.completions == len(observed.records)
     return observed
@@ -176,9 +184,9 @@ def test_serve_trace_identity(default_accel, frozen, scenario):
     name = f"serve_{scenario}"
     sim, requests = CASES[name](default_accel)
     assert requests, "scenario generated an empty workload"
-    kernel = sim.run(requests)
-    assert trace_digest(kernel) == frozen[name]
-    observed = _observe(sim, requests, kernel, slo_ms=50.0)
+    kernel, events = run_events(sim.run, requests)
+    assert trace_digest(kernel, events) == frozen[name]
+    observed = _observe(sim, requests, kernel, events, slo_ms=50.0)
     title = f"Golden: serve/{scenario}"
     rep_kernel = render_serving_report(summarize(kernel, slo_ms=50.0),
                                        title=title)
@@ -194,9 +202,9 @@ def test_generate_trace_identity(default_accel, frozen, scenario):
     name = f"generate_{scenario}"
     sim, requests = CASES[name](default_accel)
     assert requests, "scenario generated an empty workload"
-    kernel = sim.run(requests)
-    assert trace_digest(kernel) == frozen[name]
-    observed = _observe(sim, requests, kernel, slo_ms=40.0)
+    kernel, events = run_events(sim.run, requests)
+    assert trace_digest(kernel, events) == frozen[name]
+    observed = _observe(sim, requests, kernel, events, slo_ms=40.0)
     title = f"Golden: generate/{scenario}"
     rep_kernel = render_generation_report(
         summarize_generation(kernel, ttft_slo_ms=40.0, tpot_slo_ms=2.0),

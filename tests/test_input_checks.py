@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro._checks import (check_count, check_non_negative, check_positive,
-                           is_count, is_non_negative, is_positive)
+                           is_count, is_int, is_non_negative, is_positive)
 
 SRC = pathlib.Path(repro.__file__).parent
 #: ``(module path under src/repro, function)`` allowed to spell a rule.
@@ -132,6 +132,15 @@ def test_rules(value, count, positive, non_negative):
     assert is_count(value) is count
     assert is_positive(value) is positive
     assert is_non_negative(value) is non_negative
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0, True), (-3, True), (7, True),
+    (True, False), (2.0, False), (2.5, False), (math.nan, False),
+    ("1", False),
+])
+def test_int_rule(value, expected):
+    assert is_int(value) is expected
 
 
 def test_messages_name_the_value():

@@ -10,7 +10,9 @@ This example drives one failure-injected serving run four ways:
    composed onto one hook; the records and queue samples must be
    byte-identical to the bare run's (that is the contract the
    trace-identity goldens pin), and the event stream — which only
-   observers receive — must agree with the metrics counters;
+   observers receive — must agree with the metrics counters; the
+   sampler then watches a failure-injected generation run, and its
+   ``tokens`` counter must end at the report's ``total_tokens``;
 3. **watched** — an SLO watchdog evaluating burn-rate/fleet-down alert
    rules online, annotating the trace, and feeding ``obs diff``-style
    run-to-run regression analytics;
@@ -39,12 +41,16 @@ from repro.obs import (
     render_kernel_profile,
 )
 from repro.serving import (
+    LengthSampler,
     ModelMix,
     PoissonArrivals,
+    attach_generation_lengths,
     fixed_size,
     render_serving_report,
     simulate,
+    simulate_generation,
     summarize,
+    summarize_generation,
 )
 
 accel = ProTEA.synthesize(SynthParams())
@@ -99,6 +105,28 @@ with tempfile.TemporaryDirectory() as tmp:
 print()
 print(render_kernel_profile(profiler))
 assert profiler.total_events > len(reqs)  # arrivals + frees + faults
+
+# A sampler over a failure-injected generation run: its token counter
+# follows completed steps, so an aborted step's undelivered tokens never
+# count and a resume's re-prefill emits none.  It ends at exactly the
+# report's total_tokens.
+gen_reqs = attach_generation_lengths(
+    PoissonArrivals(300, mix, seed=0).generate(300),
+    LengthSampler("uniform", 4, 16),
+    LengthSampler("geometric", 1, 12, mean_extra=4.0), seed=0,
+    max_total=accel.synth.max_seq_len)
+gen_sampler = MetricsSampler(grid_ms=10.0)
+gen_report = summarize_generation(simulate_generation(
+    accel, gen_reqs, 2, slots=2,
+    failures=FailurePlan(mtbf_ms=40.0, mttr_ms=10.0, seed=0),
+    observer=gen_sampler))
+gen_counters = gen_sampler.registry.counters
+print(f"\ngeneration metrics: {gen_counters['tokens'].value:.0f} tokens in "
+      f"{gen_counters['steps'].value:.0f} steps, "
+      f"{gen_counters['failures'].value:.0f} fault(s); report: "
+      f"{gen_report.total_tokens} tokens")
+assert gen_counters["failures"].value > 0
+assert gen_counters["tokens"].value == gen_report.total_tokens
 
 # ------------------------------------------------------------------ #
 # 3. The same run again under an SLO watchdog: burn-rate paging and

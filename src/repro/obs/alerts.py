@@ -331,7 +331,18 @@ class Watchdog:
         self._horizon_ms = t
         if self._next_due <= t + _EPS:
             self._commit_due(t)
-        if kind == "arrive":
+        if kind == "step":  # generate: fixes t_first for this admit set
+            if self._admits:  # else a decode-only step: nothing to pend
+                admitted = self._admits.pop(event[2], None)
+                if admitted:
+                    t_first = t + event[6]
+                    arrive = self._arrive
+                    self._pending[event[2]] = (
+                        t_first, [(rid, t_first - arrive[rid])
+                                  for rid in admitted])
+                    if t_first < self._next_due:
+                        self._next_due = t_first
+        elif kind == "arrive":
             rid, inst = event[2], event[4]
             if rid not in self._arrive:
                 self._arrive[rid] = t
@@ -376,17 +387,6 @@ class Watchdog:
             self._queued -= 1
             if self.queue_rule is not None:
                 self._note_queue(t)
-        elif kind == "step":  # generate: fixes t_first for this admit set
-            inst, duration = event[2], event[6]
-            admitted = self._admits.pop(inst, None)
-            if admitted:
-                t_first = t + duration
-                arrive = self._arrive
-                self._pending[inst] = (
-                    t_first, [(rid, t_first - arrive[rid])
-                              for rid in admitted])
-                if t_first < self._next_due:
-                    self._next_due = t_first
         elif kind == "preempt":  # generate: victim re-queues in place
             inst, rid = event[2], event[3]
             self._queues.setdefault(inst, []).append(rid)

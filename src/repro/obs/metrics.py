@@ -30,13 +30,15 @@ import io
 import json
 import math
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .._checks import check_positive
 from ..serving.slo import percentile
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "MetricsSampler"]
+
+_EPS = 1e-9  # the engines' step/fault boundary tolerance
 
 
 class Counter:
@@ -224,6 +226,17 @@ class MetricsSampler:
     * ``step_ms`` histogram of generation step durations;
     * ``down`` gauge — instances currently failed.
 
+    ``tokens`` counts what completed steps delivered, so it ends at the
+    report's ``total_tokens``.  A step's tokens (its fresh admits'
+    first tokens plus one per decoding sequence; a resume's re-prefill
+    emits none) are held until the next ``step`` or ``finish`` event
+    on the same instance, which the engine emits at the instance's
+    next step boundary.  A ``fail`` drops the held step if the engine
+    aborts it (it ends more than the engines' tolerance after the
+    fault).  An aborted step's admits whose prefill had already landed
+    come back as ``resume`` rather than ``admit``, and that is when
+    their first token counts.
+
     Failure accounting rides on the engines' ``requeue`` events
     (displaced work re-entering a queue): a ``fail`` folds the
     dead instance's levels out of the fleet gauges, and every displaced
@@ -251,12 +264,21 @@ class MetricsSampler:
         self._failures = reg.counter("failures")
         self._preemptions = reg.counter("preemptions")
         self._step_ms = reg.histogram("step_ms")
+        self._step_samples = self._step_ms.samples.append
         #: Per-instance gauges, created lazily at first sight.
         self._inst_queued: Dict[int, Gauge] = {}
         self._inst_flight: Dict[int, Gauge] = {}
         #: Serve mode: batch size in flight per instance (for completions).
         self._batch_size: Dict[int, int] = {}
-        #: Generate mode: active sequence count per instance.
+        #: Generate mode: rids admitted since the instance's last step.
+        self._fresh: Dict[int, List[int]] = {}
+        #: Generate mode: the step in flight per instance, ``(end_ms,
+        #: tokens, admitted rids)``; its tokens count once a later event
+        #: on the instance shows it completed.
+        self._pending: Dict[int, Tuple[float, int, Optional[List[int]]]] = {}
+        #: Rids admitted by an aborted step: whether the first token
+        #: landed shows when they are re-admitted (resume) or not (admit).
+        self._unsure: Set[int] = set()
         self._finished = False
 
     # -- grid ------------------------------------------------------------
@@ -278,8 +300,20 @@ class MetricsSampler:
     def on_event(self, event: tuple) -> None:
         kind = event[0]
         t = event[1]
-        self._tick_to(t)
-        if kind == "arrive":
+        if t >= self._next_tick:
+            self._tick_to(t)
+        if kind == "step":  # generate: most events by far
+            inst, duration = event[2], event[6]
+            self._steps.value += 1.0
+            self._step_samples(duration)
+            pending = self._pending
+            done = pending.get(inst)
+            if done is not None:  # the instance's previous step completed
+                self._tokens.value += done[1]
+            fresh = self._fresh.pop(inst, None) if self._fresh else None
+            pending[inst] = (t + duration,
+                             event[5] + (len(fresh) if fresh else 0), fresh)
+        elif kind == "arrive":
             inst = event[4]
             self._arrivals.inc()
             if inst >= 0:
@@ -310,24 +344,28 @@ class MetricsSampler:
             self._in_flight.add(-size)
             self._inst(self._inst_flight, "in_flight", inst).add(-size)
         elif kind == "admit":  # generate
-            inst = event[2]
+            inst, rid = event[2], event[3]
+            if self._unsure:
+                self._unsure.discard(rid)  # restarted: its token was lost
+            self._fresh.setdefault(inst, []).append(rid)
             self._queued.add(-1)
             self._in_flight.add(1)
             self._inst(self._inst_queued, "queued", inst).add(-1)
             self._inst(self._inst_flight, "in_flight", inst).add(1)
         elif kind == "resume":  # generate (re-admission after eviction)
-            inst = event[2]
+            inst, rid = event[2], event[3]
+            if rid in self._unsure:  # its first token had landed
+                self._unsure.discard(rid)
+                self._tokens.value += 1.0
             self._queued.add(-1)
             self._in_flight.add(1)
             self._inst(self._inst_queued, "queued", inst).add(-1)
             self._inst(self._inst_flight, "in_flight", inst).add(1)
-        elif kind == "step":  # generate
-            _, _, inst, model, admitted, decoding, duration = event
-            self._steps.inc()
-            self._tokens.inc(admitted + decoding)
-            self._step_ms.observe(duration)
         elif kind == "finish":  # generate
             inst = event[2]
+            done = self._pending.pop(inst, None)
+            if done is not None:  # the step that finished it completed
+                self._tokens.value += done[1]
             self._completions.inc()
             self._in_flight.add(-1)
             self._inst(self._inst_flight, "in_flight", inst).add(-1)
@@ -342,6 +380,17 @@ class MetricsSampler:
             inst = event[2]
             self._failures.inc()
             self._down.add(1)
+            # A step still in flight is aborted (the engine's rule) and
+            # its tokens are never delivered — except the first tokens
+            # of admits whose prefill had already landed, which the
+            # stream only reveals when they come back as resumes.
+            step = self._pending.pop(inst, None)
+            if step is not None:
+                end, tokens, fresh = step
+                if end <= t + _EPS:
+                    self._tokens.value += tokens
+                elif fresh:
+                    self._unsure.update(fresh)
             # Everything on the dead instance is displaced and re-
             # routed; each displaced entry re-appears as a ``requeue``
             # event, so fold the instance's levels out of the fleet

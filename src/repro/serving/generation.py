@@ -152,12 +152,38 @@ class GenerationSimulationResult(_FleetTotals):
         return sum(r.output_tokens for r in self.records)
 
 
+class _ComputeTable(dict):
+    """Cache length -> one model's per-layer decode compute ms.
+
+    Filled on a miss from :meth:`~repro.core.latency.LatencyModel.
+    decode_layer_cycles`; a hit is a plain dict read, so a decode sweep
+    prices all its sequences with ``sum(map(table.__getitem__, lens))``.
+    Holds no reference back to the service model (no cycle).
+    """
+
+    __slots__ = ("_cycles", "_d_model", "_num_heads", "_cycles_per_ms")
+
+    def __init__(self, cycles, d_model: int, num_heads: int,
+                 cycles_per_ms: float):
+        super().__init__()
+        self._cycles = cycles
+        self._d_model = d_model
+        self._num_heads = num_heads
+        self._cycles_per_ms = cycles_per_ms
+
+    def __missing__(self, cache_len: int) -> float:
+        layer = self._cycles(cache_len, self._d_model, self._num_heads)
+        value = self[cache_len] = layer.compute_total / self._cycles_per_ms
+        return value
+
+
 class GenerationServiceModel:
     """Maps (model, lengths) → milliseconds of prefill / decode steps.
 
     Decode-step decomposition per layer: the weight-stream term (loads)
     is paid once per step, each in-flight sequence adds its own
-    cache-length-dependent compute term.  Both halves are memoized —
+    cache-length-dependent compute term.  Both halves are memoized in
+    one per-model entry (the load term plus a :class:`_ComputeTable`) —
     the cycle model is deterministic, so the cache is exact.
     """
 
@@ -166,8 +192,9 @@ class GenerationServiceModel:
         self.accel = accel
         self.models = dict(models or MODEL_ZOO)
         self._prefill: Dict[Tuple[str, int], float] = {}
-        self._load_ms: Dict[str, float] = {}
-        self._compute_ms: Dict[Tuple[str, int], float] = {}
+        #: model -> (load_ms, cache-length lookup, num_layers); see
+        #: :meth:`_decode_table`.
+        self._decode: Dict[str, tuple] = {}
 
     def config(self, model: str) -> TransformerConfig:
         try:
@@ -200,25 +227,17 @@ class GenerationServiceModel:
             self._prefill[key] = self.accel.latency_report(cfg).latency_ms
         return self._prefill[key]
 
-    def _ms(self, cycles: int) -> float:
-        return cycles / (self.accel.clock_mhz * 1e3)
-
-    def _layer_load_ms(self, model: str) -> float:
-        if model not in self._load_ms:
-            cfg = self.config(model)
-            layer = self.accel.latency_model.decode_layer_cycles(
-                1, cfg.d_model, cfg.num_heads)
-            self._load_ms[model] = self._ms(layer.load_total)
-        return self._load_ms[model]
-
-    def _layer_compute_ms(self, model: str, cache_len: int) -> float:
-        key = (model, cache_len)
-        if key not in self._compute_ms:
-            cfg = self.config(model)
-            layer = self.accel.latency_model.decode_layer_cycles(
-                cache_len, cfg.d_model, cfg.num_heads)
-            self._compute_ms[key] = self._ms(layer.compute_total)
-        return self._compute_ms[key]
+    def _decode_table(self, model: str) -> tuple:
+        """Build and keep ``model``'s ``(load_ms, lookup, num_layers)``."""
+        cfg = self.config(model)
+        cycles = self.accel.latency_model.decode_layer_cycles
+        cycles_per_ms = self.accel.clock_mhz * 1e3
+        load = cycles(1, cfg.d_model, cfg.num_heads).load_total / cycles_per_ms
+        table = _ComputeTable(cycles, cfg.d_model, cfg.num_heads,
+                              cycles_per_ms)
+        entry = self._decode[model] = (load, table.__getitem__,
+                                       cfg.num_layers)
+        return entry
 
     def decode_step_ms(self, model: str, cache_lens: Sequence[int]) -> float:
         """One engine step decoding one token for every sequence.
@@ -228,11 +247,11 @@ class GenerationServiceModel:
         """
         if not cache_lens:
             return 0.0
-        cfg = self.config(model)
-        per_layer = (self._layer_load_ms(model)
-                     + sum(self._layer_compute_ms(model, cl)
-                           for cl in cache_lens))
-        return per_layer * cfg.num_layers
+        entry = self._decode.get(model)
+        if entry is None:
+            entry = self._decode_table(model)
+        load, lookup, num_layers = entry
+        return (load + sum(map(lookup, cache_lens))) * num_layers
 
 
 class GenerationClusterSimulator(_FleetSimulator):

@@ -35,7 +35,11 @@ an instance by one token (the decode sweep prices all slots in one
 call), so the event queue holds at most one step event per instance,
 never one per token.  Queue depth is one running counter of queued,
 active and parked sequences, so per-event bookkeeping does not grow
-with fleet size.
+with fleet size.  Most boundaries admit nothing: with an empty queue
+and an unchanged resident model, ``start_step`` skips preemption,
+admission and switch pricing and goes straight to the step tail it
+shares with the admission branch, and ``finish_step`` builds the
+surviving set and the records only when a sequence finished.
 
 Observer contract: attached observers receive every event tuple —
 ``("arrive", t, rid, model, inst)``, ``("admit", t, inst, rid, prompt,
@@ -127,7 +131,8 @@ class _GenInst(_Inst):
         super().__init__(idx, spec, reprogram_ms)
         self.slots = spec.slots if spec.slots is not None else slots
         self.active: List[_Seq] = []
-        self.step_done: List[Tuple[_Seq, bool]] = []
+        #: The decode set of the step in flight (``()`` between steps).
+        self.step_done: Sequence[_Seq] = ()
         self.steps = 0
         self.prefills = 0
         self.tokens = 0
@@ -301,55 +306,67 @@ class GenerationEngine(_FleetEngine):
             """Admit at the boundary, then run one engine step."""
             if inst.down or inst.busy_until > now + _EPS:
                 return
-            if priority_mode:
-                preempt_for(inst, now)
-            admitted: List[Union[GenerationRequest, _Resume]] = []
-            resident = inst.active[0].req.model if inst.active else None
-            while len(inst.active) + len(admitted) < inst.slots:
-                entry = take_next(inst, resident)
-                if entry is None:
-                    break
-                admitted.append(entry)
-                if resident is None:
-                    resident = entry.model
-            if not admitted and not inst.active:
-                return
-            model = resident
-            switched = inst.resident != model
-            if switched:
-                service.config(model)  # validate before residency
-                inst.resident = model
-                inst.switch_count += 1
-                inst.reprogram_time_ms += inst.reprogram_ms
-                switch_ms = inst.reprogram_ms
-            else:
-                switch_ms = 0.0
-            inst.last_model = model
+            active = inst.active
             speed = inst.speed
-
-            # Decode sweep covers sequences active *before* this step;
-            # the newly admitted prefill inside it and join the next one.
-            decoding = list(inst.active)
-            duration = switch_ms
-            for entry in admitted:
-                if type(entry) is _Resume:
-                    seq = entry.seq
-                    duration += prefill_ms(model, seq.cached) / speed
-                    inst.active.append(seq)
-                    inst.prefills += 1
-                    if emit is not None:
-                        emit(("resume", now, inst.idx, seq.req.rid,
-                              seq.cached, seq.remaining))
+            if (not inst.queue and active
+                    and active[0].req.model == inst.resident):
+                # Nothing waits and the weights stay: no preemption, no
+                # admission, no switch — the step is the decode sweep.
+                model = inst.resident
+                # The active list itself: it changes in place only at
+                # a boundary, after finish_step has advanced it.
+                decoding = active
+                n_admitted = 0
+                duration = 0.0
+            else:
+                if priority_mode:
+                    preempt_for(inst, now)
+                admitted: List[Union[GenerationRequest, _Resume]] = []
+                resident = active[0].req.model if active else None
+                while len(active) + len(admitted) < inst.slots:
+                    entry = take_next(inst, resident)
+                    if entry is None:
+                        break
+                    admitted.append(entry)
+                    if resident is None:
+                        resident = entry.model
+                if not admitted and not active:
+                    return
+                model = resident
+                if inst.resident != model:
+                    service.config(model)  # validate before residency
+                    inst.resident = model
+                    inst.switch_count += 1
+                    inst.reprogram_time_ms += inst.reprogram_ms
+                    duration = inst.reprogram_ms
                 else:
-                    duration += prefill_ms(model, entry.prompt_tokens) / speed
-                    seq = _Seq(entry, t_admit=now, t_first=now + duration)
-                    inst.active.append(seq)
-                    inst.prefills += 1
-                    inst.requests += 1
-                    inst.tokens += 1  # the prefill's first token
-                    if emit is not None:
-                        emit(("admit", now, inst.idx, entry.rid,
-                              entry.prompt_tokens, entry.output_tokens))
+                    duration = 0.0
+                # Decode sweep covers sequences active *before* this
+                # step; the newly admitted prefill inside it and join
+                # the next one.
+                decoding = list(active)
+                n_admitted = len(admitted)
+                for entry in admitted:
+                    if type(entry) is _Resume:
+                        seq = entry.seq
+                        duration += prefill_ms(model, seq.cached) / speed
+                        active.append(seq)
+                        inst.prefills += 1
+                        if emit is not None:
+                            emit(("resume", now, inst.idx, seq.req.rid,
+                                  seq.cached, seq.remaining))
+                    else:
+                        duration += (prefill_ms(model, entry.prompt_tokens)
+                                     / speed)
+                        seq = _Seq(entry, t_admit=now, t_first=now + duration)
+                        active.append(seq)
+                        inst.prefills += 1
+                        inst.requests += 1
+                        inst.tokens += 1  # the prefill's first token
+                        if emit is not None:
+                            emit(("admit", now, inst.idx, entry.rid,
+                                  entry.prompt_tokens, entry.output_tokens))
+            inst.last_model = model
             if decoding:
                 duration += decode_step_ms(
                     model, [s.cached + 1 for s in decoding]) / speed
@@ -357,22 +374,17 @@ class GenerationEngine(_FleetEngine):
             inst.busy_until = end
             inst.busy_ms += duration
             inst.steps += 1
-            inst.step_done = [(s, True) for s in decoding]
+            inst.step_done = decoding
             inst.tokens += len(decoding)
             if emit is not None:
-                emit(("step", now, inst.idx, model, len(admitted),
+                emit(("step", now, inst.idx, model, n_admitted,
                       len(decoding), duration))
             push(end, _P_STEP, ("step", inst, inst.epoch))
             sample((now, depth))
 
-        def finish_step(inst: _GenInst, now: float) -> None:
-            """Step boundary: emit tokens, vacate finished sequences."""
+        def vacate(inst: _GenInst, now: float) -> None:
+            """Record every finished sequence and free its slot."""
             nonlocal depth
-            for seq, decoded in inst.step_done:
-                if decoded:
-                    seq.cached += 1
-                    seq.remaining -= 1
-            inst.step_done = []
             still: List[_Seq] = []
             for seq in inst.active:
                 if seq.remaining <= 0 and seq.t_first <= now + _EPS:
@@ -391,6 +403,18 @@ class GenerationEngine(_FleetEngine):
                     still.append(seq)
             depth -= len(inst.active) - len(still)
             inst.active = still
+
+        def finish_step(inst: _GenInst, now: float) -> None:
+            """Step boundary: emit tokens, vacate finished sequences."""
+            for seq in inst.step_done:
+                seq.cached += 1
+                seq.remaining -= 1
+            inst.step_done = ()
+            limit = now + _EPS
+            for seq in inst.active:
+                if seq.remaining <= 0 and seq.t_first <= limit:
+                    vacate(inst, now)
+                    break
             sample((now, depth))
             start_step(inst, now)
 
@@ -431,10 +455,9 @@ class GenerationEngine(_FleetEngine):
                 inst.busy_ms -= inst.busy_until - now
                 inst.busy_until = now
                 inst.epoch += 1
-                inst.tokens -= sum(
-                    1 for _, decoded in inst.step_done if decoded)
-                decoding_ids = {id(s) for s, _ in inst.step_done}
-            inst.step_done = []
+                inst.tokens -= len(inst.step_done)
+                decoding_ids = {id(s) for s in inst.step_done}
+            inst.step_done = ()
             for seq in inst.active:
                 retries[seq.req.rid] = retries.get(seq.req.rid, 0) + 1
                 if seq.t_first <= now + _EPS:

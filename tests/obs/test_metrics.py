@@ -160,6 +160,40 @@ class TestSampler:
         assert reg.histograms["step_ms"].samples == [0.75]
         assert reg.gauges["in_flight"].value == 0.0
 
+    def test_tokens_count_only_what_completed_steps_delivered(self):
+        """An aborted step's tokens never count, except a first token
+        that had landed (its sequence comes back as a resume); a
+        resume's re-prefill counts nothing."""
+        s = MetricsSampler(grid_ms=100.0)
+        tokens = s.registry.counters["tokens"]
+        s(("arrive", 0.0, 0, "m", 0))
+        s(("arrive", 0.0, 1, "m", 0))
+        s(("admit", 0.0, 0, 0, 8, 2))
+        s(("admit", 0.0, 0, 1, 8, 2))
+        s(("step", 0.0, 0, "m", 2, 0, 2.0))  # 2 first tokens pend
+        s(("fail", 1.0, 0))  # rid 0's prefill landed, rid 1's did not
+        assert tokens.value == 0.0
+        s(("recover", 4.0, 0))
+        s(("requeue", 4.0, 0, 0))
+        s(("requeue", 4.0, 1, 0))
+        s(("resume", 5.0, 0, 0, 8, 1))  # rid 0's first token: counts now
+        s(("admit", 5.0, 0, 1, 8, 2))  # rid 1 restarts from scratch
+        assert tokens.value == 1.0
+        s(("step", 5.0, 0, "m", 2, 0, 2.0))
+        s(("step", 7.0, 0, "m", 0, 2, 1.0))  # the step at 5 completed
+        assert tokens.value == 2.0
+        s(("finish", 8.0, 0, 0))
+        s(("finish", 8.0, 0, 1))
+        assert tokens.value == 4.0  # == the two records' output tokens
+        assert s.registry.counters["steps"].value == 3
+
+    def test_a_step_ending_at_the_fault_completes(self):
+        s = MetricsSampler(grid_ms=100.0)
+        s(("admit", 0.0, 0, 0, 8, 1))
+        s(("step", 0.0, 0, "m", 1, 0, 1.0))
+        s(("fail", 1.0, 0))  # the completion sorts ahead of the fault
+        assert s.registry.counters["tokens"].value == 1.0
+
     def test_failure_folds_levels_and_requeue_restores(self):
         s = MetricsSampler(grid_ms=100.0)
         s(("arrive", 0.0, 0, "m", 0))

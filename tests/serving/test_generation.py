@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import ProTEA
 from repro.isa import SynthParams
+from repro.nn.model_zoo import MODEL_ZOO
 from repro.serving import (
     GenerationRequest,
     LengthSampler,
@@ -18,7 +19,8 @@ from repro.serving import (
     simulate_generation,
     summarize_generation,
 )
-from repro.serving.generation import GenerationClusterSimulator
+from repro.serving.generation import (GenerationClusterSimulator,
+                                     GenerationServiceModel)
 
 from .._events import run_events
 
@@ -240,6 +242,57 @@ class TestSimulator:
             GenerationClusterSimulator(accel, 1, slots=0)
         with pytest.raises(ValueError):
             GenerationClusterSimulator(accel, 1, reprogram_latency_ms=-1)
+
+
+class TestDecodeTable:
+    """The decode sweep is priced from one per-model table, exactly as
+    :meth:`~repro.core.latency.LatencyModel.decode_layer_cycles` gives
+    it: the weight-stream term once per layer plus each sequence's
+    compute term, added left to right, times the layer count."""
+
+    @staticmethod
+    def _reference(accel, cfg, cache_lens):
+        cycles = accel.latency_model.decode_layer_cycles
+        per_ms = accel.clock_mhz * 1e3
+        compute = 0
+        for cache_len in cache_lens:
+            compute += cycles(cache_len, cfg.d_model,
+                              cfg.num_heads).compute_total / per_ms
+        load = cycles(1, cfg.d_model, cfg.num_heads).load_total / per_ms
+        return (load + compute) * cfg.num_layers
+
+    def test_every_model_and_cache_length(self, accel):
+        service = GenerationServiceModel(accel)
+        for name, cfg in MODEL_ZOO.items():
+            for cache_len in range(1, accel.synth.max_seq_len + 1):
+                assert (service.decode_step_ms(name, [cache_len])
+                        == self._reference(accel, cfg, [cache_len])), (
+                    name, cache_len)
+
+    def test_mixed_length_sweeps(self, accel):
+        service = GenerationServiceModel(accel)
+        rng = random.Random(3)
+        top = accel.synth.max_seq_len
+        for name, cfg in MODEL_ZOO.items():
+            for size in (2, 3, 8, 17):
+                lens = [rng.randint(1, top) for _ in range(size)]
+                assert (service.decode_step_ms(name, lens)
+                        == self._reference(accel, cfg, lens)), (name, lens)
+        assert service.decode_step_ms("model2-lhc-trigger", []) == 0.0
+
+    def test_one_compute_memo(self, accel):
+        service = GenerationServiceModel(accel)
+        service.decode_step_ms("model2-lhc-trigger", [5, 9, 5])
+        service.prefill_ms("model2-lhc-trigger", 12)
+        memos = sorted(name for name, value in vars(service).items()
+                       if isinstance(value, dict) and name != "models")
+        assert memos == ["_decode", "_prefill"]
+        assert list(service._decode) == ["model2-lhc-trigger"]
+
+    def test_unknown_model_raises(self, accel):
+        service = GenerationServiceModel(accel)
+        with pytest.raises(KeyError, match="unknown model"):
+            service.decode_step_ms("no-such-model", [4])
 
 
 class TestSummarize:

@@ -20,7 +20,11 @@ detail, each bare, observed and profiled — and the results must agree:
   counted on records rather than duplicated, per-instance request
   counts sum to the report total, no instance is busy longer than the
   makespan, availability lies in [0, 1] on failure runs, and no
-  queue-depth sample is negative;
+  queue-depth sample is negative; for generation
+  (:func:`_check_token_conservation`) the instances' token counts sum
+  to the records' output tokens, their step counts to the observed
+  ``step`` events, and a :class:`~repro.obs.MetricsSampler`'s
+  ``tokens`` counter ends at the report's ``total_tokens``;
 * **no cycles** (:func:`tests.sim.test_gc_pause.acyclic`): each run
   leaves nothing for the cyclic garbage collector to free and leaves it
   on or off as it found it — the invariant the engines' collector pause
@@ -152,14 +156,20 @@ def _check_conservation(sim, requests, full, summ, total):
     assert summ.depth_last >= 0
 
 
-def _observer(events):
+def _observer(events, sampler=None):
     """A list tap plus the obs stack the CLI attaches."""
-    return compose(events.append, MetricsSampler(grid_ms=10.0),
+    return compose(events.append,
+                   sampler if sampler is not None
+                   else MetricsSampler(grid_ms=10.0),
                    Watchdog(slo_ms=20.0))
 
 
 def _check_modes(sim, requests, report):
-    """Run six ways and cross-check (see the module docstring)."""
+    """Run six ways and cross-check (see the module docstring).
+
+    Returns the bare full-detail result, the event stream observed at
+    full detail and the :class:`MetricsSampler` that observed it.
+    """
     def run(**kwargs):
         return acyclic(sim.run, requests, **kwargs)
 
@@ -170,7 +180,8 @@ def _check_modes(sim, requests, report):
     _check_conservation(sim, requests, full, summ, rep_full.total_requests)
 
     seen_full, seen_summ = [], []
-    observed = run(observer=_observer(seen_full))
+    sampler = MetricsSampler(grid_ms=10.0)
+    observed = run(observer=_observer(seen_full, sampler))
     assert observed.records == full.records
     assert observed.queue_samples == full.queue_samples
     assert observed.instances == full.instances
@@ -187,6 +198,17 @@ def _check_modes(sim, requests, report):
     assert run(profiler=prof_summ, detail="summary") == summ
     assert prof_summ.counts == prof_full.counts
     assert prof_full.counts.get("arrival", 0) == len(requests)
+    return full, seen_full, sampler
+
+
+def _check_token_conservation(full, events, sampler):
+    """Generation's token ledgers agree: the instances' counts, the
+    records, the observed step events and the metrics sampler."""
+    delivered = sum(r.output_tokens for r in full.records)
+    assert sum(i.tokens for i in full.instances) == delivered
+    assert (sum(i.steps for i in full.instances)
+            == sum(1 for e in events if e[0] == "step"))
+    assert sampler.registry.counters["tokens"].value == full.total_tokens
 
 
 def serve_case(accel, scenario, batch, size, jitter, qps):
@@ -268,5 +290,7 @@ def test_generate_modes_agree(default_accel, scenario, slots, priority,
         scheduler=scenario["scheduler"], reprogram_latency_ms=1.0,
         failures=scenario["failures"],
         preemption=None if priority is None else bool(priority))
-    _check_modes(sim, requests, lambda r: summarize_generation(
-        r, ttft_slo_ms=20.0, tpot_slo_ms=2.0))
+    full, events, sampler = _check_modes(
+        sim, requests, lambda r: summarize_generation(
+            r, ttft_slo_ms=20.0, tpot_slo_ms=2.0))
+    _check_token_conservation(full, events, sampler)

@@ -16,7 +16,7 @@ paper leaves implicit:
 import numpy as np
 import pytest
 
-from repro.analysis import grid_sweep, render_table
+from repro.analysis import render_table
 from repro.core import DatapathFormats
 from repro.core.attention_module import AttentionModule
 from repro.core.ffn_module import FFNModule
@@ -41,12 +41,9 @@ def _latency_ms(double_buffered=False, axi_bits=64, seq_chunk=64,
 
 def test_ablation_double_buffering(benchmark, save_artifact):
     def sweep():
-        return grid_sweep({"double_buffered": [False, True]},
-                          lambda double_buffered: _latency_ms(
-                              double_buffered=double_buffered))
+        return [_latency_ms(double_buffered=db) for db in (False, True)]
 
-    results = benchmark(sweep)
-    serial, overlapped = (r.value for r in results)
+    serial, overlapped = benchmark(sweep)
     assert overlapped < serial
     text = render_table(
         ["buffering", "latency_ms", "saving_%"],
@@ -62,11 +59,9 @@ def test_ablation_axi_width(benchmark, save_artifact):
     widths = [32, 64, 128, 256, 512]
 
     def sweep():
-        return grid_sweep({"axi_bits": widths},
-                          lambda axi_bits: _latency_ms(axi_bits=axi_bits))
+        return [_latency_ms(axi_bits=w) for w in widths]
 
-    results = benchmark(sweep)
-    lat = [r.value for r in results]
+    lat = benchmark(sweep)
     assert lat == sorted(lat, reverse=True)  # wider is never slower
     text = render_table(
         ["axi_bits", "latency_ms"],
@@ -80,12 +75,10 @@ def test_ablation_sequence_chunk(benchmark, save_artifact):
     """At SL=128, a 128-deep score buffer removes the chunk-pair
     overhead of the attention engines."""
     def sweep():
-        return grid_sweep(
-            {"seq_chunk": [32, 64, 128]},
-            lambda seq_chunk: _latency_ms(seq_chunk=seq_chunk, seq_len=128))
+        return {c: _latency_ms(seq_chunk=c, seq_len=128)
+                for c in (32, 64, 128)}
 
-    results = benchmark(sweep)
-    lat = {r.params["seq_chunk"]: r.value for r in results}
+    lat = benchmark(sweep)
     assert lat[128] < lat[32]
     text = render_table(
         ["seq_chunk", "latency_ms @ SL=128"],

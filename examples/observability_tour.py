@@ -27,7 +27,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from repro import FailurePlan, ProTEA, SynthParams
+from repro import FailurePlan, ProTEA, SynthParams, get_model
 from repro.dse import Axis, Objective, SearchSpace, explore
 from repro.obs import (
     AnomalyDetector,
@@ -178,8 +178,8 @@ print(render_diff(self_diff, name_a="run.json", name_b="rerun.json"))
 
 
 def measure(point, settings):
-    accel = ProTEA.synthesize(SynthParams(n_tiles_mha=point["tiles"]))
-    latency = accel.latency_ms("model2-lhc-trigger")
+    accel = ProTEA.synthesize(SynthParams().with_tiles(point["tiles"], 6))
+    latency = accel.latency_ms(get_model("model2-lhc-trigger"))
     return {"latency_ms": latency, "tiles": float(point["tiles"])}
 
 
@@ -201,6 +201,8 @@ print(f"\nDSE cold: {cold.profile.cache_misses} miss(es), "
 print(f"DSE warm: {warm.profile.cache_hits} hit(s), "
       f"{len(warm.profile.points)} fresh evaluation(s)")
 assert cold.profile.cache_misses == 3 and cold.profile.cache_hits == 0
+assert all(r.ok for r in cold.results), [r.error for r in cold.results]
+assert len(cold.profile.points) == 3  # every miss was evaluated
 assert warm.profile.cache_hits == 3 and not warm.profile.points
 assert ([r.objectives for r in cold.results]
         == [r.objectives for r in warm.results])

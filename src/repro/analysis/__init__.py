@@ -1,5 +1,5 @@
 """Analysis helpers: op counting, accuracy/SQNR reports, memory
-traffic profiles, table rendering, sweeps."""
+traffic profiles and table rendering."""
 
 from .accuracy import AccuracyReport, StageError, evaluate_accuracy, sqnr_db
 from .metrics import (
@@ -10,7 +10,6 @@ from .metrics import (
     gops_per_dsp,
     speedup,
 )
-from .sweep import SweepResult, grid_sweep
 from .traffic import TrafficReport, analyze_traffic
 from .tables import format_value, render_table
 
@@ -29,6 +28,4 @@ __all__ = [
     "speedup",
     "render_table",
     "format_value",
-    "SweepResult",
-    "grid_sweep",
 ]

@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import math
 
+from .._checks import check_count
+
 __all__ = ["erlang_c", "wait_quantile_ms", "latency_quantile_ms",
            "p99_estimate_ms", "min_stable_fleet"]
 
@@ -53,9 +55,8 @@ def erlang_c(servers: int, erlangs: float) -> float:
     (no factorials); ``erlangs >= servers`` returns 1.0 — saturated
     queues wait with certainty.
     """
-    if servers < 1:
-        raise ValueError(f"servers must be >= 1, got {servers}")
-    if erlangs < 0:
+    check_count("servers", servers)
+    if not erlangs >= 0:  # NaN fails; +inf saturates below
         raise ValueError(f"offered load must be >= 0, got {erlangs}")
     if erlangs == 0:
         return 0.0

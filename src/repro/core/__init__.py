@@ -8,6 +8,12 @@ Public entry points:
 * :func:`~repro.core.design_space.tile_size_sweep` — Fig. 7.
 * :func:`~repro.core.resource_model.max_parallel_heads` — the "8 heads
   fit the U55C" analysis.
+
+The paper's tiling is written once, bit-exact, in
+:mod:`~repro.core.engines`: ``tiled_fx_matmul_reduction`` (Fig. 5,
+reduction tiles) and ``tiled_fx_matmul_2d`` (Fig. 6, output-column
+tiles outer, reduction tiles inner).  :mod:`repro.isa.compiler` emits
+its FFN tile instructions in the same order.
 """
 
 from .accelerator import ProTEA
@@ -34,15 +40,6 @@ from .resource_model import (
 from .runtime import ProgramExecutor, RuntimeSession, TileNotResidentError
 from .softmax_unit import SoftmaxUnit
 from .timeline import Timeline, TimelineEvent, TimelineSimulator
-from .tiling import (
-    Tile2D,
-    TileIndex,
-    iter_reduction_tiles,
-    iter_tiles_2d,
-    num_tiles,
-    tiled_matmul_ffn,
-    tiled_matmul_mha,
-)
 
 __all__ = [
     "ProTEA",
@@ -79,11 +76,4 @@ __all__ = [
     "tile_size_sweep",
     "normalize_latency",
     "find_optimum",
-    "TileIndex",
-    "Tile2D",
-    "num_tiles",
-    "iter_reduction_tiles",
-    "iter_tiles_2d",
-    "tiled_matmul_mha",
-    "tiled_matmul_ffn",
 ]

@@ -17,8 +17,9 @@ The engine is deliberately generic: an evaluator is any callable
 ``(point, settings) -> mapping of metrics`` (module-level and picklable
 if ``jobs > 1``); objectives name the metrics that feed the Pareto
 frontier.  :func:`repro.dse.objectives.evaluate_point` is the standard
-ProTEA evaluator, but :func:`repro.analysis.sweep.grid_sweep` and the
-experiment sweeps run arbitrary callables through this same engine.
+ProTEA evaluator, but :func:`repro.core.design_space.tile_size_sweep`
+and the experiment sweeps run arbitrary callables through this same
+engine.
 
 Results are deterministic for a fixed (space, strategy, seed,
 settings): batch order follows the strategy, within-batch order follows

@@ -1,7 +1,6 @@
 """Controller substrate: config registers, instruction set, compiler,
 interpreter — ProTEA's runtime-programmability machinery."""
 
-from .asm import AsmSyntaxError, assemble, disassemble
 from .compiler import ProgramStats, compile_program, program_stats
 from .controller import (
     REGISTER_MAP,
@@ -13,9 +12,6 @@ from .instructions import Instruction, Opcode, decode, encode
 from .interpreter import ExecutionTrace, Interpreter, UnhandledOpcodeError
 
 __all__ = [
-    "assemble",
-    "disassemble",
-    "AsmSyntaxError",
     "Opcode",
     "Instruction",
     "encode",

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
-from .._checks import check_count
+from .._checks import check_count, is_count
 from ..memory.axi import AXILiteSlave
 from ..nn.model_zoo import TransformerConfig
 
@@ -55,9 +55,12 @@ class SynthParams:
     data_bits: int = 8
 
     def __post_init__(self) -> None:
-        if self.ts_mha < 1 or self.ts_ffn < 1:
+        if not (is_count(self.ts_mha) and is_count(self.ts_ffn)):
             raise ValueError("tile sizes must be positive")
-        if self.seq_chunk < 1 or self.seq_chunk > self.max_seq_len:
+        for name in ("max_heads", "max_layers", "max_d_model",
+                     "max_seq_len", "data_bits"):
+            check_count(name, getattr(self, name))
+        if not is_count(self.seq_chunk) or self.seq_chunk > self.max_seq_len:
             raise ValueError("seq_chunk must be in [1, max_seq_len]")
         if self.max_d_model % self.max_heads:
             raise ValueError("max_d_model must be divisible by max_heads")

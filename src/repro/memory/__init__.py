@@ -1,8 +1,7 @@
-"""Memory-system substrate: HBM channels, AXI transactions, buffer
-fill costs and double-buffered load/compute overlap."""
+"""Memory-system substrate: HBM channels, AXI transactions and
+double-buffered load/compute overlap."""
 
 from .axi import AXI4Master, AXILiteSlave
-from .bram import BufferFillModel
 from .dma import (
     OverlapReport,
     TilePhase,
@@ -18,7 +17,6 @@ __all__ = [
     "AXILiteSlave",
     "HBMChannel",
     "HBMSubsystem",
-    "BufferFillModel",
     "TilePhase",
     "OverlapReport",
     "overlapped_cycles",

@@ -7,7 +7,6 @@ store/extractor that stands in for the paper's PyTorch ``.pth`` flow.
 
 from .attention import AttentionTrace, MultiHeadAttention
 from .decoder import CrossAttention, Decoder, DecoderLayer, causal_mask
-from .embedding import Embedding, sinusoidal_positional_encoding
 from .encoder import ACTIVATIONS, Encoder, EncoderLayer, FeedForward
 from .functional import (
     attention_scale,
@@ -54,8 +53,6 @@ __all__ = [
     "EncoderLayer",
     "Encoder",
     "ACTIVATIONS",
-    "Embedding",
-    "sinusoidal_positional_encoding",
     "TransformerConfig",
     "MODEL_ZOO",
     "BERT_VARIANT",

@@ -16,12 +16,11 @@ Observability pillars, all opt-in and all zero-cost when left detached:
   :class:`DseProfile` instruments :func:`repro.dse.engine.explore`
   with cache hit/miss counts and a per-worker dispatch/idle breakdown
   (``--profile``).
-* **watching** (:mod:`repro.obs.windows` / :mod:`repro.obs.alerts` /
-  :mod:`repro.obs.anomaly`) — windowed time-series aggregation in
-  sim-time, alert rules (static thresholds, sustained levels, and
-  multi-window error-budget :class:`BurnRateRule` burn rates), and a
-  rolling-median + MAD :class:`AnomalyDetector`, all glued to a live
-  run by the :class:`Watchdog` observer (``--watch``).
+* **watching** (:mod:`repro.obs.alerts` / :mod:`repro.obs.anomaly`) —
+  alert rules (static thresholds, sustained levels, and multi-window
+  error-budget :class:`BurnRateRule` burn rates over trailing sim-time
+  windows), and a rolling-median + MAD :class:`AnomalyDetector`, all
+  glued to a live run by the :class:`Watchdog` observer (``--watch``).
 * **analytics** (:mod:`repro.obs.diff` / :mod:`repro.obs.
   bench_history`) — run-to-run regression detection between two
   ``--json`` exports (:func:`diff_runs`) and trend/gate analytics over
@@ -60,8 +59,6 @@ from .profile import (
     render_kernel_profile,
 )
 from .trace import TraceRecorder, render_trace_summary, summarize_trace
-from .windows import GaugeWindow, SlidingWindow, TumblingWindow
-from .windows import windowed_series
 
 __all__ = [
     "TraceRecorder",
@@ -76,10 +73,6 @@ __all__ = [
     "DseProfile",
     "render_kernel_profile",
     "render_dse_profile",
-    "SlidingWindow",
-    "TumblingWindow",
-    "GaugeWindow",
-    "windowed_series",
     "Alert",
     "AlertRule",
     "ThresholdRule",

@@ -214,8 +214,8 @@ class BurnRateRule(AlertRule):
 
     def observe(self, t_ms: float, ok: bool) -> None:
         bad = 0 if ok else 1
-        # Samples exactly window-width old evict: each window covers
-        # the half-open interval (t - width, t], matching SlidingWindow.
+        # Each window covers the half-open interval (t - width, t]:
+        # a sample exactly one width old is evicted.
         fast = self._fast
         fast.append((t_ms, bad))
         self._fast_bad += bad

@@ -45,6 +45,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter
+from types import MethodType
 from typing import Callable, List, Optional, Tuple
 
 __all__ = ["Event", "EventQueue", "Simulation", "CompositeObserver"]
@@ -203,18 +204,31 @@ def _timed(record, on_arrival, handle):
     return timed_arrival, timed_handle
 
 
+def _bound_call(observer: Callable[[tuple], None]) -> Callable[[tuple], None]:
+    """``observer``'s call, bound once.
+
+    An instance whose class defines ``__call__`` (the stock observers
+    alias it to ``on_event``) is otherwise looked up through the type
+    slot on every event; functions and builtins are returned as they
+    are.
+    """
+    call = getattr(observer, "__call__", None)
+    return call if isinstance(call, MethodType) else observer
+
+
 class CompositeObserver:
     """Fan one engine event stream out to several observers, in order,
     and forward ``finish(t_ms)`` to each part that defines it."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_calls")
 
     def __init__(self, parts: tuple) -> None:
         self.parts = parts
+        self._calls = tuple(_bound_call(part) for part in parts)
 
     def __call__(self, event: tuple) -> None:
-        for part in self.parts:
-            part(event)
+        for call in self._calls:
+            call(event)
 
     def finish(self, t_ms: float) -> None:
         for part in self.parts:

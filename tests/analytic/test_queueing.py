@@ -32,6 +32,7 @@ class TestErlangC:
     def test_saturation_always_waits(self):
         assert erlang_c(2, 2.0) == 1.0
         assert erlang_c(2, 5.0) == 1.0
+        assert erlang_c(2, math.inf) == 1.0
 
     def test_known_value(self):
         # Classic M/M/c result: c=2, a=1 erlang -> Pw = 1/3.

@@ -64,6 +64,20 @@ class TestTiledMatmuls:
         with pytest.raises(ValueError):
             tiled_fx_matmul_2d(x, w, 2, 2)
 
+    @pytest.mark.parametrize("d", [1, 64, 768, 3072])
+    @pytest.mark.parametrize("tiled", ["reduction", "2d"])
+    def test_worst_case_dot_product_never_saturates(self, d, tiled):
+        """The accumulator's guard bits hold a full-scale ``d``-long
+        reduction: all-(-128) products at the positive end and
+        (-128)·127 at the negative end come out exact."""
+        x = FxTensor(np.full((1, d), -128, dtype=np.int64), Q84)
+        w = FxTensor(np.array([[-128, 127]] * d, dtype=np.int64), Q84)
+        if tiled == "reduction":
+            out = tiled_fx_matmul_reduction(x, w, 64)
+        else:
+            out = tiled_fx_matmul_2d(x, w, 64, 1)
+        assert out.raw.tolist() == [[128 * 128 * d, -128 * 127 * d]]
+
     def test_bias_add_requantize(self):
         x = FxTensor(np.array([[10, 20]]), Q84)
         w = FxTensor(np.eye(2, dtype=np.int64) * 16, Q84)  # identity
@@ -72,6 +86,56 @@ class TestTiledMatmuls:
         out = add_bias_and_requantize(acc, bias, Q84)
         expect = x.to_float() + np.array([0.5, -0.5])
         assert np.allclose(out.to_float(), expect, atol=Q84.scale)
+
+
+class TestFig5WorkedExample:
+    """The 2x3 by 3x6 reduction-tiled product drawn in Fig. 5."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        self.x = FxTensor(rng.integers(-4, 5, size=(2, 3)), Q84)
+        self.w = FxTensor(rng.integers(-4, 5, size=(3, 6)), Q84)
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 4])
+    def test_every_tile_width_is_bit_exact(self, tile):
+        # Width 1 is the figure's extreme; 2 is ragged, 4 overhangs.
+        out = tiled_fx_matmul_reduction(self.x, self.w, tile)
+        assert np.array_equal(out.raw, self.x.raw @ self.w.raw)
+
+    def test_partial_products_accumulate(self):
+        """The first tile's partial product X[:, 0]·W[0, :] plus the
+        remaining tiles' is the whole product."""
+        first = tiled_fx_matmul_reduction(
+            FxTensor(self.x.raw[:, :1], Q84),
+            FxTensor(self.w.raw[:1, :], Q84), 1)
+        rest = tiled_fx_matmul_reduction(
+            FxTensor(self.x.raw[:, 1:], Q84),
+            FxTensor(self.w.raw[1:, :], Q84), 1)
+        assert np.array_equal(first.raw + rest.raw,
+                              self.x.raw @ self.w.raw)
+
+
+class TestFig6WorkedExample:
+    """The 2x4 by 4x6 two-dimensionally tiled product drawn in Fig. 6."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(6)
+        self.x = FxTensor(rng.integers(-4, 5, size=(2, 4)), Q84)
+        self.w = FxTensor(rng.integers(-4, 5, size=(4, 6)), Q84)
+
+    @pytest.mark.parametrize("tile_cols", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("tile_rows", [1, 2, 3, 4])
+    def test_every_tile_shape_is_bit_exact(self, tile_rows, tile_cols):
+        out = tiled_fx_matmul_2d(self.x, self.w, tile_rows, tile_cols)
+        assert np.array_equal(out.raw, self.x.raw @ self.w.raw)
+
+    def test_output_column_tile_sums_its_row_tiles(self):
+        """'Output Column = sum over row tiles': the first 3-wide output
+        column tile is its two 2-high reduction tiles added."""
+        x, w = self.x.raw, self.w.raw
+        col0 = x[:, :2] @ w[:2, :3] + x[:, 2:] @ w[2:, :3]
+        out = tiled_fx_matmul_2d(self.x, self.w, 2, 3)
+        assert np.array_equal(out.raw[:, :3], col0)
 
 
 class TestLoopNests:
@@ -120,6 +184,9 @@ class TestReductionPasses:
 
     def test_undersized_still_one_pass(self):
         assert reduction_passes(32, 96) == (1, 96)
+
+    def test_ragged_extent_pads_the_last_pass(self):
+        assert reduction_passes(65, 64) == (2, 128)
 
     def test_validation(self):
         with pytest.raises(ValueError):

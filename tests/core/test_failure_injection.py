@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import ProTEA, SynthParams, TransformerConfig
-from repro.analysis import grid_sweep
+from repro.dse import Axis, SearchSpace, explore
 from repro.core.runtime import ProgramExecutor, TileNotResidentError
 from repro.fixedpoint import FxTensor
 from repro.isa import Instruction, Opcode, compile_program
@@ -125,21 +125,24 @@ class TestInfeasibleCorners:
         from repro.fpga import ZCU102
         from repro.core.resource_model import device_utilization
 
-        def evaluate(heads):
-            synth = dataclasses.replace(SynthParams(), max_heads=heads)
-            return device_utilization(synth, ZCU102, enforce=True)
+        def evaluate(point, settings):
+            synth = dataclasses.replace(SynthParams(),
+                                        max_heads=point["heads"])
+            return {"util": device_utilization(synth, ZCU102,
+                                               enforce=True)}
 
-        results = grid_sweep({"heads": [1, 2, 4, 8]}, evaluate,
-                             continue_on_error=True)
+        space = SearchSpace((Axis("heads", (1, 2, 4, 8)),))
+        results = explore(space, evaluate, continue_on_error=True).results
         assert all(not r.ok for r in results)  # nothing fits ZCU102
         assert all("OverUtilization" in r.error for r in results)
 
     def test_sweep_reports_which_params_failed(self):
-        def evaluate(x):
-            if x > 1:
+        def evaluate(point, settings):
+            if point["x"] > 1:
                 raise ValueError("boom")
-            return x
+            return {"x": point["x"]}
 
-        results = grid_sweep({"x": [1, 2]}, evaluate, continue_on_error=True)
-        assert results[1].params == {"x": 2}
+        space = SearchSpace((Axis("x", (1, 2)),))
+        results = explore(space, evaluate, continue_on_error=True).results
+        assert results[1].point == {"x": 2}
         assert not results[1].ok

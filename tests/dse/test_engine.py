@@ -106,6 +106,20 @@ class TestErrors:
         # Errored points never reach the frontier.
         assert all(r.ok for r in result.frontier)
 
+    def test_error_record_is_type_and_message(self):
+        """An error record keeps the exception type and ``str(exc)``
+        verbatim, and no metrics; its neighbours still score."""
+        def picky(point, settings):
+            if point["a"] % 2:
+                raise KeyError(f"odd {point['a']}")
+            return {"a": point["a"]}
+
+        space = SearchSpace((Axis("a", (1, 2, 3, 4)),))
+        results = explore(space, picky).results
+        assert [r.error for r in results] == [
+            "KeyError: 'odd 1'", "", "KeyError: 'odd 3'", ""]
+        assert [r.metrics for r in results] == [{}, {"a": 2}, {}, {"a": 4}]
+
     def test_error_propagates_when_not_tolerated(self):
         with pytest.raises(ValueError, match="bad corner"):
             explore(_space(), toy_eval, settings={"poison": 1},

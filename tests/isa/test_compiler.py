@@ -43,6 +43,21 @@ class TestProgramShape:
         assert stats.count(Opcode.RUN_FFN1) == 2 * per_layer_ffn1
         assert stats.count(Opcode.RUN_FFN2) == 2 * t_in * 4 * t_out
 
+    def test_ffn_tiles_column_outer_reduction_inner(self):
+        """Fig. 6: tile ``c * t_in + r`` runs output-column tile ``c``,
+        reduction tile ``r``, so one layer's RUN_FFN1 indices count
+        ``0..t_in*t_out-1`` in order, each after its own weight load."""
+        prog = compile_program(SMALL, SMALL_SYNTH)
+        t_in = t_out = 2  # ceil(64/32), ceil(max_d 64 / 32)
+        for layer in range(SMALL.num_layers):
+            runs = [i.tile for i in prog if i.opcode is Opcode.RUN_FFN1
+                    and i.layer == layer]
+            assert runs == list(range(t_in * t_out))
+        for prev, inst in zip(prog, prog[1:]):
+            if inst.opcode is Opcode.RUN_FFN1:
+                assert prev.opcode is Opcode.LOAD_FFN_WEIGHTS
+                assert (prev.tile, prev.arg) == (inst.tile, 1)
+
     def test_loads_only_for_real_tiles(self):
         """With runtime d_model < synthesized max, some output tiles
         have no real weights and must not be loaded."""

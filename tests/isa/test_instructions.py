@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.isa import Instruction, Opcode, decode, encode
+from repro.isa import (
+    Instruction,
+    Opcode,
+    SynthParams,
+    compile_program,
+    decode,
+    encode,
+)
+from repro.nn import TransformerConfig
 
 opcode_strategy = st.sampled_from(list(Opcode))
 instr_strategy = st.builds(
@@ -41,6 +49,18 @@ class TestEncoding:
             Instruction(Opcode.HALT, tile=1 << 16)
         with pytest.raises(ValueError):
             Instruction(Opcode.HALT, arg=1 << 20)
+
+    @pytest.mark.parametrize("field", ["layer", "head", "tile", "arg"])
+    def test_negative_field_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} -1 out of field"):
+            Instruction(Opcode.HALT, **{field: -1})
+
+    def test_compiled_program_roundtrips(self):
+        cfg = TransformerConfig("a", 64, 2, 1, 16)
+        synth = SynthParams(ts_mha=16, ts_ffn=32, max_heads=2, max_layers=2,
+                            max_d_model=64, max_seq_len=16, seq_chunk=16)
+        prog = compile_program(cfg, synth)
+        assert [decode(encode(i)) for i in prog] == prog
 
     def test_decode_rejects_oversized_word(self):
         with pytest.raises(ValueError):

@@ -152,6 +152,19 @@ class TestBurnRateRule:
         rule = BurnRateRule(0.99, 10.0, 20.0, threshold=1.0)
         assert rule.burn_rates() == (0.0, 0.0)
 
+    def test_windows_are_half_open(self):
+        """Each window covers (t - width, t]: a sample exactly one
+        width old is evicted, one just inside is kept."""
+        rule = BurnRateRule(0.5, 10.0, 20.0, threshold=100.0)
+        rule.observe(0.0, ok=False)
+        rule.observe(0.5, ok=False)
+        rule.observe(10.0, ok=True)
+        # fast (0, 10]: {0.5 bad, 10 ok}; slow (-10, 10]: all three.
+        assert rule.burn_rates() == (0.5 / 0.5, (2 / 3) / 0.5)
+        rule.observe(20.0, ok=True)
+        # fast (10, 20]: {20 ok}; slow (0, 20]: {0.5 bad, 10, 20 ok}.
+        assert rule.burn_rates() == (0.0, (1 / 3) / 0.5)
+
     def test_burn_is_violation_fraction_over_budget(self):
         rule = BurnRateRule(0.9, 100.0, 100.0, threshold=100.0)
         outcomes = [False, True, True, False]  # 50% violations

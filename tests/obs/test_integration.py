@@ -112,6 +112,34 @@ class TestComposeHelper:
         both.finish(2.0)
         assert sampler.registry.series[-1]["t_ms"] == 2.0
 
+    def test_composite_feeds_every_part_each_event_in_order(self):
+        log = []
+
+        class Aliased:  # the stock observers' shape
+            def on_event(self, event):
+                log.append(("aliased", event))
+
+            __call__ = on_event
+
+        class Plain:
+            def __call__(self, event):
+                log.append(("plain", event))
+
+        def function(event):
+            log.append(("function", event))
+
+        tail = []
+        both = compose(Aliased(), Plain(), function,
+                       compose(tail.append, Plain()))
+        events = [("arrive", 1.0, 0, "m", 0), ("finish", 2.0, 0),
+                  ("arrive", 3.0, 1, "m", 0)]
+        for event in events:
+            both(event)
+        assert log == [(name, e) for e in events
+                       for name in ("aliased", "plain", "function",
+                                    "plain")]
+        assert tail == events
+
 
 class TestServeWithFailures:
     def test_observed_run_identical_and_gauges_conserved(self, default_accel):

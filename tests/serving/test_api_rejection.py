@@ -12,12 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analytic import estimate_generation, estimate_serving, propose_fleet
+from repro.analytic import (erlang_c, estimate_generation, estimate_serving,
+                            propose_fleet)
 from repro.dse import (Axis, EvolutionaryStrategy, Objective,
                        PrescreenStrategy, RandomStrategy, SearchSpace,
                        evaluate_point, explore, surrogate_point)
 from repro.fixedpoint import QFormat
 from repro.fpga import PowerModel, PowerReport
+from repro.isa import SynthParams
 from repro.nn.model_zoo import MODEL_ZOO, TransformerConfig
 from repro.obs import (AnomalyDetector, MetricsSampler, ThresholdRule,
                        Watchdog, bench_trend, diff_runs)
@@ -56,6 +58,10 @@ NAN_OR_NOT_POSITIVE = (st.sampled_from([math.nan, -math.inf])
                        | st.floats(max_value=0.0, allow_nan=False))
 NEGATIVE = NON_FINITE | st.floats(max_value=0.0, exclude_max=True,
                                   allow_nan=False)
+#: NaN, -inf and finite reals below zero (+inf is a valid load).
+NAN_OR_NEGATIVE = (st.sampled_from([math.nan, -math.inf])
+                   | st.floats(max_value=0.0, exclude_max=True,
+                               allow_nan=False))
 #: Anything but an int >= 1: zero and negative ints, every float
 #: (integral ones included) and bools.
 NOT_COUNT = (st.integers(max_value=0) | st.floats() | st.booleans())
@@ -255,6 +261,22 @@ CASES = [
     ("transformer_config.seq_len",
      lambda v, r: TransformerConfig("x", 64, 2, 1, v), NOT_COUNT),
     ("qformat.total_bits", lambda v, r: QFormat(v, 4), NOT_COUNT),
+    ("synth_params.ts_mha", lambda v, r: SynthParams(ts_mha=v), NOT_COUNT),
+    ("synth_params.ts_ffn", lambda v, r: SynthParams(ts_ffn=v), NOT_COUNT),
+    ("synth_params.max_heads", lambda v, r: SynthParams(max_heads=v),
+     NOT_COUNT),
+    ("synth_params.max_layers", lambda v, r: SynthParams(max_layers=v),
+     NOT_COUNT),
+    ("synth_params.max_d_model", lambda v, r: SynthParams(max_d_model=v),
+     NOT_COUNT),
+    ("synth_params.max_seq_len", lambda v, r: SynthParams(max_seq_len=v),
+     NOT_COUNT),
+    ("synth_params.seq_chunk", lambda v, r: SynthParams(seq_chunk=v),
+     NOT_COUNT | st.integers(min_value=129)),
+    ("synth_params.data_bits", lambda v, r: SynthParams(data_bits=v),
+     NOT_COUNT),
+    ("erlang_c.servers", lambda v, r: erlang_c(v, 0.5), NOT_COUNT),
+    ("erlang_c.erlangs", lambda v, r: erlang_c(2, v), NAN_OR_NEGATIVE),
     ("qformat.frac_bits", lambda v, r: QFormat(8, v), NOT_INT),
     ("evaluate_point.tiles_mha",
      lambda v, r: evaluate_point({"model": MODEL, "tiles_mha": v}),

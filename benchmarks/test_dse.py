@@ -120,7 +120,7 @@ def test_bench_eval_points_per_s(record_perf):
     from repro.dse import objectives
 
     objectives._SYNTH_MEMO.clear()
-    objectives._UNIT_MEMO.clear()
+    objectives._GROUP_MEMO.clear()
     objectives._ARRIVALS_MEMO.clear()
     points = list(SPACE.grid())
     t0 = time.perf_counter()

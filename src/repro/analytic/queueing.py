@@ -89,7 +89,7 @@ def wait_quantile_ms(servers: int, erlangs: float, drain_per_ms: float,
     """
     if not 0 <= q <= 100:
         raise ValueError("q must be in [0, 100]")
-    if drain_per_ms <= 0:
+    if not drain_per_ms > 0:
         raise ValueError("wait_quantile_ms needs drain_per_ms > 0 "
                          "(saturated queues have no steady-state wait)")
     wait_probability = erlang_c(servers, erlangs)

@@ -798,11 +798,13 @@ def _cmd_partition(args) -> None:
 
 def _csv_ints(text: str, flag: str) -> tuple:
     try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
+        values = tuple(int(v) for v in text.split(",") if v.strip())
+        if all(v >= 1 for v in values):
+            return values
     except ValueError:
-        raise ValueError(
-            f"invalid {flag} {text!r} (expected comma-separated "
-            "integers)") from None
+        pass
+    raise ValueError(f"invalid {flag} {text!r} (expected comma-separated "
+                     "integers >= 1)")
 
 
 def _csv_strs(text: str) -> tuple:

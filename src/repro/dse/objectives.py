@@ -25,20 +25,29 @@ round-trip through the on-disk :class:`~repro.dse.cache.EvalCache`.
 Both this evaluator and the prescreen surrogate
 (:mod:`repro.dse.surrogate`) start from one model of the point,
 :func:`design_point`: the checked counts, the synthesized instance and
-its fit, the unit latency and the power.  The evaluator adds only its
-simulations.
+its fit, the served target, the unit latency and the power.  The
+evaluator adds only its simulations.
+
+A point is priced by the plan it is served on.  :func:`design_point`
+builds the served target once — the synthesized instance, or for
+``devices > 1`` a :class:`~repro.parallel.PipelineGroup` — and reads
+``latency_ms`` and the unit rate from it; every simulation then runs
+on that same target.  A group plans for latency (its fill time),
+because the serving layer charges each invocation its end-to-end time;
+``throughput_inf_s`` is that plan's steady-state rate.
 
 Performance: work that depends only on the design variant is paid once
-per process — synthesis (``_SYNTH_MEMO``), the unit latency or
-pipeline plan (``_UNIT_MEMO``), the served group (``_GROUP_MEMO``)
-and the seeded workload (``_ARRIVALS_MEMO``).  Every simulation runs at ``detail="summary"``,
-which is exact here: the evaluator reads only order statistics (kept
-as exact multisets) and count/time totals, never a mean.
+per process — synthesis (``_SYNTH_MEMO``), the served group and its
+plans (``_GROUP_MEMO``; a single device's ``LatencyModel`` memoizes
+its own reports) and the seeded workload (``_ARRIVALS_MEMO``).  Every
+simulation runs at ``detail="summary"``, which is exact here: the
+evaluator reads only order statistics (kept as exact multisets) and
+count/time totals, never a mean.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .._checks import is_count
 from ..analysis.metrics import gops
@@ -48,8 +57,7 @@ from ..core.engines import DatapathFormats
 from ..fpga.power import PowerModel, PowerReport
 from ..isa.controller import ResynthesisRequiredError, SynthParams
 from ..nn.model_zoo import TransformerConfig, get_model
-from ..parallel import (InterconnectLink, PipelineGroup, PipelinePartitioner,
-                        get_link)
+from ..parallel import PipelineGroup, get_link
 from ..serving import ModelMix, PoissonArrivals, Request, simulate, summarize
 from .pareto import Objective
 from .space import Axis, SearchSpace
@@ -201,15 +209,10 @@ def _synthesize(tiles_mha: int, tiles_ffn: int, fmt: str) -> ProTEA:
     return accel
 
 
-#: Per-process memo of one device group's ``(latency_ms, steady
-#: inf/s)``, keyed by ``(tiles_mha, tiles_ffn, format, model, devices,
-#: link)``, shared by both scorers.  For ``devices > 1`` this is the
-#: exact-DP pipeline plan, the one expensive analytic step.
-_UNIT_MEMO: Dict[Tuple[int, int, str, str, int, str],
-                 Tuple[float, float]] = {}
-
-#: The group a ``devices > 1`` point is served on, keyed like
-#: ``_UNIT_MEMO`` less the model: it memoizes its plan per model.
+#: The group a ``devices > 1`` point is priced and served on, keyed by
+#: ``(tiles_mha, tiles_ffn, format, devices, link)``.  It memoizes its
+#: plan per model, so the exact-DP plan search (the one expensive
+#: analytic step) runs once per variant, model and device count.
 _GROUP_MEMO: Dict[Tuple[int, int, str, int, str], PipelineGroup] = {}
 
 
@@ -250,8 +253,8 @@ class DesignPoint(NamedTuple):
     fleet: int
     opts: Dict[str, Any]
     accel: ProTEA
+    target: Union[ProTEA, PipelineGroup]  # what the point is served on
     util_pct: float
-    link: InterconnectLink
     latency_ms: float
     unit_inf_s: float
     power_w: float   # board power x every FPGA of the point
@@ -263,7 +266,8 @@ def design_point(point: Mapping[str, Any],
                  settings: Optional[Mapping[str, Any]] = None
                  ) -> DesignPoint:
     """The one model of a point: model lookup, count checks, synthesis
-    and fit (memoized per variant), unit latency (memoized) and power.
+    and fit (memoized per variant), the served target and its unit
+    latency (memoized) and power.
     Raises ``ValueError`` for an infeasible corner, in that order, so
     both scorers report the same error for the same point."""
     cfg = get_model(str(point["model"]))
@@ -289,17 +293,17 @@ def design_point(point: Mapping[str, Any],
             f"does not fit {accel.device.name}: {worst} at {util_pct:.0f}%")
 
     link = get_link(str(opts["link"]))
-    key = (tiles_mha, tiles_ffn, fmt, cfg.name, devices, link.name)
-    unit = _UNIT_MEMO.get(key)
-    if unit is None:
-        if devices > 1:
-            plan = PipelinePartitioner(accel, link).best_plan(cfg, devices)
-            unit = (plan.latency_ms, plan.steady_state_inf_per_s)
-        else:
-            report = accel.latency_report(cfg)
-            unit = (report.latency_ms, 1e3 / report.latency_ms)
-        _UNIT_MEMO[key] = unit
-    latency_ms, unit_inf_s = unit
+    if devices > 1:
+        key = (tiles_mha, tiles_ffn, fmt, devices, link.name)
+        target = _GROUP_MEMO.get(key)
+        if target is None:
+            target = _GROUP_MEMO[key] = PipelineGroup(accel, devices, link)
+        plan = target.plan_for(cfg)
+        latency_ms, unit_inf_s = plan.latency_ms, plan.steady_state_inf_per_s
+    else:
+        target = accel
+        latency_ms = accel.latency_report(cfg).latency_ms
+        unit_inf_s = 1e3 / latency_ms
 
     workload_gops = gops(cfg, latency_ms / 1e3)
     try:
@@ -311,7 +315,7 @@ def design_point(point: Mapping[str, Any],
         latency_s=latency_ms / 1e3, gops=workload_gops,
         achieved_gbps=achieved_gbps).total_w
     return DesignPoint(cfg, tiles_mha, tiles_ffn, devices, fleet, opts,
-                       accel, util_pct, link, latency_ms, unit_inf_s,
+                       accel, target, util_pct, latency_ms, unit_inf_s,
                        board_w * (devices * fleet), board_w, workload_gops)
 
 
@@ -324,24 +328,25 @@ def generation_lengths(accel: ProTEA,
     return prompt, output
 
 
-def _generation_metrics(accel: ProTEA, cfg, devices: int, fleet: int,
+def _generation_metrics(accel: ProTEA, cfg,
+                        group: Optional[PipelineGroup], fleet: int,
                         opts: Mapping[str, Any]) -> Dict[str, float]:
     """The generation objectives for one design point.
 
-    ``devices == 1``: a token-level continuous-batching simulation over
-    the point's fleet (queueing-aware TTFT tail).  ``devices > 1``:
-    the pipeline-parallel decode mode (no generation queueing model
-    spans device groups yet, so the tail equals the unloaded TTFT).
+    A single device (``group`` is ``None``): a token-level
+    continuous-batching simulation over the point's fleet
+    (queueing-aware TTFT tail).  A pipeline group: its partitioner's
+    pipeline-parallel decode mode (no generation queueing model spans
+    device groups yet, so the tail equals the unloaded TTFT).
     """
     from ..serving import (LengthSampler, attach_generation_lengths,
                            simulate_generation, summarize_generation)
 
     prompt, output = generation_lengths(accel, opts)
-    if devices > 1:
-        link = get_link(str(opts["link"]))
+    if group is not None:
         try:
-            decode = PipelinePartitioner(accel, link).decode_report(
-                cfg, devices, prompt, output)
+            decode = group.partitioner.decode_report(
+                cfg, group.n_devices, prompt, output)
             return {"ttft_p99_ms": decode.ttft_ms,
                     "tokens_per_s": decode.steady_tokens_per_s * fleet}
         except (ValueError, ResynthesisRequiredError):
@@ -356,8 +361,9 @@ def _generation_metrics(accel: ProTEA, cfg, devices: int, fleet: int,
             if cfg.num_layers > accel.synth.max_layers:
                 raise ValueError(
                     f"{cfg.name}: no pipeline-parallel decode split "
-                    f"across {devices} device(s) and the model exceeds "
-                    "one device — generation objectives unscoreable"
+                    f"across {group.n_devices} device(s) and the model "
+                    "exceeds one device — generation objectives "
+                    "unscoreable"
                 ) from None
             rep = accel.generation_report(cfg, prompt, output)
             return {"ttft_p99_ms": rep.ttft_ms,
@@ -391,15 +397,8 @@ def evaluate_point(point: Mapping[str, Any],
     record.  Module-level and picklable, so it runs under ``--jobs N``.
     """
     dp = design_point(point, settings)
-    cfg, accel, devices, fleet, opts = (dp.cfg, dp.accel, dp.devices,
-                                        dp.fleet, dp.opts)
-    target = accel
-    if devices > 1:
-        key = (dp.tiles_mha, dp.tiles_ffn, str(point.get("format", "fix8")),
-               devices, dp.link.name)
-        if key not in _GROUP_MEMO:
-            _GROUP_MEMO[key] = PipelineGroup(accel, devices, link=dp.link)
-        target = _GROUP_MEMO[key]
+    cfg, accel, target, fleet, opts = (dp.cfg, dp.accel, dp.target,
+                                       dp.fleet, dp.opts)
 
     scheduler = str(point.get("scheduler", opts["scheduler"]))
     requests = _arrivals(float(opts["qps"]), cfg.name, int(opts["seed"]),
@@ -410,7 +409,8 @@ def evaluate_point(point: Mapping[str, Any],
     serving = summarize(simulate(target, requests, fleet,
                                  scheduler=scheduler, detail="summary"))
 
-    gen_metrics = (_generation_metrics(accel, cfg, devices, fleet, opts)
+    group = target if dp.devices > 1 else None
+    gen_metrics = (_generation_metrics(accel, cfg, group, fleet, opts)
                    if opts["gen_objectives"] else {})
 
     fail_metrics: Dict[str, float] = {}
@@ -465,7 +465,7 @@ def evaluate_point(point: Mapping[str, Any],
         "ts_ffn": accel.synth.ts_ffn,
         "gops": dp.gops,
         "gops_per_w": dp.gops / dp.board_w,
-        "n_fpgas": devices * fleet,
+        "n_fpgas": dp.devices * fleet,
         "measured_rps": serving.throughput_rps,
         "fleet_utilization": serving.utilization,
         "p50_ms": serving.p50_ms,

@@ -115,7 +115,7 @@ class QFormat:
         Used to size accumulators: a dot product of length ``n`` grows
         by ``ceil(log2(n))`` bits beyond the product width.
         """
-        if extra_bits < 0:
+        if not is_count(extra_bits, 0):
             raise ValueError("extra_bits must be non-negative")
         return QFormat(self.total_bits + extra_bits, self.frac_bits, self.signed)
 
@@ -133,7 +133,7 @@ class QFormat:
         The DSP48 accumulates in 48 bits; a ``length``-term sum of full
         products needs ``ceil(log2(length))`` guard bits.
         """
-        if length < 1:
+        if not is_count(length):
             raise ValueError("length must be >= 1")
         guard = max(1, math.ceil(math.log2(length))) if length > 1 else 0
         return self.product_format(other).widen(guard)

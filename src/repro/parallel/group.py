@@ -59,13 +59,14 @@ class PipelineReport:
 class PipelineGroup:
     """``n_devices`` pipelined instances of one synthesized design.
 
-    ``tp_ways=None`` (the default) picks the best feasible
-    pipeline-depth x tensor-width factorization per workload; a fixed
-    ``tp_ways`` forces that width.  The search objective defaults to
-    ``"latency"`` because the serving layer charges each invocation its
-    end-to-end (fill) time — tensor splits shrink that, pipeline depth
-    does not.  Plans are memoized per config — the cycle model is
-    deterministic, so the cache is exact.
+    Each workload is served on the best feasible pipeline-depth x
+    tensor-width factorization for *latency*, because the serving layer
+    charges each invocation its end-to-end (fill) time — tensor splits
+    shrink that, pipeline depth does not.  The DSE prices a
+    ``devices > 1`` point by this same plan
+    (:func:`~repro.dse.objectives.design_point`).  Plans are memoized
+    per config — the cycle model is deterministic, so the cache is
+    exact.
     """
 
     def __init__(
@@ -73,16 +74,10 @@ class PipelineGroup:
         accel: ProTEA,
         n_devices: int,
         link: InterconnectLink = AURORA_64B66B,
-        tp_ways: Optional[int] = None,
-        objective: str = "latency",
     ):
         check_count("n_devices", n_devices)
-        if tp_ways is not None:
-            check_count("tp_ways", tp_ways)
         self.accel = accel
         self.n_devices = n_devices
-        self.tp_ways = tp_ways
-        self.objective = objective
         self.partitioner = PipelinePartitioner(accel, link)
         self._plans: Dict[TransformerConfig, PipelinePlan] = {}
         self._config: Optional[TransformerConfig] = None
@@ -108,15 +103,11 @@ class PipelineGroup:
 
     def plan_for(self, config: TransformerConfig) -> PipelinePlan:
         """The (memoized) partition plan serving ``config``."""
-        if config not in self._plans:
-            if self.tp_ways is None:
-                plan = self.partitioner.best_plan(config, self.n_devices,
-                                                  objective=self.objective)
-            else:
-                plan = self.partitioner.plan(config, self.n_devices,
-                                             self.tp_ways)
-            self._plans[config] = plan
-        return self._plans[config]
+        plan = self._plans.get(config)
+        if plan is None:
+            plan = self._plans[config] = self.partitioner.best_plan(
+                config, self.n_devices, objective="latency")
+        return plan
 
     def program(self, config: TransformerConfig) -> "PipelineGroup":
         """Deploy ``config`` across the group (validates every stage)."""

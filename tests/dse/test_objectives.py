@@ -98,13 +98,12 @@ class TestEvaluatePoint:
         assert split["power_w"] > single["power_w"]
 
     def test_served_group_plans_once(self, monkeypatch):
-        """The pipeline group a ``devices > 1`` point is served on is
-        memoized with its plans: one search prices the point, one plans
-        the served group, and later evaluations search nothing."""
+        """The pipeline group a ``devices > 1`` point is priced and
+        served on is memoized with its plans: one search plans the
+        group, and later evaluations search nothing."""
         from repro.dse import objectives
         from repro.parallel import PipelinePartitioner
 
-        monkeypatch.setattr(objectives, "_UNIT_MEMO", {})
         monkeypatch.setattr(objectives, "_GROUP_MEMO", {})
         calls = []
         best_plan = PipelinePartitioner.best_plan
@@ -119,7 +118,7 @@ class TestEvaluatePoint:
         for _ in range(3):
             evaluate_point(point, FAST)
             seen.append(len(calls))
-        assert seen == [2, 2, 2]
+        assert seen == [1, 1, 1]
 
     def test_workload_settings_affect_p99(self):
         light = evaluate_point(_point(model="bert-variant"),
@@ -196,14 +195,14 @@ class TestGenerationObjectives:
         from repro.dse.objectives import _generation_metrics
         from repro.isa import SynthParams
         from repro.nn import TransformerConfig
+        from repro.parallel import PipelineGroup
 
         accel = ProTEA.synthesize(SynthParams(max_layers=2))
         cfg = TransformerConfig(name="too-deep", d_model=64, num_heads=2,
                                 num_layers=3, seq_len=16)
         with pytest.raises(ValueError, match="unscoreable"):
-            _generation_metrics(accel, cfg, devices=4, fleet=1,
-                                opts=dict(FAST, link="aurora",
-                                          gen_prompt=8, gen_output=8,
+            _generation_metrics(accel, cfg, PipelineGroup(accel, 4), fleet=1,
+                                opts=dict(FAST, gen_prompt=8, gen_output=8,
                                           gen_slots=2, gen_qps=20.0))
 
 

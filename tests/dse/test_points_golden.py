@@ -19,7 +19,9 @@ import json
 import pytest
 
 from repro.dse import EvalCache, evaluate_point, explore, standard_space
+from repro.dse.objectives import design_point
 from repro.dse.pool import _error_text
+from repro.serving import Request, simulate, summarize
 
 from .._goldens import load
 
@@ -98,6 +100,21 @@ def test_evaluate_point_outputs_are_byte_equal(golden):
     assert golden["settings"] == SETTINGS
     assert (_dumps([_record(p) for p in _points()])
             == _dumps(golden["records"]))
+
+
+def test_priced_latency_is_served_latency(golden):
+    """A ``devices > 1`` point is priced by the plan its group serves:
+    one request alone on ``design_point(...).target`` takes exactly the
+    frozen ``latency_ms``."""
+    partitioned = [r for r in golden["records"]
+                   if not r["error"] and r["point"]["devices"] > 1]
+    assert len(partitioned) >= 17
+    for record in partitioned:
+        dp = design_point(record["point"], SETTINGS)
+        alone = summarize(simulate(dp.target, [Request(0, 0.0, dp.cfg.name)],
+                                   1))
+        priced = float(record["metrics"]["latency_ms"])
+        assert alone.p50_ms == dp.latency_ms == priced, record["point"]
 
 
 def test_evaluate_point_is_order_independent(golden):

@@ -51,11 +51,6 @@ class TestDuckTyping:
         assert rep.total_cycles == plan.fill_cycles
         assert rep.latency_s == pytest.approx(plan.latency_ms / 1e3)
 
-    def test_fixed_tp_ways_respected(self, accel):
-        group = PipelineGroup(accel, n_devices=4, tp_ways=4)
-        plan = group.plan_for(get_model("bert-variant"))
-        assert plan.num_stages == 1 and plan.stages[0].tp_ways == 4
-
     def test_plan_cache_is_exact(self, accel):
         group = PipelineGroup(accel, n_devices=2)
         cfg = get_model("bert-variant")

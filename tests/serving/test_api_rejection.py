@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analytic import (erlang_c, estimate_generation, estimate_serving,
-                            propose_fleet)
+                            propose_fleet, wait_quantile_ms)
 from repro.dse import (Axis, EvolutionaryStrategy, Objective,
                        PrescreenStrategy, RandomStrategy, SearchSpace,
                        evaluate_point, explore, surrogate_point)
@@ -278,6 +278,13 @@ CASES = [
     ("erlang_c.servers", lambda v, r: erlang_c(v, 0.5), NOT_COUNT),
     ("erlang_c.erlangs", lambda v, r: erlang_c(2, v), NAN_OR_NEGATIVE),
     ("qformat.frac_bits", lambda v, r: QFormat(8, v), NOT_INT),
+    ("qformat.accumulator_format.length",
+     lambda v, r: QFormat(8, 4).accumulator_format(QFormat(8, 4), v),
+     NOT_COUNT),
+    ("qformat.widen.extra_bits", lambda v, r: QFormat(8, 4).widen(v),
+     st.integers(max_value=-1) | st.floats() | st.booleans()),
+    ("wait_quantile_ms.drain_per_ms",
+     lambda v, r: wait_quantile_ms(2, 0.5, v), NAN_OR_NOT_POSITIVE),
     ("evaluate_point.tiles_mha",
      lambda v, r: evaluate_point({"model": MODEL, "tiles_mha": v}),
      NOT_TILE_COUNT),
@@ -359,8 +366,6 @@ CASES = [
     ("plan.batch_cycles", lambda v, r: r["plan"].batch_cycles(v), NOT_COUNT),
     ("plan.timeline", lambda v, r: r["plan"].timeline(v), NOT_COUNT),
     ("group.n_devices", lambda v, r: PipelineGroup(r["accel"], v), NOT_COUNT),
-    ("group.tp_ways",
-     lambda v, r: PipelineGroup(r["accel"], 2, tp_ways=v), NOT_COUNT),
     ("balanced_partition.k", lambda v, r: balanced_partition([1, 2, 3], v),
      NOT_COUNT),
     ("balanced_partition.costs",

@@ -598,6 +598,10 @@ NUMERIC_FLAGS = [
     (["dse"], "--jobs", "0", "--jobs"),
     (["dse"], "--batch", "0", "--batch"),
     (["dse", "--prescreen"], "--prescreen-keep", "0", "keep"),
+    (["dse"], "--tiles-mha", "0", "--tiles-mha"),
+    (["dse"], "--tiles-ffn", "0", "--tiles-ffn"),
+    (["dse"], "--devices", "0", "--devices"),
+    (["dse"], "--fleet", "0", "--fleet"),
     (["partition", "model2-lhc-trigger"], "--devices", "0", "devices"),
     (["partition", "model2-lhc-trigger"], "--tp", "0", "tp"),
     (["partition", "model2-lhc-trigger"], "--gantt", "-1", "--gantt"),

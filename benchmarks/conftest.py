@@ -13,8 +13,11 @@ Two session-scoped sinks:
 
 ``BENCH_results.json`` is a JSON array of records; each run *appends*
 (tagged with a run timestamp) rather than overwriting, preserving
-history.  The record schema is documented in ``benchmarks/README.md``
-and validated here at append time.
+history.  Only whole-file and whole-suite sessions append: a session
+narrowed by ``-k``, ``-m`` or a ``file::test`` node id is a spot check
+and leaves the tracked history untouched.  The record schema is
+documented in ``benchmarks/README.md`` and validated here at append
+time.
 """
 
 from __future__ import annotations
@@ -146,14 +149,22 @@ def record_perf():
     return _append
 
 
+def _narrowed(config) -> bool:
+    """Whether the session selected less than whole files."""
+    return bool(config.option.keyword or config.option.markexpr
+                or any("::" in arg for arg in config.args))
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Flush this run's records, including every benchmark timing.
 
     Failed or interrupted sessions flush nothing: a history point from
     a run whose regression assertions tripped would be
-    indistinguishable from a good one.
+    indistinguishable from a good one.  Narrowed sessions (``-k``,
+    ``-m``, a ``file::test`` node id) flush nothing either, so a spot
+    check of one bench never rewrites the tracked history.
     """
-    if exitstatus != 0:
+    if exitstatus != 0 or _narrowed(session.config):
         return
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is not None:

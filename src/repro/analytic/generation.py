@@ -1,10 +1,11 @@
 """Closed-form generation estimates: TTFT, TPOT, token throughput.
 
 The unloaded numbers come straight from the analytic prefill/decode
-split (:meth:`ProTEA.generation_report`) — they are the same values the
-DSE surrogate has always reported for ``ttft_p99_ms``/``tokens_per_s``
-(a lower bound on the simulated tail; the surrogate is now a thin
-client of this module).  Passing an offered ``qps`` adds the M/M/c wait
+split (:meth:`ProTEA.generation_report`) — the
+``ttft_p99_ms``/``tokens_per_s`` pair both DSE scorers read for a
+point with no pipeline decode split
+(:func:`repro.dse.objectives.unloaded_generation`; a lower bound on
+the simulated tail).  Passing an offered ``qps`` adds the M/M/c wait
 tail over the fleet's ``fleet * slots`` decode slots, turning the
 unloaded floor into a loaded TTFT tail estimate.
 """
@@ -70,7 +71,7 @@ def estimate_generation(
     """Estimate a generation deployment without simulating it.
 
     With ``qps=None`` (the default) every field is the unloaded
-    analytic value — exactly what the DSE surrogate reports.  With an
+    analytic value.  With an
     offered ``qps``, ``ttft_p99_ms`` adds the M/M/c conditional wait
     over ``fleet * slots`` servers whose service time is the full
     invocation; saturated loads push the tail out by the workload

@@ -85,28 +85,14 @@ def tile_size_sweep(
     formats: DatapathFormats | None = None,
     options: LatencyOptions | None = None,
 ) -> List[SweepPoint]:
-    """Fig. 7's grid, normalized in one pass.
-
-    The grid runs through the :mod:`repro.dse` engine (imported lazily
-    — ``dse`` sits above ``core``), which keeps this sweep on the same
-    code path as every other exploration in the repo.
-    """
-    from ..dse.engine import explore
-    from ..dse.space import Axis, SearchSpace
-
+    """Fig. 7's grid (MHA tile count outermost), normalized in one pass."""
     base = base or SynthParams()
     formats = formats or DatapathFormats.fix8()
     options = options or LatencyOptions()
-    space = SearchSpace((Axis("tiles_mha", tuple(tiles_mha_options)),
-                         Axis("tiles_ffn", tuple(tiles_ffn_options))))
-
-    def _evaluate(point, _settings) -> dict:
-        return {"sweep_point": _point(point["tiles_mha"], point["tiles_ffn"],
-                                      config, base, timing, formats, options)}
-
-    outcome = explore(space, _evaluate, continue_on_error=False)
-    return normalize_latency(
-        [r.metrics["sweep_point"] for r in outcome.results])
+    return normalize_latency([
+        _point(tiles_mha, tiles_ffn, config, base, timing, formats, options)
+        for tiles_mha in tiles_mha_options
+        for tiles_ffn in tiles_ffn_options])
 
 
 def normalize_latency(points: List[SweepPoint]) -> List[SweepPoint]:

@@ -17,9 +17,7 @@ The engine is deliberately generic: an evaluator is any callable
 ``(point, settings) -> mapping of metrics`` (module-level and picklable
 if ``jobs > 1``); objectives name the metrics that feed the Pareto
 frontier.  :func:`repro.dse.objectives.evaluate_point` is the standard
-ProTEA evaluator, but :func:`repro.core.design_space.tile_size_sweep`
-and the experiment sweeps run arbitrary callables through this same
-engine.
+ProTEA evaluator.
 
 Results are deterministic for a fixed (space, strategy, seed,
 settings): batch order follows the strategy, within-batch order follows
@@ -42,7 +40,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 from .._checks import check_count
 from .cache import EvalCache
 from .pareto import Objective, pareto_front
-from .pool import PersistentPool, _error_text
+from .pool import PersistentPool, _score_point
 from .space import SearchSpace, point_id
 from .strategies import PrescreenStrategy, Strategy, get_strategy
 
@@ -135,30 +133,6 @@ def _json_safe(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return value
-
-
-def _eval_task(task: Tuple[Evaluator, Dict[str, Any], Dict[str, Any], bool]):
-    """Serial-path evaluation: score one point, capturing tolerated
-    failures.
-
-    Returns ``(point, metrics, error, (worker_name, wall_s))`` — the
-    trailing element is profiling data (who evaluated the point, and
-    how long the evaluator itself ran); it never feeds the scores, so
-    profiled and unprofiled sweeps stay bit-identical.  The pool path
-    runs the same evaluation discipline worker-side
-    (:func:`repro.dse.pool._worker_main`).
-    """
-    evaluator, point, settings, continue_on_error = task
-    t0 = time.perf_counter()
-    try:
-        metrics, error = dict(evaluator(point, settings)), ""
-    except Exception as exc:  # noqa: BLE001 - DSE tolerates corners
-        if not continue_on_error:
-            raise
-        metrics, error = {}, _error_text(exc)
-    return point, metrics, error, (
-        multiprocessing.current_process().name,
-        time.perf_counter() - t0)
 
 
 def _split_metrics(metrics: Mapping[str, Any],
@@ -330,14 +304,14 @@ def explore(
                             raw.append((point, metrics, error,
                                         (worker, wall_s)))
                 else:
+                    worker = multiprocessing.current_process().name
                     for _, point, _ in todo:
-                        raw.append(_eval_task((evaluator, point,
-                                               settings_dict,
-                                               continue_on_error)))
+                        metrics, error, wall_s = _score_point(
+                            evaluator, point, settings_dict,
+                            continue_on_error)
+                        raw.append((point, metrics, error, (worker, wall_s)))
                     if profile_rec is not None:
-                        profile_rec.add_dispatch(
-                            multiprocessing.current_process().name,
-                            len(todo))
+                        profile_rec.add_dispatch(worker, len(todo))
                 if profile_rec is not None:
                     profile_rec.add_batch(time.perf_counter() - t_dispatch)
                 n_evaluated += len(raw)

@@ -26,7 +26,10 @@ Both this evaluator and the prescreen surrogate
 (:mod:`repro.dse.surrogate`) start from one model of the point,
 :func:`design_point`: the checked counts, the synthesized instance and
 its fit, the served target, the unit latency and the power.  The
-evaluator adds only its simulations.
+evaluator adds only its simulations.  Both also read one unloaded
+generation pair, :func:`unloaded_generation`: the surrogate for every
+point, the evaluator wherever it does not simulate generation
+(``devices > 1``, or an empty workload).
 
 A point is priced by the plan it is served on.  :func:`design_point`
 builds the served target once — the synthesized instance, or for
@@ -52,6 +55,7 @@ from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 from .._checks import is_count
 from ..analysis.metrics import gops
 from ..analysis.traffic import analyze_traffic
+from ..analytic.generation import estimate_generation
 from ..core.accelerator import ProTEA
 from ..core.engines import DatapathFormats
 from ..fpga.power import PowerModel, PowerReport
@@ -66,7 +70,8 @@ __all__ = ["OBJECTIVES", "DEFAULT_SETTINGS", "DEFAULT_OBJECTIVE_NAMES",
            "GENERATION_OBJECTIVE_NAMES", "FAILURE_OBJECTIVE_NAMES",
            "WATCH_OBJECTIVE_NAMES",
            "get_objectives", "standard_space", "DesignPoint",
-           "design_point", "generation_lengths", "evaluate_point"]
+           "design_point", "generation_lengths", "unloaded_generation",
+           "evaluate_point"]
 
 #: Every objective the standard evaluator can score.
 OBJECTIVES: Tuple[Objective, ...] = (
@@ -328,61 +333,62 @@ def generation_lengths(accel: ProTEA,
     return prompt, output
 
 
-def _generation_metrics(accel: ProTEA, cfg,
-                        group: Optional[PipelineGroup], fleet: int,
-                        opts: Mapping[str, Any]) -> Dict[str, float]:
+def unloaded_generation(dp: DesignPoint) -> Dict[str, float]:
+    """The point's unloaded generation pair, ``ttft_p99_ms`` and
+    ``tokens_per_s``: the one generation model both scorers read.
+
+    A pipeline group decodes on its partitioner's pipeline-parallel
+    split.  A single device, or a group with no pure-pipeline decode
+    split (e.g. fewer layers than devices; decode gains nothing from
+    tensor splits in this model), takes the single-device analytic
+    estimate over the fleet.  A model that fits neither is unscoreable
+    and raises ``ValueError``, so the engine records an error (a NaN
+    objective would be undominatable on the frontier).
+    """
+    accel, cfg = dp.accel, dp.cfg
+    prompt, output = generation_lengths(accel, dp.opts)
+    if dp.devices > 1:
+        try:
+            decode = dp.target.partitioner.decode_report(
+                cfg, dp.devices, prompt, output)
+            return {"ttft_p99_ms": decode.ttft_ms,
+                    "tokens_per_s": decode.steady_tokens_per_s * dp.fleet}
+        except (ValueError, ResynthesisRequiredError):
+            if cfg.num_layers > accel.synth.max_layers:
+                raise ValueError(
+                    f"{cfg.name}: no pipeline-parallel decode split "
+                    f"across {dp.devices} device(s) and the model "
+                    "exceeds one device — generation objectives "
+                    "unscoreable"
+                ) from None
+    gen = estimate_generation(accel, cfg, prompt, output, fleet=dp.fleet)
+    return {"ttft_p99_ms": gen.ttft_p99_ms, "tokens_per_s": gen.tokens_per_s}
+
+
+def _generation_metrics(dp: DesignPoint) -> Dict[str, float]:
     """The generation objectives for one design point.
 
-    A single device (``group`` is ``None``): a token-level
-    continuous-batching simulation over the point's fleet
-    (queueing-aware TTFT tail).  A pipeline group: its partitioner's
-    pipeline-parallel decode mode (no generation queueing model spans
-    device groups yet, so the tail equals the unloaded TTFT).
+    A single device: a token-level continuous-batching simulation over
+    the point's fleet (queueing-aware TTFT tail).  A pipeline group (no
+    generation queueing model spans device groups yet) or an empty
+    workload: the :func:`unloaded_generation` pair.
     """
     from ..serving import (LengthSampler, attach_generation_lengths,
                            simulate_generation, summarize_generation)
 
-    prompt, output = generation_lengths(accel, opts)
-    if group is not None:
-        try:
-            decode = group.partitioner.decode_report(
-                cfg, group.n_devices, prompt, output)
-            return {"ttft_p99_ms": decode.ttft_ms,
-                    "tokens_per_s": decode.steady_tokens_per_s * fleet}
-        except (ValueError, ResynthesisRequiredError):
-            # No pure-pipeline decode split (e.g. fewer layers than
-            # devices — the main path may still partition tensor-wise).
-            # Decode gains nothing from tensor splits in this model, so
-            # score the single-device decode path instead of erroring a
-            # point whose other objectives are perfectly feasible.  A
-            # model that also cannot fit one device is genuinely
-            # unscoreable: raise so the engine records an error record
-            # (a NaN objective would be undominatable on the frontier).
-            if cfg.num_layers > accel.synth.max_layers:
-                raise ValueError(
-                    f"{cfg.name}: no pipeline-parallel decode split "
-                    f"across {group.n_devices} device(s) and the model "
-                    "exceeds one device — generation objectives "
-                    "unscoreable"
-                ) from None
-            rep = accel.generation_report(cfg, prompt, output)
-            return {"ttft_p99_ms": rep.ttft_ms,
-                    "tokens_per_s": rep.tokens_per_s * fleet}
-
-    arrivals = _arrivals(float(opts["gen_qps"]), cfg.name, int(opts["seed"]),
-                         float(opts["duration_ms"]))
+    accel, opts = dp.accel, dp.opts
+    arrivals = (_arrivals(float(opts["gen_qps"]), dp.cfg.name,
+                          int(opts["seed"]), float(opts["duration_ms"]))
+                if dp.devices == 1 else ())
     if not arrivals:
-        # Degenerate workload: fall back to the analytic single-request
-        # split so the objectives stay defined (and deterministic).
-        rep = accel.generation_report(cfg, prompt, output)
-        return {"ttft_p99_ms": rep.ttft_ms,
-                "tokens_per_s": rep.tokens_per_s * fleet}
+        return unloaded_generation(dp)
+    prompt, output = generation_lengths(accel, opts)
     requests = attach_generation_lengths(
         arrivals, LengthSampler("fixed", prompt),
         LengthSampler("fixed", output), seed=int(opts["seed"]),
         max_total=accel.synth.max_seq_len)
     report = summarize_generation(simulate_generation(
-        accel, requests, fleet, slots=int(opts["gen_slots"]),
+        accel, requests, dp.fleet, slots=int(opts["gen_slots"]),
         scheduler=str(opts["scheduler"]), detail="summary"))
     return {"ttft_p99_ms": report.p99_ttft_ms,
             "tokens_per_s": report.tokens_per_s}
@@ -409,9 +415,7 @@ def evaluate_point(point: Mapping[str, Any],
     serving = summarize(simulate(target, requests, fleet,
                                  scheduler=scheduler, detail="summary"))
 
-    group = target if dp.devices > 1 else None
-    gen_metrics = (_generation_metrics(accel, cfg, group, fleet, opts)
-                   if opts["gen_objectives"] else {})
+    gen_metrics = _generation_metrics(dp) if opts["gen_objectives"] else {}
 
     fail_metrics: Dict[str, float] = {}
     watch_metrics: Dict[str, float] = {}

@@ -45,6 +45,27 @@ def _error_text(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _score_point(evaluator: Callable, point: Dict[str, Any],
+                 settings: Dict[str, Any],
+                 continue_on_error: bool) -> PointResult:
+    """Score one point: the one per-point rule of the serial path and
+    of every worker.
+
+    With ``continue_on_error`` an evaluator exception becomes the
+    point's error string; otherwise it propagates.  ``wall_s`` is the
+    evaluator's own run time, profiling data that never feeds the
+    scores.
+    """
+    t0 = time.perf_counter()
+    try:
+        metrics, error = dict(evaluator(point, settings)), ""
+    except Exception as exc:  # noqa: BLE001 - DSE tolerates corners
+        if not continue_on_error:
+            raise
+        metrics, error = {}, _error_text(exc)
+    return metrics, error, time.perf_counter() - t0
+
+
 def _worker_main(conn, evaluator: Callable, settings: Dict[str, Any],
                  continue_on_error: bool) -> None:
     """Worker loop: evaluate point batches until told to stop.
@@ -63,19 +84,15 @@ def _worker_main(conn, evaluator: Callable, settings: Dict[str, Any],
             _, batch_index, points = message
             results: List[PointResult] = []
             for point in points:
-                t0 = time.perf_counter()
                 try:
-                    metrics, error = dict(evaluator(point, settings)), ""
-                except Exception as exc:  # noqa: BLE001 - DSE tolerates corners
-                    if not continue_on_error:
-                        try:
-                            conn.send(("raise", batch_index, exc))
-                        except Exception:  # noqa: BLE001 - unpicklable exc
-                            conn.send(("raise", batch_index,
-                                       _error_text(exc)))
-                        return
-                    metrics, error = {}, _error_text(exc)
-                results.append((metrics, error, time.perf_counter() - t0))
+                    results.append(_score_point(evaluator, point, settings,
+                                                continue_on_error))
+                except Exception as exc:  # noqa: BLE001 - sent to parent
+                    try:
+                        conn.send(("raise", batch_index, exc))
+                    except Exception:  # noqa: BLE001 - unpicklable exc
+                        conn.send(("raise", batch_index, _error_text(exc)))
+                    return
             try:
                 conn.send(("done", batch_index, results))
             except Exception as exc:  # noqa: BLE001 - unpicklable metrics

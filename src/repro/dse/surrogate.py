@@ -1,13 +1,14 @@
 """Closed-form surrogate scoring: the cheap prescreen objective.
 
 The full evaluator (:func:`repro.dse.objectives.evaluate_point`) runs
-up to four discrete-event simulations per point — serving, continuous-
-batching generation, failure injection, and a watchdog rerun — which
-is exactly what makes honest million-point design spaces unaffordable
-by brute force.  This module scores a point with the *summation model*
-sketched in SNIPPETS.md Snippet 1 instead: add up the analytic
-latency, bandwidth, and resource terms, estimate queueing with a
-closed-form M/M/c wait, and never simulate.  On the benchmark grid
+up to three discrete-event simulations per point — serving,
+continuous-batching generation, and a failure-injected rerun that
+carries the watchdog — which is exactly what makes honest
+million-point design spaces unaffordable by brute force.  This module
+scores a point with the *summation model* sketched in SNIPPETS.md
+Snippet 1 instead: add up the analytic latency, bandwidth, and
+resource terms, estimate queueing with a closed-form M/M/c wait, and
+never simulate.  On the benchmark grid
 (``benchmarks/test_dse.py``, 30 points, 2-vCPU Xeon VM) a first
 surrogate call on a synthesized variant costs ~5 ms against ~80 ms for
 a full evaluation (~16x).  Repeat calls on the same variant hit the
@@ -26,24 +27,27 @@ estimates are deliberately aligned with the full evaluator:
   exponential tail of the queueing delay, floored at the
   mass-weighted conditional-wait quantile at low load and capped by
   the fluid wait through saturation;
-* ``ttft_p99_ms`` / ``tokens_per_s`` fall back to the unloaded
-  analytic generation estimate (a lower bound on the simulated tail);
+* ``ttft_p99_ms`` / ``tokens_per_s`` are the point's unloaded
+  generation pair, :func:`~repro.dse.objectives.unloaded_generation`,
+  which the full evaluator itself reports wherever it does not
+  simulate (``devices > 1``, or an empty workload): a pipeline group's
+  decode split, else the single-device analytic estimate (a lower
+  bound on the simulated single-device tail);
 * the failure and watchdog objectives have no closed form and are
   simply absent — the prescreen ranks on whatever subset it can score.
 
-Infeasible corners raise exactly like the full evaluator (the same
-checks in the same order), so the prescreen can forward them for the
-authoritative error record rather than silently dropping them.
+Infeasible corners, an unscoreable generation pair among them, raise
+exactly like the full evaluator (the same checks in the same order),
+so the prescreen can forward them for the authoritative error record
+rather than silently dropping them.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..analytic.generation import estimate_generation
 from ..analytic.queueing import p99_estimate_ms
-from ..isa.controller import ResynthesisRequiredError
-from .objectives import design_point, generation_lengths
+from .objectives import design_point, unloaded_generation
 
 __all__ = ["SURROGATE_OBJECTIVE_NAMES", "surrogate_point"]
 
@@ -79,14 +83,5 @@ def surrogate_point(point: Mapping[str, Any],
         "util_pct": dp.util_pct,
     }
     if opts["gen_objectives"]:
-        try:
-            prompt, output = generation_lengths(dp.accel, opts)
-            gen = estimate_generation(dp.accel, dp.cfg, prompt, output,
-                                      fleet=dp.fleet)
-            estimate["ttft_p99_ms"] = gen.ttft_p99_ms
-            estimate["tokens_per_s"] = gen.tokens_per_s
-        except (ValueError, ResynthesisRequiredError):
-            # No analytic generation split for this point: leave the
-            # pair absent and let the prescreen rank on the rest.
-            pass
+        estimate.update(unloaded_generation(dp))
     return estimate

@@ -34,45 +34,21 @@ def run(
 ) -> ExperimentResult:
     """Plan the scaling curve on the default synthesized instance.
 
-    The (model x devices) grid runs through the :mod:`repro.dse`
-    engine.  Only ``ValueError`` (no feasible factorization for that
-    device count) is a tolerated corner — exactly the exception the old
-    ``scaling_curve`` skipped; unknown models and genuine partitioner
-    bugs still propagate.
+    A device count with no feasible factorization for a model is
+    skipped (:meth:`~repro.parallel.PipelinePartitioner.scaling_curve`);
+    unknown models and genuine partitioner bugs propagate.
     """
-    from ..dse.engine import explore
-    from ..dse.space import Axis, SearchSpace
-
-    accel = default_accelerator()
-    partitioner = PipelinePartitioner(accel, link)
-    configs = {name: get_model(name) for name in models}
-    space = SearchSpace((Axis("model", tuple(models)),
-                         Axis("devices", tuple(sorted(device_counts)))))
-
-    def _evaluate(point, _settings) -> dict:
-        try:
-            plan = partitioner.best_plan(configs[point["model"]],
-                                         point["devices"])
-        except ValueError:
-            plan = None  # infeasible count for this model: skip the row
-        return {"plan": plan}
-
-    outcome = explore(space, _evaluate, continue_on_error=False)
-    curves = {name: {} for name in models}
-    for result in outcome.results:
-        if result.metrics["plan"] is not None:
-            curves[result.point["model"]][result.point["devices"]] = (
-                result.metrics["plan"])
-
+    partitioner = PipelinePartitioner(default_accelerator(), link)
+    counts = tuple(sorted(device_counts))
     rows = []
     series = {}
     for name in models:
-        curve = curves[name]
+        curve = partitioner.scaling_curve(get_model(name), counts)
         base = curve[min(curve)]
         series[name] = [
-            (k, p.steady_state_inf_per_s) for k, p in sorted(curve.items())
+            (k, p.steady_state_inf_per_s) for k, p in curve.items()
         ]
-        for k, plan in sorted(curve.items()):
+        for k, plan in curve.items():
             speedup = plan.speedup_over(base.bottleneck_cycles)
             rows.append((
                 name, k, plan.num_stages, plan.stages[0].tp_ways,

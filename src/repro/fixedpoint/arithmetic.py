@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .._checks import is_count
 from .qformat import ACC32, QFormat
 from .quantize import Rounding, dequantize, quantize, requantize, saturate
 
@@ -155,7 +156,7 @@ def fx_scale_shift(
     The canonical "fixed-point rescale" a hardware unit uses where a
     real-valued constant ``c`` is folded into ``multiplier / 2**shift``.
     """
-    if shift < 0:
+    if not is_count(shift, 0):
         raise ValueError("shift must be non-negative")
     raw = x.raw * np.int64(multiplier)
     if shift:

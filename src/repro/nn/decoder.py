@@ -15,6 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .._checks import is_count
 from .attention import MultiHeadAttention
 from .encoder import FeedForward
 from .functional import attention_scale, layer_norm, score_mask_value, softmax
@@ -32,7 +33,7 @@ def causal_mask(seq_len: int, dtype=np.float64) -> np.ndarray:
     the representable range — a fixed ``-1e30`` breaks under float32
     downcasts.
     """
-    if seq_len < 1:
+    if not is_count(seq_len):
         raise ValueError("seq_len must be positive")
     fill = score_mask_value(dtype)
     return np.triu(np.full((seq_len, seq_len), fill, dtype=dtype), k=1)

@@ -192,7 +192,7 @@ class TestGenerationObjectives:
         for one device must raise (an error record), never emit NaN
         objectives that would be undominatable on a frontier."""
         from repro.core import ProTEA
-        from repro.dse.objectives import _generation_metrics
+        from repro.dse.objectives import design_point, unloaded_generation
         from repro.isa import SynthParams
         from repro.nn import TransformerConfig
         from repro.parallel import PipelineGroup
@@ -200,10 +200,11 @@ class TestGenerationObjectives:
         accel = ProTEA.synthesize(SynthParams(max_layers=2))
         cfg = TransformerConfig(name="too-deep", d_model=64, num_heads=2,
                                 num_layers=3, seq_len=16)
+        dp = design_point(_point(devices=2), FAST)._replace(
+            cfg=cfg, accel=accel, devices=4, target=PipelineGroup(accel, 4),
+            opts=dict(FAST, gen_prompt=8, gen_output=8))
         with pytest.raises(ValueError, match="unscoreable"):
-            _generation_metrics(accel, cfg, PipelineGroup(accel, 4), fleet=1,
-                                opts=dict(FAST, gen_prompt=8, gen_output=8,
-                                          gen_slots=2, gen_qps=20.0))
+            unloaded_generation(dp)
 
 
 class TestWatchObjectives:

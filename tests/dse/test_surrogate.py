@@ -22,6 +22,7 @@ import pytest
 
 from repro.analytic.queueing import erlang_c
 from repro.dse import (
+    DEFAULT_OBJECTIVE_NAMES,
     Axis,
     Objective,
     SearchSpace,
@@ -31,6 +32,7 @@ from repro.dse import (
     standard_space,
     surrogate_point,
 )
+from repro.dse.objectives import GENERATION_OBJECTIVE_NAMES
 from repro.dse.pool import _error_text
 from repro.dse.surrogate import SURROGATE_OBJECTIVE_NAMES
 
@@ -93,15 +95,19 @@ class TestAgreementWithFullEvaluator:
     @pytest.mark.parametrize("record", GOLDEN["records"], ids=_record_id)
     def test_analytic_axes_exact(self, record):
         """Against the frozen records, with no re-evaluation: the same
-        ``repr`` on the four shared axes, or the same error text."""
+        ``repr`` on the four shared axes, or the same error text.  A
+        ``devices > 1`` point is not simulated for generation, so its
+        generation pair is shared too."""
         if record["error"]:
             with pytest.raises(Exception) as info:
                 surrogate_point(record["point"], GOLDEN["settings"])
             assert _error_text(info.value) == record["error"]
             return
         est = surrogate_point(record["point"], GOLDEN["settings"])
-        for name in ("latency_ms", "throughput_inf_s", "power_w",
-                     "util_pct"):
+        shared = ["latency_ms", "throughput_inf_s", "power_w", "util_pct"]
+        if record["point"]["devices"] > 1:
+            shared += ["ttft_p99_ms", "tokens_per_s"]
+        for name in shared:
             assert repr(est[name]) == record["metrics"][name], name
 
     def test_p99_estimate_is_sane(self):
@@ -162,6 +168,26 @@ class TestGoldenFrontierSafety:
                                tiles_mha=(12, 48), tiles_ffn=(6,),
                                devices=(1, 2), fleets=(1, 2))
         self._assert_prescreen_safe(space, FAST, keep=0.34)
+
+    @pytest.mark.parametrize("keep", [0.25, 0.34])
+    def test_partitioned_generation_grid(self, keep):
+        """Ranked on the generation pair too, a partitioned sweep keeps
+        every frontier point: the surrogate prices a group's decode
+        with the evaluator's own model."""
+        space = standard_space(models=("bert-variant",),
+                               tiles_mha=(12, 48), tiles_ffn=(3, 6),
+                               devices=(1, 2, 4), fleets=(1, 2))
+        settings = dict(FAST, duration_ms=300.0, gen_objectives=True,
+                        gen_qps=200.0)
+        objectives = get_objectives(DEFAULT_OBJECTIVE_NAMES
+                                    + GENERATION_OBJECTIVE_NAMES)
+        brute = explore(space, evaluate_point, objectives=objectives,
+                        settings=settings)
+        fast = explore(space, evaluate_point, objectives=objectives,
+                       settings=settings, strategy="prescreen",
+                       strategy_options={"inner": "grid", "keep": keep})
+        assert fast.prescreen["surrogate_errors"] == 0  # it ranked all
+        assert self._frontier(fast) == self._frontier(brute)
 
     def test_infeasible_corners_keep_their_error_records(self):
         """Unscoreable points are forwarded, so the full evaluator's

@@ -8,6 +8,7 @@ to raise ``ValueError``: never a result, never another exception type.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,10 @@ from repro.analytic import (erlang_c, estimate_generation, estimate_serving,
 from repro.dse import (Axis, EvolutionaryStrategy, Objective,
                        PrescreenStrategy, RandomStrategy, SearchSpace,
                        evaluate_point, explore, surrogate_point)
-from repro.fixedpoint import QFormat
+from repro.fixedpoint import FxTensor, QFormat, fx_scale_shift
 from repro.fpga import PowerModel, PowerReport
 from repro.isa import SynthParams
+from repro.nn.decoder import causal_mask
 from repro.nn.model_zoo import MODEL_ZOO, TransformerConfig
 from repro.obs import (AnomalyDetector, MetricsSampler, ThresholdRule,
                        Watchdog, bench_trend, diff_runs)
@@ -282,6 +284,11 @@ CASES = [
      lambda v, r: QFormat(8, 4).accumulator_format(QFormat(8, 4), v),
      NOT_COUNT),
     ("qformat.widen.extra_bits", lambda v, r: QFormat(8, 4).widen(v),
+     st.integers(max_value=-1) | st.floats() | st.booleans()),
+    ("causal_mask.seq_len", lambda v, r: causal_mask(v), NOT_COUNT),
+    ("fx_scale_shift.shift",
+     lambda v, r: fx_scale_shift(FxTensor(np.array([100]), QFormat(16, 8)),
+                                 3, v),
      st.integers(max_value=-1) | st.floats() | st.booleans()),
     ("wait_quantile_ms.drain_per_ms",
      lambda v, r: wait_quantile_ms(2, 0.5, v), NAN_OR_NOT_POSITIVE),

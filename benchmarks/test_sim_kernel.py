@@ -34,7 +34,9 @@ The fleet-scaling row records absolute generation drain throughput
 (output tokens/s) at 16 and at 128 instances with the per-instance
 load held constant, and gates their per-token cost ratio
 (``gen_fleet_scaling_x``) at >= 0.7: per-event engine cost must not
-grow with fleet size.
+grow with fleet size.  The two drains are timed in one
+:func:`_calibrated_race` of five interleaved rounds, so a slow host
+phase lands on both sizes rather than on one of them.
 """
 
 import gc
@@ -211,11 +213,10 @@ def test_bench_workload_generate(record_perf):
                 context={"requests": len(requests), "rescaled_s": wall})
 
 
-def _gen_fleet_drain(accel, n, per_instance_qps=62.5, duration_ms=500.0,
-                     rounds=3):
-    """Best-of-``rounds`` full-detail generation drain at ``n``
-    instances: (output tokens, seconds).  The per-instance arrival rate
-    and the length mix are those of the ``generate_watch`` workload."""
+def _gen_fleet_drain(accel, n, per_instance_qps=62.5, duration_ms=500.0):
+    """A full-detail generation drain at ``n`` instances, memos warmed,
+    as a zero-argument call.  The per-instance arrival rate and the
+    length mix are those of the ``generate_watch`` workload."""
     arrivals = PoissonArrivals(per_instance_qps * n,
                                ModelMix("model2-lhc-trigger"),
                                seed=3).generate(duration_ms)
@@ -226,11 +227,7 @@ def _gen_fleet_drain(accel, n, per_instance_qps=62.5, duration_ms=500.0,
     sim = GenerationClusterSimulator(accel, n, slots=8,
                                      scheduler="least-loaded")
     sim.run(requests[:50])  # warm the prefill/decode memos
-    best = float("inf")
-    for _ in range(rounds):
-        elapsed, result = _timed_once(lambda: sim.run(requests))
-        best = min(best, elapsed)
-    return result.total_tokens, best
+    return lambda: sim.run(requests)
 
 
 def test_bench_generation_fleet_scaling(record_perf):
@@ -242,8 +239,11 @@ def test_bench_generation_fleet_scaling(record_perf):
     once had, costs ~3x more per token at 128 instances.
     """
     accel = ProTEA.synthesize(SynthParams())
-    tokens_16, t_16 = _gen_fleet_drain(accel, 16)
-    tokens_128, t_128 = _gen_fleet_drain(accel, 128)
+    (t_16, result_16), (t_128, result_128) = _calibrated_race(
+        [_gen_fleet_drain(accel, 16), _gen_fleet_drain(accel, 128)],
+        rounds=5)
+    tokens_16 = result_16.total_tokens
+    tokens_128 = result_128.total_tokens
     assert tokens_128 > 6 * tokens_16
     scaling = (t_16 / tokens_16) / (t_128 / tokens_128)
     record_perf("sim", "gen_fleet16_tokens_per_s", tokens_16 / t_16,

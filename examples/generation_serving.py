@@ -20,18 +20,14 @@ Run:  python examples/generation_serving.py
 import numpy as np
 
 from repro import ProTEA, SynthParams, get_model
-from repro.core import DatapathFormats, DecoderModule, QuantizedDecoder
+from repro.core import (DatapathFormats, DecoderModule, FxDecoderKVCache,
+                        QuantizedDecoder)
 from repro.fixedpoint import FxTensor
-from repro.generation import (
-    FxDecoderKVCache,
-    LengthSampler,
-    attach_generation_lengths,
-    simulate_generation,
-    summarize_generation,
-)
 from repro.nn import Decoder
 from repro.parallel import PipelinePartitioner
-from repro.serving import ModelMix, PoissonArrivals, render_generation_report
+from repro.serving import (LengthSampler, ModelMix, PoissonArrivals,
+                           attach_generation_lengths, render_generation_report,
+                           simulate_generation, summarize_generation)
 
 accel = ProTEA.synthesize(SynthParams())
 print("instance:", accel.summary(), "\n")

@@ -63,9 +63,6 @@ class AccuracyReport:
         """The stage with the lowest SQNR (most precision lost)."""
         return min(self.stages, key=lambda s: s.sqnr_db)
 
-    def by_layer(self, layer: int) -> List[StageError]:
-        return [s for s in self.stages if s.layer == layer]
-
 
 def _stage(layer: int, name: str, fx: np.ndarray, ref: np.ndarray) -> StageError:
     err = fx - ref

@@ -5,13 +5,14 @@ measure — latency quantiles, TTFT/TPOT, throughput, utilization, fleet
 sizing — from summation-model arithmetic instead of event replay
 (SNIPPETS.md Snippet 1 is the idiom: add up the latency, bandwidth,
 and queueing terms).  The estimates are cross-validated against the
-sim kernel on the golden scenarios: every point estimate ships with a
-lo/hi bracket the simulated answer must fall inside.
+sim kernel on the golden scenarios: every statistic of a serving
+estimate ships with a lo/hi bracket the simulated answer must fall
+inside.
 
 Modules:
 
-* :mod:`~repro.analytic.queueing` — M/M/c Erlang-C wait tails (the
-  DSE surrogate imports its p99 estimate from here);
+* :mod:`~repro.analytic.queueing` — M/M/c Erlang-C wait tails and
+  the DSE surrogate's point-mode p99 estimate;
 * :mod:`~repro.analytic.envelope` — fluid approximations of concrete
   bursty/diurnal arrival envelopes;
 * :mod:`~repro.analytic.serving` — mixed-model serving estimates with
@@ -25,16 +26,13 @@ Modules:
 from .capacity import FleetProposal, propose_fleet
 from .envelope import ArrivalEnvelope, fluid_waits_ms
 from .generation import AnalyticGenerationEstimate, estimate_generation
-from .queueing import (erlang_c, latency_quantile_ms, min_stable_fleet,
-                       p99_estimate_ms, wait_quantile_ms)
+from .queueing import erlang_c, p99_estimate_ms, wait_quantile_ms
 from .serving import AnalyticServingEstimate, estimate_serving
 
 __all__ = [
     "erlang_c",
     "wait_quantile_ms",
-    "latency_quantile_ms",
     "p99_estimate_ms",
-    "min_stable_fleet",
     "ArrivalEnvelope",
     "fluid_waits_ms",
     "AnalyticServingEstimate",

@@ -98,14 +98,12 @@ def propose_fleet(
     (:func:`_meets_targets`) on the analytic estimate.  Never raises on
     infeasibility — it returns ``max_instances`` with ``feasible=False``
     and lets the caller's confirming simulations issue the
-    authoritative verdict.  It does raise ``ValueError`` on a NaN or
-    non-positive ``target_p99_ms``, an empty workload, a ``target_qps``
-    that is not positive and finite (a NaN or infinite target can never
-    be met), and a ``max_instances`` that is not an ``int >= 1``.
+    authoritative verdict.  It does raise ``ValueError`` on a
+    ``target_p99_ms`` or ``target_qps`` that is not positive and finite
+    (every fleet meets an infinite p99 target and none a NaN one), an
+    empty workload, and a ``max_instances`` that is not an ``int >= 1``.
     """
-    if not target_p99_ms > 0:  # NaN fails the comparison too
-        raise ValueError(
-            f"target_p99_ms must be positive, got {target_p99_ms!r}")
+    check_positive("target_p99_ms", target_p99_ms)
     if not requests:
         raise ValueError("cannot plan capacity for an empty workload")
     if target_qps is not None:

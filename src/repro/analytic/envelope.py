@@ -20,7 +20,7 @@ the stochastic and fluid components each dominate where the other is
 blind.
 
 :class:`ArrivalEnvelope` is the scalar summary (mean/peak rate over a
-sliding window) used for reporting and burstiness diagnostics.
+sliding window) that the serving estimate's peak-rate term reads.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ class ArrivalEnvelope:
     peak_qps: float
     #: Width of the peak-rate window.
     window_ms: float
-
-    @property
-    def burstiness(self) -> float:
-        """Peak-to-mean rate ratio (1.0 for perfectly smooth arrivals)."""
-        return self.peak_qps / self.mean_qps if self.mean_qps > 0 else 1.0
 
     @classmethod
     def from_times(cls, times_ms: Sequence[float],

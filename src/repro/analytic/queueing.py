@@ -44,8 +44,7 @@ import math
 
 from .._checks import check_count
 
-__all__ = ["erlang_c", "wait_quantile_ms", "latency_quantile_ms",
-           "p99_estimate_ms", "min_stable_fleet"]
+__all__ = ["erlang_c", "wait_quantile_ms", "p99_estimate_ms"]
 
 
 def erlang_c(servers: int, erlangs: float) -> float:
@@ -67,13 +66,6 @@ def erlang_c(servers: int, erlangs: float) -> float:
         blocking = erlangs * blocking / (k + erlangs * blocking)
     rho = erlangs / servers
     return blocking / (1.0 - rho * (1.0 - blocking))
-
-
-def min_stable_fleet(erlangs: float) -> int:
-    """Smallest fleet with spare capacity for ``erlangs`` of load."""
-    if erlangs < 0:
-        raise ValueError(f"offered load must be >= 0, got {erlangs}")
-    return max(1, math.floor(erlangs) + 1)
 
 
 def wait_quantile_ms(servers: int, erlangs: float, drain_per_ms: float,
@@ -109,43 +101,26 @@ def wait_quantile_ms(servers: int, erlangs: float, drain_per_ms: float,
     return max(unconditional_ms, wait_probability * conditional_ms)
 
 
-def latency_quantile_ms(service_ms: float, unit_inf_s: float, fleet: int,
-                        qps: float, duration_ms: float,
-                        q: float = 99.0, *, bracket: bool = False) -> float:
-    """Closed-form latency quantile: service + M/M/c wait quantile.
+def p99_estimate_ms(latency_ms: float, unit_inf_s: float, fleet: int,
+                    qps: float, duration_ms: float) -> float:
+    """Closed-form p99 latency, service + the point-mode M/M/c p99
+    wait (the surrogate's ``p99_ms`` objective).
 
-    Saturated points (offered load at or beyond fleet capacity) get a
-    deterministic penalty — ``service + duration`` in point mode (the
-    queue grows for the whole workload horizon, ranking them behind
-    every stable point without an undominatable infinity), and the
-    fluid backlog-drain time ``duration * erlangs / fleet`` in bracket
-    mode (which keeps growing with overload, as the real tail does).
-
-    Point-mode waits are additionally capped at the fluid wait
-    ``duration * erlangs / fleet`` so the estimate passes through the
-    saturation boundary continuously and monotonically.
+    Saturated points (offered load at or beyond fleet capacity) get the
+    deterministic penalty ``latency + duration``: the queue grows for
+    the whole workload horizon, which ranks them behind every stable
+    point without an undominatable infinity.  Waits are capped at the
+    fluid wait ``duration * erlangs / fleet`` so the estimate passes
+    through the saturation boundary continuously and monotonically.
     """
-    if fleet < 1:
-        raise ValueError(f"fleet must be >= 1, got {fleet}")
+    check_count("fleet", fleet)
     mu_per_ms = unit_inf_s / 1e3          # service rate per instance
     lam_per_ms = qps / 1e3                # offered arrival rate
     if mu_per_ms <= 0:
-        return service_ms + duration_ms
+        return latency_ms + duration_ms
     erlangs = lam_per_ms / mu_per_ms
-    fluid_ms = duration_ms * erlangs / fleet
     if erlangs >= fleet:
-        return service_ms + (fluid_ms if bracket else duration_ms)
+        return latency_ms + duration_ms
     wait_ms = wait_quantile_ms(fleet, erlangs,
-                               fleet * mu_per_ms - lam_per_ms, q,
-                               bracket=bracket)
-    if not bracket:
-        wait_ms = min(wait_ms, fluid_ms)
-    return service_ms + max(0.0, wait_ms)
-
-
-def p99_estimate_ms(latency_ms: float, unit_inf_s: float, fleet: int,
-                    qps: float, duration_ms: float,
-                    *, bracket: bool = False) -> float:
-    """The p99 tail estimate (the surrogate's ``p99_ms`` objective)."""
-    return latency_quantile_ms(latency_ms, unit_inf_s, fleet, qps,
-                               duration_ms, 99.0, bracket=bracket)
+                               fleet * mu_per_ms - lam_per_ms)
+    return latency_ms + max(0.0, min(wait_ms, duration_ms * erlangs / fleet))

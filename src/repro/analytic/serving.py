@@ -115,10 +115,6 @@ class AnalyticServingEstimate:
     utilization_hi: float
     availability: float = 1.0
 
-    @property
-    def saturated(self) -> bool:
-        return self.erlangs >= self.fleet
-
     def as_dict(self) -> dict:
         """JSON-friendly flattening (CLI ``--json`` output)."""
         return {

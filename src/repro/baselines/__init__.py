@@ -1,9 +1,9 @@
 """Baseline performance models: CPUs, GPUs, competitor FPGA designs,
 and the paper's sparsity what-if arithmetic."""
 
-from .cpu import CPU_PLATFORMS, intel_i5_4460, intel_i5_5257u
-from .fpga_competitors import TABLE2_COMPETITORS, CompetitorRecord, get_competitor
-from .gpu import GPU_PLATFORMS, jetson_tx2, rtx_3060, titan_xp_hep, titan_xp_nlp
+from .cpu import intel_i5_4460, intel_i5_5257u
+from .fpga_competitors import TABLE2_COMPETITORS, CompetitorRecord
+from .gpu import jetson_tx2, rtx_3060, titan_xp_hep, titan_xp_nlp
 from .roofline import PlatformModel, anchored_platform
 from .sparsity import SparsityWhatIf, sparsity_adjusted_latency, what_if
 
@@ -12,15 +12,12 @@ __all__ = [
     "anchored_platform",
     "intel_i5_5257u",
     "intel_i5_4460",
-    "CPU_PLATFORMS",
     "jetson_tx2",
     "titan_xp_hep",
     "titan_xp_nlp",
     "rtx_3060",
-    "GPU_PLATFORMS",
     "CompetitorRecord",
     "TABLE2_COMPETITORS",
-    "get_competitor",
     "sparsity_adjusted_latency",
     "SparsityWhatIf",
     "what_if",

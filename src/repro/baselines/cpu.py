@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..nn.model_zoo import get_model
 from .roofline import PlatformModel, anchored_platform
 
-__all__ = ["intel_i5_5257u", "intel_i5_4460", "CPU_PLATFORMS"]
+__all__ = ["intel_i5_5257u", "intel_i5_4460"]
 
 
 def intel_i5_5257u() -> PlatformModel:
@@ -42,6 +42,3 @@ def intel_i5_4460() -> PlatformModel:
     )
 
 
-def CPU_PLATFORMS() -> dict:
-    """Name → model mapping of every CPU comparator."""
-    return {p.name: p for p in (intel_i5_5257u(), intel_i5_4460())}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-__all__ = ["CompetitorRecord", "TABLE2_COMPETITORS", "get_competitor"]
+__all__ = ["CompetitorRecord", "TABLE2_COMPETITORS"]
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,3 @@ TABLE2_COMPETITORS: Tuple[CompetitorRecord, ...] = (
 )
 
 
-def get_competitor(key: str) -> CompetitorRecord:
-    """Look up a comparator by key."""
-    for rec in TABLE2_COMPETITORS:
-        if rec.key == key:
-            return rec
-    raise KeyError(
-        f"unknown competitor {key!r}; available: "
-        f"{[r.key for r in TABLE2_COMPETITORS]}"
-    )

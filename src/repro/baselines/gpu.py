@@ -21,7 +21,6 @@ __all__ = [
     "titan_xp_hep",
     "titan_xp_nlp",
     "rtx_3060",
-    "GPU_PLATFORMS",
 ]
 
 
@@ -77,11 +76,3 @@ def rtx_3060() -> PlatformModel:
     )
 
 
-def GPU_PLATFORMS() -> dict:
-    """Name → model mapping (NLP Titan XP keyed separately)."""
-    return {
-        "Jetson TX2 GPU": jetson_tx2(),
-        "NVIDIA Titan XP GPU (HEP)": titan_xp_hep(),
-        "NVIDIA Titan XP GPU (NLP)": titan_xp_nlp(),
-        "NVIDIA RTX 3060 GPU": rtx_3060(),
-    }

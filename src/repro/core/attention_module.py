@@ -39,6 +39,7 @@ from .engines import (
     add_bias_and_requantize,
     qk_loop_nest,
     qkv_loop_nest,
+    reduction_passes,
     sv_loop_nest,
     tiled_fx_matmul_reduction,
 )
@@ -133,7 +134,7 @@ class AttentionModule:
         chunks = math.ceil(seq_len / chunk)
         rows = min(seq_len, chunk)
         dk_synth = synth.max_d_model // synth.max_heads
-        passes = math.ceil(d_k / dk_synth)
+        passes = reduction_passes(d_k, dk_synth)[0]
 
         qkv = tiles * schedule_loop(
             qkv_loop_nest(seq_len, d_k, synth.ts_mha)).cycles
@@ -166,7 +167,7 @@ class AttentionModule:
         m_chunks = math.ceil(cache_len / chunk)
         k_rows = min(cache_len, chunk)
         dk_synth = synth.max_d_model // synth.max_heads
-        passes = math.ceil(d_k / dk_synth)
+        passes = reduction_passes(d_k, dk_synth)[0]
 
         qkv = tiles * schedule_loop(
             qkv_loop_nest(1, d_k, synth.ts_mha)).cycles

@@ -40,6 +40,7 @@ from .engines import (
     add_bias_and_requantize,
     qk_loop_nest,
     qkv_loop_nest,
+    reduction_passes,
     sv_loop_nest,
     tiled_fx_matmul_reduction,
 )
@@ -253,7 +254,7 @@ class DecoderModule:
         d_k = d_model // num_heads
         tiles = max(1, math.ceil(d_model / synth.ts_mha))
         dk_synth = synth.max_d_model // synth.max_heads
-        passes = math.ceil(d_k / dk_synth)
+        passes = reduction_passes(d_k, dk_synth)[0]
         chunk = synth.seq_chunk
         t_chunks = math.ceil(tgt_len / chunk)
         m_chunks = math.ceil(mem_len / chunk)

@@ -330,10 +330,6 @@ class RuntimeSession:
         """Would deploying ``config`` change the resident workload?"""
         return not self.history or self.history[-1] != config
 
-    def switch_cost_ms(self, config: TransformerConfig) -> float:
-        """Cost of deploying ``config`` next (0 if already resident)."""
-        return self.reprogram_latency_ms if self._switches(config) else 0.0
-
     def deploy(self, config: TransformerConfig) -> ProTEA:
         """Program a new workload; never resynthesizes."""
         switched = self._switches(config)

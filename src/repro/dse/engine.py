@@ -98,10 +98,6 @@ class ExplorationResult:
     #: otherwise.
     prescreen: Optional[Dict[str, Any]] = None
 
-    @property
-    def ok_results(self) -> List[EvalResult]:
-        return [r for r in self.results if r.ok]
-
     def as_dict(self) -> dict:
         return {
             "strategy": self.strategy,

@@ -1,10 +1,9 @@
 """Declarative search spaces: named axes, grids, sampling, mutation.
 
 A :class:`SearchSpace` is the *what* of a design-space exploration —
-named axes with finite value lists, plus an optional feasibility
-constraint — kept strictly separate from the *how* (strategies in
-:mod:`.strategies`) and the *scoring* (evaluators such as
-:func:`repro.dse.objectives.evaluate_point`).  Everything here is
+named axes with finite value lists — kept strictly separate from the
+*how* (strategies in :mod:`.strategies`) and the *scoring* (evaluators
+such as :func:`repro.dse.objectives.evaluate_point`).  Everything here is
 deterministic: the grid enumerates in axis-declaration order (outer
 axes first, exactly like nested loops), and all randomness flows
 through a caller-supplied :class:`random.Random`.
@@ -13,10 +12,10 @@ through a caller-supplied :class:`random.Random`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from random import Random
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Mapping, Tuple
 
 __all__ = ["Axis", "SearchSpace", "point_id"]
 
@@ -52,17 +51,14 @@ class Axis:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Axes plus an optional feasibility constraint.
+    """The full grid of the named axes.
 
-    ``constraint(point) -> bool`` prunes structurally-invalid corners
-    *before* evaluation (e.g. a tensor-parallel width that does not
-    divide the head count); expensive feasibility checks (device fit)
-    belong in the evaluator, where failures are recorded per point.
+    Infeasible corners (device fit, a tensor-parallel width that does
+    not divide the head count) are the evaluator's to reject, where
+    failures are recorded per point.
     """
 
     axes: Tuple[Axis, ...]
-    constraint: Optional[Callable[[Dict[str, Any]], bool]] = field(
-        default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -79,7 +75,7 @@ class SearchSpace:
 
     @property
     def size(self) -> int:
-        """Raw grid cardinality (before the constraint prunes)."""
+        """Grid cardinality."""
         n = 1
         for a in self.axes:
             n *= len(a)
@@ -91,64 +87,29 @@ class SearchSpace:
                 return a
         raise KeyError(f"no axis named {name!r}; have {list(self.names)}")
 
-    def feasible(self, point: Mapping[str, Any]) -> bool:
-        return self.constraint is None or bool(self.constraint(dict(point)))
-
     # ------------------------------------------------------------------
     def grid(self) -> Iterator[Dict[str, Any]]:
-        """Every feasible point, first axis outermost (nested-loop order)."""
+        """Every point, first axis outermost (nested-loop order)."""
         for combo in product(*(a.values for a in self.axes)):
-            point = dict(zip(self.names, combo))
-            if self.feasible(point):
-                yield point
+            yield dict(zip(self.names, combo))
 
-    def sample(self, rng: Random, max_tries: int = 256) -> Dict[str, Any]:
-        """One feasible random point (rejection sampling)."""
-        for _ in range(max_tries):
-            point = {a.name: rng.choice(a.values) for a in self.axes}
-            if self.feasible(point):
-                return point
-        raise ValueError(
-            f"could not sample a feasible point in {max_tries} tries — "
-            "is the constraint satisfiable?")
+    def sample(self, rng: Random) -> Dict[str, Any]:
+        """One uniformly random point."""
+        return {a.name: rng.choice(a.values) for a in self.axes}
 
-    def mutate(self, point: Mapping[str, Any], rng: Random,
-               max_tries: int = 64) -> Dict[str, Any]:
-        """Flip one axis to a different value (feasibility-preserving)."""
+    def mutate(self, point: Mapping[str, Any], rng: Random) -> Dict[str, Any]:
+        """Flip one axis to a different value."""
         mutable = [a for a in self.axes if len(a) > 1]
         if not mutable:
             return dict(point)
-        for _ in range(max_tries):
-            axis = rng.choice(mutable)
-            alternatives = [v for v in axis.values if v != point[axis.name]]
-            child = dict(point)
-            child[axis.name] = rng.choice(alternatives)
-            if self.feasible(child):
-                return child
-        return dict(point)
+        axis = rng.choice(mutable)
+        alternatives = [v for v in axis.values if v != point[axis.name]]
+        child = dict(point)
+        child[axis.name] = rng.choice(alternatives)
+        return child
 
     def crossover(self, a: Mapping[str, Any], b: Mapping[str, Any],
-                  rng: Random, max_tries: int = 64) -> Dict[str, Any]:
-        """Uniform crossover of two parents (falls back to parent ``a``)."""
-        for _ in range(max_tries):
-            child = {ax.name: (a if rng.random() < 0.5 else b)[ax.name]
-                     for ax in self.axes}
-            if self.feasible(child):
-                return child
-        return dict(a)
-
-    def validate_point(self, point: Mapping[str, Any]) -> None:
-        """Raise ``ValueError`` unless ``point`` lies on the grid."""
-        missing = set(self.names) - set(point)
-        extra = set(point) - set(self.names)
-        if missing or extra:
-            raise ValueError(
-                f"point keys {sorted(point)} do not match axes "
-                f"{list(self.names)}")
-        for axis in self.axes:
-            if point[axis.name] not in axis.values:
-                raise ValueError(
-                    f"{axis.name}={point[axis.name]!r} is not one of "
-                    f"{list(axis.values)}")
-        if not self.feasible(point):
-            raise ValueError(f"point {dict(point)} violates the constraint")
+                  rng: Random) -> Dict[str, Any]:
+        """Uniform crossover of two parents."""
+        return {ax.name: (a if rng.random() < 0.5 else b)[ax.name]
+                for ax in self.axes}

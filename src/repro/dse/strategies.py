@@ -88,7 +88,7 @@ class RandomStrategy(Strategy):
         points: List[Dict[str, Any]] = []
         seen = set()
         # Distinctness cap: a small space may not hold `samples` unique
-        # feasible points; give up after enough fruitless draws.
+        # points; give up after enough fruitless draws.
         budget = 64 * self.samples
         while len(points) < self.samples and budget:
             budget -= 1

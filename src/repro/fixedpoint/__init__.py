@@ -6,27 +6,20 @@ Public surface:
 * :func:`~repro.fixedpoint.quantize.quantize` /
   :func:`~repro.fixedpoint.quantize.dequantize` /
   :func:`~repro.fixedpoint.quantize.requantize` — format conversions.
-* :class:`~repro.fixedpoint.arithmetic.FxTensor` and the ``fx_*``
-  integer tensor ops — the MAC datapath.
+* :class:`~repro.fixedpoint.arithmetic.FxTensor` — raw integer codes
+  with their format, the values the engines' tiled integer matmuls
+  (:mod:`repro.core.engines`) take and return.
 * LUT function units (:class:`~repro.fixedpoint.lut.ExpLUT`, …) used by
   the softmax and layer-norm hardware units.
 """
 
-from .arithmetic import FxTensor, fx_add, fx_matmul, fx_mul, fx_scale_shift
-from .lut import (
-    ErfLUT,
-    ExpLUT,
-    FunctionLUT,
-    ReciprocalLUT,
-    RsqrtLUT,
-    lut_resource_estimate,
-)
+from .arithmetic import FxTensor
+from .lut import ErfLUT, ExpLUT, FunctionLUT, ReciprocalLUT, RsqrtLUT
 from .qformat import ACC32, Q8_4, Q8_5, Q8_6, Q16_8, QFormat
 from .quantize import (
     Rounding,
     calibrate_format,
     dequantize,
-    quantization_error,
     quantize,
     requantize,
     saturate,
@@ -45,16 +38,10 @@ __all__ = [
     "requantize",
     "saturate",
     "calibrate_format",
-    "quantization_error",
     "FxTensor",
-    "fx_matmul",
-    "fx_add",
-    "fx_mul",
-    "fx_scale_shift",
     "FunctionLUT",
     "ExpLUT",
     "ReciprocalLUT",
     "RsqrtLUT",
     "ErfLUT",
-    "lut_resource_estimate",
 ]

@@ -19,7 +19,6 @@ serving, generation, DSE and the paper tables run without scipy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,7 +30,6 @@ __all__ = [
     "ReciprocalLUT",
     "RsqrtLUT",
     "ErfLUT",
-    "lut_resource_estimate",
 ]
 
 
@@ -161,19 +159,3 @@ class ErfLUT(FunctionLUT):
                          interpolate=interpolate, name="erf")
 
 
-def lut_resource_estimate(lut: FunctionLUT, value_bits: int = 16) -> dict:
-    """Estimate FPGA resources of one LUT unit.
-
-    A table of ``entries × value_bits`` maps to distributed LUTRAM at
-    ~64 bits per logic LUT (LUT6 as 64x1 ROM); interpolation adds one
-    DSP and a subtractor.  These coefficients feed the accelerator-wide
-    resource model.
-    """
-    rom_bits = lut.entries * value_bits
-    logic_luts = math.ceil(rom_bits / 64) + 24  # index clamp + control
-    return {
-        "luts": logic_luts,
-        "ffs": value_bits * 3,  # input/output/pipeline registers
-        "dsps": 1 if lut.interpolate else 0,
-        "brams": 0 if rom_bits <= 16384 else math.ceil(rom_bits / 18432),
-    }

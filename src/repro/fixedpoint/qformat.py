@@ -92,51 +92,9 @@ class QFormat:
         """Largest representable real value."""
         return self.int_max * self.scale
 
-    @property
-    def resolution(self) -> float:
-        """Alias of :attr:`scale` (distance between adjacent codes)."""
-        return self.scale
-
-    @property
-    def int_bits(self) -> int:
-        """Integer (non-fractional, non-sign) bits."""
-        return self.total_bits - self.frac_bits - (1 if self.signed else 0)
-
     def representable(self, value: float) -> bool:
         """Whether ``value`` lies within [min_value, max_value]."""
         return self.min_value <= value <= self.max_value
-
-    # ------------------------------------------------------------------
-    # Derived formats
-    # ------------------------------------------------------------------
-    def widen(self, extra_bits: int) -> "QFormat":
-        """Return the same format with ``extra_bits`` more integer bits.
-
-        Used to size accumulators: a dot product of length ``n`` grows
-        by ``ceil(log2(n))`` bits beyond the product width.
-        """
-        if not is_count(extra_bits, 0):
-            raise ValueError("extra_bits must be non-negative")
-        return QFormat(self.total_bits + extra_bits, self.frac_bits, self.signed)
-
-    def product_format(self, other: "QFormat") -> "QFormat":
-        """Exact format of a full-precision product of two operands."""
-        return QFormat(
-            self.total_bits + other.total_bits,
-            self.frac_bits + other.frac_bits,
-            self.signed or other.signed,
-        )
-
-    def accumulator_format(self, other: "QFormat", length: int) -> "QFormat":
-        """Exact format of a dot product of ``length`` terms.
-
-        The DSP48 accumulates in 48 bits; a ``length``-term sum of full
-        products needs ``ceil(log2(length))`` guard bits.
-        """
-        if not is_count(length):
-            raise ValueError("length must be >= 1")
-        guard = max(1, math.ceil(math.log2(length))) if length > 1 else 0
-        return self.product_format(other).widen(guard)
 
     # ------------------------------------------------------------------
     # Calibration

@@ -8,7 +8,6 @@ idiom the HPC guides prescribe — no per-element Python loops.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Tuple
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "requantize",
     "saturate",
     "calibrate_format",
-    "quantization_error",
 ]
 
 
@@ -118,13 +116,3 @@ def calibrate_format(
     return QFormat.for_range(lo, hi, total_bits=total_bits, signed=signed)
 
 
-def quantization_error(
-    values: np.ndarray, fmt: QFormat, rounding: Rounding = Rounding.NEAREST_EVEN
-) -> Tuple[float, float]:
-    """Return ``(max_abs_error, rms_error)`` of quantizing ``values``."""
-    values = np.asarray(values, dtype=np.float64)
-    recon = dequantize(quantize(values, fmt, rounding), fmt)
-    err = recon - values
-    if err.size == 0:
-        return 0.0, 0.0
-    return float(np.max(np.abs(err))), float(np.sqrt(np.mean(err * err)))

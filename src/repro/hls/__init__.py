@@ -8,14 +8,7 @@ and this package turns them into cycle counts
 achievable clock (:class:`~repro.hls.timing.TimingModel`).
 """
 
-from .arrays import (
-    ArraySpec,
-    BankBinding,
-    LUTRAM_THRESHOLD_BITS,
-    PortConflictError,
-    fully_partitioned,
-    total_binding,
-)
+from .arrays import LUTRAM_THRESHOLD_BITS, ArraySpec, BankBinding
 from .loopnest import MAC_STATEMENT, Body, Loop, Statement, walk_statements
 from .pragmas import ArrayPartition, PartitionKind, Pipeline, Unroll
 from .resources import (
@@ -27,7 +20,7 @@ from .resources import (
     estimate_loop_resources,
     static_infrastructure,
 )
-from .scheduler import LoopSchedule, schedule_body, schedule_loop
+from .scheduler import LoopSchedule, schedule_loop
 from .timing import DEFAULT_TIMING, EnginePath, TimingModel, tile_regularity
 
 __all__ = [
@@ -42,13 +35,9 @@ __all__ = [
     "walk_statements",
     "LoopSchedule",
     "schedule_loop",
-    "schedule_body",
     "ArraySpec",
     "BankBinding",
-    "PortConflictError",
     "LUTRAM_THRESHOLD_BITS",
-    "fully_partitioned",
-    "total_binding",
     "ResourceEstimate",
     "estimate_loop_resources",
     "static_infrastructure",

@@ -5,36 +5,28 @@ BRAMs/LUTRAMs to support parallel access ... array partitioning and
 data loading are optimized to ensure that data needed simultaneously by
 a DSP is stored in separate BRAMs."  This module reproduces that
 mapping: an :class:`ArraySpec` plus partition pragmas yields a bank
-count, a storage binding (BRAM18K vs distributed LUTRAM) and a port
-budget the scheduler can check unroll factors against.
+count and a storage binding (BRAM18K vs distributed LUTRAM).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
-from .pragmas import ArrayPartition, PartitionKind
+from .pragmas import ArrayPartition
 
-__all__ = ["ArraySpec", "BankBinding", "PortConflictError", "LUTRAM_THRESHOLD_BITS"]
+__all__ = ["ArraySpec", "BankBinding", "LUTRAM_THRESHOLD_BITS"]
 
 #: Arrays at or below this size bind to distributed LUTRAM (Vitis's
 #: default heuristic is ~1K bits per bank before it spends a BRAM18K).
 LUTRAM_THRESHOLD_BITS = 1024
-
-#: Read/write ports per BRAM18K bank (true dual port).
-PORTS_PER_BANK = 2
 
 #: Bits stored per logic LUT when used as distributed RAM (LUT6 = 64x1).
 BITS_PER_LUTRAM_LUT = 64
 
 #: Capacity of one BRAM18K block in bits.
 BRAM18K_BITS = 18 * 1024
-
-
-class PortConflictError(RuntimeError):
-    """Raised when concurrent accesses exceed the banks' port budget."""
 
 
 @dataclass(frozen=True)
@@ -111,25 +103,6 @@ class ArraySpec:
         return BankBinding(self.name, banks, bits_per_bank, "bram",
                            bram18k=banks * bram_per_bank, lutram_luts=0)
 
-    def check_parallel_access(self, accesses_per_cycle: int) -> None:
-        """Verify the partitioning supports ``accesses_per_cycle``.
-
-        The unrolled PEs read one element each per cycle; with cyclic
-        partitioning across the unrolled dim, each bank serves at most
-        :data:`PORTS_PER_BANK` accesses.
-        """
-        capacity = self.banks * PORTS_PER_BANK
-        if accesses_per_cycle > capacity:
-            raise PortConflictError(
-                f"{self.name}: {accesses_per_cycle} accesses/cycle exceed "
-                f"{self.banks} banks x {PORTS_PER_BANK} ports = {capacity}"
-            )
-
-    def required_ii(self, accesses_per_cycle: int) -> int:
-        """Smallest II sustaining ``accesses_per_cycle`` on this banking."""
-        capacity = self.banks * PORTS_PER_BANK
-        return max(1, math.ceil(accesses_per_cycle / capacity))
-
 
 @dataclass(frozen=True)
 class BankBinding:
@@ -141,25 +114,3 @@ class BankBinding:
     storage: str  # 'bram' | 'lutram'
     bram18k: int
     lutram_luts: int
-
-
-def total_binding(specs: List[ArraySpec]) -> Tuple[int, int, int]:
-    """Aggregate ``(bram18k, lutram_luts, banks)`` over many arrays."""
-    bram = luts = banks = 0
-    for spec in specs:
-        b = spec.bind()
-        bram += b.bram18k
-        luts += b.lutram_luts
-        banks += b.banks
-    return bram, luts, banks
-
-
-def fully_partitioned(name: str, shape: Tuple[int, ...], dim: int,
-                      element_bits: int = 8) -> ArraySpec:
-    """Convenience: array completely partitioned along ``dim`` (1-based)."""
-    return ArraySpec(
-        name=name,
-        shape=shape,
-        element_bits=element_bits,
-        partitions=(ArrayPartition(PartitionKind.COMPLETE, dim=dim),),
-    )

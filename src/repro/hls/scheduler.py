@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict
 
-from .loopnest import Body, Loop
+from .loopnest import Loop
 
-__all__ = ["LoopSchedule", "schedule_loop", "schedule_body"]
+__all__ = ["LoopSchedule", "schedule_loop"]
 
 
 @dataclass
@@ -109,14 +109,3 @@ def schedule_loop(loop: Loop) -> LoopSchedule:
     )
 
 
-def schedule_body(body: Body) -> LoopSchedule:
-    """Latency of an engine body: its top-level loops run back to back."""
-    total = 0
-    depth = 0
-    detail: Dict[str, int] = {}
-    for lp in body.loops:
-        sched = schedule_loop(lp)
-        detail[lp.name] = sched.cycles
-        total += sched.cycles
-        depth = max(depth, sched.depth)
-    return LoopSchedule(cycles=total, depth=depth, trip=1, detail=detail)

@@ -90,13 +90,6 @@ class TimingModel:
         worst = max(self.path_delay_ns(p) for p in paths)
         return min(1000.0 / worst, self.ceiling_mhz)
 
-    def per_engine_mhz(self, paths: Iterable[EnginePath]) -> Dict[str, float]:
-        """Diagnostic per-engine standalone Fmax."""
-        return {
-            p.name: min(1000.0 / self.path_delay_ns(p), self.ceiling_mhz)
-            for p in paths
-        }
-
 
 def tile_regularity(d_model: int, tile: int) -> Dict[str, bool]:
     """Irregularity flags for a tile size against the synthesized

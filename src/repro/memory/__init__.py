@@ -2,14 +2,7 @@
 double-buffered load/compute overlap."""
 
 from .axi import AXI4Master, AXILiteSlave
-from .dma import (
-    OverlapReport,
-    TilePhase,
-    overlapped_cycles,
-    serialized_cycles,
-    tiled_engine_cycles,
-    uniform_phases,
-)
+from .dma import OverlapReport, TilePhase, overlapped_cycles, serialized_cycles
 from .hbm import HBMChannel, HBMSubsystem
 
 __all__ = [
@@ -21,6 +14,4 @@ __all__ = [
     "OverlapReport",
     "overlapped_cycles",
     "serialized_cycles",
-    "uniform_phases",
-    "tiled_engine_cycles",
 ]

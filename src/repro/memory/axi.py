@@ -93,9 +93,3 @@ class AXILiteSlave:
 
     write_cycles: int = 6
     read_cycles: int = 6
-
-    def configure_cycles(self, num_registers: int) -> int:
-        """Cycles for the MicroBlaze to program ``num_registers`` CSRs."""
-        if num_registers < 0:
-            raise ValueError("num_registers must be non-negative")
-        return num_registers * self.write_cycles

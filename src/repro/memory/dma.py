@@ -15,7 +15,7 @@ not depth), so the default pipeline degree is configurable per engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 __all__ = ["TilePhase", "overlapped_cycles", "serialized_cycles", "OverlapReport"]
 
@@ -41,13 +41,6 @@ class OverlapReport:
     compute_only: int
     overlap_saved: int
 
-    @property
-    def overlap_efficiency(self) -> float:
-        """Fraction of the ideal saving actually achieved (0 when
-        nothing could overlap)."""
-        ideal = min(self.load_only, self.compute_only)
-        return 0.0 if ideal == 0 else self.overlap_saved / ideal
-
 
 def serialized_cycles(phases: Sequence[TilePhase]) -> OverlapReport:
     """Single-buffered: every load blocks its compute."""
@@ -69,19 +62,3 @@ def overlapped_cycles(phases: Sequence[TilePhase]) -> OverlapReport:
     total += phases[-1].compute
     return OverlapReport(total=total, load_only=load, compute_only=comp,
                          overlap_saved=(load + comp) - total)
-
-
-def uniform_phases(n_tiles: int, load: int, compute: int) -> List[TilePhase]:
-    """Convenience for engines whose tiles are all the same shape."""
-    if n_tiles < 0:
-        raise ValueError("n_tiles must be non-negative")
-    return [TilePhase(load=load, compute=compute) for _ in range(n_tiles)]
-
-
-def tiled_engine_cycles(
-    n_tiles: int, load: int, compute: int, double_buffered: bool
-) -> Tuple[int, OverlapReport]:
-    """Total cycles of an engine that iterates ``n_tiles`` uniform tiles."""
-    phases = uniform_phases(n_tiles, load, compute)
-    report = overlapped_cycles(phases) if double_buffered else serialized_cycles(phases)
-    return report.total, report

@@ -71,7 +71,3 @@ class HBMSubsystem:
             nbytes / bpc
         )
         return max(protocol, dram)
-
-    def aggregate_bandwidth_gbps(self) -> float:
-        """Card-level peak bandwidth."""
-        return self.channels * self.channel.bandwidth_gbps

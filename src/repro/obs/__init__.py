@@ -17,10 +17,10 @@ Observability pillars, all opt-in and all zero-cost when left detached:
   with cache hit/miss counts and a per-worker dispatch/idle breakdown
   (``--profile``).
 * **watching** (:mod:`repro.obs.alerts` / :mod:`repro.obs.anomaly`) —
-  alert rules (static thresholds, sustained levels, and multi-window
-  error-budget :class:`BurnRateRule` burn rates over trailing sim-time
-  windows), and a rolling-median + MAD :class:`AnomalyDetector`, all
-  glued to a live run by the :class:`Watchdog` observer (``--watch``).
+  alert rules (static thresholds and multi-window error-budget
+  :class:`BurnRateRule` burn rates over trailing sim-time windows),
+  and a rolling-median + MAD :class:`AnomalyDetector`, all glued to a
+  live run by the :class:`Watchdog` observer (``--watch``).
 * **analytics** (:mod:`repro.obs.diff` / :mod:`repro.obs.
   bench_history`) — run-to-run regression detection between two
   ``--json`` exports (:func:`diff_runs`) and trend/gate analytics over
@@ -43,7 +43,6 @@ from .alerts import (
     Alert,
     AlertRule,
     BurnRateRule,
-    SustainedRule,
     ThresholdRule,
     Watchdog,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "Alert",
     "AlertRule",
     "ThresholdRule",
-    "SustainedRule",
     "BurnRateRule",
     "Watchdog",
     "AnomalyDetector",

@@ -1,13 +1,10 @@
 """Streaming SLO watchdogs: alert rules + the Watchdog observer.
 
-The alerting pillar of :mod:`repro.obs`.  Three rule shapes, all
+The alerting pillar of :mod:`repro.obs`.  Two rule shapes, both
 evaluated *online* in simulated time:
 
 * :class:`ThresholdRule` — static: fires while a value exceeds a
   threshold;
-* :class:`SustainedRule` — fires only once the value has stayed above
-  the threshold for ``sustain_ms`` of simulated time (sustained
-  utilization / queue depth);
 * :class:`BurnRateRule` — multi-window error-budget burn rate over SLO
   outcomes, the Google-SRE alerting shape: with error budget
   ``1 - target``, the burn rate in a window is
@@ -54,12 +51,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._checks import (check_non_negative, check_positive,
-                       is_non_negative, is_positive)
+from .._checks import check_positive, is_non_negative, is_positive
 from .anomaly import AnomalyDetector
 
-__all__ = ["Alert", "AlertRule", "ThresholdRule", "SustainedRule",
-           "BurnRateRule", "Watchdog"]
+__all__ = ["Alert", "AlertRule", "ThresholdRule", "BurnRateRule",
+           "Watchdog"]
 
 _EPS = 1e-9  # same tolerance the engines use at step/fault boundaries
 
@@ -130,38 +126,15 @@ class AlertRule:
 class ThresholdRule(AlertRule):
     """Static threshold: fires while ``value > threshold``."""
 
-    def __init__(self, name: str, threshold: float,
-                 sustain_ms: float = 0.0) -> None:
+    def __init__(self, name: str, threshold: float) -> None:
         super().__init__(name)
-        check_non_negative("sustain_ms", sustain_ms)  # inf never fires
         # A NaN or +inf threshold never fires, a -inf one always does.
         if not is_non_negative(abs(threshold)):
             raise ValueError(f"threshold must be finite, got {threshold}")
         self.threshold = threshold
-        self.sustain_ms = sustain_ms
-        self._above_since: Optional[float] = None
 
     def observe(self, t_ms: float, value: float) -> None:
-        if value > self.threshold:
-            if self._above_since is None:
-                self._above_since = t_ms
-            if t_ms - self._above_since >= self.sustain_ms:
-                self._update(t_ms, True, value)
-        else:
-            self._above_since = None
-            self._update(t_ms, False, value)
-
-
-class SustainedRule(ThresholdRule):
-    """Threshold that must hold for ``sustain_ms`` before firing."""
-
-    def __init__(self, name: str, threshold: float,
-                 sustain_ms: float) -> None:
-        if not sustain_ms > 0:
-            raise ValueError(
-                f"SustainedRule needs sustain_ms > 0 (got {sustain_ms}); "
-                "use ThresholdRule for instant alerts")
-        super().__init__(name, threshold, sustain_ms)
+        self._update(t_ms, value > self.threshold, value)
 
 
 class BurnRateRule(AlertRule):
@@ -174,8 +147,8 @@ class BurnRateRule(AlertRule):
     """
 
     def __init__(self, target: float, fast_ms: float, slow_ms: float,
-                 threshold: float, name: str = "burn_rate") -> None:
-        super().__init__(name)
+                 threshold: float) -> None:
+        super().__init__("burn_rate")
         if not 0.0 < target < 1.0:
             raise ValueError(
                 f"SLO target must be in (0, 1), got {target}")
@@ -240,17 +213,15 @@ class Watchdog:
 
     ``slo_ms`` bounds per-request latency in serve mode and TTFT in
     generate mode.  ``target`` is the SLO attainment objective whose
-    error budget the burn-rate rule tracks.  ``queue_threshold`` arms
-    an optional sustained queue-depth rule; ``rules`` adds extra rules
-    fed the per-completion outcome values (``observe(t_ms, value)``).
+    error budget the burn-rate rule tracks.  ``rules`` adds extra
+    rules fed the per-completion outcome values
+    (``observe(t_ms, value)``).
     """
 
     def __init__(self, slo_ms: float, target: float = 0.99,
                  fast_window_ms: float = 100.0,
                  slow_window_ms: float = 500.0,
                  burn_threshold: float = 2.0,
-                 queue_threshold: Optional[float] = None,
-                 queue_sustain_ms: float = 10.0,
                  detector: Optional[AnomalyDetector] = None,
                  rules: Sequence[AlertRule] = ()) -> None:
         # Every request meets an infinite SLO and none a NaN one.
@@ -260,10 +231,6 @@ class Watchdog:
         self.burn_rule = BurnRateRule(target, fast_window_ms,
                                       slow_window_ms, burn_threshold)
         self.down_rule = ThresholdRule("fleet_down", threshold=0.0)
-        self.queue_rule: Optional[SustainedRule] = None
-        if queue_threshold is not None:
-            self.queue_rule = SustainedRule("queue_depth", queue_threshold,
-                                            queue_sustain_ms)
         self.detector = (detector if detector is not None
                          else AnomalyDetector())
         self.extra_rules = tuple(rules)
@@ -283,18 +250,12 @@ class Watchdog:
         #: skip the commit scan until something is actually due.
         self._next_due = float("inf")
         self._down = 0
-        self._queued = 0
-        self._parked = 0
         self._finished = False
         self._horizon_ms = 0.0
 
     # -- rule plumbing ---------------------------------------------------
     def rules(self) -> List[AlertRule]:
-        out: List[AlertRule] = [self.burn_rule, self.down_rule]
-        if self.queue_rule is not None:
-            out.append(self.queue_rule)
-        out.extend(self.extra_rules)
-        return out
+        return [self.burn_rule, self.down_rule, *self.extra_rules]
 
     def _outcome(self, t_ms: float, value: float) -> None:
         self.completions += 1
@@ -318,11 +279,6 @@ class Watchdog:
         self._next_due = min(
             (t_done for t_done, _ in self._pending.values()),
             default=float("inf"))
-
-    def _note_queue(self, t_ms: float) -> None:
-        """Feed the queue-depth rule (callers guard on it being armed —
-        the per-event hot path skips the call entirely otherwise)."""
-        self.queue_rule.observe(t_ms, float(self._queued + self._parked))
 
     # -- the observer hook -----------------------------------------------
     def on_event(self, event: tuple) -> None:
@@ -348,28 +304,15 @@ class Watchdog:
                 self._arrive[rid] = t
             if inst >= 0:
                 self._queues.setdefault(inst, []).append(rid)
-                self._queued += 1
-            else:
-                self._parked += 1
-            if self.queue_rule is not None:
-                self._note_queue(t)
         elif kind == "requeue":  # displaced work re-queued
             rid, inst = event[2], event[3]
             if inst >= 0:
                 self._queues.setdefault(inst, []).append(rid)
-                self._queued += 1
-            else:
-                self._parked += 1
-            if self.queue_rule is not None:
-                self._note_queue(t)
         elif kind == "dispatch":  # serve: head prefix of the mirror
             inst, size = event[2], event[4]
             queue = self._queues.get(inst, [])
             self._batches[inst] = queue[:size]
             del queue[:size]
-            self._queued -= size
-            if self.queue_rule is not None:
-                self._note_queue(t)
         elif kind == "free":  # serve: every batch member completes
             arrive = self._arrive
             for rid in self._batches.pop(event[2], ()):
@@ -378,21 +321,12 @@ class Watchdog:
             inst, rid = event[2], event[3]
             self._admits.setdefault(inst, []).append(rid)
             self._unqueue(inst, rid)
-            self._queued -= 1
-            if self.queue_rule is not None:
-                self._note_queue(t)
         elif kind == "resume":  # generate: first token already delivered
             inst, rid = event[2], event[3]
             self._unqueue(inst, rid)
-            self._queued -= 1
-            if self.queue_rule is not None:
-                self._note_queue(t)
         elif kind == "preempt":  # generate: victim re-queues in place
             inst, rid = event[2], event[3]
             self._queues.setdefault(inst, []).append(rid)
-            self._queued += 1
-            if self.queue_rule is not None:
-                self._note_queue(t)
         elif kind == "fail":
             inst = event[2]
             self._down += 1
@@ -403,20 +337,13 @@ class Watchdog:
             self._pending.pop(inst, None)
             self._admits.pop(inst, None)
             self._batches.pop(inst, None)
-            queued = self._queues.pop(inst, None)
-            if queued:
-                self._queued -= len(queued)
+            self._queues.pop(inst, None)
             self.down_rule.observe(t, float(self._down))
-            if self.queue_rule is not None:
-                self._note_queue(t)
         elif kind == "recover":
             self._down -= 1
             # The engine drains all parked work through the dispatcher
             # now; each entry re-appears as a requeue event.
-            self._parked = 0
             self.down_rule.observe(t, float(self._down))
-            if self.queue_rule is not None:
-                self._note_queue(t)
         # "finish" and unknown kinds need no bookkeeping here.
 
     __call__ = on_event

@@ -244,11 +244,10 @@ class MetricsSampler:
     gauges stay non-negative and conserved.
     """
 
-    def __init__(self, grid_ms: float = 10.0,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, grid_ms: float = 10.0) -> None:
         check_positive("grid_ms", grid_ms)
         self.grid_ms = grid_ms
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._next_tick = 0.0
         reg = self.registry
         self._queued = reg.gauge("queued")

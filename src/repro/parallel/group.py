@@ -132,29 +132,6 @@ class PipelineGroup:
         return self.latency_report(config).latency_ms
 
     # ------------------------------------------------------------------
-    def as_instance_spec(
-        self,
-        speed: float = 1.0,
-        models: Optional[tuple] = None,
-        reprogram_latency_ms: Optional[float] = None,
-    ):
-        """This group as one instance of a heterogeneous serving fleet.
-
-        The returned :class:`~repro.sim.fleet.InstanceSpec` carries the
-        group as its pricing ``target``, so a
-        :class:`~repro.serving.cluster.ClusterSimulator` fleet can mix
-        pipeline groups (deep models, higher per-request latency,
-        ``num_layers`` beyond one device) with plain single-FPGA
-        replicas — capability sets typically pin the big models to the
-        group instances.
-        """
-        from ..sim.fleet import InstanceSpec
-
-        return InstanceSpec(
-            speed=speed, models=models,
-            reprogram_latency_ms=reprogram_latency_ms, target=self)
-
-    # ------------------------------------------------------------------
     def summary(self) -> str:
         """One-line group description (examples/reports)."""
         return (

@@ -194,11 +194,6 @@ class PipelinePlan:
         return single_device_cycles / self.bottleneck_cycles
 
     # ------------------------------------------------------------------
-    def batch_cycles(self, n_items: int) -> int:
-        """Makespan of ``n_items`` streamed through the pipeline."""
-        check_count("n_items", n_items)
-        return self.fill_cycles + (n_items - 1) * self.bottleneck_cycles
-
     def timeline(self, n_items: int = 4) -> Timeline:
         """Schedule ``n_items`` through stages and links.
 

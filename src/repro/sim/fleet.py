@@ -120,11 +120,6 @@ class FleetSpec:
     def n(self) -> int:
         return len(self.specs)
 
-    @property
-    def homogeneous(self) -> bool:
-        """True when every instance is the all-default spec."""
-        return all(s == InstanceSpec() for s in self.specs)
-
     @classmethod
     def uniform(cls, n: int, spec: Optional[InstanceSpec] = None
                 ) -> "FleetSpec":

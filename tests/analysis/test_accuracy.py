@@ -48,7 +48,11 @@ class TestEvaluateAccuracy:
         worst = report.worst_stage()
         assert worst.sqnr_db == min(s.sqnr_db for s in report.stages)
 
-    def test_by_layer_filter(self, small_accel, small_encoder, small_input):
+    def test_three_stages_per_layer_in_layer_order(self, small_accel,
+                                                   small_encoder,
+                                                   small_input):
         report = evaluate_accuracy(small_accel, small_encoder, small_input)
-        assert len(report.by_layer(0)) == 3
-        assert all(s.layer == 0 for s in report.by_layer(0))
+        layers = [s.layer for s in report.stages]
+        assert layers == sorted(layers)
+        for layer in range(small_accel.config.num_layers):
+            assert sum(s.layer == layer for s in report.stages) == 3

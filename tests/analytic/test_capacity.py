@@ -15,6 +15,8 @@ Three contracts pin the planner:
   own predicate.
 """
 
+import math
+
 import pytest
 
 from repro.analytic import estimate_serving, propose_fleet
@@ -147,3 +149,18 @@ def test_propose_fleet_infeasible_flags_instead_of_raising(default_accel):
                              reprogram_latency_ms=5.0, max_instances=4)
     assert not proposal.feasible
     assert proposal.instances == 4
+
+
+@pytest.mark.parametrize("target", [math.inf, math.nan])
+def test_propose_fleet_rejects_unmeetable_target(default_accel, target):
+    """Every fleet meets an infinite p99 target and none a NaN one."""
+    with pytest.raises(ValueError, match="target_p99_ms"):
+        propose_fleet(default_accel, SCENARIOS["poisson"](), target)
+
+
+def test_plan_capacity_rejects_infinite_target_before_probing(default_accel):
+    """The bad target is named before any probe runs: a probe would
+    fail later, inside ``summarize``, naming ``slo_ms`` instead."""
+    with pytest.raises(ValueError, match="target_p99_ms"):
+        plan_capacity(default_accel, SCENARIOS["poisson"](),
+                      target_p99_ms=math.inf, **PLAN_KW)

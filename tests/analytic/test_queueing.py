@@ -12,13 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analytic import (
-    erlang_c,
-    latency_quantile_ms,
-    min_stable_fleet,
-    p99_estimate_ms,
-    wait_quantile_ms,
-)
+from repro.analytic import erlang_c, p99_estimate_ms, wait_quantile_ms
 
 SERVICE_MS = 2.0    # tail anchor: batched service latency
 UNIT_INF_S = 500.0  # per-server completions/s (2 ms of work each)
@@ -53,16 +47,6 @@ class TestErlangC:
         pw = erlang_c(servers, erlangs)
         assert 0.0 <= pw <= 1.0
         assert erlang_c(servers + 1, erlangs) <= pw + 1e-12
-
-
-class TestMinStableFleet:
-    def test_integer_loads_need_one_spare(self):
-        assert min_stable_fleet(0.0) == 1
-        assert min_stable_fleet(2.0) == 3
-
-    def test_fractional_loads_round_up(self):
-        assert min_stable_fleet(0.2) == 1
-        assert min_stable_fleet(2.5) == 3
 
 
 class TestWaitQuantileLowLoadRegression:
@@ -139,15 +123,6 @@ class TestLatencyQuantileProperties:
 
     @settings(deadline=None)
     @given(st.integers(1, 32), st.floats(1.0, 4000.0))
-    def test_bracket_dominates_point(self, fleet, qps):
-        point = p99_estimate_ms(SERVICE_MS, UNIT_INF_S, fleet, qps,
-                                DURATION_MS)
-        hi = p99_estimate_ms(SERVICE_MS, UNIT_INF_S, fleet, qps,
-                             DURATION_MS, bracket=True)
-        assert point <= hi + 1e-9
-
-    @settings(deadline=None)
-    @given(st.integers(1, 32), st.floats(1.0, 4000.0))
     def test_point_bounded_by_service_plus_horizon(self, fleet, qps):
         # The surrogate's sanity bound: est <= latency + duration.
         est = p99_estimate_ms(SERVICE_MS, UNIT_INF_S, fleet, qps,
@@ -157,15 +132,48 @@ class TestLatencyQuantileProperties:
     def test_saturated_point_is_service_plus_horizon(self):
         # 10 erlangs offered to 4 servers: unstable, so the point
         # estimate pins to the horizon penalty.
-        est = latency_quantile_ms(SERVICE_MS, UNIT_INF_S, 4, 5000.0,
-                                  DURATION_MS)
+        est = p99_estimate_ms(SERVICE_MS, UNIT_INF_S, 4, 5000.0,
+                              DURATION_MS)
         assert est == pytest.approx(SERVICE_MS + DURATION_MS)
 
     def test_quantiles_are_ordered(self):
-        p50 = latency_quantile_ms(SERVICE_MS, UNIT_INF_S, 4, 1800.0,
-                                  DURATION_MS, q=50.0)
-        p95 = latency_quantile_ms(SERVICE_MS, UNIT_INF_S, 4, 1800.0,
-                                  DURATION_MS, q=95.0)
-        p99 = latency_quantile_ms(SERVICE_MS, UNIT_INF_S, 4, 1800.0,
-                                  DURATION_MS, q=99.0)
+        # 1800 qps of 2 ms work on 4 servers: 3.6 erlangs.
+        drain = 4 * UNIT_INF_S / 1e3 - 1800.0 / 1e3
+        p50, p95, p99 = (wait_quantile_ms(4, 3.6, drain, q)
+                         for q in (50.0, 95.0, 99.0))
         assert p50 <= p95 <= p99
+
+
+class TestP99EstimateComposition:
+    """``p99_estimate_ms`` is service plus the point-mode p99 wait of
+    :func:`wait_quantile_ms`, capped at the fluid wait, with the
+    saturated penalty ``service + horizon`` at or beyond capacity."""
+
+    @pytest.mark.parametrize("fleet, qps", [
+        (1, 100.0), (2, 700.0), (4, 1800.0), (16, 7000.0)])
+    def test_stable_point_is_service_plus_p99_wait(self, fleet, qps):
+        erlangs = (qps / 1e3) / (UNIT_INF_S / 1e3)
+        drain = fleet * (UNIT_INF_S / 1e3) - qps / 1e3
+        wait = min(wait_quantile_ms(fleet, erlangs, drain),
+                   DURATION_MS * erlangs / fleet)
+        assert p99_estimate_ms(SERVICE_MS, UNIT_INF_S, fleet, qps,
+                               DURATION_MS) == SERVICE_MS + wait
+
+    def test_zero_load_is_bare_service(self):
+        assert p99_estimate_ms(SERVICE_MS, UNIT_INF_S, 3, 0.0,
+                               DURATION_MS) == SERVICE_MS
+
+    def test_load_at_capacity_is_saturated(self):
+        # 2000 qps of 2 ms work: exactly 4 erlangs on 4 servers.
+        assert p99_estimate_ms(SERVICE_MS, UNIT_INF_S, 4, 2000.0,
+                               DURATION_MS) == SERVICE_MS + DURATION_MS
+
+    def test_zero_service_rate_is_saturated(self):
+        assert p99_estimate_ms(SERVICE_MS, 0.0, 4, 1.0,
+                               DURATION_MS) == SERVICE_MS + DURATION_MS
+
+    def test_near_saturation_wait_is_the_fluid_wait(self):
+        # 0.998 erlangs on one server over a 10 ms horizon: the M/M/1
+        # p99 wait (~4.6 s) exceeds the fluid wait 10 ms x 0.998.
+        est = p99_estimate_ms(SERVICE_MS, UNIT_INF_S, 1, 499.0, 10.0)
+        assert est == pytest.approx(SERVICE_MS + 10.0 * 0.998)

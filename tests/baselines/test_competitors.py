@@ -1,9 +1,9 @@
 """Unit tests for the competitor FPGA records (Table II constants)."""
 
-import pytest
-
-from repro.baselines import TABLE2_COMPETITORS, get_competitor
+from repro.baselines import TABLE2_COMPETITORS
 from repro.nn import MODEL_ZOO
+
+BY_KEY = {rec.key: rec for rec in TABLE2_COMPETITORS}
 
 
 class TestRecords:
@@ -11,11 +11,11 @@ class TestRecords:
         assert len(TABLE2_COMPETITORS) == 5
 
     def test_published_values_transcribed(self):
-        peng = get_competitor("peng21")
+        peng = BY_KEY["peng21"]
         assert peng.latency_ms == 0.32
         assert peng.gops == 555.0
         assert peng.sparsity == 0.90
-        efa = get_competitor("efa-trans")
+        efa = BY_KEY["efa-trans"]
         assert efa.method == "HDL"
         assert efa.dsp == 1024
 
@@ -23,19 +23,18 @@ class TestRecords:
         for rec in TABLE2_COMPETITORS:
             assert rec.protea_model in MODEL_ZOO
 
-    def test_sparse_flags(self):
-        assert get_competitor("peng21").is_sparse
-        assert get_competitor("ftrans").is_sparse
-        assert not get_competitor("efa-trans").is_sparse
+    def test_keys_are_unique(self):
+        assert len(BY_KEY) == len(TABLE2_COMPETITORS)
 
-    def test_unknown_key(self):
-        with pytest.raises(KeyError, match="peng21"):
-            get_competitor("nonexistent")
+    def test_sparse_flags(self):
+        assert BY_KEY["peng21"].is_sparse
+        assert BY_KEY["ftrans"].is_sparse
+        assert not BY_KEY["efa-trans"].is_sparse
 
     def test_paper_protea_latencies_recorded(self):
         """The paper's own ProTEA measurements per row — used in the
         EXPERIMENTS.md delta accounting."""
-        assert get_competitor("peng21").paper_protea_latency_ms == 4.48
-        assert get_competitor("wojcicki22").paper_protea_latency_ms == 0.425
-        assert get_competitor("efa-trans").paper_protea_latency_ms == 5.18
-        assert get_competitor("qi21").paper_protea_latency_ms == 9.12
+        assert BY_KEY["peng21"].paper_protea_latency_ms == 4.48
+        assert BY_KEY["wojcicki22"].paper_protea_latency_ms == 0.425
+        assert BY_KEY["efa-trans"].paper_protea_latency_ms == 5.18
+        assert BY_KEY["qi21"].paper_protea_latency_ms == 9.12

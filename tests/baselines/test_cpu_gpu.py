@@ -3,8 +3,6 @@
 import pytest
 
 from repro.baselines import (
-    CPU_PLATFORMS,
-    GPU_PLATFORMS,
     intel_i5_4460,
     intel_i5_5257u,
     jetson_tx2,
@@ -54,10 +52,7 @@ class TestPublishedOrderings:
         cfg = get_model("model3-efa-trans")
         assert rtx_3060().latency_ms(cfg) < intel_i5_4460().latency_ms(cfg)
 
-    def test_registries_complete(self):
-        assert len(CPU_PLATFORMS()) == 2
-        assert len(GPU_PLATFORMS()) == 4
-
     def test_anchor_provenance_recorded(self):
-        for p in (*CPU_PLATFORMS().values(), *GPU_PLATFORMS().values()):
-            assert p.anchor is not None
+        for platform in (intel_i5_5257u, intel_i5_4460, jetson_tx2,
+                         titan_xp_hep, titan_xp_nlp, rtx_3060):
+            assert platform().anchor is not None

@@ -5,8 +5,10 @@ import pytest
 
 from repro.core import DatapathFormats
 from repro.core.attention_module import AttentionModule
+from repro.core.engines import qk_loop_nest, reduction_passes
 from repro.core.quantized import QuantizedEncoder
 from repro.fixedpoint import FxTensor
+from repro.hls import schedule_loop
 from repro.isa import SynthParams
 from repro.nn import TransformerConfig, build_encoder
 
@@ -82,6 +84,23 @@ class TestCycles:
         h8 = module.compute_cycles(64, 768, 8)
         h2 = module.compute_cycles(64, 768, 2)
         assert h2["total"] > h8["total"]
+
+    @pytest.mark.parametrize("heads, passes", [(2, 1), (1, 2)])
+    def test_qk_runs_one_pass_per_synthesized_head_width(self, heads,
+                                                         passes):
+        """SYNTH holds 32-wide heads: a 64-wide runtime head folds its
+        QK reduction through the engine twice."""
+        module = AttentionModule(SYNTH, DatapathFormats.fix8())
+        assert reduction_passes(64 // heads, 32)[0] == passes
+        qk = schedule_loop(qk_loop_nest(16, 16, 32,
+                                        reduction_passes=passes)).cycles
+        assert module.compute_cycles(16, 64, heads)["qk"] == qk
+
+    def test_decode_qk_folds_oversized_heads(self):
+        module = AttentionModule(SYNTH, DatapathFormats.fix8())
+        qk = schedule_loop(qk_loop_nest(1, 10, 32,
+                                        reduction_passes=2)).cycles
+        assert module.decode_compute_cycles(10, 64, 1)["qk"] == qk
 
     def test_byte_accounting(self):
         module = AttentionModule(SynthParams(), DatapathFormats.fix8())

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import DatapathFormats, DecoderModule, QuantizedDecoder
+from repro.core.engines import qk_loop_nest
 from repro.fixedpoint import FxTensor
+from repro.hls import schedule_loop
 from repro.isa import SynthParams
 from repro.nn import Decoder
 
@@ -86,6 +88,14 @@ class TestCycles:
         assert long["cross_kv"] > short["cross_kv"]
         assert long["cross_qk"] > short["cross_qk"]
         assert long["self_attention"] == short["self_attention"]
+
+    def test_cross_qk_folds_oversized_heads(self):
+        """One 64-wide head on 32-wide synthesized heads: the cross
+        score sweep runs its reduction twice."""
+        module = DecoderModule(SYNTH, DatapathFormats.fix8())
+        qk = schedule_loop(qk_loop_nest(TGT, MEM, 32,
+                                        reduction_passes=2)).cycles
+        assert module.compute_cycles(TGT, MEM, D, 1)["cross_qk"] == qk
 
     def test_breakdown_sums(self):
         dec = DecoderModule(SynthParams(), DatapathFormats.fix8())

@@ -56,6 +56,31 @@ class TestTiledMatmuls:
         out = tiled_fx_matmul_2d(x, w, tr, tc)
         assert np.array_equal(out.raw, x.raw @ w.raw)
 
+    @settings(max_examples=30)
+    @given(st.integers(1, 6), st.integers(1, 24), st.integers(1, 6),
+           st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_matches_float_matmul(self, sl, d, dk, tile, seed):
+        """Mixed operand formats: the exact integer result, read in
+        its accumulator format, is the float product of the
+        dequantized operands."""
+        rng = np.random.default_rng(seed)
+        x = FxTensor(rng.integers(-128, 128, (sl, d)), Q84)
+        w = FxTensor(rng.integers(-128, 128, (d, dk)), QFormat(8, 5))
+        out = tiled_fx_matmul_reduction(x, w, tile)
+        assert np.allclose(out.to_float(), x.to_float() @ w.to_float(),
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d, guard", [(1, 1), (2, 1), (256, 8),
+                                          (768, 10)])
+    def test_accumulator_adds_widths_and_guard_bits(self, d, guard):
+        """Product width plus ``ceil(log2(d))`` guard bits (one at
+        least); the fraction is the operands' sum."""
+        x = FxTensor(np.zeros((1, d), dtype=np.int64), Q84)
+        w = FxTensor(np.zeros((d, 1), dtype=np.int64), QFormat(8, 5))
+        for out in (tiled_fx_matmul_reduction(x, w, 64),
+                    tiled_fx_matmul_2d(x, w, 64, 1)):
+            assert out.fmt == QFormat(16 + guard, 9)
+
     def test_mismatched_reduction_rejected(self):
         x = FxTensor(np.zeros((2, 3), dtype=np.int64), Q84)
         w = FxTensor(np.zeros((4, 2), dtype=np.int64), Q84)

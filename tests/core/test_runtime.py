@@ -108,16 +108,14 @@ class TestReprogramLatencyHook:
         from repro.nn import BERT_VARIANT, get_model
 
         session = RuntimeSession(default_accel, reprogram_latency_ms=12.5)
-        assert session.switch_cost_ms(BERT_VARIANT) == 12.5  # cold start
-        session.deploy(BERT_VARIANT)
+        session.deploy(BERT_VARIANT)  # cold start
+        assert session.reprogram_time_ms == 12.5
         # Redeploying the resident workload is free...
-        assert session.switch_cost_ms(BERT_VARIANT) == 0.0
         session.deploy(BERT_VARIANT)
         assert session.reprogram_time_ms == 12.5
         assert session.switch_count == 1
         # ...switching to a different one is not.
         other = get_model("model2-lhc-trigger")
-        assert session.switch_cost_ms(other) == 12.5
         session.deploy(other)
         assert session.reprogram_time_ms == 25.0
         assert session.switch_count == 2

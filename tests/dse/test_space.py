@@ -7,9 +7,8 @@ import pytest
 from repro.dse import Axis, SearchSpace, point_id
 
 
-def _space(constraint=None):
-    return SearchSpace((Axis("a", (1, 2, 3)), Axis("b", ("x", "y"))),
-                       constraint=constraint)
+def _space():
+    return SearchSpace((Axis("a", (1, 2, 3)), Axis("b", ("x", "y"))))
 
 
 class TestAxis:
@@ -42,28 +41,18 @@ class TestSearchSpace:
             {"a": 3, "b": "x"}, {"a": 3, "b": "y"},
         ]
 
-    def test_constraint_prunes_grid(self):
-        space = _space(constraint=lambda p: p["a"] != 2)
-        assert all(p["a"] != 2 for p in space.grid())
-        assert len(list(space.grid())) == 4
-
     def test_needs_axes_and_unique_names(self):
         with pytest.raises(ValueError):
             SearchSpace(())
         with pytest.raises(ValueError):
             SearchSpace((Axis("a", (1,)), Axis("a", (2,))))
 
-    def test_sample_is_seeded_and_feasible(self):
-        space = _space(constraint=lambda p: p["a"] != 1)
+    def test_sample_is_seeded_and_on_the_grid(self):
+        space = _space()
         first = [space.sample(Random(7)) for _ in range(5)]
         second = [space.sample(Random(7)) for _ in range(5)]
         assert first == second
-        assert all(p["a"] != 1 for p in first)
-
-    def test_sample_unsatisfiable_constraint(self):
-        space = _space(constraint=lambda p: False)
-        with pytest.raises(ValueError, match="feasible"):
-            space.sample(Random(0))
+        assert all(p in list(space.grid()) for p in first)
 
     def test_mutate_changes_exactly_one_axis(self):
         space = _space()
@@ -78,13 +67,41 @@ class TestSearchSpace:
         child = space.crossover(a, b, Random(5))
         assert child["a"] in (1, 3) and child["b"] in ("x", "y")
 
-    def test_validate_point(self):
+    # The draw sequences below are what seeded strategies replay: a
+    # change to them moves every seeded search.
+    def test_sample_draws_one_choice_per_axis(self):
+        rng = Random(11)
+        expected = {"a": rng.choice((1, 2, 3)), "b": rng.choice(("x", "y"))}
+        assert _space().sample(Random(11)) == expected
+
+    def test_mutate_draws_an_axis_then_a_new_value(self):
         space = _space()
-        space.validate_point({"a": 1, "b": "x"})
-        with pytest.raises(ValueError, match="not one of"):
-            space.validate_point({"a": 99, "b": "x"})
-        with pytest.raises(ValueError, match="axes"):
-            space.validate_point({"a": 1})
+        point = {"a": 2, "b": "y"}
+        rng = Random(4)
+        axis = rng.choice(space.axes)
+        alternatives = [v for v in axis.values if v != point[axis.name]]
+        expected = {**point, axis.name: rng.choice(alternatives)}
+        assert space.mutate(point, Random(4)) == expected
+
+    def test_mutate_skips_single_valued_axes(self):
+        space = SearchSpace((Axis("fixed", (0,)), Axis("b", ("x", "y"))))
+        for seed in range(8):
+            child = space.mutate({"fixed": 0, "b": "x"}, Random(seed))
+            assert child == {"fixed": 0, "b": "y"}
+        frozen = SearchSpace((Axis("fixed", (0,)),))
+        assert frozen.mutate({"fixed": 0}, Random(0)) == {"fixed": 0}
+
+    def test_crossover_draws_once_per_axis(self):
+        a, b = {"a": 1, "b": "x"}, {"a": 3, "b": "y"}
+        rng = Random(9)
+        expected = {name: (a if rng.random() < 0.5 else b)[name]
+                    for name in ("a", "b")}
+        assert _space().crossover(a, b, Random(9)) == expected
+
+    def test_size_counts_the_grid(self):
+        space = SearchSpace((Axis("a", (1, 2, 3)), Axis("b", ("x", "y")),
+                             Axis("c", (0.5, 1.0, 2.0, 4.0))))
+        assert space.size == len(list(space.grid())) == 24
 
 
 class TestPointId:

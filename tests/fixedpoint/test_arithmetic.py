@@ -1,29 +1,11 @@
-"""Unit + property tests for the FxTensor integer datapath."""
+"""Unit tests for the FxTensor integer datapath."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from repro.fixedpoint import (
-    FxTensor,
-    QFormat,
-    fx_add,
-    fx_matmul,
-    fx_mul,
-    fx_scale_shift,
-)
+from repro.fixedpoint import FxTensor, QFormat
 
 Q84 = QFormat(8, 4)
-Q85 = QFormat(8, 5)
-
-
-def fx_arrays(shape, fmt=Q84):
-    return hnp.arrays(
-        np.int64, shape,
-        elements=st.integers(fmt.int_min, fmt.int_max),
-    ).map(lambda raw: FxTensor(raw, fmt))
 
 
 class TestFxTensor:
@@ -47,93 +29,3 @@ class TestFxTensor:
         assert t[2:5].fmt == t.fmt
         assert t[2:5].raw.tolist() == [2, 3, 4]
 
-
-class TestMatmul:
-    def test_exactness_small(self):
-        a = FxTensor(np.array([[1, 2], [3, 4]]), Q84)
-        b = FxTensor(np.array([[5, 6], [7, 8]]), Q84)
-        out = fx_matmul(a, b)
-        assert np.array_equal(out.raw, np.array([[19, 22], [43, 50]]))
-        assert out.fmt.frac_bits == 8
-
-    def test_shape_mismatch_rejected(self):
-        a = FxTensor(np.zeros((2, 3), dtype=np.int64), Q84)
-        b = FxTensor(np.zeros((4, 2), dtype=np.int64), Q84)
-        with pytest.raises(ValueError):
-            fx_matmul(a, b)
-
-    def test_mixed_sign_rejected(self):
-        a = FxTensor(np.zeros((2, 2), dtype=np.int64), Q84)
-        b = FxTensor(np.zeros((2, 2), dtype=np.int64),
-                     QFormat(8, 4, signed=False))
-        with pytest.raises(ValueError):
-            fx_matmul(a, b)
-
-    @settings(max_examples=50)
-    @given(fx_arrays((4, 6)), fx_arrays((6, 3), Q85))
-    def test_matches_float_matmul(self, a, b):
-        """Exact integer matmul == float matmul of dequantized values."""
-        out = fx_matmul(a, b)
-        ref = a.to_float() @ b.to_float()
-        assert np.allclose(out.to_float(), ref, atol=1e-9)
-
-    @settings(max_examples=25)
-    @given(fx_arrays((3, 8)), fx_arrays((8, 2)))
-    def test_requantized_output(self, a, b):
-        out_fmt = QFormat(16, 6)
-        out = fx_matmul(a, b, acc_fmt=out_fmt)
-        ref = a.to_float() @ b.to_float()
-        assert np.all(np.abs(out.to_float() - np.clip(
-            ref, out_fmt.min_value, out_fmt.max_value)) <= out_fmt.scale)
-
-
-class TestAddMul:
-    def test_add_aligns_fractions(self):
-        a = FxTensor(np.array([4]), Q84)   # 0.25
-        b = FxTensor(np.array([8]), Q85)   # 0.25
-        out = fx_add(a, b)
-        assert out.to_float()[0] == pytest.approx(0.5)
-
-    def test_add_saturates_into_target(self):
-        a = FxTensor(np.array([127]), Q84)
-        b = FxTensor(np.array([127]), Q84)
-        out = fx_add(a, b, out_fmt=Q84)
-        assert out.raw[0] == Q84.int_max
-
-    @settings(max_examples=50)
-    @given(fx_arrays((5,)), fx_arrays((5,)))
-    def test_add_commutative(self, a, b):
-        assert np.array_equal(fx_add(a, b).raw, fx_add(b, a).raw)
-
-    def test_mul_exact_format(self):
-        a = FxTensor(np.array([3]), Q84)
-        b = FxTensor(np.array([5]), Q85)
-        out = fx_mul(a, b)
-        assert out.raw[0] == 15
-        assert out.fmt.frac_bits == 9
-
-    @settings(max_examples=50)
-    @given(fx_arrays((4,)), fx_arrays((4,), Q85))
-    def test_mul_matches_float(self, a, b):
-        out = fx_mul(a, b)
-        assert np.allclose(out.to_float(), a.to_float() * b.to_float(),
-                           atol=1e-9)
-
-
-class TestScaleShift:
-    def test_multiplier_and_shift(self):
-        x = FxTensor(np.array([100]), QFormat(16, 8))
-        out = fx_scale_shift(x, multiplier=3, shift=1)
-        assert out.raw[0] == 150
-
-    def test_negative_shift_rejected(self):
-        x = FxTensor(np.array([1]), Q84)
-        with pytest.raises(ValueError):
-            fx_scale_shift(x, 1, -1)
-
-    def test_models_constant_multiply(self):
-        """c = 0.7109375 = 182/256 folded into multiplier/shift."""
-        x = FxTensor.from_float(np.array([2.0]), QFormat(16, 8))
-        out = fx_scale_shift(x, multiplier=182, shift=8,
-                             out_fmt=QFormat(32, 8))
-        assert out.to_float()[0] == pytest.approx(2.0 * 182 / 256, abs=1e-2)

@@ -11,7 +11,6 @@ from repro.fixedpoint import (
     FunctionLUT,
     ReciprocalLUT,
     RsqrtLUT,
-    lut_resource_estimate,
 )
 
 
@@ -85,22 +84,3 @@ class TestSpecificLUTs:
         xs = np.linspace(-3, 3, 101)
         assert np.allclose(lut(xs), -lut(-xs), atol=2e-2)
 
-
-class TestResourceEstimate:
-    def test_small_table_uses_lutram_not_bram(self):
-        lut = FunctionLUT(fn=np.exp, lo=-1, hi=0, entries=64)
-        res = lut_resource_estimate(lut, value_bits=16)
-        assert res["brams"] == 0
-        assert res["luts"] > 0
-
-    def test_huge_table_spills_to_bram(self):
-        lut = FunctionLUT(fn=np.exp, lo=-1, hi=0, entries=4096)
-        res = lut_resource_estimate(lut, value_bits=18)
-        assert res["brams"] >= 1
-
-    def test_interpolation_costs_a_dsp(self):
-        base = FunctionLUT(fn=np.exp, lo=-1, hi=0, entries=64)
-        interp = FunctionLUT(fn=np.exp, lo=-1, hi=0, entries=64,
-                             interpolate=True)
-        assert lut_resource_estimate(base)["dsps"] == 0
-        assert lut_resource_estimate(interp)["dsps"] == 1

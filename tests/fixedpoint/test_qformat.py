@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fixedpoint import ACC32, Q8_4, QFormat
+from repro.fixedpoint import ACC32, QFormat
 
 
 class TestBounds:
@@ -31,10 +31,6 @@ class TestBounds:
         assert fmt.scale == 4.0
         assert fmt.max_value == 127 * 4
 
-    def test_int_bits_accounting(self):
-        assert QFormat(8, 4).int_bits == 3  # 1 sign + 3 int + 4 frac
-        assert QFormat(8, 4, signed=False).int_bits == 4
-
     def test_invalid_widths_rejected(self):
         with pytest.raises(ValueError):
             QFormat(0, 0)
@@ -47,42 +43,6 @@ class TestBounds:
         assert fmt.representable(fmt.max_value)
         assert not fmt.representable(fmt.max_value + 1.0)
         assert not fmt.representable(fmt.min_value - 0.1)
-
-
-class TestDerivedFormats:
-    def test_widen_preserves_fraction(self):
-        wide = Q8_4.widen(8)
-        assert wide.total_bits == 16
-        assert wide.frac_bits == 4
-
-    def test_widen_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Q8_4.widen(-1)
-
-    def test_product_format_adds_widths(self):
-        prod = Q8_4.product_format(QFormat(8, 5))
-        assert prod.total_bits == 16
-        assert prod.frac_bits == 9
-
-    def test_accumulator_guard_bits(self):
-        acc = Q8_4.accumulator_format(Q8_4, length=256)
-        # product is 16 bits, 256 terms need 8 guard bits
-        assert acc.total_bits == 16 + 8
-
-    def test_accumulator_length_one(self):
-        acc = Q8_4.accumulator_format(Q8_4, length=1)
-        assert acc.total_bits == 16
-
-    def test_accumulator_never_overflows(self):
-        # Worst case dot product must fit the computed format.
-        n = 768
-        acc = Q8_4.accumulator_format(Q8_4, n)
-        worst = n * 128 * 128
-        assert worst <= acc.int_max + 1  # symmetric magnitude fits
-
-    def test_accumulator_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            Q8_4.accumulator_format(Q8_4, 0)
 
 
 class TestForRange:

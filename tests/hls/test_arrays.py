@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.hls import (
-    ArrayPartition,
-    ArraySpec,
-    PartitionKind,
-    PortConflictError,
-    fully_partitioned,
-)
+from repro.hls import ArrayPartition, ArraySpec, PartitionKind
+
+#: A 96x64 weight buffer completely partitioned along its columns.
+COLUMNS = (ArrayPartition(PartitionKind.COMPLETE, dim=2),)
 
 
 class TestBanking:
@@ -17,7 +14,7 @@ class TestBanking:
         assert spec.banks == 1
 
     def test_complete_partition_dim2(self):
-        spec = fully_partitioned("w", (96, 64), dim=2)
+        spec = ArraySpec("w", (96, 64), 8, COLUMNS)
         assert spec.banks == 64
 
     def test_multi_dim_partitions_multiply(self):
@@ -42,7 +39,7 @@ class TestBanking:
 class TestStorageBinding:
     def test_small_banks_bind_to_lutram(self):
         # 96x64 8-bit fully partitioned: 768 bits/bank ≤ 1024 → LUTRAM.
-        spec = fully_partitioned("w", (96, 64), dim=2)
+        spec = ArraySpec("w", (96, 64), 8, COLUMNS)
         b = spec.bind()
         assert b.storage == "lutram"
         assert b.bram18k == 0
@@ -57,29 +54,6 @@ class TestStorageBinding:
     def test_bank_over_18k_uses_multiple_brams(self):
         spec = ArraySpec("huge", (8192,), 8)  # 64 Kbit in one bank
         assert spec.bind().bram18k == 4
-
-
-class TestPorts:
-    def test_parallel_access_within_budget(self):
-        spec = fully_partitioned("w", (96, 64), dim=2)
-        spec.check_parallel_access(64)  # one per bank — fine
-        spec.check_parallel_access(128)  # two ports per bank — fine
-
-    def test_port_conflict_detected(self):
-        spec = ArraySpec("w", (96, 64), 8)  # 1 bank
-        with pytest.raises(PortConflictError):
-            spec.check_parallel_access(3)
-
-    def test_required_ii(self):
-        spec = ArraySpec("w", (96, 64), 8)  # 1 bank, 2 ports
-        assert spec.required_ii(2) == 1
-        assert spec.required_ii(8) == 4
-
-    def test_paper_banking_supports_unroll(self):
-        """The QKV weight buffer partitioning must feed TS_MHA=64 MACs
-        at II=1 — the design invariant of Section IV-A."""
-        spec = fully_partitioned("wq", (96, 64), dim=2)
-        assert spec.required_ii(64) == 1
 
 
 class TestValidation:

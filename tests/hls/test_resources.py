@@ -1,14 +1,16 @@
 """Unit tests for resource aggregation."""
 
 from repro.hls import (
+    ArrayPartition,
+    ArraySpec,
     Body,
     Loop,
+    PartitionKind,
     Pipeline,
     ResourceEstimate,
     Statement,
     Unroll,
     estimate_loop_resources,
-    fully_partitioned,
     static_infrastructure,
     walk_statements,
 )
@@ -55,7 +57,8 @@ class TestEstimates:
     def test_arrays_add_memory(self):
         lp = Loop("o", 4, [MAC])
         est = estimate_loop_resources(
-            lp, arrays=[fully_partitioned("w", (96, 64), dim=2)])
+            lp, arrays=[ArraySpec("w", (96, 64), 8, (
+                ArrayPartition(PartitionKind.COMPLETE, dim=2),))])
         assert est.banks == 64
 
     def test_addition_merges_breakdown(self):

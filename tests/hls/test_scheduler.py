@@ -11,15 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.hls import (
-    Body,
-    Loop,
-    Pipeline,
-    Statement,
-    Unroll,
-    schedule_body,
-    schedule_loop,
-)
+from repro.hls import Loop, Pipeline, Statement, Unroll, schedule_loop
 
 MAC = Statement("mac", depth=4, dsps=1)
 
@@ -107,13 +99,3 @@ class TestAlgorithmNests:
         c_hi = schedule_loop(pipelined(hi)).cycles
         assert c_hi >= c_lo
 
-
-class TestBody:
-    def test_loops_run_back_to_back(self):
-        b = Body("engine", [pipelined(10), pipelined(20)])
-        s = schedule_body(b)
-        assert s.cycles == (4 + 9) + (4 + 19)
-        assert s.detail["p"] == 4 + 19  # same-name overwrite is fine
-
-    def test_empty_body(self):
-        assert schedule_body(Body("e", [])).cycles == 0

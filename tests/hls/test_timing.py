@@ -64,11 +64,6 @@ class TestFmax:
         ]
         assert DEFAULT_TIMING.fmax_mhz(paths) == pytest.approx(200.0)
 
-    def test_per_engine_diagnostics(self):
-        paths = [EnginePath("a", 64, 12), EnginePath("b", 256, 12)]
-        per = DEFAULT_TIMING.per_engine_mhz(paths)
-        assert per["a"] > per["b"]
-
 
 class TestTileRegularity:
     def test_divisor_regular(self):

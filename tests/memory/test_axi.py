@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.memory import AXI4Master, AXILiteSlave
+from repro.memory import AXI4Master
 
 
 class TestAXI4Master:
@@ -109,12 +109,3 @@ class TestARLENBoundary:
                  + axi.transfer_cycles(nbytes - half))
         assert split >= axi.transfer_cycles(nbytes)
 
-
-class TestAXILite:
-    def test_configure_cost(self):
-        lite = AXILiteSlave(write_cycles=6)
-        assert lite.configure_cycles(4) == 24
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            AXILiteSlave().configure_cycles(-1)

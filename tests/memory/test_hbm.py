@@ -51,10 +51,6 @@ class TestSubsystem:
         b = hbm.transfer_cycles(4096, port, concurrent_streams=32)
         assert a == b
 
-    def test_aggregate_bandwidth(self):
-        hbm = HBMSubsystem(channels=32, channel=HBMChannel(14.4))
-        assert hbm.aggregate_bandwidth_gbps() == pytest.approx(460.8)
-
     def test_zero_bytes_free(self):
         assert HBMSubsystem().transfer_cycles(0, AXI4Master()) == 0
 

@@ -8,7 +8,6 @@ from repro.obs import (
     Alert,
     AnomalyDetector,
     BurnRateRule,
-    SustainedRule,
     ThresholdRule,
     TraceRecorder,
     Watchdog,
@@ -56,28 +55,23 @@ class TestThresholdRule:
         assert rule.total_alert_ms() == 2.0
         assert rule.summary() == {"alerts": 1, "alert_ms": 2.0}
 
-    def test_sustain_delays_open(self):
-        rule = ThresholdRule("util", threshold=0.9, sustain_ms=10.0)
-        rule.observe(0.0, 1.0)
-        rule.observe(5.0, 1.0)
-        assert not rule.firing  # above for only 5 ms
-        rule.observe(12.0, 1.0)
+    def test_opens_on_the_first_sample_above(self):
+        """No sustain clock: one sample over the threshold opens the
+        alert at its own timestamp."""
+        rule = ThresholdRule("util", threshold=0.9)
+        rule.observe(5.0, 0.95)
         assert rule.firing
-        rule.observe(20.0, 0.5)
-        assert rule.alerts[0].t_open_ms == 12.0
+        rule.observe(6.0, 0.1)
+        assert rule.alerts == [Alert("util", 5.0, 6.0, 0.95)]
 
-    def test_dip_resets_sustain_clock(self):
-        rule = ThresholdRule("util", threshold=0.9, sustain_ms=10.0)
-        rule.observe(0.0, 1.0)
-        rule.observe(8.0, 0.1)  # dip
-        rule.observe(9.0, 1.0)
-        rule.observe(15.0, 1.0)  # only 6 ms above since the dip
+    def test_threshold_itself_does_not_fire(self):
+        rule = ThresholdRule("util", threshold=0.9)
+        rule.observe(0.0, 0.9)
         assert not rule.firing
-
-    def test_negative_sustain_rejected(self):
-        for sustain_ms in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="sustain_ms"):
-                ThresholdRule("x", 1.0, sustain_ms=sustain_ms)
+        rule.observe(1.0, 1.0)
+        rule.observe(2.0, 0.9)  # back at the threshold closes it
+        assert not rule.firing
+        assert rule.alerts == [Alert("util", 1.0, 2.0, 1.0)]
 
     def test_finalize_marks_open_at_end(self):
         rule = ThresholdRule("down", threshold=0.0)
@@ -86,20 +80,6 @@ class TestThresholdRule:
         assert rule.alerts == [Alert("down", 7.0, 50.0, 1.0,
                                      open_at_end=True)]
         assert not rule.firing
-
-
-class TestSustainedRule:
-    def test_requires_positive_sustain(self):
-        with pytest.raises(ValueError, match="sustain_ms > 0"):
-            SustainedRule("q", 5.0, sustain_ms=0.0)
-        with pytest.raises(ValueError, match="sustain_ms"):
-            SustainedRule("q", 5.0, sustain_ms=math.inf)
-
-    def test_behaves_like_sustained_threshold(self):
-        rule = SustainedRule("q", 5.0, sustain_ms=4.0)
-        rule.observe(0.0, 10.0)
-        rule.observe(4.0, 10.0)
-        assert rule.firing
 
 
 class TestBurnRateRule:
@@ -180,12 +160,9 @@ class TestWatchdogConstruction:
         with pytest.raises(ValueError, match="slo_ms"):
             Watchdog(slo_ms=0.0)
 
-    def test_queue_rule_optional(self):
-        assert Watchdog(slo_ms=5.0).queue_rule is None
-        wd = Watchdog(slo_ms=5.0, queue_threshold=8.0)
-        assert wd.queue_rule is not None
-        assert [r.name for r in wd.rules()] == [
-            "burn_rate", "fleet_down", "queue_depth"]
+    def test_default_rules(self):
+        assert [r.name for r in Watchdog(slo_ms=5.0).rules()] == [
+            "burn_rate", "fleet_down"]
 
     def test_extra_rules_fed_outcomes(self):
         extra = ThresholdRule("slow_request", threshold=100.0)
@@ -216,7 +193,6 @@ def serve_outage(default_accel):
     bare = sim.run(requests)
     watchdog = Watchdog(slo_ms=20.0, target=0.99, fast_window_ms=100.0,
                         slow_window_ms=400.0, burn_threshold=2.0,
-                        queue_threshold=12.0,
                         detector=AnomalyDetector(min_samples=16, debounce=3))
     watched, events = run_events(sim.run, requests, observer=watchdog)
     return sim, requests, bare, watched, watchdog, events
@@ -271,7 +247,6 @@ class TestWatchdogServe:
         # Re-run: byte-identical input -> byte-identical onsets.
         twin = Watchdog(slo_ms=20.0, target=0.99, fast_window_ms=100.0,
                         slow_window_ms=400.0, burn_threshold=2.0,
-                        queue_threshold=12.0,
                         detector=AnomalyDetector(min_samples=16, debounce=3))
         sim.run(requests, observer=twin)
         assert twin.detector.onset_times == watchdog.detector.onset_times
@@ -287,7 +262,7 @@ class TestWatchdogServe:
         assert s["alert_minutes"] > 0.0
         assert s["time_to_first_alert_ms"] == min(
             a.t_open_ms for a in watchdog.alerts())
-        assert set(s["rules"]) == {"burn_rate", "fleet_down", "queue_depth"}
+        assert set(s["rules"]) == {"burn_rate", "fleet_down"}
 
     def test_alerts_sorted_by_open_time(self, serve_outage):
         _, _, _, _, watchdog, _ = serve_outage

@@ -79,13 +79,6 @@ class TestPipelineScaling:
         assert plan.bottleneck_cycles == plan.link_cycles
         assert plan.bottleneck_cycles > max(plan.stage_cycles)
 
-    def test_batch_cycles_formula(self, partitioner):
-        cfg = get_model("bert-variant")
-        plan = partitioner.plan(cfg, 4)
-        assert plan.batch_cycles(1) == plan.fill_cycles
-        assert (plan.batch_cycles(5)
-                == plan.fill_cycles + 4 * plan.bottleneck_cycles)
-
 
 class TestValidation:
     def test_more_stages_than_layers_rejected(self, partitioner):
@@ -167,7 +160,15 @@ class TestTimeline:
         cfg = get_model("bert-variant")
         plan = partitioner.plan(cfg, 4)
         tl = plan.timeline(6)
-        assert tl.total_cycles == plan.batch_cycles(6)
+        assert (tl.total_cycles
+                == plan.fill_cycles + 5 * plan.bottleneck_cycles)
+
+    @pytest.mark.parametrize("n_items", [2, 3, 17])
+    def test_makespan_adds_one_period_per_item(self, partitioner, n_items):
+        plan = partitioner.plan(get_model("bert-variant"), 4)
+        assert (plan.timeline(n_items).total_cycles
+                == plan.fill_cycles
+                + (n_items - 1) * plan.bottleneck_cycles)
 
     def test_resources_cover_devices_and_links(self, partitioner):
         cfg = get_model("bert-variant")
@@ -197,8 +198,6 @@ class TestTimeline:
         plan = partitioner.plan(get_model("bert-variant"), 2)
         with pytest.raises(ValueError):
             plan.timeline(0)
-        with pytest.raises(ValueError):
-            plan.batch_cycles(0)
 
 
 class TestAsDict:

@@ -8,17 +8,16 @@ to raise ``ValueError``: never a result, never another exception type.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analytic import (erlang_c, estimate_generation, estimate_serving,
-                            propose_fleet, wait_quantile_ms)
+                            p99_estimate_ms, propose_fleet, wait_quantile_ms)
 from repro.dse import (Axis, EvolutionaryStrategy, Objective,
                        PrescreenStrategy, RandomStrategy, SearchSpace,
                        evaluate_point, explore, surrogate_point)
-from repro.fixedpoint import FxTensor, QFormat, fx_scale_shift
+from repro.fixedpoint import QFormat
 from repro.fpga import PowerModel, PowerReport
 from repro.isa import SynthParams
 from repro.nn.decoder import causal_mask
@@ -170,6 +169,8 @@ CASES = [
                                       slots=v, detail="summary"),
      NOT_COUNT),
     ("instance.slots", lambda v, r: InstanceSpec(slots=v), NOT_COUNT),
+    ("plan_capacity.target_p99_ms",
+     lambda v, r: plan_capacity(r["accel"], r["arrivals"], v), NOT_POSITIVE),
     ("plan_capacity.target_qps",
      lambda v, r: plan_capacity(r["accel"], r["arrivals"], 5.0,
                                 target_qps=v),
@@ -196,12 +197,8 @@ CASES = [
                            shards=2, shard_jobs=v),
      NOT_COUNT),
     ("watchdog.slo_ms", lambda v, r: Watchdog(slo_ms=v), NOT_POSITIVE),
-    ("watchdog.queue_threshold",
-     lambda v, r: Watchdog(slo_ms=5.0, queue_threshold=v), NON_FINITE),
     ("threshold_rule.threshold", lambda v, r: ThresholdRule("x", v),
      NON_FINITE),
-    ("threshold_rule.sustain_ms",
-     lambda v, r: ThresholdRule("x", 1.0, sustain_ms=v), NEGATIVE),
     ("watchdog.target", lambda v, r: Watchdog(slo_ms=5.0, target=v),
      NOT_OPEN_UNIT),
     ("watchdog.fast_window_ms",
@@ -210,10 +207,6 @@ CASES = [
      lambda v, r: Watchdog(slo_ms=5.0, slow_window_ms=v), NOT_POSITIVE),
     ("watchdog.burn_threshold",
      lambda v, r: Watchdog(slo_ms=5.0, burn_threshold=v), NOT_POSITIVE),
-    ("watchdog.queue_sustain_ms",
-     lambda v, r: Watchdog(slo_ms=5.0, queue_threshold=3.0,
-                           queue_sustain_ms=v),
-     NOT_POSITIVE),
     ("anomaly.window", lambda v, r: AnomalyDetector(window=v), NOT_COUNT),
     ("anomaly.threshold", lambda v, r: AnomalyDetector(threshold=v),
      NOT_POSITIVE),
@@ -280,18 +273,14 @@ CASES = [
     ("erlang_c.servers", lambda v, r: erlang_c(v, 0.5), NOT_COUNT),
     ("erlang_c.erlangs", lambda v, r: erlang_c(2, v), NAN_OR_NEGATIVE),
     ("qformat.frac_bits", lambda v, r: QFormat(8, v), NOT_INT),
-    ("qformat.accumulator_format.length",
-     lambda v, r: QFormat(8, 4).accumulator_format(QFormat(8, 4), v),
-     NOT_COUNT),
-    ("qformat.widen.extra_bits", lambda v, r: QFormat(8, 4).widen(v),
-     st.integers(max_value=-1) | st.floats() | st.booleans()),
     ("causal_mask.seq_len", lambda v, r: causal_mask(v), NOT_COUNT),
-    ("fx_scale_shift.shift",
-     lambda v, r: fx_scale_shift(FxTensor(np.array([100]), QFormat(16, 8)),
-                                 3, v),
-     st.integers(max_value=-1) | st.floats() | st.booleans()),
     ("wait_quantile_ms.drain_per_ms",
      lambda v, r: wait_quantile_ms(2, 0.5, v), NAN_OR_NOT_POSITIVE),
+    ("wait_quantile_ms.q", lambda v, r: wait_quantile_ms(2, 0.5, 1.0, v),
+     NON_FINITE | st.floats(max_value=0.0, exclude_max=True)
+     | st.floats(min_value=100.0, exclude_min=True)),
+    ("p99_estimate_ms.fleet",
+     lambda v, r: p99_estimate_ms(2.0, 500.0, v, 100.0, 1000.0), NOT_COUNT),
     ("evaluate_point.tiles_mha",
      lambda v, r: evaluate_point({"model": MODEL, "tiles_mha": v}),
      NOT_TILE_COUNT),
@@ -318,7 +307,7 @@ CASES = [
      NOT_POINT_COUNT),
     ("propose_fleet.target_p99_ms",
      lambda v, r: propose_fleet(r["accel"], r["arrivals"], v),
-     NAN_OR_NOT_POSITIVE),
+     NOT_POSITIVE),
     ("propose_fleet.target_qps",
      lambda v, r: propose_fleet(r["accel"], r["arrivals"], 5.0,
                                 target_qps=v),
@@ -370,7 +359,6 @@ CASES = [
      lambda v, r: r["pp"].decode_report(BERT, 2, 8, v), NOT_COUNT),
     ("plan.speedup_over", lambda v, r: r["plan"].speedup_over(v),
      NOT_POSITIVE),
-    ("plan.batch_cycles", lambda v, r: r["plan"].batch_cycles(v), NOT_COUNT),
     ("plan.timeline", lambda v, r: r["plan"].timeline(v), NOT_COUNT),
     ("group.n_devices", lambda v, r: PipelineGroup(r["accel"], v), NOT_COUNT),
     ("balanced_partition.k", lambda v, r: balanced_partition([1, 2, 3], v),

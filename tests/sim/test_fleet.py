@@ -23,13 +23,9 @@ def _reqs(qps=400, seed=3, duration=800, mix=MIX):
 
 
 class TestSpecs:
-    def test_defaults_are_homogeneous(self):
+    def test_uniform_repeats_the_default_spec(self):
         fleet = FleetSpec.uniform(3)
-        assert fleet.n == 3 and fleet.homogeneous
-
-    def test_any_override_breaks_homogeneity(self):
-        fleet = FleetSpec((InstanceSpec(), InstanceSpec(speed=0.5)))
-        assert not fleet.homogeneous
+        assert fleet.n == 3 and fleet.specs == (InstanceSpec(),) * 3
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one instance"):
@@ -136,10 +132,7 @@ class TestPipelineGroupAdapter:
         """A fleet mixing a PipelineGroup with a plain replica: the
         group instance's service time is the pipeline fill latency."""
         group = PipelineGroup(default_accel, n_devices=2)
-        fleet = FleetSpec((
-            InstanceSpec(),
-            group.as_instance_spec(),
-        ))
+        fleet = FleetSpec((InstanceSpec(), InstanceSpec(target=group)))
         cfg = get_model("model2-lhc-trigger")
         reqs = _reqs(qps=300, duration=500)
         res = ClusterSimulator(default_accel, fleet=fleet).run(reqs)
@@ -152,15 +145,26 @@ class TestPipelineGroupAdapter:
             assert rec.service_ms == pytest.approx(expected)
         assert {r.instance for r in res.records} == {0, 1}
 
-    def test_adapter_carries_capabilities_and_speed(self, default_accel):
-        spec = PipelineGroup(default_accel, 2).as_instance_spec(
-            speed=2.0, models=("bert-variant",))
-        assert spec.speed == 2.0 and spec.models == ("bert-variant",)
-        assert isinstance(spec.target, PipelineGroup)
+    def test_group_instance_keeps_speed_and_models(self, default_accel):
+        """A group target composes with the spec's other capabilities:
+        it serves only its pinned model, at its speed multiple."""
+        group = PipelineGroup(default_accel, n_devices=2)
+        pinned = "model2-lhc-trigger"
+        fleet = FleetSpec((InstanceSpec(),
+                           InstanceSpec(target=group, speed=2.0,
+                                        models=(pinned,))))
+        reqs = _reqs(qps=300, duration=500, mix=MIX2)
+        res = ClusterSimulator(default_accel, fleet=fleet).run(reqs)
+        group_ms = group.latency_report(get_model(pinned)).latency_ms
+        on_group = [r for r in res.records if r.instance == 1]
+        assert on_group and all(r.model == pinned for r in on_group)
+        for rec in on_group:
+            if rec.batch_size == 1:
+                assert rec.service_ms == pytest.approx(group_ms / 2.0)
 
     def test_generation_rejects_targets(self, default_accel):
         group = PipelineGroup(default_accel, 2)
-        fleet = FleetSpec((group.as_instance_spec(),))
+        fleet = FleetSpec((InstanceSpec(target=group),))
         sim = GenerationClusterSimulator(default_accel, fleet=fleet)
         with pytest.raises(ValueError, match="serve-mode only"):
             sim.run([GenerationRequest(rid=0, t_ms=0.0,

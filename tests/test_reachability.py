@@ -9,11 +9,23 @@ submodule that defines ``name``.  A package ``__init__``'s own
 re-exports are not edges: through them every module would count as
 reached.  A module that no root reaches is code no path runs: delete
 it, or name it in :data:`ALLOWED` with the reason it stays.
+
+The same holds one level down, for names.  Every public top-level
+function and class of a non-``__init__`` module outside :data:`ALLOWED`
+is referenced from ``src/repro``, ``examples/`` or ``perfbench/``
+somewhere other than its own definition: as a name, an attribute or a
+``from ... import`` name.  ``__all__`` entries are strings, and package
+``__init__`` files are not read, so neither a listing nor a re-export
+counts.  A name nothing references is code only tests run: delete it,
+or name it in :data:`ALLOWED_NAMES` with the reason it stays.  Methods
+and parameters are not checked, because they are reached through
+attribute lookups on objects the scan cannot type.
 """
 
 import ast
 import importlib
 import pathlib
+import sys
 
 import pytest
 
@@ -21,11 +33,19 @@ import repro
 
 SRC = pathlib.Path(repro.__file__).parent
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 #: Unreached modules that stay, with the reason.
 ALLOWED = {
     "repro.nn.kv_cache": "the float oracle that the fixed-point KV cache "
                          "(repro.core.kv_cache) is held bit-identical to, "
                          "part of the kept decoder extension",
+}
+#: Unreferenced public names that stay, with the reason.
+ALLOWED_NAMES = {
+    "estimate_serving": "the closed-form serving model's entry point: "
+                        "the bracket suite in tests/analytic drives it "
+                        "against simulation, while the planner calls its "
+                        "prepared-workload core _estimate directly",
 }
 
 
@@ -117,6 +137,55 @@ def _unreached():
                   if not _is_package(m) and m not in reached)
 
 
+def _definitions():
+    """``(module, name)`` of every public top-level function and class
+    of a non-``__init__`` module outside :data:`ALLOWED`."""
+    for module in sorted(MODULES):
+        if _is_package(module) or module in ALLOWED:
+            continue
+        for node in _tree(module).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield module, node.name
+
+
+def _references(tree):
+    """Every name ``tree`` uses, each top-level definition's own name
+    inside its body aside (recursion is not a caller)."""
+    names = set()
+    for statement in tree.body:
+        used = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+            used.discard(statement.name)
+        names |= used
+    return names
+
+
+def _referenced():
+    names = set()
+    for module in MODULES:
+        if not _is_package(module):
+            names |= _references(_tree(module))
+    for script in [*EXAMPLES.glob("*.py"), *PERFBENCH.rglob("*.py")]:
+        names |= _references(ast.parse(script.read_text()))
+    return names
+
+
+def _unreferenced():
+    referenced = _referenced()
+    return [(module, name) for module, name in _definitions()
+            if name not in referenced]
+
+
 def test_every_module_is_reached():
     dead = [m for m in _unreached() if m not in ALLOWED]
     assert not dead, (
@@ -128,6 +197,20 @@ def test_allowed_modules_exist_and_are_unreached():
     """An exemption for a module that is gone or now reached is dropped
     from :data:`ALLOWED`, so the list cannot shelter a new module."""
     assert set(ALLOWED) <= set(_unreached())
+
+
+def test_every_public_name_is_referenced():
+    dead = [f"{module}.{name}" for module, name in _unreferenced()
+            if name not in ALLOWED_NAMES]
+    assert not dead, (
+        "only tests use these names; delete them or add them to "
+        "ALLOWED_NAMES with a reason: " + ", ".join(dead))
+
+
+def test_allowed_names_exist_and_are_unreferenced():
+    """An exemption for a name that is gone or now referenced is
+    dropped from :data:`ALLOWED_NAMES`."""
+    assert set(ALLOWED_NAMES) <= {name for _, name in _unreferenced()}
 
 
 def test_names_resolve_through_package_inits():
@@ -187,3 +270,81 @@ def test_every_public_name_imports(package):
     module = importlib.import_module(package)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert module.__all__ and not missing, missing
+
+
+def test_an_unreferenced_function_is_flagged(monkeypatch):
+    tree = ast.parse("def orphan_helper():\n    return orphan_helper()\n")
+    monkeypatch.setitem(MODULES, "repro.obs.orphan", SRC / "obs" / "orphan.py")
+    monkeypatch.setitem(_TREES, "repro.obs.orphan", tree)
+    assert ("repro.obs.orphan", "orphan_helper") in _unreferenced()
+
+
+def test_a_reference_from_an_example_counts(monkeypatch, tmp_path):
+    (tmp_path / "uses_orphan.py").write_text(
+        "from repro.obs.orphan import orphan_helper\n")
+    tree = ast.parse("def orphan_helper():\n    pass\n")
+    monkeypatch.setitem(MODULES, "repro.obs.orphan", SRC / "obs" / "orphan.py")
+    monkeypatch.setitem(_TREES, "repro.obs.orphan", tree)
+    monkeypatch.setattr(sys.modules[__name__], "EXAMPLES", tmp_path)
+    assert ("repro.obs.orphan", "orphan_helper") not in _unreferenced()
+
+
+def test_a_reference_from_perfbench_counts(monkeypatch, tmp_path):
+    (tmp_path / "driver.py").write_text(
+        "import repro.obs.orphan as orphan\norphan.orphan_helper()\n")
+    tree = ast.parse("def orphan_helper():\n    pass\n")
+    monkeypatch.setitem(MODULES, "repro.obs.orphan", SRC / "obs" / "orphan.py")
+    monkeypatch.setitem(_TREES, "repro.obs.orphan", tree)
+    monkeypatch.setattr(sys.modules[__name__], "PERFBENCH", tmp_path)
+    assert ("repro.obs.orphan", "orphan_helper") not in _unreferenced()
+
+
+def test_a_call_from_another_module_counts(monkeypatch):
+    monkeypatch.setitem(MODULES, "repro.obs.orphan", SRC / "obs" / "orphan.py")
+    monkeypatch.setitem(_TREES, "repro.obs.orphan",
+                        ast.parse("def orphan_helper():\n    pass\n"))
+    monkeypatch.setitem(MODULES, "repro.obs.caller", SRC / "obs" / "caller.py")
+    monkeypatch.setitem(_TREES, "repro.obs.caller", ast.parse(
+        "def run(mod):\n    return mod.orphan_helper()\n"))
+    assert ("repro.obs.orphan", "orphan_helper") not in _unreferenced()
+
+
+def test_private_names_are_not_checked(monkeypatch):
+    monkeypatch.setitem(MODULES, "repro.obs.orphan", SRC / "obs" / "orphan.py")
+    monkeypatch.setitem(_TREES, "repro.obs.orphan", ast.parse(
+        "def _helper():\n    pass\n\n\nclass _Private:\n    pass\n"))
+    assert not [d for d in _definitions() if d[0] == "repro.obs.orphan"]
+
+
+@pytest.mark.parametrize("module, name", [
+    ("repro.analytic.queueing", "min_stable_fleet"),
+    ("repro.analytic.queueing", "latency_quantile_ms"),
+    ("repro.baselines.cpu", "CPU_PLATFORMS"),
+    ("repro.baselines.gpu", "GPU_PLATFORMS"),
+    ("repro.baselines.fpga_competitors", "get_competitor"),
+    ("repro.fixedpoint.arithmetic", "fx_matmul"),
+    ("repro.fixedpoint.arithmetic", "fx_add"),
+    ("repro.fixedpoint.arithmetic", "fx_mul"),
+    ("repro.fixedpoint.arithmetic", "fx_scale_shift"),
+    ("repro.fixedpoint.quantize", "quantization_error"),
+    ("repro.fixedpoint.lut", "lut_resource_estimate"),
+    ("repro.hls.scheduler", "schedule_body"),
+    ("repro.hls.arrays", "total_binding"),
+    ("repro.hls.arrays", "fully_partitioned"),
+    ("repro.hls.arrays", "PortConflictError"),
+    ("repro.memory.dma", "tiled_engine_cycles"),
+    ("repro.memory.dma", "uniform_phases"),
+    ("repro.obs.alerts", "SustainedRule"),
+])
+def test_a_retired_name_restored_with_its_reexport_is_flagged(
+        module, name, monkeypatch):
+    """Listing a name in ``__all__`` and re-exporting it from the
+    package ``__init__`` does not reference it."""
+    source = (MODULES[module].read_text()
+              + f"\n\ndef {name}():\n    pass\n\n\n"
+              + f"__all__ = [*__all__, {name!r}]\n")
+    monkeypatch.setitem(_TREES, module, ast.parse(source))
+    package, _, leaf = module.rpartition(".")
+    init = MODULES[package].read_text() + f"from .{leaf} import {name}\n"
+    monkeypatch.setitem(_TREES, package, ast.parse(init))
+    assert (module, name) in _unreferenced()

@@ -5,11 +5,13 @@ is determined by the number of attention heads"), all heads executing
 in parallel.  The module provides three coupled views of the same
 hardware:
 
-* **functional** — bit-accurate fixed-point forward pass per head
-  (:meth:`AttentionModule.forward`), validated against the golden
-  float MHA;
+* **functional** — one bit-accurate fixed-point head kernel
+  (:meth:`AttentionModule.project` and :meth:`AttentionModule.attend`)
+  under the encoder's per-head forward pass, validated against the
+  golden float MHA;
 * **cycles** — per-engine cycle counts from the Algorithm 1–3 loop
-  nests (:meth:`AttentionModule.compute_cycles`);
+  nests, one sweep (:meth:`AttentionModule.sweep_cycles`) under the
+  encoder prefill, the decode step and the decoder layer;
 * **resources / timing** — PE and buffer inventory
   (:meth:`AttentionModule.resources`, :meth:`AttentionModule.timing_paths`).
 """
@@ -18,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..fixedpoint import FxTensor, requantize, saturate
+from .._checks import check_count
+from ..fixedpoint import FxTensor
 from ..hls import (
     ArrayPartition,
     ArraySpec,
@@ -33,7 +36,7 @@ from ..hls import (
     schedule_loop,
 )
 from ..isa.controller import SynthParams
-from ..nn.functional import attention_scale
+from ..nn.functional import attention_scale, causal_fill
 from .engines import (
     DatapathFormats,
     add_bias_and_requantize,
@@ -43,7 +46,7 @@ from .engines import (
     sv_loop_nest,
     tiled_fx_matmul_reduction,
 )
-from .quantized import QuantizedLayer
+from .quantized import QuantizedLayer, QuantizedLinear
 from .softmax_unit import SoftmaxUnit
 
 __all__ = ["AttentionModule", "HeadTrace"]
@@ -63,46 +66,74 @@ class HeadTrace:
 
 @dataclass
 class AttentionModule:
-    """All per-head attention engines of one synthesized ProTEA."""
+    """All per-head attention engines of one synthesized ProTEA.
+
+    The encoder, the decoder's masked self- and cross-attention, the
+    KV-cache decode step and the instruction-level executor all run
+    their heads through :meth:`project` and :meth:`attend`, and price
+    them with :meth:`sweep_cycles`.
+    """
 
     synth: SynthParams
     formats: DatapathFormats = field(default_factory=DatapathFormats.fix8)
     scale_mode: str = "sqrt_dk"
-    softmax: SoftmaxUnit = None  # type: ignore[assignment]
+    softmax: SoftmaxUnit = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.softmax is None:
-            self.softmax = SoftmaxUnit(formats=self.formats)
+        self.softmax = SoftmaxUnit(formats=self.formats)
 
     # ------------------------------------------------------------------
     # Functional model
     # ------------------------------------------------------------------
+    def project(self, x: FxTensor, lin: QuantizedLinear) -> FxTensor:
+        """QKV_CE: one projection's tiled reduction, bias add and
+        requantization to the Q/K/V buffer format."""
+        acc = tiled_fx_matmul_reduction(x, lin.weight, self.synth.ts_mha)
+        return add_bias_and_requantize(acc, lin.bias, self.formats.qkv)
+
+    def attend(
+        self, q: FxTensor, k: FxTensor, v: FxTensor, d_model: int,
+        masked: bool = False,
+    ) -> Tuple[FxTensor, FxTensor, FxTensor]:
+        """One head's QK_CE → softmax → SV_CE; returns the scores,
+        probabilities and SV output.
+
+        ``masked`` is the decoder's mask unit: strictly-future score
+        positions (aligned on the last query row, so a single newest
+        row masks nothing) are forced to the score format's minimum and
+        their exp lanes gated to exactly zero in the softmax unit, so a
+        masked lane leaks nothing into the row sum.
+        """
+        scale = attention_scale(q.raw.shape[1], d_model, self.scale_mode)
+        # Exact integer Q.K^T, then the fixed scale multiplier, then the
+        # score-buffer quantization.
+        scores = FxTensor.from_float(
+            (q.raw @ k.raw.T) * (q.fmt.scale * k.fmt.scale) * scale,
+            self.formats.score)
+        lanes = None
+        if masked:
+            lanes = causal_fill(np.zeros(scores.raw.shape, dtype=bool), True)
+            scores = FxTensor(causal_fill(scores.raw, scores.fmt.int_min),
+                              scores.fmt)
+        probs = self.softmax(scores, masked=lanes)
+        # Exact integer P.V, then the product scale.
+        sv = FxTensor.from_float(
+            (probs.raw @ v.raw) * (probs.fmt.scale * v.fmt.scale),
+            self.formats.activation)
+        return scores, probs, sv
+
+    def concat(self, heads: List[FxTensor]) -> FxTensor:
+        """The head outputs side by side (the output projection's input)."""
+        return FxTensor(np.concatenate([h.raw for h in heads], axis=1),
+                        self.formats.activation)
+
     def forward_head(
         self, x: FxTensor, layer: QuantizedLayer, head: int
     ) -> HeadTrace:
         """One head's QKV → scores → softmax → SV pipeline."""
-        ts = self.synth.ts_mha
-        wq, wk, wv = layer.wq[head], layer.wk[head], layer.wv[head]
-        q_acc = tiled_fx_matmul_reduction(x, wq.weight, ts)
-        k_acc = tiled_fx_matmul_reduction(x, wk.weight, ts)
-        v_acc = tiled_fx_matmul_reduction(x, wv.weight, ts)
-        q = add_bias_and_requantize(q_acc, wq.bias, self.formats.qkv)
-        k = add_bias_and_requantize(k_acc, wk.bias, self.formats.qkv)
-        v = add_bias_and_requantize(v_acc, wv.bias, self.formats.qkv)
-
-        d_k = q.raw.shape[1]
-        scale = attention_scale(d_k, x.raw.shape[1], self.scale_mode)
-        # Exact integer Q.K^T, then the fixed scale multiplier, then the
-        # score-buffer quantization.
-        scores_val = (q.raw @ k.raw.T) * (q.fmt.scale * k.fmt.scale) * scale
-        scores = FxTensor.from_float(scores_val, self.formats.score)
-
-        probs = self.softmax(scores)
-
-        sv_raw = probs.raw @ v.raw  # exact integer product
-        prod_scale = probs.fmt.scale * v.fmt.scale
-        sv = FxTensor.from_float(sv_raw * prod_scale, self.formats.activation)
-        return HeadTrace(q=q, k=k, v=v, scores=scores, probs=probs, sv=sv)
+        q, k, v = (self.project(x, w[head])
+                   for w in (layer.wq, layer.wk, layer.wv))
+        return HeadTrace(q, k, v, *self.attend(q, k, v, x.raw.shape[1]))
 
     def forward(
         self, x: FxTensor, layer: QuantizedLayer
@@ -111,41 +142,61 @@ class AttentionModule:
         output (pre output-projection) and per-head traces."""
         traces = [self.forward_head(x, layer, h)
                   for h in range(layer.num_heads)]
-        concat = np.concatenate([t.sv.raw for t in traces], axis=1)
-        return FxTensor(concat, self.formats.activation), traces
+        return self.concat([t.sv for t in traces]), traces
 
     # ------------------------------------------------------------------
     # Cycle model
     # ------------------------------------------------------------------
-    def compute_cycles(
-        self, seq_len: int, d_model: int, num_heads: int
+    def sweep_cycles(
+        self, q_len: int, kv_len: int, d_model: int, num_heads: int
     ) -> Dict[str, int]:
-        """Per-engine compute cycles for one layer (heads in parallel).
+        """Per-engine cycles of ``q_len`` query rows against ``kv_len``
+        keys (heads in parallel).
 
-        Sequences longer than the synthesized chunk are processed in
-        ``ceil(SL/chunk)`` chunks: the score-dependent engines (QK,
-        softmax, SV) iterate over chunk pairs, which is what makes long
-        sequences scale super-linearly.
+        The projections run over the ``q_len`` rows.  Sequences longer
+        than the synthesized chunk are processed in chunks: QK runs
+        over ``ceil(q/chunk) * ceil(kv/chunk)`` score blocks, and
+        softmax and SV once per query block over all ``kv_len`` keys,
+        which is what makes long sequences scale super-linearly.
         """
+        for name, value in (("q_len", q_len), ("kv_len", kv_len),
+                            ("d_model", d_model), ("num_heads", num_heads)):
+            check_count(name, value)
+        if d_model % num_heads:
+            raise ValueError(f"d_model={d_model} is not divisible by "
+                             f"num_heads={num_heads}")
         synth = self.synth
         d_k = d_model // num_heads
-        tiles = max(1, math.ceil(d_model / synth.ts_mha))
         chunk = synth.seq_chunk
-        chunks = math.ceil(seq_len / chunk)
-        rows = min(seq_len, chunk)
+        q_blocks, kv_blocks = -(-q_len // chunk), -(-kv_len // chunk)
+        q_rows, kv_rows = min(q_len, chunk), min(kv_len, chunk)
         dk_synth = synth.max_d_model // synth.max_heads
         passes = reduction_passes(d_k, dk_synth)[0]
 
-        qkv = tiles * schedule_loop(
-            qkv_loop_nest(seq_len, d_k, synth.ts_mha)).cycles
-        qk = chunks * chunks * schedule_loop(
-            qk_loop_nest(rows, rows, dk_synth, reduction_passes=passes)).cycles
-        sm = chunks * schedule_loop(
-            self.softmax.loop_nest(rows, seq_len)).cycles
-        sv = chunks * schedule_loop(
-            sv_loop_nest(rows, d_k, chunk, key_chunks=chunks)).cycles
+        qkv = self.projection_cycles(q_len, d_model, num_heads)
+        qk = q_blocks * kv_blocks * schedule_loop(
+            qk_loop_nest(q_rows, kv_rows, dk_synth,
+                         reduction_passes=passes)).cycles
+        sm = q_blocks * schedule_loop(
+            self.softmax.loop_nest(q_rows, kv_len)).cycles
+        sv = q_blocks * schedule_loop(
+            sv_loop_nest(q_rows, d_k, chunk, key_chunks=kv_blocks)).cycles
         return {"qkv": qkv, "qk": qk, "softmax": sm, "sv": sv,
                 "total": qkv + qk + sm + sv}
+
+    def projection_cycles(self, rows: int, d_model: int,
+                          num_heads: int) -> int:
+        """QKV_CE cycles of projecting ``rows`` rows, heads in parallel."""
+        ts = self.synth.ts_mha
+        return max(1, math.ceil(d_model / ts)) * schedule_loop(
+            qkv_loop_nest(rows, d_model // num_heads, ts)).cycles
+
+    def compute_cycles(
+        self, seq_len: int, d_model: int, num_heads: int
+    ) -> Dict[str, int]:
+        """Per-engine compute cycles of one encoder layer's attention."""
+        check_count("seq_len", seq_len)
+        return self.sweep_cycles(seq_len, seq_len, d_model, num_heads)
 
     def decode_compute_cycles(
         self, cache_len: int, d_model: int, num_heads: int
@@ -158,26 +209,8 @@ class AttentionModule:
         grows with generated length.  ``cache_len`` counts the keys the
         new row attends over, including itself.
         """
-        if cache_len < 1:
-            raise ValueError("cache_len must be >= 1")
-        synth = self.synth
-        d_k = d_model // num_heads
-        tiles = max(1, math.ceil(d_model / synth.ts_mha))
-        chunk = synth.seq_chunk
-        m_chunks = math.ceil(cache_len / chunk)
-        k_rows = min(cache_len, chunk)
-        dk_synth = synth.max_d_model // synth.max_heads
-        passes = reduction_passes(d_k, dk_synth)[0]
-
-        qkv = tiles * schedule_loop(
-            qkv_loop_nest(1, d_k, synth.ts_mha)).cycles
-        qk = m_chunks * schedule_loop(
-            qk_loop_nest(1, k_rows, dk_synth, reduction_passes=passes)).cycles
-        sm = schedule_loop(self.softmax.loop_nest(1, cache_len)).cycles
-        sv = schedule_loop(
-            sv_loop_nest(1, d_k, chunk, key_chunks=m_chunks)).cycles
-        return {"qkv": qkv, "qk": qk, "softmax": sm, "sv": sv,
-                "total": qkv + qk + sm + sv}
+        check_count("cache_len", cache_len)
+        return self.sweep_cycles(1, cache_len, d_model, num_heads)
 
     def weight_bytes_per_tile(self, d_model: int, num_heads: int) -> int:
         """Off-chip bytes of one head's Wq+Wk+Wv tile."""

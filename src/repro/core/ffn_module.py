@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..fixedpoint import ErfLUT, FxTensor, quantize
+from ..fixedpoint import ErfLUT, FxTensor, QFormat, quantize
 from ..hls import (
     ArrayPartition,
     ArraySpec,
@@ -45,7 +45,7 @@ from .engines import (
     tiled_fx_matmul_2d,
 )
 from .layernorm_unit import LayerNormUnit
-from .quantized import QuantizedLayer
+from .quantized import QuantizedLayer, QuantizedLinear
 
 __all__ = ["FFNModule", "FFNTrace"]
 
@@ -67,12 +67,12 @@ class FFNModule:
 
     synth: SynthParams
     formats: DatapathFormats = field(default_factory=DatapathFormats.fix8)
-    layernorm: LayerNormUnit = None  # type: ignore[assignment]
-    erf_lut: ErfLUT = field(default_factory=lambda: ErfLUT(entries=1024))
+    layernorm: LayerNormUnit = field(init=False)
+    erf_lut: ErfLUT = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.layernorm is None:
-            self.layernorm = LayerNormUnit(formats=self.formats)
+        self.layernorm = LayerNormUnit(formats=self.formats)
+        self.erf_lut = ErfLUT(entries=1024)
 
     # ------------------------------------------------------------------
     # Functional model
@@ -90,6 +90,34 @@ class FFNModule:
             return FxTensor.from_float(gelu, self.formats.hidden)
         raise ValueError(f"unknown activation {activation!r}")
 
+    def _linear(self, x: FxTensor, lin: QuantizedLinear,
+                fmt: QFormat) -> FxTensor:
+        ts = self.synth.ts_ffn
+        acc = tiled_fx_matmul_2d(x, lin.weight, ts, ts)
+        return add_bias_and_requantize(acc, lin.bias, fmt)
+
+    def project_residual(
+        self, concat: FxTensor, wo: QuantizedLinear, residual: FxTensor,
+        gamma: np.ndarray, beta: np.ndarray,
+    ) -> Tuple[FxTensor, FxTensor]:
+        """FFN1 and a layer norm: the attention output projection, then
+        the residual add and normalization; returns ``(proj, normed)``."""
+        proj = self._linear(concat, wo, self.formats.activation)
+        return proj, self.layernorm(proj, residual, gamma, beta)
+
+    def feed_forward(
+        self, x: FxTensor, w1: QuantizedLinear, w2: QuantizedLinear,
+        activation: str, gamma: np.ndarray, beta: np.ndarray,
+    ) -> Tuple[FxTensor, FxTensor, FxTensor]:
+        """FFN2, FFN3 and a layer norm: expansion and activation, then
+        contraction, then the residual add (from ``x``) and
+        normalization; returns ``(hidden, contract, normed)``.  Row-wise,
+        so one decode row runs the same sub-layer as a full sequence."""
+        hidden = self._activate(self._linear(x, w1, self.formats.hidden),
+                                activation)
+        contract = self._linear(hidden, w2, self.formats.activation)
+        return hidden, contract, self.layernorm(contract, x, gamma, beta)
+
     def forward(
         self,
         concat: FxTensor,
@@ -102,25 +130,13 @@ class FFNModule:
         ``layer_input`` is the encoder layer's input (residual source
         for the first layer norm).
         """
-        ts = self.synth.ts_ffn
-        # FFN1: output projection + residual + LN1.
-        proj_acc = tiled_fx_matmul_2d(concat, layer.wo.weight, ts, ts)
-        proj = add_bias_and_requantize(proj_acc, layer.wo.bias,
-                                       self.formats.activation)
-        ln1 = self.layernorm(proj, layer_input, layer.ln1_gamma, layer.ln1_beta)
-
-        # FFN2: expansion + activation.
-        hid_acc = tiled_fx_matmul_2d(ln1, layer.w1.weight, ts, ts)
-        hid = add_bias_and_requantize(hid_acc, layer.w1.bias,
-                                      self.formats.hidden)
-        hid = self._activate(hid, layer.activation)
-
-        # FFN3: contraction + residual + LN2.
-        con_acc = tiled_fx_matmul_2d(hid, layer.w2.weight, ts, ts)
-        con = add_bias_and_requantize(con_acc, layer.w2.bias,
-                                      self.formats.activation)
-        out = self.layernorm(con, ln1, layer.ln2_gamma, layer.ln2_beta)
-        return FFNTrace(proj=proj, ln1=ln1, hidden=hid, contract=con, out=out)
+        proj, ln1 = self.project_residual(concat, layer.wo, layer_input,
+                                          layer.ln1_gamma, layer.ln1_beta)
+        hidden, contract, out = self.feed_forward(
+            ln1, layer.w1, layer.w2, layer.activation,
+            layer.ln2_gamma, layer.ln2_beta)
+        return FFNTrace(proj=proj, ln1=ln1, hidden=hidden,
+                        contract=contract, out=out)
 
     # ------------------------------------------------------------------
     # Cycle model

@@ -6,15 +6,18 @@ token.  A decode step runs the newest target row through every decoder
 layer — one query projection against the cached keys/values instead of
 the full ``(t+1) x (t+1)`` masked sweep.
 
-**Bit-identity oracle.**  Every engine op on this path is either exact
+**Bit-identity.**  Every engine op on this path is either exact
 integer arithmetic (tiled matmuls, bias adds, row sums) or an
 elementwise/row-wise float op (score scaling, LUT lookups, layer norm),
 so the step's output row is *bit-identical* to row ``t`` of
 :meth:`~repro.core.decoder_module.DecoderModule.forward` over the first
 ``t + 1`` tokens — provided masked softmax lanes contribute exactly
 zero, which the mask comparators in
-:class:`~repro.core.softmax_unit.SoftmaxUnit` guarantee.  The property
-tests assert raw-code equality at every step.
+:class:`~repro.core.softmax_unit.SoftmaxUnit` guarantee.  The step runs
+the decoder's own head kernel and FFN sub-layers, so the property
+tests' raw-code equality holds one kernel to itself; the independent
+check is the frozen digest of ``prefill`` in
+``tests/goldens/datapath_digests.json``.
 
 Cache capacity is a synthesis-time ceiling: the score/SV buffers were
 generated for ``max_seq_len`` keys, so growing the cache past it raises
@@ -31,7 +34,6 @@ import numpy as np
 
 from ..fixedpoint import FxTensor
 from ..isa.controller import ResynthesisRequiredError
-from ..nn.functional import attention_scale
 from .decoder_module import DecoderModule, QuantizedDecoder, QuantizedDecoderLayer
 
 __all__ = ["FxLayerKVCache", "FxDecoderKVCache"]
@@ -71,6 +73,7 @@ class FxDecoderKVCache:
         memory: FxTensor,
     ) -> "FxDecoderKVCache":
         """Empty cache; cross-attention K/V projected once from memory."""
+        project = module.attention.project
         layers = []
         for layer in weights.layers:
             d_k = layer.self_wq[0].weight.raw.shape[1]
@@ -79,8 +82,8 @@ class FxDecoderKVCache:
             layers.append(FxLayerKVCache(
                 self_k=[empty() for _ in layer.self_wk],
                 self_v=[empty() for _ in layer.self_wv],
-                cross_k=[module._project(memory, w) for w in layer.cross_wk],
-                cross_v=[module._project(memory, w) for w in layer.cross_wv],
+                cross_k=[project(memory, w) for w in layer.cross_wk],
+                cross_v=[project(memory, w) for w in layer.cross_wv],
             ))
         return cls(module=module, weights=weights, memory=memory,
                    layers=layers)
@@ -95,31 +98,13 @@ class FxDecoderKVCache:
         return sum(layer.cache_bytes() for layer in self.layers)
 
     # ------------------------------------------------------------------
-    def _attend_row(
-        self, q: FxTensor, keys: FxTensor, values: FxTensor, d_model: int
-    ) -> np.ndarray:
-        """One head's score → softmax → SV sweep for a single query row.
-
-        No mask lanes exist: every cached position is past-or-current,
-        so the row equals the full pass's masked row exactly (its future
-        lanes are gated to zero there).
-        """
-        module = self.module
-        scale = attention_scale(q.raw.shape[1], d_model, module.scale_mode)
-        scores_val = ((q.raw @ keys.raw.T)
-                      * (q.fmt.scale * keys.fmt.scale) * scale)
-        scores = FxTensor.from_float(scores_val, module.formats.score)
-        probs = module.softmax(scores)
-        sv = (probs.raw @ values.raw) * (probs.fmt.scale * values.fmt.scale)
-        return FxTensor.from_float(sv, module.formats.activation).raw
-
     def _append(self, store: List[FxTensor], head: int, row: FxTensor) -> None:
         store[head] = FxTensor(
             np.concatenate([store[head].raw, row.raw]), row.fmt)
 
     def step(self, x_row: FxTensor) -> FxTensor:
         """Decode one token; returns its output row ``(1, d_model)``."""
-        module, synth = self.module, self.module.synth
+        synth = self.module.synth
         if self.seq_len >= synth.max_seq_len:
             raise ResynthesisRequiredError(
                 f"KV cache already holds {self.seq_len} positions — the "
@@ -139,30 +124,27 @@ class FxDecoderKVCache:
         self, x: FxTensor, layer: QuantizedDecoderLayer,
         cache: FxLayerKVCache, d_model: int,
     ) -> FxTensor:
-        module = self.module
-        # Masked self-attention against the (appended) cache.
+        att, ffn = self.module.attention, self.module.ffn
+        # Masked self-attention against the (appended) cache: the
+        # newest row is the last, so the mask unit blocks no lane.
         outs = []
         for h in range(layer.num_heads):
-            q = module._project(x, layer.self_wq[h])
-            self._append(cache.self_k, h, module._project(x, layer.self_wk[h]))
-            self._append(cache.self_v, h, module._project(x, layer.self_wv[h]))
-            outs.append(self._attend_row(q, cache.self_k[h],
-                                         cache.self_v[h], d_model))
-        sa = FxTensor(np.concatenate(outs, axis=1),
-                      module.formats.activation)
-        h1 = module._output_projection(sa, layer.self_wo, x,
-                                       layer.ln1_gamma, layer.ln1_beta)
+            self._append(cache.self_k, h, att.project(x, layer.self_wk[h]))
+            self._append(cache.self_v, h, att.project(x, layer.self_wv[h]))
+            outs.append(att.attend(att.project(x, layer.self_wq[h]),
+                                   cache.self_k[h], cache.self_v[h],
+                                   d_model, masked=True)[2])
+        _, h1 = ffn.project_residual(att.concat(outs), layer.self_wo, x,
+                                     layer.ln1_gamma, layer.ln1_beta)
         # Cross attention over the precomputed memory projections.
-        outs = []
-        for h in range(layer.num_heads):
-            q = module._project(h1, layer.cross_wq[h])
-            outs.append(self._attend_row(q, cache.cross_k[h],
-                                         cache.cross_v[h], d_model))
-        ca = FxTensor(np.concatenate(outs, axis=1),
-                      module.formats.activation)
-        h2 = module._output_projection(ca, layer.cross_wo, h1,
-                                       layer.ln2_gamma, layer.ln2_beta)
-        return module._ffn_sublayer(h2, layer)
+        ca = att.concat([
+            att.attend(att.project(h1, wq), k, v, d_model)[2]
+            for wq, k, v in zip(layer.cross_wq, cache.cross_k,
+                                cache.cross_v)])
+        _, h2 = ffn.project_residual(ca, layer.cross_wo, h1,
+                                     layer.ln2_gamma, layer.ln2_beta)
+        return ffn.feed_forward(h2, layer.w1, layer.w2, layer.activation,
+                                layer.ln3_gamma, layer.ln3_beta)[2]
 
     def prefill(self, prompt: FxTensor) -> FxTensor:
         """Decode every prompt row in order; returns all output rows."""

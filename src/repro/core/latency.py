@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from .._checks import check_count
 from ..isa.controller import (
     ConfigRegisterFile,
     ResynthesisRequiredError,
@@ -295,6 +296,9 @@ class LatencyModel:
         ``cache_len``-deep cache and grow with generated length.
         """
         key = (cache_len, d_model, num_heads)
+        # Checked before the memo, where True would find 1's entry.
+        for name, value in zip(("cache_len", "d_model", "num_heads"), key):
+            check_count(name, value)
         layer = self._decode_layers.get(key)
         if layer is None:
             layer = self._decode_layers[key] = self._layer(

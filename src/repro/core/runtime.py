@@ -5,10 +5,15 @@ Two pieces:
 * :class:`ProgramExecutor` — executes a *compiled instruction stream*
   against tile-granular engine state.  This is the controller-eye view
   of the accelerator: every LOAD marks a tile resident, every RUN
-  performs exactly that tile's arithmetic, and running a tile that was
-  never loaded raises (catching compiler/controller bugs).  Its final
-  output is bit-identical to :meth:`repro.core.accelerator.ProTEA.run_fx`
-  — asserted by the integration tests.
+  performs exactly that tile's reduction into its accumulator, and
+  running a tile that was never loaded raises (catching
+  compiler/controller bugs).  Once a head's or an FFN engine's
+  accumulators are complete, the executor finalizes them and hands off
+  to the same module code :meth:`repro.core.accelerator.ProTEA.run_fx`
+  runs: the head kernel (``AttentionModule.attend``), the activation
+  and the layer norms.  Its final output is bit-identical to
+  ``run_fx`` (the integration tests) and frozen in
+  ``tests/goldens/datapath_digests.json``.
 * :class:`RuntimeSession` — the user-facing "no resynthesis" workflow:
   hop between models on one synthesized instance, accumulating
   reprogramming statistics.
@@ -28,7 +33,7 @@ from ..isa.instructions import Instruction, Opcode
 from ..isa.interpreter import Interpreter
 from ..nn.model_zoo import TransformerConfig
 from .accelerator import ProTEA
-from .engines import add_bias_and_requantize
+from .engines import _accumulate_fmt, add_bias_and_requantize
 from .quantized import QuantizedEncoder, QuantizedLayer
 
 __all__ = ["ProgramExecutor", "RuntimeSession", "TileNotResidentError"]
@@ -157,38 +162,24 @@ class ProgramExecutor:
                 acc += x_tile @ q.weight.raw[start:stop, :]
 
     def _run_attention_head(self, instr: Instruction) -> None:
-        """RUN_QK: finalize the head's Q/K/V and run scores → softmax →
-        SV (the RUN_SOFTMAX / RUN_SV instructions are the occupancy
-        markers for those engines; arithmetic happens here)."""
+        """RUN_QK: finalize the head's Q/K/V accumulators and run the
+        attention module's head kernel (the RUN_SOFTMAX / RUN_SV
+        instructions are the occupancy markers for those engines;
+        arithmetic happens here)."""
         self._maybe_advance_layer(instr)
         state = self._state
         assert state is not None
         head = instr.head
         layer = self._layer()
-        att = self.accel.attention
-        fmts = self.accel.formats
-        accs = state.qkv_acc[head]
-        wq = layer.wq[head]
-        # Reconstruct accumulator-format tensors exactly as the module does.
-        from .engines import _accumulate_fmt
-
         d = self.accel.config.d_model
-        fmt = _accumulate_fmt(state.x.fmt, wq.weight.fmt, d)
-        qkv = []
-        for acc, lin in zip(accs, (layer.wq[head], layer.wk[head],
-                                   layer.wv[head])):
-            wide = FxTensor(saturate(acc, fmt), fmt)
-            qkv.append(add_bias_and_requantize(wide, lin.bias, fmts.qkv))
-        q, k, v = qkv
-
-        from ..nn.functional import attention_scale
-
-        scale = attention_scale(q.raw.shape[1], d, att.scale_mode)
-        scores_val = (q.raw @ k.raw.T) * (q.fmt.scale * k.fmt.scale) * scale
-        scores = FxTensor.from_float(scores_val, fmts.score)
-        probs = att.softmax(scores)
-        sv_val = (probs.raw @ v.raw) * (probs.fmt.scale * v.fmt.scale)
-        state.head_out[head] = FxTensor.from_float(sv_val, fmts.activation)
+        # Reconstruct accumulator-format tensors exactly as the module does.
+        fmt = _accumulate_fmt(state.x.fmt, layer.wq[head].weight.fmt, d)
+        q, k, v = (
+            add_bias_and_requantize(FxTensor(saturate(acc, fmt), fmt),
+                                    lin.bias, self.accel.formats.qkv)
+            for acc, lin in zip(state.qkv_acc[head], (
+                layer.wq[head], layer.wk[head], layer.wv[head])))
+        _, _, state.head_out[head] = self.accel.attention.attend(q, k, v, d)
 
     # ------------------------------------------------------------------
     # FFN
@@ -197,10 +188,8 @@ class ProgramExecutor:
         state = self._state
         assert state is not None
         if state.concat is None:
-            cfg = self.accel.config
-            parts = [state.head_out[h].raw for h in range(cfg.num_heads)]
-            state.concat = FxTensor(np.concatenate(parts, axis=1),
-                                    self.accel.formats.activation)
+            state.concat = self.accel.attention.concat(
+                [state.head_out[h] for h in range(self.accel.config.num_heads)])
             state.ffn_in[1] = state.concat
 
     def _ffn_weight(self, engine: int) -> FxTensor:
@@ -255,8 +244,6 @@ class ProgramExecutor:
         )
 
     def _finalize_linear(self, engine: int, out_fmt) -> FxTensor:
-        from .engines import _accumulate_fmt
-
         state = self._state
         assert state is not None
         layer = self._layer()

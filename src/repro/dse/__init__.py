@@ -67,7 +67,7 @@ from .strategies import (
     Strategy,
     get_strategy,
 )
-from .surrogate import SURROGATE_OBJECTIVE_NAMES, surrogate_point
+from .surrogate import surrogate_point
 
 __all__ = [
     # space
@@ -80,7 +80,7 @@ __all__ = [
     "Strategy", "GridStrategy", "RandomStrategy", "EvolutionaryStrategy",
     "PrescreenStrategy", "STRATEGIES", "get_strategy",
     # surrogate
-    "SURROGATE_OBJECTIVE_NAMES", "surrogate_point",
+    "surrogate_point",
     # engine / pool
     "explore", "EvalResult", "ExplorationResult", "PersistentPool",
     # objectives

@@ -44,19 +44,12 @@ rather than silently dropping them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from ..analytic.queueing import p99_estimate_ms
 from .objectives import design_point, unloaded_generation
 
-__all__ = ["SURROGATE_OBJECTIVE_NAMES", "surrogate_point"]
-
-#: Objectives the closed-form model can estimate.  The failure pair
-#: (availability / p99_degraded_ms) and the watchdog pair
-#: (alert_minutes / budget_burn) are simulation-defined and absent.
-SURROGATE_OBJECTIVE_NAMES: Tuple[str, ...] = (
-    "latency_ms", "throughput_inf_s", "p99_ms", "power_w", "util_pct",
-    "ttft_p99_ms", "tokens_per_s")
+__all__ = ["surrogate_point"]
 
 
 def surrogate_point(point: Mapping[str, Any],

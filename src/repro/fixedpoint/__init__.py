@@ -15,7 +15,7 @@ Public surface:
 
 from .arithmetic import FxTensor
 from .lut import ErfLUT, ExpLUT, FunctionLUT, ReciprocalLUT, RsqrtLUT
-from .qformat import ACC32, Q8_4, Q8_5, Q8_6, Q16_8, QFormat
+from .qformat import QFormat
 from .quantize import (
     Rounding,
     calibrate_format,
@@ -27,11 +27,6 @@ from .quantize import (
 
 __all__ = [
     "QFormat",
-    "ACC32",
-    "Q8_4",
-    "Q8_5",
-    "Q8_6",
-    "Q16_8",
     "Rounding",
     "quantize",
     "dequantize",

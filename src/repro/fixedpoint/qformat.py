@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 from .._checks import is_count, is_int
 
-__all__ = [
-    "QFormat",
-    "ACC32",
-    "Q8_4",
-    "Q8_5",
-    "Q8_6",
-    "Q16_8",
-]
+__all__ = ["QFormat"]
 
 
 @dataclass(frozen=True)
@@ -127,17 +120,3 @@ class QFormat:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         kind = "s" if self.signed else "u"
         return f"{kind}Q{self.total_bits}.{self.frac_bits}"
-
-
-#: 32-bit accumulator with 8 fractional bits — the requantization target
-#: used between engines (the real DSP48 uses 48-bit accumulation; 32
-#: bits is already exact for every tile length in this design).
-ACC32 = QFormat(32, 8)
-
-#: Common 8-bit activation/weight formats.
-Q8_4 = QFormat(8, 4)
-Q8_5 = QFormat(8, 5)
-Q8_6 = QFormat(8, 6)
-
-#: 16-bit format used when the paper's "larger bit width" variant is wanted.
-Q16_8 = QFormat(16, 8)

@@ -9,7 +9,7 @@ achievable clock (:class:`~repro.hls.timing.TimingModel`).
 """
 
 from .arrays import LUTRAM_THRESHOLD_BITS, ArraySpec, BankBinding
-from .loopnest import MAC_STATEMENT, Body, Loop, Statement, walk_statements
+from .loopnest import Body, Loop, Statement, walk_statements
 from .pragmas import ArrayPartition, PartitionKind, Pipeline, Unroll
 from .resources import (
     FF_PER_BANK,
@@ -31,7 +31,6 @@ __all__ = [
     "Statement",
     "Loop",
     "Body",
-    "MAC_STATEMENT",
     "walk_statements",
     "LoopSchedule",
     "schedule_loop",

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Union
 
 from .pragmas import Pipeline, Unroll
 
-__all__ = ["Statement", "Loop", "Body", "MAC_STATEMENT", "walk_statements"]
+__all__ = ["Statement", "Loop", "Body", "walk_statements"]
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,6 @@ class Statement:
             raise ValueError("statement depth must be >= 1")
         if min(self.dsps, self.luts, self.ffs) < 0:
             raise ValueError("resources must be non-negative")
-
-
-#: The canonical 8-bit multiply-accumulate mapped onto one DSP48.
-#: LUT/FF counts are the per-PE control overhead calibrated against
-#: Table I (see resources.py for the calibration notes).
-MAC_STATEMENT = Statement(name="mac", depth=4, dsps=1, luts=0, ffs=0)
 
 
 @dataclass

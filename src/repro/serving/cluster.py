@@ -84,10 +84,6 @@ class RequestRecord(NamedTuple):
         return self.t_dispatch_ms - self.t_arrival_ms
 
     @property
-    def service_ms(self) -> float:
-        return self.t_complete_ms - self.t_dispatch_ms
-
-    @property
     def latency_ms(self) -> float:
         return self.t_complete_ms - self.t_arrival_ms
 

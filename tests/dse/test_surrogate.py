@@ -34,7 +34,6 @@ from repro.dse import (
 )
 from repro.dse.objectives import GENERATION_OBJECTIVE_NAMES
 from repro.dse.pool import _error_text
-from repro.dse.surrogate import SURROGATE_OBJECTIVE_NAMES
 
 from .._goldens import load
 
@@ -128,7 +127,10 @@ class TestAgreementWithFullEvaluator:
 
     def test_estimates_only_known_names(self):
         est = surrogate_point(self.POINT, dict(FAST, gen_objectives=True))
-        assert set(est) <= set(SURROGATE_OBJECTIVE_NAMES)
+        # The failure and watchdog objectives have no closed form.
+        assert set(est) <= {"latency_ms", "throughput_inf_s", "p99_ms",
+                            "power_w", "util_pct", "ttft_p99_ms",
+                            "tokens_per_s"}
         assert all(math.isfinite(v) for v in est.values())
 
     def test_validation(self):

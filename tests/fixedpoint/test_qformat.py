@@ -1,12 +1,10 @@
 """Unit tests for Q-format descriptors."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fixedpoint import ACC32, QFormat
+from repro.fixedpoint import QFormat
 
 
 class TestBounds:
@@ -75,9 +73,3 @@ class TestForRange:
         fmt = QFormat.for_range(-hi, hi, total_bits=bits)
         finer = QFormat(bits, fmt.frac_bits + 1)
         assert not (finer.representable(hi) and finer.representable(-hi))
-
-
-def test_acc32_constant_sanity():
-    assert ACC32.total_bits == 32
-    assert ACC32.frac_bits == 8
-    assert math.log2(ACC32.int_max + 1) == 31

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.engines import _mac
 from repro.hls import (
-    MAC_STATEMENT,
     Body,
     Loop,
     Pipeline,
@@ -12,11 +12,14 @@ from repro.hls import (
     walk_statements,
 )
 
+MAC_STATEMENT = Statement("mac", depth=4, dsps=1)
+
 
 class TestStatement:
     def test_mac_statement_constants(self):
-        assert MAC_STATEMENT.dsps == 1
-        assert MAC_STATEMENT.depth >= 1
+        """The engines' multiply-accumulate maps onto one DSP48."""
+        assert _mac().dsps == 1
+        assert _mac().depth >= 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.analytic import (erlang_c, estimate_generation, estimate_serving,
                             p99_estimate_ms, propose_fleet, wait_quantile_ms)
+from repro.core import DecoderModule
 from repro.dse import (Axis, EvolutionaryStrategy, Objective,
                        PrescreenStrategy, RandomStrategy, SearchSpace,
                        evaluate_point, explore, surrogate_point)
@@ -381,6 +382,66 @@ CASES = [
     ("power_report.gops", lambda v, r: _power(r, gops=v), NOT_POSITIVE),
     ("power_report.achieved_gbps", lambda v, r: _power(r, achieved_gbps=v),
      NEGATIVE),
+    ("attention.compute_cycles.seq_len",
+     lambda v, r: r["accel"].attention.compute_cycles(v, 768, 8), NOT_COUNT),
+    ("attention.compute_cycles.d_model",
+     lambda v, r: r["accel"].attention.compute_cycles(64, v, 8), NOT_COUNT),
+    ("attention.compute_cycles.num_heads",
+     lambda v, r: r["accel"].attention.compute_cycles(64, 768, v), NOT_COUNT),
+    ("attention.decode_compute_cycles.cache_len",
+     lambda v, r: r["accel"].attention.decode_compute_cycles(v, 768, 8),
+     NOT_COUNT),
+    ("attention.sweep_cycles.q_len",
+     lambda v, r: r["accel"].attention.sweep_cycles(v, 64, 768, 8),
+     NOT_COUNT),
+    ("attention.sweep_cycles.kv_len",
+     lambda v, r: r["accel"].attention.sweep_cycles(64, v, 768, 8),
+     NOT_COUNT),
+    # Integral floats and True hash like the ints a warm memo holds.
+    ("latency.decode_layer_cycles.cache_len",
+     lambda v, r: r["accel"].latency_model.decode_layer_cycles(v, 768, 8),
+     NOT_COUNT),
+    ("latency.decode_layer_cycles.d_model",
+     lambda v, r: r["accel"].latency_model.decode_layer_cycles(1, v, 8),
+     NOT_COUNT),
+    ("latency.decode_layer_cycles.num_heads",
+     lambda v, r: r["accel"].latency_model.decode_layer_cycles(1, 768, v),
+     NOT_COUNT),
+    ("decoder.compute_cycles.tgt_len",
+     lambda v, r: r["decoder"].compute_cycles(v, 10, 768, 8), NOT_COUNT),
+    ("decoder.compute_cycles.mem_len",
+     lambda v, r: r["decoder"].compute_cycles(10, v, 768, 8), NOT_COUNT),
+    ("decoder.compute_cycles.num_heads",
+     lambda v, r: r["decoder"].compute_cycles(10, 10, 768, v), NOT_COUNT),
+]
+
+#: Cycle-formula calls that once returned a price: a fractional or
+#: bool length, a zero length, and a width the heads do not divide.
+BAD_CYCLE_CALLS = [
+    ("decode_compute_cycles(2.5)",
+     lambda r: r["accel"].attention.decode_compute_cycles(2.5, 768, 8)),
+    ("decode_compute_cycles(True)",
+     lambda r: r["accel"].attention.decode_compute_cycles(True, 768, 8)),
+    ("decode_layer_cycles(2.5)",
+     lambda r: r["accel"].latency_model.decode_layer_cycles(2.5, 768, 8)),
+    ("decode_layer_cycles(True)",
+     lambda r: r["accel"].latency_model.decode_layer_cycles(True, 768, 8)),
+    ("decode_layer_cycles(0)",
+     lambda r: r["accel"].latency_model.decode_layer_cycles(0, 768, 8)),
+    ("compute_cycles(2.5)",
+     lambda r: r["accel"].attention.compute_cycles(2.5, 768, 8)),
+    ("compute_cycles(True)",
+     lambda r: r["accel"].attention.compute_cycles(True, 768, 8)),
+    ("compute_cycles(0)",
+     lambda r: r["accel"].attention.compute_cycles(0, 768, 8)),
+    ("compute_cycles(768/7)",
+     lambda r: r["accel"].attention.compute_cycles(10, 768, 7)),
+    ("decoder.compute_cycles(mem 0)",
+     lambda r: r["decoder"].compute_cycles(10, 0, 768, 8)),
+    ("decoder.compute_cycles(tgt True)",
+     lambda r: r["decoder"].compute_cycles(True, 10, 768, 8)),
+    ("decoder.compute_cycles(768/7)",
+     lambda r: r["decoder"].compute_cycles(10, 10, 768, 7)),
 ]
 
 
@@ -398,7 +459,8 @@ def results(default_accel):
                                             n_instances=2),
             "accel": default_accel, "arrivals": arrivals,
             "gen_requests": requests,
-            "pp": pp, "plan": pp.plan(BERT, 2)}
+            "pp": pp, "plan": pp.plan(BERT, 2),
+            "decoder": DecoderModule(default_accel.synth)}
 
 
 @pytest.mark.parametrize("call,bad", [c[1:] for c in CASES],
@@ -412,3 +474,12 @@ def test_bad_numeric_input_raises_value_error(call, bad, results):
             call(value, results)
 
     check()
+
+
+@pytest.mark.parametrize("call", [c[1] for c in BAD_CYCLE_CALLS],
+                         ids=[c[0] for c in BAD_CYCLE_CALLS])
+def test_cycle_formulas_reject_bad_shapes(call, results):
+    # A warm decode memo: True hashes like 1 and would find its entry.
+    results["accel"].latency_model.decode_layer_cycles(1, 768, 8)
+    with pytest.raises(ValueError):
+        call(results)

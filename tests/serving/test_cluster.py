@@ -83,7 +83,8 @@ class TestSingleInstanceFifo:
     def test_busy_time_equals_service_time(self, default_accel):
         reqs = _poisson(200, MIX1, 4, 500)
         res = simulate(default_accel, reqs, 1)
-        total_service = sum(r.service_ms for r in res.records)
+        total_service = sum(r.t_complete_ms - r.t_dispatch_ms
+                            for r in res.records)
         assert res.instances[0].busy_ms == pytest.approx(total_service)
 
     def test_reprogram_penalty_charged_on_switches(self, default_accel):

@@ -355,7 +355,6 @@ class TestRecordApi:
     def test_request_properties(self):
         rec = RequestRecord(**SERVE_KW)
         assert rec.wait_ms == rec.t_dispatch_ms - rec.t_arrival_ms
-        assert rec.service_ms == rec.t_complete_ms - rec.t_dispatch_ms
         assert rec.latency_ms == rec.t_complete_ms - rec.t_arrival_ms
 
     def test_generation_properties(self):

@@ -77,7 +77,8 @@ class TestHeterogeneousServe:
             default_accel,
             fleet=FleetSpec((InstanceSpec(speed=0.5),))).run(reqs)
         for a, b in zip(fast.records, slow.records):
-            assert b.service_ms == pytest.approx(2 * a.service_ms)
+            assert (b.t_complete_ms - b.t_dispatch_ms) == pytest.approx(
+                2 * (a.t_complete_ms - a.t_dispatch_ms))
 
     def test_capability_pinning_respected(self, default_accel):
         """A pinned instance only ever serves its capability set."""
@@ -142,7 +143,8 @@ class TestPipelineGroupAdapter:
             if rec.batch_size != 1:
                 continue
             expected = single_ms if rec.instance == 0 else group_ms
-            assert rec.service_ms == pytest.approx(expected)
+            assert (rec.t_complete_ms - rec.t_dispatch_ms
+                    == pytest.approx(expected))
         assert {r.instance for r in res.records} == {0, 1}
 
     def test_group_instance_keeps_speed_and_models(self, default_accel):
@@ -160,7 +162,8 @@ class TestPipelineGroupAdapter:
         assert on_group and all(r.model == pinned for r in on_group)
         for rec in on_group:
             if rec.batch_size == 1:
-                assert rec.service_ms == pytest.approx(group_ms / 2.0)
+                assert (rec.t_complete_ms - rec.t_dispatch_ms
+                        == pytest.approx(group_ms / 2.0))
 
     def test_generation_rejects_targets(self, default_accel):
         group = PipelineGroup(default_accel, 2)

@@ -11,10 +11,12 @@ reached.  A module that no root reaches is code no path runs: delete
 it, or name it in :data:`ALLOWED` with the reason it stays.
 
 The same holds one level down, for names.  Every public top-level
-function and class of a non-``__init__`` module outside :data:`ALLOWED`
-is referenced from ``src/repro``, ``examples/`` or ``perfbench/``
+function, class and constant (a module-level assignment to a public
+name) of a non-``__init__`` module outside :data:`ALLOWED` is
+referenced from ``src/repro``, ``examples/`` or ``perfbench/``
 somewhere other than its own definition: as a name, an attribute or a
-``from ... import`` name.  ``__all__`` entries are strings, and package
+``from ... import`` name.  An assignment's own target is a definition,
+not a reference.  ``__all__`` entries are strings, and package
 ``__init__`` files are not read, so neither a listing nor a re-export
 counts.  A name nothing references is code only tests run: delete it,
 or name it in :data:`ALLOWED_NAMES` with the reason it stays.  Methods
@@ -137,22 +139,36 @@ def _unreached():
                   if not _is_package(m) and m not in reached)
 
 
+def _defined(statement):
+    """The names a top-level statement defines: a function's or a
+    class's own name, or an assignment's target names."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [statement.target])
+        return {node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)}
+    return set()
+
+
 def _definitions():
-    """``(module, name)`` of every public top-level function and class
-    of a non-``__init__`` module outside :data:`ALLOWED`."""
+    """``(module, name)`` of every public top-level function, class and
+    constant of a non-``__init__`` module outside :data:`ALLOWED`."""
     for module in sorted(MODULES):
         if _is_package(module) or module in ALLOWED:
             continue
-        for node in _tree(module).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield module, node.name
+        for statement in _tree(module).body:
+            for name in sorted(_defined(statement)):
+                if not name.startswith("_"):
+                    yield module, name
 
 
 def _references(tree):
-    """Every name ``tree`` uses, each top-level definition's own name
-    inside its body aside (recursion is not a caller)."""
+    """Every name ``tree`` uses, each top-level definition's own names
+    aside (recursion is not a caller, and an assignment's target is
+    not a reader)."""
     names = set()
     for statement in tree.body:
         used = set()
@@ -163,10 +179,7 @@ def _references(tree):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-            used.discard(statement.name)
-        names |= used
+        names |= used - _defined(statement)
     return names
 
 
@@ -312,8 +325,51 @@ def test_a_call_from_another_module_counts(monkeypatch):
 def test_private_names_are_not_checked(monkeypatch):
     monkeypatch.setitem(MODULES, "repro.obs.orphan", SRC / "obs" / "orphan.py")
     monkeypatch.setitem(_TREES, "repro.obs.orphan", ast.parse(
-        "def _helper():\n    pass\n\n\nclass _Private:\n    pass\n"))
+        "def _helper():\n    pass\n\n\nclass _Private:\n    pass\n\n\n"
+        "_LIMIT = 3\n"))
     assert not [d for d in _definitions() if d[0] == "repro.obs.orphan"]
+
+
+def test_an_unreferenced_constant_is_flagged(monkeypatch):
+    """Its own assignment, an annotated one or a re-binding, reads
+    nothing."""
+    monkeypatch.setitem(MODULES, "repro.obs.orphan", SRC / "obs" / "orphan.py")
+    monkeypatch.setitem(_TREES, "repro.obs.orphan", ast.parse(
+        "ORPHAN_LIMIT = 3\nORPHAN_NAMES: tuple = ('a',)\n"
+        "ORPHAN_LIMIT = 4\n"))
+    dead = _unreferenced()
+    assert ("repro.obs.orphan", "ORPHAN_LIMIT") in dead
+    assert ("repro.obs.orphan", "ORPHAN_NAMES") in dead
+
+
+def test_a_constant_read_in_its_own_module_counts(monkeypatch):
+    monkeypatch.setitem(MODULES, "repro.obs.orphan", SRC / "obs" / "orphan.py")
+    monkeypatch.setitem(_TREES, "repro.obs.orphan", ast.parse(
+        "ORPHAN_LIMIT = 3\n\n\ndef orphan_check(x):\n"
+        "    return x < ORPHAN_LIMIT\n"))
+    names = {name for module, name in _unreferenced()
+             if module == "repro.obs.orphan"}
+    assert names == {"orphan_check"}
+
+
+@pytest.mark.parametrize("module, name", [
+    ("repro.fixedpoint.qformat", "ACC32"),
+    ("repro.fixedpoint.qformat", "Q8_4"),
+    ("repro.fixedpoint.qformat", "Q8_5"),
+    ("repro.fixedpoint.qformat", "Q8_6"),
+    ("repro.fixedpoint.qformat", "Q16_8"),
+    ("repro.hls.loopnest", "MAC_STATEMENT"),
+    ("repro.dse.surrogate", "SURROGATE_OBJECTIVE_NAMES"),
+])
+def test_a_retired_constant_restored_with_its_reexport_is_flagged(
+        module, name, monkeypatch):
+    source = (MODULES[module].read_text() + f"\n\n{name} = 1\n"
+              + f"__all__ = [*__all__, {name!r}]\n")
+    monkeypatch.setitem(_TREES, module, ast.parse(source))
+    package, _, leaf = module.rpartition(".")
+    init = MODULES[package].read_text() + f"from .{leaf} import {name}\n"
+    monkeypatch.setitem(_TREES, package, ast.parse(init))
+    assert (module, name) in _unreferenced()
 
 
 @pytest.mark.parametrize("module, name", [

@@ -27,6 +27,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .._checks import check_count
 from ..fixedpoint import ErfLUT, FxTensor, QFormat, quantize
 from ..hls import (
     ArrayPartition,
@@ -160,6 +161,8 @@ class FFNModule:
 
     def compute_cycles(self, seq_len: int, d_model: int) -> Dict[str, int]:
         """Per-engine compute cycles for one layer."""
+        check_count("seq_len", seq_len)
+        check_count("d_model", d_model)
         synth = self.synth
         grid = self.tile_grid(d_model)
         per1 = schedule_loop(

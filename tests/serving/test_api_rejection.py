@@ -407,6 +407,10 @@ CASES = [
     ("latency.decode_layer_cycles.num_heads",
      lambda v, r: r["accel"].latency_model.decode_layer_cycles(1, 768, v),
      NOT_COUNT),
+    ("ffn.compute_cycles.seq_len",
+     lambda v, r: r["accel"].ffn.compute_cycles(v, 768), NOT_COUNT),
+    ("ffn.compute_cycles.d_model",
+     lambda v, r: r["accel"].ffn.compute_cycles(64, v), NOT_COUNT),
     ("decoder.compute_cycles.tgt_len",
      lambda v, r: r["decoder"].compute_cycles(v, 10, 768, 8), NOT_COUNT),
     ("decoder.compute_cycles.mem_len",
@@ -436,6 +440,10 @@ BAD_CYCLE_CALLS = [
      lambda r: r["accel"].attention.compute_cycles(0, 768, 8)),
     ("compute_cycles(768/7)",
      lambda r: r["accel"].attention.compute_cycles(10, 768, 7)),
+    ("ffn.compute_cycles(2.5)",
+     lambda r: r["accel"].ffn.compute_cycles(2.5, 768)),
+    ("ffn.compute_cycles(0)",
+     lambda r: r["accel"].ffn.compute_cycles(0, 768)),
     ("decoder.compute_cycles(mem 0)",
      lambda r: r["decoder"].compute_cycles(10, 0, 768, 8)),
     ("decoder.compute_cycles(tgt True)",
